@@ -62,7 +62,7 @@ func (e *DeltaEngine) Step(sn machine.Snapshot) Delta {
 		d.First = true
 	} else {
 		p := e.prev
-		d.Faults = int64(sn.Latency.Fault.Count) - int64(p.Latency.Fault.Count)
+		d.Faults = int64(sn.Faults) - int64(p.Faults)
 		d.MapOps = int64(sn.Latency.MapOp.Count) - int64(p.Latency.MapOp.Count)
 		d.Scans = int64(ReclaimScans(sn)) - int64(ReclaimScans(p))
 		d.Evictions = int64(ReclaimEvictions(sn)) - int64(ReclaimEvictions(p))
@@ -72,12 +72,12 @@ func (e *DeltaEngine) Step(sn machine.Snapshot) Delta {
 	}
 	tenants := make(map[string]machine.TenantSnapshot, len(sn.Tenants))
 	for _, ts := range sn.Tenants {
-		td := TenantDelta{Cur: ts, Faults: int64(ts.Fault.Count)}
+		td := TenantDelta{Cur: ts, Faults: int64(ts.Faults)}
 		if ts.Account != nil {
 			td.Evictions = int64(ts.Account.Evictions)
 		}
 		if prev, ok := e.tenants[ts.Name]; ok {
-			td.Faults -= int64(prev.Fault.Count)
+			td.Faults -= int64(prev.Faults)
 			if prev.Account != nil {
 				td.Evictions -= int64(prev.Account.Evictions)
 			}

@@ -127,8 +127,17 @@ func TestMetricsExposition(t *testing.T) {
 			t.Fatalf("missing quantile %s (have %v)", q, quantiles)
 		}
 	}
-	if count < 96 {
-		t.Fatalf("fault summary count = %v, want >= 96", count)
+	if count != 96 {
+		t.Fatalf("fault summary count = %v, want the exact 96 faults", count)
+	}
+	// The timed sample is its own, labelled family: some faults, far
+	// from all of them while the tracer is disarmed.
+	sf, ok := byName["vm_fault_latency_samples_total"]
+	if !ok || len(sf.Samples) != 1 {
+		t.Fatalf("vm_fault_latency_samples_total missing (%v)", sf)
+	}
+	if n := sf.Samples[0].Value; n < 1 || n >= 96/2 {
+		t.Fatalf("fault latency samples = %v, want a sample of the 96 faults", n)
 	}
 	for _, name := range []string{"vm_pool_frames", "vm_tenant_frames", "vm_rcu_grace_periods_total", "vm_oom_kills_total"} {
 		if _, ok := byName[name]; !ok {
@@ -400,8 +409,8 @@ func TestSnapshotJSON(t *testing.T) {
 	if len(doc.Snapshot.Tenants) != 1 || doc.Snapshot.Tenants[0].Name != "alpha" {
 		t.Fatalf("tenants = %+v", doc.Snapshot.Tenants)
 	}
-	if doc.Snapshot.Tenants[0].Fault.Count < 32 {
-		t.Fatalf("tenant fault count = %d, want >= 32", doc.Snapshot.Tenants[0].Fault.Count)
+	if doc.Snapshot.Tenants[0].Faults < 32 {
+		t.Fatalf("tenant fault count = %d, want >= 32", doc.Snapshot.Tenants[0].Faults)
 	}
 }
 
@@ -410,13 +419,14 @@ func TestSnapshotJSON(t *testing.T) {
 func TestDeltaEngine(t *testing.T) {
 	mk := func(faults, gps uint64, tenants ...machine.TenantSnapshot) machine.Snapshot {
 		var sn machine.Snapshot
-		sn.Latency.Fault = stats.LatencyStats{Count: faults}
+		sn.Faults = faults
+		sn.Latency.Fault = stats.LatencyStats{Count: faults / 16} // the timed sample: not what deltas read
 		sn.Latency.GP = stats.LatencyStats{Count: gps}
 		sn.Tenants = tenants
 		return sn
 	}
 	tsn := func(name string, faults uint64) machine.TenantSnapshot {
-		return machine.TenantSnapshot{Name: name, Fault: stats.LatencyStats{Count: faults}}
+		return machine.TenantSnapshot{Name: name, Faults: faults, Fault: stats.LatencyStats{Count: faults / 16}}
 	}
 	var e DeltaEngine
 	d := e.Step(mk(100, 5, tsn("a", 100)))

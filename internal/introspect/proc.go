@@ -68,8 +68,8 @@ func WriteMeminfo(w io.Writer, src Source) error {
 			pw.printf("  Evictions:    %8d pages\n", ts.Account.Evictions)
 		}
 		pw.printf("  AnonHuge:     %8d pages\n", ts.Space.AnonHugePages*hugePages)
-		pw.printf("  Faults:       %8d\n", ts.Fault.Count)
-		pw.printf("  FaultP99:     %8v\n", time.Duration(ts.Fault.P99Ns))
+		pw.printf("  Faults:       %8d\n", ts.Faults)
+		pw.printf("  FaultP99:     %8v (%d samples)\n", time.Duration(ts.Fault.P99Ns), ts.Fault.Count)
 	}
 	return pw.err
 }

@@ -195,8 +195,13 @@ func WriteMetrics(w io.Writer, src Source) error {
 		p.sample("vm_rcu_readers", nil, float64(rs.Readers))
 	}
 
-	p.summary("vm_fault_latency_ns", "Page-fault latency, machine-wide (fast path through OOM ladder).", nil,
-		statsLatency{int64(sn.Latency.Fault.Count), sn.Latency.Fault.P50Ns, sn.Latency.Fault.P99Ns, sn.Latency.Fault.P999Ns})
+	// Faults are timed by sampling: the quantiles come from the timed
+	// sample, _count is the exact fault counter, and the sample size is
+	// its own family.
+	p.summary("vm_fault_latency_ns", "Page-fault latency, machine-wide (fast path through OOM ladder); quantiles over the timed sample, _count every fault.", nil,
+		statsLatency{int64(sn.Faults), sn.Latency.Fault.P50Ns, sn.Latency.Fault.P99Ns, sn.Latency.Fault.P999Ns})
+	p.family("vm_fault_latency_samples_total", "counter", "Faults timed into vm_fault_latency_ns (1 in 16 while the tracer is disarmed, every fault while armed).")
+	p.sample("vm_fault_latency_samples_total", nil, float64(sn.Latency.Fault.Count))
 	p.summary("vm_map_op_latency_ns", "Mapping-operation latency (mmap/munmap/mprotect/madvise), machine-wide.", nil,
 		statsLatency{int64(sn.Latency.MapOp.Count), sn.Latency.MapOp.P50Ns, sn.Latency.MapOp.P99Ns, sn.Latency.MapOp.P999Ns})
 	p.summary("vm_range_wait_ns", "Contended range-lock wait latency, machine-wide.", nil,
@@ -261,10 +266,10 @@ func writeTenantMetrics(p *promWriter, sn machine.Snapshot) {
 		p.family("vm_tenant_evictions_total", "counter", "Per-tenant pages evicted from the tenant's account.")
 		p.family("vm_tenant_evictions_under_limit_total", "counter", "Per-tenant pages evicted while under limit (cross-tenant interference).")
 	}
-	p.family("vm_tenant_fault_latency_ns", "summary", "Per-tenant page-fault latency.")
+	p.family("vm_tenant_fault_latency_ns", "summary", "Per-tenant page-fault latency; quantiles over the timed sample, _count every fault.")
 	for _, ts := range sn.Tenants {
 		tl := []lbl{{"tenant", ts.Name}}
-		p.sample("vm_tenant_faults_total", tl, float64(ts.Fault.Count))
+		p.sample("vm_tenant_faults_total", tl, float64(ts.Faults))
 		if ts.Account != nil {
 			a := ts.Account
 			p.sample("vm_tenant_frames", append(tl[:1:1], lbl{"state", "limit"}), float64(a.Limit))
@@ -277,7 +282,7 @@ func writeTenantMetrics(p *promWriter, sn machine.Snapshot) {
 			p.sample("vm_tenant_frames", append(tl[:1:1], lbl{"state", "limit"}), float64(ts.Limit))
 		}
 		p.summarySeries("vm_tenant_fault_latency_ns", tl,
-			statsLatency{int64(ts.Fault.Count), ts.Fault.P50Ns, ts.Fault.P99Ns, ts.Fault.P999Ns})
+			statsLatency{int64(ts.Faults), ts.Fault.P50Ns, ts.Fault.P99Ns, ts.Fault.P999Ns})
 	}
 }
 

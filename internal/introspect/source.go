@@ -183,12 +183,15 @@ func (s *SpaceSet) Snapshot() machine.Snapshot {
 	for _, t := range live {
 		as := t.Spaces[0]
 		ts := machine.TenantSnapshot{Name: t.Name, Space: as.Stats()}
-		fault.Merge(as.FaultHist())
+		fh := as.FaultHist()
+		fault.Merge(fh)
 		mapOp.Merge(as.MapHist())
 		if rw := as.RangeWaitHist(); rw != nil {
 			rangeWait.Merge(rw)
 		}
-		ts.Fault = as.FaultHist().Stats()
+		ts.Fault = fh.Stats()
+		ts.Faults = ts.Space.Faults
+		sn.Faults += ts.Faults
 		sn.OOMKills += ts.Space.OOMKills
 		sn.Tenants = append(sn.Tenants, ts)
 	}

@@ -53,6 +53,9 @@ type Machine struct {
 	departedFault     stats.LatencyHist
 	departedMapOp     stats.LatencyHist
 	departedRangeWait stats.LatencyHist
+	// departedFaults is the exact fault count of departed tenants (the
+	// histograms hold only the timed sample), carried the same way.
+	departedFaults uint64
 }
 
 // Tenant is one admitted family: a root address space plus every
@@ -75,6 +78,7 @@ type Tenant struct {
 	departedFault     stats.LatencyHist
 	departedMapOp     stats.LatencyHist
 	departedRangeWait stats.LatencyHist
+	departedFaults    uint64 // exact fault count of those members
 }
 
 // New builds an empty machine.
@@ -193,9 +197,10 @@ func (t *Tenant) CloseSpace(as *vm.AddressSpace) error {
 	return as.Close()
 }
 
-// absorbLocked folds a departing member's latency samples into the
-// tenant's departed accumulators. t.mu is held.
+// absorbLocked folds a departing member's latency samples and exact
+// fault count into the tenant's departed accumulators. t.mu is held.
 func (t *Tenant) absorbLocked(as *vm.AddressSpace) {
+	t.departedFaults += as.Faults()
 	t.departedFault.Merge(as.FaultHist())
 	t.departedMapOp.Merge(as.MapHist())
 	if rw := as.RangeWaitHist(); rw != nil {
@@ -262,6 +267,7 @@ func (m *Machine) evict(t *Tenant) error {
 	m.departedFault.Merge(&t.departedFault)
 	m.departedMapOp.Merge(&t.departedMapOp)
 	m.departedRangeWait.Merge(&t.departedRangeWait)
+	m.departedFaults += t.departedFaults
 	m.mu.Unlock()
 	if residue != 0 && firstErr == nil {
 		firstErr = fmt.Errorf("machine: tenant %q leaked %d charged frames past eviction", t.name, residue)
@@ -322,9 +328,13 @@ type TenantSnapshot struct {
 	Space vm.Stats `json:"space"`
 	// Account is the tenant's charge counters (nil when unlimited).
 	Account *physmem.AccountStats `json:"account,omitempty"`
-	// Fault is the tenant's fault-latency rollup, merged across every
-	// member space including members already closed — its count is the
-	// tenant's monotonic fault counter.
+	// Faults is the tenant's exact fault count, summed across every
+	// member space including members already closed: the tenant's
+	// monotonic fault counter.
+	Faults uint64 `json:"faults"`
+	// Fault is the tenant's fault-latency rollup over the same members.
+	// Faults are timed by sampling, so its Count is the number of
+	// samples behind the percentiles, not the number of faults.
 	Fault stats.LatencyStats `json:"fault"`
 }
 
@@ -356,6 +366,10 @@ type Snapshot struct {
 	// stays under its limit this should be ~0 — a nonzero count means
 	// one tenant's pressure reached into another's working set.
 	CrossTenantEvictions uint64 `json:"cross_tenant_evictions"`
+	// Faults is the machine-wide exact fault count: live tenants plus
+	// the departed accumulator, monotonic across tenant churn like the
+	// histogram counts. (Latency.Fault.Count is the timed sample only.)
+	Faults uint64 `json:"faults"`
 }
 
 // Snapshot captures the machine rollup.
@@ -372,6 +386,7 @@ func (m *Machine) Snapshot() Snapshot {
 		TenantsEvicted:       m.tenantsEvicted,
 		Departed:             append([]physmem.AccountStats(nil), m.departed...),
 		CrossTenantEvictions: m.departedCross,
+		Faults:               m.departedFaults,
 	}
 	// The departed-latency copy shares m.mu with the live-tenant copy:
 	// a tenant evicting concurrently is counted exactly once — via its
@@ -401,12 +416,14 @@ func (m *Machine) Snapshot() Snapshot {
 		// monotonicity guarantee above).
 		var tf stats.LatencyHist
 		t.mu.Lock()
+		ts.Faults = t.departedFaults
 		tf.Merge(&t.departedFault)
 		mapOp.Merge(&t.departedMapOp)
 		rangeWait.Merge(&t.departedRangeWait)
 		spaces := append([]*vm.AddressSpace(nil), t.spaces...)
 		t.mu.Unlock()
 		for _, as := range spaces {
+			ts.Faults += as.Faults()
 			tf.Merge(as.FaultHist())
 			mapOp.Merge(as.MapHist())
 			if rw := as.RangeWaitHist(); rw != nil {
@@ -414,6 +431,7 @@ func (m *Machine) Snapshot() Snapshot {
 			}
 		}
 		ts.Fault = tf.Stats()
+		sn.Faults += ts.Faults
 		fault.Merge(&tf)
 		sn.Tenants = append(sn.Tenants, ts)
 	}

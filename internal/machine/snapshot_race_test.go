@@ -62,14 +62,19 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 
 	// Snapshotter: the assertions run here, concurrently with churn.
 	const snapshots = 400
-	var lastFaults uint64
+	var lastFaults, lastSamples uint64
 	for i := 0; i < snapshots; i++ {
 		sn := m.Snapshot()
-		if sn.Latency.Fault.Count < lastFaults {
+		if sn.Faults < lastFaults {
 			t.Fatalf("machine fault count regressed: %d -> %d (snapshot %d)",
-				lastFaults, sn.Latency.Fault.Count, i)
+				lastFaults, sn.Faults, i)
 		}
-		lastFaults = sn.Latency.Fault.Count
+		lastFaults = sn.Faults
+		if sn.Latency.Fault.Count < lastSamples {
+			t.Fatalf("machine fault sample count regressed: %d -> %d (snapshot %d)",
+				lastSamples, sn.Latency.Fault.Count, i)
+		}
+		lastSamples = sn.Latency.Fault.Count
 		seen := map[string]bool{}
 		for _, ts := range sn.Tenants {
 			if ts.Name == "" {
@@ -91,7 +96,7 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 	// work so the quiescent cross-check below checks something.
 	for i := 0; i < 5000; i++ {
 		sn := m.Snapshot()
-		if sn.TenantsEvicted > 0 && sn.Latency.Fault.Count > 0 {
+		if sn.TenantsEvicted > 0 && sn.Faults > 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -102,10 +107,20 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 	// Quiescent cross-check: with churn stopped, the rollup must equal
 	// live + departed exactly and still be >= the last racing read.
 	sn := m.Snapshot()
-	if sn.Latency.Fault.Count < lastFaults {
-		t.Fatalf("final fault count %d below last observed %d", sn.Latency.Fault.Count, lastFaults)
+	if sn.Faults < lastFaults || sn.Latency.Fault.Count < lastSamples {
+		t.Fatalf("final fault count %d / samples %d below last observed %d / %d",
+			sn.Faults, sn.Latency.Fault.Count, lastFaults, lastSamples)
 	}
-	if sn.TenantsEvicted == 0 || sn.Latency.Fault.Count == 0 {
-		t.Fatalf("churn did no work: evicted=%d faults=%d", sn.TenantsEvicted, sn.Latency.Fault.Count)
+	if sn.TenantsEvicted == 0 || sn.Faults == 0 {
+		t.Fatalf("churn did no work: evicted=%d faults=%d", sn.TenantsEvicted, sn.Faults)
+	}
+	// Every churn round faults exactly 32 pages and every tenant has
+	// departed: the exact counter carries all of them, the timed sample
+	// only a fraction.
+	if sn.Faults != 32*sn.TenantsEvicted {
+		t.Fatalf("exact fault count %d, want 32 per evicted tenant (%d)", sn.Faults, 32*sn.TenantsEvicted)
+	}
+	if sn.Latency.Fault.Count > sn.Faults {
+		t.Fatalf("more fault samples (%d) than faults (%d)", sn.Latency.Fault.Count, sn.Faults)
 	}
 }

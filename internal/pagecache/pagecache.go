@@ -58,6 +58,7 @@ import (
 	"bonsai/internal/fail"
 	"bonsai/internal/physmem"
 	"bonsai/internal/rcu"
+	"bonsai/internal/stats"
 	"bonsai/internal/tlb"
 	"bonsai/internal/trace"
 )
@@ -347,7 +348,7 @@ type Cache struct {
 	wbErr error
 
 	resident    atomic.Int64
-	hits        atomic.Uint64
+	hits        stats.Counter // per-CPU (allocator magazine index): the fault hot path
 	misses      atomic.Uint64 // fills: faults that populated the cache
 	coalesced   atomic.Uint64 // faulters that waited out a concurrent fill
 	dropped     atomic.Uint64
@@ -368,7 +369,8 @@ type Cache struct {
 // registry the cache keeps current for the VM layer's zap paths.
 func New(fileID uint64, label string, alloc *physmem.Allocator, dom *rcu.Domain, reg *Registry) *Cache {
 	return &Cache{fileID: fileID, label: label, site: "pagecache:" + label,
-		alloc: alloc, dom: dom, reg: reg, root: newNode(levels)}
+		alloc: alloc, dom: dom, reg: reg, root: newNode(levels),
+		hits: stats.NewCounter(alloc.NumCPUs())}
 }
 
 // lock acquires the cache mutex through the contention profiler, so an
@@ -432,7 +434,7 @@ func (c *Cache) FindOrCreate(cpu int, off uint64, fill func(physmem.Frame)) (*Pa
 	checkOffset(off)
 	off &^= physmem.PageSize - 1
 	if pg := c.lookup(off); pg != nil && !pg.Deleted() {
-		c.hits.Add(1)
+		c.hits.Add(cpu, 1)
 		pg.touch()
 		return pg, nil
 	}
@@ -1036,6 +1038,10 @@ func (s *Stats) Add(o Stats) {
 	s.WritebackRetries += o.WritebackRetries
 	s.WritebackSticky += o.WritebackSticky
 }
+
+// HitsOn returns the lookup hits counted on cpu's cell alone (the
+// shared-write audit reads it to prove which CPU a fault counted on).
+func (c *Cache) HitsOn(cpu int) uint64 { return c.hits.CPU(cpu) }
 
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() Stats {

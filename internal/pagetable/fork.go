@@ -27,7 +27,8 @@ const (
 )
 
 // FillOrUpgrade services a fault for addr under the leaf table's PTE
-// lock. recheck is the §5.2 double check. For an absent entry it
+// lock; cpu names the faulting context, whose own cell counts an
+// install. recheck is the §5.2 double check. For an absent entry it
 // installs makeFrame's PTE. For a present entry it succeeds unless the
 // access is a write and the PTE is read-only copy-on-write; then it
 // stores makeCopy's replacement (breaking COW), or reports
@@ -36,7 +37,7 @@ const (
 // non-COW upgrade): the VM layer marks shared file pages dirty there,
 // so a writable PTE is never observable before its page's dirty bit —
 // the invariant page reclaim's writeback depends on.
-func (t *Tables) FillOrUpgrade(addr uint64, pt *PageTable, write bool,
+func (t *Tables) FillOrUpgrade(cpu int, addr uint64, pt *PageTable, write bool,
 	recheck func() bool,
 	makeFrame func() (uint64, error),
 	makeCopy func(old uint64) (uint64, error),
@@ -61,7 +62,7 @@ func (t *Tables) FillOrUpgrade(addr uint64, pt *PageTable, write bool,
 			return FillRecheckFailed, err
 		}
 		pt.SetPTE(idx, npte)
-		t.ptesFilled.Add(1)
+		t.ptesFilled.Add(cpu, 1)
 		return FillInstalled, nil
 	}
 	if !write || pte&PTEWritable != 0 {
@@ -87,7 +88,7 @@ func (t *Tables) FillOrUpgrade(addr uint64, pt *PageTable, write bool,
 		return FillRecheckFailed, err
 	}
 	pt.SetPTE(idx, npte)
-	t.ptesFilled.Add(1)
+	t.ptesFilled.Add(cpu, 1)
 	return FillUpgraded, nil
 }
 
@@ -190,7 +191,7 @@ func (t *Tables) CloneRange(cpu int, g *tlb.Gather, dst *Tables, lo, hi uint64, 
 		dpt.Lock()
 		if onInstall == nil || onInstall(e.addr, PTEFrame(e.pte)) {
 			dpt.SetPTE(index(e.addr, 1), e.pte)
-			dst.ptesFilled.Add(1)
+			dst.ptesFilled.Add(cpu, 1)
 		}
 		dpt.Unlock()
 	}

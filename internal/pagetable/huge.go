@@ -99,7 +99,7 @@ func (t *Tables) InstallHuge(cpu int, addr uint64, frame physmem.Frame,
 		d.huge[idx].Store(pte)
 		d.deposit[idx].Store(dep)
 		t.dirLock.Unlock()
-		t.ptesFilled.Add(EntriesPerTable)
+		t.ptesFilled.Add(cpu, EntriesPerTable)
 		t.hugeInstalls.Add(1)
 		return HugeInstalled, nil
 	}
@@ -322,7 +322,7 @@ func (t *Tables) Collapse(cpu int, g *tlb.Gather, addr uint64,
 	}
 	pt.dead.Store(true)
 	pt.Unlock()
-	t.ptesFilled.Add(EntriesPerTable)
+	t.ptesFilled.Add(cpu, EntriesPerTable)
 	t.ptesCleared.Add(EntriesPerTable)
 	t.hugeInstalls.Add(1)
 	t.retireStructure(g, pt.frame)

@@ -23,6 +23,7 @@ import (
 	"bonsai/internal/locks"
 	"bonsai/internal/physmem"
 	"bonsai/internal/rcu"
+	"bonsai/internal/stats"
 	"bonsai/internal/tlb"
 )
 
@@ -160,6 +161,12 @@ type Config struct {
 	// pre-fine-grained-locking kernel configuration, used as an
 	// ablation (§2 notes recent kernels moved to per-table locks).
 	SinglePTELock bool
+	// CPUs is the number of distinct cpu arguments the tree's callers
+	// use (the address space's fault contexts plus its mapping
+	// context); it sizes the per-CPU fill counter. The ids may be
+	// machine-wide magazine indices as long as they are contiguous.
+	// Zero means 1: every caller shares one cell.
+	CPUs int
 }
 
 // Tables is the page-table tree of one address space.
@@ -179,8 +186,8 @@ type Tables struct {
 	tablesAlloc  atomic.Uint64
 	tablesFreed  atomic.Uint64
 	discarded    atomic.Uint64 // optimistic allocations lost the double-check race
-	ptesFilled   atomic.Uint64
-	ptesCleared  atomic.Uint64
+	ptesFilled   stats.Counter // per-CPU: every fault that installs a PTE counts here
+	ptesCleared  atomic.Uint64 // unmap and eviction paths only, one add per batch
 	dirDoubleChk atomic.Uint64 // double-check lock acquisitions
 
 	// Huge-entry lifecycle counters. Splits and zaps can originate deep
@@ -197,7 +204,7 @@ type Tables struct {
 // (Fork builds a child's tree while the parent's fault CPUs keep
 // allocating, so sharing magazine 0 here would race).
 func New(alloc *physmem.Allocator, dom *rcu.Domain, cpu int, cfg Config) (*Tables, error) {
-	t := &Tables{cfg: cfg, alloc: alloc, dom: dom}
+	t := &Tables{cfg: cfg, alloc: alloc, dom: dom, ptesFilled: stats.NewCounter(cfg.CPUs)}
 	root, err := t.newDirectory(cpu, Levels)
 	if err != nil {
 		return nil, err
@@ -431,7 +438,8 @@ func (t *Tables) discardPageTable(cpu int, pt *PageTable) {
 
 // FillPTE installs a PTE for addr under the leaf table's PTE lock,
 // running the caller's recheck while the lock is held (the fill-race
-// double check of §5.2). It returns:
+// double check of §5.2). It is FillOrUpgrade narrowed to the
+// absent-entry case, counted on CPU 0. It returns:
 //
 //   - installed=true if this call filled the entry;
 //   - installed=false, ok=true if a concurrent fault already filled it;
@@ -441,29 +449,8 @@ func (t *Tables) discardPageTable(cpu int, pt *PageTable) {
 // and initializes the page.
 func (t *Tables) FillPTE(addr uint64, pt *PageTable, recheck func() bool,
 	makeFrame func() (uint64, error)) (installed, ok bool, err error) {
-	idx := index(addr, 1)
-	pt.Lock()
-	defer pt.Unlock()
-	if pt.Dead() {
-		// Detached between the walk and the lock. A VMA recheck cannot
-		// catch this when the region is still live: the collapser
-		// detaches tables under live VMAs (promoting them to huge
-		// entries), unlike munmap. Retry from the walk.
-		return false, false, nil
-	}
-	if recheck != nil && !recheck() {
-		return false, false, nil
-	}
-	if pt.PTE(idx)&PTEPresent != 0 {
-		return false, true, nil // concurrent fault won; nothing to do
-	}
-	pte, err := makeFrame()
-	if err != nil {
-		return false, false, err
-	}
-	pt.SetPTE(idx, pte)
-	t.ptesFilled.Add(1)
-	return true, true, nil
+	res, err := t.FillOrUpgrade(0, addr, pt, false, recheck, makeFrame, nil, nil)
+	return res == FillInstalled, res != FillRecheckFailed, err
 }
 
 // UnmapRange implements the recursive unmap scan of Figure 11 for
@@ -564,6 +551,7 @@ func (t *Tables) unmapDir(g *tlb.Gather, d *directory, lo, hi uint64, onPage fun
 func (t *Tables) clearPTEs(g *tlb.Gather, pt *PageTable, lo, hi uint64, detach bool, onPage func(addr, pte uint64)) {
 	first, last := index(lo, 1), index(hi-1, 1)
 	base := lo &^ (TableSpan - 1)
+	cleared := uint64(0)
 	pt.Lock()
 	for i := first; i <= last; i++ {
 		pte := pt.PTE(i)
@@ -571,7 +559,7 @@ func (t *Tables) clearPTEs(g *tlb.Gather, pt *PageTable, lo, hi uint64, detach b
 			continue
 		}
 		pt.ptes[i].Store(0)
-		t.ptesCleared.Add(1)
+		cleared++
 		addr := base + uint64(i)<<PageShift
 		g.Page(addr, PTEFrame(pte))
 		if onPage != nil {
@@ -582,6 +570,7 @@ func (t *Tables) clearPTEs(g *tlb.Gather, pt *PageTable, lo, hi uint64, detach b
 		pt.dead.Store(true)
 	}
 	pt.Unlock()
+	t.ptesCleared.Add(cleared)
 }
 
 // ClearPTEIfFrame revokes the translation at addr if (and only if) it
@@ -636,6 +625,10 @@ func (t *Tables) Stats() Stats {
 		DirDoubleCheck: t.dirDoubleChk.Load(),
 	}
 }
+
+// PTEsFilledOn returns the fills counted on cpu's cell alone (for the
+// shared-write audit).
+func (t *Tables) PTEsFilledOn(cpu int) uint64 { return t.ptesFilled.CPU(cpu) }
 
 // CountPresent returns the number of present PTEs in [lo, hi). It is a
 // test helper and takes no locks.

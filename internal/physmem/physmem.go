@@ -23,7 +23,9 @@
 // band the reclaim subsystem (internal/reclaim) operates in. When free
 // frames drop below the low watermark, one token is published on the
 // Pressure channel — the kswapd wake-up — and the signal re-arms once
-// free frames climb back above the high watermark.
+// free frames climb back above the high watermark. The low watermark is
+// checked where frames leave the shared pool (magazine refill, AllocRun):
+// a crossing is noticed at most half a magazine late.
 package physmem
 
 import (
@@ -98,10 +100,14 @@ type Config struct {
 // DefaultFrames is the default pool size (1 GiB of 4 KiB frames).
 const DefaultFrames = 1 << 18
 
+// magazine is one CPU's frame cache and, on the same padded line, its
+// share of the allocation counters: no line another CPU writes.
 type magazine struct {
 	_      [64]byte
 	mu     locks.SpinLock
 	frames []Frame
+	allocs atomic.Uint64 // frames handed out through this index (Alloc, AllocRun)
+	frees  atomic.Uint64 // final frees returned through this index (Free)
 	_      [64]byte
 }
 
@@ -160,8 +166,9 @@ type Allocator struct {
 	pressure chan struct{}
 	lowHit   atomic.Bool
 
-	allocs         atomic.Uint64
-	frees          atomic.Uint64
+	// remoteFrees counts final frees that name no CPU (FreeRemote,
+	// FreeBatch); the rest of the allocation counts live in the magazines.
+	remoteFrees    atomic.Uint64
 	refills        atomic.Uint64
 	drains         atomic.Uint64
 	drained        atomic.Uint64
@@ -172,7 +179,6 @@ type Allocator struct {
 	allocFailures  atomic.Uint64
 	limitFailures  atomic.Uint64
 	pressureEvents atomic.Uint64
-	inUse          atomic.Int64
 }
 
 // New returns an allocator with the given configuration.
@@ -352,22 +358,16 @@ func (a *Allocator) Alloc(cpu int) (Frame, error) {
 		return NoFrame, ErrOverLimit
 	}
 	m := &a.mags[cpu%len(a.mags)]
-	f, err := a.popMagazine(m)
+	f, refilled, err := a.popMagazine(m)
+	if err != nil && a.DrainMagazines() > 0 {
+		f, refilled, err = a.popMagazine(m)
+	}
 	if err != nil {
-		if a.DrainMagazines() == 0 {
-			a.allocFailures.Add(1)
-			if ac != nil {
-				ac.unchargeN(1)
-			}
-			return NoFrame, err
+		a.allocFailures.Add(1)
+		if ac != nil {
+			ac.unchargeN(1)
 		}
-		if f, err = a.popMagazine(m); err != nil {
-			a.allocFailures.Add(1)
-			if ac != nil {
-				ac.unchargeN(1)
-			}
-			return NoFrame, err
-		}
+		return NoFrame, err
 	}
 	if ac != nil {
 		a.owner[f].Store(ac)
@@ -375,9 +375,10 @@ func (a *Allocator) Alloc(cpu int) (Frame, error) {
 	a.setAllocated(f)
 	a.gens[f].Add(1)
 	a.refs[f].Store(1)
-	a.allocs.Add(1)
-	a.inUse.Add(1)
-	a.notePressure()
+	m.allocs.Add(1)
+	if refilled { // frames left the shared pool: the one place the hit path's watermark check lives
+		a.notePressure()
+	}
 	a.zeroBacking(f)
 	return f, nil
 }
@@ -440,8 +441,7 @@ func (a *Allocator) AllocRun(cpu, order int) (Frame, error) {
 		a.zeroBacking(f)
 	}
 	a.runAllocs.Add(1)
-	a.allocs.Add(uint64(n))
-	a.inUse.Add(n)
+	a.mags[cpu%len(a.mags)].allocs.Add(uint64(n))
 	a.notePressure()
 	return base, nil
 }
@@ -480,18 +480,19 @@ func (a *Allocator) zeroBacking(f Frame) {
 }
 
 // popMagazine takes one frame from m, refilling it from the buddy
-// lists when empty.
-func (a *Allocator) popMagazine(m *magazine) (Frame, error) {
+// lists when empty (and reporting that it did).
+func (a *Allocator) popMagazine(m *magazine) (f Frame, refilled bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.frames) == 0 {
 		if err := a.refillLocked(m); err != nil {
-			return NoFrame, err
+			return NoFrame, false, err
 		}
+		refilled = true
 	}
-	f := m.frames[len(m.frames)-1]
+	f = m.frames[len(m.frames)-1]
 	m.frames = m.frames[:len(m.frames)-1]
-	return f, nil
+	return f, refilled, nil
 }
 
 // refillLocked moves order-0 frames from the buddy lists into m,
@@ -589,9 +590,8 @@ func (a *Allocator) Free(cpu int, f Frame) {
 	}
 	a.unchargeFrame(f)
 	a.clearAllocated(f)
-	a.frees.Add(1)
-	a.inUse.Add(-1)
 	m := &a.mags[cpu%len(a.mags)]
+	m.frees.Add(1)
 	m.mu.Lock()
 	m.frames = append(m.frames, f)
 	if len(m.frames) > a.cfg.MagazineSize {
@@ -624,8 +624,7 @@ func (a *Allocator) FreeRemote(f Frame) {
 	}
 	a.unchargeFrame(f)
 	a.clearAllocated(f)
-	a.frees.Add(1)
-	a.inUse.Add(-1)
+	a.remoteFrees.Add(1)
 	a.mu.Lock()
 	a.freeBlockLocked(f, 0)
 	a.mu.Unlock()
@@ -661,8 +660,7 @@ func (a *Allocator) FreeBatch(frames []Frame) {
 	if final == 0 {
 		return
 	}
-	a.frees.Add(uint64(final))
-	a.inUse.Add(int64(-final))
+	a.remoteFrees.Add(uint64(final))
 	a.mu.Lock()
 	for _, f := range frames[:final] {
 		a.freeBlockLocked(f, 0)
@@ -763,9 +761,31 @@ func (a *Allocator) rearmPressure() {
 // blocks on it.
 func (a *Allocator) Pressure() <-chan struct{} { return a.pressure }
 
+// counts sums the per-magazine allocation counters. Frees are read
+// first: every free counted follows its frame's alloc, which the second
+// pass then cannot miss, so a reading concurrent with allocation never
+// shows more frees than allocs. At quiesce both sums are exact.
+func (a *Allocator) counts() (allocs, frees uint64) {
+	frees = a.remoteFrees.Load()
+	for i := range a.mags {
+		frees += a.mags[i].frees.Load()
+	}
+	for i := range a.mags {
+		allocs += a.mags[i].allocs.Load()
+	}
+	return allocs, frees
+}
+
+// CPUCounts returns the allocation counters of cpu's magazine alone
+// (for the shared-write audit).
+func (a *Allocator) CPUCounts(cpu int) (allocs, frees uint64) {
+	m := &a.mags[cpu%len(a.mags)]
+	return m.allocs.Load(), m.frees.Load()
+}
+
 // FreeFrames returns the number of unallocated frames, counting frames
 // cached in per-CPU magazines (DrainMagazines can always recover those).
-func (a *Allocator) FreeFrames() int64 { return int64(a.cfg.Frames) - a.inUse.Load() }
+func (a *Allocator) FreeFrames() int64 { return int64(a.cfg.Frames) - a.InUse() }
 
 // FreeRuns returns the number of free order-`order` blocks currently on
 // that buddy list (not counting larger blocks that could split). The
@@ -783,6 +803,9 @@ func (a *Allocator) FreeRuns(order int) int {
 
 // NumFrames returns the configured pool size in frames.
 func (a *Allocator) NumFrames() uint64 { return a.cfg.Frames }
+
+// NumCPUs returns the number of per-CPU magazines (the cpu arguments' range).
+func (a *Allocator) NumCPUs() int { return len(a.mags) }
 
 // LowWater returns the configured low watermark in frames (0 = none).
 func (a *Allocator) LowWater() uint64 { return a.cfg.LowWater }
@@ -802,8 +825,12 @@ func (a *Allocator) Data(f Frame) *[PageSize]byte {
 	return a.backing[f].Load()
 }
 
-// InUse returns the number of currently allocated frames.
-func (a *Allocator) InUse() int64 { return a.inUse.Load() }
+// InUse returns the number of currently allocated frames: allocations
+// minus final frees, summed over the magazines' cells.
+func (a *Allocator) InUse() int64 {
+	allocs, frees := a.counts()
+	return int64(allocs - frees)
+}
 
 // Stats is a snapshot of allocator counters.
 type Stats struct {
@@ -825,9 +852,11 @@ type Stats struct {
 
 // Stats returns a snapshot of the allocator's counters.
 func (a *Allocator) Stats() Stats {
+	allocs, frees := a.counts()
+	inUse := int64(allocs - frees)
 	return Stats{
-		Allocs:         a.allocs.Load(),
-		Frees:          a.frees.Load(),
+		Allocs:         allocs,
+		Frees:          frees,
 		Refills:        a.refills.Load(),
 		Drains:         a.drains.Load(),
 		Drained:        a.drained.Load(),
@@ -838,7 +867,7 @@ func (a *Allocator) Stats() Stats {
 		AllocFailures:  a.allocFailures.Load(),
 		LimitFailures:  a.limitFailures.Load(),
 		PressureEvents: a.pressureEvents.Load(),
-		InUse:          a.inUse.Load(),
-		Free:           a.FreeFrames(),
+		InUse:          inUse,
+		Free:           int64(a.cfg.Frames) - inUse,
 	}
 }

@@ -20,7 +20,9 @@ package ranges
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bonsai/internal/contention"
@@ -35,7 +37,11 @@ type Guard struct {
 	id     uint64 // unique per manager; the trace's holder attribution
 	lo, hi uint64
 	ready  chan struct{} // closed when the lock is granted
-	done   bool          // released (manager mutex held when written)
+	// granted is set by the granting Unlock just before it closes
+	// ready, so a waiter can poll for a short hold's release instead of
+	// paying a park and wake-up for it (see awaitGrant).
+	granted atomic.Bool
+	done    bool // released (manager mutex held when written)
 	// grantedAt is stamped at grant time only while the tracer or the
 	// contention profiler is armed, so the disarmed grant path pays no
 	// clock read. queuedAt is stamped on the contended path, which
@@ -208,12 +214,46 @@ func (m *Manager) Lock(lo, hi uint64) *Guard {
 	m.queue = append(m.queue, g)
 	m.conflicts++
 	m.mu.Unlock()
-	<-g.ready
+	g.awaitGrant(waitStart)
 	wait := time.Since(waitStart)
 	m.waitHist.Record(wait)
 	contention.Note("range", g.lo, g.hi, wait)
 	trace.Emit(trace.AuxCPU, trace.EvRangeWait, g.id, g.lo, uint64(wait))
 	return g
+}
+
+// spinLimit bounds how long a queued request polls its granted flag
+// before parking on its channel: holds measured 3–12 µs on the 2-core
+// host, a park and wake-up 50 µs–2 ms. spinYieldEvery polls separate
+// the clock checks, each followed by a yield so a descheduled holder
+// can run.
+const (
+	spinLimit      = 25 * time.Microsecond
+	spinYieldEvery = 32
+)
+
+// awaitGrant blocks until the queued guard is granted: a bounded poll
+// of the granted flag when another processor could be running the
+// holder, then the channel park. The grant itself (FIFO order, made
+// under the manager mutex by the releasing Unlock) is the same either
+// way; Unlock sets the flag and then closes the channel, so a waiter
+// that gives up polling just as the grant lands still finds the channel
+// closed.
+func (g *Guard) awaitGrant(queuedAt time.Time) {
+	if runtime.GOMAXPROCS(0) > 1 {
+		for polls := 1; ; polls++ {
+			if g.granted.Load() {
+				return
+			}
+			if polls%spinYieldEvery == 0 {
+				if time.Since(queuedAt) > spinLimit {
+					break
+				}
+				runtime.Gosched()
+			}
+		}
+	}
+	<-g.ready
 }
 
 // TryLock attempts to acquire [lo, hi) without blocking. It fails when
@@ -310,6 +350,7 @@ func (g *Guard) Unlock() {
 		}
 		if grant {
 			m.grantLocked(w)
+			w.granted.Store(true)
 			close(w.ready)
 		} else {
 			remaining = append(remaining, w)

@@ -83,9 +83,10 @@ func (as *AddressSpace) zapRange(lo, hi uint64) {
 		hint = as.mapCPU + int(lo>>21)
 	}
 	g := as.fam.ms.tlb.Gather(hint)
+	unmapped := uint64(0) // one shared add per zap, not one per page
 	as.tables.UnmapRange(g, lo, hi, func(addr, pte uint64) {
 		frame := pagetable.PTEFrame(pte)
-		as.stats.pagesUnmapped.Add(1)
+		unmapped++
 		// A frame resident in a page cache carries an rmap entry for
 		// this PTE; drop it here, inside the PTE lock that cleared the
 		// entry, so the removal is ordered before any refault re-adds
@@ -94,6 +95,7 @@ func (as *AddressSpace) zapRange(lo, hi uint64) {
 			pg.RemoveMapping(as, addr)
 		}
 	})
+	as.stats.pagesUnmapped.Add(unmapped)
 	g.Flush()
 }
 

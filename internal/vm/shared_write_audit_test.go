@@ -1,0 +1,239 @@
+package vm
+
+import (
+	"reflect"
+	"testing"
+
+	"bonsai/internal/locks"
+	"bonsai/internal/stats"
+	"bonsai/internal/vma"
+)
+
+// auditReading is everything the shared-write audit watches, read
+// before and after a burst of fast-path faults on CPU 0: the public
+// Stats() of each layer (whose deltas must be exactly the expected
+// ones, so a counter that is not per-CPU and moved names itself), and
+// CPU 0's and CPU 1's own cells of every per-CPU counter and histogram.
+type auditReading struct {
+	vm     Stats
+	tables reflect.Value // pagetable.Stats
+	phys   reflect.Value // physmem.Stats
+	cache  reflect.Value // pagecache.Stats
+	sems   [3]locks.RWSemStats
+	ranges reflect.Value // ranges.Stats
+
+	cells       [2]map[string]uint64 // per-CPU cells of CPU 0 and CPU 1
+	faultSample [2]uint64            // per-CPU fault histogram counts
+	mapSamples  uint64
+}
+
+func readAudit(as *AddressSpace, cpus [2]*CPU) auditReading {
+	r := auditReading{
+		vm:         as.Stats(),
+		tables:     reflect.ValueOf(as.tables.Stats()),
+		phys:       reflect.ValueOf(as.alloc.Stats()),
+		cache:      reflect.ValueOf(as.PageCacheStats()),
+		ranges:     reflect.ValueOf(as.RangeStats()),
+		mapSamples: as.stats.mapHist.Count(),
+	}
+	r.sems[0], r.sems[1], r.sems[2] = as.SemStats()
+	vmCells := map[string]*stats.Counter{
+		"vm.faults":              &as.stats.faults,
+		"vm.faultsAlreadyMapped": &as.stats.faultsAlreadyMapped,
+		"vm.pagesMapped":         &as.stats.pagesMapped,
+		"vm.cowBreaks":           &as.stats.cowBreaks,
+		"vm.cacheHits":           &as.stats.cacheHits,
+		"vm.cacheMisses":         &as.stats.cacheMisses,
+		"vm.thpHugeFaults":       &as.stats.thpHugeFaults,
+		"vm.thpFallbacks":        &as.stats.thpFallbacks,
+	}
+	for i, c := range cpus {
+		m := make(map[string]uint64)
+		for name, ctr := range vmCells {
+			m[name] = ctr.CPU(c.id)
+		}
+		m["pagetable.ptesFilled"] = as.tables.PTEsFilledOn(c.id)
+		m["physmem.allocs"], m["physmem.frees"] = as.alloc.CPUCounts(c.id)
+		as.fam.filesMu.Lock()
+		for _, f := range as.fam.files {
+			m["pagecache.hits"] += f.PageCache().HitsOn(c.id)
+		}
+		as.fam.filesMu.Unlock()
+		r.cells[i] = m
+		r.faultSample[i] = as.stats.faultHist.CPU(c.id).Count()
+	}
+	return r
+}
+
+// structDeltas returns after−before for every integer field of two
+// readings of the same Stats struct, skipping zero deltas.
+func structDeltas(before, after reflect.Value) map[string]int64 {
+	d := make(map[string]int64)
+	for i := 0; i < before.NumField(); i++ {
+		var delta int64
+		switch b, a := before.Field(i), after.Field(i); b.Kind() {
+		case reflect.Uint64, reflect.Uint:
+			delta = int64(a.Uint() - b.Uint())
+		case reflect.Int64, reflect.Int:
+			delta = a.Int() - b.Int()
+		default:
+			continue // nested latency percentiles: not counters
+		}
+		if delta != 0 {
+			d[before.Type().Field(i).Name] = delta
+		}
+	}
+	return d
+}
+
+func wantDeltas(t *testing.T, layer string, got, want map[string]int64) {
+	t.Helper()
+	if len(got) == 0 && len(want) == 0 {
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: counters moved by %v, want exactly %v", layer, got, want)
+	}
+}
+
+// TestFastPathFaultWritesOnlyItsOwnCells is ROADMAP item 2's proof,
+// counter edition. For each design, N fast-path anonymous faults and N
+// shared-file (page-cache hit) faults run on CPU 0 only; every counter
+// and histogram in vm, pagetable, physmem and pagecache that moved must
+// have moved in CPU 0's cells — CPU 1's cells and every counter that
+// is still shared read zero delta. The documented exceptions are lock
+// words, and only for the designs that take a lock: the reader count of
+// mmap_sem (RWLock), of the fault lock (FaultLock) and of the tree lock
+// (Hybrid). PureRCU has none.
+func TestFastPathFaultWritesOnlyItsOwnCells(t *testing.T) {
+	const n = 16 // fits in what a just-refilled magazine holds
+	// The collapse scanner is off so no background pass moves a counter.
+	forEachDesign(t, Config{CPUs: 2, Frames: 4096, THPScanInterval: -1}, func(t *testing.T, as *AddressSpace) {
+		cpus := [2]*CPU{as.NewCPU(0), as.NewCPU(1)}
+		semWant := func(t *testing.T, before, after [3]locks.RWSemStats) {
+			t.Helper()
+			want := before
+			switch as.cfg.Design {
+			case RWLock:
+				want[0].ReadAcquires += n
+			case FaultLock:
+				want[1].ReadAcquires += n
+			case Hybrid:
+				want[2].ReadAcquires += n
+			}
+			if after != want {
+				t.Errorf("semaphores (mmap, fault, tree) went %+v -> %+v, want %+v", before, after, want)
+			}
+		}
+		cellWant := func(t *testing.T, before, after auditReading, want map[string]int64) {
+			t.Helper()
+			got := make(map[string]int64)
+			for name, b := range before.cells[0] {
+				if d := int64(after.cells[0][name] - b); d != 0 {
+					got[name] = d
+				}
+			}
+			wantDeltas(t, "CPU 0's cells", got, want)
+			if !reflect.DeepEqual(before.cells[1], after.cells[1]) {
+				t.Errorf("CPU 1's cells moved: %v -> %v", before.cells[1], after.cells[1])
+			}
+			if s := after.faultSample[0] - before.faultSample[0]; s < 1 || s > n {
+				t.Errorf("CPU 0's fault histogram took %d samples of %d faults", s, n)
+			}
+			if after.faultSample[1] != before.faultSample[1] || after.mapSamples != before.mapSamples {
+				t.Errorf("another histogram moved: cpu1 %d -> %d, map ops %d -> %d",
+					before.faultSample[1], after.faultSample[1], before.mapSamples, after.mapSamples)
+			}
+		}
+		// Every fault counts itself and its page; with the mmap cache on
+		// (the lock-based designs) it also counts a cache hit. plus adds
+		// a scenario's own expectations to those.
+		plus := func(base map[string]int64, more map[string]int64) map[string]int64 {
+			out := make(map[string]int64)
+			for _, m := range []map[string]int64{base, more} {
+				for k, v := range m {
+					out[k] = v
+				}
+			}
+			return out
+		}
+		statsWant := map[string]int64{"Faults": n, "PagesMapped": n}
+		cellsWant := map[string]int64{"vm.faults": n, "vm.pagesMapped": n, "pagetable.ptesFilled": n}
+		if as.mmapCacheOn {
+			statsWant["MmapCacheHits"] = n
+			cellsWant["vm.cacheHits"] = n
+		}
+
+		t.Run("anonymous", func(t *testing.T) {
+			base := mustMmap(t, as, 0, 128*PageSize, vma.ProtRead|vma.ProtWrite, 0) // too small to be huge-eligible
+			// Warm up on CPU 0 until a fault refills its magazine: the
+			// page-table levels exist, and the magazine then holds more
+			// than n frames, so the measured faults are pure hits.
+			page := base
+			for refills := as.alloc.Stats().Refills; ; page += PageSize {
+				if err := cpus[0].Fault(page, true); err != nil {
+					t.Fatal(err)
+				}
+				if r := as.alloc.Stats().Refills; r != refills && page > base {
+					page += PageSize
+					break
+				}
+			}
+			before := readAudit(as, cpus)
+			for i := uint64(0); i < n; i++ {
+				if err := cpus[0].Fault(page+i*PageSize, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := readAudit(as, cpus)
+
+			wantDeltas(t, "vm.Stats", structDeltas(reflect.ValueOf(before.vm), reflect.ValueOf(after.vm)), statsWant)
+			wantDeltas(t, "pagetable.Stats", structDeltas(before.tables, after.tables), map[string]int64{"PTEsFilled": n})
+			wantDeltas(t, "physmem.Stats", structDeltas(before.phys, after.phys),
+				map[string]int64{"Allocs": n, "InUse": n, "Free": -n})
+			wantDeltas(t, "ranges.Stats", structDeltas(before.ranges, after.ranges), nil)
+			semWant(t, before.sems, after.sems)
+			cellWant(t, before, after, plus(cellsWant, map[string]int64{"physmem.allocs": n}))
+		})
+
+		t.Run("shared file", func(t *testing.T) {
+			f := vma.NewFile("audit.dat", 7)
+			const pages = 2 * n
+			base, err := as.Mmap(0, pages*PageSize, vma.ProtRead|vma.ProtWrite, vma.Shared, f, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// CPU 1 fills the cache and builds the page tables, then the
+			// translations are zapped: the pages stay resident, so CPU
+			// 0's faults below are cache hits that allocate nothing.
+			for i := uint64(0); i < pages; i++ {
+				if err := cpus[1].Fault(base+i*PageSize, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := as.MadviseDontNeed(base, pages*PageSize); err != nil {
+				t.Fatal(err)
+			}
+			as.dom.Flush()
+			if err := cpus[0].Fault(base, false); err != nil { // warm CPU 0's path
+				t.Fatal(err)
+			}
+			before := readAudit(as, cpus)
+			for i := uint64(1); i <= n; i++ {
+				if err := cpus[0].Fault(base+i*PageSize, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := readAudit(as, cpus)
+
+			wantDeltas(t, "vm.Stats", structDeltas(reflect.ValueOf(before.vm), reflect.ValueOf(after.vm)),
+				plus(statsWant, map[string]int64{"PageCacheHits": n}))
+			wantDeltas(t, "pagetable.Stats", structDeltas(before.tables, after.tables), map[string]int64{"PTEsFilled": n})
+			wantDeltas(t, "physmem.Stats", structDeltas(before.phys, after.phys), nil)
+			wantDeltas(t, "pagecache.Stats", structDeltas(before.cache, after.cache), map[string]int64{"Hits": n})
+			wantDeltas(t, "ranges.Stats", structDeltas(before.ranges, after.ranges), nil)
+			semWant(t, before.sems, after.sems)
+			cellWant(t, before, after, plus(cellsWant, map[string]int64{"pagecache.hits": n}))
+		})
+	})
+}

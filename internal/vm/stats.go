@@ -12,46 +12,60 @@ import (
 	"bonsai/internal/stats"
 )
 
-// statsCounters holds the address space's atomic counters and its
-// always-on hot-path latency histograms.
+// statsCounters holds the address space's counters and its always-on
+// hot-path latency histograms.
 type statsCounters struct {
-	// faultHist spans the whole Fault call — fast path, slow retries,
-	// reclaim ladder and all; mapHist spans Mmap/Munmap/Mprotect/
-	// Madvise calls end to end. Both are lock-free and always on.
-	faultHist stats.LatencyHist
-	mapHist   stats.LatencyHist
+	// Everything a fast-path fault counts is per-CPU, indexed by
+	// CPU.id: a fault writes its own cells and no line another CPU's
+	// fault writes. faultHist spans the whole Fault call — fast path,
+	// slow retries, reclaim ladder and all — for the sampled faults
+	// (see CPU.sampleDue); faults counts every one.
+	faultHist           stats.CPUHist
+	faults              stats.Counter
+	faultsAlreadyMapped stats.Counter
+	pagesMapped         stats.Counter
+	cowBreaks           stats.Counter
+	cacheHits           stats.Counter
+	cacheMisses         stats.Counter
+	thpHugeFaults       stats.Counter // faults satisfied by installing a huge entry
+	thpFallbacks        stats.Counter // huge-eligible faults that fell back to base pages
 
-	faults              atomic.Uint64
-	faultsAlreadyMapped atomic.Uint64
-	pagesMapped         atomic.Uint64
-	pagesUnmapped       atomic.Uint64
-	mmaps               atomic.Uint64
-	munmaps             atomic.Uint64
-	mprotects           atomic.Uint64
-	madvises            atomic.Uint64
-	merges              atomic.Uint64
-	splits              atomic.Uint64
-	stackGrowths        atomic.Uint64
-	retriesMiss         atomic.Uint64
-	retriesFillRace     atomic.Uint64
-	retriesFile         atomic.Uint64
-	retriesCow          atomic.Uint64
-	forks               atomic.Uint64
-	cowBreaks           atomic.Uint64
-	cowReowned          atomic.Uint64
-	cowCopies           atomic.Uint64
-	cacheHits           atomic.Uint64
-	cacheMisses         atomic.Uint64
-	evictUnmaps         atomic.Uint64
-	reclaimRetries      atomic.Uint64
+	// mapHist spans Mmap/Munmap/Mprotect/Madvise calls end to end; it
+	// and the counters below are written by mapping operations and slow
+	// paths only, and stay shared.
+	mapHist         stats.LatencyHist
+	pagesUnmapped   atomic.Uint64
+	mmaps           atomic.Uint64
+	munmaps         atomic.Uint64
+	mprotects       atomic.Uint64
+	madvises        atomic.Uint64
+	merges          atomic.Uint64
+	splits          atomic.Uint64
+	stackGrowths    atomic.Uint64
+	retriesMiss     atomic.Uint64
+	retriesFillRace atomic.Uint64
+	retriesFile     atomic.Uint64
+	retriesCow      atomic.Uint64
+	forks           atomic.Uint64
+	cowReowned      atomic.Uint64
+	cowCopies       atomic.Uint64
+	evictUnmaps     atomic.Uint64
+	reclaimRetries  atomic.Uint64
 
 	// Transparent-huge-page counters for the paths the VM layer drives
 	// (splits and zaps are counted by the page-table tree itself — a
 	// partial munmap demotes deep inside the unmap scan).
-	thpHugeFaults    atomic.Uint64 // faults satisfied by installing a huge entry
-	thpFallbacks     atomic.Uint64 // huge-eligible faults that fell back to base pages
 	thpCollapses     atomic.Uint64 // base-page chunks promoted to huge entries
 	thpCollapseFails atomic.Uint64 // collapse attempts aborted (ineligible or no run)
+}
+
+// init sizes the per-CPU cells for cpus fault contexts.
+func (s *statsCounters) init(cpus int) {
+	s.faultHist = stats.NewCPUHist(cpus)
+	for _, c := range []*stats.Counter{&s.faults, &s.faultsAlreadyMapped, &s.pagesMapped, &s.cowBreaks,
+		&s.cacheHits, &s.cacheMisses, &s.thpHugeFaults, &s.thpFallbacks} {
+		*c = stats.NewCounter(cpus)
+	}
 }
 
 func (s *statsCounters) retry(r retryReason) {
@@ -244,7 +258,8 @@ func (as *AddressSpace) ReclaimStats() reclaim.Stats {
 // histograms in percentile form: the tail-attribution data the
 // throughput counters above cannot express.
 type LatencySnapshot struct {
-	// Fault spans CPU.Fault end to end (fast path through OOM ladder).
+	// Fault spans CPU.Fault end to end (fast path through OOM ladder);
+	// its Count is the timed sample's size, not Stats.Faults.
 	Fault stats.LatencyStats `json:"fault"`
 	// MapOp spans Mmap/Munmap/Mprotect/MadviseDontNeed calls.
 	MapOp stats.LatencyStats `json:"map_op"`
@@ -258,9 +273,12 @@ type LatencySnapshot struct {
 	ReclaimScan stats.LatencyStats `json:"reclaim_scan"`
 }
 
-// FaultHist exposes the fault-latency histogram (e.g. for merging into
-// a machine-level rollup).
-func (as *AddressSpace) FaultHist() *stats.LatencyHist { return &as.stats.faultHist }
+// FaultHist returns a merged copy of the per-CPU fault-latency
+// histograms. Its count is the number of faults timed, a sample.
+func (as *AddressSpace) FaultHist() *stats.LatencyHist { return as.stats.faultHist.Merged() }
+
+// Faults returns the exact number of faults handled, timed or not.
+func (as *AddressSpace) Faults() uint64 { return as.stats.faults.Load() }
 
 // MapHist exposes the mapping-operation latency histogram.
 func (as *AddressSpace) MapHist() *stats.LatencyHist { return &as.stats.mapHist }
@@ -278,7 +296,7 @@ func (as *AddressSpace) RangeWaitHist() *stats.LatencyHist {
 // address space and its machine.
 func (as *AddressSpace) LatencySnapshot() LatencySnapshot {
 	l := LatencySnapshot{
-		Fault: as.stats.faultHist.Stats(),
+		Fault: as.FaultHist().Stats(),
 		MapOp: as.stats.mapHist.Stats(),
 		GP:    as.dom.GPHist().Stats(),
 	}

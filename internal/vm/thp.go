@@ -50,7 +50,7 @@ func (c *CPU) hugeHit(h uint64, page uint64, write bool, recheck func() bool) er
 		}
 		return nil
 	}
-	as.stats.faultsAlreadyMapped.Add(1)
+	as.stats.faultsAlreadyMapped.Add(c.id, 1)
 	return nil
 }
 
@@ -73,7 +73,7 @@ func (c *CPU) hugeFault(v *vma.VMA, page uint64, recheck func() bool) (done bool
 		// Typed run shortage (fragmentation), genuine exhaustion, or a
 		// refused tenant charge: a 2 MB fault never drives the reclaim
 		// ladder — it falls back to one base page, which may.
-		as.stats.thpFallbacks.Add(1)
+		as.stats.thpFallbacks.Add(c.id, 1)
 		return false, nil
 	}
 	var hugeRecheck func() bool
@@ -85,7 +85,7 @@ func (c *CPU) hugeFault(v *vma.VMA, page uint64, recheck func() bool) (done bool
 		// The run was never published; no translation can reach it.
 		as.alloc.FreeRun(run, pagetable.HugeOrder)
 		if err != nil {
-			as.stats.thpFallbacks.Add(1) // deposit-table allocation failed
+			as.stats.thpFallbacks.Add(c.id, 1) // deposit-table allocation failed
 			return false, nil
 		}
 		if res == pagetable.HugeRecheckFailed {
@@ -93,8 +93,8 @@ func (c *CPU) hugeFault(v *vma.VMA, page uint64, recheck func() bool) (done bool
 		}
 		return false, nil // HugeLost: a racing fault populated the span
 	}
-	as.stats.pagesMapped.Add(pagetable.EntriesPerTable)
-	as.stats.thpHugeFaults.Add(1)
+	as.stats.pagesMapped.Add(c.id, pagetable.EntriesPerTable)
+	as.stats.thpHugeFaults.Add(c.id, 1)
 	c.pathFlags |= trace.FaultHuge
 	return true, nil
 }

@@ -16,7 +16,26 @@
 //	            RCU-managed, and only the region tree keeps a read/write
 //	            lock (§5.2).
 //	PureRCU   — the region tree is the BONSAI tree, so the fault path is
-//	            entirely lock-free and touches no shared cache lines (§5.3).
+//	            entirely lock-free and writes no shared cache line (§5.3).
+//
+// What a fast-path fault writes, exactly (README "What a fast-path fault
+// writes"; TestFastPathFaultWritesOnlyItsOwnCells holds the counter half
+// true per design):
+//
+//   - its own per-CPU cells: the fault counters and, for the 1 fault in
+//     16 that is timed, its latency histogram (statsCounters), the page
+//     tables' fill counter, the page cache's hit counter, its RCU reader
+//     and its allocator magazine (frames, lock, allocation counter);
+//   - the leaf page table's PTE lock and entry, shared within 2 MB;
+//   - the mapped frame's metadata (reference count, generation,
+//     allocation bit) — for a file page the cache page's reference count
+//     and reverse map, and a limited tenant's charge counter;
+//   - the design's lock words: the reader count of mmap_sem (RWLock), the
+//     fault lock (FaultLock), the tree lock (Hybrid); none in PureRCU.
+//
+// Nothing address-space-wide: no shared counter, histogram, clock read
+// or watermark check. Shared lines are written only off the fast path:
+// table allocation, every 32nd allocation's magazine refill, retries.
 package vm
 
 import (
@@ -337,8 +356,16 @@ type family struct {
 // time, like a kernel CPU context.
 type CPU struct {
 	as *AddressSpace
+	// id is the machine-wide allocator magazine index; it also picks the
+	// CPU's cells in every per-CPU counter on the fault path (one space's
+	// ids are contiguous, all stats.Counter needs to keep them apart).
 	id int
 	rd *rcu.Reader
+
+	// sampleDue's state: faults until the next timed one, and its gap
+	// generator. Per CPU value, so two CPUs on one id sample independently.
+	untilSample int
+	rng         uint64
 
 	// pathFlags accumulates trace.Fault* path bits across one Fault
 	// call (single-goroutine ownership makes a plain field safe); the
@@ -537,8 +564,10 @@ func newMember(cfg Config, fam *family) (*AddressSpace, error) {
 		dom:    fam.ms.dom,
 	}
 	as.mapCPU = as.physCPU(cfg.CPUs)
+	as.stats.init(cfg.CPUs)
 	as.tables, err = pagetable.New(as.alloc, as.dom, as.mapCPU, pagetable.Config{
 		SinglePTELock: cfg.SinglePTELock,
+		CPUs:          cfg.CPUs + 1, // the fault contexts plus mapCPU, contiguous from physCPU(0)
 	})
 	if err != nil {
 		fam.live.Add(-1)
@@ -599,7 +628,8 @@ func (as *AddressSpace) NewCPU(id int) *CPU {
 	if id < 0 || id >= as.cfg.CPUs {
 		panic(fmt.Sprintf("vm: CPU id %d out of range [0,%d)", id, as.cfg.CPUs))
 	}
-	return &CPU{as: as, id: as.physCPU(id), rd: as.dom.Register()}
+	return &CPU{as: as, id: as.physCPU(id), rd: as.dom.Register(),
+		rng: uint64(id+1) * 0x9E3779B97F4A7C15}
 }
 
 // RangeLocked reports whether mapping operations use the range-lock
