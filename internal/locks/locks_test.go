@@ -48,6 +48,51 @@ func TestSpinLockTryLock(t *testing.T) {
 	l.Unlock()
 }
 
+// TestSpinLockCountsItsTickets: the ticket counter is the acquisition
+// count, so Stats must equal Lock calls plus successful TryLocks exactly
+// — a failed TryLock takes no ticket — and never report more contended
+// acquisitions than acquisitions.
+func TestSpinLockCountsItsTickets(t *testing.T) {
+	var l SpinLock
+	const workers, iters = 8, 3000
+	var wg sync.WaitGroup
+	var locked, tried atomic.Uint64
+	if !l.TryLock() { // one TryLock that cannot fail, whatever the schedule below does
+		t.Fatal("TryLock on a free lock failed")
+	}
+	tried.Add(1)
+	l.Unlock()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if (i+w)%3 == 0 {
+					if !l.TryLock() {
+						continue
+					}
+					tried.Add(1)
+				} else {
+					l.Lock()
+					locked.Add(1)
+				}
+				if acq, cont := l.Stats(); cont > acq {
+					t.Errorf("contended %d > acquisitions %d", cont, acq)
+				}
+				l.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	acq, cont := l.Stats()
+	if want := locked.Load() + tried.Load(); acq != want {
+		t.Fatalf("acquisitions = %d, want %d Lock calls + %d successful TryLocks", acq, locked.Load(), tried.Load())
+	}
+	if cont > acq {
+		t.Fatalf("contended %d of %d acquisitions", cont, acq)
+	}
+}
+
 func TestSpinLockFIFO(t *testing.T) {
 	// Ticket locks grant in FIFO order: with one holder and a queued
 	// waiter, a later TryLock must fail (its ticket would jump the queue).

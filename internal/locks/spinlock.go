@@ -12,13 +12,14 @@ import (
 
 // SpinLock is a FIFO ticket spinlock. It is the analogue of the kernel
 // spinlocks protecting page-directory entries and page-table entries
-// (§4.1). The zero value is an unlocked SpinLock.
+// (§4.1). The zero value is an unlocked SpinLock. The ticket counter is
+// 64 bits wide so it never wraps and doubles as the acquisition count:
+// taking the lock writes the lock word and nothing beside it.
 type SpinLock struct {
-	next  atomic.Uint32
-	owner atomic.Uint32
+	next  atomic.Uint64 // tickets issued: Lock calls + successful TryLocks
+	owner atomic.Uint64 // ticket being served
 
-	acquisitions atomic.Uint64
-	contended    atomic.Uint64
+	contended atomic.Uint64
 }
 
 // Lock acquires the spinlock, spinning (with cooperative yielding) until
@@ -32,7 +33,6 @@ func (l *SpinLock) Lock() {
 			runtime.Gosched()
 		}
 	}
-	l.acquisitions.Add(1)
 	if spins > 0 {
 		l.contended.Add(1)
 	}
@@ -42,14 +42,7 @@ func (l *SpinLock) Lock() {
 // whether the lock was acquired.
 func (l *SpinLock) TryLock() bool {
 	o := l.owner.Load()
-	if l.next.Load() != o {
-		return false
-	}
-	if l.next.CompareAndSwap(o, o+1) {
-		l.acquisitions.Add(1)
-		return true
-	}
-	return false
+	return l.next.Load() == o && l.next.CompareAndSwap(o, o+1)
 }
 
 // Unlock releases the spinlock. It must be called exactly once per Lock.
@@ -57,8 +50,9 @@ func (l *SpinLock) Unlock() {
 	l.owner.Add(1)
 }
 
-// Stats reports how many times the lock was acquired and how many of
+// Stats reports how many times the lock was acquired (tickets issued, so
+// an acquisition still spinning is already counted) and how many of
 // those acquisitions had to wait for another holder.
 func (l *SpinLock) Stats() (acquisitions, contended uint64) {
-	return l.acquisitions.Load(), l.contended.Load()
+	return l.next.Load(), l.contended.Load()
 }

@@ -179,11 +179,13 @@ func (a *Allocator) Owner(f Frame) *Account {
 	return a.owner[f].Load()
 }
 
-// uncharge clears the frame's owner stamp and returns its charge, if
-// any. Called on the final-reference free paths, before the frame goes
-// back to a pool.
+// unchargeFrame clears the frame's owner stamp and returns its charge,
+// if any. Called on the final-reference free paths, before the frame
+// goes back to a pool, so nobody else touches the stamp: it loads first,
+// and freeing an unaccounted frame writes nothing.
 func (a *Allocator) unchargeFrame(f Frame) {
-	if ac := a.owner[f].Swap(nil); ac != nil {
+	if ac := a.owner[f].Load(); ac != nil {
+		a.owner[f].Store(nil)
 		ac.unchargeN(1)
 	}
 }

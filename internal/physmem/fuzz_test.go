@@ -4,16 +4,19 @@ import (
 	"testing"
 )
 
-// FuzzBuddyAllocator drives random AllocRun/FreeRun/Alloc/Free/drain
-// sequences against a bitmap oracle and asserts, at every step, that
-// no two live allocations overlap, and at quiesce (everything freed,
-// magazines drained) that no frame leaked and the buddy lists have
-// coalesced back to the initial maximal carving. The op stream is the
-// fuzz input: each byte pair is (opcode, argument).
+// FuzzBuddyAllocator drives random AllocRun/FreeRun/Alloc/Free/Ref/drain
+// sequences against an oracle of every frame's reference count and
+// generation and asserts, at every step, that no two live allocations
+// overlap and that Allocated/Refs/Gen of each frame touched agree with
+// the oracle, and at quiesce (everything freed, magazines drained) that
+// no frame leaked and the buddy lists have coalesced back to the initial
+// maximal carving. The op stream is the fuzz input: each byte pair is
+// (opcode, argument).
 func FuzzBuddyAllocator(f *testing.F) {
 	f.Add([]byte{0x09, 0x00, 0x13, 0x00, 0x20, 0x00})          // run, free run, drain
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x30, 0}) // singles
 	f.Add([]byte{0x09, 0x01, 0x05, 0x02, 0x13, 0x01, 0x40, 0})
+	f.Add([]byte{0x03, 0x00, 0x60, 0x00, 0x60, 0x00, 0x10, 0x00, 0x40, 0x00, 0x50, 0x00}) // shared frame outlives its run
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const frames = 3 << 10 // odd-shaped pool: not a power of two
 		const cpus = 3
@@ -24,7 +27,15 @@ func FuzzBuddyAllocator(f *testing.F) {
 			order int
 		}
 		var live []run
-		owned := make([]bool, frames+1) // the oracle bitmap
+		refs := make([]int32, frames+1) // the oracle: references held, 0 = free
+		gens := make([]uint64, frames+1)
+
+		check := func(t *testing.T, f Frame) {
+			if a.Allocated(f) != (refs[f] > 0) || a.Refs(f) != refs[f] || a.Gen(f) != gens[f] {
+				t.Fatalf("frame %d: allocated %v refs %d gen %d; oracle refs %d gen %d",
+					f, a.Allocated(f), a.Refs(f), a.Gen(f), refs[f], gens[f])
+			}
+		}
 
 		claim := func(t *testing.T, base Frame, order int) {
 			size := Frame(1) << order
@@ -35,12 +46,31 @@ func FuzzBuddyAllocator(f *testing.F) {
 				t.Fatalf("order-%d run at %d out of range", order, base)
 			}
 			for f := base; f < base+size; f++ {
-				if owned[f] {
+				if refs[f] != 0 {
 					t.Fatalf("frame %d handed out while still live", f)
 				}
-				owned[f] = true
+				refs[f] = 1
+				gens[f]++
+				check(t, f)
 			}
 			live = append(live, run{base, order})
+		}
+		// take removes live[idx]; release is the oracle's side of freeing
+		// it: one reference less on each frame, and a frame somebody else
+		// still references stays live as a single.
+		take := func(idx int) run {
+			r := live[idx]
+			live[idx] = live[len(live)-1]
+			live = live[:len(live)-1]
+			return r
+		}
+		release := func(t *testing.T, r run) {
+			for f := r.base; f < r.base+Frame(1)<<r.order; f++ {
+				if refs[f]--; refs[f] > 0 {
+					live = append(live, run{f, 0})
+				}
+				check(t, f)
+			}
 		}
 
 		for i := 0; i+1 < len(ops); i += 2 {
@@ -61,13 +91,9 @@ func FuzzBuddyAllocator(f *testing.F) {
 				if len(live) == 0 {
 					continue
 				}
-				r := live[arg%len(live)]
-				live[arg%len(live)] = live[len(live)-1]
-				live = live[:len(live)-1]
+				r := take(arg % len(live))
 				a.FreeRun(r.base, r.order)
-				for f := r.base; f < r.base+Frame(1)<<r.order; f++ {
-					owned[f] = false
-				}
+				release(t, r)
 			case 2: // drain magazines back into the buddy lists
 				a.DrainMagazines()
 			case 3: // single-frame alloc through the magazine path
@@ -80,15 +106,13 @@ func FuzzBuddyAllocator(f *testing.F) {
 				if len(live) == 0 {
 					continue
 				}
-				r := live[arg%len(live)]
-				live[arg%len(live)] = live[len(live)-1]
-				live = live[:len(live)-1]
+				r := take(arg % len(live))
 				var batch []Frame
 				for f := r.base; f < r.base+Frame(1)<<r.order; f++ {
 					batch = append(batch, f)
-					owned[f] = false
 				}
 				a.FreeBatch(batch)
+				release(t, r)
 			case 5: // free a live order-0 run via the magazine path
 				if len(live) == 0 {
 					continue
@@ -97,11 +121,18 @@ func FuzzBuddyAllocator(f *testing.F) {
 				if live[idx].order != 0 {
 					continue
 				}
-				r := live[idx]
-				live[idx] = live[len(live)-1]
-				live = live[:len(live)-1]
+				r := take(idx)
 				a.Free(cpu, r.base)
-				owned[r.base] = false
+				release(t, r)
+			case 6: // share a frame of a live run: it outlives the run's free
+				if len(live) == 0 {
+					continue
+				}
+				r := live[arg%len(live)]
+				f := r.base + Frame(arg)%(Frame(1)<<r.order)
+				a.Ref(f)
+				refs[f]++
+				check(t, f)
 			}
 			if i%32 == 0 {
 				if err := a.AuditBuddy(); err != nil {
@@ -112,8 +143,10 @@ func FuzzBuddyAllocator(f *testing.F) {
 
 		// Quiesce: free everything, drain the magazines, and check the
 		// allocator returned to its initial state.
-		for _, r := range live {
+		for len(live) > 0 {
+			r := take(0)
 			a.FreeRun(r.base, r.order)
+			release(t, r)
 		}
 		a.DrainMagazines()
 		if got := a.InUse(); got != 0 {

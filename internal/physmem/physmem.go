@@ -14,10 +14,17 @@
 // spinlock (uncontended in the common path — the kernel made the same
 // move when per-CPU page lists grew remote draining) so that reclaim
 // can steal frames stranded in idle magazines instead of reporting
-// out-of-memory while free frames exist. A frame-state bitmap detects
-// double allocation and double free, which turns RCU use-after-free
-// bugs in the VM layer (freeing a frame before a grace period) into
-// hard test failures instead of silent corruption.
+// out-of-memory while free frames exist. An empty magazine refills with
+// one buddy block, the largest free one that fits half a magazine: one
+// buddy step, and two CPUs' frames never share a line of the metadata
+// array (eight frames to a line, blocks of eight or more aligned to it).
+//
+// A frame's metadata is one word, generation<<32 | references: allocation
+// is a single Add that bumps both halves, a free a single Add(-1), and a
+// frame is allocated exactly while its reference half is non-zero. The
+// same Add detects double allocation and double free, which turns RCU
+// use-after-free bugs in the VM layer (freeing a frame before a grace
+// period) into hard test failures instead of silent corruption.
 //
 // Watermarks: Config.LowWater/HighWater define the memory-pressure
 // band the reclaim subsystem (internal/reclaim) operates in. When free
@@ -31,6 +38,7 @@ package physmem
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"bonsai/internal/fail"
@@ -120,8 +128,14 @@ const noOrder = 0xff
 type Allocator struct {
 	cfg Config
 
-	// mu protects the buddy structure: freeLists, blockOrder, blockIdx.
+	// mu protects the buddy structure — freeLists, blockOrder, blockIdx —
+	// and the plain counters below it.
 	mu locks.SpinLock
+
+	// buddyFree counts the frames on the buddy lists: a lower bound on
+	// FreeFrames (which adds the magazine-cached frames) that the refill
+	// path can read without summing every magazine's cells.
+	buddyFree, splits, coalesces uint64
 
 	// freeLists[o] holds the bases of free blocks of 1<<o frames. Every
 	// base is aligned to its block size; New pushes the initial carving
@@ -137,20 +151,14 @@ type Allocator struct {
 
 	mags []magazine
 
-	// state bitmap: 1 bit per frame, set while allocated.
-	state []atomic.Uint64
-
-	// refs holds per-frame reference counts: fork shares page frames
-	// copy-on-write, and a frame returns to the pool only when its
-	// last reference is dropped.
-	refs []atomic.Int32
-
-	// gens holds per-frame allocation generations, incremented each
-	// time a frame is allocated. Tests use them to prove lifetime
-	// invariants — a frame observed through a live translation must
-	// keep the generation it had when the translation was installed, or
-	// it was freed and recycled under that translation.
-	gens []atomic.Uint64
+	// meta holds one word per frame, generation<<32 | references. Fork
+	// shares page frames copy-on-write, and a frame returns to the pool
+	// only when its last reference is dropped; non-zero references mean
+	// allocated. The generation advances each time the frame is
+	// allocated: tests use it to prove lifetime invariants — a frame seen
+	// through a live translation must keep the generation it had when the
+	// translation was installed, or it was recycled under that translation.
+	meta []atomic.Uint64
 
 	backing []atomic.Pointer[[PageSize]byte]
 
@@ -174,8 +182,6 @@ type Allocator struct {
 	drained        atomic.Uint64
 	runAllocs      atomic.Uint64
 	runFailures    atomic.Uint64
-	splits         atomic.Uint64
-	coalesces      atomic.Uint64
 	allocFailures  atomic.Uint64
 	limitFailures  atomic.Uint64
 	pressureEvents atomic.Uint64
@@ -197,12 +203,11 @@ func New(cfg Config) *Allocator {
 	}
 	a := &Allocator{
 		cfg:        cfg,
+		buddyFree:  cfg.Frames,
 		blockOrder: make([]uint8, cfg.Frames+1),
 		blockIdx:   make([]int32, cfg.Frames+1),
 		mags:       make([]magazine, cfg.CPUs),
-		state:      make([]atomic.Uint64, (cfg.Frames+1+63)/64),
-		refs:       make([]atomic.Int32, cfg.Frames+1),
-		gens:       make([]atomic.Uint64, cfg.Frames+1),
+		meta:       make([]atomic.Uint64, cfg.Frames+1),
 		accounts:   make([]atomic.Pointer[Account], cfg.CPUs),
 		owner:      make([]atomic.Pointer[Account], cfg.Frames+1),
 		pressure:   make(chan struct{}, 1),
@@ -284,9 +289,10 @@ func (a *Allocator) allocBlockLocked(order int) (Frame, bool) {
 	a.blockOrder[base] = noOrder
 	for o > order {
 		o--
-		a.splits.Add(1)
+		a.splits++
 		a.pushBlockLocked(base+Frame(1)<<o, o)
 	}
+	a.buddyFree -= 1 << order
 	return base, true
 }
 
@@ -294,6 +300,7 @@ func (a *Allocator) allocBlockLocked(order int) (Frame, bool) {
 // its buddy as long as the buddy is a free block of the same order and
 // the merged block stays inside the pool. Caller holds mu.
 func (a *Allocator) freeBlockLocked(base Frame, order int) {
+	a.buddyFree += 1 << order
 	for order < MaxOrder {
 		size := Frame(1) << order
 		buddy := base ^ size
@@ -304,7 +311,7 @@ func (a *Allocator) freeBlockLocked(base Frame, order int) {
 			break
 		}
 		a.removeBlockLocked(buddy, order)
-		a.coalesces.Add(1)
+		a.coalesces++
 		if buddy < base {
 			base = buddy
 		}
@@ -313,29 +320,39 @@ func (a *Allocator) freeBlockLocked(base Frame, order int) {
 	a.pushBlockLocked(base, order)
 }
 
-func (a *Allocator) setAllocated(f Frame) {
-	word, bit := f/64, uint(f%64)
-	old := a.state[word].Or(1 << bit)
-	if old&(1<<bit) != 0 {
+// stamp marks a frame taken from the pool as allocated to ac (nil =
+// unaccounted): one Add advances its generation and sets its single
+// reference, and the sum shows whether anyone held it already.
+func (a *Allocator) stamp(f Frame, ac *Account) {
+	if ac != nil {
+		a.owner[f].Store(ac)
+	}
+	if uint32(a.meta[f].Add(1<<32|1)) != 1 {
 		panic(fmt.Sprintf("physmem: frame %d allocated twice", f))
 	}
 }
 
-func (a *Allocator) clearAllocated(f Frame) {
-	word, bit := f/64, uint(f%64)
-	old := a.state[word].And(^uint64(1 << bit))
-	if old&(1<<bit) == 0 {
-		panic(fmt.Sprintf("physmem: frame %d freed twice (or never allocated)", f))
+// unref drops one reference to f on behalf of op and reports whether it
+// was the last, in which case the frame's charge has been returned and
+// the caller owns the frame's way back to a pool.
+func (a *Allocator) unref(f Frame, op string) bool {
+	if f == NoFrame || uint64(f) > a.cfg.Frames {
+		panic(fmt.Sprintf("physmem: %s of invalid frame %d", op, f))
 	}
+	switch refs := int32(a.meta[f].Add(^uint64(0))); {
+	case refs > 0:
+		return false // other references remain
+	case refs < 0:
+		a.meta[f].Add(1) // undo the borrow from the generation half
+		panic(fmt.Sprintf("physmem: %s of frame %d with no references", op, f))
+	}
+	a.unchargeFrame(f)
+	return true
 }
 
 // Allocated reports whether the frame is currently allocated.
 func (a *Allocator) Allocated(f Frame) bool {
-	if f == NoFrame || uint64(f) > a.cfg.Frames {
-		return false
-	}
-	word, bit := f/64, uint(f%64)
-	return a.state[word].Load()&(1<<bit) != 0
+	return f != NoFrame && uint64(f) <= a.cfg.Frames && uint32(a.meta[f].Load()) != 0
 }
 
 // Alloc allocates a frame using cpu's magazine. If Backing is enabled
@@ -358,9 +375,9 @@ func (a *Allocator) Alloc(cpu int) (Frame, error) {
 		return NoFrame, ErrOverLimit
 	}
 	m := &a.mags[cpu%len(a.mags)]
-	f, refilled, err := a.popMagazine(m)
+	f, low, err := a.popMagazine(m)
 	if err != nil && a.DrainMagazines() > 0 {
-		f, refilled, err = a.popMagazine(m)
+		f, low, err = a.popMagazine(m)
 	}
 	if err != nil {
 		a.allocFailures.Add(1)
@@ -369,14 +386,9 @@ func (a *Allocator) Alloc(cpu int) (Frame, error) {
 		}
 		return NoFrame, err
 	}
-	if ac != nil {
-		a.owner[f].Store(ac)
-	}
-	a.setAllocated(f)
-	a.gens[f].Add(1)
-	a.refs[f].Store(1)
+	a.stamp(f, ac)
 	m.allocs.Add(1)
-	if refilled { // frames left the shared pool: the one place the hit path's watermark check lives
+	if low { // a refill left the buddy lists below the low watermark: the hit path's only check
 		a.notePressure()
 	}
 	a.zeroBacking(f)
@@ -412,45 +424,52 @@ func (a *Allocator) AllocRun(cpu, order int) (Frame, error) {
 		a.limitFailures.Add(1)
 		return NoFrame, ErrOverLimit
 	}
-	a.mu.Lock()
-	base, ok := a.allocBlockLocked(order)
-	a.mu.Unlock()
-	if !ok {
-		// Magazine-cached order-0 frames may be exactly the holes
-		// keeping a run from coalescing; pull them back and retry once.
-		if a.DrainMagazines() > 0 {
-			a.mu.Lock()
-			base, ok = a.allocBlockLocked(order)
-			a.mu.Unlock()
+	base, _, low := a.allocBlock(order, order)
+	// Magazine-cached order-0 frames may be exactly the holes keeping a
+	// run from coalescing; pull them back and retry once.
+	if base == NoFrame && a.DrainMagazines() > 0 {
+		base, _, low = a.allocBlock(order, order)
+	}
+	if base == NoFrame {
+		a.runFailures.Add(1)
+		if ac != nil {
+			ac.unchargeN(n)
 		}
-		if !ok {
-			a.runFailures.Add(1)
-			if ac != nil {
-				ac.unchargeN(n)
-			}
-			return NoFrame, ErrNoRun
-		}
+		return NoFrame, ErrNoRun
 	}
 	for f := base; f < base+Frame(n); f++ {
-		if ac != nil {
-			a.owner[f].Store(ac)
-		}
-		a.setAllocated(f)
-		a.gens[f].Add(1)
-		a.refs[f].Store(1)
+		a.stamp(f, ac)
 		a.zeroBacking(f)
 	}
 	a.runAllocs.Add(1)
 	a.mags[cpu%len(a.mags)].allocs.Add(uint64(n))
-	a.notePressure()
+	if low {
+		a.notePressure()
+	}
 	return base, nil
 }
 
+// allocBlock takes, under the allocator lock, a free block of order want
+// or, when the pool is too fragmented to have one, the largest block of
+// at least order least; NoFrame when there is none. low reports that the
+// buddy lists are left below the low watermark: notePressure is due.
+func (a *Allocator) allocBlock(want, least int) (base Frame, order int, low bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for order = want; order >= least; order-- {
+		if b, ok := a.allocBlockLocked(order); ok {
+			return b, order, a.buddyFree < a.cfg.LowWater
+		}
+	}
+	return NoFrame, 0, false
+}
+
 // FreeRun drops one reference from each frame of a run allocated by
-// AllocRun, returning final frames to the buddy lists under a single
-// allocator-lock acquisition. Like FreeRemote it is safe from any
-// goroutine; frames reachable by concurrent RCU readers must not reach
-// it until a grace period has elapsed.
+// AllocRun. A run whose frames all drop their last reference goes back
+// to the buddy lists as the one block it was allocated as; frames still
+// shared stay out and the stretches between them return frame by frame.
+// Like FreeRemote it is safe from any goroutine; frames reachable by
+// concurrent RCU readers must wait out a grace period first.
 func (a *Allocator) FreeRun(base Frame, order int) {
 	if order < 0 || order > MaxOrder {
 		panic(fmt.Sprintf("physmem: FreeRun order %d out of range", order))
@@ -459,11 +478,30 @@ func (a *Allocator) FreeRun(base Frame, order int) {
 	if base == NoFrame || uint64(base)+uint64(n)-1 > a.cfg.Frames {
 		panic(fmt.Sprintf("physmem: FreeRun of invalid run %d+%d", base, n))
 	}
-	frames := make([]Frame, n)
-	for i := range frames {
-		frames[i] = base + Frame(i)
+	start := base // first frame of the current stretch of final frees
+	flush := func(end Frame) {
+		if end == start {
+			return
+		}
+		a.remoteFrees.Add(uint64(end - start))
+		a.mu.Lock()
+		if end-start == n && base%n == 0 {
+			a.freeBlockLocked(base, order)
+		} else {
+			for f := start; f < end; f++ {
+				a.freeBlockLocked(f, 0)
+			}
+		}
+		a.mu.Unlock()
 	}
-	a.FreeBatch(frames)
+	for f := base; f < base+n; f++ {
+		if !a.unref(f, "FreeRun") {
+			flush(f)
+			start = f + 1
+		}
+	}
+	flush(base + n)
+	a.rearmPressure()
 }
 
 func (a *Allocator) zeroBacking(f Frame) {
@@ -480,46 +518,37 @@ func (a *Allocator) zeroBacking(f Frame) {
 }
 
 // popMagazine takes one frame from m, refilling it from the buddy
-// lists when empty (and reporting that it did).
-func (a *Allocator) popMagazine(m *magazine) (f Frame, refilled bool, err error) {
+// lists when empty; low reports a refill that left the buddy lists
+// below the low watermark.
+func (a *Allocator) popMagazine(m *magazine) (f Frame, low bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.frames) == 0 {
-		if err := a.refillLocked(m); err != nil {
+		if low, err = a.refill(m); err != nil {
 			return NoFrame, false, err
 		}
-		refilled = true
 	}
 	f = m.frames[len(m.frames)-1]
 	m.frames = m.frames[:len(m.frames)-1]
-	return f, refilled, nil
+	return f, low, nil
 }
 
-// refillLocked moves order-0 frames from the buddy lists into m,
-// splitting larger blocks as needed. The caller holds m.mu; the lock
-// order is always magazine lock before the global lock (DrainMagazines
-// collects under the magazine locks first and pushes to the buddy
-// lists afterwards for the same reason).
-func (a *Allocator) refillLocked(m *magazine) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := a.cfg.MagazineSize / 2
-	if n == 0 {
-		n = 1
+// refill moves one buddy block into m as order-0 frames: the largest
+// order that fits half a magazine (split off a larger block if need be),
+// a smaller one from a fragmented pool, down to the last single frame.
+// The caller holds m.mu: the lock order is always magazine lock before
+// the global lock (DrainMagazines collects under the magazine locks
+// first and pushes afterwards).
+func (a *Allocator) refill(m *magazine) (low bool, err error) {
+	base, order, low := a.allocBlock(bits.Len(uint(max(a.cfg.MagazineSize/2, 1)))-1, 0)
+	if base == NoFrame {
+		return false, ErrOutOfMemory
 	}
-	got := 0
-	for ; got < n; got++ {
-		f, ok := a.allocBlockLocked(0)
-		if !ok {
-			break
-		}
+	for f := base; f < base+Frame(1)<<order; f++ {
 		m.frames = append(m.frames, f)
 	}
-	if got == 0 {
-		return ErrOutOfMemory
-	}
 	a.refills.Add(1)
-	return nil
+	return low, nil
 }
 
 // DrainMagazines steals every frame cached in the per-CPU magazines
@@ -559,37 +588,32 @@ func (a *Allocator) DrainMagazines() int {
 // Ref takes an additional reference on an allocated frame (fork's
 // copy-on-write page sharing).
 func (a *Allocator) Ref(f Frame) {
-	if f == NoFrame || uint64(f) > a.cfg.Frames || !a.Allocated(f) {
+	if f == NoFrame || uint64(f) > a.cfg.Frames {
 		panic(fmt.Sprintf("physmem: Ref of invalid frame %d", f))
 	}
-	if a.refs[f].Add(1) < 2 {
+	if uint32(a.meta[f].Add(1)) < 2 {
+		a.meta[f].Add(^uint64(0))
 		panic(fmt.Sprintf("physmem: Ref of frame %d with no existing reference", f))
 	}
 }
 
 // Refs returns the frame's current reference count (a COW break with a
 // single reference can simply re-own the page).
-func (a *Allocator) Refs(f Frame) int32 { return a.refs[f].Load() }
+func (a *Allocator) Refs(f Frame) int32 { return int32(a.meta[f].Load()) }
 
 // Free drops one reference to the frame; the frame returns to cpu's
-// magazine when the last reference is dropped (spilling half the
-// magazine to the buddy lists when it overflows).
+// magazine when the last reference is dropped. A magazine that
+// overflows spills its older half to the buddy lists and keeps the
+// frames freed last — the cache-warm ones — for the next allocations,
+// as the kernel's per-CPU lists do.
 //
 // Frames reachable by concurrent RCU readers must not be passed to Free
-// until a grace period has elapsed (use rcu.Domain.Defer); the state
-// bitmap turns violations into panics when the frame is reused.
+// until a grace period has elapsed (use rcu.Domain.Defer); the frame
+// word turns violations into panics when the frame is reused.
 func (a *Allocator) Free(cpu int, f Frame) {
-	if f == NoFrame || uint64(f) > a.cfg.Frames {
-		panic(fmt.Sprintf("physmem: Free of invalid frame %d", f))
+	if !a.unref(f, "Free") {
+		return
 	}
-	switch n := a.refs[f].Add(-1); {
-	case n > 0:
-		return // other references remain
-	case n < 0:
-		panic(fmt.Sprintf("physmem: Free of frame %d with no references", f))
-	}
-	a.unchargeFrame(f)
-	a.clearAllocated(f)
 	m := &a.mags[cpu%len(a.mags)]
 	m.frees.Add(1)
 	m.mu.Lock()
@@ -597,11 +621,11 @@ func (a *Allocator) Free(cpu int, f Frame) {
 	if len(m.frames) > a.cfg.MagazineSize {
 		spill := len(m.frames) / 2
 		a.mu.Lock()
-		for _, sf := range m.frames[len(m.frames)-spill:] {
+		for _, sf := range m.frames[:spill] {
 			a.freeBlockLocked(sf, 0)
 		}
 		a.mu.Unlock()
-		m.frames = m.frames[:len(m.frames)-spill]
+		m.frames = m.frames[:copy(m.frames, m.frames[spill:])]
 	}
 	m.mu.Unlock()
 	a.rearmPressure()
@@ -612,24 +636,7 @@ func (a *Allocator) Free(cpu int, f Frame) {
 // is safe from any goroutine, which is what RCU callbacks need: a
 // deferred free runs on whichever goroutine drives the grace period,
 // not on the CPU that queued it.
-func (a *Allocator) FreeRemote(f Frame) {
-	if f == NoFrame || uint64(f) > a.cfg.Frames {
-		panic(fmt.Sprintf("physmem: FreeRemote of invalid frame %d", f))
-	}
-	switch n := a.refs[f].Add(-1); {
-	case n > 0:
-		return
-	case n < 0:
-		panic(fmt.Sprintf("physmem: FreeRemote of frame %d with no references", f))
-	}
-	a.unchargeFrame(f)
-	a.clearAllocated(f)
-	a.remoteFrees.Add(1)
-	a.mu.Lock()
-	a.freeBlockLocked(f, 0)
-	a.mu.Unlock()
-	a.rearmPressure()
-}
+func (a *Allocator) FreeRemote(f Frame) { a.FreeBatch([]Frame{f}) }
 
 // FreeBatch drops one reference from each frame, returning every frame
 // whose last reference dropped to the buddy lists under a single
@@ -643,19 +650,10 @@ func (a *Allocator) FreeRemote(f Frame) {
 func (a *Allocator) FreeBatch(frames []Frame) {
 	final := 0
 	for _, f := range frames {
-		if f == NoFrame || uint64(f) > a.cfg.Frames {
-			panic(fmt.Sprintf("physmem: FreeBatch of invalid frame %d", f))
+		if a.unref(f, "FreeBatch") {
+			frames[final] = f
+			final++
 		}
-		switch n := a.refs[f].Add(-1); {
-		case n > 0:
-			continue
-		case n < 0:
-			panic(fmt.Sprintf("physmem: FreeBatch of frame %d with no references", f))
-		}
-		a.unchargeFrame(f)
-		a.clearAllocated(f)
-		frames[final] = f
-		final++
 	}
 	if final == 0 {
 		return
@@ -670,13 +668,14 @@ func (a *Allocator) FreeBatch(frames []Frame) {
 }
 
 // Gen returns the frame's allocation generation: incremented each time
-// the frame is allocated, so an observer holding a frame number can
-// detect a free-and-recycle behind its back.
+// the frame is allocated (modulo 2^32 — the upper half of the frame's
+// word), so an observer holding a frame number can detect a
+// free-and-recycle behind its back.
 func (a *Allocator) Gen(f Frame) uint64 {
 	if f == NoFrame || uint64(f) > a.cfg.Frames {
 		panic(fmt.Sprintf("physmem: Gen of invalid frame %d", f))
 	}
-	return a.gens[f].Load()
+	return a.meta[f].Load() >> 32
 }
 
 // AuditBuddy validates the buddy structure: every free block is
@@ -726,11 +725,13 @@ func (a *Allocator) AuditBuddy() error {
 }
 
 // notePressure publishes one wake-up token when free frames fall below
-// the low watermark. The latch keeps sustained pressure from spinning
-// on the channel; rearmPressure resets it once frees lift the level
-// back above the high watermark.
+// the low watermark. Callers reach it only once the buddy lists alone
+// hold fewer (buddyFree): the sum over every magazine's cells is paid
+// near the watermark and nowhere else. The latch keeps sustained
+// pressure from spinning on the channel; rearmPressure resets it once
+// frees lift the level back above the high watermark.
 func (a *Allocator) notePressure() {
-	if a.cfg.LowWater == 0 || a.FreeFrames() >= int64(a.cfg.LowWater) {
+	if a.FreeFrames() >= int64(a.cfg.LowWater) {
 		return
 	}
 	if a.lowHit.CompareAndSwap(false, true) {
@@ -743,7 +744,7 @@ func (a *Allocator) notePressure() {
 }
 
 func (a *Allocator) rearmPressure() {
-	if a.cfg.LowWater == 0 || !a.lowHit.Load() {
+	if !a.lowHit.Load() { // set only by notePressure: never without a watermark
 		return
 	}
 	// >= matches the reclaimer's stopping condition: it balances until
@@ -854,6 +855,9 @@ type Stats struct {
 func (a *Allocator) Stats() Stats {
 	allocs, frees := a.counts()
 	inUse := int64(allocs - frees)
+	a.mu.Lock()
+	splits, coalesces := a.splits, a.coalesces
+	a.mu.Unlock()
 	return Stats{
 		Allocs:         allocs,
 		Frees:          frees,
@@ -862,8 +866,8 @@ func (a *Allocator) Stats() Stats {
 		Drained:        a.drained.Load(),
 		RunAllocs:      a.runAllocs.Load(),
 		RunFailures:    a.runFailures.Load(),
-		BuddySplits:    a.splits.Load(),
-		BuddyCoalesces: a.coalesces.Load(),
+		BuddySplits:    splits,
+		BuddyCoalesces: coalesces,
 		AllocFailures:  a.allocFailures.Load(),
 		LimitFailures:  a.limitFailures.Load(),
 		PressureEvents: a.pressureEvents.Load(),

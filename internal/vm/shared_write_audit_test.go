@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bonsai/internal/locks"
+	"bonsai/internal/physmem"
 	"bonsai/internal/stats"
 	"bonsai/internal/vma"
 )
@@ -105,6 +106,11 @@ func wantDeltas(t *testing.T, layer string, got, want map[string]int64) {
 // words, and only for the designs that take a lock: the reader count of
 // mmap_sem (RWLock), of the fault lock (FaultLock) and of the tree lock
 // (Hybrid). PureRCU has none.
+//
+// One step covers a plain write the counters cannot see (ROADMAP 2(a)):
+// every allocation writes its frame's word of physmem's metadata array,
+// eight words to a 64-byte line, so the frames two CPUs' magazines take
+// from a fresh pool must not share a line.
 func TestFastPathFaultWritesOnlyItsOwnCells(t *testing.T) {
 	const n = 16 // fits in what a just-refilled magazine holds
 	// The collapse scanner is off so no background pass moves a counter.
@@ -163,6 +169,54 @@ func TestFastPathFaultWritesOnlyItsOwnCells(t *testing.T) {
 			statsWant["MmapCacheHits"] = n
 			cellsWant["vm.cacheHits"] = n
 		}
+
+		t.Run("frame metadata lines", func(t *testing.T) {
+			// takeMagazine allocates on c until its magazine refills a
+			// second time: one refill's worth of frames and the first of
+			// the next, all of them from c's own blocks.
+			takeMagazine := func(c *CPU) (frames []physmem.Frame) {
+				first := as.alloc.Stats().Refills
+				for as.alloc.Stats().Refills <= first+1 {
+					f, err := as.alloc.Alloc(c.id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					frames = append(frames, f)
+				}
+				return frames
+			}
+			// Three of CPU 0's first frames go straight back to the buddy
+			// lists, as a grace-period callback returns them: loose frames
+			// in the middle of CPU 0's lines, which a refill gathering the
+			// lowest free frames one by one would hand to CPU 1.
+			var mine []physmem.Frame
+			for i := 0; i < 5; i++ {
+				f, err := as.alloc.Alloc(cpus[0].id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mine = append(mine, f)
+			}
+			for _, f := range mine[:3] {
+				as.alloc.FreeRemote(f)
+			}
+			mine = append(mine[3:], takeMagazine(cpus[0])...)
+			theirs := takeMagazine(cpus[1])
+			if len(mine) <= 8 || len(theirs) <= 8 {
+				t.Errorf("refills of %d and %d frames: no more than a metadata line", len(mine)-1, len(theirs)-1)
+			}
+			lines := make(map[physmem.Frame]bool)
+			for _, f := range mine {
+				lines[f>>3] = true
+				defer as.alloc.Free(cpus[0].id, f)
+			}
+			for _, f := range theirs {
+				if lines[f>>3] {
+					t.Errorf("CPU 1's frame %d shares metadata line %d with a frame of CPU 0's magazine", f, f>>3)
+				}
+				defer as.alloc.Free(cpus[1].id, f)
+			}
+		})
 
 		t.Run("anonymous", func(t *testing.T) {
 			base := mustMmap(t, as, 0, 128*PageSize, vma.ProtRead|vma.ProtWrite, 0) // too small to be huge-eligible

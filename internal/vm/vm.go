@@ -26,10 +26,13 @@
 //     16 that is timed, its latency histogram (statsCounters), the page
 //     tables' fill counter, the page cache's hit counter, its RCU reader
 //     and its allocator magazine (frames, lock, allocation counter);
-//   - the leaf page table's PTE lock and entry, shared within 2 MB;
-//   - the mapped frame's metadata (reference count, generation,
-//     allocation bit) — for a file page the cache page's reference count
-//     and reverse map, and a limited tenant's charge counter;
+//   - the leaf page table's PTE lock (its two ticket words, which also
+//     count its acquisitions) and entry, shared within 2 MB;
+//   - the mapped frame's metadata: one word, generation and reference
+//     count, eight frames to a line, and a magazine's frames come in
+//     aligned blocks so CPUs start out on lines of their own — for a file
+//     page the cache page's reference count and reverse map, and a
+//     limited tenant's charge counter and the frame's owner stamp;
 //   - the design's lock words: the reader count of mmap_sem (RWLock), the
 //     fault lock (FaultLock), the tree lock (Hybrid); none in PureRCU.
 //
