@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"bonsai/internal/introspect"
@@ -59,7 +58,7 @@ func main() {
 	traceRingSize := flag.Int("trace-ring-size", trace.DefaultRingSize, "events kept per ring (rounded up to a power of two)")
 	flag.Parse()
 
-	d, err := parseDesign(*design)
+	d, err := vm.ParseDesign(*design)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -161,20 +160,5 @@ func newVmstat(start time.Time) func(machine.Snapshot) {
 			d.GracePeriods,
 			d.OOMKills,
 			time.Duration(sn.Latency.Fault.P99Ns))
-	}
-}
-
-func parseDesign(name string) (vm.Design, error) {
-	switch strings.ToLower(name) {
-	case "rwlock":
-		return vm.RWLock, nil
-	case "faultlock":
-		return vm.FaultLock, nil
-	case "hybrid":
-		return vm.Hybrid, nil
-	case "purercu":
-		return vm.PureRCU, nil
-	default:
-		return 0, fmt.Errorf("soak: unknown design %q", name)
 	}
 }

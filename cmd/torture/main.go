@@ -54,7 +54,7 @@ func main() {
 	}
 	if *designs != "" {
 		for _, name := range strings.Split(*designs, ",") {
-			d, err := parseDesign(name)
+			d, err := vm.ParseDesign(name)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
@@ -129,19 +129,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("PASS")
-}
-
-func parseDesign(name string) (vm.Design, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "rwlock":
-		return vm.RWLock, nil
-	case "faultlock":
-		return vm.FaultLock, nil
-	case "hybrid":
-		return vm.Hybrid, nil
-	case "purercu":
-		return vm.PureRCU, nil
-	default:
-		return 0, fmt.Errorf("unknown design %q (want rwlock, faultlock, hybrid, or purercu)", name)
-	}
 }

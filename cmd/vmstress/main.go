@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -58,7 +57,7 @@ func main() {
 
 	designs := vm.Designs
 	if *design != "" {
-		d, err := parseDesign(*design)
+		d, err := vm.ParseDesign(*design)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -100,20 +99,6 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-func parseDesign(s string) (vm.Design, error) {
-	switch strings.ToLower(s) {
-	case "rwlock":
-		return vm.RWLock, nil
-	case "faultlock":
-		return vm.FaultLock, nil
-	case "hybrid":
-		return vm.Hybrid, nil
-	case "purercu":
-		return vm.PureRCU, nil
-	}
-	return 0, fmt.Errorf("unknown design %q", s)
 }
 
 func containsDesign(ds []vm.Design, d vm.Design) bool {

@@ -7,11 +7,15 @@ import (
 )
 
 // TestConformanceAllDesigns runs the full battery under every design —
-// the reproduction of the paper's LTP validation (§6).
+// the reproduction of the paper's LTP validation (§6) — and again with
+// every mapping operation on the global mmap_sem, which for the RCU
+// designs is the configuration the paper describes.
 func TestConformanceAllDesigns(t *testing.T) {
-	for _, r := range RunAll(vm.Config{}) {
-		if r.Err != nil {
-			t.Errorf("%-45s %-22s FAIL: %v", r.Case, r.Design, r.Err)
+	for _, cfg := range []vm.Config{{}, {RangeLocks: vm.RangeLocksOff}} {
+		for _, r := range RunAll(cfg) {
+			if r.Err != nil {
+				t.Errorf("%-45s %-22s RangeLocks=%d FAIL: %v", r.Case, r.Design, cfg.RangeLocks, r.Err)
+			}
 		}
 	}
 }

@@ -302,6 +302,86 @@ func TestFillRaceDetection(t *testing.T) {
 	}
 }
 
+// TestStackGrowthUnderConcurrentFaults drives the one path that
+// escalates from a pin to the whole-space exclusion — and, under
+// FaultLock, the one place a fault enters the mutation phase: two CPUs
+// fault the same descending addresses below a stack while two more
+// fault a region that a fifth goroutine keeps zapping. Every address
+// must end up inside the grown stack, translated, with one growth per
+// page at most.
+func TestStackGrowthUnderConcurrentFaults(t *testing.T) {
+	forEachDesign(t, Config{CPUs: 4}, func(t *testing.T, as *AddressSpace) {
+		const grow, pages = 48, 32
+		top := uint64(UnmappedBase) + 1<<30
+		mustMmap(t, as, top, PageSize, vma.ProtRead|vma.ProtWrite, vma.Fixed|vma.Stack)
+		heap := mustMmap(t, as, UnmappedBase, pages*PageSize, vma.ProtRead|vma.ProtWrite, vma.Fixed)
+
+		var growers, noise sync.WaitGroup
+		stop := make(chan struct{})
+		for w := 0; w < 2; w++ {
+			growers.Add(1)
+			go func(cpu *CPU) {
+				defer growers.Done()
+				for i := uint64(1); i <= grow; i++ {
+					if err := cpu.Fault(top-i*PageSize, true); err != nil {
+						t.Errorf("stack fault %d pages down: %v", i, err)
+						return
+					}
+				}
+			}(as.NewCPU(w))
+		}
+		for w := 2; w < 4; w++ {
+			noise.Add(1)
+			go func(cpu *CPU, seed int64) {
+				defer noise.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := cpu.Fault(heap+uint64(rng.Intn(pages))*PageSize, true); err != nil {
+						t.Errorf("heap fault: %v", err)
+						return
+					}
+				}
+			}(as.NewCPU(w), int64(w))
+		}
+		noise.Add(1)
+		go func() {
+			defer noise.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := as.MadviseDontNeed(heap, pages*PageSize); err != nil {
+					t.Errorf("madvise: %v", err)
+					return
+				}
+			}
+		}()
+		growers.Wait()
+		close(stop)
+		noise.Wait()
+
+		for i := uint64(1); i <= grow; i++ {
+			if _, ok := as.Translate(top - i*PageSize); !ok {
+				t.Fatalf("stack page %d down is not translated", i)
+			}
+		}
+		regions := as.Regions()
+		if stack := regions[len(regions)-1]; stack.Start != top-grow*PageSize || stack.End != top+PageSize {
+			t.Errorf("stack is %v, want [%#x, %#x)", stack, top-grow*PageSize, top+PageSize)
+		}
+		if st := as.Stats(); st.StackGrowths == 0 || st.StackGrowths > grow || st.RetriesMiss < st.StackGrowths {
+			t.Errorf("StackGrowths = %d (want 1..%d), RetriesMiss = %d", st.StackGrowths, grow, st.RetriesMiss)
+		}
+	})
+}
+
 // TestDataIntegrityUnderRemap writes distinct patterns into pages,
 // unmaps, remaps, and verifies fresh pages are zero (no stale frame
 // reuse before a grace period can leak another region's data).
@@ -339,7 +419,7 @@ func TestDataIntegrityUnderRemap(t *testing.T) {
 }
 
 // TestRandomizedCrossDesignEquivalence drives an identical randomized
-// operation sequence through all four designs single-threaded and
+// operation sequence through all six policies single-threaded and
 // checks they produce identical region layouts and translations — the
 // designs differ only in synchronization, never in semantics.
 func TestRandomizedCrossDesignEquivalence(t *testing.T) {
@@ -349,8 +429,8 @@ func TestRandomizedCrossDesignEquivalence(t *testing.T) {
 	}
 	var shots []shot
 	const pages = 256
-	for _, d := range Designs {
-		as, err := New(Config{Design: d, CPUs: 1})
+	for _, p := range policies {
+		as, err := New(p.apply(Config{CPUs: 1}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,16 +472,16 @@ func TestRandomizedCrossDesignEquivalence(t *testing.T) {
 	for di := 1; di < len(shots); di++ {
 		s := shots[di]
 		if len(s.regions) != len(ref.regions) {
-			t.Fatalf("%v: %d regions, %v has %d", Designs[di], len(s.regions), Designs[0], len(ref.regions))
+			t.Fatalf("%v: %d regions, %v has %d", policies[di], len(s.regions), policies[0], len(ref.regions))
 		}
 		for i := range s.regions {
 			if s.regions[i] != ref.regions[i] {
-				t.Fatalf("%v region %d: %v != %v", Designs[di], i, s.regions[i], ref.regions[i])
+				t.Fatalf("%v region %d: %v != %v", policies[di], i, s.regions[i], ref.regions[i])
 			}
 		}
 		for i := range s.mapped {
 			if s.mapped[i] != ref.mapped[i] {
-				t.Fatalf("%v: page %d mapped=%v, reference %v", Designs[di], i, s.mapped[i], ref.mapped[i])
+				t.Fatalf("%v: page %d mapped=%v, reference %v", policies[di], i, s.mapped[i], ref.mapped[i])
 			}
 		}
 	}

@@ -26,12 +26,8 @@ import (
 // only when reclaim reports nothing left to evict — no clean or
 // write-backable cache page anywhere on the machine.
 //
-// The synchronization followed depends on the design:
-//
-//	RWLock    — mmap_sem read-locked for the whole fault (§4.1).
-//	FaultLock — fault lock read-locked for the whole fault (§5.1).
-//	Hybrid    — no semaphore; RCU + treeSem around the tree lookup (§5.2).
-//	PureRCU   — no semaphore and no tree lock: BONSAI lookup (§5.3).
+// What the attempt holds while it runs is the address space's
+// synchronization policy's business (sync.go), not this file's.
 func (c *CPU) Fault(addr uint64, write bool) error {
 	as := c.as
 	if addr >= MaxAddress {
@@ -152,7 +148,7 @@ func (as *AddressSpace) retryShortage(op func() error) error {
 		if tenant {
 			tb = 1
 		}
-		if attempt < shortageRetryBudget && as.reclaimForShortageKind(tenant) {
+		if attempt < shortageRetryBudget && as.reclaimForShortage(tenant) {
 			trace.Emit(trace.AuxCPU, trace.EvOOMKill, trace.OomDirectReclaim, tb, uint64(attempt+1))
 			continue
 		}
@@ -179,15 +175,11 @@ func (as *AddressSpace) retryShortage(op func() error) error {
 // — mean the machine is genuinely out of reclaimable memory. With no
 // page caches at all (purely anonymous workloads) every attempt is a
 // cheap empty scan, so true OOM still reports quickly.
-func (as *AddressSpace) reclaimForShortage() bool {
-	return as.reclaimForShortageKind(false)
-}
-
-// reclaimForShortageKind is reclaimForShortage with the tenant-local
-// variant: tenant == true answers a tenant-limit failure by scanning
-// only this tenant's own pages (ReclaimAccount), so the tenant pays
-// for its overcommit itself instead of pressuring its neighbors.
-func (as *AddressSpace) reclaimForShortageKind(tenant bool) bool {
+//
+// tenant == true answers a tenant-limit failure by scanning only this
+// tenant's own pages (ReclaimAccount), so the tenant pays for its
+// overcommit itself instead of pressuring its neighbors.
+func (as *AddressSpace) reclaimForShortage(tenant bool) bool {
 	for attempt := 0; attempt < oomRetries; attempt++ {
 		if tenant {
 			if as.fam.acct == nil {
@@ -208,204 +200,86 @@ func (as *AddressSpace) reclaimForShortageKind(tenant bool) bool {
 	return false
 }
 
-// fault is one fault attempt under the design's synchronization.
-func (c *CPU) fault(page uint64, write bool) error {
-	as := c.as
-	switch as.cfg.Design {
-	case RWLock:
-		as.mmapSem.RLock()
-		err := c.faultLocked(page, write)
-		as.mmapSem.RUnlock()
-		if err == errRetrySlow {
-			return c.faultSlow(page, write, retryMiss)
-		}
-		return err
-	case FaultLock:
-		as.faultSem.RLock()
-		err := c.faultLocked(page, write)
-		as.faultSem.RUnlock()
-		if err == errRetrySlow {
-			return c.faultSlow(page, write, retryMiss)
-		}
-		return err
-	default:
-		return c.faultRCU(page, write)
-	}
-}
-
-// errRetrySlow is an internal sentinel: the fast path could not finish
-// and the fault must be retried with mmap_sem held.
-var errRetrySlow = &retryError{kind: "race"}
-
-// errRetryCow marks the copy-on-write hard case: the fault must retry
-// with the lock held, where the COW break is permitted (§6).
-var errRetryCow = &retryError{kind: "cow"}
-
-// retryError carries a kind so the two sentinels are distinct values
-// (pointers to zero-size values may compare equal in Go).
-type retryError struct{ kind string }
-
-func (e *retryError) Error() string { return "vm: fault must retry with mmap_sem (" + e.kind + ")" }
-
-// retryReason classifies slow-path retries for the statistics the paper
-// reports in §6–7.
+// retryReason is the fast path's verdict that the fault must be retried
+// with the page pinned, returned as the attempt's error. It says where
+// the retry arose, which is all the §6–7 retry statistics distinguish.
 type retryReason int
 
 const (
-	retryMiss     retryReason = iota // no VMA found (miss, split race, or stack growth)
-	retryFillRace                    // §5.2 page-table fill race detected
-	retryFile                        // file-backed hard case (§6; gone since the page cache — see faultRCU)
+	retryMiss     retryReason = iota // no VMA found: a segfault, a stack to grow, or a split's window (Figure 10)
+	retryFillRace                    // the fill lost a race: §5.2's double check, or a racing huge promotion
 	retryCow                         // copy-on-write hard case (§6)
+	numRetryReasons
 )
 
-// faultLocked is the fault fast path for the lock-based designs: the
-// caller holds a read lock that excludes all mapping-operation
-// mutations, so no recheck is needed.
-func (c *CPU) faultLocked(page uint64, write bool) error {
-	v := c.lookupCached(page)
-	if v == nil {
-		return errRetrySlow // segfault or stack growth: needs write lock
+func (retryReason) Error() string { return "vm: fault must retry with the page pinned" }
+
+// fault is one fault attempt. The fast path runs inside the policy's
+// read side — a semaphore in read mode, or just the CPU's RCU read
+// section (§5.2–5.3), in which case the fill revalidates the VMA under
+// the PTE lock: "the page fault handler double-checks that the VMA has
+// not been marked as deleted and that the faulting address still falls
+// within the VMA's bounds". Any anomaly is retried with the page pinned,
+// which guarantees progress; a pinned fill can itself only lose to a
+// racing huge promotion, which the next round finds in place.
+func (c *CPU) fault(page uint64, write bool) error {
+	sy := &c.as.sy
+	sy.enter(c)
+	var err error = retryMiss
+	if v := c.lookup(page); v != nil {
+		if err = checkProt(v, write); err == nil {
+			locked := sy.readExcludesMapOps()
+			var recheck func() bool
+			if !locked {
+				recheck = func() bool { return v.Contains(page) }
+			}
+			err = c.fillPage(v, page, write, recheck, locked)
+		}
 	}
-	if err := checkProt(v, write); err != nil {
-		return err
+	sy.exit(c)
+	for {
+		reason, retry := err.(retryReason)
+		if !retry {
+			return err
+		}
+		err = c.faultSlow(page, write, reason)
 	}
-	return c.fillPage(v, page, write, nil, true)
 }
 
-// faultRCU is the fault fast path for the Hybrid and PureRCU designs
-// (§5.2–5.3). It runs inside an RCU read-side critical section, takes
-// no semaphore, and revalidates the VMA under the PTE lock before
-// filling (the fill-race double check). Any anomaly falls back to
-// faultSlow, which retries with mmap_sem held to guarantee progress.
-func (c *CPU) faultRCU(page uint64, write bool) error {
-	c.rd.Lock()
-
-	v := c.lookupRCU(page)
-	if v == nil || !v.Contains(page) {
-		// Miss: a real segfault, a stack region to grow, or the
-		// transient window of a VMA split (Figure 10).
-		c.rd.Unlock()
-		return c.faultSlow(page, write, retryMiss)
-	}
-	if err := checkProt(v, write); err != nil {
-		c.rd.Unlock()
-		return err
-	}
-	// File-backed faults no longer bail to the slow path (the paper's §6
-	// hard case): they resolve through the file's page cache, whose
-	// lookup is itself a lock-free RCU read — see makeFilePTE. Only the
-	// copy-on-write upgrade still retries with the lock held.
-
-	// Revalidate under the PTE lock: "the page fault handler
-	// double-checks that the VMA has not been marked as deleted and
-	// that the faulting address still falls within the VMA's bounds"
-	// (§5.2).
-	err := c.fillPage(v, page, write, func() bool { return v.Contains(page) }, false)
-	c.rd.Unlock()
-	switch err {
-	case errRetrySlow:
-		return c.faultSlow(page, write, retryFillRace)
-	case errRetryCow:
-		return c.faultSlow(page, write, retryCow)
-	}
-	return err
-}
-
-// faultSlow retries the fault with mmap_sem held (§5.2: "we detect
+// faultSlow is the retry-with-lock path (§5.2: "we detect
 // inconsistencies and restart the page fault handler, this time with
-// the mmap_sem held to ensure progress"). Misses escalate to the write
-// lock to handle stack growth. In the range-locked designs mapping
-// operations no longer hold mmap_sem, so the retry locks the faulting
-// page's range instead.
+// the mmap_sem held to ensure progress"). It pins the faulting page, so
+// the page's mapping — its existence, protection and file offset —
+// holds still and the fill needs no recheck; faults elsewhere, and
+// under range locking mapping operations on other VMAs, keep running.
+// A page still unmapped escalates to the whole-space exclusion, where a
+// stack may grow over it.
 func (c *CPU) faultSlow(page uint64, write bool, reason retryReason) error {
 	as := c.as
-	as.stats.retry(reason)
+	as.stats.retries[reason].Add(1)
 	c.pathFlags |= trace.FaultSlow
 	if reason == retryCow {
 		c.pathFlags |= trace.FaultCOW
 	}
-	if as.rl != nil {
-		return c.faultSlowRanged(page, write)
-	}
-
-	as.mmapSem.RLock()
-	v := as.idx.floorLocked(page)
-	if v != nil && v.Contains(page) {
-		if err := checkProt(v, write); err != nil {
-			as.mmapSem.RUnlock()
-			return err
-		}
-		// Mapping operations hold mmap_sem in write mode in every
-		// design, so no recheck is needed here; concurrent RCU faults
-		// are handled by the present-PTE check under the PTE lock.
-		err := c.fillPage(v, page, write, nil, true)
-		as.mmapSem.RUnlock()
-		return err
-	}
-	as.mmapSem.RUnlock()
-
-	// Still unmapped: grow a stack region or fail. Stack growth mutates
-	// the region tree, which requires the write lock (and the fault
-	// lock's mutation phase in the FaultLock design).
-	as.mmapSem.Lock()
-	defer as.mmapSem.Unlock()
-	v = as.idx.floorLocked(page)
-	if v == nil || !v.Contains(page) {
-		grown, err := as.growStackLocked(page)
-		if err != nil {
-			return err
-		}
-		v = grown
-	}
-	if err := checkProt(v, write); err != nil {
-		return err
-	}
-	return c.fillPage(v, page, write, nil, true)
-}
-
-// faultSlowRanged is the retry-with-lock path under range locking: it
-// locks the faulting page's own range, which excludes every mapping
-// operation that could touch the VMA containing the page — by the
-// lockCovering invariant, an operation mutating that VMA (trimming,
-// splitting, deleting, or replacing it) must hold a range covering the
-// VMA's entire extent, which contains this page and therefore
-// conflicts. Operations on VMAs not containing the page proceed
-// concurrently. The page's mapping — its existence, protection, and
-// file offset — is thus pinned while the lock is held, so the fill
-// needs no recheck, exactly like the mmap_sem retry path.
-//
-// Note the trade against the global designs' retry: mmap_sem.RLock is
-// shared, while page-range locks are exclusive and serialize briefly
-// on the manager's mutex. Retries for distinct pages still never wait
-// on each other (their ranges are disjoint), so this only matters for
-// the hard cases the paper also sends through the slow path —
-// file-backed and COW faults — whose cost is dominated by the fill
-// itself, not the manager.
-func (c *CPU) faultSlowRanged(page uint64, write bool) error {
-	as := c.as
-	g := as.rl.Lock(page, page+PageSize)
-	if v := as.idx.floorLocked(page); v != nil && v.Contains(page) {
+	pin := as.sy.pin(page, page+PageSize)
+	if v := as.idx.floor(page); v != nil && v.Contains(page) {
 		err := checkProt(v, write)
 		if err == nil {
 			err = c.fillPage(v, page, write, nil, true)
 		}
-		g.Unlock()
+		pin.unlock()
 		return err
 	}
-	g.Unlock()
+	pin.unlock()
 
-	// Still unmapped: grow a stack region or fail. Stack growth
-	// re-indexes a neighboring VMA, so it escalates to the whole-space
-	// lock — the analogue of the global designs' mmap_sem write mode.
-	mg := as.lockAll()
+	mg := as.sy.lockAll()
 	defer mg.unlock()
-	v := as.idx.floorLocked(page)
+	v := as.idx.floor(page)
 	if v == nil || !v.Contains(page) {
-		grown, err := as.growStackLocked(page)
-		if err != nil {
+		var err error
+		if v, err = as.growStackLocked(&mg, page); err != nil {
 			return err
 		}
-		v = grown
 	}
 	if err := checkProt(v, write); err != nil {
 		return err
@@ -415,12 +289,12 @@ func (c *CPU) faultSlowRanged(page uint64, write bool) error {
 
 // growStackLocked grows a Stack VMA downward to cover page (§6 handles
 // Linux's stack guard machinery with the same retry-with-locking
-// mechanism; here growth itself runs under the write lock). The tree is
-// keyed by start, so growth re-indexes the VMA: remove, adjust, insert.
-// Lock-free readers can transiently miss it and retry — by the time
-// they reacquire mmap_sem the VMA is back.
-func (as *AddressSpace) growStackLocked(page uint64) (*vma.VMA, error) {
-	v := as.idx.ceilingLocked(page)
+// mechanism; here growth itself runs under mg, the whole-space
+// exclusion). The tree is keyed by start, so growth re-indexes the VMA:
+// remove, adjust, insert. Lock-free readers can transiently miss it and
+// retry — by the time they hold the whole space the VMA is back.
+func (as *AddressSpace) growStackLocked(mg *mapGuard, page uint64) (*vma.VMA, error) {
+	v := as.idx.ceiling(page)
 	if v == nil || v.Flags()&vma.Stack == 0 || v.Deleted() {
 		return nil, ErrSegv
 	}
@@ -428,11 +302,10 @@ func (as *AddressSpace) growStackLocked(page uint64) (*vma.VMA, error) {
 		return nil, ErrSegv
 	}
 	// Keep one guard page between the stack and the mapping below.
-	if below := as.idx.floorLocked(page); below != nil && below.End() > page-PageSize {
+	if below := as.idx.floor(page); below != nil && below.End() > page-PageSize {
 		return nil, ErrSegv
 	}
-	as.beginMutate()
-	defer as.endMutate()
+	mg.mutate()
 	as.idx.remove(v.Start())
 	v.SetStart(page)
 	as.idx.insert(v)
@@ -457,14 +330,14 @@ func checkProt(v *vma.VMA, write bool) error {
 // allocating a frame (anonymous) or resolving the file's page cache
 // (file-backed) if the entry is empty, and breaking copy-on-write when
 // a write hits a COW page. recheck, when non-nil, is the §5.2 double
-// check run under the PTE lock. locked says whether the caller holds a
-// lock excluding mapping operations (mmap_sem/faultSem in read mode, or
-// a range lock on the page); it selects whether COW breaks happen here
-// or force a retry-with-lock (the RCU fast path, per §6: "for ...
+// check run under the PTE lock. locked says whether the caller's hold
+// keeps mapping operations from mutating (a read side that excludes
+// them, or a pin); it selects whether COW breaks happen here or force a
+// retry with the page pinned (an RCU read section, per §6: "for ...
 // copy-on-write faults, the implementation retries the page fault with
 // the lock held"), and whether the file-cache interaction must open its
-// own RCU read section (the unlocked caller, faultRCU, already holds
-// one). On a detected race fillPage returns errRetrySlow.
+// own RCU read section (the unlocked caller is already inside one). On
+// a detected race fillPage returns retryFillRace.
 func (c *CPU) fillPage(v *vma.VMA, page uint64, write bool, recheck func() bool, locked bool) error {
 	as := c.as
 	// Huge-first policy: a huge entry may already translate the page (a
@@ -489,7 +362,7 @@ func (c *CPU) fillPage(v *vma.VMA, page uint64, write bool, recheck func() bool,
 		if errors.Is(err, pagetable.ErrHugeMapped) {
 			// A racing fault promoted the span between the walk above
 			// and here; retry to take the huge-hit path.
-			return errRetrySlow
+			return retryFillRace
 		}
 		return oomError(err)
 	}
@@ -552,9 +425,9 @@ func (c *CPU) fillPage(v *vma.VMA, page uint64, write bool, recheck func() bool,
 	}
 	switch res {
 	case pagetable.FillRecheckFailed:
-		return errRetrySlow // fill race detected by the double check
+		return retryFillRace // fill race detected by the double check
 	case pagetable.FillNeedsUpgrade:
-		return errRetryCow // COW hard case: service with the lock held
+		return retryCow // COW hard case: service with the lock held
 	case pagetable.FillInstalled:
 		as.stats.pagesMapped.Add(c.id, 1)
 	case pagetable.FillUpgraded:
@@ -667,12 +540,12 @@ func (as *AddressSpace) Translate(addr uint64) (uint64, bool) {
 	return uint64(pagetable.PTEFrame(pte))<<12 | (addr & (PageSize - 1)), true
 }
 
-// lookupRCU is the RCU fault path's VMA lookup: the design's tree read
-// (lock-free for PureRCU, treeSem-protected for Hybrid), optionally
-// going through the mmap cache when the §6 ablation forces it on —
-// every fault then writes the shared cache line, which is exactly the
-// coherence cost the paper measured before disabling it.
-func (c *CPU) lookupRCU(page uint64) *vma.VMA {
+// lookup is the fast path's VMA lookup: the region tree, behind the
+// mmap cache (§6) where that is on. In the RCU designs it is on only
+// as the §6 ablation — every fault then writes the shared cache line,
+// which is exactly the coherence cost the paper measured before
+// disabling it.
+func (c *CPU) lookup(page uint64) *vma.VMA {
 	as := c.as
 	if as.mmapCacheOn {
 		if v := as.mmapCache.Load(); v != nil && v.Contains(page) {
@@ -680,25 +553,7 @@ func (c *CPU) lookupRCU(page uint64) *vma.VMA {
 			return v
 		}
 	}
-	v := as.idx.floorRead(page)
-	if as.mmapCacheOn && v != nil && v.Contains(page) {
-		as.stats.cacheMisses.Add(c.id, 1)
-		as.mmapCache.Store(v)
-	}
-	return v
-}
-
-// lookupCached looks up the VMA containing page through the mmap cache
-// (§6) when enabled, falling back to the tree.
-func (c *CPU) lookupCached(page uint64) *vma.VMA {
-	as := c.as
-	if as.mmapCacheOn {
-		if v := as.mmapCache.Load(); v != nil && v.Contains(page) {
-			as.stats.cacheHits.Add(c.id, 1)
-			return v
-		}
-	}
-	v := as.idx.floorLocked(page)
+	v := as.idx.floor(page)
 	if v == nil || !v.Contains(page) {
 		return nil
 	}

@@ -20,8 +20,8 @@ import (
 //
 // The child shares the parent's physical allocator and RCU domain (a
 // family); page frames carry reference counts and return to the pool
-// when the last sharer unmaps them. Fork holds the parent's mmap_sem in
-// write mode; parent faults that race with it either land before the
+// when the last sharer unmaps them. Fork holds the parent's whole-space
+// exclusion; parent faults that race with it either land before the
 // COW downgrade (the child sees the faulted page) or retry and fault a
 // private page afterward — both are valid fork outcomes.
 //
@@ -54,15 +54,17 @@ func (as *AddressSpace) forkOnce() (*AddressSpace, error) {
 	// PTE, so it takes the whole-space exclusion; under range locking
 	// the manager's FIFO fairness keeps a stream of small disjoint
 	// operations from starving it.
-	mg := as.lockAll()
+	mg := as.sy.lockAll()
 	defer mg.unlock()
+	mg.mutate()
 	as.stats.forks.Add(1)
 
 	// The child's own whole-space exclusion is held for the entire
 	// clone: the background collapse scanner sweeps every live member,
 	// and a promotion inside the half-built child would break the
 	// clone's EnsureTable installs mid-flight.
-	cg := child.lockAll()
+	cg := child.sy.lockAll()
+	cg.mutate()
 
 	// One gather spans the whole fork: every private PTE the clone
 	// downgrades to read-only COW accumulates here, and the single
@@ -71,7 +73,7 @@ func (as *AddressSpace) forkOnce() (*AddressSpace, error) {
 	// parent's stale writable translations in one batch.
 	g := as.fam.ms.tlb.Gather(as.mapCPU)
 	var cloneErr error
-	as.idx.ascendRangeLocked(0, MaxAddress, func(v *vma.VMA) bool {
+	as.idx.ascendRange(0, MaxAddress, func(v *vma.VMA) bool {
 		lo, hi := v.Start(), v.End()
 		var off uint64
 		if v.File() != nil {

@@ -1,9 +1,6 @@
 package vm
 
-import (
-	"bonsai/internal/pagetable"
-	"bonsai/internal/ranges"
-)
+import "bonsai/internal/pagetable"
 
 // SmapsRegion is one mapped region's per-page breakdown — the
 // /proc/<pid>/smaps analogue for an address space. Counts are pages.
@@ -80,15 +77,4 @@ func (as *AddressSpace) Smaps() []SmapsRegion {
 		out = append(out, sr)
 	}
 	return out
-}
-
-// RangeGuards snapshots the live range-lock table — held ranges and
-// queued waiters with guard ids and ages — for /proc/locks-style
-// introspection. ok is false for designs that serialize mapping
-// operations on the global mmap_sem, which have no range table.
-func (as *AddressSpace) RangeGuards() ([]ranges.GuardInfo, bool) {
-	if as.rl == nil {
-		return nil, false
-	}
-	return as.rl.Guards(), true
 }

@@ -148,19 +148,14 @@ func (r Region) String() string {
 	return fmt.Sprintf("%#012x-%#012x %s %s%s", r.Start, r.End, r.Prot, r.Flags, name)
 }
 
-// Regions returns a snapshot of the mapped regions in address order.
-// In the range-locked designs it takes the whole-space lock so the
-// snapshot is consistent across concurrent disjoint operations.
+// Regions returns a snapshot of the mapped regions in address order,
+// with the whole space pinned so it is consistent across concurrent
+// disjoint operations.
 func (as *AddressSpace) Regions() []Region {
-	if as.rl != nil {
-		g := as.rl.Lock(0, MaxAddress)
-		defer g.Unlock()
-	} else {
-		as.mmapSem.RLock()
-		defer as.mmapSem.RUnlock()
-	}
+	pin := as.sy.pin(0, MaxAddress)
+	defer pin.unlock()
 	out := make([]Region, 0, as.idx.count())
-	as.idx.ascendRangeLocked(0, MaxAddress, func(v *vma.VMA) bool {
+	as.idx.ascendRange(0, MaxAddress, func(v *vma.VMA) bool {
 		out = append(out, Region{
 			Start: v.Start(), End: v.End(),
 			Prot: v.Prot(), Flags: v.Flags(), File: v.File(),
@@ -172,12 +167,7 @@ func (as *AddressSpace) Regions() []Region {
 
 // RegionCount returns the number of mapped regions.
 func (as *AddressSpace) RegionCount() int {
-	if as.rl != nil {
-		// Concurrent disjoint operations may be mutating; read through
-		// the design's fault-path synchronization.
-		return as.idx.countRead()
-	}
-	as.mmapSem.RLock()
-	defer as.mmapSem.RUnlock()
+	pin := as.sy.pinIndex()
+	defer pin.unlock()
 	return as.idx.count()
 }

@@ -15,9 +15,9 @@ import (
 // are permitted, as in Linux.
 //
 // Concurrency is the munmap protocol minus the region-tree changes:
-// the operation holds mmap_sem in write mode (and the fault lock's
-// mutation phase under FaultLock), clears PTEs under the PTE locks,
-// and defers frame frees past a grace period. Racing lock-free faults
+// the operation holds its mapping-operation exclusion over the range,
+// in its mutation phase, clears PTEs under the PTE locks, and defers
+// frame frees past a grace period. Racing lock-free faults
 // are benign: a fault that fills just before the zap loses its page to
 // the zap; one that fills just after keeps it — both are legal
 // MADV_DONTNEED outcomes.
@@ -35,23 +35,12 @@ func (as *AddressSpace) madviseInner(addr, length uint64) error {
 	if addr >= MaxAddress || length > MaxAddress-addr {
 		return ErrInvalid
 	}
-	if as.rl != nil {
-		// The zap mutates no VMA, so the lock covers exactly the
-		// operation range — straddling regions need no protection
-		// (their bounds are untouched) and touching ranges stay
-		// concurrent.
-		as.stats.madvises.Add(1)
-		g := as.rl.Lock(addr, addr+length)
-		defer g.Unlock()
-		as.zapRange(addr, addr+length)
-		return nil
-	}
-	as.mmapSem.Lock()
-	defer as.mmapSem.Unlock()
 	as.stats.madvises.Add(1)
-
-	as.beginMutate()
-	defer as.endMutate()
+	// The zap mutates no VMA, so the exclusion need not cover straddling
+	// regions (their bounds are untouched).
+	mg := as.sy.lock(addr, addr+length, false, false)
+	defer mg.unlock()
+	mg.mutate()
 	as.zapRange(addr, addr+length)
 	return nil
 }
@@ -61,28 +50,17 @@ func (as *AddressSpace) madviseInner(addr, length uint64) error {
 // tables the range fully covered) into the batch, and the single flush
 // at the end pays one shootdown charge for all of them — inside
 // whatever exclusion the caller holds, which is the point: the global
-// designs serialize the wait on mmap_sem, the range-locked designs
-// overlap it across disjoint operations. The caller holds the
-// mapping-operation exclusion for [lo, hi) — mmap_sem in write mode
-// with the mutation phase entered, or a range lock covering the range,
-// in which case a disjoint operation may be zapping concurrently (the
-// PTE and page-directory locks make that safe). The batch's frames are
+// semaphore serializes the wait, range locks overlap it across
+// disjoint operations. The caller holds the mapping-operation
+// exclusion for [lo, hi) with the mutation phase entered; a disjoint
+// operation may be zapping concurrently (the PTE and page-directory
+// locks make that safe). The batch's frames are
 // released after the flush and past a grace period, on the domain's
 // background detector — the unmap scan performs no grace-period wait,
 // even though it runs with PTE locks held (a synchronous drain here is
 // the deadlock the asynchronous design exists to prevent).
 func (as *AddressSpace) zapRange(lo, hi uint64) {
-	// Shard hint for the batch's deferred release. With the global
-	// semaphore only one mapping operation runs at a time, so the
-	// dedicated mapping shard is uncontended; under range locking many
-	// disjoint unmaps retire concurrently, so spread them across shards
-	// by address (2 MB granularity) instead of re-serializing on one
-	// shard mutex.
-	hint := as.mapCPU
-	if as.rl != nil {
-		hint = as.mapCPU + int(lo>>21)
-	}
-	g := as.fam.ms.tlb.Gather(hint)
+	g := as.fam.ms.tlb.Gather(as.sy.retireShard(as.mapCPU, lo))
 	unmapped := uint64(0) // one shared add per zap, not one per page
 	as.tables.UnmapRange(g, lo, hi, func(addr, pte uint64) {
 		frame := pagetable.PTEFrame(pte)

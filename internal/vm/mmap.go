@@ -3,7 +3,6 @@ package vm
 import (
 	"time"
 
-	"bonsai/internal/ranges"
 	"bonsai/internal/trace"
 	"bonsai/internal/vma"
 )
@@ -76,151 +75,46 @@ func (as *AddressSpace) mmapInner(addr, length uint64, prot vma.Prot, flags vma.
 			return 0, err
 		}
 	}
-	if as.rl != nil {
-		return as.mmapRanged(addr, length, prot, flags, file, fileOff)
-	}
-
-	as.mmapSem.Lock()
-	defer as.mmapSem.Unlock()
 	as.stats.mmaps.Add(1)
 
-	var base uint64
+	// Planning phase: a fixed mapping has its range; any other searches
+	// for a free one, under FaultLock beside running faults (§5.1).
+	base := addr
+	var mg mapGuard
 	if flags&vma.Fixed != 0 {
-		base = addr
+		mg = as.sy.lock(base, base+length, true, true)
 	} else {
-		// Planning phase: read-only search for a free range. In the
-		// FaultLock design faults proceed concurrently with this (§5.1).
 		var ok bool
-		base, ok = as.findGap(pageDown(addr), length, false)
-		if !ok {
+		if base, mg, ok = as.sy.reserve(pageDown(addr), length); !ok {
 			return 0, ErrNoMemory
 		}
 	}
-
-	as.beginMutate()
-	defer as.endMutate()
-
+	defer mg.unlock()
+	mg.mutate()
 	if flags&vma.Fixed != 0 {
 		// MAP_FIXED replaces whatever was there.
 		as.munmapLocked(base, base+length)
 	}
-	as.mergeOrInsert(base, length, prot, flags, file, fileOff, nil)
+	as.mergeOrInsert(&mg, base, length, prot, flags, file, fileOff)
 	return base, nil
-}
-
-// mmapRanged is Mmap under range locking: the operation locks only the
-// interval it maps (widened to cover straddling regions it will
-// replace and a predecessor it may merge with), so mmaps of disjoint
-// ranges run concurrently.
-func (as *AddressSpace) mmapRanged(addr, length uint64, prot vma.Prot, flags vma.Flags,
-	file *vma.File, fileOff uint64) (uint64, error) {
-	as.stats.mmaps.Add(1)
-
-	if flags&vma.Fixed != 0 {
-		base := addr
-		g := as.lockCovering(base, base+length, true)
-		defer g.Unlock()
-		// MAP_FIXED replaces whatever was there.
-		as.munmapLocked(base, base+length)
-		as.mergeOrInsert(base, length, prot, flags, file, fileOff, g)
-		return base, nil
-	}
-
-	// Non-fixed: the searched-for gap is a resource the range lock
-	// itself reserves. Find a candidate gap, lock it, and re-verify it
-	// is still free — a concurrent mmap that won the race to the same
-	// gap has either locked it first (our TryLock fails) or already
-	// inserted its region (our re-check sees it). Either way we search
-	// again; the gap search skips ranges other operations currently
-	// hold, so contending mappers spread out instead of colliding.
-	hint := pageDown(addr)
-	for attempt := 0; ; attempt++ {
-		base, ok := as.findGap(hint, length, true)
-		if !ok {
-			// Steering skipped everything (e.g. a queued whole-space
-			// fork); pick a gap ignoring reservations and queue for it.
-			base, ok = as.findGap(hint, length, false)
-		}
-		if !ok {
-			return 0, ErrNoMemory
-		}
-		g, acquired := as.rl.TryLock(base, base+length)
-		if !acquired {
-			if attempt < 4 {
-				continue // racing mapper holds it; search again
-			}
-			// Repeated collisions (e.g. a whole-space fork draining the
-			// queue): wait our FIFO turn instead of spinning.
-			g = as.rl.Lock(base, base+length)
-		}
-		// Expand to cover a merge-candidate predecessor, then verify
-		// the gap is still free now that we hold it exclusively.
-		g = as.extendHeld(g, base, base+length, true)
-		if v := as.idx.floorLocked(base + length - 1); v != nil && v.End() > base && v.Start() < base+length {
-			g.Unlock()
-			continue
-		}
-		as.mergeOrInsert(base, length, prot, flags, file, fileOff, g)
-		g.Unlock()
-		return base, nil
-	}
 }
 
 // mergeOrInsert completes an mmap at [base, base+length): it extends an
 // adjacent compatible predecessor in place (§4: "an mmap adjacent to an
 // existing VMA may simply extend that VMA") or inserts a fresh region.
-// Under range locking (g non-nil) the merge additionally requires the
-// held range to cover the predecessor's extent — mutating a VMA outside
-// the held range would race with a disjoint operation — so a merge the
-// lock does not cover falls back to inserting a separate region, which
-// is always correct.
-func (as *AddressSpace) mergeOrInsert(base, length uint64, prot vma.Prot, flags vma.Flags,
-	file *vma.File, fileOff uint64, g *ranges.Guard) {
-	if pred := as.idx.floorLocked(base - 1); pred != nil && base > 0 &&
+// The merge requires mg to cover the predecessor's extent; a merge it
+// does not cover falls back to inserting a separate region, which is
+// always correct.
+func (as *AddressSpace) mergeOrInsert(mg *mapGuard, base, length uint64, prot vma.Prot, flags vma.Flags,
+	file *vma.File, fileOff uint64) {
+	if pred := as.idx.floor(base - 1); pred != nil && base > 0 &&
 		pred.End() == base && pred.CanMerge(prot, flags, file, fileOff) &&
-		(g == nil || g.Covers(pred.Start(), base)) {
+		mg.covers(pred.Start(), base) {
 		pred.SetEnd(base + length)
 		as.stats.merges.Add(1)
 		return
 	}
 	as.idx.insert(vma.New(base, base+length, prot, flags, file, fileOff))
-}
-
-// findGap finds the lowest free [base, base+length) with
-// base >= max(hint, UnmappedBase). The global designs call it holding
-// mmap_sem with steer=false. The range-locked designs call it with no
-// exclusion held; with steer set it additionally steers around address
-// ranges that other mapping operations currently hold or await — a
-// racing mmap has effectively reserved its range before its region
-// appears in the tree. Steering can skip the entire space (a queued
-// whole-space fork conflicts with everything), so callers fall back to
-// an unsteered search and queue for the range instead of reporting
-// out-of-memory. The tree reads are the design's concurrent-safe
-// reads; range-locked callers re-verify the gap after locking it.
-func (as *AddressSpace) findGap(hint, length uint64, steer bool) (uint64, bool) {
-	start := hint
-	if start < UnmappedBase {
-		start = UnmappedBase
-	}
-	if v := as.idx.floorLocked(start); v != nil && v.End() > start {
-		start = v.End()
-	}
-	for {
-		if start >= MaxAddress || MaxAddress-start < length {
-			return 0, false
-		}
-		if next := as.idx.ceilingLocked(start); next != nil && next.Start()-start < length {
-			start = next.End()
-			continue
-		}
-		if steer {
-			if end, busy := as.rl.ConflictBeyond(start, start+length); busy {
-				start = end
-				continue
-			}
-		}
-		return start, true
-	}
 }
 
 // Munmap removes all mappings intersecting [addr, addr+length). Both
@@ -240,41 +134,31 @@ func (as *AddressSpace) munmapInner(addr, length uint64) error {
 	if addr >= MaxAddress || length > MaxAddress-addr {
 		return ErrInvalid
 	}
-	if as.rl != nil {
-		as.stats.munmaps.Add(1)
-		g := as.lockCovering(addr, addr+length, false)
-		defer g.Unlock()
-		as.munmapLocked(addr, addr+length)
-		return nil
-	}
-	as.mmapSem.Lock()
-	defer as.mmapSem.Unlock()
 	as.stats.munmaps.Add(1)
-
-	as.beginMutate()
-	defer as.endMutate()
+	mg := as.sy.lock(addr, addr+length, true, false)
+	defer mg.unlock()
+	mg.mutate()
 	as.munmapLocked(addr, addr+length)
 	return nil
 }
 
 // munmapLocked removes mappings in [lo, hi). The caller holds the
 // mapping-operation exclusion covering the range and every straddling
-// VMA's extent (mmap_sem in write mode, or a lockCovering range lock)
-// and has entered the mutation phase.
+// VMA's extent, and has entered the mutation phase.
 //
 // Region splitting follows Figure 10 exactly: when unmapping the middle
 // of a VMA, the existing VMA's end is adjusted first (time 2) and the
 // new top VMA is inserted second (time 3), so lock-free fault handlers
 // can transiently observe the top range as unmapped — the VMA split
-// race the RCU designs handle by retrying with mmap_sem held (§5.2).
+// race the RCU designs handle by retrying with the page pinned (§5.2).
 func (as *AddressSpace) munmapLocked(lo, hi uint64) {
 	// Collect overlapping regions: possibly one straddling lo, plus all
 	// with start in [lo, hi).
 	var overlaps []*vma.VMA
-	if v := as.idx.floorLocked(lo); v != nil && v.Start() < lo && v.Overlaps(lo, hi) {
+	if v := as.idx.floor(lo); v != nil && v.Start() < lo && v.Overlaps(lo, hi) {
 		overlaps = append(overlaps, v)
 	}
-	as.idx.ascendRangeLocked(lo, hi, func(v *vma.VMA) bool {
+	as.idx.ascendRange(lo, hi, func(v *vma.VMA) bool {
 		overlaps = append(overlaps, v)
 		return true
 	})

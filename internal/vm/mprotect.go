@@ -34,29 +34,17 @@ func (as *AddressSpace) mprotectInner(addr, length uint64, prot vma.Prot) error 
 	}
 	lo, hi := addr, addr+length
 
-	if as.rl != nil {
-		as.stats.mprotects.Add(1)
-		g := as.lockCovering(lo, hi, false)
-		defer g.Unlock()
-		return as.mprotectLocked(lo, hi, prot)
-	}
-	as.mmapSem.Lock()
-	defer as.mmapSem.Unlock()
 	as.stats.mprotects.Add(1)
-	return as.mprotectLocked(lo, hi, prot)
-}
+	mg := as.sy.lock(lo, hi, true, false)
+	defer mg.unlock()
 
-// mprotectLocked performs the protection change under the caller's
-// mapping-operation exclusion (mmap_sem write mode, or a range lock
-// covering [lo, hi) and every straddling VMA's extent).
-func (as *AddressSpace) mprotectLocked(lo, hi uint64, prot vma.Prot) error {
 	// Planning phase: collect the overlapping regions and verify the
 	// range is fully mapped (POSIX mprotect fails with ENOMEM on gaps).
 	var overlaps []*vma.VMA
-	if v := as.idx.floorLocked(lo); v != nil && v.Start() < lo && v.Overlaps(lo, hi) {
+	if v := as.idx.floor(lo); v != nil && v.Start() < lo && v.Overlaps(lo, hi) {
 		overlaps = append(overlaps, v)
 	}
-	as.idx.ascendRangeLocked(lo, hi, func(v *vma.VMA) bool {
+	as.idx.ascendRange(lo, hi, func(v *vma.VMA) bool {
 		overlaps = append(overlaps, v)
 		return true
 	})
@@ -73,9 +61,7 @@ func (as *AddressSpace) mprotectLocked(lo, hi uint64, prot vma.Prot) error {
 		return ErrSegv
 	}
 
-	as.beginMutate()
-	defer as.endMutate()
-
+	mg.mutate()
 	for _, v := range overlaps {
 		if v.Prot() == prot {
 			continue // nothing to change for this region

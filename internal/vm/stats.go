@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"bonsai/internal/fail"
-	"bonsai/internal/locks"
 	"bonsai/internal/pagecache"
 	"bonsai/internal/physmem"
 	"bonsai/internal/ranges"
@@ -33,24 +32,21 @@ type statsCounters struct {
 	// mapHist spans Mmap/Munmap/Mprotect/Madvise calls end to end; it
 	// and the counters below are written by mapping operations and slow
 	// paths only, and stay shared.
-	mapHist         stats.LatencyHist
-	pagesUnmapped   atomic.Uint64
-	mmaps           atomic.Uint64
-	munmaps         atomic.Uint64
-	mprotects       atomic.Uint64
-	madvises        atomic.Uint64
-	merges          atomic.Uint64
-	splits          atomic.Uint64
-	stackGrowths    atomic.Uint64
-	retriesMiss     atomic.Uint64
-	retriesFillRace atomic.Uint64
-	retriesFile     atomic.Uint64
-	retriesCow      atomic.Uint64
-	forks           atomic.Uint64
-	cowReowned      atomic.Uint64
-	cowCopies       atomic.Uint64
-	evictUnmaps     atomic.Uint64
-	reclaimRetries  atomic.Uint64
+	mapHist        stats.LatencyHist
+	pagesUnmapped  atomic.Uint64
+	mmaps          atomic.Uint64
+	munmaps        atomic.Uint64
+	mprotects      atomic.Uint64
+	madvises       atomic.Uint64
+	merges         atomic.Uint64
+	splits         atomic.Uint64
+	stackGrowths   atomic.Uint64
+	retries        [numRetryReasons]atomic.Uint64 // retry-with-lock events, by retryReason
+	forks          atomic.Uint64
+	cowReowned     atomic.Uint64
+	cowCopies      atomic.Uint64
+	evictUnmaps    atomic.Uint64
+	reclaimRetries atomic.Uint64
 
 	// Transparent-huge-page counters for the paths the VM layer drives
 	// (splits and zaps are counted by the page-table tree itself — a
@@ -65,19 +61,6 @@ func (s *statsCounters) init(cpus int) {
 	for _, c := range []*stats.Counter{&s.faults, &s.faultsAlreadyMapped, &s.pagesMapped, &s.cowBreaks,
 		&s.cacheHits, &s.cacheMisses, &s.thpHugeFaults, &s.thpFallbacks} {
 		*c = stats.NewCounter(cpus)
-	}
-}
-
-func (s *statsCounters) retry(r retryReason) {
-	switch r {
-	case retryMiss:
-		s.retriesMiss.Add(1)
-	case retryFillRace:
-		s.retriesFillRace.Add(1)
-	case retryFile:
-		s.retriesFile.Add(1)
-	case retryCow:
-		s.retriesCow.Add(1)
 	}
 }
 
@@ -99,7 +82,6 @@ type Stats struct {
 	StackGrowths        uint64
 	RetriesMiss         uint64 // slow retries: lookup miss / split race
 	RetriesFillRace     uint64 // slow retries: §5.2 fill race double check
-	RetriesFile         uint64 // slow retries: file-backed hard case (§6; zero since the page cache made file faults a fast path)
 	RetriesCow          uint64 // slow retries: copy-on-write hard case (§6)
 	Forks               uint64
 	CowBreaks           uint64 // write faults that broke copy-on-write
@@ -151,7 +133,7 @@ type Stats struct {
 
 // Retries returns the total slow-path retries.
 func (s Stats) Retries() uint64 {
-	return s.RetriesMiss + s.RetriesFillRace + s.RetriesFile + s.RetriesCow
+	return s.RetriesMiss + s.RetriesFillRace + s.RetriesCow
 }
 
 // PagesPerFlush returns the mean shootdown batch size — how many
@@ -210,10 +192,9 @@ func (as *AddressSpace) Stats() Stats {
 		Merges:              as.stats.merges.Load(),
 		Splits:              as.stats.splits.Load(),
 		StackGrowths:        as.stats.stackGrowths.Load(),
-		RetriesMiss:         as.stats.retriesMiss.Load(),
-		RetriesFillRace:     as.stats.retriesFillRace.Load(),
-		RetriesFile:         as.stats.retriesFile.Load(),
-		RetriesCow:          as.stats.retriesCow.Load(),
+		RetriesMiss:         as.stats.retries[retryMiss].Load(),
+		RetriesFillRace:     as.stats.retries[retryFillRace].Load(),
+		RetriesCow:          as.stats.retries[retryCow].Load(),
 		Forks:               as.stats.forks.Load(),
 		CowBreaks:           as.stats.cowBreaks.Load(),
 		CowReowned:          as.stats.cowReowned.Load(),
@@ -221,30 +202,6 @@ func (as *AddressSpace) Stats() Stats {
 		MmapCacheHits:       as.stats.cacheHits.Load(),
 		MmapCacheMisses:     as.stats.cacheMisses.Load(),
 	}
-}
-
-// SemStats exposes the semaphore counters for contention analysis: how
-// often each lock was taken and how often acquisition had to sleep —
-// the accounting behind the paper's §7.2 lock-contention breakdown.
-func (as *AddressSpace) SemStats() (mmapSem, faultSem, treeSem locks.RWSemStats) {
-	return as.mmapSem.Stats(), as.faultSem.Stats(), as.treeSem.Stats()
-}
-
-// RangeStats exposes the range-lock manager's counters: total range
-// acquisitions, how many had to wait on a conflicting range, and the
-// most range locks ever held concurrently (MaxHeld — the parallelism
-// the global mmap_sem pins at 1). The counters include the fault
-// path's retry-with-lock acquisitions (each locks its faulting page,
-// roughly Stats().Retries() of them), not only mmap/munmap-style
-// operations, so on a file-backed or COW-heavy run subtract the retry
-// count before reading Acquires as mapping-operation volume. It
-// returns zeros for designs that serialize mapping operations on
-// mmap_sem.
-func (as *AddressSpace) RangeStats() ranges.Stats {
-	if as.rl == nil {
-		return ranges.Stats{}
-	}
-	return as.rl.Stats()
 }
 
 // ReclaimStats exposes the machine-wide reclaim counters (kswapd
@@ -283,15 +240,6 @@ func (as *AddressSpace) Faults() uint64 { return as.stats.faults.Load() }
 // MapHist exposes the mapping-operation latency histogram.
 func (as *AddressSpace) MapHist() *stats.LatencyHist { return &as.stats.mapHist }
 
-// RangeWaitHist exposes the contended range-lock wait histogram, nil
-// for designs on the global mmap_sem.
-func (as *AddressSpace) RangeWaitHist() *stats.LatencyHist {
-	if as.rl == nil {
-		return nil
-	}
-	return as.rl.WaitHist()
-}
-
 // LatencySnapshot captures the latency percentile snapshot for this
 // address space and its machine.
 func (as *AddressSpace) LatencySnapshot() LatencySnapshot {
@@ -300,8 +248,8 @@ func (as *AddressSpace) LatencySnapshot() LatencySnapshot {
 		MapOp: as.stats.mapHist.Stats(),
 		GP:    as.dom.GPHist().Stats(),
 	}
-	if as.rl != nil {
-		l.RangeWait = as.rl.WaitHist().Stats()
+	if h := as.RangeWaitHist(); h != nil {
+		l.RangeWait = h.Stats()
 	}
 	if as.fam.ms.rec != nil {
 		l.ReclaimScan = as.fam.ms.rec.ScanHist().Stats()

@@ -1,0 +1,404 @@
+package vm
+
+import (
+	"bonsai/internal/core"
+	"bonsai/internal/locks"
+	"bonsai/internal/ranges"
+	"bonsai/internal/rbtree"
+	"bonsai/internal/rcu"
+	"bonsai/internal/stats"
+	"bonsai/internal/vma"
+)
+
+// syncPolicy is the synchronization seam: an address space's whole lock
+// set above the page tables, and every rule about it. The §5 designs
+// differ in two decisions — how a fault reads the region tree, and what
+// a mapping operation excludes — and this file is the only one that
+// knows either; the fault, mapping, fork, THP and inspection code is
+// written once against the four questions the policy answers:
+//
+//  1. fault read side: enter/exit bracket one fast-path attempt, and
+//     readExcludesMapOps says whether that hold keeps mapping operations
+//     from mutating (no §5.2 recheck, copy-on-write breaks in place);
+//  2. pin: hold an interval's mappings still while faults keep running;
+//  3. mapping-operation exclusion: lock, lockAll and reserve return the
+//     mapGuard an operation mutates under, which also carries the
+//     FaultLock mutation phase (§5.1);
+//  4. index writer lock: the tree the policy builds serializes its own
+//     writers against its readers wherever the policy's holds do not.
+//
+// Six policies are reachable from Config.Design × Config.RangeLocks:
+//
+//	                fault read side    pin / mapping-op exclusion
+//	RWLock          mmapSem read       mmapSem read / write
+//	FaultLock       faultSem read      mmapSem read / write, + faultSem write to mutate
+//	Hybrid          RCU + treeSem      range lock on the interval
+//	PureRCU         RCU, BONSAI tree   range lock on the interval
+//	Hybrid, PureRCU with RangeLocksOff: as above, but mmapSem read / write
+//	                (the paper's own configuration)
+type syncPolicy struct {
+	// readSem is what a fast-path fault read-locks while it reads the
+	// region tree and fills the page: mmapSem (RWLock), faultSem
+	// (FaultLock), or nil — only the CPU's RCU read section, no lock
+	// (Hybrid, PureRCU).
+	readSem *locks.RWSem
+
+	// mmapSem serializes mapping operations wherever rl is nil; RWLock
+	// faults also read-lock it (§4.1).
+	mmapSem locks.RWSem
+	// faultSem is FaultLock's fault lock: faults read-lock it, mapping
+	// operations write-lock it around their mutation phase only (§5.1).
+	faultSem locks.RWSem
+	// treeSem is the Hybrid region tree's lock (§5.2), taken by the tree
+	// itself on every access.
+	treeSem locks.RWSem
+	// rl, when non-nil, replaces mmapSem on the mapping side: an
+	// operation locks only the interval it affects, so operations on
+	// disjoint ranges run concurrently (the RCU designs, unless
+	// RangeLocksOff).
+	rl *ranges.Manager
+
+	idx regionIndex
+}
+
+// init chooses the policy and builds the region tree that goes with it.
+// RWLock's and FaultLock's plain red-black tree is only ever touched
+// under a semaphore; Hybrid's takes treeSem itself; PureRCU's is the
+// BONSAI tree, whose readers need nothing.
+func (p *syncPolicy) init(cfg Config, dom *rcu.Domain) {
+	switch cfg.Design {
+	case PureRCU:
+		p.idx = &bonsaiIndex{t: core.NewTree[*vma.VMA](core.Options{UpdateInPlace: true, Domain: dom})}
+	case Hybrid:
+		p.idx = &rbIndex{t: rbtree.New[*vma.VMA](), sem: &p.treeSem}
+	case FaultLock:
+		p.readSem = &p.faultSem
+		p.idx = &rbIndex{t: rbtree.New[*vma.VMA]()}
+	default:
+		p.readSem = &p.mmapSem
+		p.idx = &rbIndex{t: rbtree.New[*vma.VMA]()}
+	}
+	// Only the RCU designs can drop the global semaphore: the others'
+	// faults hold it (or a lock nested in it) against mapping operations.
+	if p.readSem == nil && cfg.RangeLocks != RangeLocksOff {
+		p.rl = new(ranges.Manager)
+	}
+}
+
+// enter begins one fast-path fault attempt on c; exit ends it.
+func (p *syncPolicy) enter(c *CPU) {
+	if p.readSem != nil {
+		p.readSem.RLock()
+	} else {
+		c.rd.Lock()
+	}
+}
+
+func (p *syncPolicy) exit(c *CPU) {
+	if p.readSem != nil {
+		p.readSem.RUnlock()
+	} else {
+		c.rd.Unlock()
+	}
+}
+
+// readExcludesMapOps reports whether the hold enter takes keeps every
+// mapping operation out of its mutation phase. An RCU read section does
+// not, so those faults double-check the VMA under the PTE lock (§5.2)
+// and send copy-on-write breaks to the retry-with-lock path (§6).
+func (p *syncPolicy) readExcludesMapOps() bool { return p.readSem != nil }
+
+// mapGuard is one hold on the mapping side: a pin, or the exclusion a
+// mapping operation mutates under.
+type mapGuard struct {
+	p        *syncPolicy   // nil: nothing is held (pinIndex under range locking)
+	g        *ranges.Guard // the held range; nil on the global semaphore
+	shared   bool          // mmapSem in read mode: a pin
+	mutating bool          // FaultLock's mutation phase was entered
+}
+
+// pin holds [lo, hi)'s mappings still while faults keep running: no
+// mapping operation can change a VMA overlapping the interval until the
+// guard is unlocked, so a fill under it needs no recheck. Under range
+// locking that follows from the covering invariant (extendHeld) —
+// whoever mutates a VMA holds a range covering its whole extent, which
+// overlaps any pin inside it. Range pins are exclusive where mmapSem's read mode is
+// shared, but pins of disjoint intervals never wait on each other.
+func (p *syncPolicy) pin(lo, hi uint64) mapGuard {
+	if p.rl != nil {
+		return mapGuard{p: p, g: p.rl.Lock(lo, hi)}
+	}
+	p.mmapSem.RLock()
+	return mapGuard{p: p, shared: true}
+}
+
+// pinIndex is pin with no interval: the hold a thread that is not
+// faulting needs to walk the region tree, promising nothing about what
+// it finds there. On the global semaphore that is still mmapSem in read
+// mode (RWLock's and FaultLock's tree has no other reader protection);
+// the range-locked policies' trees synchronize their own readers, and a
+// periodic whole-space range acquisition by the collapse scanner would
+// queue behind, and conflict with, every mapping operation in flight.
+func (p *syncPolicy) pinIndex() mapGuard {
+	if p.rl != nil {
+		return mapGuard{}
+	}
+	return p.pin(0, 0)
+}
+
+// lock acquires a mapping operation's exclusion over [lo, hi). With
+// cover set, the operation may mutate VMAs (munmap, mprotect, mmap), so
+// a range lock is widened to the full extent of every VMA straddling
+// either end and, with mergePred, of a region ending exactly at lo that
+// mmap may extend in place. Without it (a zap, which changes no VMA)
+// the range is locked as given, and touching ranges stay concurrent.
+func (p *syncPolicy) lock(lo, hi uint64, cover, mergePred bool) mapGuard {
+	if p.rl == nil {
+		return p.lockAll()
+	}
+	g := p.rl.Lock(lo, hi)
+	if cover {
+		g = p.extendHeld(g, lo, hi, mergePred)
+	}
+	return mapGuard{p: p, g: g}
+}
+
+// lockAll acquires the exclusion for the whole address space (fork,
+// Close, stack growth). As a range lock that is [0, MaxAddress); the
+// manager's FIFO fairness keeps a stream of small disjoint operations
+// from starving it — once queued, later conflicting requests line up
+// behind it.
+func (p *syncPolicy) lockAll() mapGuard {
+	if p.rl != nil {
+		return mapGuard{p: p, g: p.rl.Lock(0, MaxAddress)}
+	}
+	p.mmapSem.Lock()
+	return mapGuard{p: p}
+}
+
+// reserve finds and locks a free range of length bytes at or above hint
+// for a non-fixed mmap. On the global semaphore the search is the
+// operation's planning phase: it runs under mmapSem, and under FaultLock
+// beside faults (§5.1). Under range locking the searched-for gap is a
+// resource the range lock itself reserves: find a candidate, lock it,
+// and re-verify it is still free — a concurrent mmap that won the race
+// to the same gap has either locked it first (TryLock fails) or already
+// inserted its region (the re-check sees it). Either way search again;
+// the search skips ranges other operations hold, so contending mappers
+// spread out instead of colliding.
+func (p *syncPolicy) reserve(hint, length uint64) (uint64, mapGuard, bool) {
+	if p.rl == nil {
+		mg := p.lockAll()
+		base, ok := p.findGap(hint, length, false)
+		if !ok {
+			mg.unlock()
+		}
+		return base, mg, ok
+	}
+	for attempt := 0; ; attempt++ {
+		base, ok := p.findGap(hint, length, true)
+		if !ok {
+			// Steering skipped everything (e.g. a queued whole-space
+			// fork); pick a gap ignoring reservations and queue for it.
+			base, ok = p.findGap(hint, length, false)
+		}
+		if !ok {
+			return 0, mapGuard{}, false
+		}
+		g, acquired := p.rl.TryLock(base, base+length)
+		if !acquired {
+			if attempt < 4 {
+				continue // racing mapper holds it; search again
+			}
+			// Repeated collisions (e.g. a whole-space fork draining the
+			// queue): wait our FIFO turn instead of spinning.
+			g = p.rl.Lock(base, base+length)
+		}
+		// Expand to cover a merge-candidate predecessor, then verify
+		// the gap is still free now that we hold it exclusively.
+		g = p.extendHeld(g, base, base+length, true)
+		if v := p.idx.floor(base + length - 1); v != nil && v.End() > base && v.Start() < base+length {
+			g.Unlock()
+			continue
+		}
+		return base, mapGuard{p: p, g: g}, true
+	}
+}
+
+// findGap finds the lowest free [base, base+length) with
+// base >= max(hint, UnmappedBase). With steer set it also steers around
+// ranges other mapping operations hold or await — a racing mmap has in
+// effect reserved its range before its region appears in the tree.
+// Steering can skip the entire space (a queued whole-space fork
+// conflicts with everything), so reserve falls back to an unsteered
+// search and queues for the range rather than report out-of-memory.
+func (p *syncPolicy) findGap(hint, length uint64, steer bool) (uint64, bool) {
+	start := hint
+	if start < UnmappedBase {
+		start = UnmappedBase
+	}
+	if v := p.idx.floor(start); v != nil && v.End() > start {
+		start = v.End()
+	}
+	for {
+		if start >= MaxAddress || MaxAddress-start < length {
+			return 0, false
+		}
+		if next := p.idx.ceiling(start); next != nil && next.Start()-start < length {
+			start = next.End()
+			continue
+		}
+		if steer {
+			if end, busy := p.rl.ConflictBeyond(start, start+length); busy {
+				start = end
+				continue
+			}
+		}
+		return start, true
+	}
+}
+
+// extendHeld widens a held range lock to what lock's cover asks for:
+// while the cover the operation on [lo, hi) requires outgrows the
+// guard, drop it and re-acquire a wider one — never widening while
+// held, so two neighbors expanding toward each other cannot deadlock.
+// Growth is monotone and bounded by the address space, so the loop
+// terminates.
+//
+// The resulting invariant, relied on throughout the mapping side: a VMA
+// is only ever mutated (bounds adjusted, deleted, replaced) by an
+// operation whose held range covers the VMA's entire extent. Two
+// operations touching the same VMA therefore always conflict, while
+// operations on disjoint VMAs proceed in parallel.
+func (p *syncPolicy) extendHeld(g *ranges.Guard, lo, hi uint64, mergePred bool) *ranges.Guard {
+	for {
+		nlo, nhi := p.requiredCover(lo, hi, mergePred)
+		if g.Covers(nlo, nhi) {
+			return g
+		}
+		if nlo > g.Lo() {
+			nlo = g.Lo()
+		}
+		if nhi < g.Hi() {
+			nhi = g.Hi()
+		}
+		g.Unlock()
+		g = p.rl.Lock(nlo, nhi)
+	}
+}
+
+// requiredCover returns the interval a mapping operation on [lo, hi)
+// must hold exclusively: [lo, hi) widened to the extents of straddling
+// VMAs (and, for mmap, a merge-candidate predecessor touching lo). The
+// answer is stable only once a range covering it is held, which is why
+// extendHeld asks again after every acquisition.
+func (p *syncPolicy) requiredCover(lo, hi uint64, mergePred bool) (uint64, uint64) {
+	nlo, nhi := lo, hi
+	for _, at := range [2]uint64{lo, hi - 1} {
+		if v := p.idx.floor(at); v != nil && v.Overlaps(lo, hi) {
+			nlo, nhi = min(nlo, v.Start()), max(nhi, v.End())
+		}
+	}
+	if mergePred && lo > 0 {
+		if pred := p.idx.floor(lo - 1); pred != nil && pred.End() == lo {
+			nlo = min(nlo, pred.Start())
+		}
+	}
+	return nlo, nhi
+}
+
+// mutate enters the operation's mutation phase: under FaultLock it
+// write-locks faultSem, stopping faults, which ran beside the planning
+// phase until now (§5.1); the paper releases the fault lock only with
+// mmap_sem, and so does unlock. Everywhere else it is a no-op — the
+// exclusion already stops every fault that must stop.
+func (mg *mapGuard) mutate() {
+	if mg.p.readSem == &mg.p.faultSem && !mg.mutating {
+		mg.p.faultSem.Lock()
+		mg.mutating = true
+	}
+}
+
+// covers reports whether the operation may mutate a VMA spanning
+// [lo, hi): always on the global semaphore, and under range locking
+// only if the held range covers it — mutating a VMA outside it would
+// race with a disjoint operation.
+func (mg *mapGuard) covers(lo, hi uint64) bool {
+	return mg.g == nil || mg.g.Covers(lo, hi)
+}
+
+func (mg *mapGuard) unlock() {
+	switch {
+	case mg.p == nil:
+	case mg.g != nil:
+		mg.g.Unlock()
+	case mg.shared:
+		mg.p.mmapSem.RUnlock()
+	default:
+		if mg.mutating {
+			mg.p.faultSem.Unlock()
+		}
+		mg.p.mmapSem.Unlock()
+	}
+}
+
+// retireShard picks the gather shard for a zap at lo, given the shard
+// reserved for mapping operations. With the global semaphore one
+// mapping operation runs at a time and that shard is uncontended; under
+// range locking many disjoint unmaps retire at once, so they spread
+// across shards by address (2 MB granularity) instead of re-serializing
+// on one shard mutex.
+func (p *syncPolicy) retireShard(mapCPU int, lo uint64) int {
+	if p.rl != nil {
+		return mapCPU + int(lo>>21)
+	}
+	return mapCPU
+}
+
+// RangeLocked reports whether mapping operations use the range-lock
+// manager (true only for the RCU designs under RangeLocksDefault).
+func (as *AddressSpace) RangeLocked() bool { return as.sy.rl != nil }
+
+// SemStats exposes the semaphore counters for contention analysis: how
+// often each lock was taken and how often acquisition had to sleep —
+// the accounting behind the paper's §7.2 lock-contention breakdown.
+func (as *AddressSpace) SemStats() (mmapSem, faultSem, treeSem locks.RWSemStats) {
+	return as.sy.mmapSem.Stats(), as.sy.faultSem.Stats(), as.sy.treeSem.Stats()
+}
+
+// RangeStats exposes the range-lock manager's counters: total range
+// acquisitions, how many had to wait on a conflicting range, and the
+// most range locks ever held concurrently (MaxHeld — the parallelism
+// the global mmap_sem pins at 1). The counters include the fault
+// path's retry-with-lock acquisitions (each locks its faulting page,
+// roughly Stats().Retries() of them), not only mmap/munmap-style
+// operations, so on a file-backed or COW-heavy run subtract the retry
+// count before reading Acquires as mapping-operation volume. It
+// returns zeros for designs that serialize mapping operations on
+// mmap_sem.
+func (as *AddressSpace) RangeStats() ranges.Stats {
+	if as.sy.rl == nil {
+		return ranges.Stats{}
+	}
+	return as.sy.rl.Stats()
+}
+
+// RangeWaitHist exposes the contended range-lock wait histogram, nil
+// for designs on the global mmap_sem.
+func (as *AddressSpace) RangeWaitHist() *stats.LatencyHist {
+	if as.sy.rl == nil {
+		return nil
+	}
+	return as.sy.rl.WaitHist()
+}
+
+// RangeGuards snapshots the live range-lock table — held ranges and
+// queued waiters with guard ids and ages — for /proc/locks-style
+// introspection. ok is false for designs that serialize mapping
+// operations on the global mmap_sem, which have no range table.
+func (as *AddressSpace) RangeGuards() ([]ranges.GuardInfo, bool) {
+	if as.sy.rl == nil {
+		return nil, false
+	}
+	return as.sy.rl.Guards(), true
+}

@@ -46,7 +46,7 @@ func (c *CPU) hugeHit(h uint64, page uint64, write bool, recheck func() bool) er
 		// entries are never copy-on-write — fork splits them first — so
 		// there is no huge COW break.
 		if !as.tables.UpgradeHuge(page, recheck) {
-			return errRetrySlow // split, zapped, or recheck failed: retry
+			return retryFillRace // split, zapped, or recheck failed: retry
 		}
 		return nil
 	}
@@ -89,7 +89,7 @@ func (c *CPU) hugeFault(v *vma.VMA, page uint64, recheck func() bool) (done bool
 			return false, nil
 		}
 		if res == pagetable.HugeRecheckFailed {
-			return false, errRetrySlow
+			return false, retryFillRace
 		}
 		return false, nil // HugeLost: a racing fault populated the span
 	}
@@ -157,18 +157,14 @@ func (as *AddressSpace) collapseChunk(chunk uint64, writable bool) bool {
 // (including sole-owner COW leftovers) is judged later, per PTE, under
 // the collapse's leaf lock.
 //
-// Discovery takes no mapping-operation exclusion: the region tree is
-// read through the design's own reader synchronization (mmap_sem in
-// read mode for the global designs, the tree's fault-path rules for
-// the range-locked ones), and SurveyChunk validates each leaf under
-// its PTE lock with a dead-table check, so a concurrent zap at worst
-// yields a stale candidate — which collapseOne revalidates under a
-// real lock before promoting.
+// Discovery pins nothing: it holds only what walking the region tree
+// takes (pinIndex), and SurveyChunk validates each leaf under its PTE
+// lock with a dead-table check, so a concurrent zap at worst yields a
+// stale candidate — which collapseOne revalidates under a pin before
+// promoting.
 func (as *AddressSpace) surveyChunks(lo, hi uint64, clock bool) []uint64 {
-	if as.rl == nil {
-		as.mmapSem.RLock()
-		defer as.mmapSem.RUnlock()
-	}
+	pin := as.sy.pinIndex()
+	defer pin.unlock()
 	var cands []uint64
 	scan := func(v *vma.VMA) bool {
 		if v.File() != nil || v.Flags()&(vma.Shared|vma.Stack) != 0 {
@@ -191,34 +187,21 @@ func (as *AddressSpace) surveyChunks(lo, hi uint64, clock bool) []uint64 {
 	}
 	// A region that begins below lo may still cover chunks inside the
 	// window; the ascend below visits only starts in [lo, hi).
-	if v := as.idx.floorLocked(lo); v != nil && v.Start() < lo && v.End() > lo {
+	if v := as.idx.floor(lo); v != nil && v.Start() < lo && v.End() > lo {
 		scan(v)
 	}
-	as.idx.ascendRangeLocked(lo, hi, scan)
+	as.idx.ascendRange(lo, hi, scan)
 	return cands
 }
 
-// collapseOne promotes one surveyed chunk under the smallest
-// mapping-side exclusion the design offers. In the range-locked designs
-// that is a range lock over just the chunk: any operation that would
-// mutate the covering VMA must hold a range spanning the VMA's whole
-// extent, which overlaps this chunk, so the VMA revalidated below is
-// pinned while the lock is held. The scanner never takes the
-// whole-space lock there — a periodic [0, MaxAddress) acquisition
-// would queue behind, and be counted as a conflict against, every
-// in-flight mapping operation. The global designs instead hold mmap_sem
-// in read mode, the khugepaged scan discipline: mapping operations hold
-// write mode, so every VMA is pinned, while faults proceed and are
-// arbitrated by the page-table locks Collapse already takes.
+// collapseOne promotes one surveyed chunk with just the chunk pinned —
+// the khugepaged scan discipline: the VMA revalidated below holds still,
+// while faults proceed and are arbitrated by the page-table locks
+// Collapse already takes.
 func (as *AddressSpace) collapseOne(chunk uint64) bool {
-	if as.rl != nil {
-		g := as.rl.Lock(chunk, chunk+HugeSpan)
-		defer g.Unlock()
-	} else {
-		as.mmapSem.RLock()
-		defer as.mmapSem.RUnlock()
-	}
-	v := as.idx.floorLocked(chunk)
+	pin := as.sy.pin(chunk, chunk+HugeSpan)
+	defer pin.unlock()
+	v := as.idx.floor(chunk)
 	if v == nil || !hugeEligible(v, chunk) {
 		return false // unmapped, remapped, or no longer eligible
 	}
@@ -258,8 +241,8 @@ func (as *AddressSpace) CollapseRange(lo, hi uint64) int {
 // collapseScanner is the machine's khugepaged: a background goroutine
 // that periodically sweeps every live member of every tenant, promoting
 // hot fully-populated chunks. One scanner per machine, like one
-// khugepaged per host, so its collapse copies are bounded and its
-// mmap_sem-style holds touch one space at a time.
+// khugepaged per host, so its collapse copies are bounded and its pins
+// touch one space at a time.
 func (ms *machine) collapseScanner(interval time.Duration) {
 	defer close(ms.thpDone)
 	tick := time.NewTicker(interval)

@@ -18,6 +18,15 @@
 //	PureRCU   — the region tree is the BONSAI tree, so the fault path is
 //	            entirely lock-free and writes no shared cache line (§5.3).
 //
+// The designs differ in two decisions only — how a fault reads the
+// region tree, and what a mapping operation excludes — and one value per
+// address space, the synchronization policy of sync.go, makes both: the
+// fault, mapping, fork, huge-page and inspection code is written once
+// against it, and no other file names a semaphore or asks which design
+// it runs under (TestSyncSeam). Beyond the paper, the RCU designs'
+// mapping operations exclude one another by address range rather than
+// on mmap_sem, unless Config.RangeLocks restores the paper's baseline.
+//
 // What a fast-path fault writes, exactly (README "What a fast-path fault
 // writes"; TestFastPathFaultWritesOnlyItsOwnCells holds the counter half
 // true per design):
@@ -44,15 +53,14 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"bonsai/internal/locks"
 	"bonsai/internal/pagecache"
 	"bonsai/internal/pagetable"
 	"bonsai/internal/physmem"
-	"bonsai/internal/ranges"
 	"bonsai/internal/rcu"
 	"bonsai/internal/tlb"
 	"bonsai/internal/trace"
@@ -86,6 +94,22 @@ func (d Design) String() string {
 	default:
 		return fmt.Sprintf("Design(%d)", int(d))
 	}
+}
+
+// designKeys are the designs' short lower-case names, the spellings
+// command lines accept.
+var designKeys = [...]string{RWLock: "rwlock", FaultLock: "faultlock", Hybrid: "hybrid", PureRCU: "purercu"}
+
+// ParseDesign returns the design a short name denotes (rwlock,
+// faultlock, hybrid, purercu), ignoring case and surrounding space.
+func ParseDesign(name string) (Design, error) {
+	key := strings.ToLower(strings.TrimSpace(name))
+	for d, k := range designKeys {
+		if k == key {
+			return Design(d), nil
+		}
+	}
+	return 0, fmt.Errorf("vm: unknown design %q (want %s)", name, strings.Join(designKeys[:], ", "))
 }
 
 // UsesRCU reports whether the design's fault path relies on RCU.
@@ -160,8 +184,9 @@ type MmapCacheMode int
 // page-fault handlers must not write shared cache lines.
 const (
 	MmapCacheDefault MmapCacheMode = iota
+	// MmapCacheOn forces the cache on in the RCU designs too (the §6
+	// ablation): every fault then writes its shared line.
 	MmapCacheOn
-	MmapCacheOff
 )
 
 // RangeLockMode controls how memory-mapping operations exclude one
@@ -198,9 +223,6 @@ type Config struct {
 	// Backing gives pages real data buffers (required by ReadBytes and
 	// WriteBytes).
 	Backing bool
-	// Weight is the BONSAI weight parameter (PureRCU only). Zero means
-	// the paper's 4.
-	Weight int
 	// MmapCache controls the mmap cache (§6).
 	MmapCache MmapCacheMode
 	// SinglePTELock shares one PTE lock across all page tables
@@ -271,21 +293,10 @@ const DefaultMaxStackGrowth = 8 << 20
 type AddressSpace struct {
 	cfg Config
 
-	// mmapSem serializes memory-mapping operations in the designs that
-	// keep the paper's global semaphore (RWLock, FaultLock, and any
-	// design with RangeLocksOff); in RWLock it is also taken (in read
-	// mode) by every fault (§4.1). When rl is non-nil it is unused by
-	// mapping operations.
-	mmapSem locks.RWSem
-	// rl, when non-nil, replaces mmap_sem on the mapping side: each
-	// operation locks only the address interval it affects, so
-	// operations on disjoint ranges run concurrently (Hybrid and
-	// PureRCU under RangeLocksDefault).
-	rl *ranges.Manager
-	// faultSem is the FaultLock design's fault lock (§5.1).
-	faultSem locks.RWSem
-	// treeSem protects the region tree in the Hybrid design (§5.2).
-	treeSem locks.RWSem
+	// sy is the synchronization policy: the whole lock set above the
+	// page tables and every rule about it (sync.go). idx is the region
+	// tree the policy built.
+	sy syncPolicy
 
 	idx    regionIndex
 	tables *pagetable.Tables
@@ -577,21 +588,11 @@ func newMember(cfg Config, fam *family) (*AddressSpace, error) {
 		fam.releaseMember(member)
 		return nil, oomError(err)
 	}
-	if cfg.Design.UsesRCU() && cfg.RangeLocks != RangeLocksOff {
-		as.rl = new(ranges.Manager)
-	}
-	as.idx = newRegionIndex(cfg.Design, cfg.Weight, &as.treeSem, as.dom, as.rl != nil)
-
-	switch cfg.MmapCache {
-	case MmapCacheOn:
-		as.mmapCacheOn = true
-	case MmapCacheOff:
-		as.mmapCacheOn = false
-	default:
-		// Paper §6: the RCU designs disable the mmap cache because
-		// maintaining it would make every fault write a shared line.
-		as.mmapCacheOn = !cfg.Design.UsesRCU()
-	}
+	as.sy.init(cfg, as.dom)
+	as.idx = as.sy.idx
+	// Paper §6: the RCU designs disable the mmap cache because
+	// maintaining it would make every fault write a shared line.
+	as.mmapCacheOn = cfg.MmapCache == MmapCacheOn || !cfg.Design.UsesRCU()
 	fam.membersMu.Lock()
 	fam.members[as] = struct{}{}
 	fam.membersMu.Unlock()
@@ -635,10 +636,6 @@ func (as *AddressSpace) NewCPU(id int) *CPU {
 		rng: uint64(id+1) * 0x9E3779B97F4A7C15}
 }
 
-// RangeLocked reports whether mapping operations use the range-lock
-// manager (true only for the RCU designs under RangeLocksDefault).
-func (as *AddressSpace) RangeLocked() bool { return as.rl != nil }
-
 // Close tears down the address space: it unmaps everything, frees its
 // page-table root, and flushes the RCU domain (the one place the
 // mapping side blocks on a grace period). When the last family member
@@ -647,7 +644,8 @@ func (as *AddressSpace) RangeLocked() bool { return as.rl != nil }
 // whole machine tears down and the frame-leak check's error is
 // returned. No operation on this address space may be in flight.
 func (as *AddressSpace) Close() error {
-	mg := as.lockAll()
+	mg := as.sy.lockAll()
+	mg.mutate()
 	as.munmapLocked(0, MaxAddress)
 	mg.unlock()
 	as.tables.ReleaseRoot(as.mapCPU)
@@ -661,130 +659,6 @@ func (as *AddressSpace) Close() error {
 	}
 	as.fam.releaseMember(as.member)
 	return err
-}
-
-// beginMutate enters the mutation phase of a mapping operation: in the
-// FaultLock design this acquires the fault lock in write mode (§5.1);
-// in the other designs it is a no-op (mmap_sem or RCU covers it).
-func (as *AddressSpace) beginMutate() {
-	if as.cfg.Design == FaultLock {
-		as.faultSem.Lock()
-	}
-}
-
-// endMutate leaves the mutation phase. The paper releases the fault
-// lock only when mmap_sem is released; callers therefore invoke
-// endMutate immediately before unlocking mmap_sem.
-func (as *AddressSpace) endMutate() {
-	if as.cfg.Design == FaultLock {
-		as.faultSem.Unlock()
-	}
-}
-
-// mapGuard is the exclusion token for one mapping operation: a range
-// lock in the range-locked designs, or the global mmap_sem (plus the
-// FaultLock mutation phase) otherwise.
-type mapGuard struct {
-	as *AddressSpace
-	g  *ranges.Guard // non-nil iff range-locked
-}
-
-func (mg mapGuard) unlock() {
-	if mg.g != nil {
-		mg.g.Unlock()
-		return
-	}
-	mg.as.endMutate()
-	mg.as.mmapSem.Unlock()
-}
-
-// lockAll acquires the mapping-operation exclusion for the whole
-// address space (fork, Close, stack growth). In the range-locked
-// designs this is a [0, MaxAddress) range lock; the manager's FIFO
-// fairness guarantees it is not starved by a stream of small disjoint
-// operations — once queued, later conflicting requests line up behind
-// it.
-func (as *AddressSpace) lockAll() mapGuard {
-	if as.rl != nil {
-		return mapGuard{as: as, g: as.rl.Lock(0, MaxAddress)}
-	}
-	as.mmapSem.Lock()
-	as.beginMutate()
-	return mapGuard{as: as}
-}
-
-// lockCovering acquires the range-locked designs' exclusion for a
-// mapping operation on [lo, hi). The lock is expanded until it covers
-// the full extent of every VMA straddling either end (a munmap of
-// [lo, hi) tail-trims a region that begins below lo, so the trim must
-// be exclusive over that whole region) and, when mergePred is set, the
-// extent of a region ending exactly at lo (mmap may extend it in
-// place). The expansion loops — dropping the lock and re-acquiring a
-// wider one, never widening while held, so it cannot deadlock with a
-// neighbor expanding toward us — until the acquired range covers
-// everything the operation may mutate. Growth is monotone and bounded
-// by the address space, so the loop terminates.
-//
-// The resulting invariant, relied on throughout the mapping side: a
-// VMA is only ever mutated (bounds adjusted, deleted, replaced) by an
-// operation whose held range covers the VMA's entire extent. Two
-// operations touching the same VMA therefore always conflict, while
-// operations on disjoint VMAs proceed in parallel.
-func (as *AddressSpace) lockCovering(lo, hi uint64, mergePred bool) *ranges.Guard {
-	return as.extendHeld(as.rl.Lock(lo, hi), lo, hi, mergePred)
-}
-
-// extendHeld runs the lockCovering expansion for an already-held
-// guard: while the required cover outgrows it, the guard is dropped
-// and re-acquired wider (monotonically, so the loop terminates).
-func (as *AddressSpace) extendHeld(g *ranges.Guard, lo, hi uint64, mergePred bool) *ranges.Guard {
-	for {
-		nlo, nhi := as.requiredCover(lo, hi, mergePred)
-		if g.Covers(nlo, nhi) {
-			return g
-		}
-		if nlo > g.Lo() {
-			nlo = g.Lo()
-		}
-		if nhi < g.Hi() {
-			nhi = g.Hi()
-		}
-		g.Unlock()
-		g = as.rl.Lock(nlo, nhi)
-	}
-}
-
-// requiredCover returns the interval a mapping operation on [lo, hi)
-// must hold exclusively: [lo, hi) widened to the extents of straddling
-// VMAs (and, for mmap, a merge-candidate predecessor touching lo). The
-// tree reads here are the design's concurrent-safe reads; the caller
-// re-checks after acquiring, when the answer is stable.
-func (as *AddressSpace) requiredCover(lo, hi uint64, mergePred bool) (uint64, uint64) {
-	nlo, nhi := lo, hi
-	if v := as.idx.floorLocked(lo); v != nil && v.Overlaps(lo, hi) {
-		if s := v.Start(); s < nlo {
-			nlo = s
-		}
-		if e := v.End(); e > nhi {
-			nhi = e
-		}
-	}
-	if v := as.idx.floorLocked(hi - 1); v != nil && v.Overlaps(lo, hi) {
-		if s := v.Start(); s < nlo {
-			nlo = s
-		}
-		if e := v.End(); e > nhi {
-			nhi = e
-		}
-	}
-	if mergePred && lo > 0 {
-		if p := as.idx.floorLocked(lo - 1); p != nil && p.End() == lo {
-			if s := p.Start(); s < nlo {
-				nlo = s
-			}
-		}
-	}
-	return nlo, nhi
 }
 
 // shootdownCost resolves the configured shootdown parameters into the

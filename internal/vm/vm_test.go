@@ -2,22 +2,48 @@ package vm
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"bonsai/internal/vma"
 )
 
-// forEachDesign runs the test body once per concurrency design: the VM
-// semantics must be identical across all four (§5 introduces them as
-// refinements, not behaviour changes).
+// policy is one reachable synchronization policy: a design and how its
+// mapping operations exclude one another.
+type policy struct {
+	design     Design
+	rangeLocks RangeLockMode
+}
+
+// policies lists all six: the four designs as configured by default,
+// then the RCU designs on the global mmap_sem — the configuration the
+// paper describes.
+var policies = []policy{
+	{RWLock, RangeLocksDefault}, {FaultLock, RangeLocksDefault},
+	{Hybrid, RangeLocksDefault}, {PureRCU, RangeLocksDefault},
+	{Hybrid, RangeLocksOff}, {PureRCU, RangeLocksOff},
+}
+
+func (p policy) String() string {
+	if p.rangeLocks == RangeLocksOff {
+		return p.design.String() + ", global mmap_sem"
+	}
+	return p.design.String()
+}
+
+func (p policy) apply(cfg Config) Config {
+	cfg.Design, cfg.RangeLocks = p.design, p.rangeLocks
+	return cfg
+}
+
+// forEachDesign runs the test body once per synchronization policy: the
+// VM semantics must be identical across all of them (§5 introduces the
+// designs as refinements, not behaviour changes).
 func forEachDesign(t *testing.T, cfg Config, body func(t *testing.T, as *AddressSpace)) {
 	t.Helper()
-	for _, d := range Designs {
-		d := d
-		t.Run(d.String(), func(t *testing.T) {
-			c := cfg
-			c.Design = d
-			as, err := New(c)
+	for _, p := range policies {
+		t.Run(p.String(), func(t *testing.T) {
+			as, err := New(p.apply(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,8 +354,8 @@ func TestFileBackedFaultFillsContents(t *testing.T) {
 		// File faults resolve through the page cache in every design —
 		// the RCU designs no longer take the §6 retry-with-lock path.
 		st := as.Stats()
-		if st.RetriesFile != 0 {
-			t.Fatalf("file-backed fault took the retry-with-lock path %d times", st.RetriesFile)
+		if n := st.Retries(); n != 0 {
+			t.Fatalf("file-backed fault took the retry-with-lock path %d times", n)
 		}
 		if st.PageCacheMisses != 1 || st.PageCacheResident != 1 {
 			t.Fatalf("page cache fills=%d resident=%d, want 1/1", st.PageCacheMisses, st.PageCacheResident)
@@ -480,4 +506,19 @@ func TestHintPlacement(t *testing.T) {
 			t.Fatalf("occupied hint produced %#x", base2)
 		}
 	})
+}
+
+func TestParseDesign(t *testing.T) {
+	for _, d := range Designs {
+		for _, name := range []string{designKeys[d], strings.ToUpper(designKeys[d]), " " + designKeys[d] + "\t"} {
+			if got, err := ParseDesign(name); err != nil || got != d {
+				t.Errorf("ParseDesign(%q) = %v, %v; want %v", name, got, err, d)
+			}
+		}
+	}
+	for _, name := range []string{"", "rcu", "pure rcu", "Pure RCU"} {
+		if _, err := ParseDesign(name); err == nil || !strings.Contains(err.Error(), "rwlock, faultlock, hybrid, purercu") {
+			t.Errorf("ParseDesign(%q) error = %v, want one listing the designs", name, err)
+		}
+	}
 }
