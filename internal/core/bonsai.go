@@ -15,6 +15,11 @@
 // ≈0.35 rotations on average). The optimization can be disabled through
 // Options.UpdateInPlace for the ablation benchmarks.
 //
+// Mutations are write transactions (Update): one hold of the writer
+// lock, any number of edits, one root publish, and the nodes the edits
+// displaced handed to the RCU domain in one callback. Insert and Delete
+// are one-edit transactions.
+//
 // Keys are uint64 (the VM system keys regions by start address); values
 // are a type parameter.
 package core
@@ -42,21 +47,23 @@ type Options struct {
 	// by default; set Disabled in Ablation to turn it off.
 	UpdateInPlace bool
 
-	// Domain, if non-nil, receives a deferred callback for every node
-	// the tree retires, modeling rcu_free. When nil, retired nodes are
-	// left to the garbage collector but are still counted.
+	// Domain, if non-nil, receives one deferred callback per write
+	// transaction that retired nodes, carrying all of them (rcu_free,
+	// batched). When nil, retired nodes are left to the garbage
+	// collector but are still counted.
 	Domain *rcu.Domain
 }
 
 // node is a tree node (Figure 4). Child pointers are atomic because the
 // in-place optimization lets a writer update them while lock-free
-// readers traverse. The size field is only ever read and written by the
-// single writer, so it needs no synchronization (§3.3). Key and value
-// are immutable after the node is published.
+// readers traverse. The size and txn fields are only ever read and
+// written by the single writer, so they need no synchronization (§3.3).
+// Key and value are immutable after the node is published.
 type node[V any] struct {
 	left  atomic.Pointer[node[V]]
 	right atomic.Pointer[node[V]]
 	size  uint64
+	txn   uint64 // the write transaction that built the node
 	key   uint64
 	val   V
 }
@@ -65,22 +72,33 @@ type node[V any] struct {
 //
 // Read operations (Lookup, Floor, Len via Size snapshot, Ascend, ...)
 // are safe to call concurrently with each other and with a single
-// mutator. Mutating operations (Insert, Delete, ...) acquire the tree's
-// writer lock; callers that already serialize writers (as the VM system
-// does with mmap_sem, §3) can use the *Locked variants.
+// mutator. Mutating operations (Update, Insert, Delete) acquire the
+// tree's writer lock.
 type Tree[V any] struct {
+	// root is all a reader loads from the tree itself, on every lookup:
+	// it has a cache line to itself, so a writer taking mu or counting
+	// does not invalidate the line in the readers' caches.
+	_    [cacheLine]byte
 	root atomic.Pointer[node[V]]
-	mu   sync.Mutex // writer lock
-	opt  Options
+	_    [cacheLine - 8]byte
 
-	// writer-side statistics (atomic so tests and benchmarks can read
-	// them concurrently with a running writer)
-	allocs          atomic.Uint64
-	frees           atomic.Uint64
-	singleRotations atomic.Uint64
-	doubleRotations atomic.Uint64
-	inPlaceCommits  atomic.Uint64
+	mu  sync.Mutex // writer lock; guards everything below but reclaimed
+	opt Options
+
+	// The transaction in progress: its number (nodes it built carry it,
+	// and are its own to rewrite until the root publish), whether it may
+	// commit in place in published nodes, and the nodes it has retired.
+	txn     uint64
+	inPlace bool
+	retired *retiredNodes[V]
+	stats   Stats
+
+	retiredPool sync.Pool     // *retiredNodes[V], back from their callbacks
+	reclaimed   atomic.Uint64 // retired nodes whose grace period has elapsed
 }
+
+// cacheLine is the assumed coherence granule.
+const cacheLine = 64
 
 // NewTree returns an empty tree. A zero Options value gives the paper's
 // configuration: weight 4 with the in-place optimization enabled.
@@ -101,20 +119,57 @@ func New[V any]() *Tree[V] {
 }
 
 func (t *Tree[V]) mkNode(left, right *node[V], key uint64, val V) *node[V] {
-	n := &node[V]{size: 1 + nodeSize(left) + nodeSize(right), key: key, val: val}
-	n.left.Store(left)
-	n.right.Store(right)
-	t.allocs.Add(1)
+	n := &node[V]{size: 1 + nodeSize(left) + nodeSize(right), txn: t.txn, key: key, val: val}
+	// An atomic store is a locked exchange; a leaf's children are
+	// already the nil they should be.
+	if left != nil {
+		n.left.Store(left)
+	}
+	if right != nil {
+		n.right.Store(right)
+	}
+	t.stats.Allocs++
 	return n
 }
 
+// retiredNodes is what one write transaction retired, as the domain
+// sees it: one callback. The holder and its callback are built once and
+// go round through retiredPool, so retiring allocates nothing once the
+// slice has grown to a transaction's size.
+type retiredNodes[V any] struct {
+	t       *Tree[V]
+	nodes   []*node[V]
+	reclaim func() // the bound method, built once
+}
+
 // free retires a node that is no longer reachable from the new version
-// of the tree, in an RCU-delayed manner (rcu_free in the paper).
+// of the tree, in an RCU-delayed manner (rcu_free in the paper): it
+// joins the transaction's retired set, which Update hands to the domain
+// after the root publish.
 func (t *Tree[V]) free(n *node[V]) {
-	t.frees.Add(1)
-	if d := t.opt.Domain; d != nil {
-		d.Defer(func() { _ = n })
+	t.stats.Frees++
+	if t.opt.Domain == nil {
+		return
 	}
+	if t.retired == nil {
+		r, _ := t.retiredPool.Get().(*retiredNodes[V])
+		if r == nil {
+			r = &retiredNodes[V]{t: t}
+			r.reclaim = r.run
+		}
+		t.retired = r
+	}
+	t.retired.nodes = append(t.retired.nodes, n)
+}
+
+// run is the grace-period callback: no reader can reach the nodes any
+// more. Dropping the references is the free; the holder goes back for
+// the next transaction.
+func (r *retiredNodes[V]) run() {
+	r.t.reclaimed.Add(uint64(len(r.nodes)))
+	clear(r.nodes)
+	r.nodes = r.nodes[:0]
+	r.t.retiredPool.Put(r)
 }
 
 func nodeSize[V any](n *node[V]) uint64 {
@@ -236,21 +291,74 @@ func (t *Tree[V]) Len() int {
 	return int(nodeSize(t.root.Load()))
 }
 
+// Edit is one step of a write transaction: store Val at Key (replacing
+// any value already there) or, with Delete set, remove Key.
+type Edit[V any] struct {
+	Key    uint64
+	Val    V
+	Delete bool
+}
+
+// Update applies edits, in order, as one write transaction: one hold of
+// the writer lock, one root publish, and one deferred callback for all
+// the nodes the edits displaced. It returns how many edits changed the
+// key set (inserts of new keys, deletes of present ones).
+//
+// A transaction of several edits is atomic to readers: a lookup racing
+// it finds the tree as it was before the first edit or as it is after
+// the last, never in between. It gets that by never writing a published
+// node — it copies each node on its paths once, rewrites its own copies
+// freely, and publishes with the root store — so it leaves O(log n)
+// garbage where the in-place commits of §3.3 leave O(1). A one-edit
+// transaction has no in-between, and commits in place.
+func (t *Tree[V]) Update(edits []Edit[V]) (changed int) { return t.UpdateOn(-1, edits) }
+
+// UpdateOn is Update for callers with a cheap CPU-like identity: shard
+// is the hint the transaction's callback is queued with (rcu.DeferOn),
+// so that a caller's tree retirements and its other deferred frees land
+// on one shard of its own. A negative shard leaves the choice to the
+// domain.
+func (t *Tree[V]) UpdateOn(shard int, edits []Edit[V]) (changed int) {
+	t.mu.Lock()
+	t.stats.Txns++
+	t.txn++
+	t.inPlace = t.opt.UpdateInPlace && len(edits) == 1
+	old := t.root.Load()
+	root := old
+	for i := range edits {
+		e := &edits[i]
+		var did bool
+		if e.Delete {
+			root, did = t.doDelete(root, e.Key)
+		} else {
+			root, did = t.doInsert(root, e.Key, e.Val)
+		}
+		if did {
+			changed++
+		}
+	}
+	if root != old {
+		t.root.Store(root)
+	}
+	r := t.retired
+	t.retired = nil
+	t.mu.Unlock()
+	switch {
+	case r == nil:
+	case shard < 0:
+		t.opt.Domain.Defer(r.reclaim)
+	default:
+		t.opt.Domain.DeferOn(shard, r.reclaim)
+	}
+	return changed
+}
+
 // Insert stores val at key, replacing any existing value. It reports
 // whether a new key was inserted (false means an existing key's value
 // was replaced).
 func (t *Tree[V]) Insert(key uint64, val V) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.InsertLocked(key, val)
-}
-
-// InsertLocked is Insert for callers that already hold an external
-// writer lock covering all mutations of this tree.
-func (t *Tree[V]) InsertLocked(key uint64, val V) bool {
-	root, added := t.doInsert(t.root.Load(), key, val)
-	t.root.Store(root)
-	return added
+	e := [1]Edit[V]{{Key: key, Val: val}}
+	return t.Update(e[:]) == 1
 }
 
 // doInsert recurses to the insertion point and rebuilds the tree bottom
@@ -279,18 +387,8 @@ func (t *Tree[V]) doInsert(n *node[V], key uint64, val V) (*node[V], bool) {
 
 // Delete removes key. It reports whether the key was present.
 func (t *Tree[V]) Delete(key uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.DeleteLocked(key)
-}
-
-// DeleteLocked is Delete for callers holding an external writer lock.
-func (t *Tree[V]) DeleteLocked(key uint64) bool {
-	root, deleted := t.doDelete(t.root.Load(), key)
-	if deleted {
-		t.root.Store(root)
-	}
-	return deleted
+	e := [1]Edit[V]{{Key: key, Delete: true}}
+	return t.Update(e[:]) == 1
 }
 
 // doDelete implements the two delete cases from §3.2–3.3. Removing a
@@ -349,9 +447,10 @@ func (t *Tree[V]) removeMin(n *node[V]) (min *node[V], rest *node[V]) {
 
 // mkBalanced rebuilds the subtree previously rooted at cur with the
 // given children, restoring the bounded-balance invariant (Figure 6).
-// When inPlaceOK and the optimization is enabled and no rotation is
-// needed, cur is updated in place, committing any rotation performed
-// deeper in the tree with a single pointer store.
+// When no rotation is needed, cur is updated in place if the
+// transaction built it (no reader can see it yet) or if inPlaceOK and
+// the transaction commits in place, which publishes any rotation
+// performed deeper in the tree with a single pointer store.
 func (t *Tree[V]) mkBalanced(cur, left, right *node[V], inPlaceOK bool) *node[V] {
 	ln := nodeSize(left)
 	rn := nodeSize(right)
@@ -363,7 +462,7 @@ func (t *Tree[V]) mkBalanced(cur, left, right *node[V], inPlaceOK bool) *node[V]
 		out = t.mkBalancedL(left, right, cur.key, cur.val)
 	case ln+rn >= 2 && ln > w*rn:
 		out = t.mkBalancedR(left, right, cur.key, cur.val)
-	case !t.opt.UpdateInPlace || !inPlaceOK:
+	case cur.txn != t.txn && !(t.inPlace && inPlaceOK):
 		out = t.mkNode(left, right, cur.key, cur.val)
 	default:
 		// In-place commit (§3.3): the rebuilt subtree is structurally
@@ -380,7 +479,7 @@ func (t *Tree[V]) mkBalanced(cur, left, right *node[V], inPlaceOK bool) *node[V]
 			cur.right.Store(right)
 		}
 		cur.size = 1 + ln + rn
-		t.inPlaceCommits.Add(1)
+		t.stats.InPlaceCommits++
 		return cur
 	}
 	t.free(cur)
@@ -424,7 +523,7 @@ func (t *Tree[V]) mkBalancedR(left, right *node[V], key uint64, val V) *node[V] 
 // two new nodes, no in-place pointer updates, with the displaced node
 // delay-freed.
 func (t *Tree[V]) singleL(left, right *node[V], key uint64, val V) *node[V] {
-	t.singleRotations.Add(1)
+	t.stats.SingleRotations++
 	out := t.mkNode(
 		t.mkNode(left, right.left.Load(), key, val),
 		right.right.Load(),
@@ -434,7 +533,7 @@ func (t *Tree[V]) singleL(left, right *node[V], key uint64, val V) *node[V] {
 }
 
 func (t *Tree[V]) singleR(left, right *node[V], key uint64, val V) *node[V] {
-	t.singleRotations.Add(1)
+	t.stats.SingleRotations++
 	out := t.mkNode(
 		left.left.Load(),
 		t.mkNode(left.right.Load(), right, key, val),
@@ -444,7 +543,7 @@ func (t *Tree[V]) singleR(left, right *node[V], key uint64, val V) *node[V] {
 }
 
 func (t *Tree[V]) doubleL(left, right *node[V], key uint64, val V) *node[V] {
-	t.doubleRotations.Add(1)
+	t.stats.DoubleRotations++
 	rl := right.left.Load()
 	out := t.mkNode(
 		t.mkNode(left, rl.left.Load(), key, val),
@@ -456,7 +555,7 @@ func (t *Tree[V]) doubleL(left, right *node[V], key uint64, val V) *node[V] {
 }
 
 func (t *Tree[V]) doubleR(left, right *node[V], key uint64, val V) *node[V] {
-	t.doubleRotations.Add(1)
+	t.stats.DoubleRotations++
 	lr := left.right.Load()
 	out := t.mkNode(
 		t.mkNode(left.left.Load(), lr.left.Load(), left.key, left.val),

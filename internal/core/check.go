@@ -7,35 +7,34 @@ import "fmt"
 // about 2 allocations, 1 free, and 0.35 rotations on average regardless
 // of tree size; these counters let tests and benchmarks verify that.
 type Stats struct {
+	Txns            uint64 // write transactions: holds of the writer lock
 	Allocs          uint64 // nodes allocated
 	Frees           uint64 // nodes retired (delay-freed)
 	SingleRotations uint64
 	DoubleRotations uint64
 	InPlaceCommits  uint64 // subtree commits that avoided path copying
+	Reclaimed       uint64 // retired nodes whose grace period has elapsed (0 without a Domain)
 }
 
 // Rotations returns the total rotation count.
 func (s Stats) Rotations() uint64 { return s.SingleRotations + s.DoubleRotations }
 
-// Stats returns a snapshot of the tree's counters.
+// Stats returns a snapshot of the tree's counters. The writer keeps
+// them as plain words under its lock, so Stats takes the lock too.
 func (t *Tree[V]) Stats() Stats {
-	return Stats{
-		Allocs:          t.allocs.Load(),
-		Frees:           t.frees.Load(),
-		SingleRotations: t.singleRotations.Load(),
-		DoubleRotations: t.doubleRotations.Load(),
-		InPlaceCommits:  t.inPlaceCommits.Load(),
-	}
+	t.mu.Lock()
+	st := t.stats
+	t.mu.Unlock()
+	st.Reclaimed = t.reclaimed.Load()
+	return st
 }
 
-// ResetStats zeroes the tree's counters. Callers must ensure no
-// concurrent mutator is running.
+// ResetStats zeroes the tree's counters.
 func (t *Tree[V]) ResetStats() {
-	t.allocs.Store(0)
-	t.frees.Store(0)
-	t.singleRotations.Store(0)
-	t.doubleRotations.Store(0)
-	t.inPlaceCommits.Store(0)
+	t.mu.Lock()
+	t.stats = Stats{}
+	t.mu.Unlock()
+	t.reclaimed.Store(0)
 }
 
 // Validate checks the tree's structural invariants: binary-search-tree

@@ -172,25 +172,45 @@ func TestFloorDuringMutation(t *testing.T) {
 }
 
 // TestRCUDelayedFree verifies that when a Domain is attached, node
-// retirement is deferred through it: the number of deferred callbacks
-// matches the tree's free count.
+// retirement is deferred through it, one callback per transaction: every
+// transaction that retired a node queued exactly one callback, none runs
+// before a grace period, and once one has elapsed every retired node —
+// Stats().Frees of them — has been handed over.
 func TestRCUDelayedFree(t *testing.T) {
 	dom := rcu.NewDomain(rcu.Options{BatchSize: -1})
 	tr := NewTree[int](Options{UpdateInPlace: true, Domain: dom})
+	retiring := uint64(0) // transactions that retired at least one node
+	txn := func(edits ...Edit[int]) {
+		before := tr.Stats().Frees
+		tr.Update(edits)
+		if tr.Stats().Frees > before {
+			retiring++
+		}
+	}
 	for i := 0; i < 1000; i++ {
-		tr.Insert(uint64(i), i)
+		txn(Edit[int]{Key: uint64(i), Val: i})
 	}
-	for i := 0; i < 500; i++ {
-		tr.Delete(uint64(i * 2))
+	for i := 0; i < 500; i += 4 {
+		// Multi-edit transactions: several deletes and a replacement.
+		txn(Edit[int]{Key: uint64(i * 2), Delete: true},
+			Edit[int]{Key: uint64(i*2 + 2), Delete: true},
+			Edit[int]{Key: uint64(i*2 + 1), Val: -i})
 	}
+	txn(Edit[int]{Key: 1 << 40, Delete: true}) // absent: retires nothing, queues nothing
 	st := tr.Stats()
-	ds := dom.Stats()
-	if ds.Defers != st.Frees {
-		t.Fatalf("domain saw %d defers, tree freed %d nodes", ds.Defers, st.Frees)
+	if st.Frees == 0 || retiring == 0 {
+		t.Fatalf("nothing retired: %+v", st)
+	}
+	if ds := dom.Stats(); ds.Defers != retiring || ds.Ran != 0 || st.Reclaimed != 0 {
+		t.Fatalf("before a grace period: %d callbacks queued, %d ran, %d nodes reclaimed; want %d, 0, 0",
+			ds.Defers, ds.Ran, st.Reclaimed, retiring)
 	}
 	dom.Barrier()
-	if ds := dom.Stats(); ds.Ran != st.Frees {
-		t.Fatalf("after barrier ran %d callbacks, want %d", ds.Ran, st.Frees)
+	if ds := dom.Stats(); ds.Ran != retiring {
+		t.Fatalf("after barrier ran %d callbacks, want %d", ds.Ran, retiring)
+	}
+	if got := tr.Stats().Reclaimed; got != st.Frees {
+		t.Fatalf("after barrier %d nodes reclaimed, tree retired %d", got, st.Frees)
 	}
 }
 

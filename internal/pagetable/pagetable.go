@@ -171,10 +171,16 @@ type Config struct {
 
 // Tables is the page-table tree of one address space.
 type Tables struct {
-	cfg   Config
-	root  *directory
-	alloc *physmem.Allocator
-	dom   *rcu.Domain
+	// What every walk and fill reads, and nothing writes after New.
+	cfg        Config
+	root       *directory
+	alloc      *physmem.Allocator
+	dom        *rcu.Domain
+	ptesFilled stats.Counter // per-CPU: every fault that installs a PTE counts here
+
+	// Everything below is written by table installs and unmap scans; the
+	// pad keeps those writes off the line the fast path reads above.
+	_ [64]byte
 
 	// dirLock is the per-process page-directory lock protecting the
 	// insertion of new directories and tables (§4.1).
@@ -186,7 +192,6 @@ type Tables struct {
 	tablesAlloc  atomic.Uint64
 	tablesFreed  atomic.Uint64
 	discarded    atomic.Uint64 // optimistic allocations lost the double-check race
-	ptesFilled   stats.Counter // per-CPU: every fault that installs a PTE counts here
 	ptesCleared  atomic.Uint64 // unmap and eviction paths only, one add per batch
 	dirDoubleChk atomic.Uint64 // double-check lock acquisitions
 

@@ -31,24 +31,36 @@ import (
 )
 
 // Guard is one granted or queued range-lock request. A granted Guard
-// must be released exactly once with Unlock.
+// must be released exactly once with Unlock. The manager links guards,
+// it does not make them: Lock allocates one per call, while an
+// operation that locks on every call keeps one and re-arms it with
+// LockGuard — between an Unlock and the next LockGuard the manager holds
+// no reference to it.
 type Guard struct {
 	m      *Manager
 	id     uint64 // unique per manager; the trace's holder attribution
 	lo, hi uint64
-	ready  chan struct{} // closed when the lock is granted
+	ready  chan struct{} // made when the request queues; closed when it is granted
 	// granted is set by the granting Unlock just before it closes
 	// ready, so a waiter can poll for a short hold's release instead of
 	// paying a park and wake-up for it (see awaitGrant).
 	granted atomic.Bool
-	done    bool // released (manager mutex held when written)
+	held    bool // granted and not yet released (manager mutex held when written)
 	// grantedAt is stamped at grant time only while the tracer or the
 	// contention profiler is armed, so the disarmed grant path pays no
 	// clock read. queuedAt is stamped on the contended path, which
-	// already pays the clock read for the wait histogram.
-	grantedAt time.Time
-	queuedAt  time.Time
+	// already pays the clock read for the wait histogram. Both are
+	// stamp() values; zero means not stamped.
+	grantedAt int64
+	queuedAt  int64
 }
+
+// epoch anchors the guards' time stamps.
+var epoch = time.Now()
+
+// stamp returns the monotonic time since epoch in nanoseconds, never
+// zero.
+func stamp() int64 { return int64(time.Since(epoch)) | 1 }
 
 // ID returns the guard's manager-unique id, the value trace events
 // use to attribute held ranges to their holder.
@@ -136,21 +148,21 @@ type GuardInfo struct {
 // order), then queued waiters (arrival order). It takes only the
 // manager mutex, the lock every acquire already takes.
 func (m *Manager) Guards() []GuardInfo {
-	now := time.Now()
+	now := stamp()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]GuardInfo, 0, len(m.held)+len(m.queue))
 	for _, g := range m.held {
 		gi := GuardInfo{ID: g.id, Lo: g.lo, Hi: g.hi}
-		if !g.grantedAt.IsZero() {
-			gi.AgeNs = now.Sub(g.grantedAt).Nanoseconds()
+		if g.grantedAt != 0 {
+			gi.AgeNs = now - g.grantedAt
 		}
 		out = append(out, gi)
 	}
 	for _, g := range m.queue {
 		gi := GuardInfo{ID: g.id, Lo: g.lo, Hi: g.hi, Waiting: true}
-		if !g.queuedAt.IsZero() {
-			gi.AgeNs = now.Sub(g.queuedAt).Nanoseconds()
+		if g.queuedAt != 0 {
+			gi.AgeNs = now - g.queuedAt
 		}
 		out = append(out, gi)
 	}
@@ -185,12 +197,13 @@ func (m *Manager) conflictsLocked(lo, hi uint64) bool {
 // ring, safe under m.mu.
 func (m *Manager) grantLocked(g *Guard) {
 	m.held = append(m.held, g)
+	g.held = true
 	m.acquires++
 	if len(m.held) > m.maxHeld {
 		m.maxHeld = len(m.held)
 	}
 	if trace.Armed() || contention.Armed() {
-		g.grantedAt = time.Now()
+		g.grantedAt = stamp()
 		trace.Emit(trace.AuxCPU, trace.EvRangeAcquire, g.id, g.lo, g.hi)
 	}
 }
@@ -198,28 +211,48 @@ func (m *Manager) grantLocked(g *Guard) {
 // Lock acquires an exclusive lock on [lo, hi), blocking while any
 // conflicting range is held or queued ahead of it.
 func (m *Manager) Lock(lo, hi uint64) *Guard {
+	g := new(Guard)
+	m.LockGuard(g, lo, hi)
+	return g
+}
+
+// LockGuard is Lock into a guard the caller owns: a fresh one, or one
+// it has released. An uncontended acquisition allocates nothing.
+func (m *Manager) LockGuard(g *Guard, lo, hi uint64) {
 	checkRange(lo, hi)
-	g := &Guard{m: m, lo: lo, hi: hi}
 	m.mu.Lock()
-	g.id = m.nextID
-	m.nextID++
+	m.armLocked(g, lo, hi)
 	if !m.conflictsLocked(lo, hi) {
 		m.grantLocked(g)
 		m.mu.Unlock()
-		return g
+		return
 	}
 	g.ready = make(chan struct{})
-	waitStart := time.Now()
-	g.queuedAt = waitStart
+	queuedAt := stamp()
+	g.queuedAt = queuedAt
 	m.queue = append(m.queue, g)
 	m.conflicts++
 	m.mu.Unlock()
-	g.awaitGrant(waitStart)
-	wait := time.Since(waitStart)
+	g.awaitGrant(queuedAt)
+	wait := time.Duration(stamp() - queuedAt)
 	m.waitHist.Record(wait)
 	contention.Note("range", g.lo, g.hi, wait)
 	trace.Emit(trace.AuxCPU, trace.EvRangeWait, g.id, g.lo, uint64(wait))
-	return g
+}
+
+// armLocked makes g a new request for [lo, hi). The manager mutex is
+// held (and released if g turns out to be held: a caller's bug).
+func (m *Manager) armLocked(g *Guard, lo, hi uint64) {
+	if g.held {
+		m.mu.Unlock()
+		panic("ranges: Lock into a held Guard")
+	}
+	g.m, g.lo, g.hi, g.id = m, lo, hi, m.nextID
+	m.nextID++
+	g.ready, g.grantedAt, g.queuedAt = nil, 0, 0
+	if g.granted.Load() { // set only by a contended grant
+		g.granted.Store(false)
+	}
 }
 
 // spinLimit bounds how long a queued request polls its granted flag
@@ -239,14 +272,14 @@ const (
 // way; Unlock sets the flag and then closes the channel, so a waiter
 // that gives up polling just as the grant lands still finds the channel
 // closed.
-func (g *Guard) awaitGrant(queuedAt time.Time) {
+func (g *Guard) awaitGrant(queuedAt int64) {
 	if runtime.GOMAXPROCS(0) > 1 {
 		for polls := 1; ; polls++ {
 			if g.granted.Load() {
 				return
 			}
 			if polls%spinYieldEvery == 0 {
-				if time.Since(queuedAt) > spinLimit {
+				if time.Duration(stamp()-queuedAt) > spinLimit {
 					break
 				}
 				runtime.Gosched()
@@ -260,17 +293,26 @@ func (g *Guard) awaitGrant(queuedAt time.Time) {
 // the range conflicts with any held range or queued waiter (so it never
 // jumps the FIFO queue).
 func (m *Manager) TryLock(lo, hi uint64) (*Guard, bool) {
-	checkRange(lo, hi)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.conflictsLocked(lo, hi) {
-		m.tryFails++
+	g := new(Guard)
+	if !m.TryLockGuard(g, lo, hi) {
 		return nil, false
 	}
-	g := &Guard{m: m, lo: lo, hi: hi, id: m.nextID}
-	m.nextID++
-	m.grantLocked(g)
 	return g, true
+}
+
+// TryLockGuard is TryLock into a guard the caller owns.
+func (m *Manager) TryLockGuard(g *Guard, lo, hi uint64) bool {
+	checkRange(lo, hi)
+	m.mu.Lock()
+	if m.conflictsLocked(lo, hi) {
+		m.tryFails++
+		m.mu.Unlock()
+		return false
+	}
+	m.armLocked(g, lo, hi)
+	m.grantLocked(g)
+	m.mu.Unlock()
+	return true
 }
 
 // Blocked reports whether a request for [lo, hi) would currently have
@@ -313,20 +355,23 @@ func (m *Manager) ConflictBeyond(lo, hi uint64) (uint64, bool) {
 func (g *Guard) Unlock() {
 	m := g.m
 	m.mu.Lock()
-	if g.done {
+	if !g.held {
 		m.mu.Unlock()
 		panic("ranges: Unlock of released Guard")
 	}
-	g.done = true
+	g.held = false
 	for i, h := range m.held {
 		if h == g {
-			m.held = append(m.held[:i], m.held[i+1:]...)
+			last := len(m.held) - 1
+			copy(m.held[i:], m.held[i+1:])
+			m.held[last] = nil // the caller may re-arm or drop the guard
+			m.held = m.held[:last]
 			break
 		}
 	}
-	if !g.grantedAt.IsZero() {
+	if g.grantedAt != 0 {
 		trace.Emit(trace.AuxCPU, trace.EvRangeRelease, g.id, g.lo,
-			uint64(time.Since(g.grantedAt)))
+			uint64(stamp()-g.grantedAt))
 	}
 	// Promote waiters. Earlier waiters that stay queued block later
 	// overlapping ones, preserving FIFO fairness among conflicts while

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bonsai/internal/race"
 )
 
 // wholeSpace mirrors the VM layer's whole-address-space lock.
@@ -193,6 +195,56 @@ func TestDoubleUnlockPanics(t *testing.T) {
 		}
 	}()
 	g.Unlock()
+}
+
+// TestLockGuardReuse: a caller-owned guard goes round any number of
+// acquisitions — granted at once, refused by TryLockGuard, queued behind
+// a holder — and the uncontended round trip allocates nothing.
+func TestLockGuardReuse(t *testing.T) {
+	var m Manager
+	var g Guard
+	if avg := testing.AllocsPerRun(100, func() {
+		m.LockGuard(&g, 0x1000, 0x2000)
+		g.Unlock()
+		if !m.TryLockGuard(&g, 0x1000, 0x3000) {
+			t.Fatal("TryLockGuard refused a free range")
+		}
+		g.Unlock()
+	}); avg != 0 && !race.Enabled {
+		t.Errorf("an uncontended LockGuard/Unlock round trip allocates %.1f times, want 0", avg)
+	}
+
+	for round := 0; round < 3; round++ {
+		holder := m.Lock(0, 0x8000)
+		if m.TryLockGuard(&g, 0x1000, 0x2000) {
+			t.Fatal("TryLockGuard took a held range")
+		}
+		granted := make(chan struct{})
+		go func() {
+			m.LockGuard(&g, 0x1000, 0x2000) // queues, then is granted by the release
+			close(granted)
+		}()
+		for m.Stats().Waiting == 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		holder.Unlock()
+		<-granted
+		if !g.Covers(0x1000, 0x2000) {
+			t.Fatalf("round %d: guard covers [%#x, %#x)", round, g.Lo(), g.Hi())
+		}
+		g.Unlock()
+	}
+	if st := m.Stats(); st.Held != 0 || st.Waiting != 0 {
+		t.Fatalf("left %d held, %d waiting", st.Held, st.Waiting)
+	}
+
+	m.LockGuard(&g, 0, 0x1000)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LockGuard into a held guard did not panic")
+		}
+	}()
+	m.LockGuard(&g, 0x2000, 0x3000)
 }
 
 func TestInvalidRangePanics(t *testing.T) {

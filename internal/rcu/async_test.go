@@ -1,6 +1,7 @@
 package rcu
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -260,5 +261,25 @@ func TestGracePeriodLatencyStats(t *testing.T) {
 	}
 	if drains == 0 {
 		t.Fatalf("no shard drains recorded: %+v", st)
+	}
+}
+
+// TestWakeHandsOffToDetector: a goroutine that retires without ever
+// blocking must not keep the detector waiting for the scheduler's time
+// slice. With one processor — every processor busy retiring, as on a
+// loaded machine — the backlog when a grace period starts stays near the
+// wake threshold instead of growing by ten milliseconds of Defers.
+func TestWakeHandsOffToDetector(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const batch = 256
+	d := NewDomain(Options{BatchSize: batch, Shards: 1})
+	defer d.Close()
+	noop := func() {}
+	for i := 0; i < 400*batch; i++ {
+		d.Defer(noop)
+	}
+	d.Barrier()
+	if hw := d.Stats().PendingHighWater; hw > 4*batch {
+		t.Errorf("backlog reached %d callbacks with a wake threshold of %d: the detector waited for a time slice", hw, batch)
 	}
 }

@@ -289,12 +289,16 @@ func (d *Domain) hint() int {
 // wait, regardless of how many callbacks are pending. When a shard
 // crosses the batch threshold the background detector is woken (a
 // non-blocking notification) to process the grace period off the
-// caller's path.
+// caller's path; the caller that wakes it yields its processor once,
+// so the detector starts now rather than a time slice later.
 func (d *Domain) Defer(fn func()) { d.DeferOn(d.hint(), fn) }
 
 // DeferOn is Defer with an explicit shard hint, for callers that
-// already have a cheap CPU-like identity (the VM layer passes its
-// per-CPU context id). Hints beyond the shard count wrap around.
+// already have a cheap CPU-like identity (the VM layer passes a fault's
+// CPU id or a mapping operation's slot). Hints beyond the shard count
+// wrap around. fn is stored as given: a caller that keeps one function
+// value per recycled batch (tlb's frame batches, core's retired-node
+// lists) queues it without allocating.
 func (d *Domain) DeferOn(hint int, fn func()) {
 	if d.closed.Load() {
 		panic("rcu: Defer on closed Domain")
@@ -323,15 +327,25 @@ func (d *Domain) DeferOn(hint int, fn func()) {
 		yield()
 	case n >= int64(d.wakeThresh) || !d.started.Load():
 		d.ensureDetector()
-		d.nudge()
+		if d.nudge() {
+			// The detector was idle and is runnable now, behind this
+			// goroutine: hand it the processor once, or on a machine
+			// whose every processor runs a retiring goroutine that
+			// never blocks it waits out a scheduler time slice
+			// (milliseconds) while the backlog grows at full rate.
+			yield()
+		}
 	}
 }
 
-// nudge wakes the detector without blocking.
-func (d *Domain) nudge() {
+// nudge wakes the detector without blocking, reporting whether it was
+// this nudge that woke it (false: one was already pending).
+func (d *Domain) nudge() bool {
 	select {
 	case d.wake <- struct{}{}:
+		return true
 	default:
+		return false
 	}
 }
 

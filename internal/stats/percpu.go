@@ -98,6 +98,15 @@ func (p *CPUHist) CPU(cpu int) *LatencyHist {
 	return &p.hists[cpu&(len(p.hists)-1)].h
 }
 
+// Count returns the number of samples recorded, over all CPUs.
+func (p *CPUHist) Count() uint64 {
+	var n uint64
+	for i := range p.hists {
+		n += p.hists[i].h.Count()
+	}
+	return n
+}
+
 // Merged returns a fresh histogram holding every CPU's samples.
 func (p *CPUHist) Merged() *LatencyHist {
 	m := new(LatencyHist)

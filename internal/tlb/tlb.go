@@ -13,7 +13,9 @@
 // ShootdownBase/ShootdownPerCore parameters) and only then queues the
 // batch's frames for release: a single RCU callback that returns every
 // frame to the allocator in one FreeBatch call, one allocator-lock
-// acquisition per batch instead of one per page.
+// acquisition per batch instead of one per page. The batch's buffers
+// and its callback are recycled once it has run, so a flush allocates
+// nothing in the steady state.
 //
 // The hard invariant the ordering enforces: no frame is reusable while
 // any translation to it may be live. A frame recorded in a gather
@@ -32,12 +34,13 @@ package tlb
 
 import (
 	"runtime"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"bonsai/internal/fail"
 	"bonsai/internal/physmem"
 	"bonsai/internal/rcu"
+	"bonsai/internal/stats"
 	"bonsai/internal/trace"
 )
 
@@ -77,19 +80,33 @@ type Domain struct {
 	dom   *rcu.Domain
 	cost  time.Duration // precomputed per-flush charge
 
-	flushes atomic.Uint64
-	pages   atomic.Uint64
+	// One cell per shard hint (masked): concurrent flushes from
+	// different shards count on lines of their own.
+	flushes stats.Counter
+	pages   stats.Counter
+
+	batches sync.Pool // *batch, back from their callbacks
 }
 
 // NewDomain returns a gather domain for the machine.
 func NewDomain(alloc *physmem.Allocator, dom *rcu.Domain, cost CostModel) *Domain {
-	return &Domain{alloc: alloc, dom: dom, cost: cost.perFlush()}
+	cells := runtime.GOMAXPROCS(0)
+	return &Domain{alloc: alloc, dom: dom, cost: cost.perFlush(),
+		flushes: stats.NewCounter(cells), pages: stats.NewCounter(cells)}
 }
 
 // Gather returns an empty gather. shard is the RCU shard hint the
 // batch's deferred release is queued on.
 func (d *Domain) Gather(shard int) *Gather {
-	return &Gather{d: d, shard: shard}
+	g := new(Gather)
+	d.Init(g, shard)
+	return g
+}
+
+// Init makes g, a gather the caller owns (an empty or a flushed one),
+// an empty gather of this domain.
+func (d *Domain) Init(g *Gather, shard int) {
+	*g = Gather{d: d, shard: shard}
 }
 
 // Gather accumulates one zap operation's revocations. See the package
@@ -104,8 +121,45 @@ type Gather struct {
 	// count makes the next Flush pay the shootdown charge.
 	pages int
 
-	frames []physmem.Frame
-	defers []func()
+	// b holds what the batch releases after its grace period; nil until
+	// the batch has something to release.
+	b *batch
+}
+
+// batch is one flush's deferred release: the frames to return and the
+// callbacks to run once the flush's grace period has elapsed. The
+// domain's RCU callback for it is its bound release method, built once;
+// the batch and its buffers return to the domain's pool when it has run.
+type batch struct {
+	d       *Domain
+	frames  []physmem.Frame
+	defers  []func()
+	release func()
+}
+
+func (g *Gather) batch() *batch {
+	if g.b == nil {
+		b, _ := g.d.batches.Get().(*batch)
+		if b == nil {
+			b = &batch{d: g.d}
+			b.release = b.run
+		}
+		g.b = b
+	}
+	return g.b
+}
+
+// run releases the batch. FreeBatch is done with the frame buffer when
+// it returns, so the batch can go straight back to the pool.
+func (b *batch) run() {
+	b.d.alloc.FreeBatch(b.frames)
+	for _, fn := range b.defers {
+		fn()
+	}
+	b.frames = b.frames[:0]
+	clear(b.defers)
+	b.defers = b.defers[:0]
+	b.d.batches.Put(b)
 }
 
 // Page records a revoked translation at addr that held a reference to
@@ -114,7 +168,8 @@ type Gather struct {
 func (g *Gather) Page(addr uint64, f physmem.Frame) {
 	g.span(addr)
 	g.pages++
-	g.frames = append(g.frames, f)
+	b := g.batch()
+	b.frames = append(b.frames, f)
 }
 
 // Revoke records n translations revoked or narrowed (an mprotect
@@ -125,11 +180,17 @@ func (g *Gather) Revoke(n int) { g.pages += n }
 // Table records a detached page-table structure. Its frame is released
 // after a grace period — lock-free walkers may still be descending
 // through it — riding the same batched free as the page frames.
-func (g *Gather) Table(f physmem.Frame) { g.frames = append(g.frames, f) }
+func (g *Gather) Table(f physmem.Frame) {
+	b := g.batch()
+	b.frames = append(b.frames, f)
+}
 
 // Defer records a bookkeeping callback to run with the batch's
 // deferred release, after the flush and its grace period.
-func (g *Gather) Defer(fn func()) { g.defers = append(g.defers, fn) }
+func (g *Gather) Defer(fn func()) {
+	b := g.batch()
+	b.defers = append(b.defers, fn)
+}
 
 // Pages returns the number of revoked translations accumulated since
 // the last flush.
@@ -158,8 +219,8 @@ func (g *Gather) span(addr uint64) {
 // reused after Flush; flushing an empty gather is a no-op.
 func (g *Gather) Flush() {
 	if g.pages > 0 {
-		g.d.flushes.Add(1)
-		g.d.pages.Add(uint64(g.pages))
+		g.d.flushes.Add(g.shard, 1)
+		g.d.pages.Add(g.shard, uint64(g.pages))
 		trace.Emit(g.shard, trace.EvTLBFlush, uint64(g.pages), g.hi-g.lo,
 			uint64(g.d.cost))
 		spinWait(g.d.cost)
@@ -169,18 +230,10 @@ func (g *Gather) Flush() {
 		g.pages = 0
 		g.lo, g.hi = 0, 0
 	}
-	if len(g.frames) == 0 && len(g.defers) == 0 {
-		return
+	if b := g.b; b != nil {
+		g.b = nil
+		g.d.dom.DeferOn(g.shard, b.release)
 	}
-	frames, defers := g.frames, g.defers
-	g.frames, g.defers = nil, nil
-	d := g.d
-	d.dom.DeferOn(g.shard, func() {
-		d.alloc.FreeBatch(frames)
-		for _, fn := range defers {
-			fn()
-		}
-	})
 }
 
 // spinWait charges a simulated IPI wait: a calibrated wall-clock spin
@@ -216,4 +269,10 @@ func (s Stats) PagesPerFlush() float64 {
 // Stats returns a snapshot of the domain's counters.
 func (d *Domain) Stats() Stats {
 	return Stats{Flushes: d.flushes.Load(), PagesFlushed: d.pages.Load()}
+}
+
+// CountsOn returns the flushes and pages counted in shard's own cells
+// (the shared-write audit reads them to prove where a flush counted).
+func (d *Domain) CountsOn(shard int) (flushes, pages uint64) {
+	return d.flushes.CPU(shard), d.pages.CPU(shard)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bonsai/internal/physmem"
+	"bonsai/internal/race"
 	"bonsai/internal/rcu"
 )
 
@@ -122,5 +123,42 @@ func TestCostModelCharge(t *testing.T) {
 	g.Flush()
 	if el := time.Since(start); el < 5*time.Millisecond {
 		t.Fatalf("flush spun %v, want >= 5ms (base 2ms + 3 cores x 1ms)", el)
+	}
+}
+
+// TestFlushRecyclesBatches: once a batch has been round the domain's
+// pool, gathering into a caller-owned Gather and flushing it allocates
+// nothing — no gather, no frame slice, no closure — and a batch far
+// larger than any before it (one munmap retiring a huge-page arena)
+// grows the pooled buffer without losing a frame.
+func TestFlushRecyclesBatches(t *testing.T) {
+	alloc := physmem.New(physmem.Config{Frames: 1 << 15, CPUs: 1})
+	dom := rcu.NewDomain(rcu.Options{BatchSize: -1}) // no detector: nothing else allocates
+	defer dom.Close()
+	d := NewDomain(alloc, dom, CostModel{})
+	var g Gather
+	zap := func(pages int) {
+		d.Init(&g, 1)
+		for i := 0; i < pages; i++ {
+			f, err := alloc.Alloc(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Page(uint64(i)*4096, f)
+		}
+		g.Flush()
+		dom.Flush()
+	}
+	zap(4) // builds the one batch this test ever needs
+	if avg := testing.AllocsPerRun(200, func() { zap(4) }); avg != 0 && !race.Enabled {
+		t.Errorf("a steady-state gather and flush allocates %.1f times, want 0", avg)
+	}
+	zap(16384)
+	zap(4)
+	if n := alloc.InUse(); n != 0 {
+		t.Fatalf("%d frames lost", n)
+	}
+	if st := d.Stats(); st.PagesFlushed != 4+201*4+16384+4 {
+		t.Fatalf("stats %+v", st)
 	}
 }

@@ -272,12 +272,14 @@ func (c *CPU) faultSlow(page uint64, write bool, reason retryReason) error {
 	}
 	pin.unlock()
 
-	mg := as.sy.lockAll()
+	op := as.beginOp()
+	defer op.end()
+	mg := as.sy.lockAll(op)
 	defer mg.unlock()
 	v := as.idx.floor(page)
 	if v == nil || !v.Contains(page) {
 		var err error
-		if v, err = as.growStackLocked(&mg, page); err != nil {
+		if v, err = as.growStackLocked(op, &mg, page); err != nil {
 			return err
 		}
 	}
@@ -293,7 +295,7 @@ func (c *CPU) faultSlow(page uint64, write bool, reason retryReason) error {
 // exclusion). The tree is keyed by start, so growth re-indexes the VMA:
 // remove, adjust, insert. Lock-free readers can transiently miss it and
 // retry — by the time they hold the whole space the VMA is back.
-func (as *AddressSpace) growStackLocked(mg *mapGuard, page uint64) (*vma.VMA, error) {
+func (as *AddressSpace) growStackLocked(op *opCtx, mg *mapGuard, page uint64) (*vma.VMA, error) {
 	v := as.idx.ceiling(page)
 	if v == nil || v.Flags()&vma.Stack == 0 || v.Deleted() {
 		return nil, ErrSegv
@@ -306,10 +308,9 @@ func (as *AddressSpace) growStackLocked(mg *mapGuard, page uint64) (*vma.VMA, er
 		return nil, ErrSegv
 	}
 	mg.mutate()
-	as.idx.remove(v.Start())
+	op.edits = append(op.edits, regionEdit{Key: v.Start(), Delete: true}, regionEdit{Key: page, Val: v})
 	v.SetStart(page)
-	as.idx.insert(v)
-	as.mmapCache.Store(nil)
+	as.commit(op)
 	as.stats.stackGrowths.Add(1)
 	return v, nil
 }

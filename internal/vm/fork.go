@@ -54,7 +54,10 @@ func (as *AddressSpace) forkOnce() (*AddressSpace, error) {
 	// PTE, so it takes the whole-space exclusion; under range locking
 	// the manager's FIFO fairness keeps a stream of small disjoint
 	// operations from starving it.
-	mg := as.sy.lockAll()
+	op, cop := as.beginOp(), child.beginOp()
+	defer op.end()
+	defer cop.end()
+	mg := as.sy.lockAll(op)
 	defer mg.unlock()
 	mg.mutate()
 	as.stats.forks.Add(1)
@@ -63,7 +66,7 @@ func (as *AddressSpace) forkOnce() (*AddressSpace, error) {
 	// clone: the background collapse scanner sweeps every live member,
 	// and a promotion inside the half-built child would break the
 	// clone's EnsureTable installs mid-flight.
-	cg := child.sy.lockAll()
+	cg := child.sy.lockAll(cop)
 	cg.mutate()
 
 	// One gather spans the whole fork: every private PTE the clone
@@ -71,7 +74,7 @@ func (as *AddressSpace) forkOnce() (*AddressSpace, error) {
 	// flush below — still under the whole-space lock, like the
 	// kernel's flush_tlb_mm at the end of dup_mmap — invalidates the
 	// parent's stale writable translations in one batch.
-	g := as.fam.ms.tlb.Gather(as.mapCPU)
+	g := &op.gather
 	var cloneErr error
 	as.idx.ascendRange(0, MaxAddress, func(v *vma.VMA) bool {
 		lo, hi := v.Start(), v.End()
@@ -79,7 +82,7 @@ func (as *AddressSpace) forkOnce() (*AddressSpace, error) {
 		if v.File() != nil {
 			off = v.FileOffset(lo)
 		}
-		child.idx.insert(vma.New(lo, hi, v.Prot(), v.Flags(), v.File(), off))
+		cop.edits = append(cop.edits, regionEdit{Key: lo, Val: vma.New(lo, hi, v.Prot(), v.Flags(), v.File(), off)})
 
 		// Private mappings go copy-on-write (even currently read-only
 		// ones, so a later mprotect-to-writable cannot alias stores);
@@ -131,6 +134,9 @@ func (as *AddressSpace) forkOnce() (*AddressSpace, error) {
 			})
 		return cloneErr == nil
 	})
+	// The child's region tree is one transaction, whatever the outcome:
+	// the unwind below unmaps what it finds there.
+	child.commit(cop)
 	// Flush before deciding the outcome: the downgrades already
 	// happened, so their shootdown is owed even when the clone failed
 	// partway and is about to be unwound.
@@ -138,7 +144,7 @@ func (as *AddressSpace) forkOnce() (*AddressSpace, error) {
 	if cloneErr != nil {
 		// Unwind the partially built child completely, so a retry after
 		// direct reclaim starts from scratch.
-		child.munmapLocked(0, MaxAddress)
+		child.munmapLocked(cop, 0, MaxAddress)
 		cg.unlock()
 		child.tables.ReleaseRoot(child.mapCPU)
 		as.fam.removeMember(child)

@@ -14,9 +14,12 @@ import (
 // let faults, scanners and disjoint mapping operations read while one
 // operation writes.
 type regionIndex interface {
-	insert(v *vma.VMA)
-	// remove deletes the VMA keyed by start.
-	remove(start uint64)
+	// edit applies one mapping operation's changes, in order, under one
+	// hold of the index's writer lock: each edit inserts its VMA at its
+	// start (replacing the VMA keyed there, if any) or deletes the VMA
+	// keyed by its start. shard is the RCU shard hint for whatever the
+	// index retires.
+	edit(shard int, edits []regionEdit)
 	// floor returns the VMA with the greatest start <= addr.
 	floor(addr uint64) *vma.VMA
 	// ceiling returns the VMA with the smallest start >= addr.
@@ -39,20 +42,18 @@ type rbIndex struct {
 	sem *locks.RWSem
 }
 
-func (i *rbIndex) insert(v *vma.VMA) {
+func (i *rbIndex) edit(_ int, edits []regionEdit) {
 	if i.sem != nil {
 		i.sem.Lock()
 		defer i.sem.Unlock()
 	}
-	i.t.Insert(v.Start(), v)
-}
-
-func (i *rbIndex) remove(start uint64) {
-	if i.sem != nil {
-		i.sem.Lock()
-		defer i.sem.Unlock()
+	for _, e := range edits {
+		if e.Delete {
+			i.t.Delete(e.Key)
+		} else {
+			i.t.Insert(e.Key, e.Val)
+		}
 	}
-	i.t.Delete(start)
 }
 
 func (i *rbIndex) floor(addr uint64) *vma.VMA {
@@ -90,17 +91,16 @@ func (i *rbIndex) count() int {
 }
 
 // bonsaiIndex wraps the BONSAI tree: every read is lock-free, following
-// the RCU-published root (count reads its writer-maintained size);
-// mutations go through the tree's internal writer mutex, which
-// serializes structural changes from concurrent disjoint mapping
-// operations.
+// the RCU-published root (count reads its writer-maintained size); an
+// operation's edits are one write transaction — one hold of the tree's
+// writer mutex, which serializes structural changes from concurrent
+// disjoint mapping operations, and one root publish, so a fault sees
+// the operation's whole effect on the tree or none of it.
 type bonsaiIndex struct {
 	t *core.Tree[*vma.VMA]
 }
 
-func (i *bonsaiIndex) insert(v *vma.VMA) { i.t.Insert(v.Start(), v) }
-
-func (i *bonsaiIndex) remove(start uint64) { i.t.Delete(start) }
+func (i *bonsaiIndex) edit(shard int, edits []regionEdit) { i.t.UpdateOn(shard, edits) }
 
 func (i *bonsaiIndex) floor(addr uint64) *vma.VMA {
 	_, v, _ := i.t.Floor(addr)

@@ -22,12 +22,12 @@ import (
 // the zap; one that fills just after keeps it — both are legal
 // MADV_DONTNEED outcomes.
 func (as *AddressSpace) MadviseDontNeed(addr, length uint64) error {
-	return as.mapOp(trace.OpMadvise, addr, length, func() error {
-		return as.madviseInner(addr, length)
+	return as.mapOp(trace.OpMadvise, addr, length, func(op *opCtx) error {
+		return as.madviseInner(op, addr, length)
 	})
 }
 
-func (as *AddressSpace) madviseInner(addr, length uint64) error {
+func (as *AddressSpace) madviseInner(op *opCtx, addr, length uint64) error {
 	if addr%PageSize != 0 || length == 0 {
 		return ErrInvalid
 	}
@@ -35,17 +35,17 @@ func (as *AddressSpace) madviseInner(addr, length uint64) error {
 	if addr >= MaxAddress || length > MaxAddress-addr {
 		return ErrInvalid
 	}
-	as.stats.madvises.Add(1)
+	as.stats.madvises.Add(op.slot, 1)
 	// The zap mutates no VMA, so the exclusion need not cover straddling
 	// regions (their bounds are untouched).
-	mg := as.sy.lock(addr, addr+length, false, false)
+	mg := as.sy.lock(op, addr, addr+length, false, false)
 	defer mg.unlock()
 	mg.mutate()
-	as.zapRange(addr, addr+length)
+	as.zapRange(op, addr, addr+length)
 	return nil
 }
 
-// zapRange clears the translations of [lo, hi) through one TLB gather:
+// zapRange clears the translations of [lo, hi) through op's TLB gather:
 // the unmap scan accumulates every revoked translation (and the page
 // tables the range fully covered) into the batch, and the single flush
 // at the end pays one shootdown charge for all of them — inside
@@ -59,9 +59,9 @@ func (as *AddressSpace) madviseInner(addr, length uint64) error {
 // background detector — the unmap scan performs no grace-period wait,
 // even though it runs with PTE locks held (a synchronous drain here is
 // the deadlock the asynchronous design exists to prevent).
-func (as *AddressSpace) zapRange(lo, hi uint64) {
-	g := as.fam.ms.tlb.Gather(as.sy.retireShard(as.mapCPU, lo))
-	unmapped := uint64(0) // one shared add per zap, not one per page
+func (as *AddressSpace) zapRange(op *opCtx, lo, hi uint64) {
+	g := &op.gather
+	unmapped := uint64(0) // one add per zap, not one per page
 	as.tables.UnmapRange(g, lo, hi, func(addr, pte uint64) {
 		frame := pagetable.PTEFrame(pte)
 		unmapped++
@@ -73,7 +73,7 @@ func (as *AddressSpace) zapRange(lo, hi uint64) {
 			pg.RemoveMapping(as, addr)
 		}
 	})
-	as.stats.pagesUnmapped.Add(unmapped)
+	as.stats.pagesUnmapped.Add(op.slot, unmapped)
 	g.Flush()
 }
 
@@ -91,7 +91,7 @@ func (as *AddressSpace) EvictPTE(g *tlb.Gather, vaddr uint64, f physmem.Frame) b
 	if !as.tables.ClearPTEIfFrame(vaddr, f) {
 		return false
 	}
-	as.stats.pagesUnmapped.Add(1)
+	as.stats.pagesUnmapped.Add(0, 1) // reclaim has no slot; any cell counts
 	as.stats.evictUnmaps.Add(1)
 	g.Page(vaddr, f)
 	return true

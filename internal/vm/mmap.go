@@ -7,20 +7,31 @@ import (
 	"bonsai/internal/vma"
 )
 
-// mapOp wraps one mapping operation with the always-on latency
-// histogram and the tracer's enter/exit span events (paired on the
-// request address). The trace cost is a nil check when disarmed.
-func (as *AddressSpace) mapOp(op uint64, addr, length uint64, fn func() error) error {
-	trace.Emit(as.mapCPU, trace.EvMapEnter, addr, op, length)
-	start := time.Now()
-	err := fn()
-	elapsed := time.Since(start)
-	as.stats.mapHist.Record(elapsed)
+// clockBase anchors mapOpIn's monotonic clock readings.
+var clockBase = time.Now()
+
+// mapOp is the entry of every mapping operation: it takes the
+// operation's context (opCtx) for the length of fn.
+func (as *AddressSpace) mapOp(code uint64, addr, length uint64, fn func(op *opCtx) error) error {
+	op := as.beginOp()
+	defer op.end()
+	return as.mapOpIn(op, code, addr, length, fn)
+}
+
+// mapOpIn runs fn in op, wrapped with the always-on latency histogram,
+// recorded in op's slot, and the tracer's enter/exit span events (paired
+// on the request address). The trace cost is a nil check when disarmed.
+func (as *AddressSpace) mapOpIn(op *opCtx, code uint64, addr, length uint64, fn func(op *opCtx) error) error {
+	trace.Emit(as.mapCPU, trace.EvMapEnter, addr, code, length)
+	start := time.Since(clockBase) // the monotonic clock alone: half a time.Now
+	err := fn(op)
+	elapsed := time.Since(clockBase) - start
+	as.stats.mapHist.Record(op.slot, elapsed)
 	if trace.Armed() {
 		if err != nil {
-			op |= trace.OpErr
+			code |= trace.OpErr
 		}
-		trace.Emit(as.mapCPU, trace.EvMapExit, addr, op, uint64(elapsed))
+		trace.Emit(as.mapCPU, trace.EvMapExit, addr, code, uint64(elapsed))
 	}
 	return err
 }
@@ -38,15 +49,15 @@ func (as *AddressSpace) mapOp(op uint64, addr, length uint64, fn func() error) e
 func (as *AddressSpace) Mmap(addr, length uint64, prot vma.Prot, flags vma.Flags,
 	file *vma.File, fileOff uint64) (uint64, error) {
 	var base uint64
-	err := as.mapOp(trace.OpMmap, addr, length, func() error {
+	err := as.mapOp(trace.OpMmap, addr, length, func(op *opCtx) error {
 		var err error
-		base, err = as.mmapInner(addr, length, prot, flags, file, fileOff)
+		base, err = as.mmapInner(op, addr, length, prot, flags, file, fileOff)
 		return err
 	})
 	return base, err
 }
 
-func (as *AddressSpace) mmapInner(addr, length uint64, prot vma.Prot, flags vma.Flags,
+func (as *AddressSpace) mmapInner(op *opCtx, addr, length uint64, prot vma.Prot, flags vma.Flags,
 	file *vma.File, fileOff uint64) (uint64, error) {
 	if length == 0 {
 		return 0, ErrInvalid
@@ -75,27 +86,32 @@ func (as *AddressSpace) mmapInner(addr, length uint64, prot vma.Prot, flags vma.
 			return 0, err
 		}
 	}
-	as.stats.mmaps.Add(1)
+	as.stats.mmaps.Add(op.slot, 1)
 
 	// Planning phase: a fixed mapping has its range; any other searches
 	// for a free one, under FaultLock beside running faults (§5.1).
 	base := addr
 	var mg mapGuard
 	if flags&vma.Fixed != 0 {
-		mg = as.sy.lock(base, base+length, true, true)
+		mg = as.sy.lock(op, base, base+length, true, true)
 	} else {
 		var ok bool
-		if base, mg, ok = as.sy.reserve(pageDown(addr), length); !ok {
+		if base, mg, ok = as.sy.reserve(op, pageDown(addr), length); !ok {
 			return 0, ErrNoMemory
 		}
 	}
 	defer mg.unlock()
 	mg.mutate()
-	if flags&vma.Fixed != 0 {
-		// MAP_FIXED replaces whatever was there.
-		as.munmapLocked(base, base+length)
+	if flags&vma.Fixed != 0 && as.unmapRegions(op, base, base+length) {
+		// MAP_FIXED replaces whatever was there: the old regions are cut
+		// by now (no fault fills through them), and their translations go
+		// before the new region appears. A range no VMA overlapped has
+		// none — translations exist only inside VMAs — so it is not
+		// walked, and the empty tables under it stay for the new faults.
+		as.zapRange(op, base, base+length)
 	}
-	as.mergeOrInsert(&mg, base, length, prot, flags, file, fileOff)
+	as.mergeOrInsert(op, &mg, base, length, prot, flags, file, fileOff)
+	as.commit(op)
 	return base, nil
 }
 
@@ -105,28 +121,28 @@ func (as *AddressSpace) mmapInner(addr, length uint64, prot vma.Prot, flags vma.
 // The merge requires mg to cover the predecessor's extent; a merge it
 // does not cover falls back to inserting a separate region, which is
 // always correct.
-func (as *AddressSpace) mergeOrInsert(mg *mapGuard, base, length uint64, prot vma.Prot, flags vma.Flags,
+func (as *AddressSpace) mergeOrInsert(op *opCtx, mg *mapGuard, base, length uint64, prot vma.Prot, flags vma.Flags,
 	file *vma.File, fileOff uint64) {
 	if pred := as.idx.floor(base - 1); pred != nil && base > 0 &&
 		pred.End() == base && pred.CanMerge(prot, flags, file, fileOff) &&
 		mg.covers(pred.Start(), base) {
 		pred.SetEnd(base + length)
-		as.stats.merges.Add(1)
+		as.stats.merges.Add(op.slot, 1)
 		return
 	}
-	as.idx.insert(vma.New(base, base+length, prot, flags, file, fileOff))
+	op.edits = append(op.edits, regionEdit{Key: base, Val: vma.New(base, base+length, prot, flags, file, fileOff)})
 }
 
 // Munmap removes all mappings intersecting [addr, addr+length). Both
 // addr and length must be page-aligned (length is rounded up). Like the
 // system call, unmapping a range with no mappings succeeds.
 func (as *AddressSpace) Munmap(addr, length uint64) error {
-	return as.mapOp(trace.OpMunmap, addr, length, func() error {
-		return as.munmapInner(addr, length)
+	return as.mapOp(trace.OpMunmap, addr, length, func(op *opCtx) error {
+		return as.munmapInner(op, addr, length)
 	})
 }
 
-func (as *AddressSpace) munmapInner(addr, length uint64) error {
+func (as *AddressSpace) munmapInner(op *opCtx, addr, length uint64) error {
 	if addr%PageSize != 0 || length == 0 {
 		return ErrInvalid
 	}
@@ -134,83 +150,68 @@ func (as *AddressSpace) munmapInner(addr, length uint64) error {
 	if addr >= MaxAddress || length > MaxAddress-addr {
 		return ErrInvalid
 	}
-	as.stats.munmaps.Add(1)
-	mg := as.sy.lock(addr, addr+length, true, false)
+	as.stats.munmaps.Add(op.slot, 1)
+	mg := as.sy.lock(op, addr, addr+length, true, false)
 	defer mg.unlock()
 	mg.mutate()
-	as.munmapLocked(addr, addr+length)
+	as.munmapLocked(op, addr, addr+length)
 	return nil
 }
 
-// munmapLocked removes mappings in [lo, hi). The caller holds the
+// munmapLocked removes mappings in [lo, hi): the regions, then — whether
+// or not there were any — the translations, because the zap is also what
+// frees the page tables the range covers, empty ones included (Close's
+// whole-space unmap returns every table that way). The caller holds the
 // mapping-operation exclusion covering the range and every straddling
 // VMA's extent, and has entered the mutation phase.
-//
-// Region splitting follows Figure 10 exactly: when unmapping the middle
-// of a VMA, the existing VMA's end is adjusted first (time 2) and the
-// new top VMA is inserted second (time 3), so lock-free fault handlers
-// can transiently observe the top range as unmapped — the VMA split
-// race the RCU designs handle by retrying with the page pinned (§5.2).
-func (as *AddressSpace) munmapLocked(lo, hi uint64) {
-	// Collect overlapping regions: possibly one straddling lo, plus all
-	// with start in [lo, hi).
-	var overlaps []*vma.VMA
-	if v := as.idx.floor(lo); v != nil && v.Start() < lo && v.Overlaps(lo, hi) {
-		overlaps = append(overlaps, v)
-	}
-	as.idx.ascendRange(lo, hi, func(v *vma.VMA) bool {
-		overlaps = append(overlaps, v)
-		return true
-	})
+func (as *AddressSpace) munmapLocked(op *opCtx, lo, hi uint64) {
+	as.unmapRegions(op, lo, hi)
+	as.commit(op)
+	// Zap the hardware page tables (Figure 11) and retire page frames
+	// after a grace period.
+	as.zapRange(op, lo, hi)
+}
 
+// unmapRegions cuts [lo, hi) out of the region tree under munmapLocked's
+// hold, reporting whether any VMA overlapped it: bounds move at once,
+// the tree's own changes join op's transaction for the caller to commit.
+//
+// Region splitting follows Figure 10: when unmapping the middle of a
+// VMA, the existing VMA's end is adjusted first (time 2) and the new
+// top VMA is inserted second (time 3, the commit), so lock-free fault
+// handlers can transiently observe the top range as unmapped — the VMA
+// split race the RCU designs handle by retrying with the page pinned
+// (§5.2).
+func (as *AddressSpace) unmapRegions(op *opCtx, lo, hi uint64) bool {
+	overlaps := as.collectOverlaps(op, lo, hi)
+	if len(overlaps) == 0 {
+		return false
+	}
 	for _, v := range overlaps {
 		vLo, vHi := v.Start(), v.End()
-		cutLo, cutHi := vLo, vHi
-		if cutLo < lo {
-			cutLo = lo
-		}
-		if cutHi > hi {
-			cutHi = hi
-		}
+		cutLo, cutHi := max(vLo, lo), min(vHi, hi)
 		switch {
 		case cutLo == vLo && cutHi == vHi:
 			// Fully covered: delete. The deleted mark is what the RCU
 			// fault path's double check reads (§5.2).
 			v.MarkDeleted()
-			as.idx.remove(vLo)
+			op.edits = append(op.edits, regionEdit{Key: vLo, Delete: true})
 		case cutLo == vLo:
 			// Head trim. The tree is keyed by start, so the region is
 			// replaced by a fresh VMA covering the tail.
-			nv := as.splitTail(v, cutHi, vHi)
 			v.MarkDeleted()
-			as.idx.remove(vLo)
-			as.idx.insert(nv)
+			op.edits = append(op.edits, regionEdit{Key: vLo, Delete: true},
+				regionEdit{Key: cutHi, Val: as.sliceVMA(v, cutHi, vHi, v.Prot())})
 		case cutHi == vHi:
 			// Tail trim: Figure 10 time 2 — one atomic bound store.
 			v.SetEnd(cutLo)
 		default:
 			// Middle split: Figure 10 times 2 and 3, in that order.
-			nv := as.splitTail(v, cutHi, vHi)
+			nv := as.sliceVMA(v, cutHi, vHi, v.Prot())
 			v.SetEnd(cutLo)
-			as.idx.insert(nv)
-			as.stats.splits.Add(1)
+			op.edits = append(op.edits, regionEdit{Key: cutHi, Val: nv})
+			as.stats.splits.Add(op.slot, 1)
 		}
 	}
-
-	// The cache may hold a deleted or trimmed VMA; drop it.
-	as.mmapCache.Store(nil)
-
-	// Zap the hardware page tables (Figure 11) and retire page frames
-	// after a grace period.
-	as.zapRange(lo, hi)
-}
-
-// splitTail builds the replacement VMA covering [newStart, end) of v,
-// preserving its attributes and file linkage.
-func (as *AddressSpace) splitTail(v *vma.VMA, newStart, end uint64) *vma.VMA {
-	var off uint64
-	if v.File() != nil {
-		off = v.FileOffset(newStart)
-	}
-	return vma.New(newStart, end, v.Prot(), v.Flags(), v.File(), off)
+	return true
 }

@@ -19,12 +19,12 @@ import (
 // under the PTE locks; a write-enabling change leaves PTEs read-only
 // and lets write faults upgrade them on demand.
 func (as *AddressSpace) Mprotect(addr, length uint64, prot vma.Prot) error {
-	return as.mapOp(trace.OpMprotect, addr, length, func() error {
-		return as.mprotectInner(addr, length, prot)
+	return as.mapOp(trace.OpMprotect, addr, length, func(op *opCtx) error {
+		return as.mprotectInner(op, addr, length, prot)
 	})
 }
 
-func (as *AddressSpace) mprotectInner(addr, length uint64, prot vma.Prot) error {
+func (as *AddressSpace) mprotectInner(op *opCtx, addr, length uint64, prot vma.Prot) error {
 	if addr%PageSize != 0 || length == 0 {
 		return ErrInvalid
 	}
@@ -34,20 +34,13 @@ func (as *AddressSpace) mprotectInner(addr, length uint64, prot vma.Prot) error 
 	}
 	lo, hi := addr, addr+length
 
-	as.stats.mprotects.Add(1)
-	mg := as.sy.lock(lo, hi, true, false)
+	as.stats.mprotects.Add(op.slot, 1)
+	mg := as.sy.lock(op, lo, hi, true, false)
 	defer mg.unlock()
 
 	// Planning phase: collect the overlapping regions and verify the
 	// range is fully mapped (POSIX mprotect fails with ENOMEM on gaps).
-	var overlaps []*vma.VMA
-	if v := as.idx.floor(lo); v != nil && v.Start() < lo && v.Overlaps(lo, hi) {
-		overlaps = append(overlaps, v)
-	}
-	as.idx.ascendRange(lo, hi, func(v *vma.VMA) bool {
-		overlaps = append(overlaps, v)
-		return true
-	})
+	overlaps := as.collectOverlaps(op, lo, hi)
 	cursor := lo
 	for _, v := range overlaps {
 		if v.Start() > cursor {
@@ -67,29 +60,23 @@ func (as *AddressSpace) mprotectInner(addr, length uint64, prot vma.Prot) error 
 			continue // nothing to change for this region
 		}
 		vLo, vHi := v.Start(), v.End()
-		cutLo, cutHi := vLo, vHi
-		if cutLo < lo {
-			cutLo = lo
-		}
-		if cutHi > hi {
-			cutHi = hi
-		}
+		cutLo, cutHi := max(vLo, lo), min(vHi, hi)
 		// Replace the region with up to three pieces; the old VMA is
-		// marked deleted so stale lock-free lookups retry (§5.2).
+		// marked deleted so stale lock-free lookups retry (§5.2). The
+		// first piece starts where v did: inserting it replaces v.
 		v.MarkDeleted()
-		as.idx.remove(vLo)
 		if cutLo > vLo {
-			as.idx.insert(as.sliceVMA(v, vLo, cutLo, v.Prot()))
+			op.edits = append(op.edits, regionEdit{Key: vLo, Val: as.sliceVMA(v, vLo, cutLo, v.Prot())})
 		}
-		as.idx.insert(as.sliceVMA(v, cutLo, cutHi, prot))
+		op.edits = append(op.edits, regionEdit{Key: cutLo, Val: as.sliceVMA(v, cutLo, cutHi, prot)})
 		if cutHi < vHi {
-			as.idx.insert(as.sliceVMA(v, cutHi, vHi, v.Prot()))
+			op.edits = append(op.edits, regionEdit{Key: cutHi, Val: as.sliceVMA(v, cutHi, vHi, v.Prot())})
 		}
 		if cutLo > vLo || cutHi < vHi {
-			as.stats.splits.Add(1)
+			as.stats.splits.Add(op.slot, 1)
 		}
 	}
-	as.mmapCache.Store(nil)
+	as.commit(op)
 
 	// Revoke write access from existing translations if the new
 	// protection forbids writing: the downgrades batch into one gather
@@ -98,8 +85,8 @@ func (as *AddressSpace) mprotectInner(addr, length uint64, prot vma.Prot) error 
 	// still inside the caller's mapping exclusion. A huge entry fully
 	// inside the range downgrades in place; one straddling the boundary
 	// is split (demoted to base pages) riding the same gather.
+	g := &op.gather
 	if prot&vma.ProtWrite == 0 {
-		g := as.fam.ms.tlb.Gather(as.mapCPU)
 		n, _ := as.tables.WriteProtectRange(g, lo, hi)
 		g.Revoke(n)
 		g.Flush() // no-op when nothing was narrowed or split
@@ -110,7 +97,6 @@ func (as *AddressSpace) mprotectInner(addr, length uint64, prot vma.Prot) error 
 		// unit, widening pages outside the range. Demote straddlers to
 		// base pages (the kernel's split_huge_pmd at unaligned mprotect
 		// boundaries), riding one gather.
-		g := as.fam.ms.tlb.Gather(as.mapCPU)
 		loCut, hiCut := lo%HugeSpan != 0, hi%HugeSpan != 0
 		if loCut {
 			as.tables.SplitHuge(g, lo)

@@ -29,17 +29,18 @@ type statsCounters struct {
 	thpHugeFaults       stats.Counter // faults satisfied by installing a huge entry
 	thpFallbacks        stats.Counter // huge-eligible faults that fell back to base pages
 
-	// mapHist spans Mmap/Munmap/Mprotect/Madvise calls end to end; it
-	// and the counters below are written by mapping operations and slow
-	// paths only, and stay shared.
-	mapHist        stats.LatencyHist
-	pagesUnmapped  atomic.Uint64
-	mmaps          atomic.Uint64
-	munmaps        atomic.Uint64
-	mprotects      atomic.Uint64
-	madvises       atomic.Uint64
-	merges         atomic.Uint64
-	splits         atomic.Uint64
+	// Everything a mapping operation counts is per slot (opCtx.slot):
+	// operations on different processors write lines of their own.
+	// mapHist spans Mmap/Munmap/Mprotect/Madvise calls end to end.
+	mapHist       stats.CPUHist
+	pagesUnmapped stats.Counter
+	mmaps         stats.Counter
+	munmaps       stats.Counter
+	mprotects     stats.Counter
+	madvises      stats.Counter
+	merges        stats.Counter
+	splits        stats.Counter
+	// The rest is written by slow paths only, and stays shared.
 	stackGrowths   atomic.Uint64
 	retries        [numRetryReasons]atomic.Uint64 // retry-with-lock events, by retryReason
 	forks          atomic.Uint64
@@ -55,12 +56,16 @@ type statsCounters struct {
 	thpCollapseFails atomic.Uint64 // collapse attempts aborted (ineligible or no run)
 }
 
-// init sizes the per-CPU cells for cpus fault contexts.
+// init sizes the per-CPU cells for cpus fault contexts, and the per-slot cells.
 func (s *statsCounters) init(cpus int) {
-	s.faultHist = stats.NewCPUHist(cpus)
+	s.faultHist, s.mapHist = stats.NewCPUHist(cpus), stats.NewCPUHist(mapSlotCells())
 	for _, c := range []*stats.Counter{&s.faults, &s.faultsAlreadyMapped, &s.pagesMapped, &s.cowBreaks,
 		&s.cacheHits, &s.cacheMisses, &s.thpHugeFaults, &s.thpFallbacks} {
 		*c = stats.NewCounter(cpus)
+	}
+	for _, c := range []*stats.Counter{&s.pagesUnmapped, &s.mmaps, &s.munmaps, &s.mprotects, &s.madvises,
+		&s.merges, &s.splits} {
+		*c = stats.NewCounter(mapSlotCells())
 	}
 }
 
@@ -237,15 +242,16 @@ func (as *AddressSpace) FaultHist() *stats.LatencyHist { return as.stats.faultHi
 // Faults returns the exact number of faults handled, timed or not.
 func (as *AddressSpace) Faults() uint64 { return as.stats.faults.Load() }
 
-// MapHist exposes the mapping-operation latency histogram.
-func (as *AddressSpace) MapHist() *stats.LatencyHist { return &as.stats.mapHist }
+// MapHist returns a merged copy of the per-slot mapping-operation
+// latency histograms.
+func (as *AddressSpace) MapHist() *stats.LatencyHist { return as.stats.mapHist.Merged() }
 
 // LatencySnapshot captures the latency percentile snapshot for this
 // address space and its machine.
 func (as *AddressSpace) LatencySnapshot() LatencySnapshot {
 	l := LatencySnapshot{
 		Fault: as.FaultHist().Stats(),
-		MapOp: as.stats.mapHist.Stats(),
+		MapOp: as.MapHist().Stats(),
 		GP:    as.dom.GPHist().Stats(),
 	}
 	if h := as.RangeWaitHist(); h != nil {

@@ -152,15 +152,21 @@ func (p *syncPolicy) pinIndex() mapGuard {
 // either end and, with mergePred, of a region ending exactly at lo that
 // mmap may extend in place. Without it (a zap, which changes no VMA)
 // the range is locked as given, and touching ranges stay concurrent.
-func (p *syncPolicy) lock(lo, hi uint64, cover, mergePred bool) mapGuard {
+// A range lock is held in op's own guard.
+func (p *syncPolicy) lock(op *opCtx, lo, hi uint64, cover, mergePred bool) mapGuard {
 	if p.rl == nil {
-		return p.lockAll()
+		return p.lockAll(op)
 	}
-	g := p.rl.Lock(lo, hi)
-	if cover {
-		g = p.extendHeld(g, lo, hi, mergePred)
+	if !cover {
+		p.rl.LockGuard(&op.guard, lo, hi)
+		return mapGuard{p: p, g: &op.guard}
 	}
-	return mapGuard{p: p, g: g}
+	// Ask for the cover as it looks now; extendHeld checks it again once
+	// the range is held, when the answer is stable.
+	nlo, nhi := p.requiredCover(lo, hi, mergePred)
+	p.rl.LockGuard(&op.guard, nlo, nhi)
+	p.extendHeld(&op.guard, lo, hi, mergePred)
+	return mapGuard{p: p, g: &op.guard}
 }
 
 // lockAll acquires the exclusion for the whole address space (fork,
@@ -168,9 +174,10 @@ func (p *syncPolicy) lock(lo, hi uint64, cover, mergePred bool) mapGuard {
 // manager's FIFO fairness keeps a stream of small disjoint operations
 // from starving it — once queued, later conflicting requests line up
 // behind it.
-func (p *syncPolicy) lockAll() mapGuard {
+func (p *syncPolicy) lockAll(op *opCtx) mapGuard {
 	if p.rl != nil {
-		return mapGuard{p: p, g: p.rl.Lock(0, MaxAddress)}
+		p.rl.LockGuard(&op.guard, 0, MaxAddress)
+		return mapGuard{p: p, g: &op.guard}
 	}
 	p.mmapSem.Lock()
 	return mapGuard{p: p}
@@ -186,9 +193,9 @@ func (p *syncPolicy) lockAll() mapGuard {
 // inserted its region (the re-check sees it). Either way search again;
 // the search skips ranges other operations hold, so contending mappers
 // spread out instead of colliding.
-func (p *syncPolicy) reserve(hint, length uint64) (uint64, mapGuard, bool) {
+func (p *syncPolicy) reserve(op *opCtx, hint, length uint64) (uint64, mapGuard, bool) {
 	if p.rl == nil {
-		mg := p.lockAll()
+		mg := p.lockAll(op)
 		base, ok := p.findGap(hint, length, false)
 		if !ok {
 			mg.unlock()
@@ -205,18 +212,18 @@ func (p *syncPolicy) reserve(hint, length uint64) (uint64, mapGuard, bool) {
 		if !ok {
 			return 0, mapGuard{}, false
 		}
-		g, acquired := p.rl.TryLock(base, base+length)
-		if !acquired {
+		g := &op.guard
+		if !p.rl.TryLockGuard(g, base, base+length) {
 			if attempt < 4 {
 				continue // racing mapper holds it; search again
 			}
 			// Repeated collisions (e.g. a whole-space fork draining the
 			// queue): wait our FIFO turn instead of spinning.
-			g = p.rl.Lock(base, base+length)
+			p.rl.LockGuard(g, base, base+length)
 		}
 		// Expand to cover a merge-candidate predecessor, then verify
 		// the gap is still free now that we hold it exclusively.
-		g = p.extendHeld(g, base, base+length, true)
+		p.extendHeld(g, base, base+length, true)
 		if v := p.idx.floor(base + length - 1); v != nil && v.End() > base && v.Start() < base+length {
 			g.Unlock()
 			continue
@@ -270,11 +277,11 @@ func (p *syncPolicy) findGap(hint, length uint64, steer bool) (uint64, bool) {
 // operation whose held range covers the VMA's entire extent. Two
 // operations touching the same VMA therefore always conflict, while
 // operations on disjoint VMAs proceed in parallel.
-func (p *syncPolicy) extendHeld(g *ranges.Guard, lo, hi uint64, mergePred bool) *ranges.Guard {
+func (p *syncPolicy) extendHeld(g *ranges.Guard, lo, hi uint64, mergePred bool) {
 	for {
 		nlo, nhi := p.requiredCover(lo, hi, mergePred)
 		if g.Covers(nlo, nhi) {
-			return g
+			return
 		}
 		if nlo > g.Lo() {
 			nlo = g.Lo()
@@ -283,7 +290,7 @@ func (p *syncPolicy) extendHeld(g *ranges.Guard, lo, hi uint64, mergePred bool) 
 			nhi = g.Hi()
 		}
 		g.Unlock()
-		g = p.rl.Lock(nlo, nhi)
+		p.rl.LockGuard(g, nlo, nhi)
 	}
 }
 
@@ -340,19 +347,6 @@ func (mg *mapGuard) unlock() {
 		}
 		mg.p.mmapSem.Unlock()
 	}
-}
-
-// retireShard picks the gather shard for a zap at lo, given the shard
-// reserved for mapping operations. With the global semaphore one
-// mapping operation runs at a time and that shard is uncontended; under
-// range locking many disjoint unmaps retire at once, so they spread
-// across shards by address (2 MB granularity) instead of re-serializing
-// on one shard mutex.
-func (p *syncPolicy) retireShard(mapCPU int, lo uint64) int {
-	if p.rl != nil {
-		return mapCPU + int(lo>>21)
-	}
-	return mapCPU
 }
 
 // RangeLocked reports whether mapping operations use the range-lock

@@ -644,10 +644,12 @@ func (as *AddressSpace) NewCPU(id int) *CPU {
 // whole machine tears down and the frame-leak check's error is
 // returned. No operation on this address space may be in flight.
 func (as *AddressSpace) Close() error {
-	mg := as.sy.lockAll()
+	op := as.beginOp()
+	mg := as.sy.lockAll(op)
 	mg.mutate()
-	as.munmapLocked(0, MaxAddress)
+	as.munmapLocked(op, 0, MaxAddress)
 	mg.unlock()
+	op.end()
 	as.tables.ReleaseRoot(as.mapCPU)
 	as.fam.removeMember(as)
 	last := as.fam.live.Add(-1) == 0

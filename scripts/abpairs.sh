@@ -5,19 +5,22 @@
 #
 #   scripts/abpairs.sh <parent-ref> [N=10] [run.sh flags, e.g. --smoke]
 #
-# The parent is checked out into a git worktree under .bench_build/abpairs/
-# (ABPAIRS_DIR overrides; removed again on exit); the change is this
-# checkout as it stands, committed or not. Pair i runs
+# The parent's committed files are unpacked (git archive) under
+# .bench_build/abpairs/ (ABPAIRS_DIR overrides; removed again on exit);
+# the change is this checkout as it stands, committed or not. Pair i runs
 # `bash bench/run.sh --runs 1 --seed S+i` on both sides (S = ABPAIRS_SEED,
 # default 401), the parent first on odd pairs and the change first on even
-# ones. Each side's one-run documents are concatenated (their `runs`
-# arrays) into parent.json and change.json, `run.sh --compare` judges the
-# two, and a table of pairs won and a count of runs with failed
-# operations follow.
+# ones. Before each pair it prints scripts/spinratio's reading — how much
+# longer two spinning goroutines take side by side than one alone, 1.0 on
+# two free cores — so a pair taken while the host was short of a core is
+# visible next to its numbers. Each side's one-run documents are
+# concatenated (their `runs` arrays) into parent.json and change.json,
+# `run.sh --compare` judges the two, and a table of pairs won and a count
+# of runs with failed operations follow.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-	sed -n '2,17s/^# \{0,1\}//p' "${BASH_SOURCE[0]}" >&2
+	sed -n '2,20s/^# \{0,1\}//p' "${BASH_SOURCE[0]}" >&2
 	exit 2
 fi
 parent_ref=$1
@@ -33,15 +36,14 @@ root=$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)
 work=${ABPAIRS_DIR:-$root/.bench_build/abpairs}
 parent=$work/parent
 mkdir -p "$work"
-rm -f "$work"/parent-*.json "$work"/change-*.json
+rm -f "$work"/parent-*.json "$work"/change-*.json "$work/host.txt"
 
-cleanup() {
-	git -C "$root" worktree remove --force "$parent" 2>/dev/null || true
-	git -C "$root" worktree prune
-}
+cleanup() { rm -rf "$parent" "$work/spinratio"; }
 trap cleanup EXIT
-cleanup # a worktree left behind by an interrupted run
-git -C "$root" worktree add --quiet --detach "$parent" "$parent_ref"
+cleanup # a copy left behind by an interrupted run
+mkdir -p "$parent"
+git -C "$root" archive "$parent_ref" | tar -x -C "$parent"
+(cd "$root" && GOFLAGS=-buildvcs=false go build -o "$work/spinratio" ./scripts/spinratio)
 
 # run_side <checkout> <side> <pair> [run.sh flags]: one one-run document.
 run_side() {
@@ -54,6 +56,7 @@ run_side() {
 }
 
 for ((pair = 1; pair <= pairs; pair++)); do
+	echo "pair $pair: $("$work/spinratio")" | tee -a "$work/host.txt" >&2
 	if [ $((pair % 2)) -eq 1 ]; then
 		run_side "$parent" parent "$pair" "$@"
 		run_side "$root" change "$pair" "$@"
@@ -83,6 +86,10 @@ jq -rn --slurpfile p "$work/parent.json" --slurpfile c "$work/change.json" \
 	| [range(0; $pv | length)
 		| select(if $m.better == "higher" then $cv[.] > $pv[.] else $cv[.] < $pv[.] end)]
 	| "\($w)\t\($m.name)\t\(length)/\($pv | length)"'
+
+echo
+echo "host before each pair (1.0 = two free cores):"
+cat "$work/host.txt"
 
 echo
 for side in parent change; do
