@@ -1,14 +1,16 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 
 	"bonsai/internal/core"
+	"bonsai/internal/pagetable"
+	"bonsai/internal/physmem"
+	"bonsai/internal/rcu"
 	"bonsai/internal/stats"
-	"bonsai/internal/vm"
-	"bonsai/internal/vma"
 )
 
 // weightAblation sweeps the BONSAI weight parameter (§3.1: bounded-
@@ -40,13 +42,16 @@ func weightAblation() {
 	fmt.Println()
 }
 
-// mmapCacheAblation measures the §6 mmap cache: with one thread it
-// hits almost always; with many threads faulting on different regions
-// its hit rate collapses ("below 1% in our benchmarks"), which is why
-// the RCU designs disable it.
+// mmapCacheAblation measures the §6 mmap cache — the one-entry
+// last-VMA cache stock Linux keeps in front of the region tree: with one
+// thread it hits almost always; with many threads faulting on different
+// regions its hit rate collapses ("below 1% in our benchmarks"), which
+// is why the RCU designs disable it. The cache is the lookup rule the
+// lock-based designs' fault path uses, run here over a BONSAI tree of
+// regions directly.
 func mmapCacheAblation() {
 	t := &stats.Table{
-		Title:   "Ablation: mmap cache hit rate (§6), PureRCU with the cache forced on",
+		Title:   "Ablation: mmap cache hit rate (§6), one-entry cache in front of the region tree",
 		Columns: []string{"Workload", "hits", "misses", "hit rate"},
 	}
 
@@ -54,46 +59,33 @@ func mmapCacheAblation() {
 	// deterministically: the "8 threads" row issues the globally
 	// interleaved fault sequence that 8 threads walking 8 regions
 	// produce, which is what the single shared cache actually observes.
+	const regionPages = 64
 	measure := func(name string, regions int) {
-		as, err := vm.New(vm.Config{Design: vm.PureRCU, CPUs: 1, MmapCache: vm.MmapCacheOn})
-		if err != nil {
-			fmt.Println(err)
-			return
+		const size = regionPages * pagetable.PageSize
+		base := func(i int) uint64 { return uint64(i) * size }
+		tree := core.New[uint64]() // region start -> end
+		for i := 0; i < regions; i++ {
+			tree.Insert(base(i), base(i)+size)
 		}
-		defer as.Close()
-		bases := make([]uint64, regions)
-		for i := range bases {
-			// Alternate Exec so adjacent regions stay distinct VMAs
-			// instead of merging.
-			prot := vma.ProtRead | vma.ProtWrite
-			if i%2 == 1 {
-				prot |= vma.ProtExec
-			}
-			b, err := as.Mmap(0, 64*vm.PageSize, prot, 0, nil, 0)
-			if err != nil {
-				fmt.Println(err)
-				return
-			}
-			bases[i] = b
-		}
-		cpu := as.NewCPU(0)
-		for p := 0; p < 64; p++ {
+		var cacheLo, cacheHi uint64 // the cached region; empty while lo == hi
+		var hits, misses uint64
+		for p := 0; p < regionPages; p++ {
 			for r := 0; r < 8; r++ { // refaults within each page
-				for _, base := range bases { // interleave across "threads"
-					_ = cpu.Fault(base+uint64(p)*vm.PageSize, true)
+				for i := 0; i < regions; i++ { // interleave across "threads"
+					addr := base(i) + uint64(p)*pagetable.PageSize
+					if cacheLo <= addr && addr < cacheHi {
+						hits++
+						continue
+					}
+					misses++
+					cacheLo, cacheHi, _ = tree.Floor(addr)
 				}
 			}
 		}
-		st := as.Stats()
-		total := st.MmapCacheHits + st.MmapCacheMisses
-		rate := 0.0
-		if total > 0 {
-			rate = float64(st.MmapCacheHits) / float64(total) * 100
-		}
 		t.AddRow(name,
-			stats.FormatFloat(float64(st.MmapCacheHits)),
-			stats.FormatFloat(float64(st.MmapCacheMisses)),
-			fmt.Sprintf("%.1f%%", rate))
+			stats.FormatFloat(float64(hits)),
+			stats.FormatFloat(float64(misses)),
+			fmt.Sprintf("%.1f%%", float64(hits)/float64(hits+misses)*100))
 	}
 
 	measure("1 thread, 1 region", 1)
@@ -106,51 +98,63 @@ func mmapCacheAblation() {
 
 // pteLockAblation compares per-page-table PTE locks against a single
 // shared PTE lock (§2/§4.1: fine-grained per-table locks keep faults to
-// addresses more than 2 MB apart contention-free).
+// addresses more than 2 MB apart contention-free). Workers fill base
+// PTEs into page tables built directly, the fault path's fill protocol
+// without the VMA lookup around it (a VM fault on an aligned 2 MB
+// region would install one huge entry and take no PTE lock at all).
 func pteLockAblation() {
+	const workers = 4
 	t := &stats.Table{
-		Title:   "Ablation: PTE locking granularity (4 threads faulting distinct 2 MB regions)",
-		Columns: []string{"Configuration", "faults", "locks used", "acquisitions/lock"},
+		Title:   "Ablation: PTE locking granularity (4 threads filling distinct 2 MB regions)",
+		Columns: []string{"Configuration", "PTE fills", "locks used", "acquisitions/lock", "contended"},
 	}
 	for _, single := range []bool{false, true} {
-		as, err := vm.New(vm.Config{Design: vm.PureRCU, CPUs: 4, SinglePTELock: single})
+		alloc := physmem.New(physmem.Config{Frames: 1 << 14, CPUs: workers})
+		dom := rcu.NewDomain(rcu.Options{BatchSize: -1}) // fills retire nothing
+		tables, err := pagetable.New(alloc, dom, 0, pagetable.Config{SinglePTELock: single, CPUs: workers})
 		if err != nil {
 			fmt.Println(err)
 			return
 		}
-		base, err := as.Mmap(0, 4*512*vm.PageSize, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
-		if err != nil {
-			fmt.Println(err)
-			return
-		}
+		errs := make([]error, workers)
 		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
+		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
-				cpu := as.NewCPU(id)
 				// Each worker stays inside its own leaf page table.
-				region := base + uint64(id)*512*vm.PageSize
-				for p := 0; p < 512; p++ {
-					_ = cpu.Fault(region+uint64(p)*vm.PageSize, true)
+				region := uint64(id+1) * pagetable.TableSpan
+				for p := uint64(0); p < pagetable.EntriesPerTable; p++ {
+					addr := region + p*pagetable.PageSize
+					pt, err := tables.EnsureTable(id, addr)
+					if err == nil {
+						_, _, err = tables.FillPTE(addr, pt, nil, func() (uint64, error) {
+							f, err := alloc.Alloc(id)
+							return pagetable.MakePTE(f, true), err
+						})
+					}
+					if err != nil {
+						errs[id] = err
+						return
+					}
 				}
 			}(w)
 		}
 		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			fmt.Println(err)
+			return
+		}
 		name := "per-page-table PTE locks"
+		locks := uint64(workers) // one leaf table per 2 MB region
 		if single {
-			name = "single shared PTE lock"
+			name, locks = "single shared PTE lock", 1
 		}
-		st := as.Stats()
-		acq, _ := as.Tables().PTELockStats()
-		locks := uint64(4) // one leaf table per 2 MB region
-		if single {
-			locks = 1
-		}
-		t.AddRow(name, stats.FormatFloat(float64(st.Faults)),
+		acq, contended := tables.PTELockStats()
+		t.AddRow(name, stats.FormatFloat(float64(tables.Stats().PTEsFilled)),
 			stats.FormatFloat(float64(locks)),
-			stats.FormatFloat(float64(acq/locks)))
-		as.Close()
+			stats.FormatFloat(float64(acq/locks)),
+			stats.FormatFloat(float64(contended)))
 	}
 	fmt.Println(t)
 	fmt.Println("Per-table locks spread the fill traffic over one lock per 2 MB region, so")

@@ -69,8 +69,8 @@ type SoakTenantReport struct {
 	MaxCharged          int64  `json:"max_charged"`
 }
 
-// SoakReport is the outcome of a soak run, JSON-marshalable for the
-// benchmark trajectory.
+// SoakReport is the outcome of a soak run, JSON-marshalable (cmd/soak
+// prints it).
 type SoakReport struct {
 	Seed        uint64 `json:"seed"`
 	DurationMS  int64  `json:"duration_ms"`

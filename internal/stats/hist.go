@@ -75,8 +75,8 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 }
 
 // LatencyStats is a JSON-ready percentile snapshot of a LatencyHist,
-// the shape every latency surface (vm.StatsSnapshot, machine.Snapshot,
-// benchjson) reports.
+// the shape every latency surface (vm.StatsSnapshot, machine.Snapshot)
+// reports.
 type LatencyStats struct {
 	Count  uint64 `json:"count"`
 	P50Ns  int64  `json:"p50_ns"`

@@ -75,9 +75,13 @@ func TestConcurrentFaultsSamePages(t *testing.T) {
 // mapping) or report ErrSegv — never corrupt state. Afterward, the
 // unmapped range must have no translations: "a race between an unmap
 // operation and a page fault could result in a page being mapped in an
-// otherwise unmapped region" is the failure this asserts against.
+// otherwise unmapped region" is the failure this asserts against. A
+// small RCU batch keeps grace periods running under the storm: the
+// mapper retires frames while faulters sit in read sections, the
+// interleaving that deadlocked when munmap waited out grace periods
+// inline.
 func TestFaultsDuringMunmap(t *testing.T) {
-	forEachDesign(t, Config{CPUs: 4}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 4, RCUBatch: 64}, func(t *testing.T, as *AddressSpace) {
 		const pages = 512
 		base := mustMmap(t, as, 0, pages*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 
@@ -143,6 +147,9 @@ func TestFaultsDuringMunmap(t *testing.T) {
 		}
 		if faultsOK.Load() == 0 {
 			t.Error("no fault ever succeeded during the storm")
+		}
+		if as.dom.Stats().Defers == 0 {
+			t.Error("the storm retired nothing through the RCU domain")
 		}
 		t.Logf("faults ok=%d segv=%d retries=%+v",
 			faultsOK.Load(), faultsSegv.Load(), as.Stats().Retries())

@@ -27,8 +27,8 @@ func TestNoShootdownDelayField(t *testing.T) {
 // adding a knob (or dropping one) is a deliberate edit of this list.
 func TestConfigFieldSet(t *testing.T) {
 	want := []string{
-		"Design", "CPUs", "Frames", "Backing", "MmapCache", "SinglePTELock",
-		"RCUBatch", "MaxStackGrowth", "MaxFamily", "RangeLocks",
+		"Design", "CPUs", "Frames", "Backing", "RCUBatch",
+		"MaxStackGrowth", "MaxFamily", "RangeLocks",
 		"ShootdownBase", "ShootdownPerCore", "LowWater", "HighWater",
 		"ReclaimBatch", "NoTHP", "THPScanInterval",
 	}

@@ -542,10 +542,9 @@ func (as *AddressSpace) Translate(addr uint64) (uint64, bool) {
 }
 
 // lookup is the fast path's VMA lookup: the region tree, behind the
-// mmap cache (§6) where that is on. In the RCU designs it is on only
-// as the §6 ablation — every fault then writes the shared cache line,
-// which is exactly the coherence cost the paper measured before
-// disabling it.
+// mmap cache (§6) in the lock-based designs. The RCU designs run
+// without it: every miss writes the shared cache line, the coherence
+// cost the paper measured before disabling it.
 func (c *CPU) lookup(page uint64) *vma.VMA {
 	as := c.as
 	if as.mmapCacheOn {

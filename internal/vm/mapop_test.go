@@ -2,6 +2,7 @@ package vm
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"bonsai/internal/race"
@@ -10,25 +11,74 @@ import (
 	"bonsai/internal/vma"
 )
 
-// churnCycle is one cycle of the benchmark's map_churn workload: map a
+// mapCycle is one cycle of the benchmark's map_churn workload: map a
 // 64-page arena at a fixed address, fault four pages in, write-protect
 // them, unmap the arena.
-func churnCycle(t testing.TB, as *AddressSpace, cpu *CPU, base uint64) {
+func mapCycle(as *AddressSpace, cpu *CPU, base uint64) error {
 	const arena, touched = 64 * PageSize, 4
 	if _, err := as.Mmap(base, arena, vma.ProtRead|vma.ProtWrite, vma.Fixed, nil, 0); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	for p := uint64(0); p < touched; p++ {
 		if err := cpu.Fault(base+p*PageSize, true); err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
 	if err := as.Mprotect(base, touched*PageSize, vma.ProtRead); err != nil {
+		return err
+	}
+	return as.Munmap(base, arena)
+}
+
+// churnCycle runs one mapCycle on the test's own goroutine.
+func churnCycle(t testing.TB, as *AddressSpace, cpu *CPU, base uint64) {
+	t.Helper()
+	if err := mapCycle(as, cpu, base); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.Munmap(base, arena); err != nil {
-		t.Fatal(err)
+}
+
+// TestDisjointArenasAllDesigns runs map_churn's shape under every
+// policy: workers cycling on private arenas 1 GiB apart. The
+// range-locked policies run those operations side by side, and none may
+// wait on a range conflict; the global-semaphore policies serialize them
+// and acquire no range; every policy counts every operation and ends
+// with no region left.
+func TestDisjointArenasAllDesigns(t *testing.T) {
+	const workers = 4
+	rounds := 50
+	if testing.Short() {
+		rounds = 10
 	}
+	forEachDesign(t, Config{CPUs: workers}, func(t *testing.T, as *AddressSpace) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(cpu *CPU, base uint64) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					if err := mapCycle(as, cpu, base); err != nil {
+						t.Errorf("arena %#x: %v", base, err)
+						return
+					}
+				}
+			}(as.NewCPU(w), UnmappedBase+uint64(w+1)<<30)
+		}
+		wg.Wait()
+		want := uint64(workers * rounds)
+		if st := as.Stats(); st.Mmaps != want || st.Mprotects != want || st.Munmaps != want {
+			t.Errorf("mmaps/mprotects/munmaps = %d/%d/%d, want %d each", st.Mmaps, st.Mprotects, st.Munmaps, want)
+		}
+		if n := as.RegionCount(); n != 0 {
+			t.Errorf("%d regions left after every arena was unmapped", n)
+		}
+		switch rst := as.RangeStats(); {
+		case as.RangeLocked() && (rst.Acquires == 0 || rst.Conflicts != 0):
+			t.Errorf("disjoint arenas: %d range acquisitions, %d conflicts; want some and none", rst.Acquires, rst.Conflicts)
+		case !as.RangeLocked() && rst.Acquires != 0:
+			t.Errorf("global-semaphore policy recorded %d range acquisitions", rst.Acquires)
+		}
+	})
 }
 
 // TestMapCycleAllocs holds a mapping operation to its allocation

@@ -97,8 +97,8 @@ func (as *AddressSpace) collectOverlaps(op *opCtx, lo, hi uint64) []*vma.VMA {
 // transaction op has built to the region tree — one hold of the index's
 // writer lock for the whole operation — and empties it, and drops the
 // mmap cache, which may hold a VMA the operation deleted or trimmed
-// (with the cache off, the RCU designs' default, that shared line is
-// never written).
+// (the RCU designs run without the cache, so they never write that
+// shared line).
 func (as *AddressSpace) commit(op *opCtx) {
 	if len(op.edits) > 0 {
 		as.idx.edit(op.slot, op.edits)

@@ -236,8 +236,8 @@ func TestRangeLockConcurrentGapSearch(t *testing.T) {
 }
 
 // TestRangeLocksOffBaseline: RangeLocksOff must fall back to the
-// global semaphore with identical semantics — it is the benchmark
-// baseline configuration.
+// global semaphore with identical semantics — it is the configuration
+// the paper describes.
 func TestRangeLocksOffBaseline(t *testing.T) {
 	for _, d := range rcuDesigns {
 		d := d

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -115,6 +116,56 @@ func TestEvictionFaultStorm(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMemoryPressureAllDesigns is the reclaim subsystem's acceptance
+// gate: with the frame pool at half the file working set, two sibling
+// spaces' workers sweep the whole file, each from its own rotation, so
+// steady state is continuous reclaim. Under every policy no fault may
+// fail — never out-of-memory while clean cache pages exist — pages must
+// be evicted, written back and refaulted, and Close must find every
+// frame.
+func TestMemoryPressureAllDesigns(t *testing.T) {
+	const spaces, workers = 2, 2
+	filePages, rounds := 256, 3
+	if testing.Short() {
+		filePages, rounds = 128, 2
+	}
+	cfg := Config{CPUs: workers, MaxFamily: spaces, Backing: true, Frames: uint64(filePages) / 2}
+	forEachDesign(t, cfg, func(t *testing.T, as *AddressSpace) {
+		file := vma.NewFile("pressure.dat", 11)
+		var wg sync.WaitGroup
+		for si, sp := range []*AddressSpace{as, sibling(t, as)} {
+			base, err := sp.Mmap(0, uint64(filePages)*PageSize, vma.ProtRead|vma.ProtWrite, vma.Shared, file, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(cpu *CPU, rot int) {
+					defer wg.Done()
+					for r := 0; r < rounds; r++ {
+						for i := 0; i < filePages; i++ {
+							p := uint64((rot + i) % filePages)
+							if err := cpu.Fault(base+p*PageSize, p%4 == 0); err != nil {
+								t.Errorf("space %d fault page %d: %v", si, p, err)
+								return
+							}
+						}
+					}
+				}(sp.NewCPU(w), (si*workers+w)*filePages/(spaces*workers))
+			}
+		}
+		wg.Wait()
+		st := as.Stats()
+		if st.PageCacheEvictions == 0 || st.PageCacheRefaults == 0 || st.PageCacheWritebacks == 0 {
+			t.Errorf("evictions/refaults/writebacks = %d/%d/%d with the pool at half the working set, want all nonzero",
+				st.PageCacheEvictions, st.PageCacheRefaults, st.PageCacheWritebacks)
+		}
+		if st.PageCacheResident > int64(filePages)/2 {
+			t.Errorf("resident %d pages exceeds the frame pool %d", st.PageCacheResident, filePages/2)
+		}
+	})
 }
 
 // TestPressureWritebackIntegrity: stores survive eviction. A Shared

@@ -141,16 +141,6 @@ func (s Stats) Retries() uint64 {
 	return s.RetriesMiss + s.RetriesFillRace + s.RetriesCow
 }
 
-// PagesPerFlush returns the mean shootdown batch size — how many
-// revoked translations each flush covered. The per-page pre-gather
-// pipeline pinned this at 1; batching pushes it toward the zap sizes.
-func (s Stats) PagesPerFlush() float64 {
-	if s.TLBFlushes == 0 {
-		return 0
-	}
-	return float64(s.TLBPagesFlushed) / float64(s.TLBFlushes)
-}
-
 // Stats returns a snapshot of the address space's counters.
 func (as *AddressSpace) Stats() Stats {
 	pc := as.PageCacheStats()

@@ -176,19 +176,6 @@ func oomError(err error) error {
 	return ErrNoMemory
 }
 
-// MmapCacheMode controls the per-address-space mmap cache (§6).
-type MmapCacheMode int
-
-// Cache modes. The default follows the paper: enabled for the lock-based
-// designs (as in stock Linux), disabled for the RCU designs, whose
-// page-fault handlers must not write shared cache lines.
-const (
-	MmapCacheDefault MmapCacheMode = iota
-	// MmapCacheOn forces the cache on in the RCU designs too (the §6
-	// ablation): every fault then writes its shared line.
-	MmapCacheOn
-)
-
 // RangeLockMode controls how memory-mapping operations exclude one
 // another. The paper leaves every mapping operation serialized on the
 // global mmap_sem ("mmap, munmap, and mprotect are still serialized
@@ -223,11 +210,6 @@ type Config struct {
 	// Backing gives pages real data buffers (required by ReadBytes and
 	// WriteBytes).
 	Backing bool
-	// MmapCache controls the mmap cache (§6).
-	MmapCache MmapCacheMode
-	// SinglePTELock shares one PTE lock across all page tables
-	// (ablation; §2).
-	SinglePTELock bool
 	// RCUBatch is the rcu.Domain batch size. Zero means the default.
 	RCUBatch int
 	// MaxStackGrowth bounds how far below a Stack VMA a fault may grow
@@ -251,9 +233,9 @@ type Config struct {
 	// acknowledgement per core that may hold a live translation. This
 	// is the same cost shape internal/sim's analytical model uses
 	// (sim.Params.ShootdownBase/ShootdownPerCore, in cycles), so the
-	// executable paths and the model share parameters. The
-	// disjoint-mapping benchmarks use it to reproduce the paper's
-	// long-holder regime; zero (the default) disables the charge.
+	// executable paths and the model share parameters. The range-lock
+	// tests use it to reproduce the paper's long-holder regime; zero (the
+	// default) disables the charge.
 	ShootdownBase, ShootdownPerCore time.Duration
 	// LowWater and HighWater are the reclaim watermarks in frames:
 	// below LowWater free frames the background reclaimer wakes and
@@ -580,8 +562,7 @@ func newMember(cfg Config, fam *family) (*AddressSpace, error) {
 	as.mapCPU = as.physCPU(cfg.CPUs)
 	as.stats.init(cfg.CPUs)
 	as.tables, err = pagetable.New(as.alloc, as.dom, as.mapCPU, pagetable.Config{
-		SinglePTELock: cfg.SinglePTELock,
-		CPUs:          cfg.CPUs + 1, // the fault contexts plus mapCPU, contiguous from physCPU(0)
+		CPUs: cfg.CPUs + 1, // the fault contexts plus mapCPU, contiguous from physCPU(0)
 	})
 	if err != nil {
 		fam.live.Add(-1)
@@ -590,9 +571,10 @@ func newMember(cfg Config, fam *family) (*AddressSpace, error) {
 	}
 	as.sy.init(cfg, as.dom)
 	as.idx = as.sy.idx
-	// Paper §6: the RCU designs disable the mmap cache because
-	// maintaining it would make every fault write a shared line.
-	as.mmapCacheOn = cfg.MmapCache == MmapCacheOn || !cfg.Design.UsesRCU()
+	// Paper §6: the lock-based designs keep stock Linux's mmap cache; the
+	// RCU designs disable it because maintaining it would make every
+	// fault write a shared line (cmd/asplos12's ablation measures why).
+	as.mmapCacheOn = !cfg.Design.UsesRCU()
 	fam.membersMu.Lock()
 	fam.members[as] = struct{}{}
 	fam.membersMu.Unlock()

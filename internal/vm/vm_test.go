@@ -398,7 +398,7 @@ func TestReadWriteBytes(t *testing.T) {
 }
 
 func TestMmapCacheBehaviour(t *testing.T) {
-	// Default: on for lock designs, off for RCU designs (§6).
+	// On for lock designs, off for RCU designs (§6).
 	for _, d := range Designs {
 		as, err := New(Config{Design: d, CPUs: 1})
 		if err != nil {
@@ -414,7 +414,7 @@ func TestMmapCacheBehaviour(t *testing.T) {
 		st := as.Stats()
 		if d.UsesRCU() {
 			if st.MmapCacheHits+st.MmapCacheMisses != 0 {
-				t.Errorf("%v: mmap cache active by default", d)
+				t.Errorf("%v: mmap cache active", d)
 			}
 		} else {
 			if st.MmapCacheHits < 14 {
@@ -424,24 +424,6 @@ func TestMmapCacheBehaviour(t *testing.T) {
 		if err := as.Close(); err != nil {
 			t.Error(err)
 		}
-	}
-	// Override: force it on for PureRCU.
-	as, err := New(Config{Design: PureRCU, CPUs: 1, MmapCache: MmapCacheOn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu := as.NewCPU(0)
-	base := mustMmap(t, as, 0, 4*PageSize, vma.ProtRead, 0)
-	for i := uint64(0); i < 4; i++ {
-		if err := cpu.Fault(base+i*PageSize, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := as.Stats(); st.MmapCacheHits == 0 {
-		t.Error("forced-on cache never hit")
-	}
-	if err := as.Close(); err != nil {
-		t.Error(err)
 	}
 }
 
