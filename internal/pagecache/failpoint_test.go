@@ -108,14 +108,14 @@ func TestEvictionRevertsOnRetryableWriteback(t *testing.T) {
 	}
 	// Force: ignore the accessed bit, so only the writeback failure can
 	// save the page.
-	if ev, _ := c.ReclaimScan(1, true, nil); ev != 0 {
+	if ev, _ := scan(c, 1, true); ev != 0 {
 		t.Fatalf("evicted %d pages past a failed writeback", ev)
 	}
 	if c.Lookup(0) != pg || pg.Deleted() || !pg.Dirty() {
 		t.Fatalf("aborted eviction left page=%v deleted=%v dirty=%v", c.Lookup(0), pg.Deleted(), pg.Dirty())
 	}
 	fail.DisableAll()
-	ev, written := c.ReclaimScan(1, true, nil)
+	ev, written := scan(c, 1, true)
 	if ev != 1 || written != 1 {
 		t.Fatalf("post-heal scan: evicted=%d written=%d, want 1,1", ev, written)
 	}
@@ -140,7 +140,7 @@ func TestEvictionProceedsOnStickyWriteback(t *testing.T) {
 	if err := fail.Enable(5, "pagecache.wb-sticky", fail.Config{OneIn: 1}); err != nil {
 		t.Fatal(err)
 	}
-	ev, written := c.ReclaimScan(1, true, nil)
+	ev, written := scan(c, 1, true)
 	if ev != 1 || written != 0 {
 		t.Fatalf("sticky-failure scan: evicted=%d written=%d, want 1,0", ev, written)
 	}

@@ -23,7 +23,8 @@
 //   - Drop removes pages from the cache and releases the cache's own
 //     reference after a grace period, so a concurrent lock-free faulter
 //     that found the page can still safely take its mapping reference
-//     inside its read-side critical section.
+//     inside its read-side critical section. Eviction releases it the
+//     same way, but through the scan's TLB gather (below).
 //
 // Lookup/FindOrCreate callers MUST therefore be inside an RCU read-side
 // critical section of the cache's domain: the grace period is what
@@ -35,15 +36,20 @@
 // PTEs mapping it, maintained under the page's own rmap mutex by the
 // VM fault and zap paths (per page, not per file, so concurrent
 // installs of different pages never contend) — plus an accessed bit
-// the lock-free lookup paths set. ReclaimScan uses them to run a
-// clock/second-chance eviction pass: revoke each candidate's PTEs
-// through the rmap (no cache mutex held, so the lock order against
-// faulting — PTE lock, then cache/rmap mutex — is never inverted),
-// write dirty pages back to the cache's store, and unlink the page
-// exactly like Drop. Revocations feed the caller's TLB gather
-// (internal/tlb): the revoked PTEs' frame references release after the
-// caller flushes the batch — one shootdown charge per scan, not per
-// page. Rmap entries are generation-stamped so the scan's deferred
+// the lock-free lookup paths set. The reverse map is two inline slots
+// and an overflow map made only for a third mapping, so installing and
+// zapping a page's usual one or two mappings compares words and
+// allocates nothing. ReclaimScan uses them to run a clock/second-chance
+// eviction pass: revoke each candidate's PTEs through the rmap (no
+// cache mutex held, so the lock order against faulting — PTE lock, then
+// cache/rmap mutex — is never inverted), write dirty pages back to the
+// cache's store, and unlink the page like Drop. Everything the scan
+// releases goes into the caller's TLB gather (internal/tlb): first the
+// revoked PTEs' frame references, then each evicted page's own cache
+// reference. The caller's one flush pays one shootdown for the batch
+// and only then queues one RCU callback that returns every frame in one
+// FreeBatch, so no evicted frame is reusable before its shootdown.
+// Rmap entries are generation-stamped so the scan's deferred
 // bookkeeping can never delete an entry a concurrent refault re-added
 // for the same (owner, vaddr) slot.
 package pagecache
@@ -115,13 +121,6 @@ type MappingOwner interface {
 	EvictPTE(g *tlb.Gather, vaddr uint64, f physmem.Frame) bool
 }
 
-// mapping is one rmap key: a PTE slot identified by its address space
-// and virtual address.
-type mapping struct {
-	owner MappingOwner
-	vaddr uint64
-}
-
 // Page is one resident file page. Its frame is stable for the Page's
 // lifetime; the deleted mark is set (under the page's rmap mutex) when
 // the page is dropped or evicted, and is what lock-free faulters
@@ -147,12 +146,13 @@ type Page struct {
 	// bookkeeping); never the other way around.
 	rmapMu sync.Mutex
 
-	// rmap maps each PTE mapping this page to the generation at which
-	// it was added. The generation lets the reclaim scan delete exactly
-	// the incarnation it revoked: a refault that re-adds the same
-	// (owner, vaddr) slot gets a fresh generation, so the scan's
-	// deferred delete leaves it alone.
-	rmap    map[mapping]uint64
+	// rmap holds each PTE mapping this page with the generation at
+	// which it was added (two inline slots, an overflow map only for a
+	// third mapping; see rmapSet). The generation lets the reclaim scan
+	// delete exactly the incarnation it revoked: a refault that re-adds
+	// the same (owner, vaddr) slot gets a fresh generation, so the
+	// scan's deferred delete leaves it alone.
+	rmap    rmapSet
 	rmapGen uint64
 }
 
@@ -200,11 +200,8 @@ func (p *Page) AddMapping(owner MappingOwner, vaddr uint64) bool {
 	if p.deleted.Load() {
 		return false
 	}
-	if p.rmap == nil {
-		p.rmap = make(map[mapping]uint64, 4)
-	}
 	p.rmapGen++
-	p.rmap[mapping{owner, vaddr}] = p.rmapGen
+	p.rmap.set(mapping{owner, vaddr}, p.rmapGen)
 	return true
 }
 
@@ -214,7 +211,7 @@ func (p *Page) AddMapping(owner MappingOwner, vaddr uint64) bool {
 // against the reclaim scan removing the entry it revoked.
 func (p *Page) RemoveMapping(owner MappingOwner, vaddr uint64) {
 	p.rmapMu.Lock()
-	delete(p.rmap, mapping{owner, vaddr})
+	p.rmap.remove(mapping{owner, vaddr}, 0)
 	p.rmapMu.Unlock()
 }
 
@@ -223,7 +220,7 @@ func (p *Page) RemoveMapping(owner MappingOwner, vaddr uint64) {
 func (p *Page) Mapped() int {
 	p.rmapMu.Lock()
 	defer p.rmapMu.Unlock()
-	return len(p.rmap)
+	return p.rmap.len()
 }
 
 // MappedBy reports whether owner's PTE at vaddr is registered in the
@@ -232,8 +229,7 @@ func (p *Page) Mapped() int {
 func (p *Page) MappedBy(owner MappingOwner, vaddr uint64) bool {
 	p.rmapMu.Lock()
 	defer p.rmapMu.Unlock()
-	_, ok := p.rmap[mapping{owner, vaddr}]
-	return ok
+	return p.rmap.get(mapping{owner, vaddr}) != 0
 }
 
 // markDeletedLocked sets the deleted mark under the rmap mutex, so it
@@ -331,6 +327,14 @@ type Cache struct {
 	// own pace: an over-limit tenant's scan neither advances the global
 	// hand nor steals second chances from its neighbors' pages.
 	clockHands map[*physmem.Account]uint64
+
+	// cands and snap are the reclaim scan's working memory, reused from
+	// scan to scan: one batch's candidates and one flat snapshot of their
+	// reverse maps (candidate i's entries are snap[cands[i].lo:cands[i].hi]).
+	// The scan lock every ReclaimScan caller holds guards them, not mu:
+	// the revocation phase reads them with mu released.
+	cands []scanCandidate
+	snap  []rmapEntry
 
 	// evictedOffs tracks offsets removed by eviction (not Drop) so the
 	// next fill of the same page counts as a refault. Guarded by mu.
@@ -663,16 +667,21 @@ func (c *Cache) unlinkLocked(off uint64) {
 // ReclaimScan runs one clock/second-chance eviction pass over the
 // resident set, starting at the clock hand, and tries to evict up to
 // batch pages. The caller must (a) hold the machine's reclaim scan
-// lock — scans never run concurrently with each other — and (b) be
-// inside an RCU read-side critical section of the cache's domain,
-// because revoking mappings walks page tables lock-free. When force is
-// set the accessed bit is ignored (direct reclaim's progress
-// guarantee); otherwise a set bit buys the page one more pass.
-// Revoked translations accumulate in g, the reclaim driver's batch
-// gather; the driver flushes it once after the whole batch — one
-// shootdown charge per scan instead of one per page, the way the
-// kernel's try_to_unmap batches its IPIs. g may be nil only if no
-// page can have a reverse mapping (rmap-free unit tests).
+// lock — scans never run concurrently with each other, and they share
+// the cache's scan scratch — and (b) be inside an RCU read-side
+// critical section of the cache's domain, because revoking mappings
+// walks page tables lock-free. When force is set the accessed bit is
+// ignored (direct reclaim's progress guarantee); otherwise a set bit
+// buys the page one more pass.
+//
+// g is the reclaimer's batch gather, and it must not be nil. The scan
+// feeds it every translation it revokes and then every evicted page's
+// own cache reference; the reclaimer flushes it once after the whole
+// batch. That is one shootdown charge per scan instead of one per page,
+// the way the kernel's try_to_unmap batches its IPIs, and one RCU
+// callback and one FreeBatch for all the batch's frames. It also orders
+// the frees after the shootdown: an evicted frame becomes allocatable
+// only after the flush and a grace period.
 //
 // The scan runs in three phases so the fault path's lock order (PTE
 // lock, then cache mutex) is never inverted:
@@ -684,12 +693,18 @@ func (c *Cache) unlinkLocked(off uint64) {
 //  3. under the cache mutex again: delete exactly the snapshotted rmap
 //     incarnations, then — if no mapping remains; a refault mid-scan
 //     aborts the eviction — write the page back if dirty, mark it
-//     deleted, unlink it, and defer the cache's frame reference past a
-//     grace period, exactly like Drop.
+//     deleted, unlink it, and hand the cache's frame reference to g.
 //
 // It returns the number of pages evicted and of pages written back.
 func (c *Cache) ReclaimScan(batch int, force bool, g *tlb.Gather) (evicted, written int) {
 	return c.ReclaimScanFor(nil, batch, force, g)
+}
+
+// scanCandidate is one page a reclaim scan picked, with the bounds of
+// its rmap snapshot in the cache's flat snapshot buffer.
+type scanCandidate struct {
+	pg     *Page
+	lo, hi int
 }
 
 // ReclaimScanFor is ReclaimScan restricted to the pages charged to one
@@ -699,18 +714,16 @@ func (c *Cache) ReclaimScan(batch int, force bool, g *tlb.Gather) (evicted, writ
 // bits — their second chances — untouched. Locking and phase structure
 // are identical to ReclaimScan.
 func (c *Cache) ReclaimScanFor(acct *physmem.Account, batch int, force bool, g *tlb.Gather) (evicted, written int) {
-	type snapEntry struct {
-		m   mapping
-		gen uint64
-	}
-	type candidate struct {
-		pg   *Page
-		maps []snapEntry
-	}
-
 	if batch <= 0 {
 		return 0, 0
 	}
+	// The scratch keeps its capacity from scan to scan; its pointers are
+	// cleared on the way out so it pins no evicted page or closed space.
+	defer func() {
+		clear(c.cands)
+		clear(c.snap)
+		c.cands, c.snap = c.cands[:0], c.snap[:0]
+	}()
 
 	// Phase 1: candidate selection at the clock hand. The pruned radix
 	// walk starts at the hand's subtree and stops as soon as the batch
@@ -719,19 +732,16 @@ func (c *Cache) ReclaimScanFor(acct *physmem.Account, batch int, force bool, g *
 	// pass over a fully referenced resident set still visits every page
 	// — that is the clock algorithm clearing its bits.
 	c.lock()
-	var cands []candidate
-	setHand := func(off uint64) {
-		if acct == nil {
-			c.clockHand = off
-			return
-		}
-		if c.clockHands == nil {
-			c.clockHands = make(map[*physmem.Account]uint64)
-		}
-		c.clockHands[acct] = off
+	hand := c.clockHand
+	if acct != nil {
+		hand = c.clockHands[acct]
 	}
+	if hand >= MaxOffset {
+		hand = 0
+	}
+	next, moved := hand, false // the hand's new position, stored once
 	examine := func(pg *Page) bool {
-		setHand(pg.off + physmem.PageSize)
+		next, moved = pg.off+physmem.PageSize, true
 		if acct != nil && c.alloc.Owner(pg.frame) != acct {
 			trace.Emit(trace.AuxCPU, trace.EvPageVerdict, c.fileID,
 				pg.off/physmem.PageSize, trace.VerdictSkipped)
@@ -742,21 +752,12 @@ func (c *Cache) ReclaimScanFor(acct *physmem.Account, batch int, force bool, g *
 				pg.off/physmem.PageSize, trace.VerdictSecondChance)
 			return true // referenced since the last pass: second chance
 		}
+		lo := len(c.snap)
 		pg.rmapMu.Lock()
-		maps := make([]snapEntry, 0, len(pg.rmap))
-		for m, gen := range pg.rmap {
-			maps = append(maps, snapEntry{m, gen})
-		}
+		c.snap = pg.rmap.appendTo(c.snap)
 		pg.rmapMu.Unlock()
-		cands = append(cands, candidate{pg, maps})
-		return len(cands) < batch
-	}
-	hand := c.clockHand
-	if acct != nil {
-		hand = c.clockHands[acct]
-	}
-	if hand >= MaxOffset {
-		hand = 0
+		c.cands = append(c.cands, scanCandidate{pg, lo, len(c.snap)})
+		return len(c.cands) < batch
 	}
 	if c.walkFromLocked(c.root, hand, examine) && hand > 0 {
 		c.walkFromLocked(c.root, 0, func(pg *Page) bool {
@@ -766,8 +767,18 @@ func (c *Cache) ReclaimScanFor(acct *physmem.Account, batch int, force bool, g *
 			return examine(pg)
 		})
 	}
+	if moved {
+		if acct == nil {
+			c.clockHand = next
+		} else {
+			if c.clockHands == nil {
+				c.clockHands = make(map[*physmem.Account]uint64)
+			}
+			c.clockHands[acct] = next
+		}
+	}
 	c.mu.Unlock()
-	if len(cands) == 0 {
+	if len(c.cands) == 0 {
 		return 0, 0
 	}
 
@@ -775,31 +786,29 @@ func (c *Cache) ReclaimScanFor(acct *physmem.Account, batch int, force bool, g *
 	// gather. Only PTE locks are taken; a miss (the slot was zapped,
 	// remapped, or COW-broken since the snapshot) is left for phase 3
 	// to disambiguate by generation.
-	for _, cd := range cands {
-		for _, e := range cd.maps {
+	for _, cd := range c.cands {
+		for _, e := range c.snap[cd.lo:cd.hi] {
 			e.m.owner.EvictPTE(g, e.m.vaddr, cd.pg.frame)
 		}
 	}
 
 	// Phase 3: bookkeeping and the evictions themselves.
 	c.lock()
-	for _, cd := range cands {
+	for _, cd := range c.cands {
 		pg := cd.pg
 		pg.rmapMu.Lock()
-		for _, e := range cd.maps {
+		for _, e := range c.snap[cd.lo:cd.hi] {
 			// Delete only the incarnation we snapshotted: either we
 			// revoked its PTE, or a concurrent zap did (its own removal
 			// of the same entry is idempotent). A slot re-added by a
 			// refault carries a newer generation and stays.
-			if cur, ok := pg.rmap[e.m]; ok && cur == e.gen {
-				delete(pg.rmap, e.m)
-			}
+			pg.rmap.remove(e.m, e.gen)
 		}
 		if pg.deleted.Load() {
 			pg.rmapMu.Unlock()
 			continue // raced with Drop
 		}
-		if len(pg.rmap) != 0 {
+		if pg.rmap.len() != 0 {
 			// Refaulted between the phases: the page is in active use;
 			// keep it (its new PTEs were never revoked).
 			pg.rmapMu.Unlock()
@@ -838,7 +847,7 @@ func (c *Cache) ReclaimScanFor(acct *physmem.Account, batch int, force bool, g *
 		}
 		c.evictedOffs[pg.off] = struct{}{}
 		// Record the eviction against the page's charge account before
-		// the deferred free clears the owner stamp. An under-limit
+		// the batch's release clears the owner stamp. An under-limit
 		// account evicted by a scan it did not initiate (acct == nil:
 		// machine-wide; acct != owner: another tenant's drain) is
 		// absorbing someone else's pressure — the cross-tenant fairness
@@ -846,8 +855,11 @@ func (c *Cache) ReclaimScanFor(acct *physmem.Account, batch int, force bool, g *
 		if ac := c.alloc.Owner(pg.frame); ac != nil {
 			ac.NoteEviction(ac != acct)
 		}
-		frame := pg.frame
-		c.dom.Defer(func() { c.alloc.FreeRemote(frame) })
+		// The cache's own reference leaves with the batch, after the
+		// flush that retires the PTEs revoked above and a grace period
+		// (lock-free lookups that found the page may still be taking a
+		// mapping reference; their deleted check sends them back).
+		g.Release(pg.frame)
 		evicted++
 		verdict := trace.VerdictEvicted
 		if wrote {
@@ -980,20 +992,17 @@ func (c *Cache) Audit(resolve func(owner MappingOwner, vaddr uint64) (physmem.Fr
 			}
 		}
 		pg.rmapMu.Lock()
-		maps := make([]mapping, 0, len(pg.rmap))
-		for m := range pg.rmap {
-			maps = append(maps, m)
-		}
+		maps := pg.rmap.appendTo(nil)
 		pg.rmapMu.Unlock()
 		if refs, want := c.alloc.Refs(pg.frame), int32(1+len(maps)); refs != want {
 			errs = append(errs, fmt.Errorf("page %#x: frame %d holds %d references, want %d (cache + %d mappings)",
 				pg.off, pg.frame, refs, want, len(maps)))
 		}
 		if resolve != nil {
-			for _, m := range maps {
-				if f, ok := resolve(m.owner, m.vaddr); !ok || f != pg.frame {
+			for _, e := range maps {
+				if f, ok := resolve(e.m.owner, e.m.vaddr); !ok || f != pg.frame {
 					errs = append(errs, fmt.Errorf("page %#x: rmap entry %#x resolves to frame %d (present=%v), want %d",
-						pg.off, m.vaddr, f, ok, pg.frame))
+						pg.off, e.m.vaddr, f, ok, pg.frame))
 				}
 			}
 		}

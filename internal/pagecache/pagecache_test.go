@@ -23,6 +23,15 @@ func newTestTLB(alloc *physmem.Allocator, dom *rcu.Domain) *tlb.Domain {
 	return tlb.NewDomain(alloc, dom, tlb.CostModel{})
 }
 
+// scan runs one ReclaimScan into a fresh gather of a zero-cost domain
+// and flushes it, as the reclaimer does.
+func scan(c *Cache, batch int, force bool) (evicted, written int) {
+	g := newTestTLB(c.alloc, c.dom).Gather(0)
+	evicted, written = c.ReclaimScan(batch, force, g)
+	g.Flush()
+	return evicted, written
+}
+
 func TestFillLookupHit(t *testing.T) {
 	c, alloc, _ := newTestCache(t, 1)
 	var filled int
@@ -168,8 +177,7 @@ func TestDirtyWriteback(t *testing.T) {
 
 // fakeOwner simulates an address space for rmap tests: a flat
 // vaddr-to-frame "page table". Revocations feed the scan's gather like
-// the real owner's; with a nil gather (rmap-free scans never invoke
-// EvictPTE, but belt and braces) the reference drops synchronously.
+// the real owner's.
 type fakeOwner struct {
 	alloc *physmem.Allocator
 	mu    sync.Mutex
@@ -183,11 +191,7 @@ func (o *fakeOwner) EvictPTE(g *tlb.Gather, vaddr uint64, f physmem.Frame) bool 
 		return false
 	}
 	delete(o.ptes, vaddr)
-	if g != nil {
-		g.Page(vaddr, f)
-	} else {
-		o.alloc.FreeRemote(f)
-	}
+	g.Page(vaddr, f)
 	return true
 }
 
@@ -222,10 +226,10 @@ func TestReclaimSecondChance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ev, _ := c.ReclaimScan(4, false, nil); ev != 0 {
+	if ev, _ := scan(c, 4, false); ev != 0 {
 		t.Fatalf("first pass evicted %d referenced pages", ev)
 	}
-	ev, _ := c.ReclaimScan(4, false, nil)
+	ev, _ := scan(c, 4, false)
 	if ev != 4 {
 		t.Fatalf("second pass evicted %d, want 4", ev)
 	}
@@ -309,7 +313,7 @@ func TestEvictWritebackRoundTrip(t *testing.T) {
 	}
 	alloc.Data(pg.Frame())[0] = 0x22 // a store through a shared mapping
 	pg.MarkDirty()
-	ev, written := c.ReclaimScan(1, true, nil)
+	ev, written := scan(c, 1, true)
 	if ev != 1 || written != 1 {
 		t.Fatalf("evicted=%d written=%d, want 1/1", ev, written)
 	}
@@ -444,5 +448,56 @@ func TestLookupRefDuringDrop(t *testing.T) {
 	dom.Flush()
 	if alloc.InUse() != 0 {
 		t.Fatalf("%d frames leaked", alloc.InUse())
+	}
+}
+
+// TestEvictionReleasesAfterScanFlush: an evicted page's frame — the
+// cache's own reference as much as its revoked PTEs' — is released by
+// the scan gather's flush and the grace period after it, never by a
+// grace period that completes between the scan and the flush. Before
+// the flush the shootdown has not been paid, so a stale translation to
+// the frame may still be cached; the domain is in manual mode so the
+// test decides when grace periods run.
+func TestEvictionReleasesAfterScanFlush(t *testing.T) {
+	alloc := physmem.New(physmem.Config{Frames: 1 << 10, CPUs: 1, Backing: true})
+	dom := rcu.NewDomain(rcu.Options{BatchSize: -1})
+	t.Cleanup(dom.Close)
+	ac := physmem.NewAccount("t", 0)
+	alloc.BindAccount(0, ac)
+	c := New(7, "test.dat#7", alloc, dom, NewRegistry(alloc.NumFrames()))
+
+	o := &fakeOwner{alloc: alloc}
+	mapped := o.install(t, c, o, 0x1000, 0).Frame()
+	pg, err := c.FindOrCreate(0, physmem.PageSize, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unmapped := pg.Frame()
+	if ac.Charged() != 2 {
+		t.Fatalf("charged %d frames, want 2", ac.Charged())
+	}
+
+	g := newTestTLB(alloc, dom).Gather(0)
+	if ev, _ := c.ReclaimScan(2, true, g); ev != 2 {
+		t.Fatalf("evicted %d, want 2", ev)
+	}
+	dom.Synchronize() // a grace period ends before the scan's shootdown
+	if refs := alloc.Refs(mapped); refs != 2 {
+		t.Errorf("mapped frame holds %d references before the flush, want 2 (cache + revoked PTE)", refs)
+	}
+	if !alloc.Allocated(unmapped) {
+		t.Error("unmapped evicted frame freed before the scan's flush")
+	}
+	if ac.Charged() != 2 {
+		t.Errorf("charged %d frames before the flush, want 2", ac.Charged())
+	}
+
+	g.Flush()
+	dom.Synchronize()
+	if alloc.Allocated(mapped) || alloc.Allocated(unmapped) {
+		t.Error("evicted frames still allocated after the flush and a grace period")
+	}
+	if ac.Charged() != 0 || alloc.InUse() != 0 {
+		t.Errorf("after the flush: charged %d, in use %d, want 0 and 0", ac.Charged(), alloc.InUse())
 	}
 }

@@ -268,7 +268,7 @@ func (t *Tables) releaseDirectory(cpu int, d *directory) {
 func (t *Tables) retireStructure(g *tlb.Gather, f physmem.Frame) {
 	t.tablesFreed.Add(1)
 	t.tablesLive.Add(-1)
-	g.Table(f)
+	g.Release(f)
 }
 
 func checkAddr(addr uint64) {

@@ -5,8 +5,9 @@
 //   - the physmem low/high watermarks as the pressure signal,
 //   - a clock/second-chance eviction scan over the machine's registered
 //     page caches (internal/pagecache), which revokes mappings through
-//     each page's reverse map, writes dirty pages back, and defers the
-//     frame frees past an RCU grace period,
+//     each page's reverse map, writes dirty pages back, and hands the
+//     evicted frames to the scan's one TLB gather, which returns them
+//     in one batch after its flush and an RCU grace period,
 //   - a kswapd-style background goroutine that wakes on the low
 //     watermark and evicts until free frames exceed the high one, and
 //   - a direct-reclaim entry point the VM fault and fork paths invoke
@@ -75,11 +76,17 @@ type Reclaimer struct {
 	dom   *rcu.Domain
 	cfg   Config
 
-	// scanMu is the reclaim scan lock (see the package comment). rd and
-	// handCache are only touched under it.
+	// scanMu is the reclaim scan lock (see the package comment). rd,
+	// handCache, g and scanCaches are only touched under it.
 	scanMu    sync.Mutex
 	rd        *rcu.Reader
 	handCache int // round-robin cursor over the cache list
+
+	// g is the scans' batch gather and scanCaches their snapshot of the
+	// cache rotation, both reused from scan to scan: a scan allocates
+	// nothing of its own, however many pages it evicts.
+	g          tlb.Gather
+	scanCaches []*pagecache.Cache
 
 	cachesMu sync.Mutex
 	caches   []*pagecache.Cache
@@ -130,6 +137,7 @@ func New(alloc *physmem.Allocator, dom *rcu.Domain, cfg Config) *Reclaimer {
 		rd:    dom.Register(),
 		stop:  make(chan struct{}),
 	}
+	cfg.TLB.Init(&r.g, 0)
 	r.wg.Add(1)
 	go r.kswapd()
 	return r
@@ -336,16 +344,12 @@ func (r *Reclaimer) reclaim(target int, force bool) (drained, evictedN int) {
 	freed := r.alloc.DrainMagazines()
 	evicted, written := 0, 0
 
-	r.cachesMu.Lock()
-	caches := make([]*pagecache.Cache, len(r.caches))
-	copy(caches, r.caches)
-	r.cachesMu.Unlock()
-
+	caches := r.snapshotCaches()
 	if len(caches) > 0 {
-		// The batch gather: every PTE the scan revokes lands here, and
-		// one flush pays one shootdown for the whole batch (where the
-		// pre-gather code charged per evicted page).
-		g := r.cfg.TLB.Gather(0)
+		// The batch gather: every PTE the scan revokes and every evicted
+		// page's cache reference lands here, and one flush pays one
+		// shootdown and queues one release for the whole batch.
+		g := &r.g
 		r.rd.Lock()
 		// Tenants over their limits pay first: one gentle pass over each
 		// over-limit account's own pages (their private clock hands)
@@ -382,6 +386,7 @@ func (r *Reclaimer) reclaim(target int, force bool) (drained, evictedN int) {
 		// domain flush: the batched release has to be queued for that
 		// grace period to drain it.
 		g.Flush()
+		clear(caches)
 	}
 	r.scanMu.Unlock()
 	elapsed := time.Since(scanStart)
@@ -419,13 +424,10 @@ func (r *Reclaimer) ReclaimAccount(ac *physmem.Account, target int) int {
 		trace.ScanTenant)
 	scanStart := time.Now()
 	contention.Lock(&r.scanMu, "reclaim.scan")
-	r.cachesMu.Lock()
-	caches := make([]*pagecache.Cache, len(r.caches))
-	copy(caches, r.caches)
-	r.cachesMu.Unlock()
+	caches := r.snapshotCaches()
 	evicted, written := 0, 0
 	if len(caches) > 0 {
-		g := r.cfg.TLB.Gather(0)
+		g := &r.g
 		r.rd.Lock()
 		evicted, written = r.scanOnceFor(ac, caches, target, false, g)
 		if evicted == 0 {
@@ -433,6 +435,7 @@ func (r *Reclaimer) ReclaimAccount(ac *physmem.Account, target int) int {
 		}
 		r.rd.Unlock()
 		g.Flush()
+		clear(caches)
 	}
 	r.scanMu.Unlock()
 	elapsed := time.Since(scanStart)
@@ -447,6 +450,17 @@ func (r *Reclaimer) ReclaimAccount(ac *physmem.Account, target int) int {
 		r.dom.Flush()
 	}
 	return evicted
+}
+
+// snapshotCaches copies the cache rotation into the scans' reused slice
+// (a cache unregistered mid-scan is still scanned safely). The caller
+// holds the scan lock and clears the slice when the scan is done, so it
+// keeps no unregistered cache alive.
+func (r *Reclaimer) snapshotCaches() []*pagecache.Cache {
+	r.cachesMu.Lock()
+	r.scanCaches = append(r.scanCaches[:0], r.caches...)
+	r.cachesMu.Unlock()
+	return r.scanCaches
 }
 
 // scanOnce runs one clock pass across the caches, round-robin from the

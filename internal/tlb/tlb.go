@@ -7,7 +7,11 @@
 // A zap operation creates a Gather, accumulates into it while it walks
 // page tables — revoked translations, frames whose references the
 // revocations released, detached page-table structures, bookkeeping
-// callbacks — and then calls Flush exactly once per batch. Flush pays
+// callbacks — and then calls Flush exactly once per batch. A reclaim
+// scan uses one gather for its whole batch the same way: the revoked
+// PTEs of every evicted page and then each evicted page's own cache
+// reference (Release), so however many pages a scan evicts, it queues
+// one RCU callback and returns its frames in one FreeBatch. Flush pays
 // one shootdown charge for the whole batch (Base + PerCore × Cores,
 // the same cost shape internal/sim's analytical model uses for its
 // ShootdownBase/ShootdownPerCore parameters) and only then queues the
@@ -23,6 +27,10 @@
 // in a real kernel, after every core acknowledged the invalidation IPI
 // — and (b) an RCU grace period has elapsed, so lock-free page-table
 // walkers that loaded the PTE before it was cleared have drained too.
+// Every reference to a frame whose translations a batch revokes must
+// therefore ride that batch: a reference handed to the RCU domain on its
+// own, before the flush, could be dropped by a grace period that ends
+// while a stale translation is still cached.
 //
 // Ownership: a Gather is owned by the zapping thread and is not safe
 // for concurrent use. It may be filled while PTE locks are held
@@ -177,10 +185,13 @@ func (g *Gather) Page(addr uint64, f physmem.Frame) {
 // reference to release.
 func (g *Gather) Revoke(n int) { g.pages += n }
 
-// Table records a detached page-table structure. Its frame is released
-// after a grace period — lock-free walkers may still be descending
-// through it — riding the same batched free as the page frames.
-func (g *Gather) Table(f physmem.Frame) {
+// Release records a frame reference that no revoked translation holds:
+// a detached page-table structure (lock-free walkers may still be
+// descending through it) or an evicted page-cache page's own reference
+// (a lock-free lookup may still be taking a mapping reference on it).
+// It is dropped after the batch's flush and grace period, riding the
+// same batched free as the page frames.
+func (g *Gather) Release(f physmem.Frame) {
 	b := g.batch()
 	b.frames = append(b.frames, f)
 }

@@ -483,13 +483,8 @@ func (c *CPU) makeFilePTE(v *vma.VMA, pc *pagecache.Cache, page uint64, write, l
 	}
 	for {
 		pg, err := pc.FindOrCreate(c.id, off, func(frame physmem.Frame) {
-			if !as.cfg.Backing {
-				return
-			}
-			b := v.File().PageByte(off)
-			data := as.alloc.Data(frame)
-			for i := range data {
-				data[i] = b
+			if as.cfg.Backing {
+				v.File().FillPage(as.alloc.Data(frame), off)
 			}
 		})
 		if err != nil {

@@ -1,6 +1,10 @@
 package vma
 
-import "testing"
+import (
+	"testing"
+
+	"bonsai/internal/physmem"
+)
 
 func TestBasics(t *testing.T) {
 	v := New(0x1000, 0x5000, ProtRead|ProtWrite, Anon, nil, 0)
@@ -91,6 +95,24 @@ func TestFilePageByteDeterministic(t *testing.T) {
 	}
 	if same > 32 {
 		t.Fatalf("PageByte too uniform: %d/256 adjacent collisions", same)
+	}
+}
+
+// TestFillPageEveryByte: the doubling fill must reach every byte of the
+// page and write nothing but PageByte.
+func TestFillPageEveryByte(t *testing.T) {
+	f := &File{Seed: 9}
+	for _, off := range []uint64{0, 7 << 12, 1 << 40} {
+		var page [physmem.PageSize]byte
+		for i := range page {
+			page[i] = ^f.PageByte(off)
+		}
+		f.FillPage(&page, off)
+		for i, b := range page {
+			if b != f.PageByte(off) {
+				t.Fatalf("off %#x: byte %d = %#x, want %#x", off, i, b, f.PageByte(off))
+			}
+		}
 	}
 }
 
