@@ -3,11 +3,13 @@
 // randomized workloads (private arenas, family-shared files, fork
 // storms), each tenant held to a memcg-style frame limit so the
 // tenant-local reclaim ladder runs continuously. It prints the
-// machine-readable soak report (per-tenant fault p50/p99/p999 and the
-// reclaim-fairness metric) as JSON on stdout and exits non-zero on
+// machine-readable soak report (per-seat fault counts and p50/p99/p999
+// and the reclaim-fairness metric) as JSON on stdout and exits non-zero on
 // any gate violation: a cross-tenant eviction while every tenant was
 // under its limit, a leaked frame after every tenant departed, or a
-// fault p999 above -p999-gate.
+// fault p999 above -p999-gate. The fault counts and percentiles are the
+// VM's own: each departed tenant's vm.Rollup — every fault counted, one
+// in sixteen timed (every one under -trace) — fork children included.
 //
 // With -trace the flight recorder runs for the whole soak; on a gate
 // failure (or always, with -trace-dump-always) the last events per

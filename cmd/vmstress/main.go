@@ -216,11 +216,10 @@ func runStress(d vm.Design, workers int, seed int64, dur time.Duration) error {
 	default:
 	}
 
-	sn := as.Snapshot()
-	st := sn.Space
+	st := as.Stats()
 	fmt.Printf("    %s: %d faults, %d mmaps, %d munmaps, %d mprotects, %d forks, %d retries, %d splits, %d COW breaks\n",
 		d, st.Faults, st.Mmaps, st.Munmaps, st.Mprotects, st.Forks, st.Retries(), st.Splits, st.CowBreaks)
-	if r := sn.Reclaim; r.KswapdEvicted+r.DirectEvicted+r.AccountEvicted > 0 {
+	if r := as.ReclaimStats(); r.KswapdEvicted+r.DirectEvicted+r.AccountEvicted > 0 {
 		fmt.Printf("    %s: reclaim kswapd=%d direct=%d tenant=%d writebacks=%d\n",
 			d, r.KswapdEvicted, r.DirectEvicted, r.AccountEvicted, r.Writebacks)
 	}

@@ -179,6 +179,65 @@ func TestMetricsMonotonicUnderLoad(t *testing.T) {
 	}
 }
 
+// TestForkChildFaultsReachEverySurface: a fork child that faults and
+// closes on its own — never through its tenant — still counts, live and
+// after it closes, in the tenant's and the machine's exact fault count,
+// in their sampled histograms and in vm_tenant_faults_total.
+func TestForkChildFaultsReachEverySurface(t *testing.T) {
+	m := testMachine(t, vm.PureRCU, 4096)
+	tn, base := populate(t, m, "alpha", 256, 16)
+	before := m.Snapshot()
+	child, err := tn.Root().Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := child.NewCPU(0)
+	for p := uint64(0); p < 8; p++ {
+		if err := cpu.Fault(base+p*vm.PageSize, true); err != nil {
+			t.Fatalf("child fault: %v", err)
+		}
+	}
+	live := m.Snapshot()
+	if err := child.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := m.Snapshot()
+	for _, c := range []struct {
+		when string
+		sn   machine.Snapshot
+	}{{"child live", live}, {"child closed", closed}} {
+		if len(c.sn.Tenants) != 1 {
+			t.Fatalf("%s: tenants = %+v", c.when, c.sn.Tenants)
+		}
+		ts := c.sn.Tenants[0]
+		if ts.Faults != 24 || c.sn.Faults != 24 {
+			t.Fatalf("%s: tenant faults %d, machine faults %d; want 16 root + 8 child = 24", c.when, ts.Faults, c.sn.Faults)
+		}
+		// A fresh CPU times its first fault, so the child added samples.
+		if n := c.sn.Latency.Fault.Count; ts.Fault.Count != n || n != live.Latency.Fault.Count || n <= before.Latency.Fault.Count {
+			t.Fatalf("%s: tenant samples %d, machine samples %d; want both %d, above the root's %d", c.when,
+				ts.Fault.Count, n, live.Latency.Fault.Count, before.Latency.Fault.Count)
+		}
+	}
+	var b strings.Builder
+	if err := WriteMetrics(&b, Machine(m, "test")); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseExposition(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fams {
+		if f.Name == "vm_tenant_faults_total" {
+			if len(f.Samples) != 1 || f.Samples[0].Value != 24 {
+				t.Fatalf("vm_tenant_faults_total = %+v, want alpha at 24", f.Samples)
+			}
+			return
+		}
+	}
+	t.Fatal("vm_tenant_faults_total missing")
+}
+
 // TestMeminfo checks the /proc/meminfo shape: machine totals first,
 // then one block per tenant with limits and RSS.
 func TestMeminfo(t *testing.T) {
@@ -440,7 +499,7 @@ func TestDeltaEngine(t *testing.T) {
 	if len(d.Tenants) != 2 || d.Tenants[0].Faults != 80 || d.Tenants[1].Faults != 70 {
 		t.Fatalf("tenant deltas: %+v", d.Tenants)
 	}
-	// b departs: machine counters keep counting (departed accumulators),
+	// b departs: machine counters keep counting (the departed rollup),
 	// b's series just disappears.
 	d = e.Step(mk(260, 8, tsn("a", 190)))
 	if d.Faults != 10 || len(d.Tenants) != 1 || d.Tenants[0].Faults != 10 {

@@ -16,8 +16,8 @@ import (
 //
 //   - every family is vm_-prefixed;
 //   - counters end in _total and never decrease while their series
-//     exists (the machine source's departed-latency accumulators are
-//     what makes the fault/map-op counts churn-proof);
+//     exists (the vm family's and the machine's departed rollups are
+//     what make the fault/map-op counts churn-proof);
 //   - gauges never end in _total;
 //   - latency percentiles are summaries in nanoseconds: a _ns family
 //     with quantile labels plus a _ns_count sample. Summary counts are

@@ -9,12 +9,12 @@
 // locks: RCU read sections and lock-free PTE walks for smaps, the
 // whole-space range lock (or the mmap_sem read side) for the region
 // list, each manager's own mutex for the lock table, and the machine's
-// tenant mutexes for the rollup. Nothing here introduces a lock level
-// above the reclaim scan lock, so an operator scraping a wedged
-// machine cannot deadlock against the paths being diagnosed. With no
-// server attached the whole plane is disarmed: the only residue on hot
-// paths is the contention profiler's one atomic load, and that sits on
-// already-contended slow paths only.
+// tenant mutex and each family's member mutex for the rollup. Nothing
+// here introduces a lock level above the reclaim scan lock, so an
+// operator scraping a wedged machine cannot deadlock against the paths
+// being diagnosed. With no server attached the whole plane is
+// disarmed: the only residue on hot paths is the contention profiler's
+// one atomic load, and that sits on already-contended slow paths only.
 package introspect
 
 import (
@@ -23,7 +23,6 @@ import (
 	"bonsai/internal/machine"
 	"bonsai/internal/physmem"
 	"bonsai/internal/rcu"
-	"bonsai/internal/stats"
 	"bonsai/internal/vm"
 )
 
@@ -83,7 +82,8 @@ func (s machineSource) Tenants() []TenantSpaces {
 
 // SpaceSet is a mutable Source over named vm.AddressSpaces, for
 // drivers without a machine.Machine: each registered space reports as
-// one unlimited tenant, and the machine-wide sections come from the
+// one unlimited tenant — its family's vm.Rollup, fork children and
+// siblings included — and the machine-wide sections come from the
 // registered spaces' shared state. Add and the returned remove func
 // are safe for concurrent use with a serving server.
 type SpaceSet struct {
@@ -179,25 +179,19 @@ func (s *SpaceSet) Domain() *rcu.Domain {
 func (s *SpaceSet) Snapshot() machine.Snapshot {
 	live := s.live()
 	var sn machine.Snapshot
-	var fault, mapOp, rangeWait stats.LatencyHist
+	var all vm.Rollup
 	for _, t := range live {
 		as := t.Spaces[0]
-		ts := machine.TenantSnapshot{Name: t.Name, Space: as.Stats()}
-		fh := as.FaultHist()
-		fault.Merge(fh)
-		mapOp.Merge(as.MapHist())
-		if rw := as.RangeWaitHist(); rw != nil {
-			rangeWait.Merge(rw)
-		}
-		ts.Fault = fh.Stats()
-		ts.Faults = ts.Space.Faults
-		sn.Faults += ts.Faults
+		r := as.Rollup()
+		ts := machine.TenantSnapshot{Name: t.Name, Space: as.Stats(), Faults: r.Faults, Fault: r.Fault.Stats()}
+		all.Add(r)
 		sn.OOMKills += ts.Space.OOMKills
 		sn.Tenants = append(sn.Tenants, ts)
 	}
-	sn.Latency.Fault = fault.Stats()
-	sn.Latency.MapOp = mapOp.Stats()
-	sn.Latency.RangeWait = rangeWait.Stats()
+	sn.Faults = all.Faults
+	sn.Latency.Fault = all.Fault.Stats()
+	sn.Latency.MapOp = all.MapOp.Stats()
+	sn.Latency.RangeWait = all.RangeWait.Stats()
 	if len(live) > 0 {
 		as := live[0].Spaces[0]
 		alloc := as.Allocator()

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"bonsai/internal/physmem"
 	"bonsai/internal/reclaim"
@@ -40,27 +41,21 @@ type Machine struct {
 	mu      sync.Mutex
 	tenants map[string]*Tenant
 	nextID  int
-	// Rollup of departed tenants' final account counters, so the
-	// fairness metric survives tenant churn.
-	departed        []physmem.AccountStats
+	// departedCross carries departed tenants' share of the fairness
+	// metric across tenant churn.
 	departedCross   uint64
 	tenantsAdmitted uint64
 	tenantsEvicted  uint64
-	// Departed tenants' latency samples, merged in at eviction (under
-	// mu, in the same critical section that removes the tenant), so the
-	// machine-wide histogram counts are monotonic across tenant churn —
-	// a scrape-to-scrape delta is never negative.
-	departedFault     stats.LatencyHist
-	departedMapOp     stats.LatencyHist
-	departedRangeWait stats.LatencyHist
-	// departedFaults is the exact fault count of departed tenants (the
-	// histograms hold only the timed sample), carried the same way.
-	departedFaults uint64
+	// departed is the final rollup of every evicted tenant, folded in
+	// under mu in the same critical section that removes the tenant, so
+	// the machine's fault count and histogram counts are monotonic
+	// across tenant churn — a scrape-to-scrape delta is never negative.
+	departed vm.Rollup
 }
 
 // Tenant is one admitted family: a root address space plus every
-// sibling or fork child registered with the tenant, all charged to
-// one account.
+// sibling or fork child opened in its family, all charged to one
+// account.
 type Tenant struct {
 	m     *Machine
 	name  string
@@ -68,17 +63,7 @@ type Tenant struct {
 	root  *vm.AddressSpace
 	acct  *physmem.Account
 
-	mu     sync.Mutex
-	spaces []*vm.AddressSpace // open members, root first
-	closed bool
-	// Latency samples of members closed before the tenant departed
-	// (CloseSpace), merged under mu in the same critical section that
-	// forgets the member, so the tenant's rollup never dips when a
-	// sibling or fork child closes mid-run.
-	departedFault     stats.LatencyHist
-	departedMapOp     stats.LatencyHist
-	departedRangeWait stats.LatencyHist
-	departedFaults    uint64 // exact fault count of those members
+	closed atomic.Bool
 }
 
 // New builds an empty machine.
@@ -116,12 +101,11 @@ func (m *Machine) Admit(name string, limitFrames int64) (*Tenant, error) {
 		return nil, err
 	}
 	t := &Tenant{
-		m:      m,
-		name:   name,
-		limit:  limitFrames,
-		root:   root,
-		acct:   root.Account(),
-		spaces: []*vm.AddressSpace{root},
+		m:     m,
+		name:  name,
+		limit: limitFrames,
+		root:  root,
+		acct:  root.Account(),
 	}
 	m.mu.Lock()
 	m.tenants[name] = t
@@ -142,73 +126,20 @@ func (t *Tenant) Root() *vm.AddressSpace { return t.root }
 // Account returns the tenant's charge account (nil when unlimited).
 func (t *Tenant) Account() *physmem.Account { return t.acct }
 
-// Spaces returns the tenant's open member spaces (root first).
-func (t *Tenant) Spaces() []*vm.AddressSpace {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*vm.AddressSpace(nil), t.spaces...)
-}
+// Spaces returns the tenant's open member spaces — the root, then the
+// siblings and fork children opened since, in that order.
+func (t *Tenant) Spaces() []*vm.AddressSpace { return t.root.Members() }
 
-// NewSibling opens a fresh empty member in the tenant's family and
-// registers it with the tenant (Evict will close it).
+// NewSibling opens a fresh empty member in the tenant's family (Evict
+// will close it).
 func (t *Tenant) NewSibling() (*vm.AddressSpace, error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if t.closed.Load() {
 		return nil, fmt.Errorf("machine: tenant %q is evicted", t.name)
 	}
-	t.mu.Unlock()
-	sib, err := t.root.NewSibling()
-	if err != nil {
-		return nil, err
-	}
-	t.adopt(sib)
-	return sib, nil
+	return t.root.NewSibling()
 }
 
-// Adopt registers an address space the caller created inside this
-// tenant's family — typically a Fork child — so Evict tears it down.
-func (t *Tenant) Adopt(as *vm.AddressSpace) { t.adopt(as) }
-
-func (t *Tenant) adopt(as *vm.AddressSpace) {
-	t.mu.Lock()
-	t.spaces = append(t.spaces, as)
-	t.mu.Unlock()
-}
-
-// CloseSpace closes one member early (before Evict) and forgets it.
-// The root must be closed by Evict, last.
-func (t *Tenant) CloseSpace(as *vm.AddressSpace) error {
-	if as == t.root {
-		return fmt.Errorf("machine: tenant %q root closes at Evict", t.name)
-	}
-	t.mu.Lock()
-	for i, s := range t.spaces {
-		if s == as {
-			t.spaces = append(t.spaces[:i], t.spaces[i+1:]...)
-			// No operation is in flight on a closing member, so its
-			// histograms are final; folding them in here, atomically
-			// with the removal, keeps the tenant rollup monotonic.
-			t.absorbLocked(as)
-			break
-		}
-	}
-	t.mu.Unlock()
-	return as.Close()
-}
-
-// absorbLocked folds a departing member's latency samples and exact
-// fault count into the tenant's departed accumulators. t.mu is held.
-func (t *Tenant) absorbLocked(as *vm.AddressSpace) {
-	t.departedFaults += as.Faults()
-	t.departedFault.Merge(as.FaultHist())
-	t.departedMapOp.Merge(as.MapHist())
-	if rw := as.RangeWaitHist(); rw != nil {
-		t.departedRangeWait.Merge(rw)
-	}
-}
-
-// Evict departs the tenant: every registered member closes (children
+// Evict departs the tenant: every member still open closes (children
 // and siblings before the root), residual page-cache pages still
 // charged to the tenant — pages of shared files neighbor tenants keep
 // resident — are evicted so the survivors refault them under their own
@@ -218,22 +149,9 @@ func (t *Tenant) absorbLocked(as *vm.AddressSpace) {
 func (t *Tenant) Evict() error { return t.m.evict(t) }
 
 func (m *Machine) evict(t *Tenant) error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if !t.closed.CompareAndSwap(false, true) {
 		return fmt.Errorf("machine: tenant %q already evicted", t.name)
 	}
-	t.closed = true
-	spaces := t.spaces
-	t.spaces = nil
-	// No operation is in flight on an evicting tenant's spaces (the
-	// Evict contract), so their histograms are final: fold them into
-	// the tenant accumulators atomically with the list reset, keeping
-	// a concurrent Snapshot's count monotonic.
-	for _, as := range spaces {
-		t.absorbLocked(as)
-	}
-	t.mu.Unlock()
 
 	// Drop the limit to one frame before any teardown eviction runs:
 	// a departing tenant has no under-limit claim, so the pages the
@@ -243,31 +161,29 @@ func (m *Machine) evict(t *Tenant) error {
 		t.acct.SetLimit(1)
 	}
 	var firstErr error
+	// The root joined first, so it closes last.
+	spaces := t.Spaces()
 	for i := len(spaces) - 1; i >= 0; i-- {
 		if err := spaces[i].Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("machine: tenant %q teardown: %w", t.name, err)
 		}
 	}
 	var residue int64
-	var final physmem.AccountStats
+	var cross uint64
 	if t.acct != nil {
 		residue = m.host.DrainAccount(t.acct)
-		final = t.acct.Stats()
+		cross = t.acct.Stats().EvictionsUnderLimit
 	}
+	// Every member has closed: the tenant's rollup is final.
+	final := t.root.Rollup()
 	m.mu.Lock()
 	delete(m.tenants, t.name)
 	m.tenantsEvicted++
-	if t.acct != nil {
-		m.departed = append(m.departed, final)
-		m.departedCross += final.EvictionsUnderLimit
-	}
+	m.departedCross += cross
 	// Same critical section as the removal: a Snapshot sees the tenant
-	// either live (and reads its accumulators under t.mu) or departed
-	// (and reads these), never neither and never both.
-	m.departedFault.Merge(&t.departedFault)
-	m.departedMapOp.Merge(&t.departedMapOp)
-	m.departedRangeWait.Merge(&t.departedRangeWait)
-	m.departedFaults += t.departedFaults
+	// either live (and reads its rollup) or departed (and reads this),
+	// never neither and never both.
+	m.departed.Add(final)
 	m.mu.Unlock()
 	if residue != 0 && firstErr == nil {
 		firstErr = fmt.Errorf("machine: tenant %q leaked %d charged frames past eviction", t.name, residue)
@@ -279,16 +195,8 @@ func (m *Machine) evict(t *Tenant) error {
 // allocator's frame-leak check error (or the first tenant teardown
 // error) is returned.
 func (m *Machine) Close() error {
-	m.mu.Lock()
-	live := make([]*Tenant, 0, len(m.tenants))
-	for _, t := range m.tenants {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	m.mu.Unlock()
 	var firstErr error
-	for _, t := range live {
+	for _, t := range m.Tenants() {
 		if err := t.Evict(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -307,14 +215,21 @@ func (m *Machine) Host() *vm.Host { return m.host }
 // views that need the tenant objects, not just the snapshot).
 func (m *Machine) Tenants() []*Tenant {
 	m.mu.Lock()
+	live := m.liveLocked()
+	m.mu.Unlock()
+	sort.Slice(live, func(i, j int) bool { return live[i].name < live[j].name })
+	return live
+}
+
+// liveLocked lists the admitted tenants, skipping names reserved by an
+// Admit still in flight. m.mu is held.
+func (m *Machine) liveLocked() []*Tenant {
 	live := make([]*Tenant, 0, len(m.tenants))
 	for _, t := range m.tenants {
 		if t != nil {
 			live = append(live, t)
 		}
 	}
-	m.mu.Unlock()
-	sort.Slice(live, func(i, j int) bool { return live[i].name < live[j].name })
 	return live
 }
 
@@ -322,9 +237,7 @@ func (m *Machine) Tenants() []*Tenant {
 type TenantSnapshot struct {
 	Name  string `json:"name"`
 	Limit int64  `json:"limit"`
-	// Space is the tenant root's unified snapshot (machine-wide
-	// sections — Reclaim, Failpoints — are hoisted to the machine
-	// level and omitted here).
+	// Space is the tenant root's own operation counters.
 	Space vm.Stats `json:"space"`
 	// Account is the tenant's charge counters (nil when unlimited).
 	Account *physmem.AccountStats `json:"account,omitempty"`
@@ -338,64 +251,70 @@ type TenantSnapshot struct {
 	Fault stats.LatencyStats `json:"fault"`
 }
 
+// LatencySnapshot is the machine's always-on hot-path latency
+// histograms in percentile form: the tail-attribution data the
+// throughput counters cannot express.
+type LatencySnapshot struct {
+	// Fault spans CPU.Fault end to end (fast path through OOM ladder);
+	// its Count is the timed sample's size, not Snapshot.Faults.
+	Fault stats.LatencyStats `json:"fault"`
+	// MapOp spans Mmap/Munmap/Mprotect/MadviseDontNeed calls.
+	MapOp stats.LatencyStats `json:"map_op"`
+	// RangeWait is the contended range-lock wait (zeros for designs on
+	// the global mmap_sem).
+	RangeWait stats.LatencyStats `json:"range_wait"`
+	// GP is the RCU grace-period latency, machine-wide.
+	GP stats.LatencyStats `json:"gp"`
+	// ReclaimScan is the reclaim scan duration (time under the scan
+	// lock), machine-wide.
+	ReclaimScan stats.LatencyStats `json:"reclaim_scan"`
+}
+
 // Snapshot is the machine-wide rollup: shared-resource counters once,
-// plus one entry per live tenant and the final counters of departed
-// ones.
+// plus one entry per live tenant.
 type Snapshot struct {
-	FramesTotal     uint64                 `json:"frames_total"`
-	FramesInUse     int64                  `json:"frames_in_use"`
-	Reclaim         reclaim.Stats          `json:"reclaim"`
-	OOMKills        uint64                 `json:"oom_kills"`
-	TenantsAdmitted uint64                 `json:"tenants_admitted"`
-	TenantsEvicted  uint64                 `json:"tenants_evicted"`
-	Tenants         []TenantSnapshot       `json:"tenants,omitempty"`
-	Departed        []physmem.AccountStats `json:"departed,omitempty"`
+	FramesTotal     uint64           `json:"frames_total"`
+	FramesInUse     int64            `json:"frames_in_use"`
+	Reclaim         reclaim.Stats    `json:"reclaim"`
+	OOMKills        uint64           `json:"oom_kills"`
+	TenantsAdmitted uint64           `json:"tenants_admitted"`
+	TenantsEvicted  uint64           `json:"tenants_evicted"`
+	Tenants         []TenantSnapshot `json:"tenants,omitempty"`
 	// Latency is the machine-wide hot-path latency rollup: fault,
-	// mapping-operation, and range-wait histograms merged across every
-	// live tenant's member spaces plus the departed accumulators (a
-	// member's samples are folded in when it closes), and the
-	// machine-shared grace-period and reclaim-scan histograms. The
-	// counts are monotonic across tenant churn — the property the
+	// mapping-operation, and range-wait histograms of every tenant ever
+	// admitted — each live tenant's vm.Rollup plus the departed rollup —
+	// and the machine-shared grace-period and reclaim-scan histograms.
+	// The counts are monotonic across tenant churn — the property the
 	// Prometheus exporter's counters and the vmstat delta engine rely
-	// on. Spaces never registered with a tenant (fork children closed
-	// directly) are not counted, before or after close.
-	Latency vm.LatencySnapshot `json:"latency"`
+	// on.
+	Latency LatencySnapshot `json:"latency"`
 	// CrossTenantEvictions is the reclaim-fairness metric: pages
 	// evicted from accounts that were under their limit at eviction
 	// time, summed over live and departed tenants. While every tenant
 	// stays under its limit this should be ~0 — a nonzero count means
 	// one tenant's pressure reached into another's working set.
 	CrossTenantEvictions uint64 `json:"cross_tenant_evictions"`
-	// Faults is the machine-wide exact fault count: live tenants plus
-	// the departed accumulator, monotonic across tenant churn like the
-	// histogram counts. (Latency.Fault.Count is the timed sample only.)
+	// Faults is the machine-wide exact fault count over the same
+	// tenants, monotonic across tenant churn like the histogram counts.
+	// (Latency.Fault.Count is the timed sample only.)
 	Faults uint64 `json:"faults"`
 }
 
 // Snapshot captures the machine rollup.
 func (m *Machine) Snapshot() Snapshot {
 	m.mu.Lock()
-	live := make([]*Tenant, 0, len(m.tenants))
-	for _, t := range m.tenants {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
+	live := m.liveLocked()
 	sn := Snapshot{
 		TenantsAdmitted:      m.tenantsAdmitted,
 		TenantsEvicted:       m.tenantsEvicted,
-		Departed:             append([]physmem.AccountStats(nil), m.departed...),
 		CrossTenantEvictions: m.departedCross,
-		Faults:               m.departedFaults,
 	}
-	// The departed-latency copy shares m.mu with the live-tenant copy:
-	// a tenant evicting concurrently is counted exactly once — via its
-	// own accumulators if it left before this point, via the live list
-	// otherwise.
-	var fault, mapOp, rangeWait stats.LatencyHist
-	fault.Merge(&m.departedFault)
-	mapOp.Merge(&m.departedMapOp)
-	rangeWait.Merge(&m.departedRangeWait)
+	// The departed copy shares m.mu with the live-tenant list: a tenant
+	// evicting concurrently is counted exactly once — via the departed
+	// rollup if it left before this point, via its own (final or still
+	// growing) rollup otherwise.
+	var all vm.Rollup
+	all.Add(&m.departed)
 	m.mu.Unlock()
 
 	alloc := m.host.Allocator()
@@ -404,41 +323,21 @@ func (m *Machine) Snapshot() Snapshot {
 	sn.Reclaim = m.host.ReclaimStats()
 	sn.OOMKills = m.host.OOMKills()
 	for _, t := range live {
-		ts := TenantSnapshot{Name: t.name, Limit: t.limit, Space: t.root.Stats()}
+		r := t.root.Rollup()
+		ts := TenantSnapshot{Name: t.name, Limit: t.limit, Space: t.root.Stats(), Faults: r.Faults, Fault: r.Fault.Stats()}
 		if t.acct != nil {
 			st := t.acct.Stats()
 			ts.Account = &st
 			sn.CrossTenantEvictions += st.EvictionsUnderLimit
 		}
-		// Merge under t.mu so a concurrently closing member lands in
-		// exactly one of t.spaces / t.departed*; a snapshot can then
-		// never observe a half-retired member (satellite of the
-		// monotonicity guarantee above).
-		var tf stats.LatencyHist
-		t.mu.Lock()
-		ts.Faults = t.departedFaults
-		tf.Merge(&t.departedFault)
-		mapOp.Merge(&t.departedMapOp)
-		rangeWait.Merge(&t.departedRangeWait)
-		spaces := append([]*vm.AddressSpace(nil), t.spaces...)
-		t.mu.Unlock()
-		for _, as := range spaces {
-			ts.Faults += as.Faults()
-			tf.Merge(as.FaultHist())
-			mapOp.Merge(as.MapHist())
-			if rw := as.RangeWaitHist(); rw != nil {
-				rangeWait.Merge(rw)
-			}
-		}
-		ts.Fault = tf.Stats()
-		sn.Faults += ts.Faults
-		fault.Merge(&tf)
+		all.Add(r)
 		sn.Tenants = append(sn.Tenants, ts)
 	}
-	sn.Latency = vm.LatencySnapshot{
-		Fault:       fault.Stats(),
-		MapOp:       mapOp.Stats(),
-		RangeWait:   rangeWait.Stats(),
+	sn.Faults = all.Faults
+	sn.Latency = LatencySnapshot{
+		Fault:       all.Fault.Stats(),
+		MapOp:       all.MapOp.Stats(),
+		RangeWait:   all.RangeWait.Stats(),
 		GP:          m.host.Domain().GPHist().Stats(),
 		ReclaimScan: m.host.Reclaimer().ScanHist().Stats(),
 	}

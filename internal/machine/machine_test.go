@@ -151,8 +151,8 @@ func TestTenantLimitDrivesLocalReclaim(t *testing.T) {
 }
 
 // TestSnapshotRollup: the machine snapshot carries per-tenant account
-// entries and machine-wide reclaim counters, and departed tenants stay
-// in the rollup.
+// entries and machine-wide reclaim counters, and a departed tenant
+// leaves the tenant list but stays in the exact fault count.
 func TestSnapshotRollup(t *testing.T) {
 	m := New(testCfg(vm.RWLock, 2048))
 	defer m.Close()
@@ -200,27 +200,38 @@ func TestSnapshotRollup(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn = m.Snapshot()
-	if len(sn.Departed) != 1 || sn.Departed[0].Name != "tenant-0" {
-		t.Fatalf("departed rollup = %+v, want tenant a's account", sn.Departed)
+	if sn.TenantsEvicted != 1 || len(sn.Tenants) != 1 || sn.Tenants[0].Name != b.Name() {
+		t.Fatalf("after evicting a: evicted = %d, tenants = %+v; want 1 and only b", sn.TenantsEvicted, sn.Tenants)
 	}
-	_ = b
+	if sn.Faults != 8 {
+		t.Fatalf("machine faults = %d after a's eviction, want a's 8", sn.Faults)
+	}
 }
 
 // TestSoakSmoke: a short soak across two designs completes with zero
-// violations — no cross-tenant evictions, no leaked frames.
+// violations — no cross-tenant evictions, no leaked frames — and its
+// report counts exactly the faults the machine rollup counts, fork
+// children's included.
 func TestSoakSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak smoke needs a second of wall clock per design")
 	}
 	for _, d := range []vm.Design{vm.RWLock, vm.PureRCU} {
+		var machineFaults uint64
 		rep := Soak(SoakConfig{
 			Seed:     1,
 			Duration: 1200 * 1000 * 1000, // 1.2s
 			Slots:    3,
 			Design:   d,
+			OnMachine: func(m *Machine) func() {
+				return func() { machineFaults = m.Snapshot().Faults }
+			},
 		})
 		if rep.Failed() {
 			t.Fatalf("%v: soak violations: %v", d, rep.Violations)
+		}
+		if rep.Faults != machineFaults {
+			t.Fatalf("%v: soak report counts %d faults, machine rollup %d", d, rep.Faults, machineFaults)
 		}
 		if rep.Faults == 0 || rep.Admitted < 3 || rep.Evicted != rep.Admitted {
 			t.Fatalf("%v: soak did not churn: %+v", d, rep)

@@ -16,15 +16,19 @@ import (
 // the Prometheus exporter depends on:
 //
 //   - the machine-wide fault count never decreases (a departing
-//     tenant's samples fold into the departed accumulators in the same
+//     tenant's rollup folds into the departed rollup in the same
 //     critical section that retires it — no double count, no gap);
 //   - no snapshot observes a half-retired tenant: every tenant entry
-//     carries a consistent name, and a tenant present in the tenant
-//     list is never also counted in the departed rollup.
+//     carries a consistent name, and the tenant list holds exactly the
+//     tenants admitted and not yet evicted.
+//
+// Every round also forks a child that faults and closes on its own, so
+// the exact count must carry members that leave before their tenant.
 //
 // Run under -race this also shakes out data races between the snapshot
 // walk and the admit/evict paths.
 func TestSnapshotAdmitEvictRace(t *testing.T) {
+	const childFaults = 8
 	m := New(Config{
 		VM:         vm.Config{Design: vm.PureRCU, CPUs: 4, Frames: 8192},
 		MaxTenants: 8,
@@ -34,7 +38,8 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 
-	// Churners: admit, fault, evict, repeat.
+	// Churners: admit, fault, fork a child that faults and closes,
+	// evict, repeat.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -51,6 +56,17 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 					for p := uint64(0); p < 32; p++ {
 						_ = cpu.Fault(base+p*vm.PageSize, true)
 					}
+					if child, err := as.Fork(); err != nil {
+						t.Errorf("fork: %v", err)
+					} else {
+						ccpu := child.NewCPU(w % 4)
+						for p := uint64(0); p < childFaults; p++ {
+							_ = ccpu.Fault(base+p*vm.PageSize, true)
+						}
+						if err := child.Close(); err != nil {
+							t.Errorf("child close: %v", err)
+						}
+					}
 				}
 				if err := tn.Evict(); err != nil {
 					t.Errorf("evict: %v", err)
@@ -62,7 +78,7 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 
 	// Snapshotter: the assertions run here, concurrently with churn.
 	const snapshots = 400
-	var lastFaults, lastSamples uint64
+	var lastFaults, lastSamples, lastEvicted uint64
 	for i := 0; i < snapshots; i++ {
 		sn := m.Snapshot()
 		if sn.Faults < lastFaults {
@@ -75,6 +91,13 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 				lastSamples, sn.Latency.Fault.Count, i)
 		}
 		lastSamples = sn.Latency.Fault.Count
+		if sn.TenantsEvicted < lastEvicted {
+			t.Fatalf("evicted count regressed: %d -> %d (snapshot %d)", lastEvicted, sn.TenantsEvicted, i)
+		}
+		lastEvicted = sn.TenantsEvicted
+		if live := sn.TenantsAdmitted - sn.TenantsEvicted; uint64(len(sn.Tenants)) != live {
+			t.Fatalf("snapshot %d: %d tenants listed, %d admitted and not evicted", i, len(sn.Tenants), live)
+		}
 		seen := map[string]bool{}
 		for _, ts := range sn.Tenants {
 			if ts.Name == "" {
@@ -84,11 +107,6 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 				t.Fatalf("snapshot %d: tenant %s listed twice", i, ts.Name)
 			}
 			seen[ts.Name] = true
-		}
-		for _, dep := range sn.Departed {
-			if seen[dep.Name] {
-				t.Fatalf("snapshot %d: tenant %s both live and departed", i, dep.Name)
-			}
 		}
 	}
 	// On a fast machine the snapshot loop can finish before the churn
@@ -114,11 +132,14 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 	if sn.TenantsEvicted == 0 || sn.Faults == 0 {
 		t.Fatalf("churn did no work: evicted=%d faults=%d", sn.TenantsEvicted, sn.Faults)
 	}
-	// Every churn round faults exactly 32 pages and every tenant has
-	// departed: the exact counter carries all of them, the timed sample
-	// only a fraction.
-	if sn.Faults != 32*sn.TenantsEvicted {
-		t.Fatalf("exact fault count %d, want 32 per evicted tenant (%d)", sn.Faults, 32*sn.TenantsEvicted)
+	// Every churn round faults exactly 32 pages in the root and
+	// childFaults in the child, and every tenant has departed: the exact
+	// counter carries all of them, the timed sample only a fraction.
+	if want := (32 + childFaults) * sn.TenantsEvicted; sn.Faults != want {
+		t.Fatalf("exact fault count %d, want %d per evicted tenant (%d)", sn.Faults, 32+childFaults, want)
+	}
+	if len(sn.Tenants) != 0 {
+		t.Fatalf("%d tenants still listed after churn stopped", len(sn.Tenants))
 	}
 	if sn.Latency.Fault.Count > sn.Faults {
 		t.Fatalf("more fault samples (%d) than faults (%d)", sn.Latency.Fault.Count, sn.Faults)

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bonsai/internal/stats"
 	"bonsai/internal/vm"
 	"bonsai/internal/vma"
 )
@@ -196,26 +195,26 @@ func Soak(cfg SoakConfig) *SoakReport {
 		s.violate("machine close: %v", err)
 	}
 
-	var all stats.LatencyHist
+	var all vm.Rollup
 	for _, st := range seats {
-		all.Merge(&st.hist)
-		rep.Faults += st.hist.Count()
+		all.Add(&st.rollup)
 		rep.Tenants = append(rep.Tenants, SoakTenantReport{
 			Seat:                fmt.Sprintf("seat-%d", st.id),
 			Generations:         st.generations,
-			Faults:              st.hist.Count(),
-			FaultP50NS:          int64(st.hist.Percentile(50)),
-			FaultP99NS:          int64(st.hist.Percentile(99)),
-			FaultP999NS:         int64(st.hist.Percentile(99.9)),
+			Faults:              st.rollup.Faults,
+			FaultP50NS:          int64(st.rollup.Fault.Percentile(50)),
+			FaultP99NS:          int64(st.rollup.Fault.Percentile(99)),
+			FaultP999NS:         int64(st.rollup.Fault.Percentile(99.9)),
 			LimitHits:           st.limitHits,
 			Evictions:           st.evictions,
 			EvictionsUnderLimit: st.evictionsUnder,
 			MaxCharged:          st.maxCharged,
 		})
 	}
-	rep.FaultP50NS = int64(all.Percentile(50))
-	rep.FaultP99NS = int64(all.Percentile(99))
-	rep.FaultP999NS = int64(all.Percentile(99.9))
+	rep.Faults = all.Faults
+	rep.FaultP50NS = int64(all.Fault.Percentile(50))
+	rep.FaultP99NS = int64(all.Fault.Percentile(99))
+	rep.FaultP999NS = int64(all.Fault.Percentile(99.9))
 	rep.Ops = s.ops.Load()
 	rep.OOMErrors = s.oomErrors.Load()
 
@@ -261,7 +260,9 @@ type seat struct {
 	s  *soak
 	id int
 
-	hist           stats.LatencyHist
+	// rollup folds in each evicted tenant generation's final vm.Rollup:
+	// the VM's own fault count and sampled fault latency.
+	rollup         vm.Rollup
 	generations    uint64
 	limitHits      uint64
 	evictions      uint64
@@ -297,7 +298,9 @@ func (st *seat) run(deadline time.Time) {
 				st.maxCharged = acs.MaxCharged
 			}
 		}
-		if err := t.Evict(); err != nil {
+		err = t.Evict()
+		st.rollup.Add(t.Root().Rollup())
+		if err != nil {
 			s.violate("%s: evict: %v", name, err)
 			return
 		}
@@ -359,17 +362,17 @@ func (st *seat) churn(t *Tenant, rng *rand.Rand, lifetime time.Duration) {
 	wg.Wait()
 }
 
-// op runs one randomized operation, recording fault latency.
+// op runs one randomized operation.
 func (st *seat) op(t *Tenant, sp *vm.AddressSpace, cpu *vm.CPU, rng *rand.Rand, base, arena, filePages uint64, w int) {
 	s := st.s
 	s.ops.Add(1)
 	switch r := rng.Intn(100); {
 	case r < 60: // file fault: the thrashing working set
 		page := base + uint64(rng.Int63n(int64(filePages)))*vm.PageSize
-		st.timedFault(t, cpu, page, rng.Intn(4) == 0)
+		st.fault(t, cpu, page, rng.Intn(4) == 0)
 	case r < 85: // private arena fault
 		page := arena + uint64(rng.Intn(soakArenaPages))*vm.PageSize
-		st.timedFault(t, cpu, page, true)
+		st.fault(t, cpu, page, true)
 	case r < 95: // madvise a quarter of the arena
 		off := uint64(rng.Intn(soakArenaPages/4)) * vm.PageSize
 		if err := sp.MadviseDontNeed(arena+off, (soakArenaPages/4)*vm.PageSize); err != nil && !errors.Is(err, vm.ErrNoMemory) {
@@ -387,7 +390,7 @@ func (st *seat) op(t *Tenant, sp *vm.AddressSpace, cpu *vm.CPU, rng *rand.Rand, 
 		}
 		ccpu := child.NewCPU(w)
 		for p := 0; p < soakForkPages; p++ {
-			st.timedFault(t, ccpu, arena+uint64(p)*vm.PageSize, true)
+			st.fault(t, ccpu, arena+uint64(p)*vm.PageSize, true)
 		}
 		if err := child.Close(); err != nil {
 			s.violate("%s: fork child close: %v", t.Name(), err)
@@ -395,13 +398,11 @@ func (st *seat) op(t *Tenant, sp *vm.AddressSpace, cpu *vm.CPU, rng *rand.Rand, 
 	}
 }
 
-// timedFault runs one fault, recording its latency; ErrNoMemory is
-// graceful degradation under the tenant limit, anything else (other
-// than Segv on a racing madvise) is a violation.
-func (st *seat) timedFault(t *Tenant, cpu *vm.CPU, addr uint64, write bool) {
-	start := time.Now()
+// fault runs one fault; ErrNoMemory is graceful degradation under the
+// tenant limit, anything else (other than Segv on a racing madvise) is
+// a violation.
+func (st *seat) fault(t *Tenant, cpu *vm.CPU, addr uint64, write bool) {
 	err := cpu.Fault(addr, write)
-	st.hist.Record(time.Since(start))
 	if err == nil || errors.Is(err, vm.ErrSegv) || errors.Is(err, vm.ErrAccess) {
 		return
 	}

@@ -633,13 +633,10 @@ func (m *machine) teardown(where string) {
 	}
 	m.ballast = nil
 	m.ballastMu.Unlock()
-	// The unified snapshot is the one observability call: operation
-	// counters, reclaim ladder, and the failpoint registry together,
-	// captured while the epoch's machine is still alive.
-	sn := m.as.Snapshot()
-	t.report.OOMKills += sn.Space.OOMKills
-	t.report.Failpoints = sn.Failpoints
+	// Read the counters while the epoch's machine is still alive.
 	st := m.as.Stats()
+	t.report.OOMKills += st.OOMKills
+	t.report.Failpoints = fail.Snapshot()
 	t.report.HugeFaults += st.THPHugeFaults
 	t.report.Collapses += st.THPCollapses
 	t.report.HugeSplits += st.THPSplits

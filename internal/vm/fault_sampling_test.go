@@ -33,29 +33,29 @@ func TestFaultTimingSampled(t *testing.T) {
 		}
 	}
 	storm()
-	if got := as.Faults(); got != faults {
-		t.Fatalf("Faults() = %d after %d faults", got, faults)
+	if got := as.stats.faults.Load(); got != faults {
+		t.Fatalf("fault counter = %d after %d faults", got, faults)
 	}
-	samples := as.FaultHist().Count()
+	samples := as.stats.faultHist.Count()
 	if lo, hi := uint64(faults/16*85/100), uint64(faults/16*115/100); samples < lo || samples > hi {
 		t.Fatalf("disarmed: %d of %d faults timed, want about 1 in 16 (%d…%d)", samples, faults, lo, hi)
 	}
 	if got := as.stats.faultHist.CPU(0).Count(); got != 0 {
 		t.Fatalf("CPU 0 faulted nothing but its histogram holds %d samples", got)
 	}
-	if st := as.Stats(); st.Faults != faults || as.LatencySnapshot().Fault.Count != samples {
-		t.Fatalf("Stats().Faults = %d, LatencySnapshot count = %d; want %d and %d",
-			st.Faults, as.LatencySnapshot().Fault.Count, faults, samples)
+	if st, r := as.Stats(), as.Rollup(); st.Faults != faults || r.Faults != faults || r.Fault.Count() != samples {
+		t.Fatalf("Stats().Faults = %d, Rollup faults = %d and samples = %d; want %d, %d and %d",
+			st.Faults, r.Faults, r.Fault.Count(), faults, faults, samples)
 	}
 
 	trace.Arm(2, 1<<10)
 	storm()
 	trace.Disarm()
-	if got := as.FaultHist().Count() - samples; got != faults {
+	if got := as.stats.faultHist.Count() - samples; got != faults {
 		t.Fatalf("armed: %d of %d faults timed, want all", got, faults)
 	}
-	if got := as.Faults(); got != 2*faults {
-		t.Fatalf("Faults() = %d after %d faults", got, 2*faults)
+	if got := as.stats.faults.Load(); got != 2*faults {
+		t.Fatalf("fault counter = %d after %d faults", got, 2*faults)
 	}
 }
 

@@ -101,17 +101,3 @@ func (as *AddressSpace) PageCacheStats() pagecache.Stats {
 	}
 	return total
 }
-
-// PageCachePerFile returns the per-file cache counters keyed by the
-// file's stable label (name#id).
-func (as *AddressSpace) PageCachePerFile() map[string]pagecache.Stats {
-	out := make(map[string]pagecache.Stats)
-	as.fam.filesMu.Lock()
-	defer as.fam.filesMu.Unlock()
-	for _, f := range as.fam.files {
-		if c := f.PageCache(); c != nil {
-			out[c.Label()] = c.Stats()
-		}
-	}
-	return out
-}

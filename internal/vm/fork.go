@@ -147,7 +147,7 @@ func (as *AddressSpace) forkOnce() (*AddressSpace, error) {
 		child.munmapLocked(cop, 0, MaxAddress)
 		cg.unlock()
 		child.tables.ReleaseRoot(child.mapCPU)
-		as.fam.removeMember(child)
+		as.fam.depart(child)
 		as.fam.live.Add(-1)
 		as.fam.releaseMember(child.member)
 		return nil, oomError(cloneErr)

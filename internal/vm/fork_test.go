@@ -42,6 +42,50 @@ func TestForkCopiesRegionsAndData(t *testing.T) {
 	})
 }
 
+// TestRollupKeepsClosedMembers: a fork child leaves the member set when
+// it closes, and its faults and mapping operations stay in the family's
+// Rollup — exactly once, before and after.
+func TestRollupKeepsClosedMembers(t *testing.T) {
+	forEachDesign(t, Config{CPUs: 1}, func(t *testing.T, as *AddressSpace) {
+		cpu := as.NewCPU(0)
+		base := mustMmap(t, as, 0, 16*PageSize, vma.ProtRead|vma.ProtWrite, 0)
+		for p := uint64(0); p < 16; p++ {
+			if err := cpu.Fault(base+p*PageSize, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		child, err := as.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ccpu := child.NewCPU(0)
+		for p := uint64(0); p < 8; p++ {
+			if err := ccpu.Fault(base+p*PageSize, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustMmap(t, child, 0, PageSize, vma.ProtRead, 0)
+		if m := as.Members(); len(m) != 2 || m[0] != as || m[1] != child {
+			t.Fatalf("members with the child open = %v, want [parent child]", m)
+		}
+		live := as.Rollup()
+		if err := child.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if m := as.Members(); len(m) != 1 || m[0] != as {
+			t.Fatalf("members after the child closed = %v, want [parent]", m)
+		}
+		closed := as.Rollup()
+		if live.Faults != 24 || closed.Faults != 24 {
+			t.Fatalf("rollup faults %d with the child open, %d after; want 24", live.Faults, closed.Faults)
+		}
+		if closed.Fault.Count() != live.Fault.Count() || closed.MapOp.Count() != live.MapOp.Count() || live.MapOp.Count() != 2 {
+			t.Fatalf("samples: fault %d → %d, map op %d → %d; want unchanged, 2 map ops",
+				live.Fault.Count(), closed.Fault.Count(), live.MapOp.Count(), closed.MapOp.Count())
+		}
+	})
+}
+
 func TestForkCowIsolation(t *testing.T) {
 	forEachDesign(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)

@@ -183,8 +183,8 @@ func TestTLBGatherFlushInvariant(t *testing.T) {
 }
 
 // TestShootdownCostModel: the shootdown parameters map straight onto
-// the gather domain's cost model, and the retired flat ShootdownDelay
-// field stays retired (see TestNoShootdownDelayField).
+// the gather domain's cost model (TestConfigFieldSet keeps the retired
+// flat ShootdownDelay field out of vm.Config).
 func TestShootdownCostModel(t *testing.T) {
 	cfg := Config{CPUs: 2, ShootdownBase: time.Millisecond, ShootdownPerCore: 10 * time.Microsecond}
 	if got := cfg.shootdownCost().Base; got != time.Millisecond {

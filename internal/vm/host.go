@@ -130,7 +130,6 @@ func (ms *machine) admitTenant(limitFrames int64) (*AddressSpace, error) {
 		tenant:  slot,
 		cpuBase: slot * ms.tenantSpan(),
 		max:     int32(ms.cfg.MaxFamily),
-		members: make(map[*AddressSpace]struct{}),
 	}
 	if limitFrames > 0 {
 		fam.acct = physmem.NewAccount(fmt.Sprintf("tenant-%d", slot), limitFrames)

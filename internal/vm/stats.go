@@ -3,10 +3,6 @@ package vm
 import (
 	"sync/atomic"
 
-	"bonsai/internal/fail"
-	"bonsai/internal/pagecache"
-	"bonsai/internal/physmem"
-	"bonsai/internal/ranges"
 	"bonsai/internal/reclaim"
 	"bonsai/internal/stats"
 )
@@ -206,106 +202,56 @@ func (as *AddressSpace) ReclaimStats() reclaim.Stats {
 	return as.fam.ms.rec.Stats()
 }
 
-// LatencySnapshot gathers the machine's always-on hot-path latency
-// histograms in percentile form: the tail-attribution data the
-// throughput counters above cannot express.
-type LatencySnapshot struct {
+// Rollup is a family's — a tenant's — fault and mapping-operation
+// statistics over every member it has had: the exact fault count and
+// the timed fault, mapping-operation and contended range-wait samples.
+// A closing member is folded in once, by Close; AddressSpace.Rollup
+// adds the live members. Add is the one merge, so every surface that
+// reports a tenant or a machine counts each fault exactly once.
+type Rollup struct {
+	// Faults counts every fault, timed or not.
+	Faults uint64
 	// Fault spans CPU.Fault end to end (fast path through OOM ladder);
-	// its Count is the timed sample's size, not Stats.Faults.
-	Fault stats.LatencyStats `json:"fault"`
+	// it holds the timed sample only, so its count is not Faults.
+	Fault stats.LatencyHist
 	// MapOp spans Mmap/Munmap/Mprotect/MadviseDontNeed calls.
-	MapOp stats.LatencyStats `json:"map_op"`
-	// RangeWait is the contended range-lock wait (zeros for designs on
+	MapOp stats.LatencyHist
+	// RangeWait is the contended range-lock wait (empty for designs on
 	// the global mmap_sem).
-	RangeWait stats.LatencyStats `json:"range_wait"`
-	// GP is the RCU grace-period latency, machine-wide.
-	GP stats.LatencyStats `json:"gp"`
-	// ReclaimScan is the reclaim scan duration (time under the scan
-	// lock), machine-wide.
-	ReclaimScan stats.LatencyStats `json:"reclaim_scan"`
+	RangeWait stats.LatencyHist
 }
 
-// FaultHist returns a merged copy of the per-CPU fault-latency
-// histograms. Its count is the number of faults timed, a sample.
-func (as *AddressSpace) FaultHist() *stats.LatencyHist { return as.stats.faultHist.Merged() }
-
-// Faults returns the exact number of faults handled, timed or not.
-func (as *AddressSpace) Faults() uint64 { return as.stats.faults.Load() }
-
-// MapHist returns a merged copy of the per-slot mapping-operation
-// latency histograms.
-func (as *AddressSpace) MapHist() *stats.LatencyHist { return as.stats.mapHist.Merged() }
-
-// LatencySnapshot captures the latency percentile snapshot for this
-// address space and its machine.
-func (as *AddressSpace) LatencySnapshot() LatencySnapshot {
-	l := LatencySnapshot{
-		Fault: as.FaultHist().Stats(),
-		MapOp: as.MapHist().Stats(),
-		GP:    as.dom.GPHist().Stats(),
-	}
-	if h := as.RangeWaitHist(); h != nil {
-		l.RangeWait = h.Stats()
-	}
-	if as.fam.ms.rec != nil {
-		l.ReclaimScan = as.fam.ms.rec.ScanHist().Stats()
-	}
-	return l
+// Add folds o into r; o keeps its counts.
+func (r *Rollup) Add(o *Rollup) {
+	r.Faults += o.Faults
+	r.Fault.Merge(&o.Fault)
+	r.MapOp.Merge(&o.MapOp)
+	r.RangeWait.Merge(&o.RangeWait)
 }
 
-// StatsSnapshot is the unified observability surface: one nested,
-// JSON-marshalable snapshot consolidating what used to take five
-// separate calls (Stats, RangeStats, ReclaimStats, PageCachePerFile,
-// fail.Snapshot). AddressSpace.Snapshot fills it for one member;
-// machine.Machine rolls tenants' snapshots up with per-tenant charge
-// accounts on top.
-type StatsSnapshot struct {
-	// Design is the configured concurrency design's name.
-	Design string `json:"design"`
-	// Tenant is the tenant slot on the hosting machine.
-	Tenant int `json:"tenant"`
-	// Space is the address space's own operation counters.
-	Space Stats `json:"space"`
-	// Ranges is the range-lock manager's counters (zeros for designs
-	// that serialize mapping operations on mmap_sem).
-	Ranges ranges.Stats `json:"ranges"`
-	// Reclaim is the machine-wide reclaim ladder's counters.
-	Reclaim reclaim.Stats `json:"reclaim"`
-	// Latency is the always-on hot-path latency histograms, in
-	// percentile form.
-	Latency LatencySnapshot `json:"latency"`
-	// Files is the per-file page-cache breakdown, keyed by the file's
-	// stable label (name#id).
-	Files map[string]pagecache.Stats `json:"files,omitempty"`
-	// Account is the tenant's charge account, nil when the tenant is
-	// unlimited (every vm.New space).
-	Account *physmem.AccountStats `json:"account,omitempty"`
-	// TenantOOMKills counts killer-of-last-resort reaps whose victim
-	// was in this tenant (Space.OOMKills counts the same thing today;
-	// kept distinct so the machine rollup can expose both views).
-	TenantOOMKills uint64 `json:"tenant_oom_kills"`
-	// Failpoints is the process-wide failure-injection registry's
-	// counters (empty when no point is registered).
-	Failpoints []fail.PointStats `json:"failpoints,omitempty"`
+// addMember folds one member's own cells into r.
+func (r *Rollup) addMember(as *AddressSpace) {
+	r.Faults += as.stats.faults.Load()
+	r.Fault.Merge(as.stats.faultHist.Merged())
+	r.MapOp.Merge(as.stats.mapHist.Merged())
+	if h := as.rangeWaitHist(); h != nil {
+		r.RangeWait.Merge(h)
+	}
 }
 
-// Snapshot captures the unified statistics snapshot for this address
-// space and its machine.
-func (as *AddressSpace) Snapshot() StatsSnapshot {
-	sn := StatsSnapshot{
-		Design:         as.cfg.Design.String(),
-		Tenant:         as.fam.tenant,
-		Space:          as.Stats(),
-		Ranges:         as.RangeStats(),
-		Reclaim:        as.ReclaimStats(),
-		Latency:        as.LatencySnapshot(),
-		Files:          as.PageCachePerFile(),
-		TenantOOMKills: as.fam.oomKills.Load(),
-		Failpoints:     fail.Snapshot(),
+// Rollup returns the statistics of this space's family: every member
+// that has closed plus every live one, read under the lock a closing
+// member leaves under, so no member is missed or counted twice and
+// successive reads never shrink. After the last member closes it is
+// the tenant's final account.
+func (as *AddressSpace) Rollup() *Rollup {
+	fam := as.fam
+	r := new(Rollup)
+	fam.membersMu.Lock()
+	defer fam.membersMu.Unlock()
+	r.Add(&fam.departed)
+	for _, m := range fam.members {
+		r.addMember(m)
 	}
-	if as.fam.acct != nil {
-		st := as.fam.acct.Stats()
-		sn.Account = &st
-	}
-	return sn
+	return r
 }

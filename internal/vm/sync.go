@@ -377,9 +377,9 @@ func (as *AddressSpace) RangeStats() ranges.Stats {
 	return as.sy.rl.Stats()
 }
 
-// RangeWaitHist exposes the contended range-lock wait histogram, nil
-// for designs on the global mmap_sem.
-func (as *AddressSpace) RangeWaitHist() *stats.LatencyHist {
+// rangeWaitHist is the contended range-lock wait histogram, nil for
+// designs on the global mmap_sem.
+func (as *AddressSpace) rangeWaitHist() *stats.LatencyHist {
 	if as.sy.rl == nil {
 		return nil
 	}

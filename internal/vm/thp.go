@@ -275,13 +275,7 @@ func (ms *machine) collapseSweep() {
 	}
 	ms.tenantsMu.Unlock()
 	for _, fam := range fams {
-		fam.membersMu.Lock()
-		members := make([]*AddressSpace, 0, len(fam.members))
-		for m := range fam.members {
-			members = append(members, m)
-		}
-		fam.membersMu.Unlock()
-		for _, as := range members {
+		for _, as := range fam.liveMembers() {
 			as.collapsePass()
 		}
 	}

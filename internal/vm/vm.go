@@ -33,8 +33,9 @@
 //
 //   - its own per-CPU cells: the fault counters and, for the 1 fault in
 //     16 that is timed, its latency histogram (statsCounters), the page
-//     tables' fill counter, the page cache's hit counter, its RCU reader
-//     and its allocator magazine (frames, lock, allocation counter);
+//     tables' fill counter, the page cache's hit counter, its RCU reader,
+//     its allocator magazine (frames, lock, allocation counter) and its
+//     CPU context's sampling state, padded to lines of its own;
 //   - the leaf page table's PTE lock (its two ticket words, which also
 //     count its acquisitions) and entry, shared within 2 MB;
 //   - the mapped frame's metadata: one word, generation and reference
@@ -53,6 +54,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -332,12 +334,15 @@ type family struct {
 	// tenant's magazines. A slot returns to the free list when its
 	// address space is fully closed (or a fork attempt unwinds), so
 	// retried forks and churning siblings cannot exhaust MaxFamily.
-	// It also guards members, the set of live address spaces the
-	// OOM-killer path scans for its largest victim.
+	// It also guards members, the live address spaces in the order they
+	// joined (the OOM killer's, the collapse scanner's and Members'
+	// list), and departed, the statistics of every member that has left
+	// it: a member moves from one to the other in one critical section.
 	membersMu sync.Mutex
 	freeSlots []int
 	nextSlot  int
-	members   map[*AddressSpace]struct{}
+	members   []*AddressSpace
+	departed  Rollup
 
 	// filesMu guards the file registry. It is only taken on a file's
 	// first mapping, on stats snapshots, and at teardown — never on the
@@ -351,6 +356,10 @@ type family struct {
 // its allocator magazine. Each CPU must be used by one goroutine at a
 // time, like a kernel CPU context.
 type CPU struct {
+	// Every fault writes the sampling state and pathFlags below; the
+	// pads keep them off the lines of the next context allocated, which
+	// without them may share a line with this one.
+	_  [cacheLine]byte
 	as *AddressSpace
 	// id is the machine-wide allocator magazine index; it also picks the
 	// CPU's cells in every per-CPU counter on the fault path (one space's
@@ -367,7 +376,11 @@ type CPU struct {
 	// call (single-goroutine ownership makes a plain field safe); the
 	// exit event reports them.
 	pathFlags uint64
+	_         [cacheLine]byte
 }
+
+// cacheLine is the coherence granule CPU contexts are padded to.
+const cacheLine = 64
 
 // normalized fills the Config's defaults.
 func (cfg Config) normalized() Config {
@@ -440,13 +453,29 @@ func (fam *family) releaseMember(m int) {
 	fam.membersMu.Unlock()
 }
 
-// removeMember drops a space from the live-member set (fully closed,
-// or an unwound fork attempt) so the OOM killer can no longer pick it.
-func (fam *family) removeMember(as *AddressSpace) {
+// depart drops a space from the live-member set (closing, or an unwound
+// fork attempt) so the OOM killer can no longer pick it, and folds its
+// statistics into the family's departed rollup in the same critical
+// section, so Rollup sees every member exactly once. The space has
+// recorded its last sample.
+func (fam *family) depart(as *AddressSpace) {
 	fam.membersMu.Lock()
-	delete(fam.members, as)
+	fam.members = slices.DeleteFunc(fam.members, func(m *AddressSpace) bool { return m == as })
+	fam.departed.addMember(as)
 	fam.membersMu.Unlock()
 }
+
+// liveMembers returns the live members in the order they joined.
+func (fam *family) liveMembers() []*AddressSpace {
+	fam.membersMu.Lock()
+	defer fam.membersMu.Unlock()
+	return slices.Clone(fam.members)
+}
+
+// Members returns the live address spaces of this space's family — the
+// tenant — in the order they joined: the tenant's first space, then its
+// siblings and fork children.
+func (as *AddressSpace) Members() []*AddressSpace { return as.fam.liveMembers() }
 
 // SetOOMKiller installs the machine's killer of last resort. When an
 // operation exhausts its ErrFrameShortage retry budget and a final
@@ -485,7 +514,7 @@ func (fam *family) largestVictim(except *AddressSpace) *AddressSpace {
 	defer fam.membersMu.Unlock()
 	var victim *AddressSpace
 	var most uint64
-	for m := range fam.members {
+	for _, m := range fam.members {
 		if m == except {
 			continue
 		}
@@ -576,7 +605,7 @@ func newMember(cfg Config, fam *family) (*AddressSpace, error) {
 	// fault write a shared line (cmd/asplos12's ablation measures why).
 	as.mmapCacheOn = !cfg.Design.UsesRCU()
 	fam.membersMu.Lock()
-	fam.members[as] = struct{}{}
+	fam.members = append(fam.members, as)
 	fam.membersMu.Unlock()
 	return as, nil
 }
@@ -620,11 +649,14 @@ func (as *AddressSpace) NewCPU(id int) *CPU {
 
 // Close tears down the address space: it unmaps everything, frees its
 // page-table root, and flushes the RCU domain (the one place the
-// mapping side blocks on a grace period). When the last family member
-// closes, the tenant retires — its caches drop, its account unbinds,
-// its slot recycles — and, if no Host holds the machine open, the
-// whole machine tears down and the frame-leak check's error is
-// returned. No operation on this address space may be in flight.
+// mapping side blocks on a grace period). Once its own unmap has ended
+// — its last recorded sample — and before its page tables go, the space
+// leaves the family's member set and its statistics join the family's
+// Rollup. When the last family member closes, the tenant retires — its
+// caches drop, its account unbinds, its slot recycles — and, if no Host
+// holds the machine open, the whole machine tears down and the
+// frame-leak check's error is returned. No operation on this address
+// space may be in flight.
 func (as *AddressSpace) Close() error {
 	op := as.beginOp()
 	mg := as.sy.lockAll(op)
@@ -632,8 +664,8 @@ func (as *AddressSpace) Close() error {
 	as.munmapLocked(op, 0, MaxAddress)
 	mg.unlock()
 	op.end()
+	as.fam.depart(as)
 	as.tables.ReleaseRoot(as.mapCPU)
-	as.fam.removeMember(as)
 	last := as.fam.live.Add(-1) == 0
 	var err error
 	if last {
