@@ -93,7 +93,10 @@ func (t *Tables) FillOrUpgrade(cpu int, addr uint64, pt *PageTable, write bool,
 }
 
 // CloneRange copies the present PTEs of [lo, hi) into dst, implementing
-// fork. For each present entry it calls onShare(addr, frame) under the
+// fork. Huge entries are never shared as such: each one the scan meets
+// is split to base pages in place (recorded in g) and its leaf table
+// cloned, so the child inherits page-granular entries. For each present
+// entry it calls onShare(addr, frame) under the
 // source PTE lock (the caller takes a frame reference). When cow is
 // true (private mappings), every
 // source entry — writable or not — is downgraded in place to read-only
@@ -140,13 +143,14 @@ func (t *Tables) CloneRange(cpu int, g *tlb.Gather, dst *Tables, lo, hi uint64, 
 	for base := lo &^ (TableSpan - 1); base < hi; base += TableSpan {
 		pt := t.WalkTable(base)
 		if pt == nil {
-			if _, huge := t.WalkHuge(base); huge {
-				// The caller must SplitHugeRange before cloning;
-				// silently skipping would hand the child an
-				// unpopulated span it believes it shares.
-				panic("pagetable: CloneRange over a huge entry (split first)")
+			// A huge entry — present before the fork, or installed by a
+			// first-touch fault racing it — is demoted here, riding g,
+			// and its leaf table cloned like any other. No table and no
+			// huge entry: nothing to share (a fault landing after this
+			// point is a post-fork fault, private to this space).
+			if pt = t.splitHugeAt(g, base); pt == nil {
+				continue
 			}
-			continue
 		}
 		clampLo, clampHi := base, base+TableSpan
 		if clampLo < lo {

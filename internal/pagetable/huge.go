@@ -107,7 +107,7 @@ func (t *Tables) InstallHuge(cpu int, addr uint64, frame physmem.Frame,
 
 // UpgradeHuge makes the huge entry covering addr writable in place
 // (the write fault on a huge span downgraded read-only by mprotect;
-// huge entries are never copy-on-write — fork splits them first). It
+// huge entries are never copy-on-write — CloneRange splits them). It
 // reports whether an entry was present and upgraded; recheck runs
 // under the page-directory lock.
 func (t *Tables) UpgradeHuge(addr uint64, recheck func() bool) bool {
@@ -168,32 +168,18 @@ func (t *Tables) AccessHuge(addr uint64, write bool, fn func(pte uint64)) bool {
 // is a one-flush zap batch); the caller flushes. Reports whether a
 // split happened.
 func (t *Tables) SplitHuge(g *tlb.Gather, addr uint64) bool {
+	return t.splitHugeAt(g, addr) != nil
+}
+
+// splitHugeAt is SplitHuge returning the published leaf table, or nil
+// when no huge entry covered addr.
+func (t *Tables) splitHugeAt(g *tlb.Gather, addr uint64) *PageTable {
 	checkAddr(addr)
 	d := t.walkLevel2(addr)
 	if d == nil {
-		return false
+		return nil
 	}
-	idx := index(addr, 2)
-	base := addr &^ (HugeSpan - 1)
-	return t.splitHugeEntry(g, d, idx, base) != nil
-}
-
-// SplitHugeRange demotes every huge entry intersecting [lo, hi),
-// riding the caller's gather, and returns how many entries were split.
-// Fork calls it over each private region before cloning (huge entries
-// are never copy-on-write; the child inherits base-page COW entries),
-// and mprotect/munmap paths use SplitHuge for single entries.
-func (t *Tables) SplitHugeRange(g *tlb.Gather, lo, hi uint64) int {
-	if lo >= hi {
-		return 0
-	}
-	n := 0
-	for base := lo &^ (HugeSpan - 1); base < hi; base += HugeSpan {
-		if t.SplitHuge(g, base) {
-			n++
-		}
-	}
-	return n
+	return t.splitHugeEntry(g, d, index(addr, 2), addr&^(HugeSpan-1))
 }
 
 // splitHugeEntry demotes huge entry idx of d under the page-directory
@@ -225,11 +211,12 @@ func (t *Tables) splitHugeEntry(g *tlb.Gather, d *directory, idx int, base uint6
 	return dep
 }
 
-// zapHuge clears huge entry idx of d, feeding all 512 page
-// translations and their frames into the gather (released after the
-// flush and a grace period) and retiring the deposited table the same
-// way. onPage receives each synthesized base PTE, mirroring the leaf
-// clear path.
+// zapHuge clears huge entry idx of d, recording its 512 page
+// translations in the gather as one run entry (the run returns to the
+// allocator as one unit after the flush and a grace period) and retiring
+// the deposited table the same way. onPage receives the huge PTE itself,
+// once, inside the page-directory lock; PTEHuge marks it (see
+// UnmapRange).
 func (t *Tables) zapHuge(g *tlb.Gather, d *directory, idx int, base uint64, onPage func(addr, pte uint64)) {
 	t.dirLock.Lock()
 	h := d.huge[idx].Load()
@@ -239,13 +226,9 @@ func (t *Tables) zapHuge(g *tlb.Gather, d *directory, idx int, base uint64, onPa
 	}
 	d.huge[idx].Store(0)
 	dep := d.deposit[idx].Swap(nil)
-	run := PTEFrame(h)
-	for i := 0; i < EntriesPerTable; i++ {
-		addr := base + uint64(i)<<PageShift
-		g.Page(addr, run+physmem.Frame(i))
-		if onPage != nil {
-			onPage(addr, hugeBasePTE(h, i))
-		}
+	g.Run(base, PTEFrame(h), HugeOrder)
+	if onPage != nil {
+		onPage(base, h)
 	}
 	t.dirLock.Unlock()
 	t.ptesCleared.Add(EntriesPerTable)

@@ -468,9 +468,14 @@ func (t *Tables) FillPTE(addr uint64, pt *PageTable, recheck func() bool,
 // under the page-directory lock. onPage, if non-nil, receives each
 // cleared entry's virtual address and PTE still inside the PTE lock,
 // so rmap bookkeeping keyed by the address is ordered against a
-// racing refault of the same page. The scan itself pays no shootdown
-// and waits for no grace period: the caller flushes the gather once
-// for the whole batch.
+// racing refault of the same page. A huge entry the range fully covers
+// is cleared whole, its run recorded as one gather run entry: onPage
+// receives it once, inside the page-directory lock, with the chunk's
+// base address and the huge PTE itself — PTEHuge set — standing for all
+// EntriesPerTable pages of the run. A partially covered huge entry is
+// split first and its cleared base PTEs are reported one by one. The
+// scan itself pays no shootdown and waits for no grace period: the
+// caller flushes the gather once for the whole batch.
 func (t *Tables) UnmapRange(g *tlb.Gather, lo, hi uint64, onPage func(addr, pte uint64)) {
 	checkAddr(lo)
 	if hi != MaxAddress {
@@ -507,8 +512,8 @@ func (t *Tables) unmapDir(g *tlb.Gather, d *directory, lo, hi uint64, onPage fun
 			if pt == nil && d.huge[idx].Load()&PTEPresent != 0 {
 				if full {
 					// The range covers the whole huge entry: zap it as
-					// one batch — 512 pages, one flush (Figure 11's
-					// batching at its best).
+					// one gather entry — 512 pages, one flush, one run
+					// freed (Figure 11's batching at its best).
 					t.zapHuge(g, d, idx, base, onPage)
 					continue
 				}

@@ -189,3 +189,19 @@ func (a *Allocator) unchargeFrame(f Frame) {
 		ac.unchargeN(1)
 	}
 }
+
+// unchargeRun is unchargeFrame for the n frames of an unsplit run whose
+// last references have all dropped. AllocRun stamped every frame with
+// the one account it charged, so the base frame's stamp speaks for the
+// run: an unaccounted run costs one load, an accounted one a stamp
+// clear per frame and a single uncharge.
+func (a *Allocator) unchargeRun(base, n Frame) {
+	ac := a.owner[base].Load()
+	if ac == nil {
+		return
+	}
+	for f := base; f < base+n; f++ {
+		a.owner[f].Store(nil)
+	}
+	ac.unchargeN(int64(n))
+}

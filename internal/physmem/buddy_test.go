@@ -208,3 +208,48 @@ func TestRunAllocFailpoint(t *testing.T) {
 		t.Fatalf("run failures = %d, want 1", got)
 	}
 }
+
+// TestFreeRunUnchargesOnce: an accounted run whose frames all drop
+// their last reference returns its whole charge and clears every owner
+// stamp; with one frame still shared, that frame keeps its stamp and
+// its one frame of charge until its own last reference drops.
+func TestFreeRunUnchargesOnce(t *testing.T) {
+	a := New(Config{Frames: 1 << 11, CPUs: 1})
+	ac := NewAccount("t", 0)
+	a.BindAccount(0, ac)
+	noOwners := func(base, except Frame) {
+		t.Helper()
+		for f := base; f < base+1<<MaxOrder; f++ {
+			if f != except && a.Owner(f) != nil {
+				t.Fatalf("frame %d still stamped after its last reference dropped", f)
+			}
+		}
+	}
+	base, err := a.AllocRun(0, MaxOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.FreeRun(base, MaxOrder)
+	if got := ac.Charged(); got != 0 {
+		t.Fatalf("charged after a whole-run free = %d, want 0", got)
+	}
+	noOwners(base, NoFrame)
+
+	if base, err = a.AllocRun(0, MaxOrder); err != nil {
+		t.Fatal(err)
+	}
+	shared := base + 77
+	a.Ref(shared)
+	a.FreeRun(base, MaxOrder)
+	if got := ac.Charged(); got != 1 || a.Owner(shared) != ac {
+		t.Fatalf("charged %d, shared frame's owner %v; want 1 and the account", got, a.Owner(shared))
+	}
+	noOwners(base, shared)
+	a.FreeRemote(shared)
+	if got := ac.Charged(); got != 0 || a.Owner(shared) != nil {
+		t.Fatalf("charged %d after the straggler's free, want 0", got)
+	}
+	if err := a.AuditBuddy(); err != nil {
+		t.Fatal(err)
+	}
+}

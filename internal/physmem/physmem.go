@@ -332,10 +332,11 @@ func (a *Allocator) stamp(f Frame, ac *Account) {
 	}
 }
 
-// unref drops one reference to f on behalf of op and reports whether it
-// was the last, in which case the frame's charge has been returned and
-// the caller owns the frame's way back to a pool.
-func (a *Allocator) unref(f Frame, op string) bool {
+// drop drops one reference to f on behalf of op and reports whether it
+// was the last, in which case the caller owns the frame's way back to a
+// pool and returns its charge (unchargeFrame, or unchargeRun for a whole
+// run).
+func (a *Allocator) drop(f Frame, op string) bool {
 	if f == NoFrame || uint64(f) > a.cfg.Frames {
 		panic(fmt.Sprintf("physmem: %s of invalid frame %d", op, f))
 	}
@@ -346,7 +347,6 @@ func (a *Allocator) unref(f Frame, op string) bool {
 		a.meta[f].Add(1) // undo the borrow from the generation half
 		panic(fmt.Sprintf("physmem: %s of frame %d with no references", op, f))
 	}
-	a.unchargeFrame(f)
 	return true
 }
 
@@ -396,11 +396,12 @@ func (a *Allocator) Alloc(cpu int) (Frame, error) {
 }
 
 // AllocRun allocates 1<<order contiguous, size-aligned frames and
-// returns the first. The run's frames are independent once allocated:
-// each carries its own reference count, generation, and owner stamp,
-// and each returns to the pool through the ordinary free paths (a split
-// huge mapping retires its frames one at a time through a TLB gather's
-// FreeBatch, and the buddy lists coalesce them back into runs).
+// returns the first. Every frame carries its own reference count,
+// generation, and owner stamp (all stamped with the one account the run
+// was charged to). An unsplit run returns through FreeRun as one unit —
+// one uncharge, one block. A split huge mapping's frames are
+// independent: they retire one at a time through a TLB gather's
+// FreeBatch, and the buddy lists coalesce them back into runs.
 //
 // A run shortage is reported as ErrNoRun — typed separately from
 // ErrOutOfMemory because the pool may hold plenty of fragmented free
@@ -465,11 +466,16 @@ func (a *Allocator) allocBlock(want, least int) (base Frame, order int, low bool
 }
 
 // FreeRun drops one reference from each frame of a run allocated by
-// AllocRun. A run whose frames all drop their last reference goes back
-// to the buddy lists as the one block it was allocated as; frames still
-// shared stay out and the stretches between them return frame by frame.
-// Like FreeRemote it is safe from any goroutine; frames reachable by
-// concurrent RCU readers must wait out a grace period first.
+// AllocRun — an unsplit huge mapping's run, retired by a TLB gather's run
+// entry. A run whose frames all drop their last reference returns as
+// one unit: one read of the owner stamp AllocRun gave every frame, one
+// uncharge for the whole run, and the one block it was allocated as,
+// freed under one lock hold with no coalescing. Frames still shared stay
+// out, and the rest return frame by frame, each uncharged on its own (a
+// split run's frames never reach FreeRun: they return one by one
+// through FreeBatch). Like FreeRemote it is safe from any goroutine;
+// frames reachable by concurrent RCU readers must wait out a grace
+// period first.
 func (a *Allocator) FreeRun(base Frame, order int) {
 	if order < 0 || order > MaxOrder {
 		panic(fmt.Sprintf("physmem: FreeRun order %d out of range", order))
@@ -478,29 +484,42 @@ func (a *Allocator) FreeRun(base Frame, order int) {
 	if base == NoFrame || uint64(base)+uint64(n)-1 > a.cfg.Frames {
 		panic(fmt.Sprintf("physmem: FreeRun of invalid run %d+%d", base, n))
 	}
-	start := base // first frame of the current stretch of final frees
-	flush := func(end Frame) {
-		if end == start {
-			return
+	// Drop every reference first, remembering which frames stay shared:
+	// once a frame's count is zero it is ours, but a shared one may be
+	// freed by its other holder at any moment, so it is never re-read.
+	var kept [(1 << MaxOrder) / 64]uint64
+	final := n
+	for i := Frame(0); i < n; i++ {
+		if !a.drop(base+i, "FreeRun") {
+			kept[i/64] |= 1 << (i % 64)
+			final--
 		}
-		a.remoteFrees.Add(uint64(end - start))
-		a.mu.Lock()
-		if end-start == n && base%n == 0 {
-			a.freeBlockLocked(base, order)
-		} else {
-			for f := start; f < end; f++ {
-				a.freeBlockLocked(f, 0)
+	}
+	if final == 0 {
+		return
+	}
+	whole := final == n && base%n == 0
+	if whole {
+		a.unchargeRun(base, n)
+	} else {
+		for i := Frame(0); i < n; i++ {
+			if kept[i/64]&(1<<(i%64)) == 0 {
+				a.unchargeFrame(base + i)
 			}
 		}
-		a.mu.Unlock()
 	}
-	for f := base; f < base+n; f++ {
-		if !a.unref(f, "FreeRun") {
-			flush(f)
-			start = f + 1
+	a.remoteFrees.Add(uint64(final))
+	a.mu.Lock()
+	if whole {
+		a.freeBlockLocked(base, order)
+	} else {
+		for i := Frame(0); i < n; i++ {
+			if kept[i/64]&(1<<(i%64)) == 0 {
+				a.freeBlockLocked(base+i, 0)
+			}
 		}
 	}
-	flush(base + n)
+	a.mu.Unlock()
 	a.rearmPressure()
 }
 
@@ -611,9 +630,10 @@ func (a *Allocator) Refs(f Frame) int32 { return int32(a.meta[f].Load()) }
 // until a grace period has elapsed (use rcu.Domain.Defer); the frame
 // word turns violations into panics when the frame is reused.
 func (a *Allocator) Free(cpu int, f Frame) {
-	if !a.unref(f, "Free") {
+	if !a.drop(f, "Free") {
 		return
 	}
+	a.unchargeFrame(f)
 	m := &a.mags[cpu%len(a.mags)]
 	m.frees.Add(1)
 	m.mu.Lock()
@@ -643,14 +663,16 @@ func (a *Allocator) FreeRemote(f Frame) { a.FreeBatch([]Frame{f}) }
 // allocator-lock acquisition — the batched analogue of FreeRemote the
 // TLB-gather flush path uses, so a 1024-page unmap pays one lock round
 // instead of 1024. Freed frames coalesce with their buddies, so the
-// zap of a split huge mapping reassembles the 2 MiB run. Like
+// zap of a split huge mapping reassembles the 2 MiB run frame by frame
+// (an unsplit run skips that: it returns through FreeRun). Like
 // FreeRemote it is safe from any goroutine, and frames reachable by
 // concurrent RCU readers must not reach it until a grace period has
 // elapsed.
 func (a *Allocator) FreeBatch(frames []Frame) {
 	final := 0
 	for _, f := range frames {
-		if a.unref(f, "FreeBatch") {
+		if a.drop(f, "FreeBatch") {
+			a.unchargeFrame(f)
 			frames[final] = f
 			final++
 		}

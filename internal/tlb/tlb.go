@@ -7,7 +7,11 @@
 // A zap operation creates a Gather, accumulates into it while it walks
 // page tables — revoked translations, frames whose references the
 // revocations released, detached page-table structures, bookkeeping
-// callbacks — and then calls Flush exactly once per batch. A reclaim
+// callbacks — and then calls Flush exactly once per batch. An unsplit
+// huge mapping is one run entry (Run): a base frame, an order and the
+// span it revoked, counted as its 1<<order pages in the flush counters
+// and the shootdown charge, and returned to the allocator as one unit
+// by FreeRun rather than as 512 frames. A reclaim
 // scan uses one gather for its whole batch the same way: the revoked
 // PTEs of every evicted page and then each evicted page's own cache
 // reference (Release), so however many pages a scan evicts, it queues
@@ -17,7 +21,8 @@
 // ShootdownBase/ShootdownPerCore parameters) and only then queues the
 // batch's frames for release: a single RCU callback that returns every
 // frame to the allocator in one FreeBatch call, one allocator-lock
-// acquisition per batch instead of one per page. The batch's buffers
+// acquisition per batch instead of one per page, and each run in one
+// FreeRun call. The batch's buffers
 // and its callback are recycled once it has run, so a flush allocates
 // nothing in the steady state.
 //
@@ -134,15 +139,23 @@ type Gather struct {
 	b *batch
 }
 
-// batch is one flush's deferred release: the frames to return and the
-// callbacks to run once the flush's grace period has elapsed. The
-// domain's RCU callback for it is its bound release method, built once;
-// the batch and its buffers return to the domain's pool when it has run.
+// batch is one flush's deferred release: the frames and runs to return
+// and the callbacks to run once the flush's grace period has elapsed.
+// The domain's RCU callback for it is its bound release method, built
+// once; the batch and its buffers return to the domain's pool when it
+// has run.
 type batch struct {
 	d       *Domain
 	frames  []physmem.Frame
+	runs    []runEntry
 	defers  []func()
 	release func()
+}
+
+// runEntry is a run entry: an unsplit frame run allocated by AllocRun.
+type runEntry struct {
+	base  physmem.Frame
+	order int
 }
 
 func (g *Gather) batch() *batch {
@@ -161,10 +174,14 @@ func (g *Gather) batch() *batch {
 // it returns, so the batch can go straight back to the pool.
 func (b *batch) run() {
 	b.d.alloc.FreeBatch(b.frames)
+	for _, r := range b.runs {
+		b.d.alloc.FreeRun(r.base, r.order)
+	}
 	for _, fn := range b.defers {
 		fn()
 	}
 	b.frames = b.frames[:0]
+	b.runs = b.runs[:0]
 	clear(b.defers)
 	b.defers = b.defers[:0]
 	b.d.batches.Put(b)
@@ -178,6 +195,20 @@ func (g *Gather) Page(addr uint64, f physmem.Frame) {
 	g.pages++
 	b := g.batch()
 	b.frames = append(b.frames, f)
+}
+
+// Run records the revoked translations of an unsplit run mapped at addr:
+// 1<<order pages, each holding a reference to its frame of the run
+// AllocRun handed out at base. The pages count like 1<<order Page calls;
+// the references are released after the batch's flush and a grace
+// period by one FreeRun.
+func (g *Gather) Run(addr uint64, base physmem.Frame, order int) {
+	n := 1 << order
+	g.span(addr)
+	g.span(addr + uint64(n-1)*physmem.PageSize)
+	g.pages += n
+	b := g.batch()
+	b.runs = append(b.runs, runEntry{base, order})
 }
 
 // Revoke records n translations revoked or narrowed (an mprotect
@@ -208,7 +239,7 @@ func (g *Gather) Defer(fn func()) {
 func (g *Gather) Pages() int { return g.pages }
 
 // Span returns the virtual-address interval [lo, hi) covering every
-// Page-recorded revocation of the current batch (diagnostics; a
+// Page- or Run-recorded revocation of the current batch (diagnostics; a
 // finer-grained cost model could intersect it with per-core TLB
 // contents). Zero-length until the first Page call.
 func (g *Gather) Span() (lo, hi uint64) { return g.lo, g.hi }

@@ -53,6 +53,40 @@ func TestFlushBatchesFrames(t *testing.T) {
 	}
 }
 
+// TestRunEntry: a run entry counts its 1<<order pages in the flush
+// counters and the span, and the batch returns the run as the one block
+// it was allocated as, with no coalescing.
+func TestRunEntry(t *testing.T) {
+	d, alloc, dom := newTestDomain(t, CostModel{})
+	runs := alloc.FreeRuns(physmem.MaxOrder)
+	run, err := alloc.AllocRun(0, physmem.MaxOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coalesces := alloc.Stats().BuddyCoalesces
+	g := d.Gather(0)
+	const addr = 0x40000000
+	g.Run(addr, run, physmem.MaxOrder)
+	if g.Pages() != 512 {
+		t.Fatalf("Pages() = %d, want 512", g.Pages())
+	}
+	if lo, hi := g.Span(); lo != addr || hi != addr+511*4096+1 {
+		t.Fatalf("Span() = [%#x, %#x)", lo, hi)
+	}
+	g.Flush()
+	dom.Flush()
+	if alloc.InUse() != 0 || alloc.FreeRuns(physmem.MaxOrder) != runs {
+		t.Fatalf("InUse %d, order-9 blocks %d after the batch ran; want 0, %d",
+			alloc.InUse(), alloc.FreeRuns(physmem.MaxOrder), runs)
+	}
+	if got := alloc.Stats().BuddyCoalesces - coalesces; got != 0 {
+		t.Fatalf("run entry took %d coalesce steps, want 0", got)
+	}
+	if st := d.Stats(); st.Flushes != 1 || st.PagesFlushed != 512 {
+		t.Fatalf("stats %+v, want one flush covering 512 pages", st)
+	}
+}
+
 // TestFlushEmptyIsFree: flushing a gather with nothing revoked charges
 // nothing and counts nothing.
 func TestFlushEmptyIsFree(t *testing.T) {

@@ -86,14 +86,11 @@ func (as *AddressSpace) forkOnce() (*AddressSpace, error) {
 
 		// Private mappings go copy-on-write (even currently read-only
 		// ones, so a later mprotect-to-writable cannot alias stores);
-		// Shared mappings share pages verbatim.
+		// Shared mappings share pages verbatim. Huge entries are never
+		// copy-on-write: CloneRange demotes each one it meets (one a
+		// lock-free fault installed beside this fork too), riding the
+		// fork's gather, so the child inherits page-granular COW entries.
 		cow := v.Flags()&vma.Shared == 0
-		// Huge entries are never copy-on-write: demote them to base
-		// pages first (riding the fork's gather), so the child inherits
-		// page-granular COW entries and breaks them one page at a time.
-		if cow && !as.cfg.NoTHP {
-			as.tables.SplitHugeRange(g, lo, hi)
-		}
 		// clonePages remembers which cloned frames were live cache pages
 		// at clone time (observed under the parent's PTE lock, so exact:
 		// a mapped frame cannot be recycled into a different page). The

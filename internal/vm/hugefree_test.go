@@ -1,0 +1,204 @@
+package vm
+
+// The huge-page return path: an unsplit 2 MB run retires as one unit
+// (one gather run entry, one uncharge, one order-9 buddy block), and
+// fork splits any huge entry its clone meets — including one a
+// first-touch fault installs while the fork is running.
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"bonsai/internal/pagetable"
+	"bonsai/internal/race"
+	"bonsai/internal/vma"
+)
+
+// TestHugeRoundCounts holds one huge_populate round — 32 × (mmap of an
+// aligned 2 MB chunk + one write fault), one munmap of all 32, one grace
+// period — to its budget: the 32 runs go back as 32 order-9 blocks with
+// no merging (the only coalescing left is the deposited tables'), the
+// flush and unmap counters still see 16,384 pages, and the round
+// allocates no more than it did when each run went back frame by frame.
+func TestHugeRoundCounts(t *testing.T) {
+	const chunks = 32
+	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 4 * chunks * 512, THPScanInterval: -1, RCUBatch: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := as.NewCPU(0)
+	base := UnmappedBase + 1<<30
+	round := func() {
+		for c := uint64(0); c < chunks; c++ {
+			if _, err := as.Mmap(base+c*HugeSpan, HugeSpan, vma.ProtRead|vma.ProtWrite, vma.Fixed, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c := uint64(0); c < chunks; c++ {
+			if err := cpu.Fault(base+c*HugeSpan+c*PageSize, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := as.Munmap(base, chunks*HugeSpan); err != nil {
+			t.Fatal(err)
+		}
+		as.Domain().Synchronize()
+	}
+	round() // warm the pools and the page-table directories
+	runs := as.alloc.FreeRuns(pagetable.HugeOrder)
+	pm, st := as.alloc.Stats(), as.Stats()
+	round()
+	pm2, st2 := as.alloc.Stats(), as.Stats()
+	if got := st2.THPHugeFaults - st.THPHugeFaults; got != chunks {
+		t.Fatalf("%d huge faults, want %d", got, chunks)
+	}
+	if got := pm2.BuddyCoalesces - pm.BuddyCoalesces; got > chunks {
+		t.Errorf("one round took %d buddy coalesces, want at most %d", got, chunks)
+	}
+	if got := st2.PagesUnmapped - st.PagesUnmapped; got != chunks*512 {
+		t.Errorf("PagesUnmapped grew by %d, want %d", got, chunks*512)
+	}
+	if got := st2.TLBPagesFlushed - st.TLBPagesFlushed; got != chunks*512 {
+		t.Errorf("TLB PagesFlushed grew by %d, want %d", got, chunks*512)
+	}
+	if got := as.alloc.FreeRuns(pagetable.HugeOrder); got != runs {
+		t.Errorf("FreeRuns(9) = %d after the round, want %d", got, runs)
+	}
+	if !race.Enabled {
+		if avg := testing.AllocsPerRun(100, round); avg > 35 {
+			t.Errorf("a round allocates %.1f times, want at most 35", avg)
+		}
+	}
+	if err := as.Close(); err != nil {
+		t.Fatalf("frames lost: %v", err)
+	}
+}
+
+// TestHugeRunTenantCharge: a huge fault on a tenant's CPU charges the
+// tenant's account for the run's 512 frames (and the deposited page
+// table), stamping each frame; munmap and a grace period return all of
+// it and clear every stamp, and the tenant's close leaves nothing
+// charged.
+func TestHugeRunTenantCharge(t *testing.T) {
+	h := NewHost(Config{Design: PureRCU, CPUs: 1, Frames: 8192, THPScanInterval: -1}, 1)
+	as, err := h.Admit(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac := as.Account()
+	cpu := as.NewCPU(0)
+	// A one-page neighbour in the same 1 GB span builds the directories
+	// first, so the huge fault allocates only its run and its deposit.
+	mustMmap(t, as, hugeBase+HugeSpan, PageSize, vma.ProtRead, vma.Fixed)
+	if err := cpu.Fault(hugeBase+HugeSpan, false); err != nil {
+		t.Fatal(err)
+	}
+	mustMmap(t, as, hugeBase, HugeSpan, vma.ProtRead|vma.ProtWrite, vma.Fixed)
+	charged, tables := ac.Charged(), as.tables.Stats().TablesLive
+	if err := cpu.Fault(hugeBase+3*PageSize, true); err != nil {
+		t.Fatal(err)
+	}
+	pte, ok := as.tables.WalkHuge(hugeBase)
+	if !ok {
+		t.Fatal("fault installed no huge entry")
+	}
+	if got := as.tables.Stats().TablesLive - tables; got != 1 {
+		t.Fatalf("huge fault built %d page tables, want 1 (the deposit)", got)
+	}
+	if got := ac.Charged() - charged; got != 512+1 {
+		t.Fatalf("huge fault charged %d frames, want 512 + the deposited table", got)
+	}
+	run := pagetable.PTEFrame(pte)
+	for f := run; f < run+512; f++ {
+		if as.alloc.Owner(f) != ac {
+			t.Fatalf("frame %d of the run is stamped %v, want the tenant's account", f, as.alloc.Owner(f))
+		}
+	}
+	if err := as.Munmap(hugeBase, HugeSpan); err != nil {
+		t.Fatal(err)
+	}
+	as.Domain().Synchronize()
+	if got := ac.Charged(); got != charged {
+		t.Fatalf("charged %d after munmap and a grace period, want %d", got, charged)
+	}
+	for f := run; f < run+512; f++ {
+		if owner := as.alloc.Owner(f); owner != nil {
+			t.Fatalf("frame %d still stamped %v after its run was freed", f, owner)
+		}
+	}
+	if err := as.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ac.Charged(); got != 0 {
+		t.Fatalf("charged %d after the tenant closed, want 0", got)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForkBesideHugeFaults: in the RCU designs a fault runs beside a
+// fork, so a first-touch fault can install a huge entry in a chunk the
+// clone has not reached yet. The clone must split it like any other
+// (it used to panic, "CloneRange over a huge entry"). Forks loop while a
+// faulter re-empties the region with MADV_DONTNEED and touches each
+// chunk again; then the THP identity and the leak checks must hold.
+func TestForkBesideHugeFaults(t *testing.T) {
+	forks := 60
+	if testing.Short() {
+		forks = 15
+	}
+	const chunks = 16
+	for _, d := range []Design{PureRCU, Hybrid} {
+		t.Run(d.String(), func(t *testing.T) {
+			as, err := New(Config{Design: d, CPUs: 2, Frames: 1 << 15, THPScanInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustMmap(t, as, hugeBase, chunks*HugeSpan, vma.ProtRead|vma.ProtWrite, vma.Fixed)
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cpu := as.NewCPU(1)
+				for i := uint64(0); !stop.Load(); i++ {
+					if err := as.MadviseDontNeed(hugeBase, chunks*HugeSpan); err != nil {
+						t.Error(err)
+						return
+					}
+					for c := uint64(0); c < chunks; c++ {
+						if err := cpu.Fault(hugeBase+c*HugeSpan+(i+c)%512*PageSize, true); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+			for i := 0; i < forks; i++ {
+				child, err := as.Fork()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := child.AuditTHP(); err != nil {
+					t.Errorf("child: %v", err)
+				}
+				if err := child.Close(); err != nil {
+					t.Errorf("child teardown: %v", err)
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+			if as.Stats().THPHugeFaults == 0 {
+				t.Fatal("the faulter installed no huge entry")
+			}
+			if err := as.AuditTHP(); err != nil {
+				t.Fatal(err)
+			}
+			if err := as.Close(); err != nil {
+				t.Fatalf("teardown: %v", err)
+			}
+		})
+	}
+}

@@ -63,13 +63,18 @@ func (as *AddressSpace) zapRange(op *opCtx, lo, hi uint64) {
 	g := &op.gather
 	unmapped := uint64(0) // one add per zap, not one per page
 	as.tables.UnmapRange(g, lo, hi, func(addr, pte uint64) {
-		frame := pagetable.PTEFrame(pte)
+		if pte&pagetable.PTEHuge != 0 {
+			// A whole huge entry: its run is private anonymous memory
+			// (hugeEligible), never a cache page.
+			unmapped += pagetable.EntriesPerTable
+			return
+		}
 		unmapped++
 		// A frame resident in a page cache carries an rmap entry for
 		// this PTE; drop it here, inside the PTE lock that cleared the
 		// entry, so the removal is ordered before any refault re-adds
 		// the same (space, vaddr) slot.
-		if pg := as.fam.ms.reg.Lookup(frame); pg != nil {
+		if pg := as.fam.ms.reg.Lookup(pagetable.PTEFrame(pte)); pg != nil {
 			pg.RemoveMapping(as, addr)
 		}
 	})

@@ -43,7 +43,7 @@ func (c *CPU) hugeHit(h uint64, page uint64, write bool, recheck func() bool) er
 	if write && h&pagetable.PTEWritable == 0 {
 		// Write fault on a read-only huge span (an mprotect downgrade
 		// since made writable again): upgrade the entry in place. Huge
-		// entries are never copy-on-write — fork splits them first — so
+		// entries are never copy-on-write — fork's clone splits them — so
 		// there is no huge COW break.
 		if !as.tables.UpgradeHuge(page, recheck) {
 			return retryFillRace // split, zapped, or recheck failed: retry

@@ -3,7 +3,7 @@ package vm
 // Transparent-huge-page tests: the huge-first fault path, base-page
 // fallback under run fragmentation, gather-driven demotion on partial
 // munmap and boundary-crossing mprotect, collapse promotion (explicit
-// and scanner-driven), fork's split-before-clone, and a -race storm
+// and scanner-driven), fork's split-in-clone, and a -race storm
 // that pits huge faulters against a splitter and a collapser on one
 // region with the run allocator failing intermittently.
 
@@ -330,8 +330,8 @@ func TestCollapseScannerPromotes(t *testing.T) {
 	})
 }
 
-// TestForkSplitsHuge: huge entries are never copy-on-write — fork
-// demotes them to base pages first, and both sides then break COW one
+// TestForkSplitsHuge: huge entries are never copy-on-write — fork's
+// clone demotes them to base pages, and both sides then break COW one
 // page at a time.
 func TestForkSplitsHuge(t *testing.T) {
 	forEachDesign(t, thpConfig(), func(t *testing.T, as *AddressSpace) {
