@@ -184,11 +184,12 @@ func (t *Tables) splitHugeAt(g *tlb.Gather, addr uint64) *PageTable {
 
 // splitHugeEntry demotes huge entry idx of d under the page-directory
 // lock, returning the published leaf table, or nil when no huge entry
-// was present. The deposit's PTEs are written before the table is
-// published, so lock-free walkers see either the huge entry or the
-// fully populated table (checking tables first, huge second, a walker
-// can transiently miss both — the same transient the §5.2 designs
-// already retry).
+// was present. The run's frames become independent first
+// (physmem.SplitRun), so each base PTE holds a frame of its own. The
+// deposit's PTEs are written before the table is published, so lock-free
+// walkers see either the huge entry or the fully populated table
+// (checking tables first, huge second, a walker can transiently miss
+// both — the same transient the §5.2 designs already retry).
 func (t *Tables) splitHugeEntry(g *tlb.Gather, d *directory, idx int, base uint64) *PageTable {
 	t.dirLock.Lock()
 	h := d.huge[idx].Load()
@@ -200,6 +201,7 @@ func (t *Tables) splitHugeEntry(g *tlb.Gather, d *directory, idx int, base uint6
 	if dep == nil {
 		panic(fmt.Sprintf("pagetable: huge entry at %#x has no deposited table", base))
 	}
+	t.alloc.SplitRun(PTEFrame(h), HugeOrder)
 	for i := 0; i < EntriesPerTable; i++ {
 		dep.ptes[i].Store(hugeBasePTE(h, i))
 	}

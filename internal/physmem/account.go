@@ -91,15 +91,22 @@ func (ac *Account) OverLimit() bool {
 // tryChargeN charges count frames as one atomic step, refusing (and
 // counting a limit hit) when the whole charge would exceed the limit.
 // A contiguous run charges all-or-nothing: a tenant near its limit
-// must not end up holding half a huge run's charge.
+// must not end up holding half a huge run's charge. The charge is a
+// compare-and-swap, so a refused charge is never added at all and no
+// reader of Charged ever sees the limit exceeded.
 func (ac *Account) tryChargeN(count int64) bool {
 	lim := ac.limit.Load()
-	n := ac.charged.Add(count)
-	if lim > 0 && n > lim {
-		ac.charged.Add(-count)
-		ac.limitHits.Add(1)
-		trace.Emit(trace.AuxCPU, trace.EvTenantRefuse, ac.tag, uint64(n-count), uint64(lim))
-		return false
+	var n int64
+	for {
+		cur := ac.charged.Load()
+		if n = cur + count; lim > 0 && n > lim {
+			ac.limitHits.Add(1)
+			trace.Emit(trace.AuxCPU, trace.EvTenantRefuse, ac.tag, uint64(cur), uint64(lim))
+			return false
+		}
+		if ac.charged.CompareAndSwap(cur, n) {
+			break
+		}
 	}
 	trace.Emit(trace.AuxCPU, trace.EvTenantCharge, ac.tag, uint64(n), uint64(lim))
 	for {
@@ -171,37 +178,34 @@ func (a *Allocator) AccountOf(cpu int) *Account {
 
 // Owner returns the account charged for an allocated frame, or nil.
 // Valid only while the frame stays allocated — the owner stamp is
-// cleared when the last reference drops.
+// cleared when the last reference drops. A tail of an unsplit run has no
+// stamp of its own (it is always nil) and reports its head's.
 func (a *Allocator) Owner(f Frame) *Account {
 	if f == NoFrame || uint64(f) > a.cfg.Frames {
 		return nil
 	}
-	return a.owner[f].Load()
+	if ac := a.owner[f].Load(); ac != nil {
+		return ac
+	}
+	if w := a.meta[f].Load(); uint32(w)&tailBit != 0 {
+		return a.owner[headOf(f, w)].Load()
+	}
+	return nil
 }
 
 // unchargeFrame clears the frame's owner stamp and returns its charge,
 // if any. Called on the final-reference free paths, before the frame
 // goes back to a pool, so nobody else touches the stamp: it loads first,
 // and freeing an unaccounted frame writes nothing.
-func (a *Allocator) unchargeFrame(f Frame) {
-	if ac := a.owner[f].Load(); ac != nil {
-		a.owner[f].Store(nil)
-		ac.unchargeN(1)
-	}
-}
+func (a *Allocator) unchargeFrame(f Frame) { a.unchargeRun(f, 1) }
 
 // unchargeRun is unchargeFrame for the n frames of an unsplit run whose
-// last references have all dropped. AllocRun stamped every frame with
-// the one account it charged, so the base frame's stamp speaks for the
-// run: an unaccounted run costs one load, an accounted one a stamp
-// clear per frame and a single uncharge.
-func (a *Allocator) unchargeRun(base, n Frame) {
-	ac := a.owner[base].Load()
-	if ac == nil {
-		return
+// last reference has dropped: the head's stamp, the only one AllocRun
+// wrote, speaks for the run, so an unaccounted run costs one load and an
+// accounted one a single stamp clear and a single uncharge.
+func (a *Allocator) unchargeRun(head, n Frame) {
+	if ac := a.owner[head].Load(); ac != nil {
+		a.owner[head].Store(nil)
+		ac.unchargeN(int64(n))
 	}
-	for f := base; f < base+n; f++ {
-		a.owner[f].Store(nil)
-	}
-	ac.unchargeN(int64(n))
 }

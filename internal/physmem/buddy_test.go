@@ -78,15 +78,16 @@ func TestAllocRunAlignedAndDisjoint(t *testing.T) {
 	}
 }
 
-// TestFreeBatchReassemblesRun frees a run's frames one at a time
-// through FreeBatch (the path a split huge mapping's zap takes) and
-// checks the buddy lists coalesce them back into an order-9 block.
+// TestFreeBatchReassemblesRun splits a run and frees its frames one at
+// a time through FreeBatch (the path a split huge mapping's zap takes)
+// and checks the buddy lists coalesce them back into an order-9 block.
 func TestFreeBatchReassemblesRun(t *testing.T) {
 	a := New(Config{Frames: 1 << 11, CPUs: 1})
 	base, err := a.AllocRun(0, MaxOrder)
 	if err != nil {
 		t.Fatalf("AllocRun: %v", err)
 	}
+	a.SplitRun(base, MaxOrder)
 	runs := a.FreeRuns(MaxOrder)
 	var frames []Frame
 	for f := base; f < base+Frame(1)<<MaxOrder; f++ {
@@ -136,8 +137,9 @@ func TestAllocRunShortageTyped(t *testing.T) {
 		if err != nil {
 			break
 		}
-		// Keep one frame of the run, free the rest: the survivor blocks
-		// re-coalescing to order 9.
+		// Keep one frame of the split run, free the rest: the survivor
+		// blocks re-coalescing to order 9.
+		a.SplitRun(base, MaxOrder)
 		for f := base + 1; f < base+Frame(1)<<MaxOrder; f++ {
 			a.FreeRemote(f)
 		}

@@ -21,10 +21,29 @@
 //
 // A frame's metadata is one word, generation<<32 | references: allocation
 // is a single Add that bumps both halves, a free a single Add(-1), and a
-// frame is allocated exactly while its reference half is non-zero. The
+// frame is allocated exactly while its reference count is non-zero. The
 // same Add detects double allocation and double free, which turns RCU
 // use-after-free bugs in the VM layer (freeing a frame before a grace
 // period) into hard test failures instead of silent corruption.
+//
+// An unsplit run from AllocRun is one frame word too — its head's, like
+// the kernel's compound pages. The head's references, generation and
+// owner stamp speak for every frame of the run, so a 2 MiB run is
+// allocated with one Add and freed with one Add, not 512 of each. A
+// tail's word holds only a tail bit and the run's order, which locate the
+// head, and Allocated, Refs, Gen and Owner of a tail read the head's. A
+// tail is written when its block takes the run shape, and not again while
+// the block keeps it: a run freed whole keeps its shape on the free list,
+// so reusing it at the same order touches the head alone. The shape is
+// undone — every tail materialized as a word of its own carrying the
+// head's references, generation and owner — in three places only:
+// SplitRun (a huge mapping demoted to base pages), Ref of any frame of a
+// live run (that frame alone gains a sharer), and the buddy lists
+// splitting or coalescing a shaped free block. A block takes its shape
+// with the highest generation among its frames, so Gen of every frame
+// still grows strictly from one allocation to the next, whatever shape
+// it had in either. Free or FreeBatch of a frame of an unsplit run panics
+// like a double free: the run must be split first.
 //
 // Watermarks: Config.LowWater/HighWater define the memory-pressure
 // band the reclaim subsystem (internal/reclaim) operates in. When free
@@ -122,6 +141,23 @@ type magazine struct {
 // noOrder marks a frame that is not the base of a free buddy block.
 const noOrder = 0xff
 
+// The low half of a frame word. A frame of its own holds its reference
+// count there and nothing else; a run's head adds headBit and the run's
+// order; a tail holds tailBit and the order, and no references.
+const (
+	refsMask   = 1<<24 - 1
+	orderShift = 24
+	orderMask  = 0xf
+	headBit    = 1 << 30
+	tailBit    = 1 << 31
+)
+
+// shapeOrder returns the run order a head or tail word records.
+func shapeOrder(w uint64) int { return int(uint32(w)>>orderShift) & orderMask }
+
+// headOf returns the head of the run whose tail f is (w is f's word).
+func headOf(f Frame, w uint64) Frame { return f &^ (Frame(1)<<shapeOrder(w) - 1) }
+
 // Allocator is a physical frame allocator. Alloc and Free are safe for
 // concurrent use; each CPU id should be used by one goroutine at a
 // time (the per-magazine locks make violations safe, merely slow).
@@ -134,8 +170,10 @@ type Allocator struct {
 
 	// buddyFree counts the frames on the buddy lists: a lower bound on
 	// FreeFrames (which adds the magazine-cached frames) that the refill
-	// path can read without summing every magazine's cells.
-	buddyFree, splits, coalesces uint64
+	// path can read without summing every magazine's cells. Every change
+	// of a run's shape happens under mu too, and counts its tails here.
+	buddyFree, splits, coalesces   uint64
+	tailsShaped, tailsMaterialized uint64
 
 	// freeLists[o] holds the bases of free blocks of 1<<o frames. Every
 	// base is aligned to its block size; New pushes the initial carving
@@ -151,10 +189,11 @@ type Allocator struct {
 
 	mags []magazine
 
-	// meta holds one word per frame, generation<<32 | references. Fork
-	// shares page frames copy-on-write, and a frame returns to the pool
-	// only when its last reference is dropped; non-zero references mean
-	// allocated. The generation advances each time the frame is
+	// meta holds one word per frame, generation<<32 | references (a
+	// run's tails point at their head instead; see the package comment).
+	// Fork shares page frames copy-on-write, and a frame returns to the
+	// pool only when its last reference is dropped; non-zero references
+	// mean allocated. The generation advances each time the frame is
 	// allocated: tests use it to prove lifetime invariants — a frame seen
 	// through a live translation must keep the generation it had when the
 	// translation was installed, or it was recycled under that translation.
@@ -163,9 +202,9 @@ type Allocator struct {
 	backing []atomic.Pointer[[PageSize]byte]
 
 	// accounts maps magazine index -> bound charge account (nil =
-	// unaccounted); owner stamps each allocated frame with the account
-	// it was charged to, so the final free — from any CPU, any tenant —
-	// returns the charge to the right place.
+	// unaccounted); owner stamps each allocated frame (an unsplit run's
+	// head alone) with the account it was charged to, so the final free —
+	// from any CPU, any tenant — returns the charge to the right place.
 	accounts []atomic.Pointer[Account]
 	owner    []atomic.Pointer[Account]
 
@@ -274,7 +313,8 @@ func (a *Allocator) removeBlockLocked(base Frame, order int) {
 // allocBlockLocked takes one free block of exactly the requested order,
 // splitting the smallest larger block when the order's own list is
 // empty (the split keeps the low half and frees the high buddy, so
-// allocation stays low-frames-first). Caller holds mu.
+// allocation stays low-frames-first). A block taken whole keeps any run
+// shape it has; a split one loses it. Caller holds mu.
 func (a *Allocator) allocBlockLocked(order int) (Frame, bool) {
 	o := order
 	for o <= MaxOrder && len(a.freeLists[o]) == 0 {
@@ -287,6 +327,9 @@ func (a *Allocator) allocBlockLocked(order int) (Frame, bool) {
 	base := list[len(list)-1]
 	a.freeLists[o] = list[:len(list)-1]
 	a.blockOrder[base] = noOrder
+	if o > order {
+		a.unshapeLocked(base)
+	}
 	for o > order {
 		o--
 		a.splits++
@@ -298,7 +341,8 @@ func (a *Allocator) allocBlockLocked(order int) (Frame, bool) {
 
 // freeBlockLocked returns a block to the buddy lists, coalescing with
 // its buddy as long as the buddy is a free block of the same order and
-// the merged block stays inside the pool. Caller holds mu.
+// the merged block stays inside the pool. A run freed whole keeps its
+// shape unless it merges. Caller holds mu.
 func (a *Allocator) freeBlockLocked(base Frame, order int) {
 	a.buddyFree += 1 << order
 	for order < MaxOrder {
@@ -311,6 +355,10 @@ func (a *Allocator) freeBlockLocked(base Frame, order int) {
 			break
 		}
 		a.removeBlockLocked(buddy, order)
+		if order > 0 { // only a block of two or more frames can be shaped
+			a.unshapeLocked(base)
+			a.unshapeLocked(buddy)
+		}
 		a.coalesces++
 		if buddy < base {
 			base = buddy
@@ -320,9 +368,60 @@ func (a *Allocator) freeBlockLocked(base Frame, order int) {
 	a.pushBlockLocked(base, order)
 }
 
+// shapeLocked gives the free block at base the shape of an order-order
+// run, unless it has it already (it was freed whole and has not merged
+// since): each tail's word records the head, and the head takes the
+// highest generation among the block's frames. The block's frames are
+// otherwise all of their own and free. Caller holds mu.
+func (a *Allocator) shapeLocked(base Frame, order int) {
+	head := uint64(headBit | order<<orderShift)
+	hw := a.meta[base].Load()
+	if uint32(hw) == uint32(head) {
+		return
+	}
+	gen := hw >> 32
+	for f := base + 1; f < base+Frame(1)<<order; f++ {
+		w := a.meta[f].Load()
+		if uint32(w) != 0 {
+			panic(fmt.Sprintf("physmem: frame %d of a free block allocated twice", f))
+		}
+		gen = max(gen, w>>32)
+		a.meta[f].Store(w | tailBit | uint64(order)<<orderShift)
+	}
+	a.meta[base].Store(gen<<32 | head)
+	a.tailsShaped += 1<<order - 1
+}
+
+// unshapeLocked materializes the run headed at base, if base heads one:
+// each tail becomes a word of its own carrying the head's references,
+// generation and owner stamp, tails first, so a concurrent reader sees
+// the same values through either word. A live run's words change only
+// through the holder of its one reference (FreeRun) or under mu. Caller
+// holds mu.
+func (a *Allocator) unshapeLocked(base Frame) {
+	hw := a.meta[base].Load()
+	if uint32(hw)&headBit == 0 {
+		return
+	}
+	n := Frame(1) << shapeOrder(hw)
+	plain := hw &^ (headBit | orderMask<<orderShift)
+	if ac := a.owner[base].Load(); ac != nil {
+		for f := base + 1; f < base+n; f++ {
+			a.owner[f].Store(ac)
+		}
+	}
+	for f := base + 1; f < base+n; f++ {
+		a.meta[f].Store(plain)
+	}
+	a.meta[base].Store(plain)
+	a.tailsMaterialized += uint64(n - 1)
+}
+
 // stamp marks a frame taken from the pool as allocated to ac (nil =
 // unaccounted): one Add advances its generation and sets its single
-// reference, and the sum shows whether anyone held it already.
+// reference, and the sum shows whether anyone held it already — or
+// whether the frame belongs to a run's shape, which a frame handed out on
+// its own never does.
 func (a *Allocator) stamp(f Frame, ac *Account) {
 	if ac != nil {
 		a.owner[f].Store(ac)
@@ -334,25 +433,44 @@ func (a *Allocator) stamp(f Frame, ac *Account) {
 
 // drop drops one reference to f on behalf of op and reports whether it
 // was the last, in which case the caller owns the frame's way back to a
-// pool and returns its charge (unchargeFrame, or unchargeRun for a whole
-// run).
+// pool and returns its charge (unchargeFrame).
 func (a *Allocator) drop(f Frame, op string) bool {
 	if f == NoFrame || uint64(f) > a.cfg.Frames {
 		panic(fmt.Sprintf("physmem: %s of invalid frame %d", op, f))
 	}
-	switch refs := int32(a.meta[f].Add(^uint64(0))); {
-	case refs > 0:
+	return a.dropped(f, a.meta[f].Add(^uint64(0)), op)
+}
+
+// dropped judges w, f's word after one reference was subtracted from it.
+// A word with no references to give, or a frame of an unsplit run, has
+// its subtraction undone and panics.
+func (a *Allocator) dropped(f Frame, w uint64, op string) bool {
+	switch low := uint32(w); {
+	case low == 0:
+		return true
+	case low <= refsMask:
 		return false // other references remain
-	case refs < 0:
-		a.meta[f].Add(1) // undo the borrow from the generation half
-		panic(fmt.Sprintf("physmem: %s of frame %d with no references", op, f))
 	}
-	return true
+	// Undo the borrow from the generation half, or from a run's shape.
+	if w = a.meta[f].Add(1); uint32(w)&headBit != 0 && w&refsMask != 0 {
+		panic(fmt.Sprintf("physmem: %s of frame %d, the head of an unsplit run", op, f))
+	}
+	panic(fmt.Sprintf("physmem: %s of frame %d with no references", op, f))
+}
+
+// word returns the word that speaks for f: its own, or its head's while
+// f is a tail of an unsplit run.
+func (a *Allocator) word(f Frame) uint64 {
+	w := a.meta[f].Load()
+	if uint32(w)&tailBit != 0 {
+		w = a.meta[headOf(f, w)].Load()
+	}
+	return w
 }
 
 // Allocated reports whether the frame is currently allocated.
 func (a *Allocator) Allocated(f Frame) bool {
-	return f != NoFrame && uint64(f) <= a.cfg.Frames && uint32(a.meta[f].Load()) != 0
+	return f != NoFrame && uint64(f) <= a.cfg.Frames && a.word(f)&refsMask != 0
 }
 
 // Alloc allocates a frame using cpu's magazine. If Backing is enabled
@@ -396,12 +514,15 @@ func (a *Allocator) Alloc(cpu int) (Frame, error) {
 }
 
 // AllocRun allocates 1<<order contiguous, size-aligned frames and
-// returns the first. Every frame carries its own reference count,
-// generation, and owner stamp (all stamped with the one account the run
-// was charged to). An unsplit run returns through FreeRun as one unit —
-// one uncharge, one block. A split huge mapping's frames are
-// independent: they retire one at a time through a TLB gather's
-// FreeBatch, and the buddy lists coalesce them back into runs.
+// returns the first, the run's head. The run is one frame word: a single
+// Add on the head's word takes its reference and advances its
+// generation, and the head alone is stamped with the account the run was
+// charged to (see the package comment for what its tails report). A block
+// reused at the order it was freed at writes nothing else. An unsplit run
+// returns through FreeRun as one unit — one Add, one uncharge, one block.
+// SplitRun, or a Ref of one of its frames, makes the frames independent:
+// a split huge mapping's frames retire one at a time through a TLB
+// gather's FreeBatch, and the buddy lists coalesce them back into runs.
 //
 // A run shortage is reported as ErrNoRun — typed separately from
 // ErrOutOfMemory because the pool may hold plenty of fragmented free
@@ -425,11 +546,11 @@ func (a *Allocator) AllocRun(cpu, order int) (Frame, error) {
 		a.limitFailures.Add(1)
 		return NoFrame, ErrOverLimit
 	}
-	base, _, low := a.allocBlock(order, order)
+	base, _, low := a.allocBlock(order, order, true)
 	// Magazine-cached order-0 frames may be exactly the holes keeping a
 	// run from coalescing; pull them back and retry once.
 	if base == NoFrame && a.DrainMagazines() > 0 {
-		base, _, low = a.allocBlock(order, order)
+		base, _, low = a.allocBlock(order, order, true)
 	}
 	if base == NoFrame {
 		a.runFailures.Add(1)
@@ -438,9 +559,16 @@ func (a *Allocator) AllocRun(cpu, order int) (Frame, error) {
 		}
 		return NoFrame, ErrNoRun
 	}
-	for f := base; f < base+Frame(n); f++ {
-		a.stamp(f, ac)
-		a.zeroBacking(f)
+	if ac != nil {
+		a.owner[base].Store(ac)
+	}
+	if uint32(a.meta[base].Add(1<<32|1)) != headBit|uint32(order)<<orderShift|1 {
+		panic(fmt.Sprintf("physmem: run %d allocated twice", base))
+	}
+	if a.backing != nil {
+		for f := base; f < base+Frame(n); f++ {
+			a.zeroBacking(f)
+		}
 	}
 	a.runAllocs.Add(1)
 	a.mags[cpu%len(a.mags)].allocs.Add(uint64(n))
@@ -452,30 +580,63 @@ func (a *Allocator) AllocRun(cpu, order int) (Frame, error) {
 
 // allocBlock takes, under the allocator lock, a free block of order want
 // or, when the pool is too fragmented to have one, the largest block of
-// at least order least; NoFrame when there is none. low reports that the
-// buddy lists are left below the low watermark: notePressure is due.
-func (a *Allocator) allocBlock(want, least int) (base Frame, order int, low bool) {
+// at least order least; NoFrame when there is none. run says the block
+// becomes one run, shaped (see shapeLocked); otherwise its frames come
+// back independent. low reports that the buddy lists are left below the
+// low watermark: notePressure is due.
+func (a *Allocator) allocBlock(want, least int, run bool) (base Frame, order int, low bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for order = want; order >= least; order-- {
 		if b, ok := a.allocBlockLocked(order); ok {
+			if run {
+				a.shapeLocked(b, order)
+			} else {
+				a.unshapeLocked(b)
+			}
 			return b, order, a.buddyFree < a.cfg.LowWater
 		}
 	}
 	return NoFrame, 0, false
 }
 
-// FreeRun drops one reference from each frame of a run allocated by
-// AllocRun — an unsplit huge mapping's run, retired by a TLB gather's run
-// entry. A run whose frames all drop their last reference returns as
-// one unit: one read of the owner stamp AllocRun gave every frame, one
-// uncharge for the whole run, and the one block it was allocated as,
-// freed under one lock hold with no coalescing. Frames still shared stay
-// out, and the rest return frame by frame, each uncharged on its own (a
-// split run's frames never reach FreeRun: they return one by one
-// through FreeBatch). Like FreeRemote it is safe from any goroutine;
-// frames reachable by concurrent RCU readers must wait out a grace
-// period first.
+// SplitRun makes the unsplit run AllocRun handed out at base 1<<order
+// independent frames, each carrying the run's references, generation and
+// owner stamp — the one place a live run changes shape on purpose, where
+// a huge mapping is demoted to base pages. The caller holds the run's
+// reference and keeps the frames out of anyone else's reach until it
+// returns. A run already split is left as it is.
+func (a *Allocator) SplitRun(base Frame, order int) {
+	if order < 0 || order > MaxOrder {
+		panic(fmt.Sprintf("physmem: SplitRun order %d out of range", order))
+	}
+	n := Frame(1) << order
+	if base == NoFrame || base%n != 0 || uint64(base)+uint64(n)-1 > a.cfg.Frames {
+		panic(fmt.Sprintf("physmem: SplitRun of invalid run %d+%d", base, n))
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	switch w := a.meta[base].Load(); {
+	case uint32(w)&headBit == 0 && uint32(w) <= refsMask:
+		return // independent frames already
+	case uint32(w)&headBit == 0 || shapeOrder(w) != order || w&refsMask == 0:
+		panic(fmt.Sprintf("physmem: SplitRun of frame %d, not the head of a live order-%d run", base, order))
+	}
+	a.unshapeLocked(base)
+}
+
+// FreeRun drops a reference to a run allocated by AllocRun — an unsplit
+// huge mapping's run, retired by a TLB gather's run entry. An unsplit
+// run's one reference is its head's: FreeRun drops it with one Add, reads
+// the head's owner stamp once, uncharges the whole run at once, and frees
+// the one block it was allocated as under one lock hold with no
+// coalescing; the block keeps its run shape on the free list. Freeing an
+// unsplit run twice panics. A run split since (by SplitRun or a Ref of one
+// of its frames) drops one reference from each frame instead: frames
+// still shared stay out, and the rest return frame by frame, each
+// uncharged on its own, or as the one block when none is shared. Like
+// FreeRemote it is safe from any goroutine; frames reachable by
+// concurrent RCU readers must wait out a grace period first.
 func (a *Allocator) FreeRun(base Frame, order int) {
 	if order < 0 || order > MaxOrder {
 		panic(fmt.Sprintf("physmem: FreeRun order %d out of range", order))
@@ -484,13 +645,33 @@ func (a *Allocator) FreeRun(base Frame, order int) {
 	if base == NoFrame || uint64(base)+uint64(n)-1 > a.cfg.Frames {
 		panic(fmt.Sprintf("physmem: FreeRun of invalid run %d+%d", base, n))
 	}
-	// Drop every reference first, remembering which frames stay shared:
-	// once a frame's count is zero it is ours, but a shared one may be
-	// freed by its other holder at any moment, so it is never re-read.
+	w := a.meta[base].Add(^uint64(0))
+	if uint32(w)&headBit != 0 {
+		// An unsplit run has one reference, so this drop was the last —
+		// unless there was none to drop (the Add borrowed from the order).
+		if w&refsMask != 0 || shapeOrder(w) != order {
+			a.meta[base].Add(1)
+			panic(fmt.Sprintf("physmem: FreeRun of run %d with no references, or not of order %d", base, order))
+		}
+		a.unchargeRun(base, n)
+		a.remoteFrees.Add(uint64(n))
+		a.mu.Lock()
+		a.freeBlockLocked(base, order)
+		a.mu.Unlock()
+		a.rearmPressure()
+		return
+	}
+	// A split run. Drop every reference first, remembering which frames
+	// stay shared: once a frame's count is zero it is ours, but a shared
+	// one may be freed by its other holder at any moment, so it is never
+	// re-read.
 	var kept [(1 << MaxOrder) / 64]uint64
 	final := n
 	for i := Frame(0); i < n; i++ {
-		if !a.drop(base+i, "FreeRun") {
+		if i > 0 {
+			w = a.meta[base+i].Add(^uint64(0))
+		}
+		if !a.dropped(base+i, w, "FreeRun") {
 			kept[i/64] |= 1 << (i % 64)
 			final--
 		}
@@ -498,19 +679,14 @@ func (a *Allocator) FreeRun(base Frame, order int) {
 	if final == 0 {
 		return
 	}
-	whole := final == n && base%n == 0
-	if whole {
-		a.unchargeRun(base, n)
-	} else {
-		for i := Frame(0); i < n; i++ {
-			if kept[i/64]&(1<<(i%64)) == 0 {
-				a.unchargeFrame(base + i)
-			}
+	for i := Frame(0); i < n; i++ {
+		if kept[i/64]&(1<<(i%64)) == 0 {
+			a.unchargeFrame(base + i)
 		}
 	}
 	a.remoteFrees.Add(uint64(final))
 	a.mu.Lock()
-	if whole {
+	if final == n && base%n == 0 {
 		a.freeBlockLocked(base, order)
 	} else {
 		for i := Frame(0); i < n; i++ {
@@ -559,7 +735,7 @@ func (a *Allocator) popMagazine(m *magazine) (f Frame, low bool, err error) {
 // the global lock (DrainMagazines collects under the magazine locks
 // first and pushes afterwards).
 func (a *Allocator) refill(m *magazine) (low bool, err error) {
-	base, order, low := a.allocBlock(bits.Len(uint(max(a.cfg.MagazineSize/2, 1)))-1, 0)
+	base, order, low := a.allocBlock(bits.Len(uint(max(a.cfg.MagazineSize/2, 1)))-1, 0, false)
 	if base == NoFrame {
 		return false, ErrOutOfMemory
 	}
@@ -605,20 +781,38 @@ func (a *Allocator) DrainMagazines() int {
 }
 
 // Ref takes an additional reference on an allocated frame (fork's
-// copy-on-write page sharing).
+// copy-on-write page sharing). A frame of an unsplit run gains its sharer
+// alone, so the run is split first (see SplitRun).
 func (a *Allocator) Ref(f Frame) {
 	if f == NoFrame || uint64(f) > a.cfg.Frames {
 		panic(fmt.Sprintf("physmem: Ref of invalid frame %d", f))
 	}
-	if uint32(a.meta[f].Add(1)) < 2 {
+	if uint32(a.meta[f].Load()) > refsMask {
+		a.splitLive(f)
+	}
+	if low := uint32(a.meta[f].Add(1)); low < 2 || low > refsMask {
 		a.meta[f].Add(^uint64(0))
 		panic(fmt.Sprintf("physmem: Ref of frame %d with no existing reference", f))
 	}
 }
 
+// splitLive materializes the run f belongs to if it is live. A free run
+// keeps its shape, and Ref's own check then reports the missing
+// reference.
+func (a *Allocator) splitLive(f Frame) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if w := a.meta[f].Load(); uint32(w)&tailBit != 0 {
+		f = headOf(f, w)
+	}
+	if a.meta[f].Load()&refsMask != 0 {
+		a.unshapeLocked(f)
+	}
+}
+
 // Refs returns the frame's current reference count (a COW break with a
 // single reference can simply re-own the page).
-func (a *Allocator) Refs(f Frame) int32 { return int32(a.meta[f].Load()) }
+func (a *Allocator) Refs(f Frame) int32 { return int32(a.word(f) & refsMask) }
 
 // Free drops one reference to the frame; the frame returns to cpu's
 // magazine when the last reference is dropped. A magazine that
@@ -664,7 +858,8 @@ func (a *Allocator) FreeRemote(f Frame) { a.FreeBatch([]Frame{f}) }
 // TLB-gather flush path uses, so a 1024-page unmap pays one lock round
 // instead of 1024. Freed frames coalesce with their buddies, so the
 // zap of a split huge mapping reassembles the 2 MiB run frame by frame
-// (an unsplit run skips that: it returns through FreeRun). Like
+// (an unsplit run skips that: it returns through FreeRun, and a frame of
+// one here panics). Like
 // FreeRemote it is safe from any goroutine, and frames reachable by
 // concurrent RCU readers must not reach it until a grace period has
 // elapsed.
@@ -689,15 +884,16 @@ func (a *Allocator) FreeBatch(frames []Frame) {
 	a.rearmPressure()
 }
 
-// Gen returns the frame's allocation generation: incremented each time
-// the frame is allocated (modulo 2^32 — the upper half of the frame's
-// word), so an observer holding a frame number can detect a
-// free-and-recycle behind its back.
+// Gen returns the frame's allocation generation: greater after each
+// allocation of the frame than after the one before (modulo 2^32 — the
+// upper half of the frame's word, or of its run head's), and constant
+// while it stays allocated, so an observer holding a frame number can
+// detect a free-and-recycle behind its back.
 func (a *Allocator) Gen(f Frame) uint64 {
 	if f == NoFrame || uint64(f) > a.cfg.Frames {
 		panic(fmt.Sprintf("physmem: Gen of invalid frame %d", f))
 	}
-	return a.meta[f].Load() >> 32
+	return a.word(f) >> 32
 }
 
 // AuditBuddy validates the buddy structure: every free block is
@@ -866,11 +1062,18 @@ type Stats struct {
 	RunFailures    uint64 // AllocRuns refused for lack of a contiguous block
 	BuddySplits    uint64 // blocks split to satisfy a smaller order
 	BuddyCoalesces uint64 // buddy merges performed on free
-	AllocFailures  uint64 // Allocs that returned ErrOutOfMemory
-	LimitFailures  uint64 // Allocs refused at an account limit (ErrOverLimit)
-	PressureEvents uint64 // low-watermark crossings signaled
-	InUse          int64
-	Free           int64 // unallocated frames (buddy lists + magazines)
+	// TailsShaped counts tail words pointed at their head when a block
+	// took a run's shape; TailsMaterialized, tail words made independent
+	// again (SplitRun, a Ref of a run's frame, the buddy lists splitting or
+	// merging a shaped free block). Neither moves on a fault, an order-0
+	// path, or a run reused at the order it was freed at.
+	TailsShaped       uint64
+	TailsMaterialized uint64
+	AllocFailures     uint64 // Allocs that returned ErrOutOfMemory
+	LimitFailures     uint64 // Allocs refused at an account limit (ErrOverLimit)
+	PressureEvents    uint64 // low-watermark crossings signaled
+	InUse             int64
+	Free              int64 // unallocated frames (buddy lists + magazines)
 }
 
 // Stats returns a snapshot of the allocator's counters.
@@ -879,21 +1082,24 @@ func (a *Allocator) Stats() Stats {
 	inUse := int64(allocs - frees)
 	a.mu.Lock()
 	splits, coalesces := a.splits, a.coalesces
+	shaped, materialized := a.tailsShaped, a.tailsMaterialized
 	a.mu.Unlock()
 	return Stats{
-		Allocs:         allocs,
-		Frees:          frees,
-		Refills:        a.refills.Load(),
-		Drains:         a.drains.Load(),
-		Drained:        a.drained.Load(),
-		RunAllocs:      a.runAllocs.Load(),
-		RunFailures:    a.runFailures.Load(),
-		BuddySplits:    splits,
-		BuddyCoalesces: coalesces,
-		AllocFailures:  a.allocFailures.Load(),
-		LimitFailures:  a.limitFailures.Load(),
-		PressureEvents: a.pressureEvents.Load(),
-		InUse:          inUse,
-		Free:           int64(a.cfg.Frames) - inUse,
+		Allocs:            allocs,
+		Frees:             frees,
+		Refills:           a.refills.Load(),
+		Drains:            a.drains.Load(),
+		Drained:           a.drained.Load(),
+		RunAllocs:         a.runAllocs.Load(),
+		RunFailures:       a.runFailures.Load(),
+		BuddySplits:       splits,
+		BuddyCoalesces:    coalesces,
+		TailsShaped:       shaped,
+		TailsMaterialized: materialized,
+		AllocFailures:     a.allocFailures.Load(),
+		LimitFailures:     a.limitFailures.Load(),
+		PressureEvents:    a.pressureEvents.Load(),
+		InUse:             inUse,
+		Free:              int64(a.cfg.Frames) - inUse,
 	}
 }

@@ -2,7 +2,9 @@ package physmem
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -15,6 +17,280 @@ func mustPanic(t *testing.T, what string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// mustPanicWith is mustPanic for a panic whose message contains want.
+func mustPanicWith(t *testing.T, what, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, want) {
+			t.Fatalf("%s: panic %q, want one containing %q", what, msg, want)
+		}
+	}()
+	fn()
+}
+
+// TestRunIsOneWord settles what an unsplit run's frames report: every
+// frame reads as allocated with the head's one reference, generation and
+// owner, while AllocRun and FreeRun write the head alone — a run reused
+// at its order touches no tail. A Ref of a tail splits the run once, and
+// the buddy lists splitting a shaped free block materialize it once more;
+// each frame's generation is constant while the run is live and strictly
+// greater after every recycle.
+func TestRunIsOneWord(t *testing.T) {
+	a := New(Config{Frames: 1023, CPUs: 1}) // one order-9 block, at 512
+	ac := NewAccount("t", 0)
+	a.BindAccount(0, ac)
+	tails := func() (shaped, materialized uint64) {
+		st := a.Stats()
+		return st.TailsShaped, st.TailsMaterialized
+	}
+	reads := func(base Frame, refs int32, gen uint64, owner *Account) {
+		t.Helper()
+		for f := base; f < base+1<<MaxOrder; f++ {
+			if a.Allocated(f) != (refs > 0) || a.Refs(f) != refs || a.Gen(f) != gen || a.Owner(f) != owner {
+				t.Fatalf("frame %d: allocated %v refs %d gen %d owner %v; want refs %d gen %d owner %v",
+					f, a.Allocated(f), a.Refs(f), a.Gen(f), a.Owner(f), refs, gen, owner)
+			}
+		}
+	}
+
+	base, err := a.AllocRun(0, MaxOrder)
+	if err != nil || base != 512 {
+		t.Fatalf("AllocRun = %d, %v", base, err)
+	}
+	if s, m := tails(); s != 511 || m != 0 {
+		t.Fatalf("first use of the block: %d tails shaped, %d materialized; want 511, 0", s, m)
+	}
+	gen := a.Gen(base)
+	reads(base, 1, gen, ac)
+	a.FreeRun(base, MaxOrder)
+	reads(base, 0, gen, nil)
+	if ac.Charged() != 0 {
+		t.Fatalf("charged %d after the run's free", ac.Charged())
+	}
+
+	// Reused at its own order: the head's word is all that changes.
+	if again, err := a.AllocRun(0, MaxOrder); err != nil || again != base {
+		t.Fatalf("AllocRun again = %d, %v", again, err)
+	}
+	if s, m := tails(); s != 511 || m != 0 {
+		t.Fatalf("reuse of the shaped block: %d tails shaped, %d materialized; want 511, 0", s, m)
+	}
+	reads(base, 1, gen+1, ac)
+
+	// A sharer of one tail splits the run: the frames read the same, and
+	// then go their own ways.
+	shared := base + 300
+	a.Ref(shared)
+	if _, m := tails(); m != 511 {
+		t.Fatalf("Ref of a tail materialized %d tails, want 511", m)
+	}
+	if a.Refs(shared) != 2 || a.Refs(shared-1) != 1 || a.Gen(shared) != gen+1 || a.Owner(shared) != ac {
+		t.Fatalf("after the Ref: refs %d / %d, gen %d, owner %v", a.Refs(shared), a.Refs(shared-1), a.Gen(shared), a.Owner(shared))
+	}
+	a.SplitRun(base, MaxOrder) // already split: nothing to do
+	if _, m := tails(); m != 511 {
+		t.Fatalf("SplitRun of a split run materialized %d more tails", m-511)
+	}
+	a.FreeRun(base, MaxOrder)
+	if !a.Allocated(shared) || a.Allocated(base) || ac.Charged() != 1 {
+		t.Fatalf("shared frame allocated %v, head %v, charged %d", a.Allocated(shared), a.Allocated(base), ac.Charged())
+	}
+	a.Free(0, shared)
+	a.DrainMagazines()
+
+	// The buddy lists break a shaped free block: an order-8 run when the
+	// only order-8 block is taken splits the order-9 one.
+	base, _ = a.AllocRun(0, MaxOrder)
+	gen = a.Gen(base)
+	a.FreeRun(base, MaxOrder)
+	s0, m0 := tails()
+	low, err := a.AllocRun(0, MaxOrder-1)
+	if err != nil || low != 256 {
+		t.Fatalf("AllocRun(8) = %d, %v", low, err)
+	}
+	high, err := a.AllocRun(0, MaxOrder-1)
+	if err != nil || high != base {
+		t.Fatalf("AllocRun(8) = %d, %v; want the order-9 block's low half", high, err)
+	}
+	if s, m := tails(); m-m0 != 511 || s-s0 != 255+255 {
+		t.Fatalf("breaking the shaped block: %d tails materialized, %d shaped; want 511, 510", m-m0, s-s0)
+	}
+	for f := high; f < high+256; f++ {
+		if a.Gen(f) <= gen {
+			t.Fatalf("frame %d recycled at generation %d, was %d", f, a.Gen(f), gen)
+		}
+	}
+	a.FreeRun(low, MaxOrder-1)
+	a.FreeRun(high, MaxOrder-1)
+	if err := a.AuditBuddy(); err != nil {
+		t.Fatal(err)
+	}
+	if err := auditShapes(a); err != nil {
+		t.Fatal(err)
+	}
+	if a.InUse() != 0 || a.FreeRuns(MaxOrder) != 1 || ac.Charged() != 0 {
+		t.Fatalf("InUse %d, order-9 blocks %d, charged %d", a.InUse(), a.FreeRuns(MaxOrder), ac.Charged())
+	}
+}
+
+// TestRunSplitUnderConcurrentReaders: while goroutines take sharers on
+// tails of one live run and a SplitRun runs beside them, readers of every
+// frame see it allocated with the run's generation and owner throughout
+// and never a count the frame did not have; the run materializes once and
+// each sharer lands on its own frame.
+func TestRunSplitUnderConcurrentReaders(t *testing.T) {
+	const sharers = 4
+	a := New(Config{Frames: 1 << 10, CPUs: 1})
+	ac := NewAccount("t", 0)
+	a.BindAccount(0, ac)
+	base, err := a.AllocRun(0, MaxOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := a.Gen(base)
+	shared := func(i int) Frame { return base + Frame(1+100*i) }
+	var stop atomic.Bool
+	var readers, writers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for !stop.Load() {
+				f := base + Frame(rng.Intn(1<<MaxOrder))
+				if !a.Allocated(f) || a.Gen(f) != gen || a.Owner(f) != ac {
+					t.Errorf("frame %d mid-split: allocated %v gen %d (want %d) owner %v",
+						f, a.Allocated(f), a.Gen(f), gen, a.Owner(f))
+					return
+				}
+				if n := a.Refs(f); n != 1 && n != 2 {
+					t.Errorf("frame %d mid-split: refs %d", f, n)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < sharers; i++ {
+		writers.Add(1)
+		go func(i int) {
+			defer writers.Done()
+			a.Ref(shared(i))
+		}(i)
+	}
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		a.SplitRun(base, MaxOrder)
+	}()
+	writers.Wait()
+	stop.Store(true)
+	readers.Wait()
+	if m := a.Stats().TailsMaterialized; m != 511 {
+		t.Fatalf("%d tails materialized, want 511 (once)", m)
+	}
+	for f := base; f < base+1<<MaxOrder; f++ {
+		want := int32(1)
+		for i := 0; i < sharers; i++ {
+			if f == shared(i) {
+				want = 2
+			}
+		}
+		if a.Refs(f) != want || a.Owner(f) != ac || a.Gen(f) != gen {
+			t.Fatalf("frame %d: refs %d (want %d) owner %v gen %d", f, a.Refs(f), want, a.Owner(f), a.Gen(f))
+		}
+	}
+	a.FreeRun(base, MaxOrder)
+	for i := 0; i < sharers; i++ {
+		a.FreeRemote(shared(i))
+	}
+	if a.InUse() != 0 || ac.Charged() != 0 {
+		t.Fatalf("InUse %d, charged %d", a.InUse(), ac.Charged())
+	}
+	if err := a.AuditBuddy(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The three guards below each have a mutant twin in scripts/mutants.sh:
+// the same test run against a copy of the package with that guard
+// removed, which must fail.
+
+// TestFreeOfUnsplitRunFramePanics: Free, FreeRemote and FreeBatch of a
+// frame of an unsplit run panic — a tail has no references of its own,
+// and the head's one reference is the whole run's — and leave the run as
+// it was, so it still frees whole.
+func TestFreeOfUnsplitRunFramePanics(t *testing.T) {
+	a := New(Config{Frames: 1 << 10, CPUs: 1})
+	base, err := a.AllocRun(0, MaxOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := a.Gen(base)
+	frees := map[string]func(Frame){
+		"Free":       func(f Frame) { a.Free(0, f) },
+		"FreeRemote": a.FreeRemote,
+		"FreeBatch":  func(f Frame) { a.FreeBatch([]Frame{f}) },
+	}
+	for name, free := range frees {
+		mustPanicWith(t, name+" of a tail", "with no references", func() { free(base + 7) })
+		mustPanicWith(t, name+" of the head", "head of an unsplit run", func() { free(base) })
+	}
+	for _, f := range []Frame{base, base + 7} {
+		if !a.Allocated(f) || a.Refs(f) != 1 || a.Gen(f) != gen {
+			t.Fatalf("frame %d after the panics: allocated %v refs %d gen %d (was %d)",
+				f, a.Allocated(f), a.Refs(f), a.Gen(f), gen)
+		}
+	}
+	a.FreeRun(base, MaxOrder)
+	if a.InUse() != 0 || a.Stats().TailsMaterialized != 0 {
+		t.Fatalf("InUse %d, %d tails materialized", a.InUse(), a.Stats().TailsMaterialized)
+	}
+	if err := auditShapes(a); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStampOfShapedFramePanics: a buddy bug that hands out a tail of a
+// shaped free block as a frame of its own — here, a refill that forgot to
+// unshape — is caught by the order-0 allocation's one Add.
+func TestStampOfShapedFramePanics(t *testing.T) {
+	a := New(Config{Frames: 1 << 10, CPUs: 1})
+	base, err := a.AllocRun(0, MaxOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.FreeRun(base, MaxOrder)
+	a.mu.Lock()
+	a.removeBlockLocked(base, MaxOrder)
+	a.mu.Unlock()
+	a.mags[0].frames = append(a.mags[0].frames, base+5)
+	mustPanicWith(t, "Alloc of a shaped tail", "allocated twice", func() { a.Alloc(0) })
+}
+
+// TestFreeRunTwicePanics: a second FreeRun of an unsplit run panics and
+// leaves the freed block as it was, so it is allocated again normally.
+func TestFreeRunTwicePanics(t *testing.T) {
+	a := New(Config{Frames: 1 << 10, CPUs: 1})
+	base, err := a.AllocRun(0, MaxOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := a.Gen(base)
+	a.FreeRun(base, MaxOrder)
+	runs := a.FreeRuns(MaxOrder)
+	mustPanicWith(t, "a second FreeRun", "with no references", func() { a.FreeRun(base, MaxOrder) })
+	if a.Allocated(base) || a.Gen(base) != gen || a.FreeRuns(MaxOrder) != runs || a.InUse() != 0 {
+		t.Fatalf("after the panic: allocated %v gen %d (was %d), order-9 blocks %d (was %d), InUse %d",
+			a.Allocated(base), a.Gen(base), gen, a.FreeRuns(MaxOrder), runs, a.InUse())
+	}
+	if err := auditShapes(a); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := a.AllocRun(0, MaxOrder); err != nil || again != base || a.Gen(base) != gen+1 {
+		t.Fatalf("AllocRun after the panic = %d, %v; gen %d, want %d", again, err, a.Gen(base), gen+1)
+	}
 }
 
 // TestFrameWordPanics: every way of dropping or taking a reference the

@@ -17,7 +17,9 @@ import (
 
 // TestHugeRoundCounts holds one huge_populate round — 32 × (mmap of an
 // aligned 2 MB chunk + one write fault), one munmap of all 32, one grace
-// period — to its budget: the 32 runs go back as 32 order-9 blocks with
+// period — to its budget: each run is one frame word, so the round
+// stamps 32 head words and rewrites no tail (the blocks come back shaped
+// from the round before); the 32 runs go back as 32 order-9 blocks with
 // no merging (the only coalescing left is the deposited tables'), the
 // flush and unmap counters still see 16,384 pages, and the round
 // allocates no more than it did when each run went back frame by frame.
@@ -53,6 +55,13 @@ func TestHugeRoundCounts(t *testing.T) {
 	if got := st2.THPHugeFaults - st.THPHugeFaults; got != chunks {
 		t.Fatalf("%d huge faults, want %d", got, chunks)
 	}
+	// An unsplit run's one word is its head's: one stamp per AllocRun.
+	if got := pm2.RunAllocs - pm.RunAllocs; got != chunks {
+		t.Errorf("%d head-word stamps (runs allocated), want %d", got, chunks)
+	}
+	if shaped, mat := pm2.TailsShaped-pm.TailsShaped, pm2.TailsMaterialized-pm.TailsMaterialized; shaped != 0 || mat != 0 {
+		t.Errorf("a steady-state round shaped %d and materialized %d tails, want 0 and 0", shaped, mat)
+	}
 	if got := pm2.BuddyCoalesces - pm.BuddyCoalesces; got > chunks {
 		t.Errorf("one round took %d buddy coalesces, want at most %d", got, chunks)
 	}
@@ -72,6 +81,74 @@ func TestHugeRoundCounts(t *testing.T) {
 	}
 	if err := as.Close(); err != nil {
 		t.Fatalf("frames lost: %v", err)
+	}
+}
+
+// TestHugeSplitMaterializesOnce: mprotecting half of a huge chunk splits
+// its entry and, under the split, its run — 511 tails made words of their
+// own, once. The frames are then ordinary base pages: each is allocated
+// with one reference and the run's generation, AuditTHP holds, and munmap
+// returns them one by one through FreeBatch, the buddy lists coalescing
+// them back into an order-9 block without touching a tail again.
+func TestHugeSplitMaterializesOnce(t *testing.T) {
+	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 8192, THPScanInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := as.NewCPU(0)
+	mustMmap(t, as, hugeBase, HugeSpan, vma.ProtRead|vma.ProtWrite, vma.Fixed)
+	if err := cpu.Fault(hugeBase, true); err != nil {
+		t.Fatal(err)
+	}
+	pte, ok := as.tables.WalkHuge(hugeBase)
+	if !ok {
+		t.Fatal("fault installed no huge entry")
+	}
+	run := pagetable.PTEFrame(pte)
+	gen := as.alloc.Gen(run)
+	pm := as.alloc.Stats()
+	if err := as.Mprotect(hugeBase, HugeSpan/2, vma.ProtRead); err != nil {
+		t.Fatal(err)
+	}
+	pm2 := as.alloc.Stats()
+	if got := pm2.TailsMaterialized - pm.TailsMaterialized; got != 511 {
+		t.Fatalf("the split materialized %d tails, want 511", got)
+	}
+	if _, huge := as.tables.WalkHuge(hugeBase); huge {
+		t.Fatal("the huge entry survived a half-chunk mprotect")
+	}
+	for f := run; f < run+512; f++ {
+		if !as.alloc.Allocated(f) || as.alloc.Refs(f) != 1 || as.alloc.Gen(f) != gen {
+			t.Fatalf("split frame %d: allocated %v refs %d gen %d, want true, 1, %d",
+				f, as.alloc.Allocated(f), as.alloc.Refs(f), as.alloc.Gen(f), gen)
+		}
+	}
+	if err := as.AuditTHP(); err != nil {
+		t.Fatal(err)
+	}
+	runs := as.alloc.FreeRuns(pagetable.HugeOrder)
+	if err := as.Munmap(hugeBase, HugeSpan); err != nil {
+		t.Fatal(err)
+	}
+	as.Domain().Synchronize()
+	pm3 := as.alloc.Stats()
+	if pm3.TailsMaterialized != pm2.TailsMaterialized || pm3.TailsShaped != pm2.TailsShaped {
+		t.Fatalf("freeing the split frames rewrote %d + %d tails, want none",
+			pm3.TailsMaterialized-pm2.TailsMaterialized, pm3.TailsShaped-pm2.TailsShaped)
+	}
+	for f := run; f < run+512; f++ {
+		if as.alloc.Allocated(f) {
+			t.Fatalf("frame %d still allocated after munmap and a grace period", f)
+		}
+	}
+	if got := as.alloc.FreeRuns(pagetable.HugeOrder); got != runs+1 {
+		t.Fatalf("order-9 blocks %d after the split frames' free, want %d", got, runs+1)
+	}
+	if err := as.AuditTHP(); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

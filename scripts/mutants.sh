@@ -1,0 +1,87 @@
+#!/usr/bin/env bash
+# Mutant twins of the frame-word guards in internal/physmem: each guard
+# test passes on the checkout as it stands and must fail on a copy of it
+# with that one guard removed — the proof that the test sees the guard.
+#
+#   scripts/mutants.sh
+#
+# The copies go under MUTANTS_DIR (default: a fresh mktemp -d), which is
+# removed on exit. A mutation whose source text no longer occurs exactly
+# once fails the script, so a twin cannot go stale silently.
+set -euo pipefail
+
+root=$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)
+if [ -n "${MUTANTS_DIR:-}" ]; then
+	work=$MUTANTS_DIR
+	mkdir -p "$work"
+	trap 'rm -rf "$work/pristine" "$work/mutant" "$work/mutant.log"' EXIT
+else
+	work=$(mktemp -d)
+	trap 'rm -rf "$work"' EXIT
+fi
+
+# test @@ file @@ guard as written @@ the guard removed
+mutants=(
+	'TestFreeOfUnsplitRunFramePanics@@internal/physmem/physmem.go@@switch low := uint32(w); {@@switch low := uint32(w) & refsMask; {'
+	'TestStampOfShapedFramePanics@@internal/physmem/physmem.go@@if uint32(a.meta[f].Add(1<<32|1)) != 1 {@@if uint32(a.meta[f].Add(1<<32|1))&refsMask != 1 {'
+	'TestFreeRunTwicePanics@@internal/physmem/physmem.go@@if w&refsMask != 0 || shapeOrder(w) != order {@@if false {'
+)
+
+mkdir -p "$work/pristine"
+git -C "$root" ls-files -co --exclude-standard | tar -C "$root" -T - -c | tar -x -C "$work/pristine"
+
+# mutate <file> <from> <to>: replace the one occurrence of from.
+mutate() {
+	# shellcheck disable=SC2016 # the program's variables are perl's
+	perl -e '
+		my ($f, $from, $to) = @ARGV;
+		local $/;
+		open(my $h, "<", $f) or die "$f: $!\n";
+		my $s = <$h>;
+		close $h;
+		my $n = () = $s =~ /\Q$from\E/g;
+		die "$f: the guard occurs $n times, want 1: $from\n" unless $n == 1;
+		$s =~ s/\Q$from\E/$to/;
+		open($h, ">", $f) or die "$f: $!\n";
+		print $h $s;
+		close $h;
+	' "$@"
+}
+
+tests=()
+for m in "${mutants[@]}"; do
+	tests+=("${m%%@@*}")
+done
+pattern="^($(
+	IFS='|'
+	echo "${tests[*]}"
+))\$"
+echo "== the guard tests on the checkout (must pass)"
+(cd "$work/pristine" && go test -count=1 -run "$pattern" ./internal/physmem)
+
+survivors=0
+for m in "${mutants[@]}"; do
+	test=${m%%@@*}
+	rest=${m#*@@}
+	file=${rest%%@@*}
+	rest=${rest#*@@}
+	from=${rest%%@@*}
+	to=${rest#*@@}
+	rm -rf "$work/mutant"
+	cp -a "$work/pristine" "$work/mutant"
+	mutate "$work/mutant/$file" "$from" "$to"
+	# Killed means the test itself failed: a mutant that does not build
+	# proves nothing.
+	if (cd "$work/mutant" && go test -count=1 -run "^$test\$" ./internal/physmem >"$work/mutant.log" 2>&1) ||
+		! grep -q -- "--- FAIL: $test " "$work/mutant.log"; then
+		echo "SURVIVED  $test ($file: $to)"
+		cat "$work/mutant.log"
+		survivors=$((survivors + 1))
+	else
+		echo "killed    $test ($file: $to)"
+	fi
+done
+if [ "$survivors" -gt 0 ]; then
+	echo "$survivors mutant(s) survived" >&2
+	exit 1
+fi
