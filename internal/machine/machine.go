@@ -25,8 +25,7 @@ import (
 // Config parameterizes a multi-tenant machine.
 type Config struct {
 	// VM is the per-tenant address-space configuration; the machine's
-	// shared geometry (Frames, CPUs, MaxFamily, shootdown model) is
-	// read from it too.
+	// shared geometry (Frames, CPUs, MaxFamily) is read from it too.
 	VM vm.Config
 	// MaxTenants bounds concurrent tenants (<= 0 = vm.DefaultMaxTenants).
 	MaxTenants int

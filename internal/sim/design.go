@@ -40,10 +40,9 @@ type Params struct {
 	// dispatch cost plus a per-responding-core cost. This is the
 	// mapping-operation component that inherently grows with core
 	// count and is what ultimately serializes Psearchy (§7.2, §8).
-	// The executable system charges the same Base + PerCore × cores
-	// shape per batched gather flush (vm.Config.ShootdownBase/
-	// ShootdownPerCore, in wall-clock time rather than cycles), so the
-	// analytical model and the real code paths share one parameter set.
+	// The executable system pays one flush per batched gather, costed at
+	// its own work (tlb.flush-delay injects a slow acknowledgement); it
+	// has no counterpart of these parameters.
 	ShootdownBase    uint64
 	ShootdownPerCore uint64
 }

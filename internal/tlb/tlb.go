@@ -263,12 +263,9 @@ func (g *Gather) Flush() {
 	if g.pages > 0 {
 		g.d.flushes.Add(g.shard, 1)
 		g.d.pages.Add(g.shard, uint64(g.pages))
-		trace.Emit(g.shard, trace.EvTLBFlush, uint64(g.pages), g.hi-g.lo,
-			uint64(g.d.cost))
-		spinWait(g.d.cost)
-		if delay := failFlushDelay.FireDelay(); delay > 0 {
-			spinWait(delay)
-		}
+		spin := g.d.cost + failFlushDelay.FireDelay()
+		trace.Emit(g.shard, trace.EvTLBFlush, uint64(g.pages), g.hi-g.lo, uint64(spin))
+		spinWait(spin)
 		g.pages = 0
 		g.lo, g.hi = 0, 0
 	}

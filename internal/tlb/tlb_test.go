@@ -4,9 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"bonsai/internal/fail"
 	"bonsai/internal/physmem"
 	"bonsai/internal/race"
 	"bonsai/internal/rcu"
+	"bonsai/internal/trace"
 )
 
 func newTestDomain(t *testing.T, cost CostModel) (*Domain, *physmem.Allocator, *rcu.Domain) {
@@ -157,6 +159,32 @@ func TestCostModelCharge(t *testing.T) {
 	g.Flush()
 	if el := time.Since(start); el < 5*time.Millisecond {
 		t.Fatalf("flush spun %v, want >= 5ms (base 2ms + 3 cores x 1ms)", el)
+	}
+}
+
+// TestFlushTraceShowsInjectedDelay: a flush stalled by tlb.flush-delay
+// reports the stall in its trace event's spin, so a trace of a slow
+// acknowledgement shows where the time went.
+func TestFlushTraceShowsInjectedDelay(t *testing.T) {
+	const delay = 2 * time.Millisecond
+	if err := fail.Enable(1, "tlb.flush-delay", fail.Config{OneIn: 1, Delay: delay}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fail.Disable("tlb.flush-delay") })
+	tr := trace.Arm(1, 0)
+	t.Cleanup(func() { trace.Disarm() })
+	d, _, _ := newTestDomain(t, CostModel{})
+	g := d.Gather(0)
+	g.Revoke(1)
+	g.Flush()
+	var spins []time.Duration
+	for _, ev := range tr.Snapshot().Merged() {
+		if ev.Type == trace.EvTLBFlush {
+			spins = append(spins, time.Duration(ev.C))
+		}
+	}
+	if len(spins) != 1 || spins[0] < delay {
+		t.Fatalf("flush events record spins %v, want one of at least %v", spins, delay)
 	}
 }
 

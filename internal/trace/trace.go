@@ -47,7 +47,8 @@ const (
 	EvGPStart
 	// EvGPEnd: a=gp id, b=callbacks drained, c=duration ns.
 	EvGPEnd
-	// EvTLBFlush: a=pages zapped, b=span pages, c=cost ns.
+	// EvTLBFlush: a=pages zapped, b=span pages, c=spin ns (model cost
+	// plus any injected tlb.flush-delay).
 	EvTLBFlush
 	// EvReclaimScanStart: a=scan id, b=target frames, c=scan kind
 	// (Scan*).

@@ -81,7 +81,7 @@ func TestConcurrentFaultsSamePages(t *testing.T) {
 // interleaving that deadlocked when munmap waited out grace periods
 // inline.
 func TestFaultsDuringMunmap(t *testing.T) {
-	forEachDesign(t, Config{CPUs: 4, RCUBatch: 64}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 4, tune: tuning{rcuBatch: 64}}, func(t *testing.T, as *AddressSpace) {
 		const pages = 512
 		base := mustMmap(t, as, 0, pages*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 

@@ -8,12 +8,12 @@ import (
 // TestConfigFieldSet pins vm.Config's exact field set. Every field
 // multiplies the configurations tests and benchmarks must cover, so
 // adding a knob (or dropping one) is a deliberate edit of this list.
+// The exported fields are the ones a program sets; tune is the one
+// unexported field, reachable only from this package's tests.
 func TestConfigFieldSet(t *testing.T) {
 	want := []string{
-		"Design", "CPUs", "Frames", "Backing", "RCUBatch",
-		"MaxStackGrowth", "MaxFamily", "RangeLocks",
-		"ShootdownBase", "ShootdownPerCore", "LowWater", "HighWater",
-		"ReclaimBatch", "NoTHP", "THPScanInterval",
+		"Design", "CPUs", "Frames", "Backing", "MaxFamily", "RangeLocks",
+		"THPScanInterval", "tune",
 	}
 	cfgT := reflect.TypeOf(Config{})
 	var got []string

@@ -300,7 +300,7 @@ func (as *AddressSpace) growStackLocked(op *opCtx, mg *mapGuard, page uint64) (*
 	if v == nil || v.Flags()&vma.Stack == 0 || v.Deleted() {
 		return nil, ErrSegv
 	}
-	if v.Start()-page > as.cfg.MaxStackGrowth {
+	if v.Start()-page > maxStackGrowth {
 		return nil, ErrSegv
 	}
 	// Keep one guard page between the stack and the mapping below.
@@ -346,17 +346,15 @@ func (c *CPU) fillPage(v *vma.VMA, page uint64, write bool, recheck func() bool,
 	// touch may install one. Both paths work identically under all four
 	// §5 designs — the huge install runs its own §5.2 double check under
 	// the page-directory lock, the analogue of the PTE-lock recheck.
-	if !as.cfg.NoTHP {
-		if h, ok := as.tables.WalkHuge(page); ok {
-			return c.hugeHit(h, page, write, recheck)
+	if h, ok := as.tables.WalkHuge(page); ok {
+		return c.hugeHit(h, page, write, recheck)
+	}
+	if hugeEligible(v, page) {
+		done, err := c.hugeFault(v, page, recheck)
+		if done || err != nil {
+			return err
 		}
-		if hugeEligible(v, page) {
-			done, err := c.hugeFault(v, page, recheck)
-			if done || err != nil {
-				return err
-			}
-			// Fall through: base pages (no run free, or a racing fault).
-		}
+		// Fall through: base pages (no run free, or a racing fault).
 	}
 	pt, err := as.tables.EnsureTable(c.id, page)
 	if err != nil {

@@ -65,8 +65,8 @@ func TestTLBGatherFlushInvariant(t *testing.T) {
 	if testing.Short() {
 		duration = 100 * time.Millisecond
 	}
-	forEachDesign(t, Config{CPUs: faulters + 1, Frames: 1 << 14, MaxFamily: spaces,
-		ShootdownBase: time.Microsecond}, func(t *testing.T, as *AddressSpace) {
+	armFlushDelay(t, time.Microsecond)
+	forEachDesign(t, Config{CPUs: faulters + 1, Frames: 1 << 14, MaxFamily: spaces}, func(t *testing.T, as *AddressSpace) {
 		f := vma.NewFile("storm.dat", 99)
 		all := []*AddressSpace{as}
 		for i := 1; i < spaces; i++ {
@@ -180,20 +180,4 @@ func TestTLBGatherFlushInvariant(t *testing.T) {
 		t.Logf("zaps=%d faults=%d audits=%d flushes=%d pages/flush=%.1f", zapOK.Load(), faultOK.Load(),
 			audits.Load(), st.TLBFlushes, float64(st.TLBPagesFlushed)/float64(st.TLBFlushes))
 	})
-}
-
-// TestShootdownCostModel: the shootdown parameters map straight onto
-// the gather domain's cost model (TestConfigFieldSet keeps the retired
-// flat ShootdownDelay field out of vm.Config).
-func TestShootdownCostModel(t *testing.T) {
-	cfg := Config{CPUs: 2, ShootdownBase: time.Millisecond, ShootdownPerCore: 10 * time.Microsecond}
-	if got := cfg.shootdownCost().Base; got != time.Millisecond {
-		t.Fatalf("Base = %v, want 1ms", got)
-	}
-	if got := cfg.shootdownCost().PerCore; got != 10*time.Microsecond {
-		t.Fatalf("PerCore = %v, want 10µs", got)
-	}
-	if got := cfg.shootdownCost().Cores; got != 2 {
-		t.Fatalf("Cores = %d, want CPUs", got)
-	}
 }

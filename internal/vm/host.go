@@ -51,7 +51,7 @@ type machine struct {
 	tornDown bool
 
 	// thpStop/thpDone bracket the background collapse scanner (the
-	// khugepaged analogue); nil when THP or the scanner is disabled.
+	// khugepaged analogue); nil when the scanner is disabled.
 	// Stopped once, by whichever side wins the teardown latch.
 	thpStop chan struct{}
 	thpDone chan struct{}
@@ -82,14 +82,14 @@ func newMachine(cfg Config, maxTenants int) *machine {
 		// magazines: its fault CPUs plus one mapping-operation magazine.
 		CPUs:      (cfg.CPUs + 1) * cfg.MaxFamily * maxTenants,
 		Backing:   cfg.Backing,
-		LowWater:  cfg.LowWater,
-		HighWater: cfg.HighWater,
+		LowWater:  cfg.tune.lowWater,
+		HighWater: cfg.tune.highWater,
 	})
-	ms.dom = rcu.NewDomain(rcu.Options{BatchSize: cfg.RCUBatch})
+	ms.dom = rcu.NewDomain(rcu.Options{BatchSize: cfg.tune.rcuBatch})
 	ms.reg = pagecache.NewRegistry(ms.alloc.NumFrames())
-	ms.tlb = tlb.NewDomain(ms.alloc, ms.dom, cfg.shootdownCost())
+	ms.tlb = tlb.NewDomain(ms.alloc, ms.dom, tlb.CostModel{})
 	ms.rec = reclaim.New(ms.alloc, ms.dom, reclaim.Config{
-		BatchPages: cfg.ReclaimBatch,
+		BatchPages: cfg.tune.reclaimBatch,
 		TLB:        ms.tlb,
 	})
 	ms.startCollapser()

@@ -25,7 +25,7 @@ import (
 // allocates no more than it did when each run went back frame by frame.
 func TestHugeRoundCounts(t *testing.T) {
 	const chunks = 32
-	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 4 * chunks * 512, THPScanInterval: -1, RCUBatch: -1})
+	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 4 * chunks * 512, THPScanInterval: -1, tune: tuning{rcuBatch: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func TestMapCycleAllocs(t *testing.T) {
 	// No background detector: the test runs the grace periods itself, so
 	// how many batches are out with the domain, and when they come back
 	// to the pools, does not depend on scheduling.
-	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 1 << 14, THPScanInterval: -1, RCUBatch: -1})
+	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 1 << 14, THPScanInterval: -1, tune: tuning{rcuBatch: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestMapCycleCounts(t *testing.T) {
 	const cycles = 100
 	for _, design := range []Design{Hybrid, PureRCU} {
 		t.Run(design.String(), func(t *testing.T) {
-			as, err := New(Config{Design: design, CPUs: 1, Frames: 1 << 14, THPScanInterval: -1, RCUBatch: -1})
+			as, err := New(Config{Design: design, CPUs: 1, Frames: 1 << 14, THPScanInterval: -1, tune: tuning{rcuBatch: -1}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func slotReading(as *AddressSpace, slot int) map[string]uint64 {
 // operations in flight always hold two contexts; that those differ in
 // slot as well is the pool's doing, checked at the end.)
 func TestDisjointMapOpsWriteOnlyTheirOwnCells(t *testing.T) {
-	forEachDesign(t, Config{CPUs: 2, Frames: 1 << 14, THPScanInterval: -1, RCUBatch: -1}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 2, Frames: 1 << 14, THPScanInterval: -1, tune: tuning{rcuBatch: -1}}, func(t *testing.T, as *AddressSpace) {
 		a, b := twoSlots(t, as)
 		cpus := [2]*CPU{as.NewCPU(0), as.NewCPU(1)}
 		// One of every mapping operation, each counter moved at least
@@ -305,7 +305,7 @@ func TestDisjointMapOpsWriteOnlyTheirOwnCells(t *testing.T) {
 // replaces, sent arenas 1 GiB apart — the benchmark's map_churn — to one
 // shard for half of all seeds.
 func TestConcurrentMapOpsRetireOnDifferentShards(t *testing.T) {
-	as, err := New(Config{Design: PureRCU, CPUs: 2, Frames: 1 << 14, THPScanInterval: -1, RCUBatch: -1})
+	as, err := New(Config{Design: PureRCU, CPUs: 2, Frames: 1 << 14, THPScanInterval: -1, tune: tuning{rcuBatch: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,11 +403,12 @@ func TestFixedMmapOverNothingSkipsZapSafely(t *testing.T) {
 // because the zap is what frees the page tables the range covers — what
 // Close's whole-space unmap relies on to return every table.
 func TestMunmapOfNothingFreesEmptyTables(t *testing.T) {
-	forEachDesign(t, Config{CPUs: 1, Frames: 4096, NoTHP: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Frames: 4096}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		base := UnmappedBase + 1<<30 // leaf-table aligned
 		before := as.tables.Stats().TablesLive
-		if _, err := as.Mmap(base, HugeSpan, vma.ProtRead|vma.ProtWrite, vma.Fixed, nil, 0); err != nil {
+		// One page short of a huge chunk: the fault fills a leaf table.
+		if _, err := as.Mmap(base, HugeSpan-PageSize, vma.ProtRead|vma.ProtWrite, vma.Fixed, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := cpu.Fault(base+7*PageSize, true); err != nil {

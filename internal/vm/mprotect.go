@@ -90,7 +90,7 @@ func (as *AddressSpace) mprotectInner(op *opCtx, addr, length uint64, prot vma.P
 		n, _ := as.tables.WriteProtectRange(g, lo, hi)
 		g.Revoke(n)
 		g.Flush() // no-op when nothing was narrowed or split
-	} else if !as.cfg.NoTHP {
+	} else {
 		// A write-enabling change touches no translations — write faults
 		// upgrade read-only PTEs on demand — but a read-only huge entry
 		// straddling either boundary would later upgrade as one 2 MB

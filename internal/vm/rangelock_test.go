@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"bonsai/internal/fail"
 	"bonsai/internal/vma"
 )
 
@@ -49,13 +50,25 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// armFlushDelay makes every TLB flush spin for d until the test ends: a
+// straggling shootdown acknowledgement, which keeps a zapping mapping
+// operation inside its critical section for d.
+func armFlushDelay(t *testing.T, d time.Duration) {
+	t.Helper()
+	if err := fail.Enable(1, "tlb.flush-delay", fail.Config{OneIn: 1, Delay: d}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fail.Disable("tlb.flush-delay") })
+}
+
 // TestRangeLockTouchingRangesConcurrent: munmaps of touching-but-
 // disjoint ranges must not conflict — half-open intervals share no
 // page. The first munmap is made to dwell in its critical section (a
 // long simulated TLB shootdown); the touching munmap must complete
 // while it is still held, and the overlapping one must wait.
 func TestRangeLockTouchingVsOverlapping(t *testing.T) {
-	forEachRangeLocked(t, Config{CPUs: 2, ShootdownBase: 100 * time.Millisecond},
+	armFlushDelay(t, 100*time.Millisecond)
+	forEachRangeLocked(t, Config{CPUs: 2},
 		func(t *testing.T, as *AddressSpace) {
 			const pages = 64
 			size := uint64(pages) * PageSize
@@ -127,7 +140,8 @@ func TestRangeLockTouchingVsOverlapping(t *testing.T) {
 // wait for in-flight range holders, must not be starved by operations
 // arriving after it, and must block them until it completes.
 func TestRangeLockWholeSpaceVsPendingHolders(t *testing.T) {
-	forEachRangeLocked(t, Config{CPUs: 2, ShootdownBase: 50 * time.Millisecond},
+	armFlushDelay(t, 50*time.Millisecond)
+	forEachRangeLocked(t, Config{CPUs: 2},
 		func(t *testing.T, as *AddressSpace) {
 			const pages = 16
 			size := uint64(pages) * PageSize

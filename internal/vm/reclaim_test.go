@@ -39,8 +39,7 @@ func TestEvictionFaultStorm(t *testing.T) {
 				Backing: true,
 				// Keep kswapd permanently under its high watermark so the
 				// scan runs continuously against the faulters.
-				LowWater: frames / 2, HighWater: frames - 8,
-				ReclaimBatch: 8,
+				tune: tuning{lowWater: frames / 2, highWater: frames - 8, reclaimBatch: 8},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -304,7 +303,7 @@ func TestRefaultEvictAllocs(t *testing.T) {
 			// run the grace periods themselves, so what is out with the
 			// domain does not depend on scheduling.
 			h := NewHost(Config{Design: PureRCU, CPUs: 1, Frames: 4 * limit, Backing: true,
-				THPScanInterval: -1, RCUBatch: -1, ReclaimBatch: batch}, 1)
+				THPScanInterval: -1, tune: tuning{rcuBatch: -1, reclaimBatch: batch}}, 1)
 			as, err := h.Admit(limit)
 			if err != nil {
 				t.Fatal(err)

@@ -226,9 +226,6 @@ func (as *AddressSpace) collapsePass() int {
 // engine exposed for tests and torture. Unlike the scanner it ignores
 // the accessed-bit clock (an explicit request is its own heat signal).
 func (as *AddressSpace) CollapseRange(lo, hi uint64) int {
-	if as.cfg.NoTHP {
-		return 0
-	}
 	promoted := 0
 	for _, chunk := range as.surveyChunks(lo, hi, false) {
 		if as.collapseOne(chunk) {
@@ -281,10 +278,10 @@ func (ms *machine) collapseSweep() {
 	}
 }
 
-// startCollapser launches the machine's collapse scanner unless THP or
-// the scanner is disabled.
+// startCollapser launches the machine's collapse scanner unless it is
+// disabled.
 func (ms *machine) startCollapser() {
-	if ms.cfg.NoTHP || ms.cfg.THPScanInterval < 0 {
+	if ms.cfg.THPScanInterval < 0 {
 		return
 	}
 	interval := ms.cfg.THPScanInterval

@@ -97,24 +97,27 @@ func TestHugeFaultFallsBackWhenFragmented(t *testing.T) {
 	})
 }
 
-func TestNoTHPDisablesHugePath(t *testing.T) {
-	cfg := thpConfig()
-	cfg.NoTHP = true
-	forEachDesign(t, cfg, func(t *testing.T, as *AddressSpace) {
+// TestShortRegionTakesBasePages: an aligned region one page short of a
+// chunk is not huge-eligible — every fault maps a base page and
+// CollapseRange promotes nothing. This is how a workload gets the
+// base-page path.
+func TestShortRegionTakesBasePages(t *testing.T) {
+	forEachDesign(t, thpConfig(), func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
-		mustMmap(t, as, hugeBase, HugeSpan, vma.ProtRead|vma.ProtWrite, vma.Fixed)
-		for i := uint64(0); i < 512; i++ {
+		const pages = 511
+		mustMmap(t, as, hugeBase, pages*PageSize, vma.ProtRead|vma.ProtWrite, vma.Fixed)
+		for i := uint64(0); i < pages; i++ {
 			if err := cpu.Fault(hugeBase+i*PageSize, true); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if n := as.CollapseRange(hugeBase, hugeBase+HugeSpan); n != 0 {
-			t.Fatalf("CollapseRange promoted %d chunks with NoTHP", n)
+			t.Fatalf("CollapseRange promoted %d chunks of a short region", n)
 		}
 		st := as.Stats()
-		if st.THPHugeFaults != 0 || st.AnonHugePages != 0 || st.PagesMapped != 512 {
-			t.Fatalf("NoTHP: hugeFaults=%d anonHugePages=%d pagesMapped=%d, want 0/0/512",
-				st.THPHugeFaults, st.AnonHugePages, st.PagesMapped)
+		if st.THPHugeFaults != 0 || st.AnonHugePages != 0 || st.PagesMapped != pages {
+			t.Fatalf("short region: hugeFaults=%d anonHugePages=%d pagesMapped=%d, want 0/0/%d",
+				st.THPHugeFaults, st.AnonHugePages, st.PagesMapped, pages)
 		}
 	})
 }

@@ -64,7 +64,6 @@ import (
 	"bonsai/internal/pagetable"
 	"bonsai/internal/physmem"
 	"bonsai/internal/rcu"
-	"bonsai/internal/tlb"
 	"bonsai/internal/trace"
 	"bonsai/internal/vma"
 )
@@ -212,11 +211,6 @@ type Config struct {
 	// Backing gives pages real data buffers (required by ReadBytes and
 	// WriteBytes).
 	Backing bool
-	// RCUBatch is the rcu.Domain batch size. Zero means the default.
-	RCUBatch int
-	// MaxStackGrowth bounds how far below a Stack VMA a fault may grow
-	// it, in bytes. Zero means DefaultMaxStackGrowth.
-	MaxStackGrowth uint64
 	// MaxFamily is the maximum number of address spaces (the original
 	// plus forked children) that may be alive at once; they share one
 	// physical allocator, whose per-CPU magazines are partitioned among
@@ -225,38 +219,31 @@ type Config struct {
 	// RangeLocks selects how mapping operations exclude one another;
 	// the zero value gives the RCU designs range locks.
 	RangeLocks RangeLockMode
-	// ShootdownBase and ShootdownPerCore parameterize the simulated
-	// TLB-shootdown charge every translation-revoking batch pays inside
-	// its critical section (this user-space VM has no TLB, so
-	// revocation is otherwise unrealistically cheap): each gather flush
-	// — one per munmap/MADV_DONTNEED/mprotect-downgrade/COW-break/fork
-	// downgrade pass/reclaim batch, however many pages it revoked —
-	// costs Base + PerCore × CPUs, the IPI dispatch plus one
-	// acknowledgement per core that may hold a live translation. This
-	// is the same cost shape internal/sim's analytical model uses
-	// (sim.Params.ShootdownBase/ShootdownPerCore, in cycles), so the
-	// executable paths and the model share parameters. The range-lock
-	// tests use it to reproduce the paper's long-holder regime; zero (the
-	// default) disables the charge.
-	ShootdownBase, ShootdownPerCore time.Duration
-	// LowWater and HighWater are the reclaim watermarks in frames:
-	// below LowWater free frames the background reclaimer wakes and
-	// evicts page-cache pages until free frames exceed HighWater. An
-	// allocation that fails outright always triggers direct reclaim,
-	// watermarks or not. Zero means Frames/16 and Frames/8.
-	LowWater, HighWater uint64
-	// ReclaimBatch bounds the eviction candidates per reclaim scan
-	// pass. Zero means the reclaim package default (64).
-	ReclaimBatch int
-	// NoTHP disables transparent huge pages entirely: faults never
-	// attempt a 2 MB install and the machine starts no collapse scanner.
-	// The default (false) gives aligned anonymous private regions a
-	// huge-first fault path with base-page fallback.
-	NoTHP bool
 	// THPScanInterval paces the background collapse scanner between
 	// whole-machine passes. Zero means DefaultTHPScanInterval; negative
 	// disables the scanner while keeping the huge fault path.
 	THPScanInterval time.Duration
+
+	// tune holds the runtime's batch sizes and watermarks; only this
+	// package's tests set it.
+	tune tuning
+}
+
+// tuning is the runtime's internal batching and reclaim pacing. Zero
+// fields take the defaults normalized fills in.
+type tuning struct {
+	// rcuBatch is the rcu.Domain batch size: zero means the default,
+	// negative leaves grace periods to explicit flushes.
+	rcuBatch int
+	// lowWater and highWater are the reclaim watermarks in frames: below
+	// lowWater free frames the background reclaimer wakes and evicts
+	// page-cache pages until free frames exceed highWater. An allocation
+	// that fails outright always triggers direct reclaim, watermarks or
+	// not. Zero means Frames/16 and Frames/8.
+	lowWater, highWater uint64
+	// reclaimBatch bounds the eviction candidates per reclaim scan pass.
+	// Zero means the reclaim package default (64).
+	reclaimBatch int
 }
 
 // DefaultTHPScanInterval paces the collapse scanner's passes (the
@@ -267,9 +254,9 @@ const DefaultTHPScanInterval = 10 * time.Millisecond
 // concurrently live forks.
 const DefaultMaxFamily = 8
 
-// DefaultMaxStackGrowth allows stacks to grow up to 8 MB below their
-// current start, mirroring a typical RLIMIT_STACK.
-const DefaultMaxStackGrowth = 8 << 20
+// maxStackGrowth allows stacks to grow up to 8 MB below their current
+// start, mirroring a typical RLIMIT_STACK.
+const maxStackGrowth = 8 << 20
 
 // AddressSpace is a shared address space: a set of VMAs in a region
 // tree plus a four-level page-table tree (Figure 1). Mmap and Munmap
@@ -387,9 +374,6 @@ func (cfg Config) normalized() Config {
 	if cfg.CPUs <= 0 {
 		cfg.CPUs = 1
 	}
-	if cfg.MaxStackGrowth == 0 {
-		cfg.MaxStackGrowth = DefaultMaxStackGrowth
-	}
 	if cfg.MaxFamily <= 0 {
 		cfg.MaxFamily = DefaultMaxFamily
 	}
@@ -397,11 +381,11 @@ func (cfg Config) normalized() Config {
 	if frames == 0 {
 		frames = physmem.DefaultFrames
 	}
-	if cfg.LowWater == 0 {
-		cfg.LowWater = frames / 16
+	if cfg.tune.lowWater == 0 {
+		cfg.tune.lowWater = frames / 16
 	}
-	if cfg.HighWater <= cfg.LowWater {
-		cfg.HighWater = 2 * cfg.LowWater
+	if cfg.tune.highWater <= cfg.tune.lowWater {
+		cfg.tune.highWater = 2 * cfg.tune.lowWater
 	}
 	return cfg
 }
@@ -675,17 +659,6 @@ func (as *AddressSpace) Close() error {
 	}
 	as.fam.releaseMember(as.member)
 	return err
-}
-
-// shootdownCost resolves the configured shootdown parameters into the
-// gather domain's cost model: Base + PerCore × CPUs per flush. CPUs
-// spans one address space's fault contexts — the set a real kernel's
-// per-mm cpumask bounds — which is exact for the zap paths (their
-// batches revoke one space's translations) and an approximation for
-// reclaim, whose batch may span several sibling spaces but still pays
-// one space's worth of acknowledgements.
-func (cfg Config) shootdownCost() tlb.CostModel {
-	return tlb.CostModel{Base: cfg.ShootdownBase, PerCore: cfg.ShootdownPerCore, Cores: cfg.CPUs}
 }
 
 // pageDown rounds addr down to a page boundary.

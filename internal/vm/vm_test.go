@@ -320,12 +320,20 @@ func TestStackGrowth(t *testing.T) {
 		if st := as.Stats(); st.StackGrowths != 1 {
 			t.Fatalf("StackGrowths = %d", st.StackGrowths)
 		}
-		// Far below the limit: segv.
-		if err := cpu.Fault(top-DefaultMaxStackGrowth-2*PageSize, true); !errors.Is(err, ErrSegv) {
-			t.Fatalf("unbounded growth allowed: %v", err)
+		// One page past the limit: segv. Exactly at it: grows.
+		start := top - PageSize
+		if err := cpu.Fault(start-maxStackGrowth-PageSize, true); !errors.Is(err, ErrSegv) {
+			t.Fatalf("growth past the limit allowed: %v", err)
+		}
+		start -= maxStackGrowth
+		if err := cpu.Fault(start, true); err != nil {
+			t.Fatalf("growth to the limit: %v", err)
+		}
+		if st := as.Stats(); st.StackGrowths != 2 {
+			t.Fatalf("StackGrowths = %d after growing to the limit", st.StackGrowths)
 		}
 		// A mapping just below blocks growth through it (guard page).
-		blocker := top - 64*PageSize
+		blocker := start - 64*PageSize
 		mustMmap(t, as, blocker, PageSize, vma.ProtRead, vma.Fixed)
 		if err := cpu.Fault(blocker+PageSize, true); !errors.Is(err, ErrSegv) {
 			t.Fatalf("grew into guard page: %v", err)
