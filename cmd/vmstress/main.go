@@ -2,11 +2,12 @@
 // machine:
 //
 //	vmstress -conformance        # run the LTP-style battery (§6)
-//	vmstress -stress -secs 5     # randomized concurrent stress with
-//	                             # invariant and leak checking
 //	vmstress -timeline           # record and render the Figure 2 vs
 //	                             # Figure 12 concurrency timelines
 //	vmstress -design purercu     # restrict to one design
+//
+// With neither mode flag it runs the battery. Randomized concurrent
+// stress is cmd/torture's job.
 package main
 
 import (
@@ -18,41 +19,20 @@ import (
 	"sync"
 	"time"
 
-	"bonsai/internal/introspect"
 	"bonsai/internal/ltp"
 	"bonsai/internal/vm"
 	"bonsai/internal/vma"
 )
 
-// stressSet, when non-nil, registers each stress run's address space
-// with the -http introspection server.
-var stressSet *introspect.SpaceSet
-
 func main() {
 	var (
 		conformance = flag.Bool("conformance", false, "run the conformance battery")
-		stress      = flag.Bool("stress", false, "run randomized concurrent stress")
 		timeline    = flag.Bool("timeline", false, "render op-concurrency timelines")
-		secs        = flag.Float64("secs", 2.0, "stress duration per design")
-		workers     = flag.Int("workers", 4, "stress worker goroutines")
-		seed        = flag.Int64("seed", 1, "stress RNG seed")
 		design      = flag.String("design", "", "restrict to one design (rwlock|faultlock|hybrid|purercu)")
-		httpAddr    = flag.String("http", "", "serve the live introspection plane on this address (empty = off)")
 	)
 	flag.Parse()
-	if *httpAddr != "" {
-		stressSet = introspect.NewSpaceSet("vmstress")
-		srv, err := introspect.Start(*httpAddr, stressSet)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "vmstress: introspection at http://%s/\n", srv.Addr())
-	}
-	if !*conformance && !*stress && !*timeline {
+	if !*conformance && !*timeline {
 		*conformance = true
-		*stress = true
 	}
 
 	designs := vm.Designs
@@ -80,17 +60,6 @@ func main() {
 			fmt.Printf("  %-45s %-22s %s\n", r.Case, r.Design, status)
 		}
 	}
-	if *stress {
-		fmt.Println("== Randomized concurrent stress ==")
-		for _, d := range designs {
-			if err := runStress(d, *workers, *seed, time.Duration(*secs*float64(time.Second))); err != nil {
-				fmt.Printf("  %-22s FAIL: %v\n", d, err)
-				failed = true
-			} else {
-				fmt.Printf("  %-22s ok\n", d)
-			}
-		}
-	}
 	if *timeline {
 		for _, d := range designs {
 			renderTimeline(d)
@@ -108,123 +77,6 @@ func containsDesign(ds []vm.Design, d vm.Design) bool {
 		}
 	}
 	return false
-}
-
-// runStress hammers one design with concurrent faults, mmaps, munmaps,
-// and splits, then verifies no frames leaked and no translation
-// survives in unmapped space.
-func runStress(d vm.Design, workers int, seed int64, dur time.Duration) error {
-	as, err := vm.New(vm.Config{Design: d, CPUs: workers})
-	if err != nil {
-		return err
-	}
-	// Deregister from the introspection set before the space closes so
-	// no in-flight scrape walks a tearing-down world (remove is
-	// idempotent; the defer covers the early error returns).
-	remove := func() {}
-	if stressSet != nil {
-		remove = stressSet.Add(d.String(), as)
-		defer remove()
-	}
-	const pages = 2048
-	arena, err := as.Mmap(0, pages*vm.PageSize, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
-	if err != nil {
-		return err
-	}
-
-	stop := make(chan struct{})
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			cpu := as.NewCPU(id)
-			rng := rand.New(rand.NewSource(seed + int64(id)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				switch rng.Intn(12) {
-				case 0: // unmap a chunk
-					off := uint64(rng.Intn(pages-64)) * vm.PageSize
-					n := uint64(1+rng.Intn(63)) * vm.PageSize
-					if err := as.Munmap(arena+off, n); err != nil {
-						errCh <- fmt.Errorf("munmap: %w", err)
-						return
-					}
-				case 1: // remap a chunk
-					off := uint64(rng.Intn(pages-64)) * vm.PageSize
-					n := uint64(1+rng.Intn(63)) * vm.PageSize
-					if _, err := as.Mmap(arena+off, n, vma.ProtRead|vma.ProtWrite, vma.Fixed, nil, 0); err != nil {
-						errCh <- fmt.Errorf("mmap: %w", err)
-						return
-					}
-				case 2: // mprotect a chunk (down or up)
-					off := uint64(rng.Intn(pages-64)) * vm.PageSize
-					n := uint64(1+rng.Intn(63)) * vm.PageSize
-					prot := vma.ProtRead
-					if rng.Intn(2) == 0 {
-						prot |= vma.ProtWrite
-					}
-					err := as.Mprotect(arena+off, n, prot)
-					if err != nil && !errors.Is(err, vm.ErrSegv) {
-						errCh <- fmt.Errorf("mprotect: %w", err)
-						return
-					}
-				case 3: // fork, touch, close
-					child, err := as.Fork()
-					if err != nil {
-						if errors.Is(err, vm.ErrNoMemory) {
-							continue // family limit under churn
-						}
-						errCh <- fmt.Errorf("fork: %w", err)
-						return
-					}
-					ccpu := child.NewCPU(id)
-					addr := arena + uint64(rng.Intn(pages))*vm.PageSize
-					if err := ccpu.Fault(addr, true); err != nil &&
-						!errors.Is(err, vm.ErrSegv) && !errors.Is(err, vm.ErrAccess) {
-						errCh <- fmt.Errorf("child fault: %w", err)
-						return
-					}
-					if err := child.Close(); err != nil {
-						errCh <- fmt.Errorf("child close: %w", err)
-						return
-					}
-				default: // fault
-					addr := arena + uint64(rng.Intn(pages))*vm.PageSize
-					err := cpu.Fault(addr, true)
-					if err != nil && !errors.Is(err, vm.ErrSegv) && !errors.Is(err, vm.ErrAccess) {
-						errCh <- fmt.Errorf("fault: %w", err)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	time.Sleep(dur)
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		remove()
-		as.Close()
-		return err
-	default:
-	}
-
-	st := as.Stats()
-	fmt.Printf("    %s: %d faults, %d mmaps, %d munmaps, %d mprotects, %d forks, %d retries, %d splits, %d COW breaks\n",
-		d, st.Faults, st.Mmaps, st.Munmaps, st.Mprotects, st.Forks, st.Retries(), st.Splits, st.CowBreaks)
-	if r := as.ReclaimStats(); r.KswapdEvicted+r.DirectEvicted+r.AccountEvicted > 0 {
-		fmt.Printf("    %s: reclaim kswapd=%d direct=%d tenant=%d writebacks=%d\n",
-			d, r.KswapdEvicted, r.DirectEvicted, r.AccountEvicted, r.Writebacks)
-	}
-	remove()
-	return as.Close() // verifies zero frame leaks
 }
 
 // renderTimeline records a short two-thread run — one faulting, one

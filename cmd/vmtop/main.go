@@ -1,13 +1,13 @@
 // Command vmtop is the live terminal view of a running machine: point
-// it at the introspection server a driver exposes with -http (cmd/soak,
-// cmd/torture, cmd/vmstress) and it refreshes a top-style screen —
-// machine totals, per-tenant RSS against limit with fault and eviction
-// rates, fault p99, and the top contended lock sites — from the same
-// snapshot-delta engine the soak vmstat line uses.
+// it at the introspection server cmd/torture exposes with -http and it
+// refreshes a top-style screen — machine totals, per-tenant RSS against
+// limit with fault and eviction rates, fault p99, and the top contended
+// lock sites — from the same snapshot-delta engine torture's -vmstat
+// line uses.
 //
 // Usage:
 //
-//	go run ./cmd/soak -duration 10m -http 127.0.0.1:6060 &
+//	go run ./cmd/torture -designs purercu -faults=false -tenants 4 -limit 100 -duration 10m -http 127.0.0.1:6060 &
 //	go run ./cmd/vmtop -url http://127.0.0.1:6060
 //	go run ./cmd/vmtop -url http://127.0.0.1:6060 -once   # one plain sample
 package main
@@ -103,17 +103,11 @@ func render(w io.Writer, doc introspect.SnapshotJSON, d introspect.Delta, elapse
 	for _, td := range tds {
 		ts := td.Cur
 		limit := "-"
-		rss := int64(0)
-		if ts.Account != nil {
-			rss = ts.Account.Charged
-			if ts.Account.Limit > 0 {
-				limit = fmt.Sprintf("%d", ts.Account.Limit)
-			}
-		} else {
-			rss = int64(ts.Space.PagesMapped) - int64(ts.Space.PagesUnmapped) - int64(ts.Space.EvictUnmaps)
+		if ts.Account != nil && ts.Account.Limit > 0 {
+			limit = fmt.Sprintf("%d", ts.Account.Limit)
 		}
 		fmt.Fprintf(w, "%-16s %8d %8s %9s %9s %12v\n",
-			clip(ts.Name, 16), rss, limit,
+			clip(ts.Name, 16), introspect.TenantRSS(ts), limit,
 			rate(td.Faults, elapsed, d.First),
 			rate(td.Evictions, elapsed, d.First),
 			time.Duration(ts.Fault.P99Ns))

@@ -1,6 +1,6 @@
 // Command vmtrace decodes the binary flight-recorder dumps the trace
-// package writes (cmd/soak -trace-dump, cmd/torture -trace-dump, or
-// any trace.Tracer.DumpFile call), merges the per-CPU rings into one
+// package writes (cmd/torture -trace-dump, or any
+// trace.Tracer.DumpFile call), merges the per-CPU rings into one
 // timeline, and reports on it:
 //
 //   - default: a summary — event counts by type, paired-span latency

@@ -3,8 +3,8 @@ package introspect
 import "bonsai/internal/machine"
 
 // DeltaEngine turns successive machine snapshots into interval deltas
-// — one source of truth for counter differencing, shared by cmd/soak's
-// vmstat line, cmd/vmtop's rate columns, and the exposition checker's
+// — one source of truth for counter differencing, shared by
+// cmd/torture's vmstat line, cmd/vmtop's rate columns, and the exposition checker's
 // monotonicity reasoning. The zero value is ready to use; the first
 // Step reports First and zero deltas.
 type DeltaEngine struct {
@@ -29,10 +29,9 @@ type Delta struct {
 	Snapshot machine.Snapshot
 	// First marks the engine's first sample (all deltas zero).
 	First bool
-	// Interval deltas. The machine source's counters are monotonic, but
-	// these stay signed so SpaceSet-backed sources — whose rollup can
-	// shrink when an epoch's spaces are removed — render a dip instead
-	// of a garbage unsigned wrap.
+	// Interval deltas. The machine's counters are monotonic; these stay
+	// signed so a sample taken across a restarted machine renders a dip
+	// instead of a garbage unsigned wrap.
 	Faults       int64
 	MapOps       int64
 	Scans        int64

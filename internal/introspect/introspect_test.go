@@ -507,53 +507,6 @@ func TestDeltaEngine(t *testing.T) {
 	}
 }
 
-// TestSpaceSetSource: the non-machine adapter produces a parseable
-// exposition and tracks add/remove.
-func TestSpaceSetSource(t *testing.T) {
-	set := NewSpaceSet("stress")
-	as, err := vm.New(vm.Config{Design: vm.PureRCU, CPUs: 2, Frames: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer as.Close()
-	remove := set.Add("w0", as)
-	base, err := as.Mmap(0, 16*vm.PageSize, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu := as.NewCPU(0)
-	for p := uint64(0); p < 16; p++ {
-		if err := cpu.Fault(base+p*vm.PageSize, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var b strings.Builder
-	if err := WriteMetrics(&b, set); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := ParseExposition(b.String())
-	if err != nil {
-		t.Fatalf("spaceset exposition invalid: %v\n%s", err, b.String())
-	}
-	var faults float64
-	for _, f := range fams {
-		if f.Name == "vm_tenant_faults_total" {
-			for _, s := range f.Samples {
-				if s.Labels["tenant"] == "w0" {
-					faults = s.Value
-				}
-			}
-		}
-	}
-	if faults < 16 {
-		t.Fatalf("spaceset tenant faults = %v, want >= 16", faults)
-	}
-	remove()
-	if got := len(set.Tenants()); got != 0 {
-		t.Fatalf("tenants after remove = %d", got)
-	}
-}
-
 // TestParseExpositionRejects: the checker actually rejects the failure
 // modes it claims to (duplicate families, counter naming, duplicate
 // samples, undeclared families, regressions).

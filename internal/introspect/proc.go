@@ -20,10 +20,10 @@ const hugePages = int64(vm.HugeSpan / vm.PageSize)
 // one-record-per-line for locks — so they stay greppable from a shell
 // while a run is live.
 
-// tenantRSS picks the best resident-set figure a snapshot offers: the
+// TenantRSS picks the best resident-set figure a snapshot offers: the
 // account's charged frames when the tenant is limited, else the signed
 // net of mapped pages (evictions revoke PTEs without a munmap).
-func tenantRSS(ts machine.TenantSnapshot) int64 {
+func TenantRSS(ts machine.TenantSnapshot) int64 {
 	if ts.Account != nil {
 		return ts.Account.Charged
 	}
@@ -38,10 +38,8 @@ func WriteMeminfo(w io.Writer, src Source) error {
 	pw.printf("MemTotal:       %8d frames\n", sn.FramesTotal)
 	pw.printf("MemInUse:       %8d frames\n", sn.FramesInUse)
 	pw.printf("MemFree:        %8d frames\n", int64(sn.FramesTotal)-sn.FramesInUse)
-	if alloc := src.Allocator(); alloc != nil {
-		pw.printf("WatermarkLow:   %8d frames\n", alloc.LowWater())
-		pw.printf("WatermarkHigh:  %8d frames\n", alloc.HighWater())
-	}
+	pw.printf("WatermarkLow:   %8d frames\n", src.Allocator().LowWater())
+	pw.printf("WatermarkHigh:  %8d frames\n", src.Allocator().HighWater())
 	pw.printf("OOMKills:       %8d\n", sn.OOMKills)
 	pw.printf("ReclaimEvicted: %8d pages\n", ReclaimEvictions(sn))
 	pw.printf("Writebacks:     %8d pages\n", sn.Reclaim.Writebacks)
@@ -61,7 +59,7 @@ func WriteMeminfo(w io.Writer, src Source) error {
 		} else {
 			pw.printf("  Limit:        unlimited\n")
 		}
-		pw.printf("  RSS:          %8d frames\n", tenantRSS(ts))
+		pw.printf("  RSS:          %8d frames\n", TenantRSS(ts))
 		if ts.Account != nil {
 			pw.printf("  MaxRSS:       %8d frames\n", ts.Account.MaxCharged)
 			pw.printf("  LimitHits:    %8d\n", ts.Account.LimitHits)
@@ -108,12 +106,7 @@ func WriteLocks(w io.Writer, src Source) error {
 // and the per-shard callback backlog.
 func WriteRCU(w io.Writer, src Source) error {
 	pw := &errWriter{w: w}
-	dom := src.Domain()
-	if dom == nil {
-		pw.printf("no RCU domain (source is empty)\n")
-		return pw.err
-	}
-	st := dom.Stats()
+	st := src.Domain().Stats()
 	gp := "idle"
 	if st.GPInFlight {
 		gp = "IN FLIGHT"

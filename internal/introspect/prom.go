@@ -21,7 +21,7 @@ import (
 //   - gauges never end in _total;
 //   - latency percentiles are summaries in nanoseconds: a _ns family
 //     with quantile labels plus a _ns_count sample. Summary counts are
-//     not typed as counters (a SpaceSet source's can regress);
+//     not typed as counters;
 //   - per-tenant series carry a tenant label and disappear when the
 //     tenant departs; contention series carry site (and range) labels
 //     and cover the top contended sites only, to bound cardinality.
@@ -141,11 +141,10 @@ func WriteMetrics(w io.Writer, src Source) error {
 	p.sample("vm_pool_frames", []lbl{{"state", "total"}}, float64(sn.FramesTotal))
 	p.sample("vm_pool_frames", []lbl{{"state", "in_use"}}, float64(sn.FramesInUse))
 	p.sample("vm_pool_frames", []lbl{{"state", "free"}}, float64(int64(sn.FramesTotal)-sn.FramesInUse))
-	if alloc := src.Allocator(); alloc != nil {
-		p.family("vm_pool_watermark_frames", "gauge", "Reclaim watermarks: kswapd wakes below low, parks above high.")
-		p.sample("vm_pool_watermark_frames", []lbl{{"level", "low"}}, float64(alloc.LowWater()))
-		p.sample("vm_pool_watermark_frames", []lbl{{"level", "high"}}, float64(alloc.HighWater()))
-	}
+	alloc := src.Allocator()
+	p.family("vm_pool_watermark_frames", "gauge", "Reclaim watermarks: kswapd wakes below low, parks above high.")
+	p.sample("vm_pool_watermark_frames", []lbl{{"level", "low"}}, float64(alloc.LowWater()))
+	p.sample("vm_pool_watermark_frames", []lbl{{"level", "high"}}, float64(alloc.HighWater()))
 
 	p.family("vm_tenants_live", "gauge", "Live tenants.")
 	p.sample("vm_tenants_live", nil, float64(len(sn.Tenants)))
@@ -175,25 +174,23 @@ func WriteMetrics(w io.Writer, src Source) error {
 
 	writeTHPMetrics(p, sn)
 
-	if dom := src.Domain(); dom != nil {
-		rs := dom.Stats()
-		p.family("vm_rcu_grace_periods_total", "counter", "RCU grace periods completed.")
-		p.sample("vm_rcu_grace_periods_total", nil, float64(rs.GracePeriods))
-		p.family("vm_rcu_callbacks_queued_total", "counter", "Callbacks queued via Defer.")
-		p.sample("vm_rcu_callbacks_queued_total", nil, float64(rs.Defers))
-		p.family("vm_rcu_callbacks_ran_total", "counter", "Callbacks executed.")
-		p.sample("vm_rcu_callbacks_ran_total", nil, float64(rs.Ran))
-		p.family("vm_rcu_pending_callbacks", "gauge", "Callbacks queued behind the next grace period.")
-		p.sample("vm_rcu_pending_callbacks", nil, float64(rs.Pending))
-		p.family("vm_rcu_gp_in_flight", "gauge", "1 while a grace period is executing.")
-		gp := 0.0
-		if rs.GPInFlight {
-			gp = 1
-		}
-		p.sample("vm_rcu_gp_in_flight", nil, gp)
-		p.family("vm_rcu_readers", "gauge", "Registered read-side contexts.")
-		p.sample("vm_rcu_readers", nil, float64(rs.Readers))
+	rs := src.Domain().Stats()
+	p.family("vm_rcu_grace_periods_total", "counter", "RCU grace periods completed.")
+	p.sample("vm_rcu_grace_periods_total", nil, float64(rs.GracePeriods))
+	p.family("vm_rcu_callbacks_queued_total", "counter", "Callbacks queued via Defer.")
+	p.sample("vm_rcu_callbacks_queued_total", nil, float64(rs.Defers))
+	p.family("vm_rcu_callbacks_ran_total", "counter", "Callbacks executed.")
+	p.sample("vm_rcu_callbacks_ran_total", nil, float64(rs.Ran))
+	p.family("vm_rcu_pending_callbacks", "gauge", "Callbacks queued behind the next grace period.")
+	p.sample("vm_rcu_pending_callbacks", nil, float64(rs.Pending))
+	p.family("vm_rcu_gp_in_flight", "gauge", "1 while a grace period is executing.")
+	gp := 0.0
+	if rs.GPInFlight {
+		gp = 1
 	}
+	p.sample("vm_rcu_gp_in_flight", nil, gp)
+	p.family("vm_rcu_readers", "gauge", "Registered read-side contexts.")
+	p.sample("vm_rcu_readers", nil, float64(rs.Readers))
 
 	// Faults are timed by sampling: the quantiles come from the timed
 	// sample, _count is the exact fault counter, and the sample size is

@@ -6,8 +6,8 @@
 // pages, then a per-tenant OOM kill) before it may touch the shared
 // pool, so one thrashing tenant degrades alone. The package wraps
 // vm.Host with tenant lifecycle (Admit, Evict with teardown + leak
-// audit), a per-tenant statistics rollup, and the soak driver behind
-// cmd/soak.
+// audit) and a per-tenant statistics rollup; internal/torture drives
+// it.
 package machine
 
 import (

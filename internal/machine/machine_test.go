@@ -207,37 +207,3 @@ func TestSnapshotRollup(t *testing.T) {
 		t.Fatalf("machine faults = %d after a's eviction, want a's 8", sn.Faults)
 	}
 }
-
-// TestSoakSmoke: a short soak across two designs completes with zero
-// violations — no cross-tenant evictions, no leaked frames — and its
-// report counts exactly the faults the machine rollup counts, fork
-// children's included.
-func TestSoakSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak smoke needs a second of wall clock per design")
-	}
-	for _, d := range []vm.Design{vm.RWLock, vm.PureRCU} {
-		var machineFaults uint64
-		rep := Soak(SoakConfig{
-			Seed:     1,
-			Duration: 1200 * 1000 * 1000, // 1.2s
-			Slots:    3,
-			Design:   d,
-			OnMachine: func(m *Machine) func() {
-				return func() { machineFaults = m.Snapshot().Faults }
-			},
-		})
-		if rep.Failed() {
-			t.Fatalf("%v: soak violations: %v", d, rep.Violations)
-		}
-		if rep.Faults != machineFaults {
-			t.Fatalf("%v: soak report counts %d faults, machine rollup %d", d, rep.Faults, machineFaults)
-		}
-		if rep.Faults == 0 || rep.Admitted < 3 || rep.Evicted != rep.Admitted {
-			t.Fatalf("%v: soak did not churn: %+v", d, rep)
-		}
-		if rep.FaultP99NS == 0 {
-			t.Fatalf("%v: no latency percentiles recorded", d)
-		}
-	}
-}

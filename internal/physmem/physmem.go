@@ -58,6 +58,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"bonsai/internal/fail"
@@ -224,6 +225,9 @@ type Allocator struct {
 	allocFailures  atomic.Uint64
 	limitFailures  atomic.Uint64
 	pressureEvents atomic.Uint64
+
+	// drainMu lets one magazine steal run at a time (DrainMagazines).
+	drainMu sync.Mutex
 }
 
 // New returns an allocator with the given configuration.
@@ -494,7 +498,11 @@ func (a *Allocator) Alloc(cpu int) (Frame, error) {
 	}
 	m := &a.mags[cpu%len(a.mags)]
 	f, low, err := a.popMagazine(m)
-	if err != nil && a.DrainMagazines() > 0 {
+	if err != nil {
+		// Pull stranded frames back and retry once, even when this steal
+		// came back empty: a concurrent failing allocation may have just
+		// drained every magazine, and its haul is in the buddy lists.
+		a.DrainMagazines()
 		f, low, err = a.popMagazine(m)
 	}
 	if err != nil {
@@ -548,8 +556,10 @@ func (a *Allocator) AllocRun(cpu, order int) (Frame, error) {
 	}
 	base, _, low := a.allocBlock(order, order, true)
 	// Magazine-cached order-0 frames may be exactly the holes keeping a
-	// run from coalescing; pull them back and retry once.
-	if base == NoFrame && a.DrainMagazines() > 0 {
+	// run from coalescing; pull them back and retry once (as Alloc does,
+	// whatever this steal itself recovered).
+	if base == NoFrame {
+		a.DrainMagazines()
 		base, _, low = a.allocBlock(order, order, true)
 	}
 	if base == NoFrame {
@@ -757,6 +767,12 @@ func (a *Allocator) DrainMagazines() int {
 	if failDrain.Fire() {
 		return 0
 	}
+	// One steal at a time: a steal that finds the magazines already
+	// emptied returns only after the steal that emptied them has pushed
+	// its haul, so the retry of a failed allocation behind it finds the
+	// frames in the buddy lists instead of reporting exhaustion.
+	a.drainMu.Lock()
+	defer a.drainMu.Unlock()
 	var stolen []Frame
 	for i := range a.mags {
 		m := &a.mags[i]

@@ -142,6 +142,47 @@ func TestDrainMagazines(t *testing.T) {
 	}
 }
 
+// TestConcurrentDrainsNeverFailSpuriously: with every free frame
+// stranded in other CPUs' magazines, allocations racing on CPUs with
+// empty magazines must all succeed — the one whose steal comes back
+// empty because a concurrent steal just took everything included.
+func TestConcurrentDrainsNeverFailSpuriously(t *testing.T) {
+	const hoarders, racers = 8, 8
+	for round := 0; round < 200; round++ {
+		a := New(Config{Frames: 256, CPUs: hoarders + racers, MagazineSize: 64})
+		var frames []Frame
+		for i := 0; ; i++ {
+			f, err := a.Alloc(i % hoarders)
+			if err != nil {
+				break
+			}
+			frames = append(frames, f)
+		}
+		for i, f := range frames {
+			a.Free(i%hoarders, f)
+		}
+		start := make(chan struct{})
+		errs := make(chan error, racers)
+		var wg sync.WaitGroup
+		for cpu := hoarders; cpu < hoarders+racers; cpu++ {
+			wg.Add(1)
+			go func(cpu int) {
+				defer wg.Done()
+				<-start
+				if _, err := a.Alloc(cpu); err != nil {
+					errs <- err
+				}
+			}(cpu)
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("round %d: allocation failed with %d of 256 frames in use: %v", round, a.InUse(), err)
+		}
+	}
+}
+
 // TestPressureSignal checks the watermark latch: one token below the
 // low watermark, re-armed only after recovering above the high one.
 func TestPressureSignal(t *testing.T) {

@@ -1,92 +1,170 @@
-// Package torture is the rcutorture-style stress driver for the VM
-// system: it churns all four §5 address-space designs — faults, COW
-// forks, shared-file I/O, MADV_DONTNEED, siblings — under a randomized
-// fault-injection schedule (internal/fail) while continuously auditing
-// the invariants the designs claim to preserve:
+// Package torture is the one randomized driver for the VM system, in
+// the spirit of rcutorture: seeded workers draw operations from one
+// table — anonymous and shared-file faults, reads and writes checked
+// against a data oracle, MADV_DONTNEED, huge-page demotion and
+// promotion, munmap/MAP_FIXED/mprotect churn and COW forks — against
+// the tenants of one machine.Machine per §5 design, optionally under a
+// seeded fault-injection schedule (internal/fail), while auditing the
+// invariants the designs claim to preserve:
 //
-//   - no physical frame leaks: every epoch tears its machine down to
-//     zero and the last Close's allocator leak check must pass;
-//   - frame-generation stability (PR 5): a frame observed through a
+//   - no physical frame leaks: a limited tenant's eviction audits its
+//     account to zero; with a single unlimited seat the pool reads
+//     empty after every eviction; every machine's Close runs the
+//     allocator's leak check;
+//   - frame-generation stability: a frame observed through a
 //     present PTE inside an RCU read section stays allocated, same
 //     generation, until the section exits;
-//   - rmap ↔ PTE coherence and cache refcount accounting, both
-//     directions, checked machine-wide at quiesce points;
+//   - rmap ↔ PTE coherence, cache refcount accounting and the THP
+//     identities, checked at each generation's quiesce audit;
 //   - graceful degradation: memory exhaustion surfaces only as the
 //     typed vm.ErrNoMemory (never a raw shortage, never a spin), I/O
 //     injection only as pagecache.ErrIO, and the OOM killer of last
 //     resort reaps ballast spaces instead of failing the world;
 //   - data integrity: anonymous pages a worker wrote read back exactly
-//     what the worker last successfully wrote, in the parent and in
-//     COW fork children.
+//     what the worker last successfully wrote, in the parent and in COW
+//     fork children;
+//   - tenant isolation: with every seat limited and a pool of twice the
+//     limits, no page is evicted from a tenant under its limit.
 //
-// Every run is parameterized by a single seed that fixes the fault
-// schedule (per-site verdict sequences are deterministic in the hit
-// index; see internal/fail), so a violation's banner seed replays the
-// same injection decisions.
+// Each seat loops tenant generations: admit, map the fixtures, let the
+// workers draw operations for a seeded lifetime, stop them, audit,
+// evict. The repository's two gates are two settings of one Config:
+// the torture gate runs one unlimited seat on a tight pool with every
+// failpoint armed, the soak gate eight seats limited to 100 frames on a
+// pool of twice the sum of the limits.
+//
+// Every run is parameterized by one seed. The fault schedule's verdicts
+// are deterministic in each site's hit index (see internal/fail), and a
+// worker's operations are a function of its key — (seed, design, seat,
+// generation, worker) — alone: each operation's kind and arguments are
+// drawn before it runs, the same number of words whatever it does, so
+// no outcome steers a later choice.
 package torture
 
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bonsai/internal/fail"
+	"bonsai/internal/machine"
 	"bonsai/internal/pagecache"
+	"bonsai/internal/stats"
 	"bonsai/internal/trace"
 	"bonsai/internal/vm"
 	"bonsai/internal/vma"
 )
 
-// Config parameterizes one torture run.
+// Config parameterizes one run.
 type Config struct {
-	// Seed fixes the fault schedule and the workers' operation mix.
+	// Seed fixes the fault schedule, the tenants' lifetimes and the
+	// workers' operations.
 	Seed uint64
 	// Duration is the total run length, split evenly across Designs.
 	Duration time.Duration
-	// Designs lists the designs to torture. Nil means all four.
+	// Designs lists the designs to run, one machine each. Nil means all
+	// four.
 	Designs []vm.Design
-	// Faults enables the fault-injection schedule. Off, the run is a
-	// plain stress test (and any ErrIO becomes a violation).
+	// Faults arms the fault-injection schedule (see Report.Gaps for the
+	// coverage a fault-injection run owes). Off, the run is a plain
+	// stress test (and any ErrIO becomes a violation).
 	Faults bool
-	// Workers is the number of churn goroutines per machine. Zero
-	// means 4.
+	// Seats is the number of concurrent tenant seats. Zero means 1.
+	Seats int
+	// Limit is each seat's tenant frame limit; <= 0 admits unlimited
+	// tenants, whose fixtures include the huge-page region and the
+	// ballast the OOM killer reaps.
+	Limit int64
+	// Workers is the number of goroutines drawing operations per seat.
+	// Zero means 4.
 	Workers int
-	// Frames sizes each epoch's machine. Zero means 1536 — deliberately
-	// smaller than the epoch's peak demand (worker arenas + the huge-page
-	// region + ballast + file pages + a collapse's transient run), so the
-	// reclaim → retry-budget → OOM-kill ladder runs for real: ballast
-	// spaces get reaped, and operations that lose even then surface
-	// ErrNoMemory and carry on.
+	// Frames sizes each machine's pool. Zero means 1536 per unlimited
+	// seat — less than one seat's peak demand, so the reclaim →
+	// retry-budget → OOM-kill ladder runs for real — and, for limited
+	// seats, twice the sum of the limits plus 256: the only reclaim a
+	// healthy run then drives is tenant-local, and any under-limit
+	// eviction is cross-tenant interference.
 	Frames uint64
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
-	// OnMachine, when non-nil, observes each epoch's primary space
-	// right after construction; the returned func (may be nil) runs
-	// before the epoch tears down. cmd/torture uses it to register the
-	// epoch with the -http introspection server's space set.
-	OnMachine func(label string, as *vm.AddressSpace) func()
+	// OnMachine, when non-nil, observes each design's machine right
+	// after construction; the returned func (may be nil) runs after the
+	// last tenant is evicted and before the machine closes. cmd/torture
+	// attaches its introspection server and vmstat sampler here.
+	OnMachine func(label string, m *machine.Machine) func()
 }
 
 // Report is the outcome of a run.
 type Report struct {
 	Seed       uint64
-	Epochs     uint64 // machines built and torn down
-	Ops        uint64 // worker operations completed
-	OOMErrors  uint64 // operations that surfaced vm.ErrNoMemory
-	IOErrors   uint64 // operations that surfaced pagecache.ErrIO
+	Designs    []DesignReport
+	Violations []string
+	Failpoints []fail.PointStats
+	// OpLogs maps each worker key — design, seat, generation, worker —
+	// to the head of the operations it drew.
+	OpLogs map[string]OpLog
+}
+
+// DesignReport is one design's machine, summed over its seats and
+// their tenant generations.
+type DesignReport struct {
+	Design    vm.Design
+	Tenants   uint64 // tenant generations admitted and evicted
+	Ops       uint64 // worker operations completed
+	Audits    uint64 // quiesce audits run
+	OOMErrors uint64 // operations that surfaced vm.ErrNoMemory
+	IOErrors  uint64 // operations that surfaced pagecache.ErrIO
+	// Faults counts every fault the tenants took, fork children and
+	// ballast included: the machine's own Snapshot().Faults. Fault is
+	// their sampled latency.
+	Faults uint64
+	Fault  stats.LatencyStats
+	// CrossTenantEvictions counts pages evicted from tenants under
+	// their limit.
+	CrossTenantEvictions uint64
+
+	// Coverage: Report.Gaps names any of these that is zero.
 	OOMKills   uint64 // ballast spaces reaped by the killer of last resort
-	Audits     uint64 // machine-wide quiesce audits run
 	HugeFaults uint64 // faults served by installing a 2 MB huge entry
 	Collapses  uint64 // base-page chunks promoted to huge entries
 	HugeSplits uint64 // huge entries demoted to base pages
-	Violations []string
-	Failpoints []fail.PointStats
+	Mmaps      uint64 // MAP_FIXED remaps in the churn region
+	Munmaps    uint64 // munmaps in the churn region
+	Mprotects  uint64 // mprotects in the churn region
+	Forks      uint64 // COW forks
 }
 
-// Failed reports whether the run found any invariant violation.
+// Failed reports whether the run found any violation.
 func (r *Report) Failed() bool { return len(r.Violations) > 0 }
+
+// Gaps lists what a fault-injection run left unexercised: each armed
+// failpoint that never fired and each design's zero coverage count. A
+// run that never reached a path has not survived it, so cmd/torture
+// fails a -faults run with gaps the way it fails one with violations.
+func (r *Report) Gaps() []string {
+	var gaps []string
+	for _, p := range r.Failpoints {
+		if p.Armed && p.Fires == 0 {
+			gaps = append(gaps, fmt.Sprintf("failpoint %s never fired (%d hits)", p.Name, p.Hits))
+		}
+	}
+	for _, d := range r.Designs {
+		for name, n := range map[string]uint64{
+			"oom-kills": d.OOMKills, "huge-faults": d.HugeFaults, "collapses": d.Collapses,
+			"splits": d.HugeSplits, "mmaps": d.Mmaps, "munmaps": d.Munmaps,
+			"mprotects": d.Mprotects, "forks": d.Forks,
+		} {
+			if n == 0 {
+				gaps = append(gaps, fmt.Sprintf("%s: no %s", d.Design, name))
+			}
+		}
+	}
+	sort.Strings(gaps)
+	return gaps
+}
 
 // maxViolations bounds the violation log; one broken invariant tends
 // to cascade, and the first few reports are the diagnostic ones.
@@ -110,27 +188,60 @@ var schedule = []struct {
 	{"physmem.run-alloc", fail.Config{OneIn: 6}},
 }
 
-// Geometry of one epoch's machine.
+// geometry sizes a seat's fixtures, in pages.
+type geometry struct {
+	file    uint64 // shared file, mapped by the tenant's root and its peer
+	arena   uint64 // private anonymous arena, one per worker
+	churn   uint64 // anonymous region every worker faults, munmaps, remaps and mprotects
+	thp     uint64 // huge-page region: one aligned 2 MB chunk sliced per worker, or none
+	ballast uint64 // each of two ballast siblings: the OOM killer's sacrifice, or none
+}
+
+// geometryFor sizes an unlimited seat against its 1536-frame share of
+// the pool: the huge region, the ballast, the arenas and the churn
+// region together outgrow it, so reclaim, run shortage and the OOM
+// killer all take turns. A limited seat keeps its anonymous fixtures to
+// a fraction of the limit and thrashes a file twice the limit, so
+// tenant-local reclaim runs all the time and the tenant rarely needs
+// the OOM rung.
+func geometryFor(limit int64) geometry {
+	if limit <= 0 {
+		return geometry{file: 64, arena: 128, churn: 2048, thp: 512, ballast: 320}
+	}
+	l := uint64(limit)
+	return geometry{file: 2 * l, arena: max(l/16, 1), churn: max(l/4, 4)}
+}
+
+// Fixed fixture addresses: 2 MB-aligned, a gigabyte above the
+// dynamic-mapping floor so the findGap-placed arenas and file mappings
+// never collide with them, with a gap between so the two regions never
+// merge into one VMA.
 const (
-	arenaPages   = 128 // per-worker private anonymous arena
-	filePages    = 64  // shared file mapping, all workers
-	ballastPages = 160 // per ballast space: the OOM killer's sacrifice
-	thpPages     = 512 // huge-page region: one aligned 2 MB chunk, sliced per worker
-	stampLen     = 16  // bytes written/verified at each arena page start
+	thpLo   = vm.UnmappedBase + (uint64(1) << 30)
+	churnLo = thpLo + 2*vm.HugeSpan
 )
 
-// thpLo is the huge-page region's fixed base: 2 MB-aligned, placed a
-// gigabyte above the dynamic-mapping floor so findGap-assigned arenas
-// and file regions never collide with it.
-const thpLo = vm.UnmappedBase + (uint64(1) << 30)
+// Fixture constants.
+const (
+	stampLen   = 16 // bytes written/verified at an oracle page's start
+	forkChecks = 4  // arena pages a fork child verifies
+	digestOps  = 1000
+)
 
-// Run executes the torture configuration and returns its report.
+// Run executes the configuration and returns its report.
 func Run(cfg Config) *Report {
+	if cfg.Seats <= 0 {
+		cfg.Seats = 1
+	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
 	if cfg.Frames == 0 {
-		cfg.Frames = 1536
+		if cfg.Limit <= 0 {
+			cfg.Frames = 1536 * uint64(cfg.Seats)
+		} else {
+			cfg.Frames = 2*uint64(cfg.Seats)*uint64(cfg.Limit) + 256
+		}
 	}
 	if len(cfg.Designs) == 0 {
 		cfg.Designs = vm.Designs
@@ -138,7 +249,7 @@ func Run(cfg Config) *Report {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 10 * time.Second
 	}
-	t := &run{cfg: cfg, report: &Report{Seed: cfg.Seed}}
+	t := &run{cfg: cfg, geo: geometryFor(cfg.Limit), report: &Report{Seed: cfg.Seed, OpLogs: map[string]OpLog{}}}
 	if cfg.Faults {
 		for _, s := range schedule {
 			if err := fail.Enable(cfg.Seed, s.point, s.cfg); err != nil {
@@ -149,35 +260,24 @@ func Run(cfg Config) *Report {
 	}
 	perDesign := cfg.Duration / time.Duration(len(cfg.Designs))
 	for _, d := range cfg.Designs {
-		t.logf("torture: design %q for %v (seed %d, faults %v)", d, perDesign, cfg.Seed, cfg.Faults)
-		deadline := time.Now().Add(perDesign)
-		for epoch := 0; time.Now().Before(deadline); epoch++ {
-			t.epoch(d, epoch, deadline)
-			if t.full() {
-				break
-			}
-		}
+		t.logf("torture: design %q for %v (seed %d, faults %v, %d seats, limit %d)",
+			d, perDesign, cfg.Seed, cfg.Faults, cfg.Seats, cfg.Limit)
+		t.design(d, time.Now().Add(perDesign))
 		if t.full() {
 			break
 		}
 	}
-	if t.report.Failpoints == nil {
-		t.report.Failpoints = fail.Snapshot()
-	}
+	t.report.Failpoints = fail.Snapshot()
 	return t.report
 }
 
-// run is the mutable state shared by one Run's goroutines.
+// run is the state one Run's goroutines share.
 type run struct {
-	cfg    Config
+	cfg Config
+	geo geometry
+
+	mu     sync.Mutex // guards report
 	report *Report
-
-	mu sync.Mutex // guards report.Violations
-
-	ops       atomic.Uint64
-	oomErrors atomic.Uint64
-	ioErrors  atomic.Uint64
-	audits    atomic.Uint64
 }
 
 func (t *run) logf(format string, args ...any) {
@@ -203,471 +303,380 @@ func (t *run) full() bool {
 	return len(t.report.Violations) >= maxViolations
 }
 
-// classify buckets an operation error: out-of-memory and (under fault
-// injection) I/O errors are expected torture weather; anything else —
-// including a raw ErrFrameShortage escaping the retry machinery — is a
-// violation.
-func (t *run) classify(where string, err error) {
-	switch {
-	case err == nil:
-	case errors.Is(err, vm.ErrNoMemory):
-		t.oomErrors.Add(1)
-	case errors.Is(err, pagecache.ErrIO):
-		t.ioErrors.Add(1)
-		if !t.cfg.Faults {
-			t.violate("%s: I/O error with fault injection off: %v", where, err)
-		}
-	default:
-		t.violate("%s: unexpected error: %v", where, err)
-	}
-}
+// designRun is one design's machine and what its seats fold into.
+type designRun struct {
+	t *run
+	m *machine.Machine
 
-// machine is one epoch's world: the primary tenant space plus ballast
-// siblings the OOM killer may reap.
-type machine struct {
-	t      *run
-	as     *vm.AddressSpace
-	file   *vma.File
-	fileLo uint64
-	arenas []uint64 // per-worker arena base addresses
-	world  sync.RWMutex
-
+	// ballast maps every live ballast space, across seats, to true; the
+	// machine's OOM killer reaps only these.
 	ballastMu sync.Mutex
-	ballast   map[*vm.AddressSpace]bool // reapable ballast; false once reaped
+	ballast   map[*vm.AddressSpace]bool
+
+	mu     sync.Mutex // guards rep and rollup
+	rep    DesignReport
+	rollup vm.Rollup
 }
 
-// epoch builds a machine, churns it with workers and periodic quiesce
-// audits until the deadline (capped per epoch so teardown leak checks
-// run many times), and tears it down to zero.
-func (t *run) epoch(design vm.Design, epoch int, deadline time.Time) {
-	where := fmt.Sprintf("%s/epoch%d", design, epoch)
-	vmCfg := vm.Config{
-		Design:  design,
-		CPUs:    t.cfg.Workers,
-		Frames:  t.cfg.Frames,
-		Backing: true,
-		// Primary + two ballast siblings + one fork child per worker,
-		// with headroom for a straggling Close.
-		MaxFamily: 3 + t.cfg.Workers + 2,
-		// The wall-clock-driven collapse scanner would make runs
-		// unreplayable (torture's whole premise is that a seed replays
-		// the same schedule) and would mutate translations during the
-		// quiesced THP audit. Workers drive promotion synchronously
-		// through CollapseRange in the op mix instead.
-		THPScanInterval: -1,
-	}
-	m := &machine{t: t, ballast: make(map[*vm.AddressSpace]bool)}
-	// Failpoints can fail machine construction (the page-table root's
-	// allocation); a fresh machine has nothing to reclaim, so just
-	// retry — persistent failure here means the budget logic is broken.
-	var err error
-	for i := 0; i < 50; i++ {
-		if m.as, err = vm.New(vmCfg); err == nil {
-			break
-		}
-	}
-	if err != nil {
-		t.violate("%s: vm.New failed 50 times: %v", where, err)
-		return
-	}
-	t.report.Epochs++
+// design runs every seat on a fresh machine until the deadline, then
+// checks the machine ends empty and fair and closes it.
+func (t *run) design(d vm.Design, deadline time.Time) {
+	cfg := t.cfg
+	m := machine.New(machine.Config{
+		VM: vm.Config{
+			Design:  d,
+			CPUs:    cfg.Workers,
+			Frames:  cfg.Frames,
+			Backing: true,
+			// Root, peer, two ballast siblings and one fork child per
+			// worker, with headroom for a straggling Close.
+			MaxFamily: cfg.Workers + 6,
+			// The wall-clock-driven collapse scanner would make runs
+			// unreplayable and would mutate translations under the
+			// quiesce audit; workers drive promotion synchronously
+			// through CollapseRange instead.
+			THPScanInterval: -1,
+		},
+		MaxTenants: cfg.Seats,
+	})
+	dr := &designRun{t: t, m: m, ballast: make(map[*vm.AddressSpace]bool), rep: DesignReport{Design: d}}
+	m.Host().SetOOMKiller(dr.kill)
 	onDone := func() {}
-	if t.cfg.OnMachine != nil {
-		if f := t.cfg.OnMachine(where, m.as); f != nil {
+	if cfg.OnMachine != nil {
+		if f := cfg.OnMachine(d.String(), m); f != nil {
 			onDone = f
 		}
 	}
 
-	// The killer of last resort: reap a ballast space — the one
-	// population whose idleness the harness can vouch for (Close
-	// requires no operation in flight on the victim). The suggested
-	// victim is honored when it is ballast; otherwise any remaining
-	// ballast space is sacrificed, and with none left the kill is
-	// declined and the caller's operation surfaces ErrNoMemory.
-	m.as.SetOOMKiller(func(victim *vm.AddressSpace) bool {
-		m.ballastMu.Lock()
-		target := victim
-		if live, ok := m.ballast[target]; !ok || !live {
-			target = nil
-			for b, live := range m.ballast {
-				if live {
-					target = b
-					break
-				}
-			}
-		}
-		if target == nil {
-			m.ballastMu.Unlock()
-			return false
-		}
-		m.ballast[target] = false
-		m.ballastMu.Unlock()
-		if err := target.Close(); err != nil {
-			t.violate("%s: reaped ballast leaked: %v", where, err)
-		}
-		return true
-	})
-
-	if !m.populate(where) {
-		onDone()
-		m.teardown(where)
-		return
-	}
-
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < t.cfg.Workers; w++ {
+	for s := 0; s < cfg.Seats; s++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(s int) {
 			defer wg.Done()
-			m.worker(where, w, stop)
-		}(w)
+			dr.seat(s, deadline)
+		}(s)
 	}
-
-	epochEnd := time.Now().Add(1500 * time.Millisecond)
-	if epochEnd.After(deadline) {
-		epochEnd = deadline
-	}
-	tick := time.NewTicker(300 * time.Millisecond)
-	for time.Now().Before(epochEnd) && !t.full() {
-		<-tick.C
-		m.quiesceAudit(where)
-	}
-	tick.Stop()
-	close(stop)
 	wg.Wait()
+
+	// Every seat evicted its last tenant: whatever is still allocated is
+	// a leak, since no frame outlives the tenant that charged it.
+	sn := m.Snapshot()
+	dr.rep.Faults = dr.rollup.Faults
+	dr.rep.Fault = dr.rollup.Fault.Stats()
+	dr.rep.CrossTenantEvictions = sn.CrossTenantEvictions
+	dr.rep.OOMKills = sn.OOMKills
+	if sn.FramesInUse != 0 {
+		t.violate("%s: leak: %d frames still allocated after every tenant was evicted", d, sn.FramesInUse)
+	}
+	if cfg.Limit > 0 && cfg.Frames >= 2*uint64(cfg.Seats)*uint64(cfg.Limit) && sn.CrossTenantEvictions != 0 {
+		t.violate("%s: fairness: %d under-limit (cross-tenant) evictions, want 0", d, sn.CrossTenantEvictions)
+	}
 	onDone()
-	m.teardown(where)
+	if err := m.Close(); err != nil {
+		t.violate("%s: machine leaked at close: %v", d, err)
+	}
+	t.mu.Lock()
+	t.report.Designs = append(t.report.Designs, dr.rep)
+	t.mu.Unlock()
 }
 
-// populate maps the epoch's fixtures: one shared file region, one
-// private anonymous arena per worker, and the ballast siblings with
-// their sacrificial resident pages.
-func (m *machine) populate(where string) bool {
-	t := m.t
-	m.file = vma.NewFile(where, m.t.cfg.Seed)
-	lo, err := m.as.Mmap(0, filePages*vm.PageSize, vma.ProtRead|vma.ProtWrite, vma.Shared, m.file, 0)
-	if err != nil {
-		t.classify(where+": map shared file", err)
-		return false
-	}
-	m.fileLo = lo
-	// The huge-page region: one aligned chunk all workers share, each
-	// owning a disjoint slice. Its first touch exercises the 2 MB fault
-	// path; DONTNEED punches split it; repair-and-collapse promotes it
-	// back.
-	if _, err := m.as.Mmap(thpLo, thpPages*vm.PageSize, vma.ProtRead|vma.ProtWrite, vma.Private|vma.Fixed, nil, 0); err != nil {
-		t.classify(where+": map thp region", err)
-		return false
-	}
-	for w := 0; w < t.cfg.Workers; w++ {
-		base, err := m.as.Mmap(0, arenaPages*vm.PageSize, vma.ProtRead|vma.ProtWrite, vma.Private, nil, 0)
-		if err != nil {
-			t.classify(where+": map arena", err)
-			return false
-		}
-		m.arenas = append(m.arenas, base)
-	}
-	for i := 0; i < 2; i++ {
-		b, err := m.as.NewSibling()
-		if err != nil {
-			t.classify(where+": ballast sibling", err)
-			continue
-		}
-		base, err := b.Mmap(0, ballastPages*vm.PageSize, vma.ProtRead|vma.ProtWrite, vma.Private, nil, 0)
-		if err == nil {
-			cpu := b.NewCPU(0)
-			for p := uint64(0); p < ballastPages; p++ {
-				if ferr := cpu.Fault(base+p*vm.PageSize, true); ferr != nil {
-					t.classify(where+": ballast fault", ferr)
-					break
-				}
+// kill is the machine's killer of last resort. Only ballast — the one
+// population whose idleness the driver can vouch for (Close requires no
+// operation in flight on the victim) — is reaped: the suggested victim
+// when it is ballast, otherwise a ballast sibling in its tenant, since
+// only a kill inside the offending tenant lowers a limited tenant's
+// charge. With none left the kill is declined and the operation
+// surfaces ErrNoMemory. The lock is held across the Close so a seat's
+// eviction, which takes it to withdraw its ballast, never closes a
+// space a kill is still closing.
+func (dr *designRun) kill(victim *vm.AddressSpace) bool {
+	dr.ballastMu.Lock()
+	defer dr.ballastMu.Unlock()
+	target := victim
+	if !dr.ballast[target] {
+		target = nil
+		for _, m := range victim.Members() {
+			if dr.ballast[m] {
+				target = m
+				break
 			}
-		} else {
-			t.classify(where+": ballast mmap", err)
 		}
-		m.ballastMu.Lock()
-		m.ballast[b] = true
-		m.ballastMu.Unlock()
+	}
+	if target == nil {
+		return false
+	}
+	delete(dr.ballast, target)
+	if err := target.Close(); err != nil {
+		dr.t.violate("reaped ballast leaked: %v", err)
 	}
 	return true
 }
 
-// worker is one churn goroutine: a private arena it writes and
-// verifies, the shared file region it faults and dirties, periodic
-// translation audits, and COW forks whose children must snapshot the
-// arena exactly.
-func (m *machine) worker(where string, w int, stop chan struct{}) {
-	t := m.t
-	cpu := m.as.NewCPU(w)
-	arena := m.arenas[w]
-	rng := splitmix(t.cfg.Seed ^ uint64(w)<<32 ^ hash(where))
-	// expected[i] is the stamp byte page i of the arena must read back;
-	// absent means unknown (never written, or discarded by DONTNEED).
-	expected := make(map[uint64]byte)
-	// This worker's slice of the shared huge-page chunk, with its own
-	// oracle: writes stay in-slice, so collapses and splits driven by
-	// any worker must preserve every slice's contents.
-	slicePages := uint64(thpPages / t.cfg.Workers)
-	sliceBase := thpLo + uint64(w)*slicePages*vm.PageSize
-	thpExpected := make(map[uint64]byte)
-	buf := make([]byte, stampLen)
-
-	for iter := 0; ; iter++ {
-		select {
-		case <-stop:
+// seat admits, churns and evicts tenant generations back to back until
+// the deadline. Lifetimes come from the seat's own seeded stream.
+func (dr *designRun) seat(s int, deadline time.Time) {
+	t := dr.t
+	next := splitmix(t.cfg.Seed ^ hash(fmt.Sprintf("%s/seat%d", dr.rep.Design, s)))
+	for gen := 0; !t.full(); gen++ {
+		lifetime := 100*time.Millisecond + time.Duration(next()%uint64(300*time.Millisecond))
+		if rest := time.Until(deadline); lifetime > rest {
+			lifetime = rest
+		}
+		if lifetime <= 0 {
 			return
-		default:
 		}
-		// Hold the world read-side for one iteration: the quiesce
-		// auditor's write lock marks a full stop between iterations.
-		m.world.RLock()
-		switch op := rng() % 20; {
-		case op < 5: // arena write
-			page := rng() % arenaPages
-			b := byte(rng())
-			for i := range buf {
-				buf[i] = b
-			}
-			err := cpu.WriteBytes(arena+page*vm.PageSize, buf)
-			if err == nil {
-				expected[page] = b
-			}
-			t.classify(where+": arena write", err)
-		case op < 9: // arena verify
-			page := rng() % arenaPages
-			want, known := expected[page]
-			err := cpu.ReadBytes(arena+page*vm.PageSize, buf)
-			t.classify(where+": arena read", err)
-			if err == nil && known {
-				for i, got := range buf {
-					if got != want {
-						t.violate("%s: arena page %d byte %d: got %#x, want %#x", where, page, i, got, want)
-						break
-					}
-				}
-			}
-		case op < 10: // arena discard
-			page := rng() % arenaPages
-			if err := m.as.MadviseDontNeed(arena+page*vm.PageSize, vm.PageSize); err == nil {
-				delete(expected, page)
-			} else {
-				t.classify(where+": arena dontneed", err)
-			}
-		case op < 13: // shared-file fault/store/load (no content oracle:
-			// sticky writeback injection may legitimately drop file data)
-			page := rng() % filePages
-			addr := m.fileLo + page*vm.PageSize
-			switch rng() % 3 {
-			case 0:
-				t.classify(where+": file fault", cpu.Fault(addr, false))
-			case 1:
-				t.classify(where+": file write", cpu.WriteBytes(addr, buf[:4]))
-			default:
-				t.classify(where+": file read", cpu.ReadBytes(addr, buf[:4]))
-			}
-		case op < 14: // shared-file discard
-			page := rng() % filePages
-			t.classify(where+": file dontneed", m.as.MadviseDontNeed(m.fileLo+page*vm.PageSize, vm.PageSize))
-		case op < 15: // translation-stability audit on a hot address
-			addr := arena + (rng()%arenaPages)*vm.PageSize
-			switch rng() % 3 {
-			case 0:
-				addr = m.fileLo + (rng()%filePages)*vm.PageSize
-			case 1:
-				// Huge-region addresses audit the same invariant through
-				// a 2 MB entry's synthesized translation.
-				addr = thpLo + (rng()%thpPages)*vm.PageSize
-			}
-			if err := cpu.AuditTranslation(addr); err != nil {
-				t.violate("%s: %v", where, err)
-			}
-		case op < 16 && slicePages > 0: // THP slice write
-			page := rng() % slicePages
-			b := byte(rng())
-			for i := range buf {
-				buf[i] = b
-			}
-			err := cpu.WriteBytes(sliceBase+page*vm.PageSize, buf)
-			if err == nil {
-				thpExpected[page] = b
-			}
-			t.classify(where+": thp write", err)
-		case op < 17 && slicePages > 0: // THP slice verify
-			page := rng() % slicePages
-			want, known := thpExpected[page]
-			err := cpu.ReadBytes(sliceBase+page*vm.PageSize, buf)
-			t.classify(where+": thp read", err)
-			if err == nil && known {
-				for i, got := range buf {
-					if got != want {
-						t.violate("%s: thp page %d byte %d: got %#x, want %#x", where, page, i, got, want)
-						break
-					}
-				}
-			}
-		case op < 18 && slicePages > 0: // THP slice discard: a one-page
-			// DONTNEED inside a huge chunk demotes the entry in place.
-			page := rng() % slicePages
-			if err := m.as.MadviseDontNeed(sliceBase+page*vm.PageSize, vm.PageSize); err == nil {
-				delete(thpExpected, page)
-			} else {
-				t.classify(where+": thp dontneed", err)
-			}
-		case op < 19 && slicePages > 0: // THP repair-and-collapse: refill
-			// this worker's slice, then ask for promotion — which only
-			// succeeds when every slice happens to be whole, the
-			// MADV_COLLAPSE race the survey's double-check absorbs.
-			for page := uint64(0); page < slicePages; page++ {
-				addr := sliceBase + page*vm.PageSize
-				if _, ok := m.as.Translate(addr); ok {
-					continue
-				}
-				b := byte(rng())
-				for i := range buf {
-					buf[i] = b
-				}
-				err := cpu.WriteBytes(addr, buf)
-				if err == nil {
-					thpExpected[page] = b
-				}
-				t.classify(where+": thp repair", err)
-				if err != nil {
-					break
-				}
-			}
-			m.as.CollapseRange(thpLo, thpLo+thpPages*vm.PageSize)
-		default: // COW fork: child must see the arena snapshot
-			m.fork(where, w, cpu, arena, expected)
-		}
-		t.ops.Add(1)
-		m.world.RUnlock()
+		dr.generation(fmt.Sprintf("seat%d-gen%d", s, gen), lifetime)
 	}
 }
 
-// fork forks the primary space and verifies, from inside the child,
-// that the worker's arena reads back its expected stamps — the COW
-// snapshot guarantee — then closes the child (its Close must not leak).
-func (m *machine) fork(where string, w int, _ *vm.CPU, arena uint64, expected map[uint64]byte) {
-	t := m.t
-	child, err := m.as.Fork()
-	if err != nil {
-		t.classify(where+": fork", err)
-		return
-	}
-	ccpu := child.NewCPU(w)
-	buf := make([]byte, stampLen)
-	checked := 0
-	for page, want := range expected {
-		err := ccpu.ReadBytes(arena+page*vm.PageSize, buf)
-		t.classify(where+": fork child read", err)
-		if err == nil {
-			for i, got := range buf {
-				if got != want {
-					t.violate("%s: fork child arena page %d byte %d: got %#x, want %#x", where, page, i, got, want)
-					break
-				}
-			}
-		}
-		if checked++; checked >= 4 {
+// generation is one tenant's life in a seat.
+type generation struct {
+	dr     *designRun
+	key    string // design/tenant: the prefix of its workers' keys
+	tenant *machine.Tenant
+	root   *vm.AddressSpace
+	spaces []*vm.AddressSpace // root, then its peer: both map the file
+	file   *vma.File
+	fileLo []uint64 // the file's base in each of spaces
+	arenas []uint64 // one per worker, in the root
+	// ballast lists the tenant's ballast siblings, reaped or not.
+	ballast []*vm.AddressSpace
+	// setup counts the fixtures' errors.
+	setup counts
+}
+
+// generation admits a tenant, maps its fixtures, runs the workers for
+// lifetime, audits the quiesced tenant and evicts it.
+func (dr *designRun) generation(name string, lifetime time.Duration) {
+	t := dr.t
+	key := dr.rep.Design.String() + "/" + name
+	// Failpoints can fail admission (the page-table root's allocation);
+	// a fresh tenant has nothing to reclaim, so just retry — persistent
+	// failure here means the budget logic is broken.
+	var tn *machine.Tenant
+	var err error
+	for i := 0; i < 50; i++ {
+		if tn, err = dr.m.Admit(name, t.cfg.Limit); err == nil {
 			break
 		}
 	}
-	if err := child.Close(); err != nil {
-		t.violate("%s: fork child leaked: %v", where, err)
+	if err != nil {
+		t.violate("%s: admit failed 50 times: %v", key, err)
+		return
 	}
+	g := &generation{dr: dr, key: key, tenant: tn, root: tn.Root()}
+	var w []*worker
+	if g.populate() {
+		w = g.churn(lifetime)
+		g.audit()
+	}
+	g.evict(w)
+	t.logf("%s: done (%v lifetime)", key, lifetime)
 }
 
-// quiesceAudit stops the world (workers park between iterations on the
-// write lock) and runs the machine-wide consistency audits with the
-// eviction scan held off and the RCU domain drained. It also exercises
-// the writeback path's fsync-like error reporting.
-func (m *machine) quiesceAudit(where string) {
-	t := m.t
-	m.world.Lock()
-	defer m.world.Unlock()
-	m.as.QuiesceReclaim(func() {
-		if err := m.as.AuditPageCaches(); err != nil {
-			t.violate("%s: audit(primary): %v", where, err)
+// populate maps the generation's fixtures: the shared file in the root
+// and in a peer sibling, the huge-page and churn regions at their fixed
+// addresses, a private arena per worker, and the ballast siblings with
+// their sacrificial resident pages.
+func (g *generation) populate() bool {
+	t, geo := g.dr.t, g.dr.t.geo
+	rw := vma.ProtRead | vma.ProtWrite
+	peer, err := g.tenant.NewSibling()
+	if err != nil {
+		t.classify(&g.setup, g.key, "peer sibling", err, false)
+		return false
+	}
+	g.spaces = []*vm.AddressSpace{g.root, peer}
+	g.file = vma.NewFile(g.tenant.Name(), t.cfg.Seed)
+	for _, as := range g.spaces {
+		lo, err := as.Mmap(0, geo.file*vm.PageSize, rw, vma.Shared, g.file, 0)
+		if err != nil {
+			t.classify(&g.setup, g.key, "map shared file", err, false)
+			return false
 		}
-		if err := m.as.AuditTHP(); err != nil {
-			t.violate("%s: audit(thp): %v", where, err)
+		g.fileLo = append(g.fileLo, lo)
+	}
+	if geo.thp > 0 {
+		if _, err := g.root.Mmap(thpLo, geo.thp*vm.PageSize, rw, vma.Private|vma.Fixed, nil, 0); err != nil {
+			t.classify(&g.setup, g.key, "map thp region", err, false)
+			return false
 		}
-		m.ballastMu.Lock()
-		for b, live := range m.ballast {
-			if !live {
-				continue
+		g.hugeCycle()
+	}
+	if _, err := g.root.Mmap(churnLo, geo.churn*vm.PageSize, rw, vma.Private|vma.Fixed, nil, 0); err != nil {
+		t.classify(&g.setup, g.key, "map churn region", err, false)
+		return false
+	}
+	for w := 0; w < t.cfg.Workers; w++ {
+		base, err := g.root.Mmap(0, geo.arena*vm.PageSize, rw, vma.Private, nil, 0)
+		if err != nil {
+			t.classify(&g.setup, g.key, "map arena", err, false)
+			return false
+		}
+		g.arenas = append(g.arenas, base)
+	}
+	for i := 0; i < 2 && geo.ballast > 0; i++ {
+		b, err := g.tenant.NewSibling()
+		if err != nil {
+			t.classify(&g.setup, g.key, "ballast sibling", err, false)
+			continue
+		}
+		base, err := b.Mmap(0, geo.ballast*vm.PageSize, rw, vma.Private, nil, 0)
+		if err == nil {
+			cpu := b.NewCPU(0)
+			for p := uint64(0); p < geo.ballast && err == nil; p++ {
+				err = cpu.Fault(base+p*vm.PageSize, true)
 			}
-			if err := b.AuditPageCaches(); err != nil {
-				t.violate("%s: audit(ballast): %v", where, err)
+		}
+		t.classify(&g.setup, g.key, "ballast", err, false)
+		g.ballast = append(g.ballast, b)
+		g.dr.ballastMu.Lock()
+		g.dr.ballast[b] = true
+		g.dr.ballastMu.Unlock()
+	}
+	return true
+}
+
+// hugeCycle takes the huge region once through its whole life while
+// nothing else has allocated (on a pool this small, once the workers
+// run, their pages leave no second 2 MB run free for long): a first
+// touch takes the 2 MB fault path, a one-page discard demotes the entry
+// in place, and refilling the hole and asking for promotion collapses
+// it back. Injected run shortages may refuse either promotion.
+func (g *generation) hugeCycle() {
+	cpu := g.root.NewCPU(0)
+	err := cpu.Fault(thpLo, true)
+	if err == nil {
+		err = g.root.MadviseDontNeed(thpLo, vm.PageSize)
+	}
+	for p := uint64(0); p < g.dr.t.geo.thp && err == nil; p++ {
+		if _, ok := g.root.Translate(thpLo + p*vm.PageSize); !ok {
+			err = cpu.Fault(thpLo+p*vm.PageSize, true)
+		}
+	}
+	if err == nil {
+		g.root.CollapseRange(thpLo, thpLo+g.dr.t.geo.thp*vm.PageSize)
+	}
+	g.dr.t.classify(&g.setup, g.key, "huge cycle", err, false)
+}
+
+// churn runs the workers for lifetime and returns them stopped.
+func (g *generation) churn(lifetime time.Duration) []*worker {
+	cfg := g.dr.t.cfg
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	ws := make([]*worker, cfg.Workers)
+	slicePages := g.dr.t.geo.thp / uint64(cfg.Workers)
+	for i := range ws {
+		w := &worker{
+			g:           g,
+			id:          i,
+			arena:       g.arenas[i],
+			arenaStamps: make(map[uint64]byte),
+			slice:       thpLo + uint64(i)*slicePages*vm.PageSize,
+			slicePages:  slicePages,
+			sliceStamps: make(map[uint64]byte),
+		}
+		for _, as := range g.spaces {
+			w.cpus = append(w.cpus, as.NewCPU(i))
+		}
+		ws[i] = w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.run(&stop)
+		}()
+	}
+	time.Sleep(lifetime)
+	stop.Store(true)
+	wg.Wait()
+	return ws
+}
+
+// audit runs the consistency audits on the quiesced tenant — its
+// workers stopped, the eviction scans held off and the RCU domain
+// drained — and fsyncs its file through the writeback path's error
+// reporting.
+func (g *generation) audit() {
+	t := g.dr.t
+	g.root.QuiesceReclaim(func() {
+		for _, as := range g.spaces {
+			if err := as.AuditPageCaches(); err != nil {
+				t.violate("%s: audit(page caches): %v", g.key, err)
 			}
 		}
-		m.ballastMu.Unlock()
+		if err := g.root.AuditTHP(); err != nil {
+			t.violate("%s: audit(thp): %v", g.key, err)
+		}
 	})
-	if c := m.file.PageCache(); c != nil {
-		// Fsync the shared file: errors here are the writeback
-		// taxonomy doing its job (retryable now, or a latched sticky
-		// drop reported exactly once) — expected under injection.
+	if c := g.file.PageCache(); c != nil {
+		// Errors here are the writeback taxonomy doing its job
+		// (retryable now, or a latched sticky drop reported exactly
+		// once) — expected under injection, a bug without it.
 		_, err := c.Writeback(nil)
 		if err != nil && !errors.Is(err, pagecache.ErrIO) {
-			t.violate("%s: writeback: non-I/O error: %v", where, err)
+			t.violate("%s: writeback: non-I/O error: %v", g.key, err)
 		}
 		if err != nil && !t.cfg.Faults {
-			t.violate("%s: writeback error with fault injection off: %v", where, err)
+			t.violate("%s: writeback error with fault injection off: %v", g.key, err)
 		}
 	}
-	t.audits.Add(1)
+	g.dr.mu.Lock()
+	g.dr.rep.Audits++
+	g.dr.mu.Unlock()
 }
 
-// teardown closes every space still alive; any Close error is a frame
-// leak the allocator's accounting caught.
-func (m *machine) teardown(where string) {
-	t := m.t
-	m.ballastMu.Lock()
-	for b, live := range m.ballast {
-		if live {
-			if err := b.Close(); err != nil {
-				t.violate("%s: ballast leaked at teardown: %v", where, err)
-			}
+// evict withdraws the tenant's ballast from the killer, folds the
+// tenant's counts into the design's, and evicts it: every member
+// closes and the leak audit runs.
+func (g *generation) evict(ws []*worker) {
+	dr, t := g.dr, g.dr.t
+	dr.ballastMu.Lock()
+	for _, b := range g.ballast {
+		delete(dr.ballast, b)
+	}
+	dr.ballastMu.Unlock()
+	st := g.root.Stats()
+	err := g.tenant.Evict()
+	if err != nil {
+		t.violate("%s: evict: %v", g.key, err)
+	}
+	dr.fold(&g.setup)
+	for _, w := range ws {
+		dr.fold(&w.counts)
+	}
+	dr.mu.Lock()
+	dr.rep.Tenants++
+	dr.rep.HugeFaults += st.THPHugeFaults
+	dr.rep.Collapses += st.THPCollapses
+	dr.rep.HugeSplits += st.THPSplits
+	dr.rollup.Add(g.root.Rollup())
+	dr.mu.Unlock()
+	// With one unlimited seat the tenant was the machine's only user:
+	// the pool must be empty again and, its magazines drained, coalesce
+	// back into whole blocks — which also hands the next generation a
+	// pool whose 2 MB runs are free.
+	if t.cfg.Seats == 1 && t.cfg.Limit <= 0 {
+		al := dr.m.Host().Allocator()
+		al.DrainMagazines()
+		if n := al.InUse(); n != 0 {
+			t.violate("%s: leak: %d frames in use after the only tenant's eviction", g.key, n)
+		} else if err := al.AuditBuddy(); err != nil {
+			t.violate("%s: buddy allocator after the only tenant's eviction: %v", g.key, err)
 		}
 	}
-	m.ballast = nil
-	m.ballastMu.Unlock()
-	// Read the counters while the epoch's machine is still alive.
-	st := m.as.Stats()
-	t.report.OOMKills += st.OOMKills
-	t.report.Failpoints = fail.Snapshot()
-	t.report.HugeFaults += st.THPHugeFaults
-	t.report.Collapses += st.THPCollapses
-	t.report.HugeSplits += st.THPSplits
-	if err := m.as.Close(); err != nil {
-		t.violate("%s: machine leaked at teardown: %v", where, err)
-	}
-	t.report.Ops = t.ops.Load()
-	t.report.OOMErrors = t.oomErrors.Load()
-	t.report.IOErrors = t.ioErrors.Load()
-	t.report.Audits = t.audits.Load()
 }
 
-// splitmix returns a deterministic PRNG for one worker — splitmix64,
-// the same mixer the failpoint verdicts use, seeded independently.
-func splitmix(seed uint64) func() uint64 {
-	state := seed
-	return func() uint64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-}
-
-// hash is FNV-1a over a label, for worker seed separation.
-func hash(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return h
+// fold adds a stopped worker's (or a generation's setup) counts to the
+// design's.
+func (dr *designRun) fold(c *counts) {
+	dr.mu.Lock()
+	defer dr.mu.Unlock()
+	dr.rep.Ops += c.ops
+	dr.rep.OOMErrors += c.oomErrors
+	dr.rep.IOErrors += c.ioErrors
+	dr.rep.Mmaps += c.ok[opChurnRemap]
+	dr.rep.Munmaps += c.ok[opChurnUnmap]
+	dr.rep.Mprotects += c.ok[opChurnProtect]
+	dr.rep.Forks += c.ok[opFork]
 }

@@ -4,13 +4,17 @@ import (
 	"testing"
 	"time"
 
+	"bonsai/internal/machine"
+	"bonsai/internal/race"
 	"bonsai/internal/vm"
 )
 
 // TestSmokeWithFaults is the in-tree slice of the CI torture gate: a
 // short churn of two designs (one lock-based, one RCU) under the full
-// fault schedule must end with zero violations, zero leaks, and
-// meaningful coverage.
+// fault schedule must end with zero violations and zero leaks, and —
+// where the workers run at full speed, not under the race detector's
+// hundredfold slowdown — with every failpoint fired and every coverage
+// count nonzero.
 func TestSmokeWithFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture smoke needs a few seconds")
@@ -20,23 +24,20 @@ func TestSmokeWithFaults(t *testing.T) {
 		Duration: 4 * time.Second,
 		Designs:  []vm.Design{vm.RWLock, vm.PureRCU},
 		Faults:   true,
-		Logf:     t.Logf,
 	})
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s", v)
 	}
-	if rep.Epochs == 0 || rep.Ops == 0 || rep.Audits == 0 {
-		t.Fatalf("no work done: %+v", rep)
+	for _, r := range rep.Designs {
+		if r.Tenants == 0 || r.Ops == 0 || r.Audits == 0 {
+			t.Fatalf("%v: no work done: %+v", r.Design, r)
+		}
+		t.Logf("%+v", r)
 	}
-	if rep.HugeFaults == 0 || rep.HugeSplits == 0 {
-		t.Errorf("huge-page paths not exercised: hugeFaults=%d splits=%d collapses=%d",
-			rep.HugeFaults, rep.HugeSplits, rep.Collapses)
-	}
-	t.Logf("epochs=%d ops=%d audits=%d oom=%d io=%d kills=%d thp=%d/%d/%d",
-		rep.Epochs, rep.Ops, rep.Audits, rep.OOMErrors, rep.IOErrors, rep.OOMKills,
-		rep.HugeFaults, rep.Collapses, rep.HugeSplits)
-	for _, p := range rep.Failpoints {
-		t.Logf("failpoint %s: hits=%d fires=%d", p.Name, p.Hits, p.Fires)
+	if !race.Enabled {
+		for _, g := range rep.Gaps() {
+			t.Errorf("coverage gap: %s", g)
+		}
 	}
 }
 
@@ -50,12 +51,74 @@ func TestSmokeNoFaults(t *testing.T) {
 		Seed:     7,
 		Duration: 2 * time.Second,
 		Designs:  []vm.Design{vm.Hybrid},
-		Faults:   false,
 	})
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s", v)
 	}
-	if rep.IOErrors != 0 {
-		t.Errorf("injection off but %d I/O errors surfaced", rep.IOErrors)
+	if rep.Designs[0].IOErrors != 0 {
+		t.Errorf("injection off but %d I/O errors surfaced", rep.Designs[0].IOErrors)
+	}
+}
+
+// TestSoakSmoke is the soak setting in small: three limited seats per
+// design complete with zero violations — no cross-tenant evictions, no
+// leaked frames — and the report counts exactly the faults the machine
+// rollup counts, fork children's and ballast's included.
+func TestSoakSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak smoke needs a second of wall clock per design")
+	}
+	machineFaults := map[string]uint64{}
+	rep := Run(Config{
+		Seed:     1,
+		Duration: 2400 * time.Millisecond,
+		Designs:  []vm.Design{vm.RWLock, vm.PureRCU},
+		Seats:    3,
+		Limit:    100,
+		Workers:  2,
+		OnMachine: func(label string, m *machine.Machine) func() {
+			return func() { machineFaults[label] = m.Snapshot().Faults }
+		},
+	})
+	for _, v := range rep.Violations {
+		t.Errorf("violation: %s", v)
+	}
+	for _, r := range rep.Designs {
+		if want := machineFaults[r.Design.String()]; r.Faults != want {
+			t.Errorf("%v: report counts %d faults, machine rollup %d", r.Design, r.Faults, want)
+		}
+		if r.Faults == 0 || r.Tenants < 3 || r.Fault.P99Ns == 0 {
+			t.Errorf("%v: soak did not churn: %+v", r.Design, r)
+		}
+	}
+}
+
+// TestOpsDependOnKeyAlone: in two runs of one seed under the full fault
+// schedule — different interleavings, different injected failures,
+// different outcomes — every worker executes exactly the operation
+// kinds its key alone generates, up to the first digestOps of them.
+func TestOpsDependOnKeyAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs two runs of a second each")
+	}
+	cfg := Config{Seed: 5, Duration: time.Second, Designs: []vm.Design{vm.Hybrid}, Faults: true}
+	full := 0
+	for run := 0; run < 2; run++ {
+		for key, log := range Run(cfg).OpLogs {
+			want := OpLog{Digest: fnvOffset}
+			gen := newOpGen(cfg.Seed, key)
+			for want.Ops < log.Ops {
+				want.add(gen.next().kind)
+			}
+			if log != want {
+				t.Errorf("run %d: %s: first %d op kinds are not its key's", run, key, log.Ops)
+			}
+			if log.Ops == digestOps {
+				full++
+			}
+		}
+	}
+	if full == 0 && !race.Enabled {
+		t.Fatalf("no worker drew %d operations", digestOps)
 	}
 }

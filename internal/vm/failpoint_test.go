@@ -187,7 +187,7 @@ func TestFillErrorPropagatesTyped(t *testing.T) {
 		if err := cpu.Fault(base, false); err != nil {
 			t.Fatalf("fault after device healed: %v", err)
 		}
-		if n := as.Stats().PageCacheFillErrs; n == 0 {
+		if n := as.PageCacheStats().FillErrs; n == 0 {
 			t.Error("fill errors not counted in stats")
 		}
 	})

@@ -236,7 +236,7 @@ func (ms *machine) teardown() error {
 // family construction — vm.New is a thin single-tenant wrapper over
 // the same path — so slot recycling, the file registries, and the
 // teardown leak checks have one home. internal/machine wraps Host
-// with tenant lifecycle, stats rollup, and the soak driver.
+// with tenant lifecycle and stats rollup.
 type Host struct {
 	ms *machine
 }

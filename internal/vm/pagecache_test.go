@@ -74,7 +74,7 @@ func TestSharedFileCrossSpaceCoherence(t *testing.T) {
 		}
 
 		// And the write is visible in the cache's dirty accounting.
-		if st := as.Stats(); st.PageCacheDirty == 0 {
+		if pc := as.PageCacheStats(); pc.DirtyPages == 0 {
 			t.Fatal("shared write left no dirty page")
 		}
 	})
@@ -122,7 +122,7 @@ func TestSharedFileFrameRefcounts(t *testing.T) {
 			t.Fatalf("refs=%d after sibling munmap, want 2", n)
 		}
 		// The page is still resident: a refault in the sibling is a hit.
-		hitsBefore := as.Stats().PageCacheHits
+		hitsBefore := as.PageCacheStats().Hits
 		baseB2, err := sib.Mmap(0, PageSize, vma.ProtRead, vma.Shared, f, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -130,7 +130,7 @@ func TestSharedFileFrameRefcounts(t *testing.T) {
 		if err := sib.NewCPU(0).Fault(baseB2, false); err != nil {
 			t.Fatal(err)
 		}
-		if hits := as.Stats().PageCacheHits; hits <= hitsBefore {
+		if hits := as.PageCacheStats().Hits; hits <= hitsBefore {
 			t.Fatalf("refault was not a cache hit (%d -> %d)", hitsBefore, hits)
 		}
 	})
@@ -181,8 +181,8 @@ func TestPrivateFileCowIsolation(t *testing.T) {
 			t.Fatalf("private write leaked: sibling sees %#x, want %#x", got[0], want)
 		}
 		// Private writes never dirty the cache.
-		if st := as.Stats(); st.PageCacheDirty != 0 {
-			t.Fatalf("private write dirtied the cache (%d pages)", st.PageCacheDirty)
+		if pc := as.PageCacheStats(); pc.DirtyPages != 0 {
+			t.Fatalf("private write dirtied the cache (%d pages)", pc.DirtyPages)
 		}
 	})
 }
@@ -221,8 +221,8 @@ func TestFileFaultFastPathNoGlobalLock(t *testing.T) {
 			if st.Retries() != 0 {
 				t.Fatalf("file faults retried with the lock held: %+v", st)
 			}
-			if st.PageCacheMisses != 64 {
-				t.Fatalf("fills=%d, want 64", st.PageCacheMisses)
+			if pc := as.PageCacheStats(); pc.Misses != 64 {
+				t.Fatalf("fills=%d, want 64", pc.Misses)
 			}
 			if err := as.Close(); err != nil {
 				t.Errorf("teardown: %v", err)
@@ -274,13 +274,13 @@ func TestSharedFileFaultStorm(t *testing.T) {
 			}(i, sp)
 		}
 		wg.Wait()
-		st := as.Stats()
-		if st.PageCacheResident != pages {
-			t.Fatalf("resident=%d, want %d", st.PageCacheResident, pages)
+		pc := as.PageCacheStats()
+		if pc.Resident != pages {
+			t.Fatalf("resident=%d, want %d", pc.Resident, pages)
 		}
 		// Every fill beyond the first per page must have coalesced or hit.
-		if st.PageCacheMisses != pages {
-			t.Fatalf("fills=%d, want %d (double-filled pages)", st.PageCacheMisses, pages)
+		if pc.Misses != pages {
+			t.Fatalf("fills=%d, want %d (double-filled pages)", pc.Misses, pages)
 		}
 	})
 }

@@ -104,13 +104,13 @@ func TestEvictionFaultStorm(t *testing.T) {
 				t.Fatalf("storm worker failed: %v", err)
 			default:
 			}
-			st := as.Stats()
-			if st.PageCacheEvictions == 0 {
+			pc := as.PageCacheStats()
+			if pc.Evictions == 0 {
 				t.Fatalf("reclaimer never evicted: %+v", as.ReclaimStats())
 			}
 			t.Logf("%s: evict=%d aborts=%d refault=%d wb=%d evict-unmaps=%d reclaim=%+v",
-				d, st.PageCacheEvictions, st.PageCacheEvictAborts, st.PageCacheRefaults,
-				st.PageCacheWritebacks, st.EvictUnmaps, as.ReclaimStats())
+				d, pc.Evictions, pc.EvictAborts, pc.Refaults,
+				pc.Writebacks, as.Stats().EvictUnmaps, as.ReclaimStats())
 			for i := len(all) - 1; i >= 0; i-- {
 				if err := all[i].Close(); err != nil {
 					t.Fatalf("teardown leak check: %v", err)
@@ -159,13 +159,13 @@ func TestMemoryPressureAllDesigns(t *testing.T) {
 			}
 		}
 		wg.Wait()
-		st := as.Stats()
-		if st.PageCacheEvictions == 0 || st.PageCacheRefaults == 0 || st.PageCacheWritebacks == 0 {
+		pc := as.PageCacheStats()
+		if pc.Evictions == 0 || pc.Refaults == 0 || pc.Writebacks == 0 {
 			t.Errorf("evictions/refaults/writebacks = %d/%d/%d with the pool at half the working set, want all nonzero",
-				st.PageCacheEvictions, st.PageCacheRefaults, st.PageCacheWritebacks)
+				pc.Evictions, pc.Refaults, pc.Writebacks)
 		}
-		if st.PageCacheResident > int64(filePages)/2 {
-			t.Errorf("resident %d pages exceeds the frame pool %d", st.PageCacheResident, filePages/2)
+		if pc.Resident > int64(filePages)/2 {
+			t.Errorf("resident %d pages exceeds the frame pool %d", pc.Resident, filePages/2)
 		}
 	})
 }
@@ -204,9 +204,9 @@ func TestPressureWritebackIntegrity(t *testing.T) {
 			t.Fatalf("page %d byte = %#x, want %#x (lost across eviction)", p, b[0], mark(p))
 		}
 	}
-	st := as.Stats()
-	if st.PageCacheEvictions == 0 || st.PageCacheWritebacks == 0 || st.PageCacheRefaults == 0 {
-		t.Fatalf("working set fit the pool — no eviction exercised: %+v", st)
+	pc := as.PageCacheStats()
+	if pc.Evictions == 0 || pc.Writebacks == 0 || pc.Refaults == 0 {
+		t.Fatalf("working set fit the pool — no eviction exercised: %+v", pc)
 	}
 	if err := as.Close(); err != nil {
 		t.Fatal(err)
@@ -267,10 +267,10 @@ func TestEvictRefaultWholePage(t *testing.T) {
 			}
 		}
 	}
-	st := as.Stats()
-	if st.PageCacheRefaults < filePages || st.PageCacheWritebacks < filePages/2 {
+	pc := as.PageCacheStats()
+	if pc.Refaults < filePages || pc.Writebacks < filePages/2 {
 		t.Fatalf("refaults %d, writebacks %d: want every page refaulted and every dirty one written back",
-			st.PageCacheRefaults, st.PageCacheWritebacks)
+			pc.Refaults, pc.Writebacks)
 	}
 	if err := as.Close(); err != nil {
 		t.Fatal(err)
@@ -334,12 +334,12 @@ func TestRefaultEvictAllocs(t *testing.T) {
 			sweep(3) // page tables, store buffers, pools and maps primed
 
 			const sweeps = 8
-			refaults, scans := as.Stats().PageCacheRefaults, as.ReclaimStats().AccountRuns
+			refaults, scans := as.PageCacheStats().Refaults, as.ReclaimStats().AccountRuns
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			sweep(sweeps)
 			runtime.ReadMemStats(&after)
-			refaults = as.Stats().PageCacheRefaults - refaults
+			refaults = as.PageCacheStats().Refaults - refaults
 			scans = as.ReclaimStats().AccountRuns - scans
 			if refaults < sweeps*pages*9/10 || scans == 0 {
 				t.Fatalf("%d refaults, %d scans over %d sweeps: the sweep did not cycle the cache", refaults, scans, sweeps)

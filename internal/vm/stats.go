@@ -110,26 +110,10 @@ type Stats struct {
 	TLBFlushes      uint64 // batched shootdown flushes paid (internal/tlb)
 	TLBPagesFlushed uint64 // translations revoked across those flushes
 
-	// Page-cache counters, aggregated across every file mapped in the
-	// address space's family (the cache is family-shared; see
-	// internal/pagecache for the full Stats, including drops, via
-	// PageCacheStats).
-	PageCacheHits        uint64 // file faults served by a resident page
-	PageCacheMisses      uint64 // file faults that filled the cache
-	PageCacheCoalesced   uint64 // faulters that waited out a concurrent fill
-	PageCacheResident    int64  // pages currently cached
-	PageCacheDirty       int64  // pages currently dirty
-	PageCacheEvictions   uint64 // pages evicted by the reclaim scan
-	PageCacheEvictAborts uint64 // eviction candidates refaulted mid-scan
-	PageCacheRefaults    uint64 // fills of previously evicted pages
-	PageCacheWritebacks  uint64 // dirty pages cleaned (writeback scans + pre-eviction)
+	OOMKills uint64 // killer-of-last-resort invocations, family-wide
 
-	// Failure-injection and degradation counters (see internal/fail and
-	// the README's failure model).
-	PageCacheFillErrs         uint64 // fills failed by injected read errors
-	PageCacheWritebackRetries uint64 // retryable writeback failures (pages kept dirty)
-	PageCacheWritebackSticky  uint64 // sticky writeback failures (data dropped, latched)
-	OOMKills                  uint64 // killer-of-last-resort invocations, family-wide
+	// Page-cache counters are PageCacheStats, aggregated across every
+	// file the family maps.
 }
 
 // Retries returns the total slow-path retries.
@@ -139,27 +123,13 @@ func (s Stats) Retries() uint64 {
 
 // Stats returns a snapshot of the address space's counters.
 func (as *AddressSpace) Stats() Stats {
-	pc := as.PageCacheStats()
 	tl := as.fam.ms.tlb.Stats()
 	hugeInstalls, hugeSplits, hugeZaps := as.tables.HugeStats()
 	return Stats{
 		TLBFlushes:      tl.Flushes,
 		TLBPagesFlushed: tl.PagesFlushed,
 
-		PageCacheHits:        pc.Hits,
-		PageCacheMisses:      pc.Misses,
-		PageCacheCoalesced:   pc.Coalesced,
-		PageCacheResident:    pc.Resident,
-		PageCacheDirty:       pc.DirtyPages,
-		PageCacheEvictions:   pc.Evictions,
-		PageCacheEvictAborts: pc.EvictAborts,
-		PageCacheRefaults:    pc.Refaults,
-		PageCacheWritebacks:  pc.Writebacks,
-
-		PageCacheFillErrs:         pc.FillErrs,
-		PageCacheWritebackRetries: pc.WritebackRetries,
-		PageCacheWritebackSticky:  pc.WritebackSticky,
-		OOMKills:                  as.fam.oomKills.Load(),
+		OOMKills: as.fam.oomKills.Load(),
 
 		EvictUnmaps:    as.stats.evictUnmaps.Load(),
 		ReclaimRetries: as.stats.reclaimRetries.Load(),

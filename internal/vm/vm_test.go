@@ -365,8 +365,8 @@ func TestFileBackedFaultFillsContents(t *testing.T) {
 		if n := st.Retries(); n != 0 {
 			t.Fatalf("file-backed fault took the retry-with-lock path %d times", n)
 		}
-		if st.PageCacheMisses != 1 || st.PageCacheResident != 1 {
-			t.Fatalf("page cache fills=%d resident=%d, want 1/1", st.PageCacheMisses, st.PageCacheResident)
+		if pc := as.PageCacheStats(); pc.Misses != 1 || pc.Resident != 1 {
+			t.Fatalf("page cache fills=%d resident=%d, want 1/1", pc.Misses, pc.Resident)
 		}
 	})
 }
