@@ -11,8 +11,9 @@
 // With -faults every failpoint must fire and every design must reach
 // each coverage path (OOM kills, huge faults, collapses, splits, churn
 // mmaps/munmaps/mprotects, forks), or the run fails. With every seat
-// limited and the default pool, any cross-tenant eviction fails it;
-// -p999-gate fails it on a fault p999 above the bound.
+// limited, a design whose tenants evicted no page fails it, and so —
+// on the default pool — does any cross-tenant eviction; -p999-gate
+// fails it on a fault p999 above the bound.
 //
 // With -trace the flight recorder runs for the whole run; the auditor
 // stamps an event into it at every violation, and on a failing run (or
@@ -127,6 +128,9 @@ func main() {
 			r.Design, r.Tenants, r.Ops, r.Audits, r.OOMErrors, r.IOErrors)
 		fmt.Printf("    faults=%d p50=%v p99=%v p999=%v cross-tenant-evictions=%d\n",
 			r.Faults, time.Duration(r.Fault.P50Ns), time.Duration(r.Fault.P99Ns), time.Duration(r.Fault.P999Ns), r.CrossTenantEvictions)
+		if *limit > 0 {
+			fmt.Printf("    limit-hits=%d evictions=%d max-charged=%d\n", r.LimitHits, r.Evictions, r.MaxCharged)
+		}
 		fmt.Printf("    oom-kills=%d huge-faults=%d collapses=%d splits=%d mmaps=%d munmaps=%d mprotects=%d forks=%d\n",
 			r.OOMKills, r.HugeFaults, r.Collapses, r.HugeSplits, r.Mmaps, r.Munmaps, r.Mprotects, r.Forks)
 		if *p999Gate > 0 && time.Duration(r.Fault.P999Ns) > *p999Gate {
@@ -139,9 +143,9 @@ func main() {
 		for _, p := range rep.Failpoints {
 			fmt.Printf("    %-24s hits=%-9d fires=%d\n", p.Name, p.Hits, p.Fires)
 		}
-		for _, g := range rep.Gaps() {
-			rep.Violations = append(rep.Violations, "coverage: "+g)
-		}
+	}
+	for _, g := range rep.Gaps() {
+		rep.Violations = append(rep.Violations, "coverage: "+g)
 	}
 
 	failed := rep.Failed()

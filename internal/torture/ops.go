@@ -128,35 +128,23 @@ type worker struct {
 	buf         [stampLen]byte
 }
 
-// run draws and executes operations until stop, then files the head
-// of what it drew in the report's op logs.
+// run draws and executes operations until stop, then files the kinds
+// of the first logOps it drew under its key.
 func (w *worker) run(stop *atomic.Bool) {
 	t := w.g.dr.t
 	key := fmt.Sprintf("%s/w%d", w.g.key, w.id)
 	gen := newOpGen(t.cfg.Seed, key)
-	log := OpLog{Digest: fnvOffset}
+	log := make([]opKind, 0, logOps)
 	for !stop.Load() {
 		o := gen.next()
-		log.add(o.kind)
+		if len(log) < logOps {
+			log = append(log, o.kind)
+		}
 		w.do(o)
 	}
 	t.mu.Lock()
-	t.report.OpLogs[key] = log
+	t.report.opLogs[key] = log
 	t.mu.Unlock()
-}
-
-// OpLog is the head of one worker's operation sequence: how many of its
-// first digestOps operations it drew, and a digest of their kinds.
-type OpLog struct {
-	Ops    int
-	Digest uint64
-}
-
-func (l *OpLog) add(k opKind) {
-	if l.Ops < digestOps {
-		l.Ops++
-		l.Digest = (l.Digest ^ uint64(k)) * fnvPrime
-	}
 }
 
 // do executes one operation.
@@ -342,18 +330,12 @@ func splitmix(seed uint64) func() uint64 {
 	}
 }
 
-// FNV-1a, for key hashing and op digests.
-const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
-)
-
 // hash is FNV-1a over a key.
 func hash(s string) uint64 {
-	h := uint64(fnvOffset)
+	h := uint64(0xcbf29ce484222325)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= fnvPrime
+		h *= 0x100000001b3
 	}
 	return h
 }

@@ -52,6 +52,7 @@ import (
 	"bonsai/internal/fail"
 	"bonsai/internal/machine"
 	"bonsai/internal/pagecache"
+	"bonsai/internal/physmem"
 	"bonsai/internal/stats"
 	"bonsai/internal/trace"
 	"bonsai/internal/vm"
@@ -103,9 +104,11 @@ type Report struct {
 	Designs    []DesignReport
 	Violations []string
 	Failpoints []fail.PointStats
-	// OpLogs maps each worker key — design, seat, generation, worker —
-	// to the head of the operations it drew.
-	OpLogs map[string]OpLog
+
+	faults, limited bool
+	// opLogs maps each worker key — design, seat, generation, worker —
+	// to the kinds of the first logOps operations it drew.
+	opLogs map[string][]opKind
 }
 
 // DesignReport is one design's machine, summed over its seats and
@@ -125,8 +128,16 @@ type DesignReport struct {
 	// CrossTenantEvictions counts pages evicted from tenants under
 	// their limit.
 	CrossTenantEvictions uint64
+	// Limited seats' accounts, read before each eviction: charges
+	// refused at the limit, page-cache pages evicted from the tenants
+	// (their own reclaim's and any cross-tenant ones) and the largest
+	// charge any tenant reached.
+	LimitHits  uint64
+	Evictions  uint64
+	MaxCharged int64
 
-	// Coverage: Report.Gaps names any of these that is zero.
+	// Coverage: Report.Gaps names any of these the run's setting owes
+	// and left at zero.
 	OOMKills   uint64 // ballast spaces reaped by the killer of last resort
 	HugeFaults uint64 // faults served by installing a 2 MB huge entry
 	Collapses  uint64 // base-page chunks promoted to huge entries
@@ -140,10 +151,15 @@ type DesignReport struct {
 // Failed reports whether the run found any violation.
 func (r *Report) Failed() bool { return len(r.Violations) > 0 }
 
-// Gaps lists what a fault-injection run left unexercised: each armed
-// failpoint that never fired and each design's zero coverage count. A
-// run that never reached a path has not survived it, so cmd/torture
-// fails a -faults run with gaps the way it fails one with violations.
+// Gaps lists what the run left unexercised that its setting owes. A
+// fault-injection run owes every armed failpoint firing and, per
+// design, churn mmaps, munmaps, mprotects and forks — plus, on
+// unlimited seats, whose fixtures hold the huge region and the
+// ballast, OOM kills, huge faults, collapses and splits. Limited seats
+// owe page-cache evictions: without tenant-local reclaim running, zero
+// cross-tenant evictions proves nothing. A run that never reached a
+// path has not survived it, so cmd/torture fails a run with gaps the
+// way it fails one with violations.
 func (r *Report) Gaps() []string {
 	var gaps []string
 	for _, p := range r.Failpoints {
@@ -152,11 +168,18 @@ func (r *Report) Gaps() []string {
 		}
 	}
 	for _, d := range r.Designs {
-		for name, n := range map[string]uint64{
-			"oom-kills": d.OOMKills, "huge-faults": d.HugeFaults, "collapses": d.Collapses,
-			"splits": d.HugeSplits, "mmaps": d.Mmaps, "munmaps": d.Munmaps,
-			"mprotects": d.Mprotects, "forks": d.Forks,
-		} {
+		owed := map[string]uint64{}
+		if r.faults {
+			owed = map[string]uint64{"mmaps": d.Mmaps, "munmaps": d.Munmaps, "mprotects": d.Mprotects, "forks": d.Forks}
+			if !r.limited {
+				owed["oom-kills"], owed["huge-faults"] = d.OOMKills, d.HugeFaults
+				owed["collapses"], owed["splits"] = d.Collapses, d.HugeSplits
+			}
+		}
+		if r.limited {
+			owed["evictions"] = d.Evictions
+		}
+		for name, n := range owed {
 			if n == 0 {
 				gaps = append(gaps, fmt.Sprintf("%s: no %s", d.Design, name))
 			}
@@ -202,8 +225,9 @@ type geometry struct {
 // region together outgrow it, so reclaim, run shortage and the OOM
 // killer all take turns. A limited seat keeps its anonymous fixtures to
 // a fraction of the limit and thrashes a file twice the limit, so
-// tenant-local reclaim runs all the time and the tenant rarely needs
-// the OOM rung.
+// tenant-local reclaim runs all the time (Report.Gaps fails a limited
+// run whose tenants evicted nothing) and the tenant rarely needs the
+// OOM rung.
 func geometryFor(limit int64) geometry {
 	if limit <= 0 {
 		return geometry{file: 64, arena: 128, churn: 2048, thp: 512, ballast: 320}
@@ -223,9 +247,9 @@ const (
 
 // Fixture constants.
 const (
-	stampLen   = 16 // bytes written/verified at an oracle page's start
-	forkChecks = 4  // arena pages a fork child verifies
-	digestOps  = 1000
+	stampLen   = 16   // bytes written/verified at an oracle page's start
+	forkChecks = 4    // arena pages a fork child verifies
+	logOps     = 1000 // op kinds each worker files in the report
 )
 
 // Run executes the configuration and returns its report.
@@ -249,7 +273,9 @@ func Run(cfg Config) *Report {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 10 * time.Second
 	}
-	t := &run{cfg: cfg, geo: geometryFor(cfg.Limit), report: &Report{Seed: cfg.Seed, OpLogs: map[string]OpLog{}}}
+	t := &run{cfg: cfg, geo: geometryFor(cfg.Limit), report: &Report{
+		Seed: cfg.Seed, faults: cfg.Faults, limited: cfg.Limit > 0, opLogs: map[string][]opKind{},
+	}}
 	if cfg.Faults {
 		for _, s := range schedule {
 			if err := fail.Enable(cfg.Seed, s.point, s.cfg); err != nil {
@@ -628,7 +654,8 @@ func (g *generation) audit() {
 
 // evict withdraws the tenant's ballast from the killer, folds the
 // tenant's counts into the design's, and evicts it: every member
-// closes and the leak audit runs.
+// closes and the leak audit runs. The account is read first, so the
+// teardown's own evictions stay out of the report.
 func (g *generation) evict(ws []*worker) {
 	dr, t := g.dr, g.dr.t
 	dr.ballastMu.Lock()
@@ -637,6 +664,10 @@ func (g *generation) evict(ws []*worker) {
 	}
 	dr.ballastMu.Unlock()
 	st := g.root.Stats()
+	var acct physmem.AccountStats
+	if ac := g.tenant.Account(); ac != nil {
+		acct = ac.Stats()
+	}
 	err := g.tenant.Evict()
 	if err != nil {
 		t.violate("%s: evict: %v", g.key, err)
@@ -650,6 +681,9 @@ func (g *generation) evict(ws []*worker) {
 	dr.rep.HugeFaults += st.THPHugeFaults
 	dr.rep.Collapses += st.THPCollapses
 	dr.rep.HugeSplits += st.THPSplits
+	dr.rep.LimitHits += acct.LimitHits
+	dr.rep.Evictions += acct.Evictions
+	dr.rep.MaxCharged = max(dr.rep.MaxCharged, acct.MaxCharged)
 	dr.rollup.Add(g.root.Rollup())
 	dr.mu.Unlock()
 	// With one unlimited seat the tenant was the machine's only user:
