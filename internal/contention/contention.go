@@ -19,6 +19,7 @@
 package contention
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -106,8 +107,12 @@ func (p *profile) note(site string, lo, hi uint64, ns int64) {
 				continue
 			}
 		case slotClaiming:
-			// The owner is mid-publish; skip rather than spin under a
-			// caller that may hold locks.
+			// The owner is mid-publish, and may be publishing this very
+			// key: moving on would claim a second row for it. It holds no
+			// lock and is three stores from ready, so wait, then
+			// re-check this slot.
+			runtime.Gosched()
+			i--
 			continue
 		}
 		if e.site != site || e.lo != lo || e.hi != hi {

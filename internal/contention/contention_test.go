@@ -120,3 +120,49 @@ func TestConcurrentNotes(t *testing.T) {
 		t.Fatalf("shared waits = %d, want %d", shared, workers*per)
 	}
 }
+
+// TestSnapshotKeysUnique: noters racing to claim the same fresh keys at
+// once must share one row per (site, lo, hi). A noter that found a slot
+// mid-claim used to move on and claim a second row for the same key, so
+// Snapshot reported it twice, each row holding part of its waits.
+func TestSnapshotKeysUnique(t *testing.T) {
+	defer Disarm()
+	const rounds, workers, keys = 200, 4, 8
+	type key struct {
+		site   string
+		lo, hi uint64
+	}
+	for r := 0; r < rounds; r++ {
+		Arm()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for k := uint64(0); k < keys; k++ {
+					Note("race", k<<12, (k+1)<<12, time.Microsecond)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		seen := make(map[key]uint64)
+		for _, s := range Snapshot() {
+			k := key{s.Site, s.Lo, s.Hi}
+			if _, dup := seen[k]; dup {
+				t.Fatalf("round %d: Snapshot has two rows for %+v", r, k)
+			}
+			seen[k] = s.Waits
+		}
+		for k, waits := range seen {
+			if waits != workers {
+				t.Fatalf("round %d: %+v has %d waits, want %d", r, k, waits, workers)
+			}
+		}
+		if len(seen) != keys {
+			t.Fatalf("round %d: %d rows, want %d", r, len(seen), keys)
+		}
+	}
+}

@@ -219,24 +219,14 @@ func (t *Tables) PTELockStats() (acquisitions, contended uint64) {
 	if t.cfg.SinglePTELock {
 		return t.sharedPTELock.Stats()
 	}
-	var walk func(d *directory)
-	walk = func(d *directory) {
-		if d.level == 2 {
-			for i := range d.tables {
-				if pt := d.tables[i].Load(); pt != nil {
-					a, c := pt.own.Stats()
-					acquisitions += a
-					contended += c
-				}
-			}
-			return
-		}
-		for i := range d.dirs {
-			if child := d.dirs[i].Load(); child != nil {
-				walk(child)
+	t.forEachLevel2(func(d *directory) {
+		for i := range d.tables {
+			if pt := d.tables[i].Load(); pt != nil {
+				a, c := pt.own.Stats()
+				acquisitions += a
+				contended += c
 			}
 		}
-	}
-	walk(t.root)
+	})
 	return acquisitions, contended
 }

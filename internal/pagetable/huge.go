@@ -55,11 +55,11 @@ func (t *Tables) WalkHuge(addr uint64) (pte uint64, ok bool) {
 // InstallHuge maps the 2 MB span at addr (TableSpan-aligned) to the
 // frame run starting at frame, publishing the entry under the
 // page-directory lock with the same optimistic double-check protocol
-// leaf tables use. A fresh leaf table is allocated and deposited
-// alongside the entry (the kernel's pgtable deposit), so a later
-// demotion never allocates. recheck runs under the lock — the §5.2 VMA
-// double check. On HugeRecheckFailed and HugeLost the caller still
-// owns the run.
+// leaf tables use. A leaf table — a fresh frame, usually in a spare
+// struct — is deposited alongside the entry (the kernel's pgtable
+// deposit), so a later demotion never allocates. recheck runs under the
+// lock — the §5.2 VMA double check. On HugeRecheckFailed and HugeLost
+// the caller still owns the run.
 func (t *Tables) InstallHuge(cpu int, addr uint64, frame physmem.Frame,
 	writable bool, recheck func() bool) (HugeResult, error) {
 	checkAddr(addr)
@@ -216,9 +216,10 @@ func (t *Tables) splitHugeEntry(g *tlb.Gather, d *directory, idx int, base uint6
 // zapHuge clears huge entry idx of d, recording its 512 page
 // translations in the gather as one run entry (the run returns to the
 // allocator as one unit after the flush and a grace period) and retiring
-// the deposited table the same way. onPage receives the huge PTE itself,
-// once, inside the page-directory lock; PTEHuge marks it (see
-// UnmapRange).
+// the deposited table's frame the same way. The deposit was never
+// published, so its struct goes straight back to the spare list. onPage
+// receives the huge PTE itself, once, inside the page-directory lock;
+// PTEHuge marks it (see UnmapRange).
 func (t *Tables) zapHuge(g *tlb.Gather, d *directory, idx int, base uint64, onPage func(addr, pte uint64)) {
 	t.dirLock.Lock()
 	h := d.huge[idx].Load()
@@ -237,6 +238,7 @@ func (t *Tables) zapHuge(g *tlb.Gather, d *directory, idx int, base uint64, onPa
 	t.hugeZaps.Add(1)
 	if dep != nil {
 		t.retireStructure(g, dep.frame)
+		t.spare(dep)
 	}
 }
 
@@ -249,7 +251,7 @@ func (t *Tables) zapHuge(g *tlb.Gather, d *directory, idx int, base uint64, onPa
 // success the entry is published and the old leaf table is detached —
 // its PTEs cleared into the gather (the old frames retire after one
 // flush and a grace period) and its own frame retired the same way —
-// while a fresh deposit table is published for future splits.
+// while a deposit table (a fresh frame) is stored for future splits.
 //
 // Lock order: the leaf PTE lock is held across the page-directory lock
 // acquisition. This nesting exists only here and is safe because no

@@ -17,6 +17,7 @@
 package pagetable
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -150,7 +151,10 @@ type directory struct {
 	// pre-allocated leaf table deposited alongside each huge entry (the
 	// kernel's pgtable deposit/withdraw), so demoting the entry back to
 	// base pages never allocates — splits in zap and mprotect paths are
-	// infallible.
+	// infallible. A deposit is read and written only under the
+	// page-directory lock and stays all-zero until a split publishes it,
+	// so no lock-free walker reaches one: a deposit zapped whole goes back
+	// to the tree's spare list (Tables.spares).
 	huge    []atomic.Uint64             // level 2
 	deposit []atomic.Pointer[PageTable] // level 2
 }
@@ -201,6 +205,19 @@ type Tables struct {
 	hugeInstalls atomic.Uint64 // entries published (faults + collapses)
 	hugeSplits   atomic.Uint64 // entries demoted to base pages in place
 	hugeZaps     atomic.Uint64 // entries fully unmapped
+
+	// spares holds the Go objects of leaf tables no lock-free walker can
+	// have reached — deposits zapped whole and optimistic allocations that
+	// lost a double check — all-zero and not dead, for newPageTable to
+	// reuse. Only the struct is reused: each table still takes a fresh
+	// frame, and a published table is never listed (walkers may hold it
+	// until its grace period ends). A struct leaves the pool system only
+	// by being published, and newPageTable allocates one only when the
+	// list is empty, so the list never holds more than the tree's peak
+	// count of unpublished tables (live deposits plus allocations in
+	// flight).
+	spareLock locks.SpinLock
+	spares    []*PageTable
 }
 
 // New returns an empty four-level page-table tree whose table frames
@@ -236,12 +253,25 @@ func (t *Tables) newDirectory(cpu, level int) (*directory, error) {
 	return d, nil
 }
 
+// newPageTable allocates a leaf table's frame and gives it a spare
+// struct, or a new one when the spare list is empty.
 func (t *Tables) newPageTable(cpu int) (*PageTable, error) {
 	f, err := t.alloc.Alloc(cpu)
 	if err != nil {
 		return nil, err
 	}
-	pt := &PageTable{frame: f}
+	t.spareLock.Lock()
+	var pt *PageTable
+	if n := len(t.spares); n > 0 {
+		pt = t.spares[n-1]
+		t.spares[n-1] = nil
+		t.spares = t.spares[:n-1]
+	}
+	t.spareLock.Unlock()
+	if pt == nil {
+		pt = new(PageTable)
+	}
+	pt.frame = f
 	if t.cfg.SinglePTELock {
 		pt.lock = &t.sharedPTELock
 	} else {
@@ -434,11 +464,24 @@ func (t *Tables) discardDirectory(cpu int, d *directory) {
 	t.alloc.Free(cpu, d.frame)
 }
 
+// discardPageTable returns an optimistically allocated leaf table that
+// lost the double-check race (EnsureTable, InstallHuge, Collapse). It
+// was never published, so its frame is freed immediately and its struct
+// goes back to the spare list.
 func (t *Tables) discardPageTable(cpu int, pt *PageTable) {
 	t.discarded.Add(1)
 	t.tablesLive.Add(-1)
 	t.tablesFreed.Add(1)
 	t.alloc.Free(cpu, pt.frame)
+	t.spare(pt)
+}
+
+// spare lists pt for reuse by newPageTable. pt must be all-zero, not
+// dead, and unreachable by any walker: never published.
+func (t *Tables) spare(pt *PageTable) {
+	t.spareLock.Lock()
+	t.spares = append(t.spares, pt)
+	t.spareLock.Unlock()
 }
 
 // FillPTE installs a PTE for addr under the leaf table's PTE lock,
@@ -639,6 +682,67 @@ func (t *Tables) Stats() Stats {
 // PTEsFilledOn returns the fills counted on cpu's cell alone (for the
 // shared-write audit).
 func (t *Tables) PTEsFilledOn(cpu int) uint64 { return t.ptesFilled.CPU(cpu) }
+
+// forEachLevel2 calls fn on every attached level-2 directory, walking
+// lock-free.
+func (t *Tables) forEachLevel2(fn func(d *directory)) {
+	var walk func(d *directory)
+	walk = func(d *directory) {
+		if d.level == 2 {
+			fn(d)
+			return
+		}
+		for i := range d.dirs {
+			if child := d.dirs[i].Load(); child != nil {
+				walk(child)
+			}
+		}
+	}
+	walk(t.root)
+}
+
+// AuditSpares checks the spare list: each spare is listed once, has all
+// EntriesPerTable PTEs zero, is not dead, and is neither a live deposit
+// nor a published leaf table. The tree must be quiescent — no fault,
+// mapping operation or collapse in flight — or a spare popped and
+// published mid-audit reads as a violation.
+func (t *Tables) AuditSpares() error {
+	t.spareLock.Lock()
+	spares := append([]*PageTable(nil), t.spares...)
+	t.spareLock.Unlock()
+	inTree := make(map[*PageTable]string)
+	t.forEachLevel2(func(d *directory) {
+		for i := range d.tables {
+			if pt := d.tables[i].Load(); pt != nil {
+				inTree[pt] = "a published leaf table"
+			}
+			if dep := d.deposit[i].Load(); dep != nil {
+				inTree[dep] = "a live deposit"
+			}
+		}
+	})
+	var errs []error
+	listed := make(map[*PageTable]bool, len(spares))
+	for i, pt := range spares {
+		if listed[pt] {
+			errs = append(errs, fmt.Errorf("spare %d: listed twice", i))
+		}
+		listed[pt] = true
+		if pt.Dead() {
+			errs = append(errs, fmt.Errorf("spare %d: dead (detached by an unmap scan or a collapse)", i))
+		}
+		if role, ok := inTree[pt]; ok {
+			errs = append(errs, fmt.Errorf("spare %d: still %s", i, role))
+		}
+		for j := range pt.ptes {
+			if pte := pt.PTE(j); pte != 0 {
+				errs = append(errs, fmt.Errorf("spare %d: PTE %d is %#x, want 0", i, j, pte))
+				break
+			}
+		}
+	}
+	return errors.Join(errs...)
+}
 
 // CountPresent returns the number of present PTEs in [lo, hi). It is a
 // test helper and takes no locks.

@@ -109,7 +109,11 @@ func (as *AddressSpace) auditPTEs() error {
 //   - its frame run is buddy-aligned, and all 512 frames are allocated,
 //     exclusively owned (reference count 1), and not page-cache frames;
 //   - the number of live entries walked equals installs − splits − zaps,
-//     the identity the AnonHugePages gauge reports.
+//     the identity the AnonHugePages gauge reports;
+//   - every page-table struct waiting on the tree's spare list (zapped
+//     deposits, lost double checks) is all-zero, not dead, listed once,
+//     and neither a live deposit nor a published table
+//     (pagetable.AuditSpares).
 //
 // Same quiescence requirement as AuditPageCaches: no fault, mapping
 // operation, fork, collapse, or reclaim scan in flight on any member.
@@ -156,6 +160,9 @@ func (as *AddressSpace) AuditTHP() error {
 	if want := installs - splits - zaps; live != want {
 		errs = append(errs, fmt.Errorf("walked %d live huge entries, counters say %d (installs %d − splits %d − zaps %d)",
 			live, want, installs, splits, zaps))
+	}
+	if err := as.tables.AuditSpares(); err != nil {
+		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
 }

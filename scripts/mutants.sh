@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Mutant twins of the frame-word guards in internal/physmem: each guard
-# test passes on the checkout as it stands and must fail on a copy of it
-# with that one guard removed — the proof that the test sees the guard.
+# Mutant twins of the frame-word guards in internal/physmem and of the
+# page-table spare list's one rule (a published table is never reused):
+# each guard test passes on the checkout as it stands and must fail on a
+# copy of it with that one guard removed — the proof that the test sees
+# the guard. Each test runs in the package of the file its twin mutates.
 #
 #   scripts/mutants.sh
 #
@@ -25,10 +27,14 @@ mutants=(
 	'TestFreeOfUnsplitRunFramePanics@@internal/physmem/physmem.go@@switch low := uint32(w); {@@switch low := uint32(w) & refsMask; {'
 	'TestStampOfShapedFramePanics@@internal/physmem/physmem.go@@if uint32(a.meta[f].Add(1<<32|1)) != 1 {@@if uint32(a.meta[f].Add(1<<32|1))&refsMask != 1 {'
 	'TestFreeRunTwicePanics@@internal/physmem/physmem.go@@if w&refsMask != 0 || shapeOrder(w) != order {@@if false {'
+	'TestSplitTableNeverSpare@@internal/pagetable/pagetable.go@@t.retireStructure(g, pt.frame)@@t.retireStructure(g, pt.frame); t.spare(pt)'
 )
 
 mkdir -p "$work/pristine"
-git -C "$root" ls-files -co --exclude-standard | tar -C "$root" -T - -c | tar -x -C "$work/pristine"
+# Tracked files deleted in the working tree are left out.
+git -C "$root" ls-files -co --exclude-standard | while IFS= read -r f; do
+	if [ -e "$root/$f" ]; then printf '%s\n' "$f"; fi
+done | tar -C "$root" -T - -c | tar -x -C "$work/pristine"
 
 # mutate <file> <from> <to>: replace the one occurrence of from.
 mutate() {
@@ -49,15 +55,19 @@ mutate() {
 }
 
 tests=()
+pkgs=()
 for m in "${mutants[@]}"; do
 	tests+=("${m%%@@*}")
+	rest=${m#*@@}
+	pkgs+=("./$(dirname "${rest%%@@*}")")
 done
 pattern="^($(
 	IFS='|'
 	echo "${tests[*]}"
 ))\$"
 echo "== the guard tests on the checkout (must pass)"
-(cd "$work/pristine" && go test -count=1 -run "$pattern" ./internal/physmem)
+# shellcheck disable=SC2046 # one word per package
+(cd "$work/pristine" && go test -count=1 -run "$pattern" $(printf '%s\n' "${pkgs[@]}" | sort -u))
 
 survivors=0
 for m in "${mutants[@]}"; do
@@ -72,7 +82,7 @@ for m in "${mutants[@]}"; do
 	mutate "$work/mutant/$file" "$from" "$to"
 	# Killed means the test itself failed: a mutant that does not build
 	# proves nothing.
-	if (cd "$work/mutant" && go test -count=1 -run "^$test\$" ./internal/physmem >"$work/mutant.log" 2>&1) ||
+	if (cd "$work/mutant" && go test -count=1 -run "^$test\$" "./$(dirname "$file")" >"$work/mutant.log" 2>&1) ||
 		! grep -q -- "--- FAIL: $test " "$work/mutant.log"; then
 		echo "SURVIVED  $test ($file: $to)"
 		cat "$work/mutant.log"
