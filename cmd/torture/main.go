@@ -94,7 +94,7 @@ func main() {
 		cfg.OnMachine = func(label string, m *machine.Machine) func() {
 			var stops []func()
 			if *httpAddr != "" {
-				srv, err := introspect.Start(*httpAddr, introspect.Machine(m, "torture: "+label))
+				srv, err := introspect.Start(*httpAddr, m, "torture: "+label)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "torture: introspection server: %v\n", err)
 				} else {

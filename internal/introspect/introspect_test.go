@@ -49,9 +49,9 @@ func populate(t *testing.T, m *machine.Machine, name string, limit int64, pages 
 	return tn, base
 }
 
-func startServer(t *testing.T, src Source) *Server {
+func startServer(t *testing.T, m *machine.Machine, label string) *Server {
 	t.Helper()
-	srv, err := Start("127.0.0.1:0", src)
+	srv, err := Start("127.0.0.1:0", m, label)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestMetricsExposition(t *testing.T) {
 	m := testMachine(t, vm.PureRCU, 4096)
 	populate(t, m, "alpha", 256, 64)
 	populate(t, m, "beta", 0, 32)
-	srv := startServer(t, Machine(m, "test"))
+	srv := startServer(t, m, "test")
 
 	code, body := scrape(t, srv, "/metrics")
 	if code != http.StatusOK {
@@ -153,7 +153,7 @@ func TestMetricsMonotonicUnderLoad(t *testing.T) {
 	m := testMachine(t, vm.Hybrid, 4096)
 	populate(t, m, "steady", 256, 64)
 	doomed, _ := populate(t, m, "doomed", 128, 48)
-	srv := startServer(t, Machine(m, "test"))
+	srv := startServer(t, m, "test")
 
 	_, body1 := scrape(t, srv, "/metrics")
 	prev, err := ParseExposition(body1)
@@ -220,7 +220,7 @@ func TestForkChildFaultsReachEverySurface(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	if err := WriteMetrics(&b, Machine(m, "test")); err != nil {
+	if err := WriteMetrics(&b, m, "test"); err != nil {
 		t.Fatal(err)
 	}
 	fams, err := ParseExposition(b.String())
@@ -243,7 +243,7 @@ func TestForkChildFaultsReachEverySurface(t *testing.T) {
 func TestMeminfo(t *testing.T) {
 	m := testMachine(t, vm.PureRCU, 2048)
 	populate(t, m, "alpha", 256, 64)
-	srv := startServer(t, Machine(m, "test"))
+	srv := startServer(t, m, "test")
 	code, body := scrape(t, srv, "/proc/meminfo")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -265,7 +265,7 @@ func TestMeminfo(t *testing.T) {
 func TestLocksLiveHolder(t *testing.T) {
 	m := testMachine(t, vm.PureRCU, 4096)
 	tn, base := populate(t, m, "alpha", 0, 256)
-	srv := startServer(t, Machine(m, "test"))
+	srv := startServer(t, m, "test")
 
 	// Each madvise pays one gather flush inside its range guard; the
 	// armed delay stretches that hold window so a scrape can land in it.
@@ -342,7 +342,7 @@ func TestSmaps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := startServer(t, Machine(m, "test"))
+	srv := startServer(t, m, "test")
 	code, body := scrape(t, srv, "/proc/alpha/smaps")
 	if code != http.StatusOK {
 		t.Fatalf("status %d:\n%s", code, body)
@@ -365,7 +365,7 @@ func TestContentionEndpoint(t *testing.T) {
 	}
 	m := testMachine(t, vm.PureRCU, 1024)
 	populate(t, m, "alpha", 0, 8)
-	srv := startServer(t, Machine(m, "test"))
+	srv := startServer(t, m, "test")
 	if !contention.Armed() {
 		t.Fatal("Start did not arm the contention profiler")
 	}
@@ -407,7 +407,7 @@ func TestContentionEndpoint(t *testing.T) {
 func TestRangeContentionAttribution(t *testing.T) {
 	m := testMachine(t, vm.PureRCU, 4096)
 	tn, base := populate(t, m, "alpha", 0, 64)
-	srv := startServer(t, Machine(m, "test"))
+	srv := startServer(t, m, "test")
 	defer srv.Close()
 	as := tn.Root()
 
@@ -442,7 +442,7 @@ func TestRangeContentionAttribution(t *testing.T) {
 func TestRCUView(t *testing.T) {
 	m := testMachine(t, vm.PureRCU, 1024)
 	populate(t, m, "alpha", 0, 16)
-	srv := startServer(t, Machine(m, "test"))
+	srv := startServer(t, m, "test")
 	_, body := scrape(t, srv, "/proc/rcu")
 	for _, want := range []string{"GracePeriods:", "Readers:", "shard"} {
 		if !strings.Contains(body, want) {
@@ -456,7 +456,7 @@ func TestRCUView(t *testing.T) {
 func TestSnapshotJSON(t *testing.T) {
 	m := testMachine(t, vm.Hybrid, 2048)
 	populate(t, m, "alpha", 128, 32)
-	srv := startServer(t, Machine(m, "soak"))
+	srv := startServer(t, m, "soak")
 	_, body := scrape(t, srv, "/snapshot.json")
 	var doc SnapshotJSON
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {

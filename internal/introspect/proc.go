@@ -32,14 +32,15 @@ func TenantRSS(ts machine.TenantSnapshot) int64 {
 
 // WriteMeminfo renders /proc/meminfo: the machine-wide frame pool with
 // reclaim watermarks, then one block per tenant.
-func WriteMeminfo(w io.Writer, src Source) error {
-	sn := src.Snapshot()
+func WriteMeminfo(w io.Writer, m *machine.Machine) error {
+	sn := m.Snapshot()
+	alloc := m.Host().Allocator()
 	pw := &errWriter{w: w}
 	pw.printf("MemTotal:       %8d frames\n", sn.FramesTotal)
 	pw.printf("MemInUse:       %8d frames\n", sn.FramesInUse)
 	pw.printf("MemFree:        %8d frames\n", int64(sn.FramesTotal)-sn.FramesInUse)
-	pw.printf("WatermarkLow:   %8d frames\n", src.Allocator().LowWater())
-	pw.printf("WatermarkHigh:  %8d frames\n", src.Allocator().HighWater())
+	pw.printf("WatermarkLow:   %8d frames\n", alloc.LowWater())
+	pw.printf("WatermarkHigh:  %8d frames\n", alloc.HighWater())
 	pw.printf("OOMKills:       %8d\n", sn.OOMKills)
 	pw.printf("ReclaimEvicted: %8d pages\n", ReclaimEvictions(sn))
 	pw.printf("Writebacks:     %8d pages\n", sn.Reclaim.Writebacks)
@@ -76,15 +77,15 @@ func WriteMeminfo(w io.Writer, src Source) error {
 // and queued — across every tenant's member spaces, plus designs on
 // the global mmap_sem, which report no table. Reading takes only each
 // manager's own mutex, far below everything interesting.
-func WriteLocks(w io.Writer, src Source) error {
+func WriteLocks(w io.Writer, m *machine.Machine) error {
 	pw := &errWriter{w: w}
 	pw.printf("# tenant space guard  range              state    age\n")
 	records := 0
-	for _, t := range src.Tenants() {
-		for wi, as := range t.Spaces {
+	for _, t := range m.Tenants() {
+		for wi, as := range t.Spaces() {
 			guards, ok := as.RangeGuards()
 			if !ok {
-				pw.printf("%s %d - (global mmap_sem design: no range table)\n", t.Name, wi)
+				pw.printf("%s %d - (global mmap_sem design: no range table)\n", t.Name(), wi)
 				continue
 			}
 			for _, g := range guards {
@@ -93,7 +94,7 @@ func WriteLocks(w io.Writer, src Source) error {
 					state = "WAITING"
 				}
 				pw.printf("%s %d %6d [%#x, %#x) %-7s %v\n",
-					t.Name, wi, g.ID, g.Lo, g.Hi, state, time.Duration(g.AgeNs).Round(time.Microsecond))
+					t.Name(), wi, g.ID, g.Lo, g.Hi, state, time.Duration(g.AgeNs).Round(time.Microsecond))
 				records++
 			}
 		}
@@ -104,9 +105,9 @@ func WriteLocks(w io.Writer, src Source) error {
 
 // WriteRCU renders /proc/rcu: domain counters, grace-period latency,
 // and the per-shard callback backlog.
-func WriteRCU(w io.Writer, src Source) error {
+func WriteRCU(w io.Writer, m *machine.Machine) error {
 	pw := &errWriter{w: w}
-	st := src.Domain().Stats()
+	st := m.Host().Domain().Stats()
 	gp := "idle"
 	if st.GPInFlight {
 		gp = "IN FLIGHT"
@@ -135,10 +136,11 @@ func WriteRCU(w io.Writer, src Source) error {
 
 // WriteSmaps renders /proc/<tenant>/smaps: one block per VMA per
 // member space, walked under RCU read sections only.
-func WriteSmaps(w io.Writer, t TenantSpaces) error {
+func WriteSmaps(w io.Writer, t *machine.Tenant) error {
 	pw := &errWriter{w: w}
-	for wi, as := range t.Spaces {
-		if len(t.Spaces) > 1 {
+	spaces := t.Spaces()
+	for wi, as := range spaces {
+		if len(spaces) > 1 {
 			pw.printf("# space %d\n", wi)
 		}
 		for _, r := range as.Smaps() {

@@ -128,20 +128,20 @@ type statsLatency struct {
 // contentionTopN bounds the per-site contention series cardinality.
 const contentionTopN = 10
 
-// WriteMetrics renders the source's current state as one Prometheus
-// text exposition document.
-func WriteMetrics(w io.Writer, src Source) error {
-	sn := src.Snapshot()
+// WriteMetrics renders m's current state as one Prometheus text
+// exposition document; label is the instance metric's.
+func WriteMetrics(w io.Writer, m *machine.Machine, label string) error {
+	sn := m.Snapshot()
 	p := newPromWriter(w)
 
 	p.family("vm_instance_info", "gauge", "Constant 1, labeled with the introspection source's name.")
-	p.sample("vm_instance_info", []lbl{{"label", src.Label()}}, 1)
+	p.sample("vm_instance_info", []lbl{{"label", label}}, 1)
 
 	p.family("vm_pool_frames", "gauge", "Physical frame pool occupancy by state.")
 	p.sample("vm_pool_frames", []lbl{{"state", "total"}}, float64(sn.FramesTotal))
 	p.sample("vm_pool_frames", []lbl{{"state", "in_use"}}, float64(sn.FramesInUse))
 	p.sample("vm_pool_frames", []lbl{{"state", "free"}}, float64(int64(sn.FramesTotal)-sn.FramesInUse))
-	alloc := src.Allocator()
+	alloc := m.Host().Allocator()
 	p.family("vm_pool_watermark_frames", "gauge", "Reclaim watermarks: kswapd wakes below low, parks above high.")
 	p.sample("vm_pool_watermark_frames", []lbl{{"level", "low"}}, float64(alloc.LowWater()))
 	p.sample("vm_pool_watermark_frames", []lbl{{"level", "high"}}, float64(alloc.HighWater()))
@@ -150,7 +150,7 @@ func WriteMetrics(w io.Writer, src Source) error {
 	p.sample("vm_tenants_live", nil, float64(len(sn.Tenants)))
 	p.family("vm_tenants_admitted_total", "counter", "Tenants ever admitted.")
 	p.sample("vm_tenants_admitted_total", nil, float64(sn.TenantsAdmitted))
-	p.family("vm_tenants_evicted_total", "counter", "Tenants ever evicted.")
+	p.family("vm_tenants_evicted_total", "counter", "Tenants ever retired: evicted, or every member closed.")
 	p.sample("vm_tenants_evicted_total", nil, float64(sn.TenantsEvicted))
 	p.family("vm_oom_kills_total", "counter", "Killer-of-last-resort invocations, machine-wide.")
 	p.sample("vm_oom_kills_total", nil, float64(sn.OOMKills))
@@ -174,7 +174,7 @@ func WriteMetrics(w io.Writer, src Source) error {
 
 	writeTHPMetrics(p, sn)
 
-	rs := src.Domain().Stats()
+	rs := m.Host().Domain().Stats()
 	p.family("vm_rcu_grace_periods_total", "counter", "RCU grace periods completed.")
 	p.sample("vm_rcu_grace_periods_total", nil, float64(rs.GracePeriods))
 	p.family("vm_rcu_callbacks_queued_total", "counter", "Callbacks queued via Defer.")

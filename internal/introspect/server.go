@@ -1,8 +1,27 @@
+// Package introspect is the live half of the observability story: an
+// embeddable HTTP server exposing the machine while it runs — /metrics
+// in Prometheus text exposition format, procfs-style plain-text views
+// (/proc/meminfo, /proc/<tenant>/smaps, /proc/locks, /proc/rcu), and
+// the lock-contention attribution profiler at /debug/contention — plus
+// the snapshot-delta engine cmd/torture's vmstat line and cmd/vmtop
+// share.
+//
+// Every inspection path takes only read-side or already-existing
+// locks: RCU read sections and lock-free PTE walks for smaps, the
+// whole-space range lock (or the mmap_sem read side) for the region
+// list, each manager's own mutex for the lock table, and the machine's
+// tenant mutex and each family's member mutex for the rollup. Nothing
+// here introduces a lock level above the reclaim scan lock, so an
+// operator scraping a wedged machine cannot deadlock against the paths
+// being diagnosed. With no server attached the whole plane is
+// disarmed: the only residue on hot paths is the contention profiler's
+// one atomic load, and that sits on already-contended slow paths only.
 package introspect
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -19,28 +38,31 @@ import (
 // Close disarms it, so a machine with no scraper attached pays nothing
 // on the fault path.
 type Server struct {
-	src Source
-	ln  net.Listener
-	srv *http.Server
-
-	mu     sync.Mutex
-	closed bool
+	m     *machine.Machine
+	label string
+	ln    net.Listener
+	srv   *http.Server
+	once  sync.Once
 }
 
-// Start serves the introspection plane for src on addr (host:port;
-// ":0" picks a free port — read it back from Addr).
-func Start(addr string, src Source) (*Server, error) {
+// Start serves the introspection plane for m on addr (host:port; ":0"
+// picks a free port — read it back from Addr). label names the machine
+// on the index page and in the instance metric.
+func Start(addr string, m *machine.Machine, label string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("introspect: listen %s: %w", addr, err)
 	}
-	s := &Server{src: src, ln: ln}
+	s := &Server{m: m, label: label, ln: ln}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/proc/meminfo", s.handleMeminfo)
-	mux.HandleFunc("/proc/locks", s.handleLocks)
-	mux.HandleFunc("/proc/rcu", s.handleRCU)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = WriteMetrics(w, m, label)
+	})
+	mux.HandleFunc("/proc/meminfo", s.text(WriteMeminfo))
+	mux.HandleFunc("/proc/locks", s.text(WriteLocks))
+	mux.HandleFunc("/proc/rcu", s.text(WriteRCU))
 	mux.HandleFunc("/proc/", s.handleSmaps)
 	mux.HandleFunc("/debug/contention", s.handleContention)
 	mux.HandleFunc("/snapshot.json", s.handleSnapshot)
@@ -53,17 +75,14 @@ func Start(addr string, src Source) (*Server, error) {
 // Addr returns the bound address, e.g. "127.0.0.1:6060".
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server and disarms the contention profiler.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	contention.Disarm()
-	return s.srv.Close()
+// Close stops the server and disarms the contention profiler; a second
+// Close does nothing.
+func (s *Server) Close() (err error) {
+	s.once.Do(func() {
+		contention.Disarm()
+		err = s.srv.Close()
+	})
+	return err
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -72,7 +91,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "bonsai introspection: %s\n\n", s.src.Label())
+	fmt.Fprintf(w, "bonsai introspection: %s\n\n", s.label)
 	fmt.Fprint(w, `endpoints:
   /metrics            Prometheus text exposition
   /proc/meminfo       frame pool + per-tenant accounting
@@ -84,27 +103,12 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 `)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := WriteMetrics(w, s.src); err != nil {
-		// Headers are gone; nothing useful to do but note it.
-		return
+// text serves one plain-text rendering of the machine.
+func (s *Server) text(write func(io.Writer, *machine.Machine) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_ = write(w, s.m)
 	}
-}
-
-func (s *Server) handleMeminfo(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_ = WriteMeminfo(w, s.src)
-}
-
-func (s *Server) handleLocks(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_ = WriteLocks(w, s.src)
-}
-
-func (s *Server) handleRCU(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_ = WriteRCU(w, s.src)
 }
 
 // handleSmaps serves /proc/<tenant>/smaps.
@@ -115,8 +119,8 @@ func (s *Server) handleSmaps(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	for _, t := range s.src.Tenants() {
-		if t.Name == name {
+	for _, t := range s.m.Tenants() {
+		if t.Name() == name {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			_ = WriteSmaps(w, t)
 			return
@@ -147,8 +151,8 @@ type SnapshotJSON struct {
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	doc := SnapshotJSON{
-		Label:      s.src.Label(),
-		Snapshot:   s.src.Snapshot(),
+		Label:      s.label,
+		Snapshot:   s.m.Snapshot(),
 		Contention: contention.Top(contentionTopN),
 		Dropped:    contention.Dropped(),
 	}

@@ -4,17 +4,15 @@
 // tables, page-cache fills — is charged to its account, and a tenant
 // at its limit climbs a tenant-local reclaim ladder (scan its own
 // pages, then a per-tenant OOM kill) before it may touch the shared
-// pool, so one thrashing tenant degrades alone. The package wraps
-// vm.Host with tenant lifecycle (Admit, Evict with teardown + leak
-// audit) and a per-tenant statistics rollup; internal/torture drives
-// it.
+// pool, so one thrashing tenant degrades alone. The package is policy
+// over vm.Host, which keeps the machine's one tenant table (names,
+// slots, the live set and the departed statistics): Evict departs a
+// tenant with a teardown and leak audit, and Snapshot reads the table
+// into a per-tenant statistics rollup. internal/torture drives it.
 package machine
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"bonsai/internal/physmem"
 	"bonsai/internal/reclaim"
@@ -35,157 +33,84 @@ type Config struct {
 // safe for concurrent use.
 type Machine struct {
 	host *vm.Host
-	cfg  Config
-
-	mu      sync.Mutex
-	tenants map[string]*Tenant
-	nextID  int
-	// departedCross carries departed tenants' share of the fairness
-	// metric across tenant churn.
-	departedCross   uint64
-	tenantsAdmitted uint64
-	tenantsEvicted  uint64
-	// departed is the final rollup of every evicted tenant, folded in
-	// under mu in the same critical section that removes the tenant, so
-	// the machine's fault count and histogram counts are monotonic
-	// across tenant churn — a scrape-to-scrape delta is never negative.
-	departed vm.Rollup
 }
 
-// Tenant is one admitted family: a root address space plus every
-// sibling or fork child opened in its family, all charged to one
-// account.
+// Tenant is a handle on one admitted family: a root address space plus
+// every sibling or fork child opened in its family, all charged to one
+// account. A tenant may have several handles (Admit's and each
+// Tenants call's); they share everything, the tenant's state living in
+// its vm family.
 type Tenant struct {
-	m     *Machine
-	name  string
-	limit int64
-	root  *vm.AddressSpace
-	acct  *physmem.Account
-
-	closed atomic.Bool
+	m    *Machine
+	root *vm.AddressSpace
 }
 
 // New builds an empty machine.
 func New(cfg Config) *Machine {
-	return &Machine{
-		host:    vm.NewHost(cfg.VM, cfg.MaxTenants),
-		cfg:     cfg,
-		tenants: make(map[string]*Tenant),
-	}
+	return &Machine{host: vm.NewHost(cfg.VM, cfg.MaxTenants)}
 }
 
 // Admit admits a tenant under a frame limit (<= 0 = unlimited). The
 // returned tenant owns a fresh root address space; its name must be
 // unique among live tenants ("" picks one).
 func (m *Machine) Admit(name string, limitFrames int64) (*Tenant, error) {
-	m.mu.Lock()
-	if name == "" {
-		name = fmt.Sprintf("tenant-%d", m.nextID)
-	}
-	m.nextID++
-	if _, dup := m.tenants[name]; dup {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("machine: tenant %q already admitted", name)
-	}
-	// Reserve the name before dropping the lock so concurrent Admits
-	// of the same name fail fast rather than racing the slow path.
-	m.tenants[name] = nil
-	m.mu.Unlock()
-
-	root, err := m.host.Admit(limitFrames)
+	root, err := m.host.Admit(name, limitFrames)
 	if err != nil {
-		m.mu.Lock()
-		delete(m.tenants, name)
-		m.mu.Unlock()
 		return nil, err
 	}
-	t := &Tenant{
-		m:     m,
-		name:  name,
-		limit: limitFrames,
-		root:  root,
-		acct:  root.Account(),
-	}
-	m.mu.Lock()
-	m.tenants[name] = t
-	m.tenantsAdmitted++
-	m.mu.Unlock()
-	return t, nil
+	return &Tenant{m: m, root: root}, nil
 }
 
 // Name returns the tenant's name.
-func (t *Tenant) Name() string { return t.name }
+func (t *Tenant) Name() string { return t.root.TenantName() }
 
 // Limit returns the tenant's admission frame limit (<= 0 = unlimited).
-func (t *Tenant) Limit() int64 { return t.limit }
+func (t *Tenant) Limit() int64 { return t.root.TenantLimit() }
 
 // Root returns the tenant's root address space.
 func (t *Tenant) Root() *vm.AddressSpace { return t.root }
 
 // Account returns the tenant's charge account (nil when unlimited).
-func (t *Tenant) Account() *physmem.Account { return t.acct }
+func (t *Tenant) Account() *physmem.Account { return t.root.Account() }
 
 // Spaces returns the tenant's open member spaces — the root, then the
 // siblings and fork children opened since, in that order.
 func (t *Tenant) Spaces() []*vm.AddressSpace { return t.root.Members() }
 
 // NewSibling opens a fresh empty member in the tenant's family (Evict
-// will close it).
-func (t *Tenant) NewSibling() (*vm.AddressSpace, error) {
-	if t.closed.Load() {
-		return nil, fmt.Errorf("machine: tenant %q is evicted", t.name)
-	}
-	return t.root.NewSibling()
-}
+// will close it). It fails once the tenant has retired.
+func (t *Tenant) NewSibling() (*vm.AddressSpace, error) { return t.root.NewSibling() }
 
 // Evict departs the tenant: every member still open closes (children
-// and siblings before the root), residual page-cache pages still
-// charged to the tenant — pages of shared files neighbor tenants keep
-// resident — are evicted so the survivors refault them under their own
-// charge, and the leak audit runs: a departed tenant must end at zero
-// charged frames. No operation on the tenant's spaces may be in
-// flight.
-func (t *Tenant) Evict() error { return t.m.evict(t) }
-
-func (m *Machine) evict(t *Tenant) error {
-	if !t.closed.CompareAndSwap(false, true) {
-		return fmt.Errorf("machine: tenant %q already evicted", t.name)
+// and siblings before the root), which retires the tenant, residual
+// page-cache pages still charged to the tenant — pages of shared files
+// neighbor tenants keep resident — are evicted so the survivors refault
+// them under their own charge, and the leak audit runs: a departed
+// tenant must end at zero charged frames. No operation on the tenant's
+// spaces may be in flight. A tenant is evicted once, whichever handle
+// asks.
+func (t *Tenant) Evict() error {
+	if !t.root.MarkEvicted() {
+		return fmt.Errorf("machine: tenant %q already evicted", t.Name())
 	}
-
 	// Drop the limit to one frame before any teardown eviction runs:
 	// a departing tenant has no under-limit claim, so the pages the
 	// drain evicts must not count toward the cross-tenant fairness
 	// metric (NoteEviction samples OverLimit at eviction time).
-	if t.acct != nil {
-		t.acct.SetLimit(1)
+	acct := t.Account()
+	if acct != nil {
+		acct.SetLimit(1)
 	}
 	var firstErr error
 	// The root joined first, so it closes last.
 	spaces := t.Spaces()
 	for i := len(spaces) - 1; i >= 0; i-- {
 		if err := spaces[i].Close(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("machine: tenant %q teardown: %w", t.name, err)
+			firstErr = fmt.Errorf("machine: tenant %q teardown: %w", t.Name(), err)
 		}
 	}
-	var residue int64
-	var cross uint64
-	if t.acct != nil {
-		residue = m.host.DrainAccount(t.acct)
-		cross = t.acct.Stats().EvictionsUnderLimit
-	}
-	// Every member has closed: the tenant's rollup is final.
-	final := t.root.Rollup()
-	m.mu.Lock()
-	delete(m.tenants, t.name)
-	m.tenantsEvicted++
-	m.departedCross += cross
-	// Same critical section as the removal: a Snapshot sees the tenant
-	// either live (and reads its rollup) or departed (and reads this),
-	// never neither and never both.
-	m.departed.Add(final)
-	m.mu.Unlock()
-	if residue != 0 && firstErr == nil {
-		firstErr = fmt.Errorf("machine: tenant %q leaked %d charged frames past eviction", t.name, residue)
+	if residue := t.m.host.DrainAccount(acct); residue != 0 && firstErr == nil {
+		firstErr = fmt.Errorf("machine: tenant %q leaked %d charged frames past eviction", t.Name(), residue)
 	}
 	return firstErr
 }
@@ -213,23 +138,12 @@ func (m *Machine) Host() *vm.Host { return m.host }
 // Tenants returns the live tenants sorted by name (for introspection
 // views that need the tenant objects, not just the snapshot).
 func (m *Machine) Tenants() []*Tenant {
-	m.mu.Lock()
-	live := m.liveLocked()
-	m.mu.Unlock()
-	sort.Slice(live, func(i, j int) bool { return live[i].name < live[j].name })
-	return live
-}
-
-// liveLocked lists the admitted tenants, skipping names reserved by an
-// Admit still in flight. m.mu is held.
-func (m *Machine) liveLocked() []*Tenant {
-	live := make([]*Tenant, 0, len(m.tenants))
-	for _, t := range m.tenants {
-		if t != nil {
-			live = append(live, t)
-		}
+	live := m.host.Tenants().Live
+	ts := make([]*Tenant, len(live))
+	for i, root := range live {
+		ts[i] = &Tenant{m: m, root: root}
 	}
-	return live
+	return ts
 }
 
 // TenantSnapshot is one tenant's slice of the machine rollup.
@@ -272,13 +186,14 @@ type LatencySnapshot struct {
 // Snapshot is the machine-wide rollup: shared-resource counters once,
 // plus one entry per live tenant.
 type Snapshot struct {
-	FramesTotal     uint64           `json:"frames_total"`
-	FramesInUse     int64            `json:"frames_in_use"`
-	Reclaim         reclaim.Stats    `json:"reclaim"`
-	OOMKills        uint64           `json:"oom_kills"`
-	TenantsAdmitted uint64           `json:"tenants_admitted"`
-	TenantsEvicted  uint64           `json:"tenants_evicted"`
-	Tenants         []TenantSnapshot `json:"tenants,omitempty"`
+	FramesTotal     uint64        `json:"frames_total"`
+	FramesInUse     int64         `json:"frames_in_use"`
+	Reclaim         reclaim.Stats `json:"reclaim"`
+	OOMKills        uint64        `json:"oom_kills"`
+	TenantsAdmitted uint64        `json:"tenants_admitted"`
+	// TenantsEvicted counts retired tenants: evicted, or all members closed.
+	TenantsEvicted uint64           `json:"tenants_evicted"`
+	Tenants        []TenantSnapshot `json:"tenants,omitempty"`
 	// Latency is the machine-wide hot-path latency rollup: fault,
 	// mapping-operation, and range-wait histograms of every tenant ever
 	// admitted — each live tenant's vm.Rollup plus the departed rollup —
@@ -299,33 +214,28 @@ type Snapshot struct {
 	Faults uint64 `json:"faults"`
 }
 
-// Snapshot captures the machine rollup.
+// Snapshot captures the machine rollup from one read of the tenant
+// table: a tenant retiring concurrently is counted exactly once — via
+// the departed rollup if it left before the read, via its own (final
+// or still growing) rollup otherwise.
 func (m *Machine) Snapshot() Snapshot {
-	m.mu.Lock()
-	live := m.liveLocked()
-	sn := Snapshot{
-		TenantsAdmitted:      m.tenantsAdmitted,
-		TenantsEvicted:       m.tenantsEvicted,
-		CrossTenantEvictions: m.departedCross,
-	}
-	// The departed copy shares m.mu with the live-tenant list: a tenant
-	// evicting concurrently is counted exactly once — via the departed
-	// rollup if it left before this point, via its own (final or still
-	// growing) rollup otherwise.
-	var all vm.Rollup
-	all.Add(&m.departed)
-	m.mu.Unlock()
-
+	tt := m.host.Tenants()
+	all := tt.Departed
 	alloc := m.host.Allocator()
-	sn.FramesTotal = alloc.NumFrames()
-	sn.FramesInUse = alloc.InUse()
-	sn.Reclaim = m.host.ReclaimStats()
-	sn.OOMKills = m.host.OOMKills()
-	for _, t := range live {
-		r := t.root.Rollup()
-		ts := TenantSnapshot{Name: t.name, Limit: t.limit, Space: t.root.Stats(), Faults: r.Faults, Fault: r.Fault.Stats()}
-		if t.acct != nil {
-			st := t.acct.Stats()
+	sn := Snapshot{
+		FramesTotal:          alloc.NumFrames(),
+		FramesInUse:          alloc.InUse(),
+		Reclaim:              m.host.Reclaimer().Stats(),
+		OOMKills:             m.host.OOMKills(),
+		TenantsAdmitted:      tt.Admitted,
+		TenantsEvicted:       tt.Retired,
+		CrossTenantEvictions: tt.DepartedCross,
+	}
+	for _, root := range tt.Live {
+		r := root.Rollup()
+		ts := TenantSnapshot{Name: root.TenantName(), Limit: root.TenantLimit(), Space: root.Stats(), Faults: r.Faults, Fault: r.Fault.Stats()}
+		if ac := root.Account(); ac != nil {
+			st := ac.Stats()
 			ts.Account = &st
 			sn.CrossTenantEvictions += st.EvictionsUnderLimit
 		}

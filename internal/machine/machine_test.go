@@ -136,7 +136,7 @@ func TestTenantLimitDrivesLocalReclaim(t *testing.T) {
 	if acs.LimitHits == 0 {
 		t.Fatal("thrash never hit the limit — working set not limit-bound")
 	}
-	rs := m.Host().ReclaimStats()
+	rs := m.Host().Reclaimer().Stats()
 	if rs.AccountRuns == 0 || rs.AccountEvicted == 0 {
 		t.Fatalf("tenant-local reclaim never ran: runs=%d evicted=%d", rs.AccountRuns, rs.AccountEvicted)
 	}
@@ -205,5 +205,94 @@ func TestSnapshotRollup(t *testing.T) {
 	}
 	if sn.Faults != 8 {
 		t.Fatalf("machine faults = %d after a's eviction, want a's 8", sn.Faults)
+	}
+}
+
+// faultPages maps n anonymous pages in as and write-faults each.
+func faultPages(t *testing.T, as *vm.AddressSpace, n uint64) {
+	t.Helper()
+	base, err := as.Mmap(0, n*vm.PageSize, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := as.NewCPU(0)
+	for p := uint64(0); p < n; p++ {
+		if err := cpu.Fault(base+p*vm.PageSize, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRetiredTenantTakesNoMembers: a tenant whose root closed directly
+// has retired, and its slot may already belong to the next tenant; a
+// NewSibling through the old handle must fail rather than open a space
+// on that slot, charging the new tenant's account. Regression: it
+// succeeded on b's slot, and its faults were charged to b.
+func TestRetiredTenantTakesNoMembers(t *testing.T) {
+	m := New(Config{VM: vm.Config{Design: vm.PureRCU, CPUs: 1, Frames: 2048}, MaxTenants: 2})
+	defer m.Close()
+	a, err := m.Admit("a", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Root().Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.Admit("b", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := b.Account().Charged()
+	sib, err := a.NewSibling()
+	if !errors.Is(err, vm.ErrInvalid) {
+		t.Errorf("NewSibling on retired tenant a: err = %v, want vm.ErrInvalid", err)
+	}
+	if err == nil {
+		faultPages(t, sib, 8)
+		defer sib.Close()
+	}
+	if got := b.Account().Charged(); got != before {
+		t.Fatalf("b's charge went %d -> %d: a retired tenant's member charged b", before, got)
+	}
+}
+
+// TestRetiredTenantLeavesBothViews: a tenant whose members all close
+// without Evict leaves Tenants() and Snapshot().Tenants in the same
+// step, its faults stay in the machine's count, and its slot admits the
+// next tenant, which is then the only one listed.
+func TestRetiredTenantLeavesBothViews(t *testing.T) {
+	m := New(Config{VM: vm.Config{Design: vm.PureRCU, CPUs: 1, Frames: 2048}, MaxTenants: 1})
+	defer m.Close()
+	a, err := m.Admit("a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := a.NewSibling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultPages(t, a.Root(), 8)
+	faultPages(t, sib, 4)
+	views := func() (listed, snapshot int, faults uint64) {
+		sn := m.Snapshot()
+		return len(m.Tenants()), len(sn.Tenants), sn.Faults
+	}
+	for i, sp := range []*vm.AddressSpace{sib, a.Root()} {
+		if listed, snapshot, _ := views(); listed != 1 || snapshot != 1 {
+			t.Fatalf("before close %d: Tenants() lists %d, Snapshot %d; want a in both", i, listed, snapshot)
+		}
+		if err := sp.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if listed, snapshot, faults := views(); listed != 0 || snapshot != 0 || faults != 12 {
+		t.Fatalf("after a retired: Tenants() lists %d, Snapshot %d, faults %d; want 0, 0, 12", listed, snapshot, faults)
+	}
+	if _, err := m.Admit("b", 0); err != nil {
+		t.Fatal(err)
+	}
+	sn := m.Snapshot()
+	if len(sn.Tenants) != 1 || sn.Tenants[0].Name != "b" || len(m.Tenants()) != 1 || sn.Faults != 12 {
+		t.Fatalf("after admitting b on a's slot: tenants %+v, faults %d; want only b, 12", sn.Tenants, sn.Faults)
 	}
 }

@@ -23,7 +23,9 @@ import (
 //     tenants admitted and not yet evicted.
 //
 // Every round also forks a child that faults and closes on its own, so
-// the exact count must carry members that leave before their tenant.
+// the exact count must carry members that leave before their tenant,
+// and every other round retires its tenant by closing the root
+// directly, so the table, not Evict, must do the departed fold.
 //
 // Run under -race this also shakes out data races between the snapshot
 // walk and the admit/evict paths.
@@ -39,7 +41,7 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 	var wg sync.WaitGroup
 
 	// Churners: admit, fault, fork a child that faults and closes,
-	// evict, repeat.
+	// evict or close the root, repeat.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -68,7 +70,15 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 						}
 					}
 				}
-				if err := tn.Evict(); err != nil {
+				// Odd rounds retire the tenant without Evict: closing its
+				// last member alone must move it from the listing to the
+				// departed totals.
+				if round%2 == 1 {
+					if err := as.Close(); err != nil {
+						t.Errorf("root close: %v", err)
+						return
+					}
+				} else if err := tn.Evict(); err != nil {
 					t.Errorf("evict: %v", err)
 					return
 				}

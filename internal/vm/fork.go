@@ -144,8 +144,9 @@ func (as *AddressSpace) forkOnce() (*AddressSpace, error) {
 		child.munmapLocked(cop, 0, MaxAddress)
 		cg.unlock()
 		child.tables.ReleaseRoot(child.mapCPU)
-		as.fam.depart(child)
-		as.fam.live.Add(-1)
+		if as.fam.depart(child) { // as had closed, and its last relative mid-clone
+			as.fam.ms.retireTenant(as.fam)
+		}
 		as.fam.releaseMember(child.member)
 		return nil, oomError(cloneErr)
 	}

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -26,7 +28,7 @@ func TestHostAdmitRetireChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				as, err := h.Admit(128)
+				as, err := h.Admit("", 128)
 				if err != nil {
 					// Both slots busy: the table is intentionally
 					// smaller than the worker count.
@@ -75,7 +77,7 @@ func TestDrainAccountLeavesNoClockHands(t *testing.T) {
 
 	// Tenant B maps the file first, so the cache belongs to B's family
 	// and survives A's retirement.
-	b, err := h.Admit(512)
+	b, err := h.Admit("", 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestDrainAccountLeavesNoClockHands(t *testing.T) {
 
 	// Tenant A fills a disjoint window of the same file; those cache
 	// pages are charged to A and outlive A's members.
-	a, err := h.Admit(256)
+	a, err := h.Admit("", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestDrainAccountLeavesNoClockHands(t *testing.T) {
 func TestHostCloseRetireRace(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		h := NewHost(Config{Design: PureRCU, CPUs: 1, Frames: 512}, 1)
-		as, err := h.Admit(64)
+		as, err := h.Admit("", 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,5 +164,39 @@ func TestHostCloseRetireRace(t *testing.T) {
 			}
 		}
 		wg.Wait()
+	}
+}
+
+// TestRetiredFamilyRefusesMembers: once a tenant's last member has
+// closed, the family takes no new member — NewSibling and Fork on the
+// closed space fail with ErrInvalid — and it retires exactly once, so
+// its slot is on the free list once. Regression: both used to succeed
+// on the recycled slot, and each one's Close retired the family again.
+func TestRetiredFamilyRefusesMembers(t *testing.T) {
+	h := NewHost(Config{Design: PureRCU, CPUs: 1, Frames: 1024}, 2)
+	defer h.Close()
+	as, err := h.Admit("a", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []struct {
+		name string
+		grow func() (*AddressSpace, error)
+	}{{"NewSibling", as.NewSibling}, {"Fork", as.Fork}} {
+		if sp, err := op.grow(); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s on a retired family: err = %v, want ErrInvalid", op.name, err)
+			if err == nil {
+				sp.Close()
+			}
+		}
+	}
+	h.ms.tenantsMu.Lock()
+	free := slices.Clone(h.ms.tenantFree)
+	h.ms.tenantsMu.Unlock()
+	if !slices.Equal(free, []int{0}) {
+		t.Fatalf("tenant slot free list = %v, want [0]: the family retired more than once", free)
 	}
 }

@@ -178,7 +178,7 @@ func TestHugeSplitMaterializesOnce(t *testing.T) {
 // charged, counted and freed just the same.
 func TestHugeRunTenantCharge(t *testing.T) {
 	h := NewHost(Config{Design: PureRCU, CPUs: 1, Frames: 8192, THPScanInterval: -1}, 1)
-	as, err := h.Admit(4096)
+	as, err := h.Admit("", 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

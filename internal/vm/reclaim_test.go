@@ -304,7 +304,7 @@ func TestRefaultEvictAllocs(t *testing.T) {
 			// domain does not depend on scheduling.
 			h := NewHost(Config{Design: PureRCU, CPUs: 1, Frames: 4 * limit, Backing: true,
 				THPScanInterval: -1, tune: tuning{rcuBatch: -1, reclaimBatch: batch}}, 1)
-			as, err := h.Admit(limit)
+			as, err := h.Admit("", limit)
 			if err != nil {
 				t.Fatal(err)
 			}

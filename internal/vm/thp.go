@@ -265,13 +265,7 @@ func (ms *machine) collapseScanner(interval time.Duration) {
 // complete — and its freshly cloned PTEs all carry the COW mark, so
 // they never survey as candidates anyway.
 func (ms *machine) collapseSweep() {
-	ms.tenantsMu.Lock()
-	fams := make([]*family, 0, len(ms.tenants))
-	for fam := range ms.tenants {
-		fams = append(fams, fam)
-	}
-	ms.tenantsMu.Unlock()
-	for _, fam := range fams {
+	for _, fam := range ms.families() {
 		for _, as := range fam.liveMembers() {
 			as.collapsePass()
 		}

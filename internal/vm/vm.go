@@ -289,15 +289,22 @@ type AddressSpace struct {
 }
 
 // family is one tenant: the state shared between an address space and
-// its forks and siblings — the member slots partitioning the tenant's
-// share of the machine's magazines, the registry of files mapped by
-// any member (each with its shared page cache), the tenant's memcg-
-// style charge account, and the liveness count that retires the tenant
-// at the last Close. The machine-wide resources (frame pool, RCU
-// domain, TLB domain, reclaim driver, frame-to-page registry, OOM
-// killer) live on ms, shared by every tenant the machine hosts.
+// its forks and siblings — the tenant's name and limit, the member slots
+// partitioning the tenant's share of the machine's magazines, the
+// registry of files mapped by any member (each with its shared page
+// cache), the tenant's memcg-style charge account, and the liveness
+// count that retires the tenant at the last Close. The machine-wide
+// resources and the tenant table live on ms.
 type family struct {
 	ms *machine
+
+	// name is unique among the machine's live tenants; limit is the
+	// frame limit the tenant was admitted under (<= 0 = unlimited).
+	name  string
+	limit int64
+	// root is the tenant's first member, set under ms.tenantsMu once it
+	// is built: until then the admission is in flight and unlisted.
+	root *AddressSpace
 
 	// acct is the tenant's charge account (nil = unlimited and
 	// unaccounted, the single-tenant compat path): every frame any
@@ -309,13 +316,13 @@ type family struct {
 	// magazine partition starts in the machine allocator.
 	tenant  int
 	cpuBase int
-
-	live atomic.Int32 // address spaces not yet closed
-	max  int32
+	max     int32
 
 	// oomKills counts OOM reaps whose victim was picked from this
 	// tenant (the machine-wide total lives on ms).
 	oomKills atomic.Uint64
+	// evicted is the run-once guard of the tenant's eviction (MarkEvicted).
+	evicted atomic.Bool
 
 	// membersMu guards the member-index slots that partition the
 	// tenant's magazines. A slot returns to the free list when its
@@ -325,11 +332,15 @@ type family struct {
 	// joined (the OOM killer's, the collapse scanner's and Members'
 	// list), and departed, the statistics of every member that has left
 	// it: a member moves from one to the other in one critical section.
+	// live counts spaces holding a slot; the one that takes it to zero
+	// retires the family, which then refuses new members for good.
 	membersMu sync.Mutex
 	freeSlots []int
 	nextSlot  int
 	members   []*AddressSpace
 	departed  Rollup
+	live      int
+	retired   bool
 
 	// filesMu guards the file registry. It is only taken on a file's
 	// first mapping, on stats snapshots, and at teardown — never on the
@@ -396,7 +407,7 @@ func (cfg Config) normalized() Config {
 // closes.
 func New(cfg Config) (*AddressSpace, error) {
 	ms := newMachine(cfg.normalized(), 1)
-	as, err := ms.admitTenant(0)
+	as, err := ms.admitTenant("", 0)
 	if err != nil {
 		// admitTenant already retired the tenant, which — with no Host
 		// holding the machine — tore the machine down too.
@@ -410,23 +421,27 @@ func New(cfg Config) (*AddressSpace, error) {
 	return as, nil
 }
 
-// claimMember takes a free member slot, or reports MaxFamily
-// exhaustion (terminal, not a frame shortage: retrying cannot help
-// until a member closes).
+// claimMember takes a free member slot and counts the joining space
+// live. It refuses a retired family (ErrInvalid: its slot may already
+// belong to another tenant) and MaxFamily exhaustion (terminal, not a
+// frame shortage: retrying cannot help until a member closes).
 func (fam *family) claimMember() (int, error) {
 	fam.membersMu.Lock()
 	defer fam.membersMu.Unlock()
+	if fam.retired {
+		return 0, fmt.Errorf("%w: tenant %q has retired", ErrInvalid, fam.name)
+	}
+	m := fam.nextSlot
 	if n := len(fam.freeSlots); n > 0 {
-		m := fam.freeSlots[n-1]
+		m = fam.freeSlots[n-1]
 		fam.freeSlots = fam.freeSlots[:n-1]
-		return m, nil
-	}
-	if fam.nextSlot < int(fam.max) {
-		m := fam.nextSlot
+	} else if m < int(fam.max) {
 		fam.nextSlot++
-		return m, nil
+	} else {
+		return 0, fmt.Errorf("%w: family exceeds MaxFamily=%d live members", ErrNoMemory, fam.max)
 	}
-	return 0, fmt.Errorf("%w: family exceeds MaxFamily=%d live members", ErrNoMemory, fam.max)
+	fam.live++
+	return m, nil
 }
 
 // releaseMember returns a slot once its space can no longer touch its
@@ -441,12 +456,16 @@ func (fam *family) releaseMember(m int) {
 // fork attempt) so the OOM killer can no longer pick it, and folds its
 // statistics into the family's departed rollup in the same critical
 // section, so Rollup sees every member exactly once. The space has
-// recorded its last sample.
-func (fam *family) depart(as *AddressSpace) {
+// recorded its last sample. It reports whether the space was the
+// family's last member: the caller then retires the tenant.
+func (fam *family) depart(as *AddressSpace) bool {
 	fam.membersMu.Lock()
+	defer fam.membersMu.Unlock()
 	fam.members = slices.DeleteFunc(fam.members, func(m *AddressSpace) bool { return m == as })
 	fam.departed.addMember(as)
-	fam.membersMu.Unlock()
+	fam.live--
+	fam.retired = fam.live == 0
+	return fam.retired
 }
 
 // liveMembers returns the live members in the order they joined.
@@ -564,7 +583,6 @@ func newMember(cfg Config, fam *family) (*AddressSpace, error) {
 	if err != nil {
 		return nil, err
 	}
-	fam.live.Add(1)
 	as := &AddressSpace{
 		cfg:    cfg,
 		fam:    fam,
@@ -578,7 +596,7 @@ func newMember(cfg Config, fam *family) (*AddressSpace, error) {
 		CPUs: cfg.CPUs + 1, // the fault contexts plus mapCPU, contiguous from physCPU(0)
 	})
 	if err != nil {
-		fam.live.Add(-1)
+		fam.depart(as) // a failed root empties its family: admitTenant retires it
 		fam.releaseMember(member)
 		return nil, oomError(err)
 	}
@@ -614,9 +632,18 @@ func (as *AddressSpace) Allocator() *physmem.Allocator { return as.alloc }
 // was admitted without a frame limit (every vm.New space).
 func (as *AddressSpace) Account() *physmem.Account { return as.fam.acct }
 
-// Tenant returns the tenant slot this address space's family occupies
-// on its machine (0 for every vm.New space).
-func (as *AddressSpace) Tenant() int { return as.fam.tenant }
+// TenantName returns the name the space's tenant was admitted under
+// ("tenant-0" for a vm.New space).
+func (as *AddressSpace) TenantName() string { return as.fam.name }
+
+// TenantLimit returns the tenant's admission frame limit (<= 0 =
+// unlimited).
+func (as *AddressSpace) TenantLimit() int64 { return as.fam.limit }
+
+// MarkEvicted records that the tenant's eviction has begun and reports
+// whether this call was the first: the run-once guard of an eviction
+// policy, kept with the tenant so every handle on it shares it.
+func (as *AddressSpace) MarkEvicted() bool { return as.fam.evicted.CompareAndSwap(false, true) }
 
 // Tables returns the page-table tree (for inspection).
 func (as *AddressSpace) Tables() *pagetable.Tables { return as.tables }
@@ -648,9 +675,8 @@ func (as *AddressSpace) Close() error {
 	as.munmapLocked(op, 0, MaxAddress)
 	mg.unlock()
 	op.end()
-	as.fam.depart(as)
+	last := as.fam.depart(as)
 	as.tables.ReleaseRoot(as.mapCPU)
-	last := as.fam.live.Add(-1) == 0
 	var err error
 	if last {
 		err = as.fam.ms.retireTenant(as.fam)
