@@ -485,7 +485,7 @@ func TestDeltaEngine(t *testing.T) {
 		return sn
 	}
 	tsn := func(name string, faults uint64) machine.TenantSnapshot {
-		return machine.TenantSnapshot{Name: name, Faults: faults, Fault: stats.LatencyStats{Count: faults / 16}}
+		return machine.TenantSnapshot{Name: name, Counts: vm.Counts{Faults: faults}, Fault: stats.LatencyStats{Count: faults / 16}}
 	}
 	var e DeltaEngine
 	d := e.Step(mk(100, 5, tsn("a", 100)))
@@ -540,5 +540,123 @@ func TestParseExpositionRejects(t *testing.T) {
 	}
 	if err := CheckMonotonic(prev, prev); err != nil {
 		t.Fatalf("flat counters flagged: %v", err)
+	}
+}
+
+// hugeFaultsMetric scrapes vm_thp_faults_total{outcome="huge"} and the
+// whole exposition.
+func hugeFaultsMetric(t *testing.T, m *machine.Machine) (float64, []Family) {
+	t.Helper()
+	var b strings.Builder
+	if err := WriteMetrics(&b, m, "test"); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseExposition(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if s.Name == "vm_thp_faults_total" && s.Labels["outcome"] == "huge" {
+				return s.Value, fams
+			}
+		}
+	}
+	t.Fatal("vm_thp_faults_total{outcome=\"huge\"} missing")
+	return 0, nil
+}
+
+// TestTHPCountersSurviveRetirement: the root's and a sibling's huge
+// faults both reach vm_thp_faults_total, and the tenant retiring keeps
+// them there — the THP families read the machine's counter set, which
+// folds every member and every departed tenant, so they are counters
+// that never go back. (A bystander keeps the per-tenant families
+// alive across the scrapes.)
+func TestTHPCountersSurviveRetirement(t *testing.T) {
+	m := testMachine(t, vm.PureRCU, 4096)
+	populate(t, m, "bystander", 0, 1)
+	tn, err := m.Admit("alpha", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := tn.NewSibling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, as := range []*vm.AddressSpace{tn.Root(), sib} {
+		base, err := as.Mmap(0, 2*vm.HugeSpan, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunk := (base + vm.HugeSpan - 1) &^ (vm.HugeSpan - 1)
+		if err := as.NewCPU(0).Fault(chunk, true); err != nil {
+			t.Fatal(err)
+		}
+		if n := as.Stats().THPHugeFaults; n != 1 {
+			t.Fatalf("a first touch of an aligned chunk took %d huge faults, want 1", n)
+		}
+	}
+	live, prev := hugeFaultsMetric(t, m)
+	if err := tn.Evict(); err != nil {
+		t.Fatal(err)
+	}
+	retired, cur := hugeFaultsMetric(t, m)
+	if live != 2 || retired != 2 {
+		t.Fatalf("vm_thp_faults_total{outcome=\"huge\"} = %v live, %v retired; want the root's and the sibling's 2 both times", live, retired)
+	}
+	if err := CheckMonotonic(prev, cur); err != nil {
+		t.Fatalf("tenant retirement: %v", err)
+	}
+}
+
+// TestTenantRSSCountsEveryMemberOnce: an unlimited tenant's RSS is the
+// pages its members map — a sibling's count — and a page the eviction
+// scan revoked leaves it once.
+func TestTenantRSSCountsEveryMemberOnce(t *testing.T) {
+	m := testMachine(t, vm.PureRCU, 4096)
+	tn, err := m.Admit("alpha", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := tn.Root()
+	const filePages = 64
+	base, err := root.Mmap(0, filePages*vm.PageSize, vma.ProtRead, vma.Shared, vma.NewFile("rss.dat", 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := root.NewCPU(0)
+	for p := uint64(0); p < filePages; p++ {
+		if err := cpu.Fault(base+p*vm.PageSize, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sib, err := tn.NewSibling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon, err := sib.Mmap(0, 16*vm.PageSize, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scpu := sib.NewCPU(0)
+	for p := uint64(0); p < 16; p++ {
+		if err := scpu.Fault(anon+p*vm.PageSize, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rss := func() int64 { return TenantRSS(m.Snapshot().Tenants[0]) }
+	if got := rss(); got != filePages+16 {
+		t.Fatalf("RSS = %d, want the root's %d file pages and the sibling's 16", got, filePages)
+	}
+	if !m.Host().Reclaimer().DirectReclaim() {
+		t.Fatal("direct reclaim made no progress")
+	}
+	evicted := int64(root.Stats().EvictUnmaps)
+	if evicted == 0 {
+		t.Fatal("direct reclaim revoked none of the root's file pages")
+	}
+	if got, want := rss(), filePages+16-evicted; got != want || got != int64(root.LivePages()+sib.LivePages()) {
+		t.Fatalf("RSS = %d after %d evictions, want %d (the members' live pages: %d + %d)",
+			got, evicted, want, root.LivePages(), sib.LivePages())
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"bonsai/internal/vm"
 )
 
-// hugePages converts live huge entries (vm.Stats.AnonHugePages) to the
+// hugePages converts live huge entries (vm.Counts.AnonHugePages) to the
 // base-page figure the meminfo line reports, matching Linux's
 // AnonHugePages-in-kB convention.
 const hugePages = int64(vm.HugeSpan / vm.PageSize)
@@ -21,13 +21,13 @@ const hugePages = int64(vm.HugeSpan / vm.PageSize)
 // while a run is live.
 
 // TenantRSS picks the best resident-set figure a snapshot offers: the
-// account's charged frames when the tenant is limited, else the signed
-// net of mapped pages (evictions revoke PTEs without a munmap).
+// account's charged frames when the tenant is limited, else the pages
+// its members map (PagesUnmapped counts evictions too).
 func TenantRSS(ts machine.TenantSnapshot) int64 {
 	if ts.Account != nil {
 		return ts.Account.Charged
 	}
-	return int64(ts.Space.PagesMapped) - int64(ts.Space.PagesUnmapped) - int64(ts.Space.EvictUnmaps)
+	return int64(ts.PagesMapped) - int64(ts.PagesUnmapped)
 }
 
 // WriteMeminfo renders /proc/meminfo: the machine-wide frame pool with
@@ -44,11 +44,7 @@ func WriteMeminfo(w io.Writer, m *machine.Machine) error {
 	pw.printf("OOMKills:       %8d\n", sn.OOMKills)
 	pw.printf("ReclaimEvicted: %8d pages\n", ReclaimEvictions(sn))
 	pw.printf("Writebacks:     %8d pages\n", sn.Reclaim.Writebacks)
-	var anonHuge int64
-	for _, ts := range sn.Tenants {
-		anonHuge += ts.Space.AnonHugePages
-	}
-	pw.printf("AnonHugePages:  %8d pages\n", anonHuge*hugePages)
+	pw.printf("AnonHugePages:  %8d pages\n", sn.AnonHugePages*hugePages)
 	for _, ts := range sn.Tenants {
 		pw.printf("\nTenant: %s\n", ts.Name)
 		limit := ts.Limit
@@ -66,7 +62,7 @@ func WriteMeminfo(w io.Writer, m *machine.Machine) error {
 			pw.printf("  LimitHits:    %8d\n", ts.Account.LimitHits)
 			pw.printf("  Evictions:    %8d pages\n", ts.Account.Evictions)
 		}
-		pw.printf("  AnonHuge:     %8d pages\n", ts.Space.AnonHugePages*hugePages)
+		pw.printf("  AnonHuge:     %8d pages\n", ts.AnonHugePages*hugePages)
 		pw.printf("  Faults:       %8d\n", ts.Faults)
 		pw.printf("  FaultP99:     %8v (%d samples)\n", time.Duration(ts.Fault.P99Ns), ts.Fault.Count)
 	}

@@ -214,33 +214,21 @@ func WriteMetrics(w io.Writer, m *machine.Machine, label string) error {
 }
 
 // writeTHPMetrics emits the machine-wide transparent-huge-page
-// families, summed over the tenants' root spaces (the same rollup
-// meminfo's AnonHugePages line reports).
+// families from the machine's counter set (the same rollup meminfo's
+// AnonHugePages line reports).
 func writeTHPMetrics(p *promWriter, sn machine.Snapshot) {
-	var hugeFaults, fallbacks, collapses, collapseFails, splits, zaps uint64
-	var anonHuge int64
-	for _, ts := range sn.Tenants {
-		s := &ts.Space
-		hugeFaults += s.THPHugeFaults
-		fallbacks += s.THPFallbacks
-		collapses += s.THPCollapses
-		collapseFails += s.THPCollapseFails
-		splits += s.THPSplits
-		zaps += s.THPZaps
-		anonHuge += s.AnonHugePages
-	}
 	p.family("vm_thp_faults_total", "counter", "Huge-eligible anonymous faults by outcome: huge entry installed, or fallback to base pages.")
-	p.sample("vm_thp_faults_total", []lbl{{"outcome", "huge"}}, float64(hugeFaults))
-	p.sample("vm_thp_faults_total", []lbl{{"outcome", "fallback"}}, float64(fallbacks))
+	p.sample("vm_thp_faults_total", []lbl{{"outcome", "huge"}}, float64(sn.THPHugeFaults))
+	p.sample("vm_thp_faults_total", []lbl{{"outcome", "fallback"}}, float64(sn.THPFallbacks))
 	p.family("vm_thp_collapses_total", "counter", "Collapse attempts (background scanner and explicit CollapseRange) by outcome.")
-	p.sample("vm_thp_collapses_total", []lbl{{"outcome", "promoted"}}, float64(collapses))
-	p.sample("vm_thp_collapses_total", []lbl{{"outcome", "aborted"}}, float64(collapseFails))
+	p.sample("vm_thp_collapses_total", []lbl{{"outcome", "promoted"}}, float64(sn.THPCollapses))
+	p.sample("vm_thp_collapses_total", []lbl{{"outcome", "aborted"}}, float64(sn.THPCollapseFails))
 	p.family("vm_thp_splits_total", "counter", "Huge entries demoted to base pages in place.")
-	p.sample("vm_thp_splits_total", nil, float64(splits))
+	p.sample("vm_thp_splits_total", nil, float64(sn.THPSplits))
 	p.family("vm_thp_zaps_total", "counter", "Huge entries unmapped whole.")
-	p.sample("vm_thp_zaps_total", nil, float64(zaps))
+	p.sample("vm_thp_zaps_total", nil, float64(sn.THPZaps))
 	p.family("vm_thp_anon_huge_pages", "gauge", "Base pages currently mapped by live huge entries.")
-	p.sample("vm_thp_anon_huge_pages", nil, float64(anonHuge*hugePages))
+	p.sample("vm_thp_anon_huge_pages", nil, float64(sn.AnonHugePages*hugePages))
 }
 
 func writeTenantMetrics(p *promWriter, sn machine.Snapshot) {

@@ -8,7 +8,8 @@
 // over vm.Host, which keeps the machine's one tenant table (names,
 // slots, the live set and the departed statistics): Evict departs a
 // tenant with a teardown and leak audit, and Snapshot reads the table
-// into a per-tenant statistics rollup. internal/torture drives it.
+// into per-tenant and machine-wide vm.Rollup figures. internal/torture
+// drives it.
 package machine
 
 import (
@@ -150,14 +151,12 @@ func (m *Machine) Tenants() []*Tenant {
 type TenantSnapshot struct {
 	Name  string `json:"name"`
 	Limit int64  `json:"limit"`
-	// Space is the tenant root's own operation counters.
-	Space vm.Stats `json:"space"`
+	// Counts is the tenant's counter set summed across every member
+	// space, members already closed included (its vm.Rollup): Faults is
+	// the tenant's exact, monotonic fault count.
+	vm.Counts
 	// Account is the tenant's charge counters (nil when unlimited).
 	Account *physmem.AccountStats `json:"account,omitempty"`
-	// Faults is the tenant's exact fault count, summed across every
-	// member space including members already closed: the tenant's
-	// monotonic fault counter.
-	Faults uint64 `json:"faults"`
 	// Fault is the tenant's fault-latency rollup over the same members.
 	// Faults are timed by sampling, so its Count is the number of
 	// samples behind the percentiles, not the number of faults.
@@ -194,13 +193,17 @@ type Snapshot struct {
 	// TenantsEvicted counts retired tenants: evicted, or all members closed.
 	TenantsEvicted uint64           `json:"tenants_evicted"`
 	Tenants        []TenantSnapshot `json:"tenants,omitempty"`
-	// Latency is the machine-wide hot-path latency rollup: fault,
-	// mapping-operation, and range-wait histograms of every tenant ever
+	// Counts is the machine's counter set over every tenant ever
 	// admitted — each live tenant's vm.Rollup plus the departed rollup —
-	// and the machine-shared grace-period and reclaim-scan histograms.
-	// The counts are monotonic across tenant churn — the property the
+	// so each count is monotonic across tenant churn, the property the
 	// Prometheus exporter's counters and the vmstat delta engine rely
-	// on.
+	// on. (Latency.Fault.Count is the timed sample only; Faults counts
+	// every fault.)
+	vm.Counts
+	// Latency is the machine-wide hot-path latency rollup: fault,
+	// mapping-operation, and range-wait histograms over the same
+	// tenants, and the machine-shared grace-period and reclaim-scan
+	// histograms.
 	Latency LatencySnapshot `json:"latency"`
 	// CrossTenantEvictions is the reclaim-fairness metric: pages
 	// evicted from accounts that were under their limit at eviction
@@ -208,10 +211,6 @@ type Snapshot struct {
 	// stays under its limit this should be ~0 — a nonzero count means
 	// one tenant's pressure reached into another's working set.
 	CrossTenantEvictions uint64 `json:"cross_tenant_evictions"`
-	// Faults is the machine-wide exact fault count over the same
-	// tenants, monotonic across tenant churn like the histogram counts.
-	// (Latency.Fault.Count is the timed sample only.)
-	Faults uint64 `json:"faults"`
 }
 
 // Snapshot captures the machine rollup from one read of the tenant
@@ -233,7 +232,7 @@ func (m *Machine) Snapshot() Snapshot {
 	}
 	for _, root := range tt.Live {
 		r := root.Rollup()
-		ts := TenantSnapshot{Name: root.TenantName(), Limit: root.TenantLimit(), Space: root.Stats(), Faults: r.Faults, Fault: r.Fault.Stats()}
+		ts := TenantSnapshot{Name: root.TenantName(), Limit: root.TenantLimit(), Counts: r.Counts, Fault: r.Fault.Stats()}
 		if ac := root.Account(); ac != nil {
 			st := ac.Stats()
 			ts.Account = &st
@@ -242,7 +241,7 @@ func (m *Machine) Snapshot() Snapshot {
 		all.Add(r)
 		sn.Tenants = append(sn.Tenants, ts)
 	}
-	sn.Faults = all.Faults
+	sn.Counts = all.Counts
 	sn.Latency = LatencySnapshot{
 		Fault:       all.Fault.Stats(),
 		MapOp:       all.MapOp.Stats(),

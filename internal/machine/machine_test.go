@@ -151,8 +151,9 @@ func TestTenantLimitDrivesLocalReclaim(t *testing.T) {
 }
 
 // TestSnapshotRollup: the machine snapshot carries per-tenant account
-// entries and machine-wide reclaim counters, and a departed tenant
-// leaves the tenant list but stays in the exact fault count.
+// entries and machine-wide reclaim counters, the machine's counts are
+// its tenants' summed, and a departed tenant leaves the tenant list but
+// stays in every count.
 func TestSnapshotRollup(t *testing.T) {
 	m := New(testCfg(vm.RWLock, 2048))
 	defer m.Close()
@@ -196,6 +197,13 @@ func TestSnapshotRollup(t *testing.T) {
 	if !sawA || !sawB {
 		t.Fatalf("snapshot missed a tenant: a=%v b=%v", sawA, sawB)
 	}
+	var sum vm.Counts
+	for _, ts := range sn.Tenants {
+		sum.Add(&ts.Counts)
+	}
+	if sum != sn.Counts || sum != a.Root().Rollup().Counts {
+		t.Fatalf("machine counts %+v, tenants' sum %+v; want both a's", sn.Counts, sum)
+	}
 	if err := a.Evict(); err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +211,9 @@ func TestSnapshotRollup(t *testing.T) {
 	if sn.TenantsEvicted != 1 || len(sn.Tenants) != 1 || sn.Tenants[0].Name != b.Name() {
 		t.Fatalf("after evicting a: evicted = %d, tenants = %+v; want 1 and only b", sn.TenantsEvicted, sn.Tenants)
 	}
-	if sn.Faults != 8 {
-		t.Fatalf("machine faults = %d after a's eviction, want a's 8", sn.Faults)
+	if sn.Faults != 8 || sn.PagesMapped != 8 || sn.PagesUnmapped != 8 || sn.Mmaps != 1 {
+		t.Fatalf("machine faults %d, pages mapped %d and unmapped %d, mmaps %d after a's eviction; want a's 8, 8, 8, 1",
+			sn.Faults, sn.PagesMapped, sn.PagesUnmapped, sn.Mmaps)
 	}
 }
 

@@ -1,21 +1,12 @@
 package stats
 
 import (
+	"iter"
 	"sync/atomic"
-	"time"
 )
 
 // cacheLine is the coherence granule the per-CPU cells are padded to.
 const cacheLine = 64
-
-// cell is one CPU's slot of a Counter. The leading pad plus the tail
-// keep v alone on its cache line whatever the slice's base alignment
-// (Go guarantees only 8 bytes), so two CPUs' adds never touch one line.
-type cell struct {
-	_ [cacheLine]byte
-	v atomic.Uint64
-	_ [cacheLine - 8]byte
-}
 
 // Counter is a per-CPU event counter: Add touches only the caller's
 // own cell, Load sums the cells. It exists so a hot path that already
@@ -26,7 +17,7 @@ type cell struct {
 // A Counter is built by NewCounter and may be copied (copies share the
 // cells).
 type Counter struct {
-	cells []cell
+	cells PerCPU[atomic.Uint64]
 }
 
 // slots rounds a CPU count up to a power of two (at least 1), so a
@@ -44,12 +35,12 @@ func slots(cpus int) int {
 // caller may pass machine-wide CPU ids (an allocator magazine index) as
 // long as its own CPUs are numbered contiguously.
 func NewCounter(cpus int) Counter {
-	return Counter{cells: make([]cell, slots(cpus))}
+	return Counter{cells: NewPerCPU[atomic.Uint64](cpus)}
 }
 
 // Add adds n to cpu's cell.
 func (c *Counter) Add(cpu int, n uint64) {
-	c.cells[cpu&(len(c.cells)-1)].v.Add(n)
+	c.cells.At(cpu).Add(n)
 }
 
 // Load returns the sum over all cells. Concurrent with Add it is a
@@ -57,8 +48,8 @@ func (c *Counter) Add(cpu int, n uint64) {
 // monotonic for a counter that only grows, exact once writers quiesce.
 func (c *Counter) Load() uint64 {
 	var sum uint64
-	for i := range c.cells {
-		sum += c.cells[i].v.Load()
+	for v := range c.cells.All() {
+		sum += v.Load()
 	}
 	return sum
 }
@@ -66,52 +57,43 @@ func (c *Counter) Load() uint64 {
 // CPU returns the value of cpu's cell alone (the shared-write audit
 // reads it to prove which CPU an event was counted on).
 func (c *Counter) CPU(cpu int) uint64 {
-	return c.cells[cpu&(len(c.cells)-1)].v.Load()
+	return c.cells.At(cpu).Load()
 }
 
-// paddedHist keeps one CPU's histogram clear of its neighbors' lines.
-type paddedHist struct {
+// PerCPU is one T per CPU, each on cache lines of its own: a hot path
+// that knows its CPU writes only its own T through At, and the read
+// side folds every CPU's T with All. It is the storage under the
+// per-CPU counter sets and latency histograms; what a T holds, and how
+// it is written and folded, is the caller's.
+type PerCPU[T any] struct {
+	rows []padded[T]
+}
+
+// padded keeps one CPU's T clear of its neighbors' lines.
+type padded[T any] struct {
 	_ [cacheLine]byte
-	h LatencyHist
+	v T
 	_ [cacheLine]byte
 }
 
-// CPUHist is a per-CPU set of latency histograms: Record lands in the
-// caller's own histogram, Merged folds them into one on the read side.
-type CPUHist struct {
-	hists []paddedHist
+// NewPerCPU returns one T per CPU (count rounded up to a power of two,
+// as for NewCounter, so contiguous ids land on distinct rows).
+func NewPerCPU[T any](cpus int) PerCPU[T] {
+	return PerCPU[T]{rows: make([]padded[T], slots(cpus))}
 }
 
-// NewCPUHist returns a set with one histogram per CPU (count rounded
-// up to a power of two, as for NewCounter).
-func NewCPUHist(cpus int) CPUHist {
-	return CPUHist{hists: make([]paddedHist, slots(cpus))}
+// At returns cpu's own T.
+func (p *PerCPU[T]) At(cpu int) *T {
+	return &p.rows[cpu&(len(p.rows)-1)].v
 }
 
-// Record adds one sample to cpu's histogram.
-func (p *CPUHist) Record(cpu int, d time.Duration) {
-	p.hists[cpu&(len(p.hists)-1)].h.Record(d)
-}
-
-// CPU returns cpu's own histogram.
-func (p *CPUHist) CPU(cpu int) *LatencyHist {
-	return &p.hists[cpu&(len(p.hists)-1)].h
-}
-
-// Count returns the number of samples recorded, over all CPUs.
-func (p *CPUHist) Count() uint64 {
-	var n uint64
-	for i := range p.hists {
-		n += p.hists[i].h.Count()
+// All yields every CPU's T.
+func (p *PerCPU[T]) All() iter.Seq[*T] {
+	return func(yield func(*T) bool) {
+		for i := range p.rows {
+			if !yield(&p.rows[i].v) {
+				return
+			}
+		}
 	}
-	return n
-}
-
-// Merged returns a fresh histogram holding every CPU's samples.
-func (p *CPUHist) Merged() *LatencyHist {
-	m := new(LatencyHist)
-	for i := range p.hists {
-		m.Merge(&p.hists[i].h)
-	}
-	return m
 }

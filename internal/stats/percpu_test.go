@@ -74,31 +74,33 @@ func TestCounterContiguousIDs(t *testing.T) {
 	}
 }
 
-// TestCPUHistMerged: samples land in the recording CPU's histogram
-// only, and Merged is the sum of all of them.
-func TestCPUHistMerged(t *testing.T) {
-	h := NewCPUHist(3)
+// TestPerCPUMerged: samples land in the recording CPU's histogram
+// only, and folding All sees every one of them.
+func TestPerCPUMerged(t *testing.T) {
+	h := NewPerCPU[LatencyHist](3)
 	for i := 0; i < 100; i++ {
-		h.Record(0, 100*time.Nanosecond)
+		h.At(0).Record(100 * time.Nanosecond)
 	}
 	for i := 0; i < 50; i++ {
-		h.Record(2, 10*time.Microsecond)
+		h.At(2).Record(10 * time.Microsecond)
 	}
-	if got := h.CPU(0).Count(); got != 100 {
+	if got := h.At(0).Count(); got != 100 {
 		t.Fatalf("cpu 0 count = %d, want 100", got)
 	}
-	if got := h.CPU(1).Count(); got != 0 {
+	if got := h.At(1).Count(); got != 0 {
 		t.Fatalf("cpu 1 count = %d, want 0", got)
 	}
-	m := h.Merged()
+	if got := h.At(4).Count(); got != 100 {
+		t.Fatalf("cpu 4 count = %d, want cpu 0's 100 (4 rows, masked)", got)
+	}
+	m := new(LatencyHist)
+	for c := range h.All() {
+		m.Merge(c)
+	}
 	if got := m.Count(); got != 150 {
 		t.Fatalf("merged count = %d, want 150", got)
 	}
 	if p := m.Percentile(99); p < 9*time.Microsecond || p > 11*time.Microsecond {
 		t.Fatalf("merged p99 = %v, want the 10µs mode", p)
-	}
-	m.Record(time.Second) // a copy: recording into it must not reach the CPUs
-	if got := h.Merged().Count(); got != 150 {
-		t.Fatalf("Merged returned shared state: count now %d", got)
 	}
 }

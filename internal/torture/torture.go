@@ -387,8 +387,8 @@ func (t *run) design(d vm.Design, deadline time.Time) {
 	// Every seat evicted its last tenant: whatever is still allocated is
 	// a leak, since no frame outlives the tenant that charged it.
 	sn := m.Snapshot()
-	dr.rep.Faults = dr.rollup.Faults
-	dr.rep.Fault = dr.rollup.Fault.Stats()
+	dr.rep.Faults, dr.rep.Fault = dr.rollup.Faults, dr.rollup.Fault.Stats()
+	dr.rep.HugeFaults, dr.rep.Collapses, dr.rep.HugeSplits = dr.rollup.THPHugeFaults, dr.rollup.THPCollapses, dr.rollup.THPSplits
 	dr.rep.CrossTenantEvictions = sn.CrossTenantEvictions
 	dr.rep.OOMKills = sn.OOMKills
 	if sn.FramesInUse != 0 {
@@ -652,10 +652,10 @@ func (g *generation) audit() {
 	g.dr.mu.Unlock()
 }
 
-// evict withdraws the tenant's ballast from the killer, folds the
-// tenant's counts into the design's, and evicts it: every member
-// closes and the leak audit runs. The account is read first, so the
-// teardown's own evictions stay out of the report.
+// evict withdraws the tenant's ballast from the killer, evicts it —
+// every member closes and the leak audit runs — and folds the tenant's
+// counts and final rollup into the design's. The account is read
+// first, so the teardown's own evictions stay out of the report.
 func (g *generation) evict(ws []*worker) {
 	dr, t := g.dr, g.dr.t
 	dr.ballastMu.Lock()
@@ -663,7 +663,6 @@ func (g *generation) evict(ws []*worker) {
 		delete(dr.ballast, b)
 	}
 	dr.ballastMu.Unlock()
-	st := g.root.Stats()
 	var acct physmem.AccountStats
 	if ac := g.tenant.Account(); ac != nil {
 		acct = ac.Stats()
@@ -678,9 +677,6 @@ func (g *generation) evict(ws []*worker) {
 	}
 	dr.mu.Lock()
 	dr.rep.Tenants++
-	dr.rep.HugeFaults += st.THPHugeFaults
-	dr.rep.Collapses += st.THPCollapses
-	dr.rep.HugeSplits += st.THPSplits
 	dr.rep.LimitHits += acct.LimitHits
 	dr.rep.Evictions += acct.Evictions
 	dr.rep.MaxCharged = max(dr.rep.MaxCharged, acct.MaxCharged)

@@ -68,13 +68,13 @@ func TestSmokeNoFaults(t *testing.T) {
 // TestSoakSmoke is the soak setting in small: three limited seats per
 // design complete with zero violations — no cross-tenant evictions, no
 // leaked frames — while their own reclaim evicts pages, and the report
-// counts exactly the faults the machine rollup counts, fork children's
-// and ballast's included.
+// counts exactly the faults and huge-page events the machine rollup
+// counts, fork children's and ballast's included.
 func TestSoakSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak smoke needs a second of wall clock per design")
 	}
-	machineFaults := map[string]uint64{}
+	machineCounts := map[string]vm.Counts{}
 	rep := Run(Config{
 		Seed:     1,
 		Duration: 2400 * time.Millisecond,
@@ -83,7 +83,7 @@ func TestSoakSmoke(t *testing.T) {
 		Limit:    100,
 		Workers:  2,
 		OnMachine: func(label string, m *machine.Machine) func() {
-			return func() { machineFaults[label] = m.Snapshot().Faults }
+			return func() { machineCounts[label] = m.Snapshot().Counts }
 		},
 	})
 	for _, v := range rep.Violations {
@@ -94,8 +94,13 @@ func TestSoakSmoke(t *testing.T) {
 	}
 	for _, r := range rep.Designs {
 		t.Logf("%+v", r)
-		if want := machineFaults[r.Design.String()]; r.Faults != want {
-			t.Errorf("%v: report counts %d faults, machine rollup %d", r.Design, r.Faults, want)
+		want := machineCounts[r.Design.String()]
+		if r.Faults != want.Faults {
+			t.Errorf("%v: report counts %d faults, machine rollup %d", r.Design, r.Faults, want.Faults)
+		}
+		if got := [3]uint64{r.HugeFaults, r.Collapses, r.HugeSplits}; got != [3]uint64{want.THPHugeFaults, want.THPCollapses, want.THPSplits} {
+			t.Errorf("%v: report counts huge faults, collapses, splits %v, machine rollup %d %d %d", r.Design, got,
+				want.THPHugeFaults, want.THPCollapses, want.THPSplits)
 		}
 		if r.Faults == 0 || r.Tenants < 3 || r.Fault.P99Ns == 0 {
 			t.Errorf("%v: soak did not churn: %+v", r.Design, r)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"bonsai/internal/pagecache"
@@ -34,7 +35,7 @@ func (c *CPU) Fault(addr uint64, write bool) error {
 		return ErrSegv
 	}
 	page := pageDown(addr)
-	as.stats.faults.Add(c.id, 1)
+	atomic.AddUint64(&c.st.Faults, 1)
 	c.pathFlags = 0
 	armed := trace.Armed()
 	if armed {
@@ -62,7 +63,7 @@ func (c *CPU) Fault(addr uint64, write bool) error {
 		return err
 	}
 	elapsed := time.Since(start)
-	as.stats.faultHist.Record(c.id, elapsed)
+	c.st.hist.Record(elapsed)
 	if armed {
 		flags := c.pathFlags
 		if flags&trace.FaultSlow == 0 {
@@ -143,7 +144,7 @@ func (as *AddressSpace) retryShortage(op func() error) error {
 		if !tenant && !errors.Is(err, ErrFrameShortage) {
 			return err
 		}
-		as.stats.reclaimRetries.Add(1)
+		atomic.AddUint64(&as.stats.unslotted().ReclaimRetries, 1)
 		var tb uint64
 		if tenant {
 			tb = 1
@@ -209,7 +210,6 @@ const (
 	retryMiss     retryReason = iota // no VMA found: a segfault, a stack to grow, or a split's window (Figure 10)
 	retryFillRace                    // the fill lost a race: §5.2's double check, or a racing huge promotion
 	retryCow                         // copy-on-write hard case (§6)
-	numRetryReasons
 )
 
 func (retryReason) Error() string { return "vm: fault must retry with the page pinned" }
@@ -256,7 +256,7 @@ func (c *CPU) fault(page uint64, write bool) error {
 // stack may grow over it.
 func (c *CPU) faultSlow(page uint64, write bool, reason retryReason) error {
 	as := c.as
-	as.stats.retries[reason].Add(1)
+	atomic.AddUint64(c.st.retries(reason), 1)
 	c.pathFlags |= trace.FaultSlow
 	if reason == retryCow {
 		c.pathFlags |= trace.FaultCOW
@@ -311,7 +311,7 @@ func (as *AddressSpace) growStackLocked(op *opCtx, mg *mapGuard, page uint64) (*
 	op.edits = append(op.edits, regionEdit{Key: v.Start(), Delete: true}, regionEdit{Key: page, Val: v})
 	v.SetStart(page)
 	as.commit(op)
-	as.stats.stackGrowths.Add(1)
+	atomic.AddUint64(&as.stats.op(op).StackGrowths, 1)
 	return v, nil
 }
 
@@ -428,16 +428,16 @@ func (c *CPU) fillPage(v *vma.VMA, page uint64, write bool, recheck func() bool,
 	case pagetable.FillNeedsUpgrade:
 		return retryCow // COW hard case: service with the lock held
 	case pagetable.FillInstalled:
-		as.stats.pagesMapped.Add(c.id, 1)
+		atomic.AddUint64(&c.st.PagesMapped, 1)
 	case pagetable.FillUpgraded:
 		// Only non-shared upgrades count toward CowBreaks (the shared
 		// dirty transition was handled under the PTE lock by onUpgrade).
 		if !sharedFile {
-			as.stats.cowBreaks.Add(c.id, 1)
+			atomic.AddUint64(&c.st.CowBreaks, 1)
 			c.pathFlags |= trace.FaultCOW
 		}
 	default:
-		as.stats.faultsAlreadyMapped.Add(c.id, 1) // a concurrent fault won
+		atomic.AddUint64(&c.st.FaultsAlreadyMapped, 1) // a concurrent fault won
 	}
 	return nil
 }
@@ -542,7 +542,7 @@ func (c *CPU) lookup(page uint64) *vma.VMA {
 	as := c.as
 	if as.mmapCacheOn {
 		if v := as.mmapCache.Load(); v != nil && v.Contains(page) {
-			as.stats.cacheHits.Add(c.id, 1)
+			atomic.AddUint64(&c.st.MmapCacheHits, 1)
 			return v
 		}
 	}
@@ -551,7 +551,7 @@ func (c *CPU) lookup(page uint64) *vma.VMA {
 		return nil
 	}
 	if as.mmapCacheOn {
-		as.stats.cacheMisses.Add(c.id, 1)
+		atomic.AddUint64(&c.st.MmapCacheMisses, 1)
 		as.mmapCache.Store(v)
 	}
 	return v

@@ -33,14 +33,14 @@ func TestFaultTimingSampled(t *testing.T) {
 		}
 	}
 	storm()
-	if got := as.stats.faults.Load(); got != faults {
+	if got := as.counts().Faults; got != faults {
 		t.Fatalf("fault counter = %d after %d faults", got, faults)
 	}
-	samples := as.stats.faultHist.Count()
+	samples := as.Rollup().Fault.Count()
 	if lo, hi := uint64(faults/16*85/100), uint64(faults/16*115/100); samples < lo || samples > hi {
 		t.Fatalf("disarmed: %d of %d faults timed, want about 1 in 16 (%d…%d)", samples, faults, lo, hi)
 	}
-	if got := as.stats.faultHist.CPU(0).Count(); got != 0 {
+	if got := as.stats.cpu.At(as.physCPU(0)).hist.Count(); got != 0 {
 		t.Fatalf("CPU 0 faulted nothing but its histogram holds %d samples", got)
 	}
 	if st, r := as.Stats(), as.Rollup(); st.Faults != faults || r.Faults != faults || r.Fault.Count() != samples {
@@ -51,10 +51,10 @@ func TestFaultTimingSampled(t *testing.T) {
 	trace.Arm(2, 1<<10)
 	storm()
 	trace.Disarm()
-	if got := as.stats.faultHist.Count() - samples; got != faults {
+	if got := as.Rollup().Fault.Count() - samples; got != faults {
 		t.Fatalf("armed: %d of %d faults timed, want all", got, faults)
 	}
-	if got := as.stats.faults.Load(); got != 2*faults {
+	if got := as.counts().Faults; got != 2*faults {
 		t.Fatalf("fault counter = %d after %d faults", got, 2*faults)
 	}
 }

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"sync/atomic"
+
 	"bonsai/internal/pagecache"
 	"bonsai/internal/pagetable"
 	"bonsai/internal/physmem"
@@ -60,7 +62,7 @@ func (as *AddressSpace) forkOnce() (*AddressSpace, error) {
 	mg := as.sy.lockAll(op)
 	defer mg.unlock()
 	mg.mutate()
-	as.stats.forks.Add(1)
+	atomic.AddUint64(&as.stats.op(op).Forks, 1)
 
 	// The child's own whole-space exclusion is held for the entire
 	// clone: the background collapse scanner sweeps every live member,
@@ -172,7 +174,7 @@ func (c *CPU) cowBreak(g *tlb.Gather, page, old uint64) (uint64, error) {
 		// reference, so re-owning never needs rmap bookkeeping.) No
 		// translation is revoked — widening a local entry needs no
 		// cross-core invalidation.
-		as.stats.cowReowned.Add(1)
+		atomic.AddUint64(&c.st.CowReowned, 1)
 		return pagetable.MakePTE(oldFrame, true) | pagetable.PTEAccessed, nil
 	}
 	newFrame, err := as.alloc.Alloc(c.id)
@@ -182,7 +184,7 @@ func (c *CPU) cowBreak(g *tlb.Gather, page, old uint64) (uint64, error) {
 	if as.cfg.Backing {
 		*as.alloc.Data(newFrame) = *as.alloc.Data(oldFrame)
 	}
-	as.stats.cowCopies.Add(1)
+	atomic.AddUint64(&c.st.CowCopies, 1)
 	// The PTE stops mapping oldFrame; if that was a page-cache frame (a
 	// Private read mapping of a cached page), drop its rmap entry here,
 	// inside the PTE lock, like the zap path does.

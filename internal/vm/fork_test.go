@@ -44,7 +44,8 @@ func TestForkCopiesRegionsAndData(t *testing.T) {
 
 // TestRollupKeepsClosedMembers: a fork child leaves the member set when
 // it closes, and its faults and mapping operations stay in the family's
-// Rollup — exactly once, before and after.
+// Rollup — exactly once, before and after: the rollup's counts are the
+// sum of the members' own Stats, the child's teardown included.
 func TestRollupKeepsClosedMembers(t *testing.T) {
 	forEachDesign(t, Config{CPUs: 1}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
@@ -69,6 +70,14 @@ func TestRollupKeepsClosedMembers(t *testing.T) {
 			t.Fatalf("members with the child open = %v, want [parent child]", m)
 		}
 		live := as.Rollup()
+		members := func() Counts {
+			c, cc := as.Stats().Counts, child.Stats().Counts
+			c.Add(&cc)
+			return c
+		}
+		if want := members(); live.Counts != want {
+			t.Fatalf("live rollup counts %+v, want the members' sum %+v", live.Counts, want)
+		}
 		if err := child.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -78,6 +87,9 @@ func TestRollupKeepsClosedMembers(t *testing.T) {
 		closed := as.Rollup()
 		if live.Faults != 24 || closed.Faults != 24 {
 			t.Fatalf("rollup faults %d with the child open, %d after; want 24", live.Faults, closed.Faults)
+		}
+		if want := members(); closed.Counts != want || closed.Forks != 1 || closed.CowBreaks != 8 {
+			t.Fatalf("closed rollup counts %+v, want the members' sum %+v with 1 fork and 8 COW breaks", closed.Counts, want)
 		}
 		if closed.Fault.Count() != live.Fault.Count() || closed.MapOp.Count() != live.MapOp.Count() || live.MapOp.Count() != 2 {
 			t.Fatalf("samples: fault %d → %d, map op %d → %d; want unchanged, 2 map ops",

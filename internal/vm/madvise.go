@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"sync/atomic"
+
 	"bonsai/internal/pagetable"
 	"bonsai/internal/physmem"
 	"bonsai/internal/tlb"
@@ -35,7 +37,7 @@ func (as *AddressSpace) madviseInner(op *opCtx, addr, length uint64) error {
 	if addr >= MaxAddress || length > MaxAddress-addr {
 		return ErrInvalid
 	}
-	as.stats.madvises.Add(op.slot, 1)
+	atomic.AddUint64(&as.stats.op(op).Madvises, 1)
 	// The zap mutates no VMA, so the exclusion need not cover straddling
 	// regions (their bounds are untouched).
 	mg := as.sy.lock(op, addr, addr+length, false, false)
@@ -78,7 +80,7 @@ func (as *AddressSpace) zapRange(op *opCtx, lo, hi uint64) {
 			pg.RemoveMapping(as, addr)
 		}
 	})
-	as.stats.pagesUnmapped.Add(op.slot, unmapped)
+	atomic.AddUint64(&as.stats.op(op).PagesUnmapped, unmapped)
 	g.Flush()
 }
 
@@ -96,8 +98,9 @@ func (as *AddressSpace) EvictPTE(g *tlb.Gather, vaddr uint64, f physmem.Frame) b
 	if !as.tables.ClearPTEIfFrame(vaddr, f) {
 		return false
 	}
-	as.stats.pagesUnmapped.Add(0, 1) // reclaim has no slot; any cell counts
-	as.stats.evictUnmaps.Add(1)
+	st := as.stats.unslotted()
+	atomic.AddUint64(&st.PagesUnmapped, 1)
+	atomic.AddUint64(&st.EvictUnmaps, 1)
 	g.Page(vaddr, f)
 	return true
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"sync/atomic"
 	"time"
 
 	"bonsai/internal/trace"
@@ -26,7 +27,7 @@ func (as *AddressSpace) mapOpIn(op *opCtx, code uint64, addr, length uint64, fn 
 	start := time.Since(clockBase) // the monotonic clock alone: half a time.Now
 	err := fn(op)
 	elapsed := time.Since(clockBase) - start
-	as.stats.mapHist.Record(op.slot, elapsed)
+	as.stats.slot.At(op.slot).hist.Record(elapsed)
 	if trace.Armed() {
 		if err != nil {
 			code |= trace.OpErr
@@ -86,7 +87,7 @@ func (as *AddressSpace) mmapInner(op *opCtx, addr, length uint64, prot vma.Prot,
 			return 0, err
 		}
 	}
-	as.stats.mmaps.Add(op.slot, 1)
+	atomic.AddUint64(&as.stats.op(op).Mmaps, 1)
 
 	// Planning phase: a fixed mapping has its range; any other searches
 	// for a free one, under FaultLock beside running faults (§5.1).
@@ -127,7 +128,7 @@ func (as *AddressSpace) mergeOrInsert(op *opCtx, mg *mapGuard, base, length uint
 		pred.End() == base && pred.CanMerge(prot, flags, file, fileOff) &&
 		mg.covers(pred.Start(), base) {
 		pred.SetEnd(base + length)
-		as.stats.merges.Add(op.slot, 1)
+		atomic.AddUint64(&as.stats.op(op).Merges, 1)
 		return
 	}
 	op.edits = append(op.edits, regionEdit{Key: base, Val: vma.New(base, base+length, prot, flags, file, fileOff)})
@@ -150,7 +151,7 @@ func (as *AddressSpace) munmapInner(op *opCtx, addr, length uint64) error {
 	if addr >= MaxAddress || length > MaxAddress-addr {
 		return ErrInvalid
 	}
-	as.stats.munmaps.Add(op.slot, 1)
+	atomic.AddUint64(&as.stats.op(op).Munmaps, 1)
 	mg := as.sy.lock(op, addr, addr+length, true, false)
 	defer mg.unlock()
 	mg.mutate()
@@ -210,7 +211,7 @@ func (as *AddressSpace) unmapRegions(op *opCtx, lo, hi uint64) bool {
 			nv := as.sliceVMA(v, cutHi, vHi, v.Prot())
 			v.SetEnd(cutLo)
 			op.edits = append(op.edits, regionEdit{Key: cutHi, Val: nv})
-			as.stats.splits.Add(op.slot, 1)
+			atomic.AddUint64(&as.stats.op(op).Splits, 1)
 		}
 	}
 	return true

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"sync/atomic"
+
 	"bonsai/internal/trace"
 	"bonsai/internal/vma"
 )
@@ -34,7 +36,7 @@ func (as *AddressSpace) mprotectInner(op *opCtx, addr, length uint64, prot vma.P
 	}
 	lo, hi := addr, addr+length
 
-	as.stats.mprotects.Add(op.slot, 1)
+	atomic.AddUint64(&as.stats.op(op).Mprotects, 1)
 	mg := as.sy.lock(op, lo, hi, true, false)
 	defer mg.unlock()
 
@@ -73,7 +75,7 @@ func (as *AddressSpace) mprotectInner(op *opCtx, addr, length uint64, prot vma.P
 			op.edits = append(op.edits, regionEdit{Key: cutHi, Val: as.sliceVMA(v, cutHi, vHi, v.Prot())})
 		}
 		if cutLo > vLo || cutHi < vHi {
-			as.stats.splits.Add(op.slot, 1)
+			atomic.AddUint64(&as.stats.op(op).Splits, 1)
 		}
 	}
 	as.commit(op)

@@ -1,12 +1,12 @@
 package vm
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 
 	"bonsai/internal/locks"
 	"bonsai/internal/physmem"
-	"bonsai/internal/stats"
 	"bonsai/internal/vma"
 )
 
@@ -30,29 +30,19 @@ type auditReading struct {
 
 func readAudit(as *AddressSpace, cpus [2]*CPU) auditReading {
 	r := auditReading{
-		vm:         as.Stats(),
-		tables:     reflect.ValueOf(as.tables.Stats()),
-		phys:       reflect.ValueOf(as.alloc.Stats()),
-		cache:      reflect.ValueOf(as.PageCacheStats()),
-		ranges:     reflect.ValueOf(as.RangeStats()),
-		mapSamples: as.stats.mapHist.Count(),
+		vm:     as.Stats(),
+		tables: reflect.ValueOf(as.tables.Stats()),
+		phys:   reflect.ValueOf(as.alloc.Stats()),
+		cache:  reflect.ValueOf(as.PageCacheStats()),
+		ranges: reflect.ValueOf(as.RangeStats()),
+	}
+	for row := range as.stats.slot.All() {
+		r.mapSamples += row.hist.Count()
 	}
 	r.sems[0], r.sems[1], r.sems[2] = as.SemStats()
-	vmCells := map[string]*stats.Counter{
-		"vm.faults":              &as.stats.faults,
-		"vm.faultsAlreadyMapped": &as.stats.faultsAlreadyMapped,
-		"vm.pagesMapped":         &as.stats.pagesMapped,
-		"vm.cowBreaks":           &as.stats.cowBreaks,
-		"vm.cacheHits":           &as.stats.cacheHits,
-		"vm.cacheMisses":         &as.stats.cacheMisses,
-		"vm.thpHugeFaults":       &as.stats.thpHugeFaults,
-		"vm.thpFallbacks":        &as.stats.thpFallbacks,
-	}
 	for i, c := range cpus {
 		m := make(map[string]uint64)
-		for name, ctr := range vmCells {
-			m[name] = ctr.CPU(c.id)
-		}
+		rowCells(m, as.stats.cpu.At(c.id))
 		m["pagetable.ptesFilled"] = as.tables.PTEsFilledOn(c.id)
 		m["physmem.allocs"], m["physmem.frees"] = as.alloc.CPUCounts(c.id)
 		as.fam.filesMu.Lock()
@@ -61,13 +51,23 @@ func readAudit(as *AddressSpace, cpus [2]*CPU) auditReading {
 		}
 		as.fam.filesMu.Unlock()
 		r.cells[i] = m
-		r.faultSample[i] = as.stats.faultHist.CPU(c.id).Count()
+		r.faultSample[i] = as.stats.cpu.At(c.id).hist.Count()
 	}
 	return r
 }
 
+// rowCells reads one stats row's counts into m, each under "vm.<Field>".
+func rowCells(m map[string]uint64, row *statRow) {
+	var c Counts
+	c.Add(&row.Counts)
+	for i, w := range c.words() {
+		m["vm."+reflect.TypeOf(c).Field(i).Name] = w
+	}
+}
+
 // structDeltas returns after−before for every integer field of two
-// readings of the same Stats struct, skipping zero deltas.
+// readings of the same Stats struct, embedded structs' fields included,
+// skipping zero deltas.
 func structDeltas(before, after reflect.Value) map[string]int64 {
 	d := make(map[string]int64)
 	for i := 0; i < before.NumField(); i++ {
@@ -77,8 +77,13 @@ func structDeltas(before, after reflect.Value) map[string]int64 {
 			delta = int64(a.Uint() - b.Uint())
 		case reflect.Int64, reflect.Int:
 			delta = a.Int() - b.Int()
+		case reflect.Struct:
+			if before.Type().Field(i).Anonymous {
+				maps.Copy(d, structDeltas(b, a))
+			}
+			continue // otherwise nested latency percentiles: not counters
 		default:
-			continue // nested latency percentiles: not counters
+			continue
 		}
 		if delta != 0 {
 			d[before.Type().Field(i).Name] = delta
@@ -164,10 +169,10 @@ func TestFastPathFaultWritesOnlyItsOwnCells(t *testing.T) {
 			return out
 		}
 		statsWant := map[string]int64{"Faults": n, "PagesMapped": n}
-		cellsWant := map[string]int64{"vm.faults": n, "vm.pagesMapped": n, "pagetable.ptesFilled": n}
+		cellsWant := map[string]int64{"vm.Faults": n, "vm.PagesMapped": n, "pagetable.ptesFilled": n}
 		if as.mmapCacheOn {
 			statsWant["MmapCacheHits"] = n
-			cellsWant["vm.cacheHits"] = n
+			cellsWant["vm.MmapCacheHits"] = n
 		}
 
 		t.Run("frame metadata lines", func(t *testing.T) {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"sync/atomic"
 	"time"
 
 	"bonsai/internal/pagetable"
@@ -50,7 +51,7 @@ func (c *CPU) hugeHit(h uint64, page uint64, write bool, recheck func() bool) er
 		}
 		return nil
 	}
-	as.stats.faultsAlreadyMapped.Add(c.id, 1)
+	atomic.AddUint64(&c.st.FaultsAlreadyMapped, 1)
 	return nil
 }
 
@@ -73,7 +74,7 @@ func (c *CPU) hugeFault(v *vma.VMA, page uint64, recheck func() bool) (done bool
 		// Typed run shortage (fragmentation), genuine exhaustion, or a
 		// refused tenant charge: a 2 MB fault never drives the reclaim
 		// ladder — it falls back to one base page, which may.
-		as.stats.thpFallbacks.Add(c.id, 1)
+		atomic.AddUint64(&c.st.THPFallbacks, 1)
 		return false, nil
 	}
 	var hugeRecheck func() bool
@@ -85,7 +86,7 @@ func (c *CPU) hugeFault(v *vma.VMA, page uint64, recheck func() bool) (done bool
 		// The run was never published; no translation can reach it.
 		as.alloc.FreeRun(run, pagetable.HugeOrder)
 		if err != nil {
-			as.stats.thpFallbacks.Add(c.id, 1) // deposit-table allocation failed
+			atomic.AddUint64(&c.st.THPFallbacks, 1) // deposit-table allocation failed
 			return false, nil
 		}
 		if res == pagetable.HugeRecheckFailed {
@@ -93,8 +94,8 @@ func (c *CPU) hugeFault(v *vma.VMA, page uint64, recheck func() bool) (done bool
 		}
 		return false, nil // HugeLost: a racing fault populated the span
 	}
-	as.stats.pagesMapped.Add(c.id, pagetable.EntriesPerTable)
-	as.stats.thpHugeFaults.Add(c.id, 1)
+	atomic.AddUint64(&c.st.PagesMapped, pagetable.EntriesPerTable)
+	atomic.AddUint64(&c.st.THPHugeFaults, 1)
 	c.pathFlags |= trace.FaultHuge
 	return true, nil
 }
@@ -137,13 +138,13 @@ func (as *AddressSpace) collapseChunk(chunk uint64, writable bool) bool {
 	})
 	if err != nil || !ok {
 		g.Flush() // no-op: nothing was revoked
-		as.stats.thpCollapseFails.Add(1)
+		atomic.AddUint64(&as.stats.unslotted().THPCollapseFails, 1)
 		return false
 	}
 	// The old frames and the detached leaf table retire through the
 	// flush and a grace period, like any zap batch.
 	g.Flush()
-	as.stats.thpCollapses.Add(1)
+	atomic.AddUint64(&as.stats.unslotted().THPCollapses, 1)
 	return true
 }
 

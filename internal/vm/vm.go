@@ -361,8 +361,9 @@ type CPU struct {
 	as *AddressSpace
 	// id is the machine-wide allocator magazine index; it also picks the
 	// CPU's cells in every per-CPU counter on the fault path (one space's
-	// ids are contiguous, all stats.Counter needs to keep them apart).
+	// ids are contiguous, all stats.PerCPU needs to keep them apart).
 	id int
+	st *statRow // as.stats' row for id
 	rd *rcu.Reader
 
 	// sampleDue's state: faults until the next timed one, and its gap
@@ -506,7 +507,8 @@ func (as *AddressSpace) SetOOMKiller(kill func(victim *AddressSpace) bool) {
 // LivePages returns the number of pages currently mapped in this
 // address space — the OOM victim-selection badness score.
 func (as *AddressSpace) LivePages() uint64 {
-	return as.stats.pagesMapped.Load() - as.stats.pagesUnmapped.Load()
+	c := as.counts()
+	return c.PagesMapped - c.PagesUnmapped
 }
 
 // largestVictim picks the live member with the most mapped pages,
@@ -654,7 +656,8 @@ func (as *AddressSpace) NewCPU(id int) *CPU {
 	if id < 0 || id >= as.cfg.CPUs {
 		panic(fmt.Sprintf("vm: CPU id %d out of range [0,%d)", id, as.cfg.CPUs))
 	}
-	return &CPU{as: as, id: as.physCPU(id), rd: as.dom.Register(),
+	phys := as.physCPU(id)
+	return &CPU{as: as, id: phys, st: as.stats.cpu.At(phys), rd: as.dom.Register(),
 		rng: uint64(id+1) * 0x9E3779B97F4A7C15}
 }
 
