@@ -8,7 +8,9 @@
 //	asplos12 -quick                     # coarser sweeps for a fast pass
 //	asplos12 -csv                       # machine-readable series output
 //
-// See EXPERIMENTS.md for the paper-versus-reproduction comparison.
+// The paper's numbers each experiment is compared with are §7's:
+// Figures 13–15 and Table 1 for the applications (§7.2), Figures 16–18
+// for the microbenchmark (§7.3), and §3.3 for the tree statistics.
 package main
 
 import (

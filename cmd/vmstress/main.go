@@ -1,13 +1,12 @@
-// Command vmstress validates the four address-space designs on this
-// machine:
+// Command vmstress records and renders the Figure 2 vs Figure 12
+// concurrency timelines on the real VM system: one thread faulting
+// beside one thread mapping, per design.
 //
-//	vmstress -conformance        # run the LTP-style battery (§6)
-//	vmstress -timeline           # record and render the Figure 2 vs
-//	                             # Figure 12 concurrency timelines
-//	vmstress -design purercu     # restrict to one design
+//	vmstress                     # every design
+//	vmstress -design purercu     # one design
 //
-// With neither mode flag it runs the battery. Randomized concurrent
-// stress is cmd/torture's job.
+// The LTP-style conformance battery is internal/ltp's test, and
+// randomized concurrent stress is cmd/torture's job.
 package main
 
 import (
@@ -19,21 +18,13 @@ import (
 	"sync"
 	"time"
 
-	"bonsai/internal/ltp"
 	"bonsai/internal/vm"
 	"bonsai/internal/vma"
 )
 
 func main() {
-	var (
-		conformance = flag.Bool("conformance", false, "run the conformance battery")
-		timeline    = flag.Bool("timeline", false, "render op-concurrency timelines")
-		design      = flag.String("design", "", "restrict to one design (rwlock|faultlock|hybrid|purercu)")
-	)
+	design := flag.String("design", "", "restrict to one design (rwlock|faultlock|hybrid|purercu)")
 	flag.Parse()
-	if !*conformance && !*timeline {
-		*conformance = true
-	}
 
 	designs := vm.Designs
 	if *design != "" {
@@ -44,39 +35,9 @@ func main() {
 		}
 		designs = []vm.Design{d}
 	}
-
-	failed := false
-	if *conformance {
-		fmt.Println("== Conformance battery (LTP-style, §6) ==")
-		for _, r := range ltp.RunAll(vm.Config{}) {
-			if !containsDesign(designs, r.Design) {
-				continue
-			}
-			status := "ok"
-			if r.Err != nil {
-				status = "FAIL: " + r.Err.Error()
-				failed = true
-			}
-			fmt.Printf("  %-45s %-22s %s\n", r.Case, r.Design, status)
-		}
+	for _, d := range designs {
+		renderTimeline(d)
 	}
-	if *timeline {
-		for _, d := range designs {
-			renderTimeline(d)
-		}
-	}
-	if failed {
-		os.Exit(1)
-	}
-}
-
-func containsDesign(ds []vm.Design, d vm.Design) bool {
-	for _, x := range ds {
-		if x == d {
-			return true
-		}
-	}
-	return false
 }
 
 // renderTimeline records a short two-thread run — one faulting, one

@@ -37,8 +37,8 @@ func (t Topology) Socket(core int, spread bool) int {
 // Latencies are the model's cycle costs. They are calibrated, not
 // measured: the paper's own anchor points (≈7,400 cycles per fault at
 // 10 cores in all designs; ≈8,869 for pure RCU at 80 cores; lock-based
-// designs "more than an order of magnitude" worse at 80 cores) pin the
-// constants, and EXPERIMENTS.md documents the calibration.
+// designs "more than an order of magnitude" worse at 80 cores: Figure
+// 17 and §7.3) pin the constants.
 type Latencies struct {
 	// LocalHit is an atomic op on a line this core already owns.
 	LocalHit uint64

@@ -412,7 +412,11 @@ func TestRangeContentionAttribution(t *testing.T) {
 	as := tn.Root()
 
 	// Stretch each madvise's critical section so the overlapping
-	// goroutines actually queue on the range lock.
+	// goroutines actually queue on the range lock. The delay is spun
+	// only by a flush that revoked something, and the first madvise
+	// zaps every page populate faulted: two of the workers, on CPUs 0
+	// and 1, re-fault a page before each madvise so every round's zap
+	// flushes and pays the delay.
 	if err := fail.Enable(2, "tlb.flush-delay", fail.Config{OneIn: 1, Delay: 200 * time.Microsecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +427,17 @@ func TestRangeContentionAttribution(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var cpu *vm.CPU
+			if w < 2 {
+				cpu = as.NewCPU(w)
+			}
 			for i := 0; i < 50; i++ {
+				if cpu != nil {
+					if err := cpu.Fault(base, true); err != nil {
+						t.Errorf("fault: %v", err)
+						return
+					}
+				}
 				_ = as.MadviseDontNeed(base, 64*vm.PageSize)
 			}
 		}()

@@ -3,7 +3,7 @@
 // implementation (§6: "The implementation passes the Linux Test
 // Project, as well as our own stress tests"). Every case is expressed
 // against the public vm API and must pass identically under all four
-// concurrency designs; cmd/vmstress and the test suite both run it.
+// concurrency designs; TestConformanceAllDesigns runs it.
 package ltp
 
 import (
@@ -21,27 +21,6 @@ import (
 type Case struct {
 	Name string
 	Run  func(cfg vm.Config) error
-}
-
-// Result is the outcome of one case under one design.
-type Result struct {
-	Case   string
-	Design vm.Design
-	Err    error
-}
-
-// RunAll runs every case against every design and returns all results.
-// The cfg's Design field is overridden per run.
-func RunAll(cfg vm.Config) []Result {
-	var out []Result
-	for _, d := range vm.Designs {
-		for _, c := range Cases() {
-			cc := cfg
-			cc.Design = d
-			out = append(out, Result{Case: c.Name, Design: d, Err: c.Run(cc)})
-		}
-	}
-	return out
 }
 
 // newAS builds an address space, requiring success.

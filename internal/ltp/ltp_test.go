@@ -12,9 +12,12 @@ import (
 // designs is the configuration the paper describes.
 func TestConformanceAllDesigns(t *testing.T) {
 	for _, cfg := range []vm.Config{{}, {RangeLocks: vm.RangeLocksOff}} {
-		for _, r := range RunAll(cfg) {
-			if r.Err != nil {
-				t.Errorf("%-45s %-22s RangeLocks=%d FAIL: %v", r.Case, r.Design, cfg.RangeLocks, r.Err)
+		for _, d := range vm.Designs {
+			cfg.Design = d
+			for _, c := range Cases() {
+				if err := c.Run(cfg); err != nil {
+					t.Errorf("%-45s %-22s RangeLocks=%d FAIL: %v", c.Name, d, cfg.RangeLocks, err)
+				}
 			}
 		}
 	}

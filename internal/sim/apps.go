@@ -11,8 +11,9 @@ import (
 // AppModel parameterizes one of the paper's three application
 // benchmarks (§7.1–7.2) as a VM-operation workload: how much user work
 // a job contains and how many faults and mapping operations its threads
-// issue. The parameters are calibrated from the paper's own Table 1 and
-// §7.2 narrative; EXPERIMENTS.md documents the derivation.
+// issue. The parameters are calibrated from the paper's own Table 1
+// (user and system seconds per job at 80 cores) and the §7.2
+// narrative, as the comment on Metis, Psearchy and Dedup below derives.
 type AppModel struct {
 	Name string
 

@@ -5,7 +5,7 @@ import (
 )
 
 // Params are the calibrated cost constants of the simulation. The
-// anchors come from the paper itself (see EXPERIMENTS.md):
+// anchors come from the paper itself (Figure 17 and §7.3):
 //
 //   - ≈7,400 cycles per fault at 10 cores in every design (Fig. 17);
 //   - ≈8,869 cycles per fault at 80 cores for pure RCU (Fig. 17),

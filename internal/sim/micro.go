@@ -122,9 +122,10 @@ func Fig17(m *coherence.Machine, p Params, cores []int, cycles uint64) *stats.Se
 // Fig18Cores are the per-design core counts of Figure 18: "for each
 // design, we use enough page faulting cores to drive the design at its
 // peak page fault rate". The paper measured peaks of 10/11/15/80 on its
-// hardware; in this calibrated model Hybrid peaks at 11 cores rather
-// than 15 (see EXPERIMENTS.md), so that point is used instead — past
-// the peak the normalization in this figure is no longer meaningful.
+// hardware (§7.3, Figure 16). Hybrid's point here is 11 rather than
+// 15, where an earlier calibration of this model peaked; past the peak
+// the normalization in this figure is no longer meaningful. The
+// current constants put Hybrid's Figure 16 peak at 18 cores.
 var Fig18Cores = map[vm.Design]int{
 	vm.RWLock:    10,
 	vm.FaultLock: 11,

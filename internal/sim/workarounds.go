@@ -24,8 +24,8 @@ import (
 // It bundles the 2 MB of zeroing that 512 small faults would have
 // amortized plus the cost that dominates high-order allocations in
 // practice: order-9 pages bypass the per-CPU free lists, take the zone
-// lock, and often pay for compaction. Calibrated (see EXPERIMENTS.md)
-// so the stock-with-superpages configuration lands near the paper's
+// lock, and often pay for compaction. Calibrated against §7.2's Metis
+// comparison so the stock-with-superpages configuration lands near the paper's
 // observation that it achieves only 63× speedup while unmodified Metis
 // on pure RCU achieves 76×.
 const SuperpageFaultCycles = 5_000_000
