@@ -1,6 +1,7 @@
 // Command promcheck validates Prometheus text exposition scrapes — the
 // CI metrics smoke job's teeth. With one file it checks exposition
-// validity (parseable, single HELP/TYPE per family, counter _total
+// validity (parseable, single HELP/TYPE per family, each family's lines
+// one group that no other family's line interrupts, counter _total
 // discipline, no duplicate samples, no empty families). With two files
 // it additionally checks counter monotonicity from the first scrape to
 // the second: no counter sample regresses, no counter family vanishes.

@@ -66,7 +66,7 @@ func (e *DeltaEngine) Step(sn machine.Snapshot) Delta {
 		d.Scans = int64(ReclaimScans(sn)) - int64(ReclaimScans(p))
 		d.Evictions = int64(ReclaimEvictions(sn)) - int64(ReclaimEvictions(p))
 		d.Writebacks = int64(sn.Reclaim.Writebacks) - int64(p.Reclaim.Writebacks)
-		d.GracePeriods = int64(sn.Latency.GP.Count) - int64(p.Latency.GP.Count)
+		d.GracePeriods = int64(sn.RCU.GracePeriods) - int64(p.RCU.GracePeriods)
 		d.OOMKills = int64(sn.OOMKills) - int64(p.OOMKills)
 	}
 	tenants := make(map[string]machine.TenantSnapshot, len(sn.Tenants))

@@ -54,6 +54,8 @@ func (s Sample) Key() string {
 //
 //   - HELP and TYPE declared at most once per family, TYPE before any
 //     of the family's samples;
+//   - each family's lines form one group: no line of another family
+//     falls between its HELP, TYPE and samples;
 //   - samples grouped under a declared family (summary families also
 //     own their _count samples);
 //   - counter names end in _total, non-counters do not;
@@ -65,6 +67,7 @@ func ParseExposition(text string) ([]Family, error) {
 	var fams []Family
 	idx := make(map[string]int) // family name -> fams index
 	seen := make(map[string]bool)
+	last := -1 // the family of the previous HELP, TYPE or sample line
 	for ln, line := range strings.Split(text, "\n") {
 		lineNo := ln + 1
 		line = strings.TrimRight(line, "\r")
@@ -78,13 +81,17 @@ func ParseExposition(text string) ([]Family, error) {
 				return nil, fmt.Errorf("line %d: HELP without a name", lineNo)
 			}
 			if i, ok := idx[name]; ok {
+				if i != last {
+					return nil, fmt.Errorf("line %d: HELP for %s outside its family's group", lineNo, name)
+				}
 				if fams[i].Help != "" {
 					return nil, fmt.Errorf("line %d: duplicate HELP for %s", lineNo, name)
 				}
 				fams[i].Help = strings.TrimPrefix(rest, name+" ")
 				continue
 			}
-			idx[name] = len(fams)
+			last = len(fams)
+			idx[name] = last
 			fams = append(fams, Family{Name: name, Help: strings.TrimPrefix(rest, name+" ")})
 			continue
 		}
@@ -101,9 +108,13 @@ func ParseExposition(text string) ([]Family, error) {
 			}
 			i, ok := idx[name]
 			if !ok {
-				idx[name] = len(fams)
+				last = len(fams)
+				idx[name] = last
 				fams = append(fams, Family{Name: name, Type: typ})
 				continue
+			}
+			if i != last {
+				return nil, fmt.Errorf("line %d: TYPE for %s outside its family's group", lineNo, name)
 			}
 			if fams[i].Type != "" {
 				return nil, fmt.Errorf("line %d: duplicate TYPE for %s", lineNo, name)
@@ -132,6 +143,9 @@ func ParseExposition(text string) ([]Family, error) {
 		}
 		if !ok {
 			return nil, fmt.Errorf("line %d: sample %s has no declared family", lineNo, famName)
+		}
+		if i != last {
+			return nil, fmt.Errorf("line %d: sample %s outside its family's group", lineNo, famName)
 		}
 		fam := &fams[i]
 		if fam.Type == "" {

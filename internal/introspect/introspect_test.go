@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,9 @@ import (
 	"bonsai/internal/contention"
 	"bonsai/internal/fail"
 	"bonsai/internal/machine"
+	"bonsai/internal/physmem"
+	"bonsai/internal/rcu"
+	"bonsai/internal/reclaim"
 	"bonsai/internal/stats"
 	"bonsai/internal/vm"
 	"bonsai/internal/vma"
@@ -220,7 +224,7 @@ func TestForkChildFaultsReachEverySurface(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	if err := WriteMetrics(&b, m, "test"); err != nil {
+	if err := WriteMetrics(&b, m.Snapshot(), nil, "test"); err != nil {
 		t.Fatal(err)
 	}
 	fams, err := ParseExposition(b.String())
@@ -494,7 +498,7 @@ func TestDeltaEngine(t *testing.T) {
 		var sn machine.Snapshot
 		sn.Faults = faults
 		sn.Latency.Fault = stats.LatencyStats{Count: faults / 16} // the timed sample: not what deltas read
-		sn.Latency.GP = stats.LatencyStats{Count: gps}
+		sn.RCU.GracePeriods = gps
 		sn.Tenants = tenants
 		return sn
 	}
@@ -535,6 +539,8 @@ func TestParseExpositionRejects(t *testing.T) {
 		{"duplicate sample", "# TYPE x gauge\nx{a=\"1\"} 1\nx{a=\"1\"} 2\n"},
 		{"bad value", "# TYPE x gauge\nx nope\n"},
 		{"empty family", "# TYPE x gauge\n"},
+		{"split group", "# TYPE x gauge\nx{a=\"1\"} 1\n# TYPE y gauge\ny 1\nx{a=\"2\"} 2\n"},
+		{"declarations before samples", "# TYPE x gauge\n# TYPE y gauge\nx 1\ny 1\n"},
 	}
 	for _, c := range cases {
 		if _, err := ParseExposition(c.doc); err == nil {
@@ -562,7 +568,7 @@ func TestParseExpositionRejects(t *testing.T) {
 func hugeFaultsMetric(t *testing.T, m *machine.Machine) (float64, []Family) {
 	t.Helper()
 	var b strings.Builder
-	if err := WriteMetrics(&b, m, "test"); err != nil {
+	if err := WriteMetrics(&b, m.Snapshot(), nil, "test"); err != nil {
 		t.Fatal(err)
 	}
 	fams, err := ParseExposition(b.String())
@@ -672,5 +678,66 @@ func TestTenantRSSCountsEveryMemberOnce(t *testing.T) {
 	if got, want := rss(), filePages+16-evicted; got != want || got != int64(root.LivePages()+sib.LivePages()) {
 		t.Fatalf("RSS = %d after %d evictions, want %d (the members' live pages: %d + %d)",
 			got, evicted, want, root.LivePages(), sib.LivePages())
+	}
+}
+
+// goldenSnapshot is a machine snapshot with every /metrics section
+// populated: two tenants (alpha limited, beta not), reclaim, THP, RCU
+// and latency figures.
+func goldenSnapshot() machine.Snapshot {
+	sn := machine.Snapshot{
+		FramesTotal:   4096,
+		FramesInUse:   1500,
+		WatermarkLow:  64,
+		WatermarkHigh: 128,
+		Reclaim: reclaim.Stats{KswapdCycles: 3, KswapdEvicted: 40, DirectRuns: 2, DirectEvicted: 17,
+			AccountRuns: 5, AccountEvicted: 90, Writebacks: 12, ScanPasses: 9, InjectedStalls: 1},
+		RCU: rcu.Stats{GracePeriods: 21, Defers: 340, Ran: 330, Pending: 10, Readers: 4, GPInFlight: true,
+			GP: stats.LatencyStats{Count: 21, P50Ns: 18000, P99Ns: 95000, P999Ns: 120000}},
+		OOMKills:             1,
+		TenantsAdmitted:      3,
+		TenantsEvicted:       1,
+		CrossTenantEvictions: 2,
+		Tenants: []machine.TenantSnapshot{
+			{Name: "alpha", Limit: 256, Counts: vm.Counts{Faults: 700},
+				Account: &physmem.AccountStats{Name: "alpha", Limit: 256, Charged: 250, MaxCharged: 256,
+					LimitHits: 6, Evictions: 90, EvictionsUnderLimit: 2},
+				Fault: stats.LatencyStats{Count: 44, P50Ns: 310, P99Ns: 2500, P999Ns: 41000}},
+			{Name: "beta", Counts: vm.Counts{Faults: 300},
+				Fault: stats.LatencyStats{Count: 19, P50Ns: 290, P99Ns: 1800, P999Ns: 1800}},
+		},
+		Latency: machine.LatencySnapshot{
+			Fault:       stats.LatencyStats{Count: 70, P50Ns: 305, P99Ns: 2400, P999Ns: 41000},
+			MapOp:       stats.LatencyStats{Count: 55, P50Ns: 4200, P99Ns: 61000, P999Ns: 88000},
+			RangeWait:   stats.LatencyStats{Count: 8, P50Ns: 150000, P99Ns: 400000, P999Ns: 400000},
+			ReclaimScan: stats.LatencyStats{Count: 10, P50Ns: 52000, P99Ns: 310000, P999Ns: 310000},
+		},
+	}
+	sn.Counts = vm.Counts{Faults: 1100, THPHugeFaults: 7, THPFallbacks: 3, THPCollapses: 2,
+		THPCollapseFails: 1, THPSplits: 4, THPZaps: 2, AnonHugePages: 1}
+	return sn
+}
+
+// TestMetricsGolden pins the exposition byte for byte — HELP text,
+// family order, label order, float formatting — for a snapshot and a
+// two-site contention list, and checks the document parses.
+func TestMetricsGolden(t *testing.T) {
+	top := []contention.SiteStats{
+		{Site: "mmap_sem", Waits: 3, TotalWaitNs: 9000, MaxWaitNs: 5000},
+		{Site: "range", Lo: 0x10000, Hi: 0x20000, Waits: 12, TotalWaitNs: 1500000, MaxWaitNs: 250000},
+	}
+	var b strings.Builder
+	if err := WriteMetrics(&b, goldenSnapshot(), top, "golden"); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("exposition differs from testdata/metrics.golden:\n%s", b.String())
+	}
+	if _, err := ParseExposition(b.String()); err != nil {
+		t.Fatalf("golden exposition invalid: %v", err)
 	}
 }

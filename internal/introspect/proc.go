@@ -30,17 +30,15 @@ func TenantRSS(ts machine.TenantSnapshot) int64 {
 	return int64(ts.PagesMapped) - int64(ts.PagesUnmapped)
 }
 
-// WriteMeminfo renders /proc/meminfo: the machine-wide frame pool with
-// reclaim watermarks, then one block per tenant.
-func WriteMeminfo(w io.Writer, m *machine.Machine) error {
-	sn := m.Snapshot()
-	alloc := m.Host().Allocator()
+// WriteMeminfo renders sn as /proc/meminfo: the machine-wide frame pool
+// with reclaim watermarks, then one block per tenant.
+func WriteMeminfo(w io.Writer, sn machine.Snapshot) error {
 	pw := &errWriter{w: w}
 	pw.printf("MemTotal:       %8d frames\n", sn.FramesTotal)
 	pw.printf("MemInUse:       %8d frames\n", sn.FramesInUse)
 	pw.printf("MemFree:        %8d frames\n", int64(sn.FramesTotal)-sn.FramesInUse)
-	pw.printf("WatermarkLow:   %8d frames\n", alloc.LowWater())
-	pw.printf("WatermarkHigh:  %8d frames\n", alloc.HighWater())
+	pw.printf("WatermarkLow:   %8d frames\n", sn.WatermarkLow)
+	pw.printf("WatermarkHigh:  %8d frames\n", sn.WatermarkHigh)
 	pw.printf("OOMKills:       %8d\n", sn.OOMKills)
 	pw.printf("ReclaimEvicted: %8d pages\n", ReclaimEvictions(sn))
 	pw.printf("Writebacks:     %8d pages\n", sn.Reclaim.Writebacks)
@@ -99,11 +97,11 @@ func WriteLocks(w io.Writer, m *machine.Machine) error {
 	return pw.err
 }
 
-// WriteRCU renders /proc/rcu: domain counters, grace-period latency,
-// and the per-shard callback backlog.
-func WriteRCU(w io.Writer, m *machine.Machine) error {
+// WriteRCU renders sn's RCU domain as /proc/rcu: domain counters,
+// grace-period latency, and the per-shard callback backlog.
+func WriteRCU(w io.Writer, sn machine.Snapshot) error {
 	pw := &errWriter{w: w}
-	st := m.Host().Domain().Stats()
+	st := sn.RCU
 	gp := "idle"
 	if st.GPInFlight {
 		gp = "IN FLIGHT"
@@ -118,14 +116,7 @@ func WriteRCU(w io.Writer, m *machine.Machine) error {
 		st.GPLatencyAvg.Round(time.Microsecond), st.GPLatencyMax.Round(time.Microsecond),
 		time.Duration(st.GP.P99Ns).Round(time.Microsecond))
 	for i, n := range st.ShardPending {
-		pw.printf("shard %2d: pending %6d", i, n)
-		if i < len(st.ShardQueued) {
-			pw.printf("  queued %8d", st.ShardQueued[i])
-		}
-		if i < len(st.ShardDrains) {
-			pw.printf("  drains %8d", st.ShardDrains[i])
-		}
-		pw.printf("\n")
+		pw.printf("shard %2d: pending %6d  queued %8d  drains %8d\n", i, n, st.ShardQueued[i], st.ShardDrains[i])
 	}
 	return pw.err
 }

@@ -9,12 +9,16 @@ import (
 
 	"bonsai/internal/contention"
 	"bonsai/internal/machine"
+	"bonsai/internal/stats"
 )
 
 // Metric naming conventions (documented in the README's introspection
 // section, enforced by the exposition tests and cmd/promcheck):
 //
 //   - every family is vm_-prefixed;
+//   - every family is declared once (HELP, then TYPE) and its samples
+//     follow as one group, unbroken by another family's lines; a family
+//     with no sample is not declared;
 //   - counters end in _total and never decrease while their series
 //     exists (the vm family's and the machine's departed rollups are
 //     what make the fault/map-op counts churn-proof);
@@ -29,64 +33,47 @@ import (
 // lbl is one label pair.
 type lbl struct{ k, v string }
 
-// promWriter accumulates one exposition document, tracking family
-// declarations so HELP/TYPE are emitted exactly once per family.
-type promWriter struct {
-	w        io.Writer
-	err      error
-	declared map[string]bool
+// family is one metric family: declared once with its name, type
+// (counter, gauge or summary) and help, its sample lines appended while
+// the snapshot is read, and written as one group.
+type family struct {
+	name, typ, help string
+	lines           []string
 }
 
-func newPromWriter(w io.Writer) *promWriter {
-	return &promWriter{w: w, declared: make(map[string]bool)}
-}
+// add appends one sample of the family.
+func (f *family) add(v float64, labels ...lbl) { f.sample("", v, labels) }
 
-// family declares a metric family; typ is counter, gauge, or summary.
-// Declaring the same family twice is a programming error the
-// exposition tests would catch as a duplicate.
-func (p *promWriter) family(name, typ, help string) {
-	if p.declared[name] {
-		p.fail(fmt.Errorf("introspect: duplicate family %q", name))
-		return
-	}
-	p.declared[name] = true
-	p.printf("# HELP %s %s\n", name, escapeHelp(help))
-	p.printf("# TYPE %s %s\n", name, typ)
-}
-
-// sample emits one sample line. name must be the declared family name
-// or, for summaries, family+"_count".
-func (p *promWriter) sample(name string, labels []lbl, v float64) {
+// sample appends one sample line named the family's name plus suffix
+// ("" or a summary's "_count").
+func (f *family) sample(suffix string, v float64, labels []lbl) {
 	var b strings.Builder
-	b.WriteString(name)
-	if len(labels) > 0 {
-		b.WriteByte('{')
-		for i, l := range labels {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(l.k)
-			b.WriteString(`="`)
-			b.WriteString(escapeLabel(l.v))
-			b.WriteByte('"')
+	b.WriteString(f.name + suffix)
+	for i, l := range labels {
+		if i == 0 {
+			b.WriteByte('{')
+		} else {
+			b.WriteByte(',')
 		}
+		b.WriteString(l.k + `="` + escapeLabel(l.v) + `"`)
+	}
+	if len(labels) > 0 {
 		b.WriteByte('}')
 	}
-	p.printf("%s %s\n", b.String(), strconv.FormatFloat(v, 'g', -1, 64))
+	b.WriteString(" " + strconv.FormatFloat(v, 'g', -1, 64))
+	f.lines = append(f.lines, b.String())
 }
 
-func (p *promWriter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
+// latency appends one summary series: s's p50, p99 and p999 as quantile
+// samples, and count as the _count sample.
+func (f *family) latency(s stats.LatencyStats, count uint64, labels ...lbl) {
+	for _, q := range []struct {
+		q string
+		v int64
+	}{{"0.5", s.P50Ns}, {"0.99", s.P99Ns}, {"0.999", s.P999Ns}} {
+		f.sample("", float64(q.v), append(labels[:len(labels):len(labels)], lbl{"quantile", q.q}))
 	}
-	_, err := fmt.Fprintf(p.w, format, args...)
-	p.fail(err)
-}
-
-func (p *promWriter) fail(err error) {
-	if p.err == nil && err != nil {
-		p.err = err
-	}
+	f.sample("_count", float64(count), labels)
 }
 
 func escapeLabel(s string) string {
@@ -99,187 +86,112 @@ func escapeHelp(s string) string {
 	return r.Replace(s)
 }
 
-// summary emits a latency summary family: quantile samples (p50, p99,
-// p999) plus the _count sample, all in nanoseconds.
-func (p *promWriter) summary(name, help string, labels []lbl, s statsLatency) {
-	p.family(name, "summary", help)
-	p.summarySeries(name, labels, s)
-}
-
-// summarySeries emits one label set's samples under an already-declared
-// summary family.
-func (p *promWriter) summarySeries(name string, labels []lbl, s statsLatency) {
-	q := func(quantile string, v int64) {
-		p.sample(name, append(append([]lbl(nil), labels...), lbl{"quantile", quantile}), float64(v))
-	}
-	q("0.5", s.P50Ns)
-	q("0.99", s.P99Ns)
-	q("0.999", s.P999Ns)
-	p.sample(name+"_count", labels, float64(s.Count))
-}
-
-// statsLatency is the subset of stats.LatencyStats the writer needs;
-// declared structurally so prom.go stays decoupled from the field set.
-type statsLatency struct {
-	Count                int64
-	P50Ns, P99Ns, P999Ns int64
-}
-
 // contentionTopN bounds the per-site contention series cardinality.
 const contentionTopN = 10
 
-// WriteMetrics renders m's current state as one Prometheus text
-// exposition document; label is the instance metric's.
-func WriteMetrics(w io.Writer, m *machine.Machine, label string) error {
-	sn := m.Snapshot()
-	p := newPromWriter(w)
-
-	p.family("vm_instance_info", "gauge", "Constant 1, labeled with the introspection source's name.")
-	p.sample("vm_instance_info", []lbl{{"label", label}}, 1)
-
-	p.family("vm_pool_frames", "gauge", "Physical frame pool occupancy by state.")
-	p.sample("vm_pool_frames", []lbl{{"state", "total"}}, float64(sn.FramesTotal))
-	p.sample("vm_pool_frames", []lbl{{"state", "in_use"}}, float64(sn.FramesInUse))
-	p.sample("vm_pool_frames", []lbl{{"state", "free"}}, float64(int64(sn.FramesTotal)-sn.FramesInUse))
-	alloc := m.Host().Allocator()
-	p.family("vm_pool_watermark_frames", "gauge", "Reclaim watermarks: kswapd wakes below low, parks above high.")
-	p.sample("vm_pool_watermark_frames", []lbl{{"level", "low"}}, float64(alloc.LowWater()))
-	p.sample("vm_pool_watermark_frames", []lbl{{"level", "high"}}, float64(alloc.HighWater()))
-
-	p.family("vm_tenants_live", "gauge", "Live tenants.")
-	p.sample("vm_tenants_live", nil, float64(len(sn.Tenants)))
-	p.family("vm_tenants_admitted_total", "counter", "Tenants ever admitted.")
-	p.sample("vm_tenants_admitted_total", nil, float64(sn.TenantsAdmitted))
-	p.family("vm_tenants_evicted_total", "counter", "Tenants ever retired: evicted, or every member closed.")
-	p.sample("vm_tenants_evicted_total", nil, float64(sn.TenantsEvicted))
-	p.family("vm_oom_kills_total", "counter", "Killer-of-last-resort invocations, machine-wide.")
-	p.sample("vm_oom_kills_total", nil, float64(sn.OOMKills))
-	p.family("vm_cross_tenant_evictions_total", "counter", "Pages evicted from under-limit tenants (the fairness metric; ~0 in a healthy run).")
-	p.sample("vm_cross_tenant_evictions_total", nil, float64(sn.CrossTenantEvictions))
-
-	p.family("vm_reclaim_runs_total", "counter", "Reclaim ladder runs by path.")
-	p.sample("vm_reclaim_runs_total", []lbl{{"path", "kswapd"}}, float64(sn.Reclaim.KswapdCycles))
-	p.sample("vm_reclaim_runs_total", []lbl{{"path", "direct"}}, float64(sn.Reclaim.DirectRuns))
-	p.sample("vm_reclaim_runs_total", []lbl{{"path", "account"}}, float64(sn.Reclaim.AccountRuns))
-	p.family("vm_reclaim_evicted_pages_total", "counter", "Pages evicted by path.")
-	p.sample("vm_reclaim_evicted_pages_total", []lbl{{"path", "kswapd"}}, float64(sn.Reclaim.KswapdEvicted))
-	p.sample("vm_reclaim_evicted_pages_total", []lbl{{"path", "direct"}}, float64(sn.Reclaim.DirectEvicted))
-	p.sample("vm_reclaim_evicted_pages_total", []lbl{{"path", "account"}}, float64(sn.Reclaim.AccountEvicted))
-	p.family("vm_reclaim_writebacks_total", "counter", "Dirty pages written back before eviction.")
-	p.sample("vm_reclaim_writebacks_total", nil, float64(sn.Reclaim.Writebacks))
-	p.family("vm_reclaim_scan_passes_total", "counter", "Clock passes over the cache rotation.")
-	p.sample("vm_reclaim_scan_passes_total", nil, float64(sn.Reclaim.ScanPasses))
-	p.family("vm_reclaim_injected_stalls_total", "counter", "Direct-reclaim runs failed by the stall failpoint.")
-	p.sample("vm_reclaim_injected_stalls_total", nil, float64(sn.Reclaim.InjectedStalls))
-
-	writeTHPMetrics(p, sn)
-
-	rs := m.Host().Domain().Stats()
-	p.family("vm_rcu_grace_periods_total", "counter", "RCU grace periods completed.")
-	p.sample("vm_rcu_grace_periods_total", nil, float64(rs.GracePeriods))
-	p.family("vm_rcu_callbacks_queued_total", "counter", "Callbacks queued via Defer.")
-	p.sample("vm_rcu_callbacks_queued_total", nil, float64(rs.Defers))
-	p.family("vm_rcu_callbacks_ran_total", "counter", "Callbacks executed.")
-	p.sample("vm_rcu_callbacks_ran_total", nil, float64(rs.Ran))
-	p.family("vm_rcu_pending_callbacks", "gauge", "Callbacks queued behind the next grace period.")
-	p.sample("vm_rcu_pending_callbacks", nil, float64(rs.Pending))
-	p.family("vm_rcu_gp_in_flight", "gauge", "1 while a grace period is executing.")
-	gp := 0.0
-	if rs.GPInFlight {
-		gp = 1
+// WriteMetrics renders sn and the contention top list as one
+// Prometheus text exposition document; label is the instance metric's.
+// It sorts top in place.
+func WriteMetrics(w io.Writer, sn machine.Snapshot, top []contention.SiteStats, label string) error {
+	var fams []*family
+	fam := func(name, typ, help string) *family {
+		f := &family{name: name, typ: typ, help: help}
+		fams = append(fams, f)
+		return f
 	}
-	p.sample("vm_rcu_gp_in_flight", nil, gp)
-	p.family("vm_rcu_readers", "gauge", "Registered read-side contexts.")
-	p.sample("vm_rcu_readers", nil, float64(rs.Readers))
+	n := func(v uint64) float64 { return float64(v) }
+
+	fam("vm_instance_info", "gauge", "Constant 1, labeled with the introspection source's name.").add(1, lbl{"label", label})
+	pool := fam("vm_pool_frames", "gauge", "Physical frame pool occupancy by state.")
+	pool.add(n(sn.FramesTotal), lbl{"state", "total"})
+	pool.add(float64(sn.FramesInUse), lbl{"state", "in_use"})
+	pool.add(float64(int64(sn.FramesTotal)-sn.FramesInUse), lbl{"state", "free"})
+	wm := fam("vm_pool_watermark_frames", "gauge", "Reclaim watermarks: kswapd wakes below low, parks above high.")
+	wm.add(n(sn.WatermarkLow), lbl{"level", "low"})
+	wm.add(n(sn.WatermarkHigh), lbl{"level", "high"})
+
+	fam("vm_tenants_live", "gauge", "Live tenants.").add(float64(len(sn.Tenants)))
+	fam("vm_tenants_admitted_total", "counter", "Tenants ever admitted.").add(n(sn.TenantsAdmitted))
+	fam("vm_tenants_evicted_total", "counter", "Tenants ever retired: evicted, or every member closed.").add(n(sn.TenantsEvicted))
+	fam("vm_oom_kills_total", "counter", "Killer-of-last-resort invocations, machine-wide.").add(n(sn.OOMKills))
+	fam("vm_cross_tenant_evictions_total", "counter", "Pages evicted from under-limit tenants (the fairness metric; ~0 in a healthy run).").add(n(sn.CrossTenantEvictions))
+
+	rc := sn.Reclaim
+	runs := fam("vm_reclaim_runs_total", "counter", "Reclaim ladder runs by path.")
+	evicted := fam("vm_reclaim_evicted_pages_total", "counter", "Pages evicted by path.")
+	for _, p := range []struct {
+		path        string
+		runs, pages uint64
+	}{{"kswapd", rc.KswapdCycles, rc.KswapdEvicted}, {"direct", rc.DirectRuns, rc.DirectEvicted}, {"account", rc.AccountRuns, rc.AccountEvicted}} {
+		runs.add(n(p.runs), lbl{"path", p.path})
+		evicted.add(n(p.pages), lbl{"path", p.path})
+	}
+	fam("vm_reclaim_writebacks_total", "counter", "Dirty pages written back before eviction.").add(n(rc.Writebacks))
+	fam("vm_reclaim_scan_passes_total", "counter", "Clock passes over the cache rotation.").add(n(rc.ScanPasses))
+	fam("vm_reclaim_injected_stalls_total", "counter", "Direct-reclaim runs failed by the stall failpoint.").add(n(rc.InjectedStalls))
+
+	// The machine's counter set: the same rollup meminfo's
+	// AnonHugePages line reports.
+	thp := fam("vm_thp_faults_total", "counter", "Huge-eligible anonymous faults by outcome: huge entry installed, or fallback to base pages.")
+	thp.add(n(sn.THPHugeFaults), lbl{"outcome", "huge"})
+	thp.add(n(sn.THPFallbacks), lbl{"outcome", "fallback"})
+	coll := fam("vm_thp_collapses_total", "counter", "Collapse attempts (background scanner and explicit CollapseRange) by outcome.")
+	coll.add(n(sn.THPCollapses), lbl{"outcome", "promoted"})
+	coll.add(n(sn.THPCollapseFails), lbl{"outcome", "aborted"})
+	fam("vm_thp_splits_total", "counter", "Huge entries demoted to base pages in place.").add(n(sn.THPSplits))
+	fam("vm_thp_zaps_total", "counter", "Huge entries unmapped whole.").add(n(sn.THPZaps))
+	fam("vm_thp_anon_huge_pages", "gauge", "Base pages currently mapped by live huge entries.").add(float64(sn.AnonHugePages * hugePages))
+
+	rs := sn.RCU
+	fam("vm_rcu_grace_periods_total", "counter", "RCU grace periods completed.").add(n(rs.GracePeriods))
+	fam("vm_rcu_callbacks_queued_total", "counter", "Callbacks queued via Defer.").add(n(rs.Defers))
+	fam("vm_rcu_callbacks_ran_total", "counter", "Callbacks executed.").add(n(rs.Ran))
+	fam("vm_rcu_pending_callbacks", "gauge", "Callbacks queued behind the next grace period.").add(float64(rs.Pending))
+	inFlight := 0.0
+	if rs.GPInFlight {
+		inFlight = 1
+	}
+	fam("vm_rcu_gp_in_flight", "gauge", "1 while a grace period is executing.").add(inFlight)
+	fam("vm_rcu_readers", "gauge", "Registered read-side contexts.").add(float64(rs.Readers))
 
 	// Faults are timed by sampling: the quantiles come from the timed
 	// sample, _count is the exact fault counter, and the sample size is
 	// its own family.
-	p.summary("vm_fault_latency_ns", "Page-fault latency, machine-wide (fast path through OOM ladder); quantiles over the timed sample, _count every fault.", nil,
-		statsLatency{int64(sn.Faults), sn.Latency.Fault.P50Ns, sn.Latency.Fault.P99Ns, sn.Latency.Fault.P999Ns})
-	p.family("vm_fault_latency_samples_total", "counter", "Faults timed into vm_fault_latency_ns (1 in 16 while the tracer is disarmed, every fault while armed).")
-	p.sample("vm_fault_latency_samples_total", nil, float64(sn.Latency.Fault.Count))
-	p.summary("vm_map_op_latency_ns", "Mapping-operation latency (mmap/munmap/mprotect/madvise), machine-wide.", nil,
-		statsLatency{int64(sn.Latency.MapOp.Count), sn.Latency.MapOp.P50Ns, sn.Latency.MapOp.P99Ns, sn.Latency.MapOp.P999Ns})
-	p.summary("vm_range_wait_ns", "Contended range-lock wait latency, machine-wide.", nil,
-		statsLatency{int64(sn.Latency.RangeWait.Count), sn.Latency.RangeWait.P50Ns, sn.Latency.RangeWait.P99Ns, sn.Latency.RangeWait.P999Ns})
-	p.summary("vm_gp_latency_ns", "RCU grace-period latency.", nil,
-		statsLatency{int64(sn.Latency.GP.Count), sn.Latency.GP.P50Ns, sn.Latency.GP.P99Ns, sn.Latency.GP.P999Ns})
-	p.summary("vm_reclaim_scan_ns", "Reclaim scan duration (time under the scan lock).", nil,
-		statsLatency{int64(sn.Latency.ReclaimScan.Count), sn.Latency.ReclaimScan.P50Ns, sn.Latency.ReclaimScan.P99Ns, sn.Latency.ReclaimScan.P999Ns})
+	lat := sn.Latency
+	fam("vm_fault_latency_ns", "summary", "Page-fault latency, machine-wide (fast path through OOM ladder); quantiles over the timed sample, _count every fault.").latency(lat.Fault, sn.Faults)
+	fam("vm_fault_latency_samples_total", "counter", "Faults timed into vm_fault_latency_ns (1 in 16 while the tracer is disarmed, every fault while armed).").add(n(lat.Fault.Count))
+	fam("vm_map_op_latency_ns", "summary", "Mapping-operation latency (mmap/munmap/mprotect/madvise), machine-wide.").latency(lat.MapOp, lat.MapOp.Count)
+	fam("vm_range_wait_ns", "summary", "Contended range-lock wait latency, machine-wide.").latency(lat.RangeWait, lat.RangeWait.Count)
+	fam("vm_gp_latency_ns", "summary", "RCU grace-period latency.").latency(rs.GP, rs.GP.Count)
+	fam("vm_reclaim_scan_ns", "summary", "Reclaim scan duration (time under the scan lock).").latency(lat.ReclaimScan, lat.ReclaimScan.Count)
 
-	writeTenantMetrics(p, sn)
-	writeContentionMetrics(p)
-	return p.err
-}
-
-// writeTHPMetrics emits the machine-wide transparent-huge-page
-// families from the machine's counter set (the same rollup meminfo's
-// AnonHugePages line reports).
-func writeTHPMetrics(p *promWriter, sn machine.Snapshot) {
-	p.family("vm_thp_faults_total", "counter", "Huge-eligible anonymous faults by outcome: huge entry installed, or fallback to base pages.")
-	p.sample("vm_thp_faults_total", []lbl{{"outcome", "huge"}}, float64(sn.THPHugeFaults))
-	p.sample("vm_thp_faults_total", []lbl{{"outcome", "fallback"}}, float64(sn.THPFallbacks))
-	p.family("vm_thp_collapses_total", "counter", "Collapse attempts (background scanner and explicit CollapseRange) by outcome.")
-	p.sample("vm_thp_collapses_total", []lbl{{"outcome", "promoted"}}, float64(sn.THPCollapses))
-	p.sample("vm_thp_collapses_total", []lbl{{"outcome", "aborted"}}, float64(sn.THPCollapseFails))
-	p.family("vm_thp_splits_total", "counter", "Huge entries demoted to base pages in place.")
-	p.sample("vm_thp_splits_total", nil, float64(sn.THPSplits))
-	p.family("vm_thp_zaps_total", "counter", "Huge entries unmapped whole.")
-	p.sample("vm_thp_zaps_total", nil, float64(sn.THPZaps))
-	p.family("vm_thp_anon_huge_pages", "gauge", "Base pages currently mapped by live huge entries.")
-	p.sample("vm_thp_anon_huge_pages", nil, float64(sn.AnonHugePages*hugePages))
-}
-
-func writeTenantMetrics(p *promWriter, sn machine.Snapshot) {
-	if len(sn.Tenants) == 0 {
-		return
-	}
-	p.family("vm_tenant_frames", "gauge", "Per-tenant frame accounting by state (limit 0 = unlimited).")
-	p.family("vm_tenant_faults_total", "counter", "Per-tenant page faults, member closes included.")
-	// The account families exist only while at least one tenant is
-	// limited — an empty family is an exposition error.
-	hasAccount := false
+	// The account families have samples only while a tenant is limited.
+	tFrames := fam("vm_tenant_frames", "gauge", "Per-tenant frame accounting by state (limit 0 = unlimited).")
+	tFaults := fam("vm_tenant_faults_total", "counter", "Per-tenant page faults, member closes included.")
+	tHits := fam("vm_tenant_limit_hits_total", "counter", "Per-tenant charge attempts that hit the limit.")
+	tEvictions := fam("vm_tenant_evictions_total", "counter", "Per-tenant pages evicted from the tenant's account.")
+	tUnder := fam("vm_tenant_evictions_under_limit_total", "counter", "Per-tenant pages evicted while under limit (cross-tenant interference).")
+	tLatency := fam("vm_tenant_fault_latency_ns", "summary", "Per-tenant page-fault latency; quantiles over the timed sample, _count every fault.")
 	for _, ts := range sn.Tenants {
-		if ts.Account != nil {
-			hasAccount = true
-			break
-		}
-	}
-	if hasAccount {
-		p.family("vm_tenant_limit_hits_total", "counter", "Per-tenant charge attempts that hit the limit.")
-		p.family("vm_tenant_evictions_total", "counter", "Per-tenant pages evicted from the tenant's account.")
-		p.family("vm_tenant_evictions_under_limit_total", "counter", "Per-tenant pages evicted while under limit (cross-tenant interference).")
-	}
-	p.family("vm_tenant_fault_latency_ns", "summary", "Per-tenant page-fault latency; quantiles over the timed sample, _count every fault.")
-	for _, ts := range sn.Tenants {
-		tl := []lbl{{"tenant", ts.Name}}
-		p.sample("vm_tenant_faults_total", tl, float64(ts.Faults))
-		if ts.Account != nil {
-			a := ts.Account
-			p.sample("vm_tenant_frames", append(tl[:1:1], lbl{"state", "limit"}), float64(a.Limit))
-			p.sample("vm_tenant_frames", append(tl[:1:1], lbl{"state", "charged"}), float64(a.Charged))
-			p.sample("vm_tenant_frames", append(tl[:1:1], lbl{"state", "max_charged"}), float64(a.MaxCharged))
-			p.sample("vm_tenant_limit_hits_total", tl, float64(a.LimitHits))
-			p.sample("vm_tenant_evictions_total", tl, float64(a.Evictions))
-			p.sample("vm_tenant_evictions_under_limit_total", tl, float64(a.EvictionsUnderLimit))
+		tl := lbl{"tenant", ts.Name}
+		tFaults.add(n(ts.Faults), tl)
+		if a := ts.Account; a != nil {
+			tFrames.add(float64(a.Limit), tl, lbl{"state", "limit"})
+			tFrames.add(float64(a.Charged), tl, lbl{"state", "charged"})
+			tFrames.add(float64(a.MaxCharged), tl, lbl{"state", "max_charged"})
+			tHits.add(n(a.LimitHits), tl)
+			tEvictions.add(n(a.Evictions), tl)
+			tUnder.add(n(a.EvictionsUnderLimit), tl)
 		} else {
-			p.sample("vm_tenant_frames", append(tl[:1:1], lbl{"state", "limit"}), float64(ts.Limit))
+			tFrames.add(float64(ts.Limit), tl, lbl{"state", "limit"})
 		}
-		p.summarySeries("vm_tenant_fault_latency_ns", tl,
-			statsLatency{int64(ts.Faults), ts.Fault.P50Ns, ts.Fault.P99Ns, ts.Fault.P999Ns})
+		tLatency.latency(ts.Fault, ts.Faults, tl)
 	}
-}
 
-func writeContentionMetrics(p *promWriter) {
-	top := contention.Top(contentionTopN)
-	if len(top) == 0 {
-		return
-	}
-	p.family("vm_contention_wait_ns_total", "counter", "Cumulative contended-wait time by site (top sites only).")
-	p.family("vm_contention_waits_total", "counter", "Contended acquisitions by site (top sites only).")
-	p.family("vm_contention_wait_max_ns", "gauge", "Worst single wait by site (top sites only).")
-	// Deterministic sample order within the scrape: the snapshot is
+	cWait := fam("vm_contention_wait_ns_total", "counter", "Cumulative contended-wait time by site (top sites only).")
+	cWaits := fam("vm_contention_waits_total", "counter", "Contended acquisitions by site (top sites only).")
+	cMax := fam("vm_contention_wait_max_ns", "gauge", "Worst single wait by site (top sites only).")
+	// Deterministic sample order within the scrape: the top list is
 	// already sorted by cumulative wait; re-sort ties by range.
 	sort.SliceStable(top, func(i, j int) bool {
 		if top[i].TotalWaitNs != top[j].TotalWaitNs {
@@ -292,8 +204,18 @@ func writeContentionMetrics(p *promWriter) {
 		if s.Lo != 0 || s.Hi != 0 {
 			labels = append(labels, lbl{"range", fmt.Sprintf("0x%x-0x%x", s.Lo, s.Hi)})
 		}
-		p.sample("vm_contention_wait_ns_total", labels, float64(s.TotalWaitNs))
-		p.sample("vm_contention_waits_total", labels, float64(s.Waits))
-		p.sample("vm_contention_wait_max_ns", labels, float64(s.MaxWaitNs))
+		cWait.add(float64(s.TotalWaitNs), labels...)
+		cWaits.add(n(s.Waits), labels...)
+		cMax.add(float64(s.MaxWaitNs), labels...)
 	}
+
+	pw := &errWriter{w: w}
+	for _, f := range fams {
+		if len(f.lines) == 0 {
+			continue
+		}
+		pw.printf("# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.typ)
+		pw.printf("%s\n", strings.Join(f.lines, "\n"))
+	}
+	return pw.err
 }

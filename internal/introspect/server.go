@@ -58,11 +58,11 @@ func Start(addr string, m *machine.Machine, label string) (*Server, error) {
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WriteMetrics(w, m, label)
+		_ = WriteMetrics(w, m.Snapshot(), contention.Top(contentionTopN), label)
 	})
-	mux.HandleFunc("/proc/meminfo", s.text(WriteMeminfo))
-	mux.HandleFunc("/proc/locks", s.text(WriteLocks))
-	mux.HandleFunc("/proc/rcu", s.text(WriteRCU))
+	mux.HandleFunc("/proc/meminfo", text(func(w io.Writer) error { return WriteMeminfo(w, m.Snapshot()) }))
+	mux.HandleFunc("/proc/locks", text(func(w io.Writer) error { return WriteLocks(w, m) }))
+	mux.HandleFunc("/proc/rcu", text(func(w io.Writer) error { return WriteRCU(w, m.Snapshot()) }))
 	mux.HandleFunc("/proc/", s.handleSmaps)
 	mux.HandleFunc("/debug/contention", s.handleContention)
 	mux.HandleFunc("/snapshot.json", s.handleSnapshot)
@@ -104,10 +104,10 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 // text serves one plain-text rendering of the machine.
-func (s *Server) text(write func(io.Writer, *machine.Machine) error) http.HandlerFunc {
+func text(write func(io.Writer) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = write(w, s.m)
+		_ = write(w)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"bonsai/internal/physmem"
+	"bonsai/internal/rcu"
 	"bonsai/internal/reclaim"
 	"bonsai/internal/stats"
 	"bonsai/internal/vm"
@@ -175,21 +176,27 @@ type LatencySnapshot struct {
 	// RangeWait is the contended range-lock wait (zeros for designs on
 	// the global mmap_sem).
 	RangeWait stats.LatencyStats `json:"range_wait"`
-	// GP is the RCU grace-period latency, machine-wide.
-	GP stats.LatencyStats `json:"gp"`
 	// ReclaimScan is the reclaim scan duration (time under the scan
 	// lock), machine-wide.
 	ReclaimScan stats.LatencyStats `json:"reclaim_scan"`
 }
 
 // Snapshot is the machine-wide rollup: shared-resource counters once,
-// plus one entry per live tenant.
+// plus one entry per live tenant. It is everything the text surfaces
+// (/metrics, /proc/meminfo, /proc/rcu) render, read in one call.
 type Snapshot struct {
-	FramesTotal     uint64        `json:"frames_total"`
-	FramesInUse     int64         `json:"frames_in_use"`
-	Reclaim         reclaim.Stats `json:"reclaim"`
-	OOMKills        uint64        `json:"oom_kills"`
-	TenantsAdmitted uint64        `json:"tenants_admitted"`
+	FramesTotal uint64 `json:"frames_total"`
+	FramesInUse int64  `json:"frames_in_use"`
+	// WatermarkLow and WatermarkHigh are the pool's reclaim watermarks
+	// in frames: kswapd wakes below low and parks above high.
+	WatermarkLow  uint64        `json:"watermark_low"`
+	WatermarkHigh uint64        `json:"watermark_high"`
+	Reclaim       reclaim.Stats `json:"reclaim"`
+	// RCU is the machine's RCU domain: grace periods, callbacks, the
+	// per-shard backlog and the grace-period latency percentiles.
+	RCU             rcu.Stats `json:"rcu"`
+	OOMKills        uint64    `json:"oom_kills"`
+	TenantsAdmitted uint64    `json:"tenants_admitted"`
 	// TenantsEvicted counts retired tenants: evicted, or all members closed.
 	TenantsEvicted uint64           `json:"tenants_evicted"`
 	Tenants        []TenantSnapshot `json:"tenants,omitempty"`
@@ -202,8 +209,8 @@ type Snapshot struct {
 	vm.Counts
 	// Latency is the machine-wide hot-path latency rollup: fault,
 	// mapping-operation, and range-wait histograms over the same
-	// tenants, and the machine-shared grace-period and reclaim-scan
-	// histograms.
+	// tenants, and the machine-shared reclaim-scan histogram (the
+	// grace-period one is RCU.GP).
 	Latency LatencySnapshot `json:"latency"`
 	// CrossTenantEvictions is the reclaim-fairness metric: pages
 	// evicted from accounts that were under their limit at eviction
@@ -224,7 +231,10 @@ func (m *Machine) Snapshot() Snapshot {
 	sn := Snapshot{
 		FramesTotal:          alloc.NumFrames(),
 		FramesInUse:          alloc.InUse(),
+		WatermarkLow:         alloc.LowWater(),
+		WatermarkHigh:        alloc.HighWater(),
 		Reclaim:              m.host.Reclaimer().Stats(),
+		RCU:                  m.host.Domain().Stats(),
 		OOMKills:             m.host.OOMKills(),
 		TenantsAdmitted:      tt.Admitted,
 		TenantsEvicted:       tt.Retired,
@@ -246,7 +256,6 @@ func (m *Machine) Snapshot() Snapshot {
 		Fault:       all.Fault.Stats(),
 		MapOp:       all.MapOp.Stats(),
 		RangeWait:   all.RangeWait.Stats(),
-		GP:          m.host.Domain().GPHist().Stats(),
 		ReclaimScan: m.host.Reclaimer().ScanHist().Stats(),
 	}
 	return sn

@@ -179,18 +179,18 @@ func (a *Allocator) AccountOf(cpu int) *Account {
 // Owner returns the account charged for an allocated frame, or nil.
 // Valid only while the frame stays allocated — the owner stamp is
 // cleared when the last reference drops. A tail of an unsplit run has no
-// stamp of its own (it is always nil) and reports its head's.
+// stamp of its own (it is always nil) and reports its head's. The word
+// is read first: a split stamps each tail's owner before it clears the
+// tail's bit, so a word still marked tail means the head's stamp holds,
+// and a cleared one means the tail's own stamp is already there.
 func (a *Allocator) Owner(f Frame) *Account {
 	if f == NoFrame || uint64(f) > a.cfg.Frames {
 		return nil
 	}
-	if ac := a.owner[f].Load(); ac != nil {
-		return ac
-	}
 	if w := a.meta[f].Load(); uint32(w)&tailBit != 0 {
-		return a.owner[headOf(f, w)].Load()
+		f = headOf(f, w)
 	}
-	return nil
+	return a.owner[f].Load()
 }
 
 // unchargeFrame clears the frame's owner stamp and returns its charge,

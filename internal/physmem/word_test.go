@@ -213,6 +213,48 @@ func TestRunSplitUnderConcurrentReaders(t *testing.T) {
 	}
 }
 
+// TestOwnerDuringSplit: a run's tails keep reporting the run's account
+// while SplitRun materializes them. The split stamps every tail's owner
+// before it clears the tail bits, so Owner must read the frame word
+// first: read the other way round, a reader that loads a tail's owner
+// before its stamp and its word after the clear sees no owner at all.
+func TestOwnerDuringSplit(t *testing.T) {
+	a := New(Config{Frames: 1 << 10, CPUs: 1})
+	ac := NewAccount("t", 0)
+	a.BindAccount(0, ac)
+	wrong := 0
+	for round := 0; round < 3000; round++ {
+		base, err := a.AllocRun(0, MaxOrder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := base + 1<<MaxOrder - 1
+		var stop atomic.Bool
+		done := make(chan int)
+		for r := 0; r < 2; r++ {
+			go func() {
+				n := 0
+				for i := 0; !stop.Load(); i++ {
+					if a.Owner(last-Frame(i%4)) != ac {
+						n++
+					}
+				}
+				done <- n
+			}()
+		}
+		a.SplitRun(base, MaxOrder)
+		stop.Store(true)
+		wrong += <-done + <-done
+		a.FreeRun(base, MaxOrder)
+	}
+	if wrong != 0 {
+		t.Fatalf("Owner reported a wrong account %d times while the run split", wrong)
+	}
+	if a.InUse() != 0 || ac.Charged() != 0 {
+		t.Fatalf("InUse %d, charged %d", a.InUse(), ac.Charged())
+	}
+}
+
 // The three guards below each have a mutant twin in scripts/mutants.sh:
 // the same test run against a copy of the package with that guard
 // removed, which must fail.

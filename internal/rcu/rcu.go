@@ -563,10 +563,6 @@ type Stats struct {
 	GPInFlight bool
 }
 
-// GPHist exposes the grace-period latency histogram for machine-level
-// latency rollups.
-func (d *Domain) GPHist() *stats.LatencyHist { return &d.gpHist }
-
 // Stats returns a snapshot of the domain's counters.
 func (d *Domain) Stats() Stats {
 	st := Stats{
