@@ -141,6 +141,9 @@ func main() {
 	if *faults {
 		fmt.Printf("  failpoints:\n")
 		for _, p := range rep.Failpoints {
+			if !p.Armed {
+				continue // a schedule point, armed only by tests
+			}
 			fmt.Printf("    %-24s hits=%-9d fires=%d\n", p.Name, p.Hits, p.Fires)
 		}
 	}

@@ -85,7 +85,7 @@ loop:
 	}
 	close(stop)
 	wg.Wait()
-	dom.Barrier()
+	dom.Synchronize()
 
 	if err := tree.Validate(); err != nil {
 		log.Fatal(err)

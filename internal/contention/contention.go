@@ -59,23 +59,12 @@ type profile struct {
 // exactly once.
 var active atomic.Pointer[profile]
 
-// armMu serializes Arm/Disarm (hooks never take it).
-var armMu sync.Mutex
-
 // Arm installs a fresh, empty profile; hooks start accounting
 // immediately. Re-arming while armed resets the table.
-func Arm() {
-	armMu.Lock()
-	defer armMu.Unlock()
-	active.Store(&profile{})
-}
+func Arm() { active.Store(&profile{}) }
 
 // Disarm removes the profile; hooks return to the one-load nil check.
-func Disarm() {
-	armMu.Lock()
-	defer armMu.Unlock()
-	active.Store(nil)
-}
+func Disarm() { active.Store(nil) }
 
 // Armed reports whether a profile is armed.
 func Armed() bool { return active.Load() != nil }

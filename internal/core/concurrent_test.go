@@ -205,7 +205,7 @@ func TestRCUDelayedFree(t *testing.T) {
 		t.Fatalf("before a grace period: %d callbacks queued, %d ran, %d nodes reclaimed; want %d, 0, 0",
 			ds.Defers, ds.Ran, st.Reclaimed, retiring)
 	}
-	dom.Barrier()
+	dom.Synchronize()
 	if ds := dom.Stats(); ds.Ran != retiring {
 		t.Fatalf("after barrier ran %d callbacks, want %d", ds.Ran, retiring)
 	}

@@ -17,6 +17,12 @@
 // carry a Delay for stall-injection points (grace-period and shootdown
 // inflation), consumed via FireDelay.
 //
+// A schedule point is a site that calls Yield at a race window. Armed
+// with a Park action, which only tests set, it hands each hit's
+// goroutine to that action, which may hold it until a schedule
+// explorer releases it; that is how the VM's races are driven through
+// every interleaving on the real code.
+//
 // Registration is global and happens in package init blocks
 // (fail.NewPoint in a var declaration), mirroring how freebsd/etcd
 // failpoints are compiled in; arming is per run via Enable/DisableAll.
@@ -45,6 +51,9 @@ type Config struct {
 	Times int64
 	// Delay is the stall injected by FireDelay sites. Fire ignores it.
 	Delay time.Duration
+	// Park, when set, is called by every hit of a Yield site, on the
+	// hitting goroutine, and may block it. Fire and FireDelay ignore it.
+	Park func(*Point)
 }
 
 // armed is the immutable armed state a point publishes; swapping the
@@ -108,6 +117,25 @@ func (p *Point) FireDelay() time.Duration {
 	return a.cfg.Delay
 }
 
+// Yield is a schedule point. Disarmed, or armed without a Park action,
+// it costs one atomic load; armed with one, it counts the hit and calls
+// Park.
+func (p *Point) Yield() {
+	if a := p.state.Load(); a != nil {
+		p.park(a)
+	}
+}
+
+// park is kept out of line so that Yield inlines into its sites.
+//
+//go:noinline
+func (p *Point) park(a *armed) {
+	if a.cfg.Park != nil {
+		p.hits.Add(1)
+		a.cfg.Park(p)
+	}
+}
+
 // Hits returns how many times the site was reached while armed.
 func (p *Point) Hits() uint64 { return p.hits.Load() }
 
@@ -152,18 +180,6 @@ func Lookup(name string) *Point {
 	regMu.Lock()
 	defer regMu.Unlock()
 	return points[name]
-}
-
-// Names returns every registered failpoint name, sorted.
-func Names() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]string, 0, len(points))
-	for n := range points {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Enable arms the named failpoint for a run keyed by seed. The point's

@@ -103,6 +103,25 @@ func TestFireDelay(t *testing.T) {
 	}
 }
 
+func TestYieldParks(t *testing.T) {
+	reset(t)
+	p := NewPoint("test.yield")
+	var parked []*Point
+	park := func(q *Point) { parked = append(parked, q) }
+	p.Yield() // disarmed
+	p.arm(1, Config{})
+	p.Yield() // armed without a Park action
+	if len(parked) != 0 || p.Hits() != 0 {
+		t.Fatalf("Yield without a Park action parked %d times, counted %d hits", len(parked), p.Hits())
+	}
+	p.arm(1, Config{Park: park})
+	p.Yield()
+	p.Yield()
+	if len(parked) != 2 || parked[0] != p || p.Hits() != 2 {
+		t.Fatalf("armed Yield parked %d times, counted %d hits; want 2 and 2", len(parked), p.Hits())
+	}
+}
+
 func TestEnableSnapshotLifecycle(t *testing.T) {
 	reset(t)
 	NewPoint("test.lifecycle")

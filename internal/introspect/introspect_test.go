@@ -691,7 +691,8 @@ func goldenSnapshot() machine.Snapshot {
 		WatermarkLow:  64,
 		WatermarkHigh: 128,
 		Reclaim: reclaim.Stats{KswapdCycles: 3, KswapdEvicted: 40, DirectRuns: 2, DirectEvicted: 17,
-			AccountRuns: 5, AccountEvicted: 90, Writebacks: 12, ScanPasses: 9, InjectedStalls: 1},
+			AccountRuns: 5, AccountEvicted: 90, Writebacks: 12, ScanPasses: 9, InjectedStalls: 1,
+			Scan: stats.LatencyStats{Count: 10, P50Ns: 52000, P99Ns: 310000, P999Ns: 310000}},
 		RCU: rcu.Stats{GracePeriods: 21, Defers: 340, Ran: 330, Pending: 10, Readers: 4, GPInFlight: true,
 			GP: stats.LatencyStats{Count: 21, P50Ns: 18000, P99Ns: 95000, P999Ns: 120000}},
 		OOMKills:             1,
@@ -707,10 +708,9 @@ func goldenSnapshot() machine.Snapshot {
 				Fault: stats.LatencyStats{Count: 19, P50Ns: 290, P99Ns: 1800, P999Ns: 1800}},
 		},
 		Latency: machine.LatencySnapshot{
-			Fault:       stats.LatencyStats{Count: 70, P50Ns: 305, P99Ns: 2400, P999Ns: 41000},
-			MapOp:       stats.LatencyStats{Count: 55, P50Ns: 4200, P99Ns: 61000, P999Ns: 88000},
-			RangeWait:   stats.LatencyStats{Count: 8, P50Ns: 150000, P99Ns: 400000, P999Ns: 400000},
-			ReclaimScan: stats.LatencyStats{Count: 10, P50Ns: 52000, P99Ns: 310000, P999Ns: 310000},
+			Fault:     stats.LatencyStats{Count: 70, P50Ns: 305, P99Ns: 2400, P999Ns: 41000},
+			MapOp:     stats.LatencyStats{Count: 55, P50Ns: 4200, P99Ns: 61000, P999Ns: 88000},
+			RangeWait: stats.LatencyStats{Count: 8, P50Ns: 150000, P99Ns: 400000, P999Ns: 400000},
 		},
 	}
 	sn.Counts = vm.Counts{Faults: 1100, THPHugeFaults: 7, THPFallbacks: 3, THPCollapses: 2,

@@ -163,7 +163,7 @@ func WriteMetrics(w io.Writer, sn machine.Snapshot, top []contention.SiteStats, 
 	fam("vm_map_op_latency_ns", "summary", "Mapping-operation latency (mmap/munmap/mprotect/madvise), machine-wide.").latency(lat.MapOp, lat.MapOp.Count)
 	fam("vm_range_wait_ns", "summary", "Contended range-lock wait latency, machine-wide.").latency(lat.RangeWait, lat.RangeWait.Count)
 	fam("vm_gp_latency_ns", "summary", "RCU grace-period latency.").latency(rs.GP, rs.GP.Count)
-	fam("vm_reclaim_scan_ns", "summary", "Reclaim scan duration (time under the scan lock).").latency(lat.ReclaimScan, lat.ReclaimScan.Count)
+	fam("vm_reclaim_scan_ns", "summary", "Reclaim scan duration (time under the scan lock).").latency(sn.Reclaim.Scan, sn.Reclaim.Scan.Count)
 
 	// The account families have samples only while a tenant is limited.
 	tFrames := fam("vm_tenant_frames", "gauge", "Per-tenant frame accounting by state (limit 0 = unlimited).")

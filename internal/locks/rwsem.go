@@ -57,21 +57,6 @@ func (s *RWSem) RLock() {
 	}
 }
 
-// TryRLock attempts to acquire the semaphore in read mode without
-// blocking. It reports whether the acquisition succeeded.
-func (s *RWSem) TryRLock() bool {
-	s.mu.Lock()
-	s.initLocked()
-	if s.writer || s.waitingW > 0 {
-		s.mu.Unlock()
-		return false
-	}
-	s.readers++
-	s.mu.Unlock()
-	s.readAcquires.Add(1)
-	return true
-}
-
 // RUnlock releases a read-mode acquisition.
 func (s *RWSem) RUnlock() {
 	s.mu.Lock()
@@ -120,21 +105,6 @@ func (s *RWSem) Unlock() {
 		s.rCond.Broadcast()
 	}
 	s.mu.Unlock()
-}
-
-// Downgrade converts a write-mode hold into a read-mode hold without
-// allowing any writer to slip in between.
-func (s *RWSem) Downgrade() {
-	s.mu.Lock()
-	if !s.writer {
-		s.mu.Unlock()
-		panic("locks: Downgrade of RWSem not held in write mode")
-	}
-	s.writer = false
-	s.readers++
-	s.rCond.Broadcast()
-	s.mu.Unlock()
-	s.readAcquires.Add(1)
 }
 
 // RWSemStats is a snapshot of an RWSem's acquisition counters.

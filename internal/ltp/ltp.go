@@ -452,7 +452,7 @@ func caseDemandZero(cfg vm.Config) error {
 			if err := as.Munmap(base, 64*vm.PageSize); err != nil {
 				return err
 			}
-			as.Domain().Barrier() // let frames come home before the next round
+			as.Domain().Synchronize() // let frames come home before the next round
 		}
 		return nil
 	}
@@ -512,7 +512,7 @@ func caseOOM(cfg vm.Config) error {
 		if err := as.Munmap(base, 256*vm.PageSize); err != nil {
 			return err
 		}
-		as.Domain().Barrier()
+		as.Domain().Synchronize()
 		base2, err := as.Mmap(0, 8*vm.PageSize, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
 		if err != nil {
 			return err

@@ -176,9 +176,6 @@ type LatencySnapshot struct {
 	// RangeWait is the contended range-lock wait (zeros for designs on
 	// the global mmap_sem).
 	RangeWait stats.LatencyStats `json:"range_wait"`
-	// ReclaimScan is the reclaim scan duration (time under the scan
-	// lock), machine-wide.
-	ReclaimScan stats.LatencyStats `json:"reclaim_scan"`
 }
 
 // Snapshot is the machine-wide rollup: shared-resource counters once,
@@ -253,10 +250,9 @@ func (m *Machine) Snapshot() Snapshot {
 	}
 	sn.Counts = all.Counts
 	sn.Latency = LatencySnapshot{
-		Fault:       all.Fault.Stats(),
-		MapOp:       all.MapOp.Stats(),
-		RangeWait:   all.RangeWait.Stats(),
-		ReclaimScan: m.host.Reclaimer().ScanHist().Stats(),
+		Fault:     all.Fault.Stats(),
+		MapOp:     all.MapOp.Stats(),
+		RangeWait: all.RangeWait.Stats(),
 	}
 	return sn
 }

@@ -119,7 +119,7 @@ func TestEvictionRevertsOnRetryableWriteback(t *testing.T) {
 	if ev != 1 || written != 1 {
 		t.Fatalf("post-heal scan: evicted=%d written=%d, want 1,1", ev, written)
 	}
-	dom.Flush()
+	dom.Synchronize()
 	if alloc.InUse() != 0 {
 		t.Fatalf("%d frames leaked through the abort/retry cycle", alloc.InUse())
 	}
@@ -148,7 +148,7 @@ func TestEvictionProceedsOnStickyWriteback(t *testing.T) {
 	if _, err := c.Writeback(nil); !errors.Is(err, ErrStickyIO) {
 		t.Fatalf("eviction's sticky loss not latched for fsync: %v", err)
 	}
-	dom.Flush()
+	dom.Synchronize()
 	if alloc.InUse() != 0 {
 		t.Fatalf("%d frames leaked", alloc.InUse())
 	}

@@ -382,9 +382,6 @@ func New(fileID uint64, label string, alloc *physmem.Allocator, dom *rcu.Domain,
 // it is one atomic load on top of the plain Lock.
 func (c *Cache) lock() { contention.Lock(&c.mu, c.site) }
 
-// FileID returns the stable ID of the cached file.
-func (c *Cache) FileID() uint64 { return c.fileID }
-
 // Label returns the file's display label (name#id).
 func (c *Cache) Label() string { return c.label }
 
@@ -890,20 +887,6 @@ func (c *Cache) AccountHands() int {
 	c.lock()
 	defer c.mu.Unlock()
 	return len(c.clockHands)
-}
-
-// ResidentFor returns the number of resident pages charged to ac (the
-// tenant-eviction leak audit's view of what is still pinned here).
-func (c *Cache) ResidentFor(ac *physmem.Account) int {
-	c.lock()
-	defer c.mu.Unlock()
-	n := 0
-	c.walkLocked(c.root, func(_ *node, _ int, pg *Page) {
-		if c.alloc.Owner(pg.frame) == ac {
-			n++
-		}
-	})
-	return n
 }
 
 // walkFromLocked visits resident pages with offset >= from in

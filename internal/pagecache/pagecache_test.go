@@ -127,7 +127,7 @@ func TestDropReleasesFrames(t *testing.T) {
 	if c.Lookup(0) == nil || c.Lookup(3*physmem.PageSize) == nil {
 		t.Fatal("drop removed pages outside the range")
 	}
-	dom.Flush() // run the deferred reference drops
+	dom.Synchronize() // run the deferred reference drops
 	if alloc.Allocated(frames[1]) || alloc.Allocated(frames[2]) {
 		t.Fatal("dropped frames still allocated after a grace period")
 	}
@@ -137,7 +137,7 @@ func TestDropReleasesFrames(t *testing.T) {
 	if n := c.DropAll(); n != 2 {
 		t.Fatalf("DropAll removed %d, want 2", n)
 	}
-	dom.Flush()
+	dom.Synchronize()
 	if alloc.InUse() != 0 {
 		t.Fatalf("%d frames leaked", alloc.InUse())
 	}
@@ -237,7 +237,7 @@ func TestReclaimSecondChance(t *testing.T) {
 	if st.Resident != 0 || st.Evictions != 4 {
 		t.Fatalf("stats %+v", st)
 	}
-	dom.Flush()
+	dom.Synchronize()
 	if alloc.InUse() != 0 {
 		t.Fatalf("%d frames still allocated after eviction", alloc.InUse())
 	}
@@ -285,7 +285,7 @@ func TestReclaimUnmapsViaRmap(t *testing.T) {
 	if !pg.Deleted() || c.Lookup(0) != nil {
 		t.Fatal("evicted page still resident")
 	}
-	dom.Flush()
+	dom.Synchronize()
 	if alloc.InUse() != 0 {
 		t.Fatalf("%d frames leaked", alloc.InUse())
 	}
@@ -317,7 +317,7 @@ func TestEvictWritebackRoundTrip(t *testing.T) {
 	if ev != 1 || written != 1 {
 		t.Fatalf("evicted=%d written=%d, want 1/1", ev, written)
 	}
-	dom.Flush()
+	dom.Synchronize()
 	again, err := c.FindOrCreate(0, 0, func(f physmem.Frame) { alloc.Data(f)[0] = 0x11 })
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +391,7 @@ func TestEvictAbortOnRefault(t *testing.T) {
 		t.Fatalf("follow-up scan evicted %d, want 1", ev)
 	}
 	g.Flush()
-	dom.Flush()
+	dom.Synchronize()
 	if alloc.InUse() != 0 {
 		t.Fatalf("%d frames leaked", alloc.InUse())
 	}
@@ -445,7 +445,7 @@ func TestLookupRefDuringDrop(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	c.DropAll()
-	dom.Flush()
+	dom.Synchronize()
 	if alloc.InUse() != 0 {
 		t.Fatalf("%d frames leaked", alloc.InUse())
 	}

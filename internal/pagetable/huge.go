@@ -360,32 +360,3 @@ func (t *Tables) SurveyChunk(addr uint64, clear bool) (present, accessed, cow in
 	}
 	return present, accessed, cow, true
 }
-
-// MarkAccessed sets the software accessed bit on the present PTE
-// covering addr, under the PTE lock (base pages) or the page-directory
-// lock (huge entries). The data-access paths call it so the collapse
-// scanner's clock sees I/O-driven heat, not just faults.
-func (t *Tables) MarkAccessed(addr uint64) {
-	checkAddr(addr)
-	d := t.walkLevel2(addr)
-	if d == nil {
-		return
-	}
-	if pt := d.tables[index(addr, 2)].Load(); pt != nil {
-		idx := index(addr, 1)
-		pt.Lock()
-		if !pt.Dead() {
-			if pte := pt.PTE(idx); pte&PTEPresent != 0 {
-				pt.ptes[idx].Store(pte | PTEAccessed)
-			}
-		}
-		pt.Unlock()
-		return
-	}
-	idx := index(addr, 2)
-	t.dirLock.Lock()
-	if h := d.huge[idx].Load(); h&PTEPresent != 0 {
-		d.huge[idx].Store(h | PTEAccessed)
-	}
-	t.dirLock.Unlock()
-}

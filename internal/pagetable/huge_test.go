@@ -65,7 +65,7 @@ func TestCloneRangeSplitsHuge(t *testing.T) {
 	tb.UnmapRange(g, base, base+HugeSpan, nil)
 	dst.UnmapRange(g, base, base+HugeSpan, nil)
 	g.Flush()
-	dom.Barrier()
+	dom.Synchronize()
 	for i := 0; i < EntriesPerTable; i++ {
 		if alloc.Allocated(run + physmem.Frame(i)) {
 			t.Fatalf("frame %d still allocated after both sides unmapped", run+physmem.Frame(i))
@@ -105,7 +105,7 @@ func TestZapHugeIsOneRunEntry(t *testing.T) {
 		t.Fatalf("Span() = [%#x, %#x)", lo, hi)
 	}
 	g.Flush()
-	dom.Barrier()
+	dom.Synchronize()
 	// The deposited table's frame may merge with its buddy; the run may not.
 	if got := alloc.Stats().BuddyCoalesces - coalesces; got > 1 {
 		t.Fatalf("zap of one huge entry took %d coalesce steps", got)
@@ -172,7 +172,7 @@ func TestSpareReuse(t *testing.T) {
 		g := testGather(alloc, dom)
 		tb.UnmapRange(g, base, base+chunks*HugeSpan, nil)
 		g.Flush()
-		dom.Barrier()
+		dom.Synchronize()
 		check()
 	}
 	first := install()
@@ -250,7 +250,7 @@ func TestSplitTableNeverSpare(t *testing.T) {
 	g = testGather(alloc, dom)
 	tb.UnmapRange(g, base, base+2*HugeSpan, nil)
 	g.Flush()
-	dom.Barrier()
+	dom.Synchronize()
 	if err := tb.AuditSpares(); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestSparesUnderConcurrentInstalls(t *testing.T) {
 		g := testGather(alloc, dom)
 		tb.UnmapRange(g, base, base+HugeSpan, nil)
 		g.Flush()
-		dom.Barrier()
+		dom.Synchronize()
 		if err := tb.AuditSpares(); err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}

@@ -138,7 +138,7 @@ func TestUnmapRangeFreesEverything(t *testing.T) {
 	if got := tb.CountPresent(base, base+pages*PageSize); got != 0 {
 		t.Fatalf("%d pages still mapped after unmap", got)
 	}
-	dom.Barrier()
+	dom.Synchronize()
 	// Only the root and the directories on base's path remain (the
 	// partial-level directories are kept: the range did not cover them).
 	st := tb.Stats()
@@ -213,7 +213,7 @@ func TestNoFrameLeaksAfterFullTeardown(t *testing.T) {
 	g := testGather(alloc, dom)
 	tb.UnmapRange(g, 0, MaxAddress, nil)
 	g.Flush()
-	dom.Barrier()
+	dom.Synchronize()
 	st := tb.Stats()
 	if st.TablesLive != 1 { // only the root remains
 		t.Fatalf("TablesLive = %d after full teardown, want 1 (root)", st.TablesLive)

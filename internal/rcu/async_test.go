@@ -41,9 +41,9 @@ func TestDeferNeverBlocksOnGracePeriod(t *testing.T) {
 	}
 	r.Unlock()
 
-	d.Flush()
+	d.Synchronize()
 	if got := ran.Load(); got != n {
-		t.Fatalf("after Flush %d callbacks ran, want %d", got, n)
+		t.Fatalf("after Synchronize %d callbacks ran, want %d", got, n)
 	}
 	d.Close()
 }
@@ -61,7 +61,7 @@ func TestBackgroundDrain(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for ran.Load() != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("detector drained %d/%d callbacks without a Flush", ran.Load(), n)
+			t.Fatalf("detector drained %d/%d callbacks without a Synchronize", ran.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -148,7 +148,7 @@ func TestConcurrentDeferSynchronize(t *testing.T) {
 		}()
 	}
 	defWG.Wait()
-	d.Flush()
+	d.Synchronize()
 	if got := ran.Load(); got != writers*perWriter {
 		t.Fatalf("ran %d callbacks, want %d", got, writers*perWriter)
 	}
@@ -201,9 +201,9 @@ func TestShardDistribution(t *testing.T) {
 	if sum != want || st.Defers != want {
 		t.Fatalf("queued sum = %d, Defers = %d, want %d", sum, st.Defers, want)
 	}
-	d.Flush()
+	d.Synchronize()
 	if st := d.Stats(); st.Ran != want || st.Pending != 0 {
-		t.Fatalf("after Flush: %+v", st)
+		t.Fatalf("after Synchronize: %+v", st)
 	}
 }
 
@@ -247,7 +247,7 @@ func TestGracePeriodLatencyStats(t *testing.T) {
 		close(release)
 	}()
 	d.Defer(func() {})
-	d.Flush()
+	d.Synchronize()
 	st := d.Stats()
 	if st.GPLatencyMax < 2*time.Millisecond {
 		t.Fatalf("GPLatencyMax = %v, want >= the reader's ~5ms dwell", st.GPLatencyMax)
@@ -278,7 +278,7 @@ func TestWakeHandsOffToDetector(t *testing.T) {
 	for i := 0; i < 400*batch; i++ {
 		d.Defer(noop)
 	}
-	d.Barrier()
+	d.Synchronize()
 	if hw := d.Stats().PendingHighWater; hw > 4*batch {
 		t.Errorf("backlog reached %d callbacks with a wake threshold of %d: the detector waited for a time slice", hw, batch)
 	}

@@ -28,7 +28,7 @@ func ExampleDomain() {
 	old := current.Swap(&config{limit: 20})
 	dom.Defer(func() { fmt.Println("reclaimed config with limit", old.limit) })
 
-	dom.Barrier() // wait one grace period and run callbacks
+	dom.Synchronize() // wait one grace period and run callbacks
 	// Output:
 	// reader sees limit 10
 	// reclaimed config with limit 10

@@ -18,10 +18,10 @@
 //     softirq callback processing): a goroutine that advances the
 //     epoch, waits for pre-existing readers with exponential backoff
 //     and parking, and drains expired callback segments.
-//   - Synchronize (synchronize_rcu) and Flush/Barrier (rcu_barrier):
-//     the only blocking entry points. Mutators that must observe
-//     reclamation (teardown, leak checks, OOM recovery) call these;
-//     nothing else blocks.
+//   - Synchronize (synchronize_rcu, and rcu_barrier too: it runs every
+//     callback queued before it) and Close: the only blocking entry
+//     points. Mutators that must observe reclamation (teardown, leak
+//     checks, OOM recovery) call Synchronize; nothing else blocks.
 //
 // Although Go's garbage collector already guarantees that memory is not
 // recycled while a reader can still reach it, the VM system reuses
@@ -66,7 +66,7 @@ type Domain struct {
 	shardMask uint32
 
 	// gpMu serializes grace-period execution between the detector and
-	// the blocking entry points (Synchronize/Flush/Close). It is never
+	// the blocking entry points (Synchronize/Close). It is never
 	// touched by Defer.
 	gpMu sync.Mutex
 
@@ -133,7 +133,7 @@ type Options struct {
 	// grace period and drain, modeling the kernel's batched softirq
 	// processing of call_rcu callbacks. Zero means DefaultBatchSize.
 	// Negative disables the background detector entirely: callbacks
-	// run only when the caller invokes Synchronize/Flush/Barrier,
+	// run only when the caller invokes Synchronize,
 	// which keeps reclamation deterministic for tests.
 	BatchSize int
 
@@ -313,7 +313,7 @@ func (d *Domain) DeferOn(hint int, fn func()) {
 	trace.Emit(trace.AuxCPU, trace.EvRCUDefer, e, uint64(uint32(hint)&d.shardMask), uint64(n))
 
 	if d.opts.BatchSize < 0 {
-		return // manual mode: drained only by Synchronize/Flush
+		return // manual mode: drained only by Synchronize
 	}
 	switch {
 	case n >= int64(d.budget):
@@ -368,15 +368,6 @@ func (d *Domain) Synchronize() {
 	d.gracePeriodLocked()
 }
 
-// Flush runs a grace period and then runs every callback queued before
-// the call (the analogue of rcu_barrier). It is the one call mutators
-// use when they must observe reclamation: address-space teardown, leak
-// checks, and OOM recovery.
-func (d *Domain) Flush() { d.Synchronize() }
-
-// Barrier is an alias for Flush, kept for symmetry with rcu_barrier.
-func (d *Domain) Barrier() { d.Flush() }
-
 // Close stops the background detector (if it ever started) and flushes
 // all remaining callbacks. The caller must quiesce all retiring paths
 // first — a Defer racing Close may be silently dropped, exactly as a
@@ -392,7 +383,7 @@ func (d *Domain) Close() {
 		close(d.stopc)
 		<-d.exited
 	}
-	d.Flush()
+	d.Synchronize()
 }
 
 // gracePeriodLocked advances the epoch, waits for pre-existing readers,

@@ -79,9 +79,9 @@ func TestDeferRunsAfterGracePeriod(t *testing.T) {
 		t.Fatal("callback ran before any grace period")
 	}
 	r.Unlock()
-	d.Barrier()
+	d.Synchronize()
 	if !freed.Load() {
-		t.Fatal("callback did not run after Barrier")
+		t.Fatal("callback did not run after Synchronize")
 	}
 }
 
@@ -104,7 +104,7 @@ func TestDeferredCallbackNeverRunsDuringProtectingReader(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		d.Barrier()
+		d.Synchronize()
 		close(done)
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -200,7 +200,7 @@ func TestStatsCounters(t *testing.T) {
 	if st.Defers != 2 || st.Pending != 2 || st.Ran != 0 {
 		t.Fatalf("stats before barrier = %+v", st)
 	}
-	d.Barrier()
+	d.Synchronize()
 	st = d.Stats()
 	if st.Ran != 2 || st.Pending != 0 || st.GracePeriods == 0 {
 		t.Fatalf("stats after barrier = %+v", st)
@@ -248,7 +248,7 @@ func TestManyReadersStress(t *testing.T) {
 		old := cur.Swap(&obj{})
 		d.Defer(func() { old.dead.Store(true) })
 	}
-	d.Barrier()
+	d.Synchronize()
 	close(stop)
 	wg.Wait()
 }

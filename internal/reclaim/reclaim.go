@@ -322,7 +322,7 @@ func (r *Reclaimer) DirectReclaim() bool {
 	// grace period, so our scan can find an empty cache while the
 	// frames it needs are seconds from the free list. Wait out the
 	// grace period and re-check before declaring defeat.
-	r.dom.Flush()
+	r.dom.Synchronize()
 	return r.alloc.FreeFrames() > 0
 }
 
@@ -401,7 +401,7 @@ func (r *Reclaimer) reclaim(target int, force bool) (drained, evictedN int) {
 		// scan lock and read section are released: a reclaimer never
 		// blocks a grace period on itself, and a parked kswapd never
 		// holds the lock against a direct reclaimer.
-		r.dom.Flush()
+		r.dom.Synchronize()
 	}
 	return freed, evicted
 }
@@ -447,7 +447,7 @@ func (r *Reclaimer) ReclaimAccount(ac *physmem.Account, target int) int {
 		r.accountEvicted.Add(uint64(evicted))
 		// The frees (and with them the uncharges) are deferred past a
 		// grace period; flush so the caller's retry sees the charge drop.
-		r.dom.Flush()
+		r.dom.Synchronize()
 	}
 	return evicted
 }
@@ -513,7 +513,3 @@ func (r *Reclaimer) Stats() Stats {
 		Scan:           r.scanHist.Stats(),
 	}
 }
-
-// ScanHist exposes the scan-duration histogram for machine-level
-// latency rollups.
-func (r *Reclaimer) ScanHist() *stats.LatencyHist { return &r.scanHist }

@@ -104,7 +104,7 @@ func TestDirectReclaimMakesProgress(t *testing.T) {
 	// no scan can evict. Only then may DirectReclaim report defeat —
 	// free frames or resident cache pages always count as progress.
 	c.DropAll()
-	dom.Flush()
+	dom.Synchronize()
 	var pinned []physmem.Frame
 	for {
 		f, err := alloc.Alloc(0)

@@ -149,9 +149,6 @@ func (c *Ctx) Proc() *Proc { return c.p }
 // Now returns the proc's virtual time.
 func (c *Ctx) Now() uint64 { return c.p.clock }
 
-// Stopping reports whether the simulation is tearing down.
-func (c *Ctx) Stopping() bool { return c.s.stopping }
-
 // yield hands control back to the scheduler.
 func (c *Ctx) yield() {
 	c.s.yielded <- struct{}{}
@@ -183,14 +180,6 @@ func (c *Ctx) Acquire(l *coherence.Line) {
 	d := done - c.p.clock
 	c.p.sysCycles += d
 	c.p.stallAccum += d
-	c.p.clock = done
-	c.yield()
-}
-
-// ReadLine performs a read-only access to a shared line.
-func (c *Ctx) ReadLine(l *coherence.Line) {
-	done := c.s.M.Read(l, c.p.Core, c.p.clock, c.s.Spread)
-	c.p.sysCycles += done - c.p.clock
 	c.p.clock = done
 	c.yield()
 }

@@ -47,10 +47,6 @@ func NewVSem(s *Sim, wakeCycles uint64, heavy bool) *VSem {
 	}
 }
 
-// SemTransfers returns the ownership-transfer count of the semaphore
-// word's line (the contention diagnostic).
-func (v *VSem) SemTransfers() uint64 { return v.semLine.Transfers() }
-
 // RLock acquires in read mode, sleeping while a writer holds or waits.
 func (v *VSem) RLock(c *Ctx) {
 	c.Acquire(v.semLine) // atomic add on the count word

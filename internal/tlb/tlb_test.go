@@ -41,7 +41,7 @@ func TestFlushBatchesFrames(t *testing.T) {
 		t.Fatalf("Span() = [%#x, %#x)", lo, hi)
 	}
 	g.Flush()
-	dom.Flush()
+	dom.Synchronize()
 	for _, f := range frames {
 		if alloc.Allocated(f) {
 			t.Fatalf("frame %d still allocated after flush + grace period", f)
@@ -76,7 +76,7 @@ func TestRunEntry(t *testing.T) {
 		t.Fatalf("Span() = [%#x, %#x)", lo, hi)
 	}
 	g.Flush()
-	dom.Flush()
+	dom.Synchronize()
 	if alloc.InUse() != 0 || alloc.FreeRuns(physmem.MaxOrder) != runs {
 		t.Fatalf("InUse %d, order-9 blocks %d after the batch ran; want 0, %d",
 			alloc.InUse(), alloc.FreeRuns(physmem.MaxOrder), runs)
@@ -127,7 +127,7 @@ func TestGatherReusableAfterFlush(t *testing.T) {
 	f2, _ := alloc.Alloc(0)
 	g.Page(0x2000, f2)
 	g.Flush()
-	dom.Flush()
+	dom.Synchronize()
 	if alloc.InUse() != 0 {
 		t.Fatalf("%d frames leaked across reuse", alloc.InUse())
 	}
@@ -144,7 +144,7 @@ func TestDeferRunsAfterFlush(t *testing.T) {
 	ran := false
 	g.Defer(func() { ran = true })
 	g.Flush()
-	dom.Flush()
+	dom.Synchronize()
 	if !ran {
 		t.Fatal("deferred callback never ran")
 	}
@@ -209,7 +209,7 @@ func TestFlushRecyclesBatches(t *testing.T) {
 			g.Page(uint64(i)*4096, f)
 		}
 		g.Flush()
-		dom.Flush()
+		dom.Synchronize()
 	}
 	zap(4) // builds the one batch this test ever needs
 	if avg := testing.AllocsPerRun(200, func() { zap(4) }); avg != 0 && !race.Enabled {

@@ -339,9 +339,8 @@ type designRun struct {
 	ballastMu sync.Mutex
 	ballast   map[*vm.AddressSpace]bool
 
-	mu     sync.Mutex // guards rep and rollup
-	rep    DesignReport
-	rollup vm.Rollup
+	mu  sync.Mutex // guards rep
+	rep DesignReport
 }
 
 // design runs every seat on a fresh machine until the deadline, then
@@ -387,8 +386,8 @@ func (t *run) design(d vm.Design, deadline time.Time) {
 	// Every seat evicted its last tenant: whatever is still allocated is
 	// a leak, since no frame outlives the tenant that charged it.
 	sn := m.Snapshot()
-	dr.rep.Faults, dr.rep.Fault = dr.rollup.Faults, dr.rollup.Fault.Stats()
-	dr.rep.HugeFaults, dr.rep.Collapses, dr.rep.HugeSplits = dr.rollup.THPHugeFaults, dr.rollup.THPCollapses, dr.rollup.THPSplits
+	dr.rep.Faults, dr.rep.Fault = sn.Faults, sn.Latency.Fault
+	dr.rep.HugeFaults, dr.rep.Collapses, dr.rep.HugeSplits = sn.THPHugeFaults, sn.THPCollapses, sn.THPSplits
 	dr.rep.CrossTenantEvictions = sn.CrossTenantEvictions
 	dr.rep.OOMKills = sn.OOMKills
 	if sn.FramesInUse != 0 {
@@ -653,9 +652,10 @@ func (g *generation) audit() {
 }
 
 // evict withdraws the tenant's ballast from the killer, evicts it —
-// every member closes and the leak audit runs — and folds the tenant's
-// counts and final rollup into the design's. The account is read
-// first, so the teardown's own evictions stay out of the report.
+// every member closes and the leak audit runs, and the tenant's final
+// rollup joins the machine's departed one — and folds the tenant's
+// counts into the design's. The account is read first, so the
+// teardown's own evictions stay out of the report.
 func (g *generation) evict(ws []*worker) {
 	dr, t := g.dr, g.dr.t
 	dr.ballastMu.Lock()
@@ -680,7 +680,6 @@ func (g *generation) evict(ws []*worker) {
 	dr.rep.LimitHits += acct.LimitHits
 	dr.rep.Evictions += acct.Evictions
 	dr.rep.MaxCharged = max(dr.rep.MaxCharged, acct.MaxCharged)
-	dr.rollup.Add(g.root.Rollup())
 	dr.mu.Unlock()
 	// With one unlimited seat the tenant was the machine's only user:
 	// the pool must be empty again and, its magazines drained, coalesce

@@ -176,7 +176,7 @@ func (as *AddressSpace) AuditTHP() error {
 // rmap entries whose PTEs are already gone.
 func (as *AddressSpace) QuiesceReclaim(fn func()) {
 	as.fam.ms.rec.Quiesce(func() {
-		as.dom.Flush()
+		as.dom.Synchronize()
 		fn()
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bonsai/internal/fail"
 	"bonsai/internal/pagecache"
 	"bonsai/internal/pagetable"
 	"bonsai/internal/physmem"
@@ -214,6 +215,15 @@ const (
 
 func (retryReason) Error() string { return "vm: fault must retry with the page pinned" }
 
+// The fault's schedule points (fail.Point.Yield): after the fast path's
+// lockless VMA lookup, and before a fill takes the PTE lock. Tests park
+// goroutines on them, and on munmap's, to run the §5.2 fill race and
+// the Figure 10 split race through every interleaving.
+var (
+	faultLookupPoint = fail.NewPoint("vm.fault-lookup")
+	faultFillPoint   = fail.NewPoint("vm.fault-fill")
+)
+
 // fault is one fault attempt. The fast path runs inside the policy's
 // read side — a semaphore in read mode, or just the CPU's RCU read
 // section (§5.2–5.3), in which case the fill revalidates the VMA under
@@ -226,7 +236,9 @@ func (c *CPU) fault(page uint64, write bool) error {
 	sy := &c.as.sy
 	sy.enter(c)
 	var err error = retryMiss
-	if v := c.lookup(page); v != nil {
+	v := c.lookup(page)
+	faultLookupPoint.Yield()
+	if v != nil {
 		if err = checkProt(v, write); err == nil {
 			locked := sy.readExcludesMapOps()
 			var recheck func() bool
@@ -398,6 +410,7 @@ func (c *CPU) fillPage(v *vma.VMA, page uint64, write bool, recheck func() bool,
 			}
 		}
 	}
+	faultFillPoint.Yield()
 	res, err := as.tables.FillOrUpgrade(c.id, page, pt, write, recheck, func() (uint64, error) {
 		if f := v.File(); f != nil {
 			if pc := f.PageCache(); pc != nil {

@@ -37,7 +37,7 @@ func TestTLBStatsBatched(t *testing.T) {
 		if flushed := after.TLBPagesFlushed - before.TLBPagesFlushed; flushed != pages {
 			t.Fatalf("flush covered %d translations, want %d", flushed, pages)
 		}
-		as.Domain().Flush()
+		as.Domain().Synchronize()
 		if inUse := as.Allocator().InUse(); inUse >= pages {
 			t.Fatalf("%d frames still in use after the flush's grace period", inUse)
 		}

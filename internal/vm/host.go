@@ -206,7 +206,7 @@ func (ms *machine) retireTenant(fam *family) error {
 	if last {
 		return ms.teardown()
 	}
-	ms.dom.Flush()
+	ms.dom.Synchronize()
 	return nil
 }
 
@@ -359,7 +359,7 @@ func (h *Host) DrainAccount(ac *physmem.Account) int64 {
 	// The drain scans recreated clock hands for ac in every cache they
 	// touched; ac is departed, so drop them again.
 	h.ms.rec.ForgetAccount(ac)
-	h.ms.dom.Flush()
+	h.ms.dom.Synchronize()
 	return ac.Charged()
 }
 

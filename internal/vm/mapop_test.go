@@ -107,7 +107,7 @@ func TestMapCycleAllocs(t *testing.T) {
 		for i := 0; i < n; i++ {
 			churnCycle(t, as, cpu, base)
 			if i%perGP == perGP-1 {
-				as.dom.Flush()
+				as.dom.Synchronize()
 			}
 		}
 	}
@@ -321,7 +321,7 @@ func TestConcurrentMapOpsRetireOnDifferentShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	as.dom.Flush()
+	as.dom.Synchronize()
 	before := as.dom.Stats().ShardQueued
 	for i, op := range []*opCtx{a, b} {
 		if err := as.munmapInner(op, bases[i], 4*PageSize); err != nil {

@@ -4,8 +4,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bonsai/internal/fail"
 	"bonsai/internal/trace"
 	"bonsai/internal/vma"
+)
+
+// munmap's schedule points: after the regions are cut (bounds moved,
+// deleted marks set) and after the cut is committed to the region tree.
+var (
+	unmapCutPoint    = fail.NewPoint("vm.unmap-cut")
+	unmapCommitPoint = fail.NewPoint("vm.unmap-commit")
 )
 
 // clockBase anchors mapOpIn's monotonic clock readings.
@@ -167,7 +175,9 @@ func (as *AddressSpace) munmapInner(op *opCtx, addr, length uint64) error {
 // VMA's extent, and has entered the mutation phase.
 func (as *AddressSpace) munmapLocked(op *opCtx, lo, hi uint64) {
 	as.unmapRegions(op, lo, hi)
+	unmapCutPoint.Yield()
 	as.commit(op)
+	unmapCommitPoint.Yield()
 	// Zap the hardware page tables (Figure 11) and retire page frames
 	// after a grace period.
 	as.zapRange(op, lo, hi)

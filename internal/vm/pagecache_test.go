@@ -117,7 +117,7 @@ func TestSharedFileFrameRefcounts(t *testing.T) {
 		if err := sib.Munmap(baseB, PageSize); err != nil {
 			t.Fatal(err)
 		}
-		as.Domain().Flush() // run the deferred mapping-reference drop
+		as.Domain().Synchronize() // run the deferred mapping-reference drop
 		if n := as.Allocator().Refs(fr); n != 2 {
 			t.Fatalf("refs=%d after sibling munmap, want 2", n)
 		}

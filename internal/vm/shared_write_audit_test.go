@@ -273,7 +273,7 @@ func TestFastPathFaultWritesOnlyItsOwnCells(t *testing.T) {
 			if err := as.MadviseDontNeed(base, pages*PageSize); err != nil {
 				t.Fatal(err)
 			}
-			as.dom.Flush()
+			as.dom.Synchronize()
 			if err := cpus[0].Fault(base, false); err != nil { // warm CPU 0's path
 				t.Fatal(err)
 			}

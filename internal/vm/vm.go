@@ -574,7 +574,7 @@ func (as *AddressSpace) oomKill(tenantOnly bool) bool {
 		vtag = victimFam.acct.Tag()
 	}
 	trace.Emit(trace.AuxCPU, trace.EvOOMKill, trace.OomKillVictim, tb, vtag)
-	ms.dom.Flush()
+	ms.dom.Synchronize()
 	return true
 }
 
@@ -684,7 +684,7 @@ func (as *AddressSpace) Close() error {
 	if last {
 		err = as.fam.ms.retireTenant(as.fam)
 	} else {
-		as.dom.Flush()
+		as.dom.Synchronize()
 	}
 	as.fam.releaseMember(as.member)
 	return err

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Mutant twins of the frame-word guards in internal/physmem and of the
-# page-table spare list's one rule (a published table is never reused):
+# Mutant twins of the frame-word guards in internal/physmem, of the
+# page-table spare list's one rule (a published table is never reused),
+# and of the fault's §5.2 recheck under the PTE lock (killed by the
+# schedule explorer, which runs the fill race through every interleaving):
 # each guard test passes on the checkout as it stands and must fail on a
 # copy of it with that one guard removed — the proof that the test sees
 # the guard. Each test runs in the package of the file its twin mutates.
@@ -28,6 +30,7 @@ mutants=(
 	'TestStampOfShapedFramePanics@@internal/physmem/physmem.go@@if uint32(a.meta[f].Add(1<<32|1)) != 1 {@@if uint32(a.meta[f].Add(1<<32|1))&refsMask != 1 {'
 	'TestFreeRunTwicePanics@@internal/physmem/physmem.go@@if w&refsMask != 0 || shapeOrder(w) != order {@@if false {'
 	'TestSplitTableNeverSpare@@internal/pagetable/pagetable.go@@t.retireStructure(g, pt.frame)@@t.retireStructure(g, pt.frame); t.spare(pt)'
+	'TestExploreFillRace@@internal/vm/fault.go@@recheck = func() bool { return v.Contains(page) }@@recheck = func() bool { return true }'
 )
 
 mkdir -p "$work/pristine"
