@@ -1,16 +1,20 @@
-// Command asplos12 regenerates every table and figure of the paper's
-// evaluation (§7) on the simulated 80-core machine:
+// Command asplos12 regenerates the tables and figures of the paper's
+// evaluation (§7), most on the simulated 80-core machine, and the
+// Figure 2 vs Figure 12 timelines on the real VM system:
 //
 //	asplos12 -experiment all            # everything (default)
 //	asplos12 -experiment fig17          # one figure
 //	asplos12 -experiment table1
 //	asplos12 -experiment rotations      # §3.3 tree statistics
+//	asplos12 -experiment timelines      # Figures 2 and 12, all four designs
 //	asplos12 -quick                     # coarser sweeps for a fast pass
 //	asplos12 -csv                       # machine-readable series output
 //
 // The paper's numbers each experiment is compared with are §7's:
 // Figures 13–15 and Table 1 for the applications (§7.2), Figures 16–18
-// for the microbenchmark (§7.3), and §3.3 for the tree statistics.
+// for the microbenchmark (§7.3), and §3.3 for the tree statistics. The
+// timelines are qualitative: one thread faulting beside one thread
+// remapping, per design, as Figures 2 and 12 draw them.
 package main
 
 import (
@@ -29,7 +33,7 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"which result to regenerate: fig13|fig14|fig15|fig16|fig17|fig18|table1|rotations|workarounds|ablations|all")
+			"which result to regenerate: fig13|fig14|fig15|fig16|fig17|fig18|table1|rotations|workarounds|ablations|timelines|all")
 		quick = flag.Bool("quick", false, "coarser core sweeps for a fast run")
 		csv   = flag.Bool("csv", false, "emit CSV instead of tables and charts")
 		chart = flag.Bool("chart", true, "render ASCII charts for figures")
@@ -107,6 +111,13 @@ func main() {
 		weightAblation()
 		mmapCacheAblation()
 		pteLockAblation()
+	}
+	if run("timelines") {
+		ran = true
+		if err := timelines(); err != nil {
+			fmt.Fprintln(os.Stderr, "timelines:", err)
+			os.Exit(1)
+		}
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)

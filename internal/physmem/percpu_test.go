@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"bonsai/internal/fail"
 )
 
 // TestInUseExactUnderStorm: with the allocation counters spread over
@@ -99,6 +101,45 @@ func TestInUseExactUnderStorm(t *testing.T) {
 	a.DrainMagazines()
 	if err := a.AuditBuddy(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInUseAcrossAllocsPass parks InUse's reader between its frees and
+// allocs passes while the pool frees and reallocates more frames than
+// it holds: the reading must still be one the pool could have held.
+// A fold that counts those reallocations but not their frees reads 96.
+func TestInUseAcrossAllocsPass(t *testing.T) {
+	const frames = 64
+	a := New(Config{Frames: frames, CPUs: 2})
+	held := make([]Frame, frames/2)
+	for i := range held {
+		held[i], _ = a.Alloc(0)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	if err := fail.Enable(1, "physmem.counts-pass", fail.Config{Park: func(*fail.Point) {
+		once.Do(func() { close(parked); <-release })
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	defer fail.Disable("physmem.counts-pass")
+	got := make(chan int64)
+	go func() { got <- a.InUse() }()
+	<-parked
+	for i := 0; i < frames; i++ {
+		a.Free(i%2, held[i%len(held)])
+		f, err := a.Alloc((i + 1) % 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i%len(held)] = f
+	}
+	close(release)
+	if n := <-got; n < 0 || n > frames {
+		t.Fatalf("InUse = %d, outside [0, %d]", n, frames)
+	}
+	if n := a.InUse(); n != frames/2 {
+		t.Fatalf("InUse = %d at quiesce, want %d", n, frames/2)
 	}
 }
 

@@ -73,11 +73,13 @@ import (
 // last-resort path that normally hides stranded frames. failRunAlloc
 // makes AllocRun report a run shortage for order > 0 requests: the
 // typed signal the huge-page fault path must answer by falling back to
-// base pages, never by surfacing an error.
+// base pages, never by surfacing an error. countsPass is a schedule
+// point between counts' frees and allocs passes.
 var (
 	failAlloc    = fail.NewPoint("physmem.alloc")
 	failDrain    = fail.NewPoint("physmem.drain")
 	failRunAlloc = fail.NewPoint("physmem.run-alloc")
+	countsPass   = fail.NewPoint("physmem.counts-pass")
 )
 
 // PageSize is the size of a physical frame in bytes (x86-64 small page).
@@ -997,18 +999,35 @@ func (a *Allocator) rearmPressure() {
 func (a *Allocator) Pressure() <-chan struct{} { return a.pressure }
 
 // counts sums the per-magazine allocation counters. Frees are read
-// first: every free counted follows its frame's alloc, which the second
-// pass then cannot miss, so a reading concurrent with allocation never
-// shows more frees than allocs. At quiesce both sums are exact.
+// first: every free counted follows its frame's alloc, which the allocs
+// pass then cannot miss, so a reading never shows more frees than
+// allocs. A frame freed and reallocated during the allocs pass would be
+// counted allocated twice, so, as a seqcount reader does, counts reads
+// the frees again and retries until they did not move: no free ran
+// during the allocs pass, and allocs − frees is a count the pool held.
+// At quiesce both sums are exact.
 func (a *Allocator) counts() (allocs, frees uint64) {
-	frees = a.remoteFrees.Load()
-	for i := range a.mags {
-		frees += a.mags[i].frees.Load()
+	frees = a.frees()
+	for {
+		countsPass.Yield()
+		allocs = 0
+		for i := range a.mags {
+			allocs += a.mags[i].allocs.Load()
+		}
+		again := a.frees()
+		if again == frees {
+			return allocs, frees
+		}
+		frees = again
 	}
+}
+
+func (a *Allocator) frees() uint64 {
+	n := a.remoteFrees.Load()
 	for i := range a.mags {
-		allocs += a.mags[i].allocs.Load()
+		n += a.mags[i].frees.Load()
 	}
-	return allocs, frees
+	return n
 }
 
 // CPUCounts returns the allocation counters of cpu's magazine alone

@@ -66,10 +66,11 @@ func TestInjectedAllocFailureLeaksNothing(t *testing.T) {
 // after the space is built: Fault must return the typed ErrNoMemory
 // within the retry budget — the regression test for the formerly
 // unbounded retry loop, which would spin forever here because direct
-// reclaim always reports the free pool as progress.
+// reclaim always reports the free pool as progress. Then the pool runs
+// out for real, and frames an munmap returns serve new faults.
 func TestPermanentAllocFailureTerminates(t *testing.T) {
 	defer fail.DisableAll()
-	forEachDesign(t, Config{CPUs: 1, Frames: 1024, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Frames: 64, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		base := mustMmap(t, as, 0, 4*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 		if err := fail.Enable(7, "physmem.alloc", fail.Config{OneIn: 1}); err != nil {
@@ -89,6 +90,26 @@ func TestPermanentAllocFailureTerminates(t *testing.T) {
 		fail.DisableAll()
 		if err := cpu.Fault(base, true); err != nil {
 			t.Fatalf("fault after disarming: %v", err)
+		}
+		big := mustMmap(t, as, 0, 256*PageSize, vma.ProtRead|vma.ProtWrite, 0)
+		var p uint64
+		for ; p < 256; p++ {
+			if err = cpu.Fault(big+p*PageSize, true); err != nil {
+				break
+			}
+		}
+		if !errors.Is(err, ErrNoMemory) {
+			t.Fatalf("faulting a 64-frame pool: %d pages, then %v; want ErrNoMemory", p, err)
+		}
+		if err := as.Munmap(big, 256*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		as.Domain().Synchronize()
+		big = mustMmap(t, as, 0, 8*PageSize, vma.ProtRead|vma.ProtWrite, 0)
+		for i := uint64(0); i < 8; i++ {
+			if err := cpu.Fault(big+i*PageSize, true); err != nil {
+				t.Fatalf("fault after munmap returned the frames: %v", err)
+			}
 		}
 	})
 }

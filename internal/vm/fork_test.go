@@ -152,6 +152,13 @@ func TestForkCowIsolation(t *testing.T) {
 		if as.Design().UsesRCU() && cst.RetriesCow == 0 {
 			t.Fatal("RCU design broke COW on the fast path")
 		}
+		// The child's munmap leaves the parent's pages in place.
+		if err := child.Munmap(base, 4*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := cpu.ReadBytes(base, buf); err != nil || !bytes.Equal(buf, parentData) {
+			t.Fatalf("parent read %x, %v after the child's munmap", buf[0], err)
+		}
 		if err := child.Close(); err != nil {
 			t.Fatal(err)
 		}

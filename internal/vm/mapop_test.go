@@ -433,6 +433,18 @@ func TestMunmapOfNothingFreesEmptyTables(t *testing.T) {
 		if got := as.tables.Stats().TablesLive; got != withLeaf-1 {
 			t.Errorf("munmap of a VMA-less range left %d page tables live, want the covered leaf freed: %d", got, withLeaf-1)
 		}
+		// A sparse 64 GiB mapping builds tables only where it is touched:
+		// one fault per GiB needs at most three tables each.
+		const giant = 64 << 30
+		sparse := mustMmap(t, as, 0, giant, vma.ProtRead|vma.ProtWrite, 0)
+		for off := uint64(0); off < giant; off += 1 << 30 {
+			if err := cpu.Fault(sparse+off, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := as.tables.Stats().TablesLive; got > 64*3+8 {
+			t.Errorf("64 faults at 1 GiB strides left %d page tables live, want at most %d", got, 64*3+8)
+		}
 	})
 }
 

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -130,6 +131,13 @@ func TestProtectionChecks(t *testing.T) {
 		if err := cpu.Fault(none, false); !errors.Is(err, ErrAccess) {
 			t.Fatalf("read of PROT_NONE = %v, want ErrAccess", err)
 		}
+		wo := mustMmap(t, as, 0, PageSize, vma.ProtWrite, 0)
+		if err := cpu.Fault(wo, false); !errors.Is(err, ErrAccess) {
+			t.Fatalf("read of write-only = %v, want ErrAccess", err)
+		}
+		if err := cpu.Fault(wo, true); err != nil {
+			t.Fatalf("write to write-only: %v", err)
+		}
 	})
 }
 
@@ -137,6 +145,11 @@ func TestMmapFixedReplaces(t *testing.T) {
 	forEachDesign(t, Config{CPUs: 1}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		addr := UnmappedBase + 0x100000
+		// Neighbours on both sides, kept apart by their protection.
+		neighbours := []uint64{addr - PageSize, addr + 4*PageSize}
+		for _, n := range neighbours {
+			mustMmap(t, as, n, PageSize, vma.ProtRead|vma.ProtExec, vma.Fixed)
+		}
 		mustMmap(t, as, addr, 4*PageSize, vma.ProtRead|vma.ProtWrite, vma.Fixed)
 		if err := cpu.Fault(addr, true); err != nil {
 			t.Fatal(err)
@@ -149,8 +162,13 @@ func TestMmapFixedReplaces(t *testing.T) {
 		if err := cpu.Fault(addr, true); !errors.Is(err, ErrAccess) {
 			t.Fatalf("write after replace = %v, want ErrAccess", err)
 		}
-		if as.RegionCount() != 1 {
-			t.Fatalf("RegionCount = %d, want 1", as.RegionCount())
+		if as.RegionCount() != 3 {
+			t.Fatalf("RegionCount = %d, want 3", as.RegionCount())
+		}
+		for _, n := range neighbours {
+			if err := cpu.Fault(n, false); err != nil {
+				t.Fatalf("neighbour %#x after replace: %v", n, err)
+			}
 		}
 	})
 }
@@ -184,6 +202,9 @@ func TestLengthRoundsUpToPage(t *testing.T) {
 		}
 		if err := cpu.Fault(base+PageSize, false); !errors.Is(err, ErrSegv) {
 			t.Fatalf("fault past rounded length = %v, want ErrSegv", err)
+		}
+		if err := cpu.Fault(base-1, false); !errors.Is(err, ErrSegv) {
+			t.Fatalf("fault one byte before the start = %v, want ErrSegv", err)
 		}
 	})
 }
@@ -297,6 +318,36 @@ func TestMunmapSpanningMultipleVMAs(t *testing.T) {
 		if regs[0].End != addr+PageSize || regs[1].Start != addr+9*PageSize {
 			t.Fatalf("wrong trims: %v", regs)
 		}
+		// §2: GNOME and Firefox processes use nearly 1,000 regions. One
+		// page each, a hole between, alternating protection; one munmap
+		// then removes them all.
+		const n = 1000
+		many := UnmappedBase + 0x1000000
+		for i := uint64(0); i < n; i++ {
+			prot := vma.ProtRead
+			if i%2 == 0 {
+				prot |= vma.ProtWrite
+			}
+			mustMmap(t, as, many+2*i*PageSize, PageSize, prot, vma.Fixed)
+		}
+		if got := as.RegionCount(); got != 2+n {
+			t.Fatalf("RegionCount = %d, want %d", got, 2+n)
+		}
+		cpu := as.NewCPU(0)
+		for i := uint64(0); i < n; i += 37 {
+			if err := cpu.Fault(many+2*i*PageSize, false); err != nil {
+				t.Fatalf("region %d: %v", i, err)
+			}
+			if err := cpu.Fault(many+(2*i+1)*PageSize, false); !errors.Is(err, ErrSegv) {
+				t.Fatalf("hole after region %d = %v, want ErrSegv", i, err)
+			}
+		}
+		if err := as.Munmap(many, 2*n*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if got := as.RegionCount(); got != 2 {
+			t.Fatalf("RegionCount = %d after unmapping all %d, want 2", got, n)
+		}
 	})
 }
 
@@ -331,6 +382,10 @@ func TestStackGrowth(t *testing.T) {
 		}
 		if st := as.Stats(); st.StackGrowths != 2 {
 			t.Fatalf("StackGrowths = %d after growing to the limit", st.StackGrowths)
+		}
+		// The grown range faults like the rest of the stack.
+		if err := cpu.Fault(start+maxStackGrowth/2, false); err != nil {
+			t.Fatalf("fault inside the grown range: %v", err)
 		}
 		// A mapping just below blocks growth through it (guard page).
 		blocker := start - 64*PageSize
@@ -437,13 +492,23 @@ func TestMmapCacheBehaviour(t *testing.T) {
 
 func TestNoFrameLeaks(t *testing.T) {
 	// Close() asserts exactly one live frame; drive a workload with
-	// splits, merges, partial unmaps and stack growth first.
-	forEachDesign(t, Config{CPUs: 1}, func(t *testing.T, as *AddressSpace) {
+	// splits, merges, partial unmaps and stack growth first. The pool is
+	// small, so later rounds get the frames earlier rounds dirtied: each
+	// must read back zeroed.
+	forEachDesign(t, Config{CPUs: 1, Backing: true, Frames: 512}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
+		zero, dirty := make([]byte, PageSize), bytes.Repeat([]byte{0xFF}, PageSize)
+		buf := make([]byte, PageSize)
 		for round := 0; round < 5; round++ {
 			base := mustMmap(t, as, 0, 64*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 			for i := uint64(0); i < 64; i += 2 {
-				if err := cpu.Fault(base+i*PageSize, true); err != nil {
+				if err := cpu.ReadBytes(base+i*PageSize, buf); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf, zero) {
+					t.Fatalf("round %d page %d: recycled frame not zeroed", round, i)
+				}
+				if err := cpu.WriteBytes(base+i*PageSize, dirty); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -453,6 +518,7 @@ func TestNoFrameLeaks(t *testing.T) {
 			if err := as.Munmap(base, 64*PageSize); err != nil {
 				t.Fatal(err)
 			}
+			as.Domain().Synchronize() // the frames come home before the next round
 		}
 		// Close (in forEachDesign) asserts the leak-free condition.
 	})
