@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"bonsai/internal/introspect"
-	"bonsai/internal/machine"
 	"bonsai/internal/torture"
 	"bonsai/internal/trace"
 	"bonsai/internal/vm"
@@ -91,10 +90,10 @@ func main() {
 		}
 	}
 	if *httpAddr != "" || *vmstat > 0 {
-		cfg.OnMachine = func(label string, m *machine.Machine) func() {
+		cfg.OnMachine = func(label string, h *vm.Host) func() {
 			var stops []func()
 			if *httpAddr != "" {
-				srv, err := introspect.Start(*httpAddr, m, "torture: "+label)
+				srv, err := introspect.Start(*httpAddr, h, "torture: "+label)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "torture: introspection server: %v\n", err)
 				} else {
@@ -103,7 +102,7 @@ func main() {
 				}
 			}
 			if *vmstat > 0 {
-				stops = append(stops, startVmstat(m, *vmstat))
+				stops = append(stops, startVmstat(h, *vmstat))
 			}
 			return func() {
 				for _, stop := range stops {
@@ -176,7 +175,7 @@ func main() {
 // startVmstat prints one machine delta line every interval, vmstat-
 // style, fed by the shared snapshot-delta engine (the same one
 // cmd/vmtop's rate columns use), and returns the func that stops it.
-func startVmstat(m *machine.Machine, every time.Duration) func() {
+func startVmstat(h *vm.Host, every time.Duration) func() {
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
@@ -192,7 +191,7 @@ func startVmstat(m *machine.Machine, every time.Duration) func() {
 				return
 			case <-tick.C:
 			}
-			sn := m.Snapshot()
+			sn := introspect.Read(h)
 			d := eng.Step(sn)
 			fmt.Fprintf(os.Stderr, "vmstat: %4.0fs %7d %8d %8d %8d %7d %8d %6d %5d %6d %10v\n",
 				time.Since(start).Seconds(), sn.FramesInUse, len(sn.Tenants),

@@ -103,8 +103,8 @@ func render(w io.Writer, doc introspect.SnapshotJSON, d introspect.Delta, elapse
 	for _, td := range tds {
 		ts := td.Cur
 		limit := "-"
-		if ts.Account != nil && ts.Account.Limit > 0 {
-			limit = fmt.Sprintf("%d", ts.Account.Limit)
+		if ts.Limit > 0 {
+			limit = fmt.Sprintf("%d", ts.Limit)
 		}
 		fmt.Fprintf(w, "%-16s %8d %8s %9s %9s %12v\n",
 			clip(ts.Name, 16), introspect.TenantRSS(ts), limit,

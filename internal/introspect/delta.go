@@ -1,7 +1,5 @@
 package introspect
 
-import "bonsai/internal/machine"
-
 // DeltaEngine turns successive machine snapshots into interval deltas
 // — one source of truth for counter differencing, shared by
 // cmd/torture's vmstat line, cmd/vmtop's rate columns, and the exposition checker's
@@ -9,14 +7,14 @@ import "bonsai/internal/machine"
 // Step reports First and zero deltas.
 type DeltaEngine struct {
 	started bool
-	prev    machine.Snapshot
-	tenants map[string]machine.TenantSnapshot
+	prev    Snapshot
+	tenants map[string]TenantSnapshot
 }
 
 // TenantDelta is one tenant's interval activity.
 type TenantDelta struct {
 	// Cur is the tenant's current snapshot entry.
-	Cur machine.TenantSnapshot
+	Cur TenantSnapshot
 	// Faults and Evictions are interval deltas; a tenant admitted since
 	// the previous sample reports its whole lifetime.
 	Faults    int64
@@ -26,7 +24,7 @@ type TenantDelta struct {
 // Delta is one interval's machine activity.
 type Delta struct {
 	// Snapshot is the sample the delta was computed against.
-	Snapshot machine.Snapshot
+	Snapshot Snapshot
 	// First marks the engine's first sample (all deltas zero).
 	First bool
 	// Interval deltas. The machine's counters are monotonic; these stay
@@ -45,17 +43,17 @@ type Delta struct {
 
 // ReclaimScans sums the reclaim ladder's run counters: kswapd cycles,
 // direct-reclaim runs, and tenant-local runs.
-func ReclaimScans(s machine.Snapshot) uint64 {
+func ReclaimScans(s Snapshot) uint64 {
 	return s.Reclaim.KswapdCycles + s.Reclaim.DirectRuns + s.Reclaim.AccountRuns
 }
 
 // ReclaimEvictions sums the pages evicted by every reclaim path.
-func ReclaimEvictions(s machine.Snapshot) uint64 {
+func ReclaimEvictions(s Snapshot) uint64 {
 	return s.Reclaim.KswapdEvicted + s.Reclaim.DirectEvicted + s.Reclaim.AccountEvicted
 }
 
 // Step folds in the next sample and returns the interval's deltas.
-func (e *DeltaEngine) Step(sn machine.Snapshot) Delta {
+func (e *DeltaEngine) Step(sn Snapshot) Delta {
 	d := Delta{Snapshot: sn}
 	if !e.started {
 		d.First = true
@@ -69,7 +67,7 @@ func (e *DeltaEngine) Step(sn machine.Snapshot) Delta {
 		d.GracePeriods = int64(sn.RCU.GracePeriods) - int64(p.RCU.GracePeriods)
 		d.OOMKills = int64(sn.OOMKills) - int64(p.OOMKills)
 	}
-	tenants := make(map[string]machine.TenantSnapshot, len(sn.Tenants))
+	tenants := make(map[string]TenantSnapshot, len(sn.Tenants))
 	for _, ts := range sn.Tenants {
 		td := TenantDelta{Cur: ts, Faults: int64(ts.Faults)}
 		if ts.Account != nil {

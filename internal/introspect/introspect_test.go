@@ -12,7 +12,6 @@ import (
 
 	"bonsai/internal/contention"
 	"bonsai/internal/fail"
-	"bonsai/internal/machine"
 	"bonsai/internal/physmem"
 	"bonsai/internal/rcu"
 	"bonsai/internal/reclaim"
@@ -21,41 +20,55 @@ import (
 	"bonsai/internal/vma"
 )
 
-func testMachine(t *testing.T, design vm.Design, frames uint64) *machine.Machine {
+// newHost builds a host whose cleanup evicts every live tenant and
+// closes it.
+func newHost(t *testing.T, cfg vm.Config, maxTenants int) *vm.Host {
 	t.Helper()
-	m := machine.New(machine.Config{
-		VM:         vm.Config{Design: design, CPUs: 2, Frames: frames},
-		MaxTenants: 8,
+	h := vm.NewHost(cfg, maxTenants)
+	t.Cleanup(func() {
+		for _, root := range h.Tenants().Live {
+			_ = h.Evict(root)
+		}
+		_ = h.Close()
 	})
-	t.Cleanup(func() { _ = m.Close() })
-	return m
+	return h
+}
+
+func testHost(t *testing.T, design vm.Design, frames uint64) *vm.Host {
+	return newHost(t, vm.Config{Design: design, CPUs: 2, Frames: frames}, 8)
 }
 
 // populate admits a tenant, maps pages anon RW pages, and write-faults
 // them all.
-func populate(t *testing.T, m *machine.Machine, name string, limit int64, pages uint64) (*machine.Tenant, uint64) {
+func populate(t *testing.T, h *vm.Host, name string, limit int64, pages uint64) (*vm.AddressSpace, uint64) {
 	t.Helper()
-	tn, err := m.Admit(name, limit)
+	as, err := h.Admit(name, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	as := tn.Root()
-	base, err := as.Mmap(0, pages*vm.PageSize, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
+	return as, faultPages(t, as, pages)
+}
+
+// faultPages maps n anonymous pages in as, write-faults each, and
+// returns their base.
+func faultPages(t *testing.T, as *vm.AddressSpace, n uint64) uint64 {
+	t.Helper()
+	base, err := as.Mmap(0, n*vm.PageSize, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cpu := as.NewCPU(0)
-	for p := uint64(0); p < pages; p++ {
+	for p := uint64(0); p < n; p++ {
 		if err := cpu.Fault(base+p*vm.PageSize, true); err != nil {
 			t.Fatalf("fault: %v", err)
 		}
 	}
-	return tn, base
+	return base
 }
 
-func startServer(t *testing.T, m *machine.Machine, label string) *Server {
+func startServer(t *testing.T, h *vm.Host, label string) *Server {
 	t.Helper()
-	srv, err := Start("127.0.0.1:0", m, label)
+	srv, err := Start("127.0.0.1:0", h, label)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +95,10 @@ func scrape(t *testing.T, srv *Server, path string) (int, string) {
 // _total discipline, and duplicate detection) and carries the
 // per-tenant and latency series the issue names.
 func TestMetricsExposition(t *testing.T) {
-	m := testMachine(t, vm.PureRCU, 4096)
-	populate(t, m, "alpha", 256, 64)
-	populate(t, m, "beta", 0, 32)
-	srv := startServer(t, m, "test")
+	h := testHost(t, vm.PureRCU, 4096)
+	alpha, _ := populate(t, h, "alpha", 256, 64)
+	populate(t, h, "beta", 0, 32)
+	srv := startServer(t, h, "test")
 
 	code, body := scrape(t, srv, "/metrics")
 	if code != http.StatusOK {
@@ -148,16 +161,34 @@ func TestMetricsExposition(t *testing.T) {
 			t.Fatalf("family %s missing", name)
 		}
 	}
+	// The limit series is the admission limit, also once Evict's first
+	// step has lowered the account's to one frame.
+	alpha.Account().SetLimit(1)
+	_, body = scrape(t, srv, "/metrics")
+	if fams, err = ParseExposition(body); err != nil {
+		t.Fatal(err)
+	}
+	limits := map[string]float64{}
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if f.Name == "vm_tenant_frames" && s.Labels["state"] == "limit" {
+				limits[s.Labels["tenant"]] = s.Value
+			}
+		}
+	}
+	if limits["alpha"] != 256 || limits["beta"] != 0 || len(limits) != 2 {
+		t.Fatalf("vm_tenant_frames{state=\"limit\"} = %v with alpha's account at 1, want alpha 256, beta 0", limits)
+	}
 }
 
 // TestMetricsMonotonicUnderLoad is satellite 3's other half: two
 // scrapes bracketing concurrent load — including a tenant eviction,
 // the historical counter-regression trap — stay monotonic.
 func TestMetricsMonotonicUnderLoad(t *testing.T) {
-	m := testMachine(t, vm.Hybrid, 4096)
-	populate(t, m, "steady", 256, 64)
-	doomed, _ := populate(t, m, "doomed", 128, 48)
-	srv := startServer(t, m, "test")
+	h := testHost(t, vm.Hybrid, 4096)
+	populate(t, h, "steady", 256, 64)
+	doomed, _ := populate(t, h, "doomed", 128, 48)
+	srv := startServer(t, h, "test")
 
 	_, body1 := scrape(t, srv, "/metrics")
 	prev, err := ParseExposition(body1)
@@ -168,8 +199,8 @@ func TestMetricsMonotonicUnderLoad(t *testing.T) {
 	// Load between scrapes: more faults on a new tenant, then evict the
 	// doomed tenant so its samples must fold into the departed
 	// accumulators rather than vanish from the machine totals.
-	populate(t, m, "churn", 0, 32)
-	if err := doomed.Evict(); err != nil {
+	populate(t, h, "churn", 0, 32)
+	if err := h.Evict(doomed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -188,10 +219,10 @@ func TestMetricsMonotonicUnderLoad(t *testing.T) {
 // after it closes, in the tenant's and the machine's exact fault count,
 // in their sampled histograms and in vm_tenant_faults_total.
 func TestForkChildFaultsReachEverySurface(t *testing.T) {
-	m := testMachine(t, vm.PureRCU, 4096)
-	tn, base := populate(t, m, "alpha", 256, 16)
-	before := m.Snapshot()
-	child, err := tn.Root().Fork()
+	h := testHost(t, vm.PureRCU, 4096)
+	tn, base := populate(t, h, "alpha", 256, 16)
+	before := Read(h)
+	child, err := tn.Fork()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,14 +232,14 @@ func TestForkChildFaultsReachEverySurface(t *testing.T) {
 			t.Fatalf("child fault: %v", err)
 		}
 	}
-	live := m.Snapshot()
+	live := Read(h)
 	if err := child.Close(); err != nil {
 		t.Fatal(err)
 	}
-	closed := m.Snapshot()
+	closed := Read(h)
 	for _, c := range []struct {
 		when string
-		sn   machine.Snapshot
+		sn   Snapshot
 	}{{"child live", live}, {"child closed", closed}} {
 		if len(c.sn.Tenants) != 1 {
 			t.Fatalf("%s: tenants = %+v", c.when, c.sn.Tenants)
@@ -224,7 +255,7 @@ func TestForkChildFaultsReachEverySurface(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	if err := WriteMetrics(&b, m.Snapshot(), nil, "test"); err != nil {
+	if err := WriteMetrics(&b, Read(h), nil, "test"); err != nil {
 		t.Fatal(err)
 	}
 	fams, err := ParseExposition(b.String())
@@ -245,20 +276,25 @@ func TestForkChildFaultsReachEverySurface(t *testing.T) {
 // TestMeminfo checks the /proc/meminfo shape: machine totals first,
 // then one block per tenant with limits and RSS.
 func TestMeminfo(t *testing.T) {
-	m := testMachine(t, vm.PureRCU, 2048)
-	populate(t, m, "alpha", 256, 64)
-	srv := startServer(t, m, "test")
-	code, body := scrape(t, srv, "/proc/meminfo")
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	for _, want := range []string{"MemTotal:", "MemFree:", "WatermarkLow:", "Tenant: alpha", "Limit:", "RSS:"} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("meminfo missing %q:\n%s", want, body)
+	h := testHost(t, vm.PureRCU, 2048)
+	alpha, _ := populate(t, h, "alpha", 256, 64)
+	srv := startServer(t, h, "test")
+	// Limit is the admission limit, also once Evict's first step has
+	// lowered the account's to one frame.
+	for _, acctLimit := range []int64{256, 1} {
+		alpha.Account().SetLimit(acctLimit)
+		code, body := scrape(t, srv, "/proc/meminfo")
+		if code != http.StatusOK {
+			t.Fatalf("status %d", code)
 		}
-	}
-	if !strings.Contains(body, "2048") {
-		t.Fatalf("meminfo does not report the 2048-frame pool:\n%s", body)
+		for _, want := range []string{"MemTotal:", "MemFree:", "WatermarkLow:", "Tenant: alpha", "Limit:             256 frames", "RSS:"} {
+			if !strings.Contains(body, want) {
+				t.Fatalf("account limit %d: meminfo missing %q:\n%s", acctLimit, want, body)
+			}
+		}
+		if !strings.Contains(body, "2048") {
+			t.Fatalf("meminfo does not report the 2048-frame pool:\n%s", body)
+		}
 	}
 }
 
@@ -267,9 +303,9 @@ func TestMeminfo(t *testing.T) {
 // holder. The tlb.flush-delay failpoint stretches a MadviseDontNeed's
 // shootdown while it holds the range lock.
 func TestLocksLiveHolder(t *testing.T) {
-	m := testMachine(t, vm.PureRCU, 4096)
-	tn, base := populate(t, m, "alpha", 0, 256)
-	srv := startServer(t, m, "test")
+	h := testHost(t, vm.PureRCU, 4096)
+	tn, base := populate(t, h, "alpha", 0, 256)
+	srv := startServer(t, h, "test")
 
 	// Each madvise pays one gather flush inside its range guard; the
 	// armed delay stretches that hold window so a scrape can land in it.
@@ -288,7 +324,7 @@ func TestLocksLiveHolder(t *testing.T) {
 				return
 			default:
 			}
-			if err := tn.Root().MadviseDontNeed(base, 256*vm.PageSize); err != nil {
+			if err := tn.MadviseDontNeed(base, 256*vm.PageSize); err != nil {
 				done <- err
 				return
 			}
@@ -320,12 +356,11 @@ func TestLocksLiveHolder(t *testing.T) {
 // TestSmaps checks /proc/<tenant>/smaps: per-VMA extents with RSS and
 // the private/shared split, and a 404 for unknown tenants.
 func TestSmaps(t *testing.T) {
-	m := testMachine(t, vm.Hybrid, 2048)
-	tn, err := m.Admit("alpha", 0)
+	h := testHost(t, vm.Hybrid, 2048)
+	as, err := h.Admit("alpha", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	as := tn.Root()
 	cpu := as.NewCPU(0)
 	anon, err := as.Mmap(0, 32*vm.PageSize, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
 	if err != nil {
@@ -346,7 +381,7 @@ func TestSmaps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := startServer(t, m, "test")
+	srv := startServer(t, h, "test")
 	code, body := scrape(t, srv, "/proc/alpha/smaps")
 	if code != http.StatusOK {
 		t.Fatalf("status %d:\n%s", code, body)
@@ -367,9 +402,9 @@ func TestContentionEndpoint(t *testing.T) {
 	if contention.Armed() {
 		t.Fatal("profiler armed before any server started")
 	}
-	m := testMachine(t, vm.PureRCU, 1024)
-	populate(t, m, "alpha", 0, 8)
-	srv := startServer(t, m, "test")
+	h := testHost(t, vm.PureRCU, 1024)
+	populate(t, h, "alpha", 0, 8)
+	srv := startServer(t, h, "test")
 	if !contention.Armed() {
 		t.Fatal("Start did not arm the contention profiler")
 	}
@@ -409,11 +444,10 @@ func TestContentionEndpoint(t *testing.T) {
 // operations and checks the ranges wiring lands per-range "range"
 // sites in the profiler.
 func TestRangeContentionAttribution(t *testing.T) {
-	m := testMachine(t, vm.PureRCU, 4096)
-	tn, base := populate(t, m, "alpha", 0, 64)
-	srv := startServer(t, m, "test")
+	h := testHost(t, vm.PureRCU, 4096)
+	as, base := populate(t, h, "alpha", 0, 64)
+	srv := startServer(t, h, "test")
 	defer srv.Close()
-	as := tn.Root()
 
 	// Stretch each madvise's critical section so the overlapping
 	// goroutines actually queue on the range lock. The delay is spun
@@ -458,9 +492,9 @@ func TestRangeContentionAttribution(t *testing.T) {
 
 // TestRCUView sanity-checks /proc/rcu renders the shard backlog table.
 func TestRCUView(t *testing.T) {
-	m := testMachine(t, vm.PureRCU, 1024)
-	populate(t, m, "alpha", 0, 16)
-	srv := startServer(t, m, "test")
+	h := testHost(t, vm.PureRCU, 1024)
+	populate(t, h, "alpha", 0, 16)
+	srv := startServer(t, h, "test")
 	_, body := scrape(t, srv, "/proc/rcu")
 	for _, want := range []string{"GracePeriods:", "Readers:", "shard"} {
 		if !strings.Contains(body, want) {
@@ -472,9 +506,9 @@ func TestRCUView(t *testing.T) {
 // TestSnapshotJSON checks the vmtop document: label, snapshot with
 // tenants, and contention list decode round-trip.
 func TestSnapshotJSON(t *testing.T) {
-	m := testMachine(t, vm.Hybrid, 2048)
-	populate(t, m, "alpha", 128, 32)
-	srv := startServer(t, m, "soak")
+	h := testHost(t, vm.Hybrid, 2048)
+	populate(t, h, "alpha", 128, 32)
+	srv := startServer(t, h, "soak")
 	_, body := scrape(t, srv, "/snapshot.json")
 	var doc SnapshotJSON
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
@@ -494,16 +528,16 @@ func TestSnapshotJSON(t *testing.T) {
 // TestDeltaEngine: interval deltas across machine snapshots, including
 // a tenant appearing and departing between steps.
 func TestDeltaEngine(t *testing.T) {
-	mk := func(faults, gps uint64, tenants ...machine.TenantSnapshot) machine.Snapshot {
-		var sn machine.Snapshot
+	mk := func(faults, gps uint64, tenants ...TenantSnapshot) Snapshot {
+		var sn Snapshot
 		sn.Faults = faults
 		sn.Latency.Fault = stats.LatencyStats{Count: faults / 16} // the timed sample: not what deltas read
 		sn.RCU.GracePeriods = gps
 		sn.Tenants = tenants
 		return sn
 	}
-	tsn := func(name string, faults uint64) machine.TenantSnapshot {
-		return machine.TenantSnapshot{Name: name, Counts: vm.Counts{Faults: faults}, Fault: stats.LatencyStats{Count: faults / 16}}
+	tsn := func(name string, faults uint64) TenantSnapshot {
+		return TenantSnapshot{Name: name, Counts: vm.Counts{Faults: faults}, Fault: stats.LatencyStats{Count: faults / 16}}
 	}
 	var e DeltaEngine
 	d := e.Step(mk(100, 5, tsn("a", 100)))
@@ -565,10 +599,10 @@ func TestParseExpositionRejects(t *testing.T) {
 
 // hugeFaultsMetric scrapes vm_thp_faults_total{outcome="huge"} and the
 // whole exposition.
-func hugeFaultsMetric(t *testing.T, m *machine.Machine) (float64, []Family) {
+func hugeFaultsMetric(t *testing.T, h *vm.Host) (float64, []Family) {
 	t.Helper()
 	var b strings.Builder
-	if err := WriteMetrics(&b, m.Snapshot(), nil, "test"); err != nil {
+	if err := WriteMetrics(&b, Read(h), nil, "test"); err != nil {
 		t.Fatal(err)
 	}
 	fams, err := ParseExposition(b.String())
@@ -593,9 +627,9 @@ func hugeFaultsMetric(t *testing.T, m *machine.Machine) (float64, []Family) {
 // that never go back. (A bystander keeps the per-tenant families
 // alive across the scrapes.)
 func TestTHPCountersSurviveRetirement(t *testing.T) {
-	m := testMachine(t, vm.PureRCU, 4096)
-	populate(t, m, "bystander", 0, 1)
-	tn, err := m.Admit("alpha", 0)
+	h := testHost(t, vm.PureRCU, 4096)
+	populate(t, h, "bystander", 0, 1)
+	tn, err := h.Admit("alpha", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +637,7 @@ func TestTHPCountersSurviveRetirement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, as := range []*vm.AddressSpace{tn.Root(), sib} {
+	for _, as := range []*vm.AddressSpace{tn, sib} {
 		base, err := as.Mmap(0, 2*vm.HugeSpan, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -616,11 +650,11 @@ func TestTHPCountersSurviveRetirement(t *testing.T) {
 			t.Fatalf("a first touch of an aligned chunk took %d huge faults, want 1", n)
 		}
 	}
-	live, prev := hugeFaultsMetric(t, m)
-	if err := tn.Evict(); err != nil {
+	live, prev := hugeFaultsMetric(t, h)
+	if err := h.Evict(tn); err != nil {
 		t.Fatal(err)
 	}
-	retired, cur := hugeFaultsMetric(t, m)
+	retired, cur := hugeFaultsMetric(t, h)
 	if live != 2 || retired != 2 {
 		t.Fatalf("vm_thp_faults_total{outcome=\"huge\"} = %v live, %v retired; want the root's and the sibling's 2 both times", live, retired)
 	}
@@ -633,12 +667,11 @@ func TestTHPCountersSurviveRetirement(t *testing.T) {
 // pages its members map — a sibling's count — and a page the eviction
 // scan revoked leaves it once.
 func TestTenantRSSCountsEveryMemberOnce(t *testing.T) {
-	m := testMachine(t, vm.PureRCU, 4096)
-	tn, err := m.Admit("alpha", 0)
+	h := testHost(t, vm.PureRCU, 4096)
+	root, err := h.Admit("alpha", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := tn.Root()
 	const filePages = 64
 	base, err := root.Mmap(0, filePages*vm.PageSize, vma.ProtRead, vma.Shared, vma.NewFile("rss.dat", 1), 0)
 	if err != nil {
@@ -650,7 +683,7 @@ func TestTenantRSSCountsEveryMemberOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sib, err := tn.NewSibling()
+	sib, err := root.NewSibling()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,11 +697,11 @@ func TestTenantRSSCountsEveryMemberOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rss := func() int64 { return TenantRSS(m.Snapshot().Tenants[0]) }
+	rss := func() int64 { return TenantRSS(Read(h).Tenants[0]) }
 	if got := rss(); got != filePages+16 {
 		t.Fatalf("RSS = %d, want the root's %d file pages and the sibling's 16", got, filePages)
 	}
-	if !m.Host().Reclaimer().DirectReclaim() {
+	if !h.Reclaimer().DirectReclaim() {
 		t.Fatal("direct reclaim made no progress")
 	}
 	evicted := int64(root.Stats().EvictUnmaps)
@@ -684,8 +717,8 @@ func TestTenantRSSCountsEveryMemberOnce(t *testing.T) {
 // goldenSnapshot is a machine snapshot with every /metrics section
 // populated: two tenants (alpha limited, beta not), reclaim, THP, RCU
 // and latency figures.
-func goldenSnapshot() machine.Snapshot {
-	sn := machine.Snapshot{
+func goldenSnapshot() Snapshot {
+	sn := Snapshot{
 		FramesTotal:   4096,
 		FramesInUse:   1500,
 		WatermarkLow:  64,
@@ -699,7 +732,7 @@ func goldenSnapshot() machine.Snapshot {
 		TenantsAdmitted:      3,
 		TenantsEvicted:       1,
 		CrossTenantEvictions: 2,
-		Tenants: []machine.TenantSnapshot{
+		Tenants: []TenantSnapshot{
 			{Name: "alpha", Limit: 256, Counts: vm.Counts{Faults: 700},
 				Account: &physmem.AccountStats{Name: "alpha", Limit: 256, Charged: 250, MaxCharged: 256,
 					LimitHits: 6, Evictions: 90, EvictionsUnderLimit: 2},
@@ -707,7 +740,7 @@ func goldenSnapshot() machine.Snapshot {
 			{Name: "beta", Counts: vm.Counts{Faults: 300},
 				Fault: stats.LatencyStats{Count: 19, P50Ns: 290, P99Ns: 1800, P999Ns: 1800}},
 		},
-		Latency: machine.LatencySnapshot{
+		Latency: LatencySnapshot{
 			Fault:     stats.LatencyStats{Count: 70, P50Ns: 305, P99Ns: 2400, P999Ns: 41000},
 			MapOp:     stats.LatencyStats{Count: 55, P50Ns: 4200, P99Ns: 61000, P999Ns: 88000},
 			RangeWait: stats.LatencyStats{Count: 8, P50Ns: 150000, P99Ns: 400000, P999Ns: 400000},

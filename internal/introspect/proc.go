@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bonsai/internal/contention"
-	"bonsai/internal/machine"
 	"bonsai/internal/vm"
 )
 
@@ -23,7 +22,7 @@ const hugePages = int64(vm.HugeSpan / vm.PageSize)
 // TenantRSS picks the best resident-set figure a snapshot offers: the
 // account's charged frames when the tenant is limited, else the pages
 // its members map (PagesUnmapped counts evictions too).
-func TenantRSS(ts machine.TenantSnapshot) int64 {
+func TenantRSS(ts TenantSnapshot) int64 {
 	if ts.Account != nil {
 		return ts.Account.Charged
 	}
@@ -32,7 +31,7 @@ func TenantRSS(ts machine.TenantSnapshot) int64 {
 
 // WriteMeminfo renders sn as /proc/meminfo: the machine-wide frame pool
 // with reclaim watermarks, then one block per tenant.
-func WriteMeminfo(w io.Writer, sn machine.Snapshot) error {
+func WriteMeminfo(w io.Writer, sn Snapshot) error {
 	pw := &errWriter{w: w}
 	pw.printf("MemTotal:       %8d frames\n", sn.FramesTotal)
 	pw.printf("MemInUse:       %8d frames\n", sn.FramesInUse)
@@ -45,12 +44,8 @@ func WriteMeminfo(w io.Writer, sn machine.Snapshot) error {
 	pw.printf("AnonHugePages:  %8d pages\n", sn.AnonHugePages*hugePages)
 	for _, ts := range sn.Tenants {
 		pw.printf("\nTenant: %s\n", ts.Name)
-		limit := ts.Limit
-		if ts.Account != nil {
-			limit = ts.Account.Limit
-		}
-		if limit > 0 {
-			pw.printf("  Limit:        %8d frames\n", limit)
+		if ts.Limit > 0 {
+			pw.printf("  Limit:        %8d frames\n", ts.Limit)
 		} else {
 			pw.printf("  Limit:        unlimited\n")
 		}
@@ -71,15 +66,15 @@ func WriteMeminfo(w io.Writer, sn machine.Snapshot) error {
 // and queued — across every tenant's member spaces, plus designs on
 // the global mmap_sem, which report no table. Reading takes only each
 // manager's own mutex, far below everything interesting.
-func WriteLocks(w io.Writer, m *machine.Machine) error {
+func WriteLocks(w io.Writer, h *vm.Host) error {
 	pw := &errWriter{w: w}
 	pw.printf("# tenant space guard  range              state    age\n")
 	records := 0
-	for _, t := range m.Tenants() {
-		for wi, as := range t.Spaces() {
+	for _, root := range h.Tenants().Live {
+		for wi, as := range root.Members() {
 			guards, ok := as.RangeGuards()
 			if !ok {
-				pw.printf("%s %d - (global mmap_sem design: no range table)\n", t.Name(), wi)
+				pw.printf("%s %d - (global mmap_sem design: no range table)\n", root.TenantName(), wi)
 				continue
 			}
 			for _, g := range guards {
@@ -88,7 +83,7 @@ func WriteLocks(w io.Writer, m *machine.Machine) error {
 					state = "WAITING"
 				}
 				pw.printf("%s %d %6d [%#x, %#x) %-7s %v\n",
-					t.Name(), wi, g.ID, g.Lo, g.Hi, state, time.Duration(g.AgeNs).Round(time.Microsecond))
+					root.TenantName(), wi, g.ID, g.Lo, g.Hi, state, time.Duration(g.AgeNs).Round(time.Microsecond))
 				records++
 			}
 		}
@@ -99,7 +94,7 @@ func WriteLocks(w io.Writer, m *machine.Machine) error {
 
 // WriteRCU renders sn's RCU domain as /proc/rcu: domain counters,
 // grace-period latency, and the per-shard callback backlog.
-func WriteRCU(w io.Writer, sn machine.Snapshot) error {
+func WriteRCU(w io.Writer, sn Snapshot) error {
 	pw := &errWriter{w: w}
 	st := sn.RCU
 	gp := "idle"
@@ -122,10 +117,10 @@ func WriteRCU(w io.Writer, sn machine.Snapshot) error {
 }
 
 // WriteSmaps renders /proc/<tenant>/smaps: one block per VMA per
-// member space, walked under RCU read sections only.
-func WriteSmaps(w io.Writer, t *machine.Tenant) error {
+// member space of root's tenant, walked under RCU read sections only.
+func WriteSmaps(w io.Writer, root *vm.AddressSpace) error {
 	pw := &errWriter{w: w}
-	spaces := t.Spaces()
+	spaces := root.Members()
 	for wi, as := range spaces {
 		if len(spaces) > 1 {
 			pw.printf("# space %d\n", wi)

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"bonsai/internal/contention"
-	"bonsai/internal/machine"
 	"bonsai/internal/stats"
 )
 
@@ -92,7 +91,7 @@ const contentionTopN = 10
 // WriteMetrics renders sn and the contention top list as one
 // Prometheus text exposition document; label is the instance metric's.
 // It sorts top in place.
-func WriteMetrics(w io.Writer, sn machine.Snapshot, top []contention.SiteStats, label string) error {
+func WriteMetrics(w io.Writer, sn Snapshot, top []contention.SiteStats, label string) error {
 	var fams []*family
 	fam := func(name, typ, help string) *family {
 		f := &family{name: name, typ: typ, help: help}
@@ -175,15 +174,13 @@ func WriteMetrics(w io.Writer, sn machine.Snapshot, top []contention.SiteStats, 
 	for _, ts := range sn.Tenants {
 		tl := lbl{"tenant", ts.Name}
 		tFaults.add(n(ts.Faults), tl)
+		tFrames.add(float64(ts.Limit), tl, lbl{"state", "limit"})
 		if a := ts.Account; a != nil {
-			tFrames.add(float64(a.Limit), tl, lbl{"state", "limit"})
 			tFrames.add(float64(a.Charged), tl, lbl{"state", "charged"})
 			tFrames.add(float64(a.MaxCharged), tl, lbl{"state", "max_charged"})
 			tHits.add(n(a.LimitHits), tl)
 			tEvictions.add(n(a.Evictions), tl)
 			tUnder.add(n(a.EvictionsUnderLimit), tl)
-		} else {
-			tFrames.add(float64(ts.Limit), tl, lbl{"state", "limit"})
 		}
 		tLatency.latency(ts.Fault, ts.Faults, tl)
 	}

@@ -29,7 +29,7 @@ import (
 	"time"
 
 	"bonsai/internal/contention"
-	"bonsai/internal/machine"
+	"bonsai/internal/vm"
 )
 
 // Server is the embeddable introspection endpoint. Start binds and
@@ -38,31 +38,31 @@ import (
 // Close disarms it, so a machine with no scraper attached pays nothing
 // on the fault path.
 type Server struct {
-	m     *machine.Machine
+	h     *vm.Host
 	label string
 	ln    net.Listener
 	srv   *http.Server
 	once  sync.Once
 }
 
-// Start serves the introspection plane for m on addr (host:port; ":0"
+// Start serves the introspection plane for h on addr (host:port; ":0"
 // picks a free port — read it back from Addr). label names the machine
 // on the index page and in the instance metric.
-func Start(addr string, m *machine.Machine, label string) (*Server, error) {
+func Start(addr string, h *vm.Host, label string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("introspect: listen %s: %w", addr, err)
 	}
-	s := &Server{m: m, label: label, ln: ln}
+	s := &Server{h: h, label: label, ln: ln}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WriteMetrics(w, m.Snapshot(), contention.Top(contentionTopN), label)
+		_ = WriteMetrics(w, Read(h), contention.Top(contentionTopN), label)
 	})
-	mux.HandleFunc("/proc/meminfo", text(func(w io.Writer) error { return WriteMeminfo(w, m.Snapshot()) }))
-	mux.HandleFunc("/proc/locks", text(func(w io.Writer) error { return WriteLocks(w, m) }))
-	mux.HandleFunc("/proc/rcu", text(func(w io.Writer) error { return WriteRCU(w, m.Snapshot()) }))
+	mux.HandleFunc("/proc/meminfo", text(func(w io.Writer) error { return WriteMeminfo(w, Read(h)) }))
+	mux.HandleFunc("/proc/locks", text(func(w io.Writer) error { return WriteLocks(w, h) }))
+	mux.HandleFunc("/proc/rcu", text(func(w io.Writer) error { return WriteRCU(w, Read(h)) }))
 	mux.HandleFunc("/proc/", s.handleSmaps)
 	mux.HandleFunc("/debug/contention", s.handleContention)
 	mux.HandleFunc("/snapshot.json", s.handleSnapshot)
@@ -119,10 +119,10 @@ func (s *Server) handleSmaps(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	for _, t := range s.m.Tenants() {
-		if t.Name() == name {
+	for _, root := range s.h.Tenants().Live {
+		if root.TenantName() == name {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_ = WriteSmaps(w, t)
+			_ = WriteSmaps(w, root)
 			return
 		}
 	}
@@ -144,7 +144,7 @@ func (s *Server) handleContention(w http.ResponseWriter, r *http.Request) {
 // plus the contention top list, everything vmtop needs in one scrape.
 type SnapshotJSON struct {
 	Label      string                 `json:"label"`
-	Snapshot   machine.Snapshot       `json:"snapshot"`
+	Snapshot   Snapshot               `json:"snapshot"`
 	Contention []contention.SiteStats `json:"contention,omitempty"`
 	Dropped    uint64                 `json:"contention_dropped,omitempty"`
 }
@@ -152,7 +152,7 @@ type SnapshotJSON struct {
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	doc := SnapshotJSON{
 		Label:      s.label,
-		Snapshot:   s.m.Snapshot(),
+		Snapshot:   Read(s.h),
 		Contention: contention.Top(contentionTopN),
 		Dropped:    contention.Dropped(),
 	}

@@ -1,4 +1,4 @@
-package machine
+package introspect
 
 import (
 	"fmt"
@@ -11,7 +11,104 @@ import (
 	"bonsai/internal/vma"
 )
 
-// TestSnapshotAdmitEvictRace hammers Snapshot against concurrent
+// TestSnapshotRollup: the machine snapshot carries per-tenant account
+// entries and machine-wide reclaim counters, the machine's counts are
+// its tenants' summed, and a departed tenant leaves the tenant list but
+// stays in every count.
+func TestSnapshotRollup(t *testing.T) {
+	h := newHost(t, vm.Config{Design: vm.RWLock, CPUs: 2, Frames: 2048}, 4)
+	a, err := h.Admit("a", 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := h.Admit("b", 0) // unlimited
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultPages(t, a, 8)
+	sn := Read(h)
+	if len(sn.Tenants) != 2 {
+		t.Fatalf("tenants in snapshot = %d, want 2", len(sn.Tenants))
+	}
+	var sawA, sawB bool
+	for _, ts := range sn.Tenants {
+		switch ts.Name {
+		case "a":
+			sawA = true
+			if ts.Account == nil || ts.Account.Charged == 0 {
+				t.Fatal("tenant a: no charged account in snapshot")
+			}
+		case "b":
+			sawB = true
+			if ts.Account != nil {
+				t.Fatal("unlimited tenant b reports an account")
+			}
+		}
+	}
+	if !sawA || !sawB {
+		t.Fatalf("snapshot missed a tenant: a=%v b=%v", sawA, sawB)
+	}
+	var sum vm.Counts
+	for _, ts := range sn.Tenants {
+		sum.Add(&ts.Counts)
+	}
+	if sum != sn.Counts || sum != a.Rollup().Counts {
+		t.Fatalf("machine counts %+v, tenants' sum %+v; want both a's", sn.Counts, sum)
+	}
+	if err := h.Evict(a); err != nil {
+		t.Fatal(err)
+	}
+	sn = Read(h)
+	if sn.TenantsEvicted != 1 || len(sn.Tenants) != 1 || sn.Tenants[0].Name != b.TenantName() {
+		t.Fatalf("after evicting a: evicted = %d, tenants = %+v; want 1 and only b", sn.TenantsEvicted, sn.Tenants)
+	}
+	if sn.Faults != 8 || sn.PagesMapped != 8 || sn.PagesUnmapped != 8 || sn.Mmaps != 1 {
+		t.Fatalf("machine faults %d, pages mapped %d and unmapped %d, mmaps %d after a's eviction; want a's 8, 8, 8, 1",
+			sn.Faults, sn.PagesMapped, sn.PagesUnmapped, sn.Mmaps)
+	}
+}
+
+// TestRetiredTenantLeavesBothViews: a tenant whose members all close
+// without Evict leaves Tenants() and the snapshot's Tenants in the same
+// step, its faults stay in the machine's count, and its slot admits the
+// next tenant, which is then the only one listed.
+func TestRetiredTenantLeavesBothViews(t *testing.T) {
+	h := newHost(t, vm.Config{Design: vm.PureRCU, CPUs: 1, Frames: 2048}, 1)
+	a, err := h.Admit("a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := a.NewSibling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultPages(t, a, 8)
+	faultPages(t, sib, 4)
+	views := func() (listed, snapshot int, faults uint64) {
+		sn := Read(h)
+		return len(h.Tenants().Live), len(sn.Tenants), sn.Faults
+	}
+	for i, sp := range []*vm.AddressSpace{sib, a} {
+		if listed, snapshot, _ := views(); listed != 1 || snapshot != 1 {
+			t.Fatalf("before close %d: Tenants() lists %d, Snapshot %d; want a in both", i, listed, snapshot)
+		}
+		if err := sp.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if listed, snapshot, faults := views(); listed != 0 || snapshot != 0 || faults != 12 {
+		t.Fatalf("after a retired: Tenants() lists %d, Snapshot %d, faults %d; want 0, 0, 12", listed, snapshot, faults)
+	}
+	if _, err := h.Admit("b", 0); err != nil {
+		t.Fatal(err)
+	}
+	sn := Read(h)
+	if len(sn.Tenants) != 1 || sn.Tenants[0].Name != "b" || len(h.Tenants().Live) != 1 || sn.Faults != 12 {
+		t.Fatalf("after admitting b on a's slot: tenants %+v, faults %d; want only b, 12", sn.Tenants, sn.Faults)
+	}
+}
+
+// TestSnapshotAdmitEvictRace hammers Read against concurrent
 // Admit/work/Evict churn and checks the two monotonicity guarantees
 // the Prometheus exporter depends on:
 //
@@ -31,11 +128,7 @@ import (
 // walk and the admit/evict paths.
 func TestSnapshotAdmitEvictRace(t *testing.T) {
 	const childFaults = 8
-	m := New(Config{
-		VM:         vm.Config{Design: vm.PureRCU, CPUs: 4, Frames: 8192},
-		MaxTenants: 8,
-	})
-	defer m.Close()
+	h := newHost(t, vm.Config{Design: vm.PureRCU, CPUs: 4, Frames: 8192}, 8)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -47,11 +140,10 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for round := 0; !stop.Load(); round++ {
-				tn, err := m.Admit(fmt.Sprintf("churn-%d-%d", w, round), 128)
+				as, err := h.Admit(fmt.Sprintf("churn-%d-%d", w, round), 128)
 				if err != nil {
 					continue // slots full; another churner holds them
 				}
-				as := tn.Root()
 				base, err := as.Mmap(0, 32*vm.PageSize, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
 				if err == nil {
 					cpu := as.NewCPU(w % 4)
@@ -78,7 +170,7 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 						t.Errorf("root close: %v", err)
 						return
 					}
-				} else if err := tn.Evict(); err != nil {
+				} else if err := h.Evict(as); err != nil {
 					t.Errorf("evict: %v", err)
 					return
 				}
@@ -90,7 +182,7 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 	const snapshots = 400
 	var lastFaults, lastSamples, lastEvicted uint64
 	for i := 0; i < snapshots; i++ {
-		sn := m.Snapshot()
+		sn := Read(h)
 		if sn.Faults < lastFaults {
 			t.Fatalf("machine fault count regressed: %d -> %d (snapshot %d)",
 				lastFaults, sn.Faults, i)
@@ -123,7 +215,7 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 	// goroutines are even scheduled; wait until churn has done real
 	// work so the quiescent cross-check below checks something.
 	for i := 0; i < 5000; i++ {
-		sn := m.Snapshot()
+		sn := Read(h)
 		if sn.TenantsEvicted > 0 && sn.Faults > 0 {
 			break
 		}
@@ -134,7 +226,7 @@ func TestSnapshotAdmitEvictRace(t *testing.T) {
 
 	// Quiescent cross-check: with churn stopped, the rollup must equal
 	// live + departed exactly and still be >= the last racing read.
-	sn := m.Snapshot()
+	sn := Read(h)
 	if sn.Faults < lastFaults || sn.Latency.Fault.Count < lastSamples {
 		t.Fatalf("final fault count %d / samples %d below last observed %d / %d",
 			sn.Faults, sn.Latency.Fault.Count, lastFaults, lastSamples)

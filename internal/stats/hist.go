@@ -75,7 +75,7 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 }
 
 // LatencyStats is a JSON-ready percentile snapshot of a LatencyHist,
-// the shape every latency surface (machine.Snapshot, the introspection
+// the shape every latency surface (introspect.Snapshot, the introspection
 // plane, bench/'s traced runs) reports.
 type LatencyStats struct {
 	Count  uint64 `json:"count"`

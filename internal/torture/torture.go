@@ -3,7 +3,7 @@
 // table — anonymous and shared-file faults, reads and writes checked
 // against a data oracle, MADV_DONTNEED, huge-page demotion and
 // promotion, munmap/MAP_FIXED/mprotect churn and COW forks — against
-// the tenants of one machine.Machine per §5 design, optionally under a
+// the tenants of one vm.Host per §5 design, optionally under a
 // seeded fault-injection schedule (internal/fail), while auditing the
 // invariants the designs claim to preserve:
 //
@@ -50,7 +50,7 @@ import (
 	"time"
 
 	"bonsai/internal/fail"
-	"bonsai/internal/machine"
+	"bonsai/internal/introspect"
 	"bonsai/internal/pagecache"
 	"bonsai/internal/physmem"
 	"bonsai/internal/stats"
@@ -95,7 +95,7 @@ type Config struct {
 	// after construction; the returned func (may be nil) runs after the
 	// last tenant is evicted and before the machine closes. cmd/torture
 	// attaches its introspection server and vmstat sampler here.
-	OnMachine func(label string, m *machine.Machine) func()
+	OnMachine func(label string, h *vm.Host) func()
 }
 
 // Report is the outcome of a run.
@@ -121,7 +121,7 @@ type DesignReport struct {
 	OOMErrors uint64 // operations that surfaced vm.ErrNoMemory
 	IOErrors  uint64 // operations that surfaced pagecache.ErrIO
 	// Faults counts every fault the tenants took, fork children and
-	// ballast included: the machine's own Snapshot().Faults. Fault is
+	// ballast included: the machine's own introspect.Read(h).Faults. Fault is
 	// their sampled latency.
 	Faults uint64
 	Fault  stats.LatencyStats
@@ -332,7 +332,7 @@ func (t *run) full() bool {
 // designRun is one design's machine and what its seats fold into.
 type designRun struct {
 	t *run
-	m *machine.Machine
+	h *vm.Host
 
 	// ballast maps every live ballast space, across seats, to true; the
 	// machine's OOM killer reaps only these.
@@ -347,28 +347,25 @@ type designRun struct {
 // checks the machine ends empty and fair and closes it.
 func (t *run) design(d vm.Design, deadline time.Time) {
 	cfg := t.cfg
-	m := machine.New(machine.Config{
-		VM: vm.Config{
-			Design:  d,
-			CPUs:    cfg.Workers,
-			Frames:  cfg.Frames,
-			Backing: true,
-			// Root, peer, two ballast siblings and one fork child per
-			// worker, with headroom for a straggling Close.
-			MaxFamily: cfg.Workers + 6,
-			// The wall-clock-driven collapse scanner would make runs
-			// unreplayable and would mutate translations under the
-			// quiesce audit; workers drive promotion synchronously
-			// through CollapseRange instead.
-			THPScanInterval: -1,
-		},
-		MaxTenants: cfg.Seats,
-	})
-	dr := &designRun{t: t, m: m, ballast: make(map[*vm.AddressSpace]bool), rep: DesignReport{Design: d}}
-	m.Host().SetOOMKiller(dr.kill)
+	h := vm.NewHost(vm.Config{
+		Design:  d,
+		CPUs:    cfg.Workers,
+		Frames:  cfg.Frames,
+		Backing: true,
+		// Root, peer, two ballast siblings and one fork child per
+		// worker, with headroom for a straggling Close.
+		MaxFamily: cfg.Workers + 6,
+		// The wall-clock-driven collapse scanner would make runs
+		// unreplayable and would mutate translations under the
+		// quiesce audit; workers drive promotion synchronously
+		// through CollapseRange instead.
+		THPScanInterval: -1,
+	}, cfg.Seats)
+	dr := &designRun{t: t, h: h, ballast: make(map[*vm.AddressSpace]bool), rep: DesignReport{Design: d}}
+	h.SetOOMKiller(dr.kill)
 	onDone := func() {}
 	if cfg.OnMachine != nil {
-		if f := cfg.OnMachine(d.String(), m); f != nil {
+		if f := cfg.OnMachine(d.String(), h); f != nil {
 			onDone = f
 		}
 	}
@@ -385,7 +382,7 @@ func (t *run) design(d vm.Design, deadline time.Time) {
 
 	// Every seat evicted its last tenant: whatever is still allocated is
 	// a leak, since no frame outlives the tenant that charged it.
-	sn := m.Snapshot()
+	sn := introspect.Read(h)
 	dr.rep.Faults, dr.rep.Fault = sn.Faults, sn.Latency.Fault
 	dr.rep.HugeFaults, dr.rep.Collapses, dr.rep.HugeSplits = sn.THPHugeFaults, sn.THPCollapses, sn.THPSplits
 	dr.rep.CrossTenantEvictions = sn.CrossTenantEvictions
@@ -397,7 +394,7 @@ func (t *run) design(d vm.Design, deadline time.Time) {
 		t.violate("%s: fairness: %d under-limit (cross-tenant) evictions, want 0", d, sn.CrossTenantEvictions)
 	}
 	onDone()
-	if err := m.Close(); err != nil {
+	if err := h.Close(); err != nil {
 		t.violate("%s: machine leaked at close: %v", d, err)
 	}
 	t.mu.Lock()
@@ -457,9 +454,8 @@ func (dr *designRun) seat(s int, deadline time.Time) {
 // generation is one tenant's life in a seat.
 type generation struct {
 	dr     *designRun
-	key    string // design/tenant: the prefix of its workers' keys
-	tenant *machine.Tenant
-	root   *vm.AddressSpace
+	key    string             // design/tenant: the prefix of its workers' keys
+	root   *vm.AddressSpace   // the tenant's root, its handle
 	spaces []*vm.AddressSpace // root, then its peer: both map the file
 	file   *vma.File
 	fileLo []uint64 // the file's base in each of spaces
@@ -478,10 +474,10 @@ func (dr *designRun) generation(name string, lifetime time.Duration) {
 	// Failpoints can fail admission (the page-table root's allocation);
 	// a fresh tenant has nothing to reclaim, so just retry — persistent
 	// failure here means the budget logic is broken.
-	var tn *machine.Tenant
+	var root *vm.AddressSpace
 	var err error
 	for i := 0; i < 50; i++ {
-		if tn, err = dr.m.Admit(name, t.cfg.Limit); err == nil {
+		if root, err = dr.h.Admit(name, t.cfg.Limit); err == nil {
 			break
 		}
 	}
@@ -489,7 +485,7 @@ func (dr *designRun) generation(name string, lifetime time.Duration) {
 		t.violate("%s: admit failed 50 times: %v", key, err)
 		return
 	}
-	g := &generation{dr: dr, key: key, tenant: tn, root: tn.Root()}
+	g := &generation{dr: dr, key: key, root: root}
 	var w []*worker
 	if g.populate() {
 		w = g.churn(lifetime)
@@ -506,13 +502,13 @@ func (dr *designRun) generation(name string, lifetime time.Duration) {
 func (g *generation) populate() bool {
 	t, geo := g.dr.t, g.dr.t.geo
 	rw := vma.ProtRead | vma.ProtWrite
-	peer, err := g.tenant.NewSibling()
+	peer, err := g.root.NewSibling()
 	if err != nil {
 		t.classify(&g.setup, g.key, "peer sibling", err, false)
 		return false
 	}
 	g.spaces = []*vm.AddressSpace{g.root, peer}
-	g.file = vma.NewFile(g.tenant.Name(), t.cfg.Seed)
+	g.file = vma.NewFile(g.root.TenantName(), t.cfg.Seed)
 	for _, as := range g.spaces {
 		lo, err := as.Mmap(0, geo.file*vm.PageSize, rw, vma.Shared, g.file, 0)
 		if err != nil {
@@ -541,7 +537,7 @@ func (g *generation) populate() bool {
 		g.arenas = append(g.arenas, base)
 	}
 	for i := 0; i < 2 && geo.ballast > 0; i++ {
-		b, err := g.tenant.NewSibling()
+		b, err := g.root.NewSibling()
 		if err != nil {
 			t.classify(&g.setup, g.key, "ballast sibling", err, false)
 			continue
@@ -664,10 +660,10 @@ func (g *generation) evict(ws []*worker) {
 	}
 	dr.ballastMu.Unlock()
 	var acct physmem.AccountStats
-	if ac := g.tenant.Account(); ac != nil {
+	if ac := g.root.Account(); ac != nil {
 		acct = ac.Stats()
 	}
-	err := g.tenant.Evict()
+	err := dr.h.Evict(g.root)
 	if err != nil {
 		t.violate("%s: evict: %v", g.key, err)
 	}
@@ -686,7 +682,7 @@ func (g *generation) evict(ws []*worker) {
 	// back into whole blocks — which also hands the next generation a
 	// pool whose 2 MB runs are free.
 	if t.cfg.Seats == 1 && t.cfg.Limit <= 0 {
-		al := dr.m.Host().Allocator()
+		al := dr.h.Allocator()
 		al.DrainMagazines()
 		if n := al.InUse(); n != 0 {
 			t.violate("%s: leak: %d frames in use after the only tenant's eviction", g.key, n)

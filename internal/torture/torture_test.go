@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"bonsai/internal/machine"
+	"bonsai/internal/introspect"
 	"bonsai/internal/race"
 	"bonsai/internal/vm"
 )
@@ -82,8 +82,8 @@ func TestSoakSmoke(t *testing.T) {
 		Seats:    3,
 		Limit:    100,
 		Workers:  2,
-		OnMachine: func(label string, m *machine.Machine) func() {
-			return func() { machineCounts[label] = m.Snapshot().Counts }
+		OnMachine: func(label string, h *vm.Host) func() {
+			return func() { machineCounts[label] = introspect.Read(h).Counts }
 		},
 	})
 	for _, v := range rep.Violations {

@@ -19,14 +19,19 @@ import (
 // maxTenants <= 0.
 const DefaultMaxTenants = 8
 
-// machine is the state one simulated machine shares across every
+// Host is one simulated machine and the state it shares across every
 // tenant family it hosts: one frame pool, one RCU domain, one TLB
 // shootdown-gather domain, one frame-to-page registry, one reclaim
 // driver, the OOM killer of last resort, and the machine's one tenant
-// table. vm.New builds a single-tenant machine (the compat path every
-// existing test rides); Host exposes the multi-tenant surface
-// internal/machine sets its policy on.
-type machine struct {
+// table. Each tenant is admitted under a unique name with its own
+// memcg-style frame limit and is named by its root address space:
+// family construction, slot recycling, eviction, the departed
+// statistics and the teardown leak checks have one home. NewHost
+// builds a multi-tenant machine; vm.New is a thin single-tenant
+// wrapper over the same path, and internal/introspect reads the
+// tenant table into its snapshot. All methods are safe for concurrent
+// use.
+type Host struct {
 	cfg        Config // normalized; geometry shared by every tenant
 	maxTenants int
 
@@ -38,9 +43,9 @@ type machine struct {
 
 	// tenantsMu guards the tenant table: the slot free list, the live
 	// families by name, the admission and retirement counts, the
-	// departed rollup, the Host hold and the teardown latch. Tenant
-	// slots partition the allocator's magazines exactly like member
-	// slots partition a tenant's share; they recycle the same way, so
+	// departed rollup, the hold and the teardown latch. Tenant slots
+	// partition the allocator's magazines exactly like member slots
+	// partition a tenant's share; they recycle the same way, so
 	// admission churn cannot exhaust the table.
 	tenantsMu  sync.Mutex
 	tenantFree []int
@@ -54,13 +59,13 @@ type machine struct {
 	admitted, retired uint64
 	departed          Rollup
 	departedCross     uint64
-	// held is true while a Host keeps the machine open across windows
-	// with zero live tenants; on the vm.New path it is never set, and
-	// the machine tears down with its last tenant.
+	// held keeps a NewHost machine open across windows with zero live
+	// tenants, until Close; on the vm.New path it is never set, and the
+	// machine tears down with its last tenant.
 	held bool
 	// tornDown latches the one teardown: the last tenant's retire and
-	// the Host's Close race to observe "no tenants, no hold", and
-	// exactly one of them may stop the reclaimer and close the domain.
+	// Close race to observe "no tenants, no hold", and exactly one of
+	// them may stop the reclaimer and close the domain.
 	tornDown bool
 
 	// thpStop/thpDone bracket the background collapse scanner (the
@@ -78,18 +83,18 @@ type machine struct {
 	oomKills  atomic.Uint64
 }
 
-// newMachine builds the shared machine state for up to maxTenants
+// newHost builds the shared machine state for up to maxTenants
 // concurrent tenant families. cfg must already be normalized.
-func newMachine(cfg Config, maxTenants int) *machine {
+func newHost(cfg Config, maxTenants int) *Host {
 	if maxTenants <= 0 {
 		maxTenants = DefaultMaxTenants
 	}
-	ms := &machine{
+	h := &Host{
 		cfg:        cfg,
 		maxTenants: maxTenants,
 		tenants:    make(map[string]*family),
 	}
-	ms.alloc = physmem.New(physmem.Config{
+	h.alloc = physmem.New(physmem.Config{
 		Frames: cfg.Frames,
 		// Every (tenant, member) pair gets a private partition of
 		// magazines: its fault CPUs plus one mapping-operation magazine.
@@ -98,77 +103,81 @@ func newMachine(cfg Config, maxTenants int) *machine {
 		LowWater:  cfg.tune.lowWater,
 		HighWater: cfg.tune.highWater,
 	})
-	ms.dom = rcu.NewDomain(rcu.Options{BatchSize: cfg.tune.rcuBatch})
-	ms.reg = pagecache.NewRegistry(ms.alloc.NumFrames())
-	ms.tlb = tlb.NewDomain(ms.alloc, ms.dom, tlb.CostModel{})
-	ms.rec = reclaim.New(ms.alloc, ms.dom, reclaim.Config{
+	h.dom = rcu.NewDomain(rcu.Options{BatchSize: cfg.tune.rcuBatch})
+	h.reg = pagecache.NewRegistry(h.alloc.NumFrames())
+	h.tlb = tlb.NewDomain(h.alloc, h.dom, tlb.CostModel{})
+	h.rec = reclaim.New(h.alloc, h.dom, reclaim.Config{
 		BatchPages: cfg.tune.reclaimBatch,
-		TLB:        ms.tlb,
+		TLB:        h.tlb,
 	})
-	ms.startCollapser()
-	return ms
+	h.startCollapser()
+	return h
 }
 
 // tenantSpan is the width of one tenant's magazine partition.
-func (ms *machine) tenantSpan() int {
-	return (ms.cfg.CPUs + 1) * ms.cfg.MaxFamily
+func (h *Host) tenantSpan() int {
+	return (h.cfg.CPUs + 1) * h.cfg.MaxFamily
 }
 
-// admitTenant checks the name and claims a slot in one critical section,
-// then builds the tenant's family and root space (see Host.Admit).
+// Admit creates a new tenant: a fresh address-space family whose every
+// frame allocation is charged against limitFrames. name must be unique
+// among the live tenants ("" picks "tenant-N"); the name check and the
+// slot claim are one critical section. The returned space is the
+// tenant's root; Fork and NewSibling grow the family within the tenant,
+// and closing the last member retires the tenant and recycles its slot.
 // limitFrames > 0 gives the tenant a memcg-style charge account: every
 // frame it allocates is charged, and allocation fails with a
 // tenant-local shortage — driving tenant-local reclaim, then per-tenant
 // OOM — once the charge reaches the limit. limitFrames <= 0 admits an
 // unlimited, unaccounted tenant (the single-tenant compat path, which
 // must not pay a shared charge cache line per fault).
-func (ms *machine) admitTenant(name string, limitFrames int64) (*AddressSpace, error) {
-	ms.tenantsMu.Lock()
+func (h *Host) Admit(name string, limitFrames int64) (*AddressSpace, error) {
+	h.tenantsMu.Lock()
 	if name == "" {
-		name = fmt.Sprintf("tenant-%d", ms.nextID)
-		ms.nextID++
+		name = fmt.Sprintf("tenant-%d", h.nextID)
+		h.nextID++
 	}
-	slot := ms.tenantNext
+	slot := h.tenantNext
 	switch {
-	case ms.tenants[name] != nil:
-		ms.tenantsMu.Unlock()
+	case h.tenants[name] != nil:
+		h.tenantsMu.Unlock()
 		return nil, fmt.Errorf("%w: tenant %q already admitted", ErrInvalid, name)
-	case len(ms.tenantFree) > 0:
-		slot = ms.tenantFree[len(ms.tenantFree)-1]
-		ms.tenantFree = ms.tenantFree[:len(ms.tenantFree)-1]
-	case slot < ms.maxTenants:
-		ms.tenantNext++
+	case len(h.tenantFree) > 0:
+		slot = h.tenantFree[len(h.tenantFree)-1]
+		h.tenantFree = h.tenantFree[:len(h.tenantFree)-1]
+	case slot < h.maxTenants:
+		h.tenantNext++
 	default:
-		ms.tenantsMu.Unlock()
-		return nil, fmt.Errorf("%w: machine exceeds %d live tenants", ErrNoMemory, ms.maxTenants)
+		h.tenantsMu.Unlock()
+		return nil, fmt.Errorf("%w: machine exceeds %d live tenants", ErrNoMemory, h.maxTenants)
 	}
 	fam := &family{
-		ms:      ms,
+		ms:      h,
 		name:    name,
 		limit:   limitFrames,
 		tenant:  slot,
-		cpuBase: slot * ms.tenantSpan(),
-		max:     int32(ms.cfg.MaxFamily),
+		cpuBase: slot * h.tenantSpan(),
+		max:     int32(h.cfg.MaxFamily),
 	}
-	ms.tenants[name] = fam
-	ms.tenantsMu.Unlock()
+	h.tenants[name] = fam
+	h.tenantsMu.Unlock()
 
 	if limitFrames > 0 {
 		fam.acct = physmem.NewAccount(fmt.Sprintf("tenant-%d", slot), limitFrames)
-		for cpu := fam.cpuBase; cpu < fam.cpuBase+ms.tenantSpan(); cpu++ {
-			ms.alloc.BindAccount(cpu, fam.acct)
+		for cpu := fam.cpuBase; cpu < fam.cpuBase+h.tenantSpan(); cpu++ {
+			h.alloc.BindAccount(cpu, fam.acct)
 		}
-		ms.rec.RegisterAccount(fam.acct)
+		h.rec.RegisterAccount(fam.acct)
 	}
-	as, err := newMember(ms.cfg, fam)
+	as, err := newMember(h.cfg, fam)
 	if err != nil {
-		ms.retireTenant(fam)
+		h.retireTenant(fam)
 		return nil, err
 	}
-	ms.tenantsMu.Lock()
+	h.tenantsMu.Lock()
 	fam.root = as
-	ms.admitted++
-	ms.tenantsMu.Unlock()
+	h.admitted++
+	h.tenantsMu.Unlock()
 	return as, nil
 }
 
@@ -176,48 +185,107 @@ func (ms *machine) admitTenant(name string, limitFrames int64) (*AddressSpace, e
 // its admission unwound): the tenant's file caches are dropped and
 // removed from the reclaim rotation, its account unbound, its slot
 // recycled, and its final rollup folded into the machine's departed
-// totals. When this was the machine's last tenant and no Host holds
-// the machine open, the whole machine tears down.
-func (ms *machine) retireTenant(fam *family) error {
+// totals. When this was the machine's last tenant and no NewHost hold
+// keeps the machine open, the whole machine tears down.
+func (h *Host) retireTenant(fam *family) error {
 	// Unbind the charge account before the slot becomes reusable: once
-	// fam.tenant is on the free list, a concurrent admitTenant may bind
+	// fam.tenant is on the free list, a concurrent Admit may bind
 	// its fresh account to this exact CPU range, and unbinding after
 	// that would silently strip the new tenant's accounting.
 	if fam.acct != nil {
-		ms.rec.UnregisterAccount(fam.acct)
-		for cpu := fam.cpuBase; cpu < fam.cpuBase+ms.tenantSpan(); cpu++ {
-			ms.alloc.BindAccount(cpu, nil)
+		h.rec.UnregisterAccount(fam.acct)
+		for cpu := fam.cpuBase; cpu < fam.cpuBase+h.tenantSpan(); cpu++ {
+			h.alloc.BindAccount(cpu, nil)
 		}
 	}
 	fam.dropCaches()
-	ms.tenantsMu.Lock()
-	delete(ms.tenants, fam.name)
-	ms.tenantFree = append(ms.tenantFree, fam.tenant)
+	h.tenantsMu.Lock()
+	delete(h.tenants, fam.name)
+	h.tenantFree = append(h.tenantFree, fam.tenant)
 	if fam.root != nil {
 		// Every member has left: the rollup is final.
-		ms.retired++
-		ms.departed.Add(fam.root.Rollup())
+		h.retired++
+		h.departed.Add(fam.root.Rollup())
 		if fam.acct != nil {
-			ms.departedCross += fam.acct.Stats().EvictionsUnderLimit
+			h.departedCross += fam.acct.Stats().EvictionsUnderLimit
 		}
 	}
-	last := ms.lastLocked()
-	ms.tenantsMu.Unlock()
+	last := h.lastLocked()
+	h.tenantsMu.Unlock()
 	if last {
-		return ms.teardown()
+		return h.teardown()
 	}
-	ms.dom.Synchronize()
+	h.dom.Synchronize()
 	return nil
 }
 
-// lastLocked reports whether the machine has no tenant and no Host
-// hold, and latches the teardown so it reports that once. tenantsMu is
-// held.
-func (ms *machine) lastLocked() bool {
-	if len(ms.tenants) != 0 || ms.held || ms.tornDown {
+// Evict departs root's tenant: every member still open closes
+// (children and siblings before the root), which retires the tenant,
+// residual page-cache pages still charged to the tenant — pages of
+// shared files neighbor tenants keep resident — are evicted so the
+// survivors refault them under their own charge, and the leak audit
+// runs: a departed tenant must end at zero charged frames. No
+// operation on the tenant's spaces may be in flight. A tenant is
+// evicted once, through whichever of its members asks.
+func (h *Host) Evict(root *AddressSpace) error {
+	fam := root.fam
+	if fam.ms != h {
+		return fmt.Errorf("%w: tenant %q belongs to another host", ErrInvalid, fam.name)
+	}
+	if !fam.evicted.CompareAndSwap(false, true) {
+		return fmt.Errorf("%w: tenant %q already evicted", ErrInvalid, fam.name)
+	}
+	// Drop the limit to one frame before any teardown eviction runs:
+	// a departing tenant has no under-limit claim, so the pages the
+	// drain evicts must not count toward the cross-tenant fairness
+	// metric (NoteEviction samples OverLimit at eviction time).
+	if fam.acct != nil {
+		fam.acct.SetLimit(1)
+	}
+	var firstErr error
+	// The root joined first, so it closes last.
+	spaces := fam.liveMembers()
+	for i := len(spaces) - 1; i >= 0; i-- {
+		if err := spaces[i].Close(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("vm: tenant %q teardown: %w", fam.name, err)
+		}
+	}
+	if residue := h.drainAccount(fam.acct); residue != 0 && firstErr == nil {
+		firstErr = fmt.Errorf("vm: tenant %q leaked %d charged frames past eviction", fam.name, residue)
+	}
+	return firstErr
+}
+
+// drainAccount evicts every page-cache page still charged to ac —
+// pages a departed tenant filled that other tenants' PTEs may keep
+// resident; revoking them forces the survivors to refault and re-fill
+// under their own charge — and returns the charge left afterwards.
+// Zero is the clean-teardown verdict the tenant-eviction leak audit
+// gates on; a non-zero residue means frames charged to ac are pinned
+// outside the page caches (a member still open, or a leak).
+func (h *Host) drainAccount(ac *physmem.Account) int64 {
+	if ac == nil {
+		return 0
+	}
+	for ac.Charged() > 0 {
+		if h.rec.ReclaimAccount(ac, 0) == 0 {
+			break
+		}
+	}
+	// The drain scans recreated clock hands for ac in every cache they
+	// touched; ac is departed, so drop them again.
+	h.rec.ForgetAccount(ac)
+	h.dom.Synchronize()
+	return ac.Charged()
+}
+
+// lastLocked reports whether the machine has no tenant and no hold,
+// and latches the teardown so it reports that once. tenantsMu is held.
+func (h *Host) lastLocked() bool {
+	if len(h.tenants) != 0 || h.held || h.tornDown {
 		return false
 	}
-	ms.tornDown = true
+	h.tornDown = true
 	return true
 }
 
@@ -226,11 +294,11 @@ func (ms *machine) lastLocked() bool {
 // and the background reclaimer stop first (a sweep or scan in flight
 // would race the rest), then the RCU domain closes, and its closing
 // flush runs the deferred frees the frame-leak check counts.
-func (ms *machine) teardown() error {
-	ms.stopCollapser()
-	ms.rec.Close()
-	ms.dom.Close()
-	if n := ms.alloc.InUse(); n != 0 {
+func (h *Host) teardown() error {
+	h.stopCollapser()
+	h.rec.Close()
+	h.dom.Close()
+	if n := h.alloc.InUse(); n != 0 {
 		return fmt.Errorf("vm: %d frames still allocated at machine teardown", n)
 	}
 	return nil
@@ -238,19 +306,19 @@ func (ms *machine) teardown() error {
 
 // families returns the machine's tenant families, admissions in flight
 // included.
-func (ms *machine) families() []*family {
-	ms.tenantsMu.Lock()
-	defer ms.tenantsMu.Unlock()
-	return slices.Collect(maps.Values(ms.tenants))
+func (h *Host) families() []*family {
+	h.tenantsMu.Lock()
+	defer h.tenantsMu.Unlock()
+	return slices.Collect(maps.Values(h.tenants))
 }
 
 // largestVictim picks the live member with the most mapped pages
 // across every tenant, excluding the caller — the machine-wide
 // fallback when the offending tenant has no reapable sibling.
-func (ms *machine) largestVictim(except *AddressSpace) *AddressSpace {
+func (h *Host) largestVictim(except *AddressSpace) *AddressSpace {
 	var victim *AddressSpace
 	var most uint64
-	for _, fam := range ms.families() {
+	for _, fam := range h.families() {
 		if v := fam.largestVictim(except); v != nil {
 			if n := v.LivePages(); victim == nil || n > most {
 				victim, most = v, n
@@ -260,34 +328,13 @@ func (ms *machine) largestVictim(except *AddressSpace) *AddressSpace {
 	return victim
 }
 
-// Host is the multi-tenant entry point: one simulated machine hosting
-// up to maxTenants concurrent address-space families, each admitted
-// under a unique name with its own memcg-style frame limit. It owns the
-// machine's one tenant table — family construction, slot recycling,
-// the departed statistics, and the teardown leak checks have one home;
-// vm.New is a thin single-tenant wrapper over the same path.
-// internal/machine sets tenant policy (eviction, the snapshot) on it.
-type Host struct {
-	ms *machine
-}
-
 // NewHost builds a machine for up to maxTenants tenants (<= 0 means
 // DefaultMaxTenants). The Host holds the machine open across zero-
 // tenant windows; Close it to tear the machine down.
 func NewHost(cfg Config, maxTenants int) *Host {
-	ms := newMachine(cfg.normalized(), maxTenants)
-	ms.held = true
-	return &Host{ms: ms}
-}
-
-// Admit creates a new tenant: a fresh address-space family whose every
-// frame allocation is charged against limitFrames (<= 0 = unlimited,
-// unaccounted). name must be unique among the live tenants ("" picks
-// "tenant-N"). The returned space is the tenant's root; Fork and
-// NewSibling grow the family within the tenant, and closing the last
-// member retires the tenant and recycles its slot.
-func (h *Host) Admit(name string, limitFrames int64) (*AddressSpace, error) {
-	return h.ms.admitTenant(name, limitFrames)
+	h := newHost(cfg.normalized(), maxTenants)
+	h.held = true
+	return h
 }
 
 // Tenants is one read of a Host's tenant table, taken in one critical
@@ -304,63 +351,39 @@ type Tenants struct {
 
 // Tenants reads the tenant table.
 func (h *Host) Tenants() Tenants {
-	ms := h.ms
 	t := Tenants{Departed: new(Rollup)}
-	ms.tenantsMu.Lock()
-	for _, fam := range ms.tenants {
+	h.tenantsMu.Lock()
+	for _, fam := range h.tenants {
 		if fam.root != nil {
 			t.Live = append(t.Live, fam.root)
 		}
 	}
-	t.Admitted, t.Retired, t.DepartedCross = ms.admitted, ms.retired, ms.departedCross
-	t.Departed.Add(&ms.departed)
-	ms.tenantsMu.Unlock()
+	t.Admitted, t.Retired, t.DepartedCross = h.admitted, h.retired, h.departedCross
+	t.Departed.Add(&h.departed)
+	h.tenantsMu.Unlock()
 	slices.SortFunc(t.Live, func(a, b *AddressSpace) int { return strings.Compare(a.fam.name, b.fam.name) })
 	return t
 }
 
 // Allocator returns the machine's shared frame allocator.
-func (h *Host) Allocator() *physmem.Allocator { return h.ms.alloc }
+func (h *Host) Allocator() *physmem.Allocator { return h.alloc }
 
 // Domain returns the machine's RCU domain.
-func (h *Host) Domain() *rcu.Domain { return h.ms.dom }
+func (h *Host) Domain() *rcu.Domain { return h.dom }
 
 // Reclaimer exposes the machine's shared reclaimer (its counters and
 // scan-latency histogram).
-func (h *Host) Reclaimer() *reclaim.Reclaimer { return h.ms.rec }
+func (h *Host) Reclaimer() *reclaim.Reclaimer { return h.rec }
 
 // OOMKills returns the machine-wide count of OOM-killer reaps.
-func (h *Host) OOMKills() uint64 { return h.ms.oomKills.Load() }
+func (h *Host) OOMKills() uint64 { return h.oomKills.Load() }
 
 // SetOOMKiller installs the machine's killer of last resort (see
 // AddressSpace.SetOOMKiller; the killer is machine-wide either way).
 func (h *Host) SetOOMKiller(kill func(victim *AddressSpace) bool) {
-	h.ms.oomMu.Lock()
-	h.ms.oomKiller = kill
-	h.ms.oomMu.Unlock()
-}
-
-// DrainAccount evicts every page-cache page still charged to ac —
-// pages a departed tenant filled that other tenants' PTEs may keep
-// resident; revoking them forces the survivors to refault and re-fill
-// under their own charge — and returns the charge left afterwards.
-// Zero is the clean-teardown verdict the tenant-eviction leak audit
-// gates on; a non-zero residue means frames charged to ac are pinned
-// outside the page caches (a member still open, or a leak).
-func (h *Host) DrainAccount(ac *physmem.Account) int64 {
-	if ac == nil {
-		return 0
-	}
-	for ac.Charged() > 0 {
-		if h.ms.rec.ReclaimAccount(ac, 0) == 0 {
-			break
-		}
-	}
-	// The drain scans recreated clock hands for ac in every cache they
-	// touched; ac is departed, so drop them again.
-	h.ms.rec.ForgetAccount(ac)
-	h.ms.dom.Synchronize()
-	return ac.Charged()
+	h.oomMu.Lock()
+	h.oomKiller = kill
+	h.oomMu.Unlock()
 }
 
 // Close tears the machine down. Every tenant must already be retired
@@ -369,17 +392,16 @@ func (h *Host) DrainAccount(ac *physmem.Account) int64 {
 // written in one tenantsMu critical section so a racing retireTenant
 // of the last tenant cannot also decide to tear down.
 func (h *Host) Close() error {
-	ms := h.ms
-	ms.tenantsMu.Lock()
-	if live := len(ms.tenants); live != 0 && ms.held {
-		ms.tenantsMu.Unlock()
+	h.tenantsMu.Lock()
+	if live := len(h.tenants); live != 0 && h.held {
+		h.tenantsMu.Unlock()
 		return fmt.Errorf("%w: Host.Close with %d live tenants", ErrInvalid, live)
 	}
-	ms.held = false
-	last := ms.lastLocked()
-	ms.tenantsMu.Unlock()
+	h.held = false
+	last := h.lastLocked()
+	h.tenantsMu.Unlock()
 	if last {
-		return ms.teardown()
+		return h.teardown()
 	}
 	return nil
 }

@@ -2,10 +2,14 @@ package vm
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"bonsai/internal/stats"
 	"bonsai/internal/vma"
 )
 
@@ -68,7 +72,7 @@ func TestHostAdmitRetireChurn(t *testing.T) {
 
 // TestDrainAccountLeavesNoClockHands: draining a departed tenant's
 // residual page-cache charge must not leave per-account clock hands in
-// the surviving caches. Regression: DrainAccount's scans run after
+// the surviving caches. Regression: drainAccount's scans run after
 // UnregisterAccount already swept the hands, and each scan re-created
 // one — a map entry per departed tenant, forever, under churn.
 func TestDrainAccountLeavesNoClockHands(t *testing.T) {
@@ -113,7 +117,7 @@ func TestDrainAccountLeavesNoClockHands(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if res := h.DrainAccount(acct); res != 0 {
+	if res := h.drainAccount(acct); res != 0 {
 		t.Fatalf("drain residue = %d, want 0", res)
 	}
 	if n := file.PageCache().AccountHands(); n != 0 {
@@ -193,10 +197,338 @@ func TestRetiredFamilyRefusesMembers(t *testing.T) {
 			}
 		}
 	}
-	h.ms.tenantsMu.Lock()
-	free := slices.Clone(h.ms.tenantFree)
-	h.ms.tenantsMu.Unlock()
+	h.tenantsMu.Lock()
+	free := slices.Clone(h.tenantFree)
+	h.tenantsMu.Unlock()
 	if !slices.Equal(free, []int{0}) {
 		t.Fatalf("tenant slot free list = %v, want [0]: the family retired more than once", free)
+	}
+}
+
+// faultPages maps n anonymous pages in as and write-faults each.
+func faultPages(t *testing.T, as *AddressSpace, n uint64) {
+	t.Helper()
+	base, err := as.Mmap(0, n*PageSize, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := as.NewCPU(0)
+	for p := uint64(0); p < n; p++ {
+		if err := cpu.Fault(base+p*PageSize, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAdmitEvictLifecycle: tenants admit, work, and evict cleanly;
+// slots recycle; the machine closes with zero leaked frames.
+func TestAdmitEvictLifecycle(t *testing.T) {
+	h := NewHost(Config{Design: PureRCU, CPUs: 2, Frames: 2048}, 4)
+	for round := 0; round < 3; round++ {
+		var roots []*AddressSpace
+		for i := 0; i < 4; i++ {
+			as, err := h.Admit("", 200)
+			if err != nil {
+				t.Fatalf("round %d admit %d: %v", round, i, err)
+			}
+			roots = append(roots, as)
+		}
+		// A fifth tenant must be refused while four are live.
+		if _, err := h.Admit("", 200); err == nil {
+			t.Fatal("admit beyond MaxTenants succeeded")
+		}
+		for _, as := range roots {
+			faultPages(t, as, 32)
+			if as.Account().Charged() == 0 {
+				t.Fatal("faults did not charge the tenant account")
+			}
+		}
+		for _, as := range roots {
+			if err := h.Evict(as); err != nil {
+				t.Fatalf("round %d evict: %v", round, err)
+			}
+		}
+	}
+	if err := h.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestEvictClosesSiblings: Evict tears down every registered member,
+// not just the root, and audits to zero charge.
+func TestEvictClosesSiblings(t *testing.T) {
+	h := NewHost(Config{Design: Hybrid, CPUs: 2, Frames: 2048}, 4)
+	defer h.Close()
+	root, err := h.Admit("multi", 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := root.NewSibling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := vma.NewFile("shared.dat", 1)
+	for _, sp := range []*AddressSpace{root, sib} {
+		base, err := sp.Mmap(0, 64*PageSize, vma.ProtRead|vma.ProtWrite, vma.Shared, file, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu := sp.NewCPU(0)
+		for p := uint64(0); p < 64; p++ {
+			if err := cpu.Fault(base+p*PageSize, p%2 == 0); err != nil {
+				t.Fatalf("fault: %v", err)
+			}
+		}
+	}
+	if len(root.Members()) != 2 {
+		t.Fatalf("spaces = %d, want 2", len(root.Members()))
+	}
+	if err := h.Evict(root); err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	if got := root.Account().Charged(); got != 0 {
+		t.Fatalf("charged = %d after eviction, want 0", got)
+	}
+	// Double eviction is an error, not a crash.
+	if err := h.Evict(root); err == nil {
+		t.Fatal("second Evict succeeded")
+	}
+}
+
+// TestTenantLimitDrivesLocalReclaim: a tenant thrashing a file window
+// larger than its limit stays within the limit (tenant-local reclaim
+// keeps it honest) and never receives a hard error.
+func TestTenantLimitDrivesLocalReclaim(t *testing.T) {
+	h := NewHost(Config{Design: PureRCU, CPUs: 2, Frames: 4096}, 4)
+	defer h.Close()
+	const limit = 96
+	as, err := h.Admit("thrash", limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := as.NewCPU(0)
+	filePages := uint64(3 * limit)
+	file := vma.NewFile("big.dat", 2)
+	base, err := as.Mmap(0, filePages*PageSize, vma.ProtRead|vma.ProtWrite, vma.Shared, file, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sweep := 0; sweep < 2; sweep++ {
+		for p := uint64(0); p < filePages; p++ {
+			if err := cpu.Fault(base+p*PageSize, p%4 == 0); err != nil {
+				if errors.Is(err, ErrNoMemory) {
+					continue // graceful degradation at the limit is legal
+				}
+				t.Fatalf("fault: %v", err)
+			}
+		}
+	}
+	acs := as.Account().Stats()
+	if acs.MaxCharged > limit {
+		t.Fatalf("max charged %d exceeded limit %d", acs.MaxCharged, limit)
+	}
+	if acs.LimitHits == 0 {
+		t.Fatal("thrash never hit the limit — working set not limit-bound")
+	}
+	rs := h.Reclaimer().Stats()
+	if rs.AccountRuns == 0 || rs.AccountEvicted == 0 {
+		t.Fatalf("tenant-local reclaim never ran: runs=%d evicted=%d", rs.AccountRuns, rs.AccountEvicted)
+	}
+	if err := h.Evict(as); err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	// The machine pool never saw pressure, so nothing was evicted from
+	// an under-limit account.
+	if got := h.Tenants().DepartedCross; got != 0 {
+		t.Fatalf("cross-tenant evictions = %d, want 0", got)
+	}
+}
+
+// TestRetiredTenantTakesNoMembers: a tenant whose root closed directly
+// has retired, and its slot may already belong to the next tenant; a
+// NewSibling through the old handle must fail rather than open a space
+// on that slot, charging the new tenant's account. Regression: it
+// succeeded on b's slot, and its faults were charged to b.
+func TestRetiredTenantTakesNoMembers(t *testing.T) {
+	h := NewHost(Config{Design: PureRCU, CPUs: 1, Frames: 2048}, 2)
+	defer h.Close()
+	a, err := h.Admit("a", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := h.Admit("b", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Evict(b)
+	before := b.Account().Charged()
+	sib, err := a.NewSibling()
+	if !errors.Is(err, ErrInvalid) {
+		t.Errorf("NewSibling on retired tenant a: err = %v, want ErrInvalid", err)
+	}
+	if err == nil {
+		faultPages(t, sib, 8)
+		defer sib.Close()
+	}
+	if got := b.Account().Charged(); got != before {
+		t.Fatalf("b's charge went %d -> %d: a retired tenant's member charged b", before, got)
+	}
+}
+
+// Isolation-test geometry: tenant B's working set (arena + file +
+// page tables) fits comfortably under its limit; tenant A's file
+// window is twice A's limit, so A thrashes its own reclaim ladder for
+// the whole run.
+const (
+	isoLimit      = 128
+	isoBArena     = 32
+	isoBFilePages = 48
+	isoAFilePages = 2 * isoLimit
+)
+
+// runVictim drives tenant B's steady working-set loop for d, timing
+// every fault. First pass populates; after that every touch should be
+// a resident hit as long as nobody evicts B's pages.
+func runVictim(t *testing.T, as *AddressSpace, seed int64, d time.Duration) *stats.LatencyHist {
+	t.Helper()
+	cpu := as.NewCPU(0)
+	arena, err := as.Mmap(0, isoBArena*PageSize, vma.ProtRead|vma.ProtWrite, 0, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := vma.NewFile(as.TenantName()+".dat", uint64(seed))
+	base, err := as.Mmap(0, isoBFilePages*PageSize, vma.ProtRead|vma.ProtWrite, vma.Shared, file, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := new(stats.LatencyHist)
+	rng := rand.New(rand.NewSource(seed))
+	deadline := time.Now().Add(d)
+	for time.Now().Before(deadline) {
+		var addr uint64
+		if rng.Intn(2) == 0 {
+			addr = arena + uint64(rng.Intn(isoBArena))*PageSize
+		} else {
+			addr = base + uint64(rng.Intn(isoBFilePages))*PageSize
+		}
+		start := time.Now()
+		err := cpu.Fault(addr, rng.Intn(4) == 0)
+		hist.Record(time.Since(start))
+		if err != nil {
+			t.Fatalf("victim fault: %v", err)
+		}
+	}
+	return hist
+}
+
+// TestTenantIsolation (run with -race in CI): tenant A thrashing a
+// working set twice its limit must not evict a single page of tenant
+// B, whose working set fits, and B's fault p99 must stay within
+// tolerance of a solo run on an otherwise idle machine — across all
+// four §5 designs.
+func TestTenantIsolation(t *testing.T) {
+	dur := 400 * time.Millisecond
+	if testing.Short() {
+		dur = 150 * time.Millisecond
+	}
+	for _, d := range Designs {
+		t.Run(fmt.Sprintf("%v", d), func(t *testing.T) {
+			cfg := Config{Design: d, CPUs: 2, Frames: 4096}
+
+			// Solo baseline: B alone on the machine.
+			solo := NewHost(cfg, 2)
+			bSolo, err := solo.Admit("b", isoLimit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			soloHist := runVictim(t, bSolo, 42, dur)
+			if err := solo.Evict(bSolo); err != nil {
+				t.Fatal(err)
+			}
+			if err := solo.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Shared machine: A thrashes 2× its limit while B works.
+			h := NewHost(cfg, 2)
+			defer h.Close()
+			a, err := h.Admit("a", isoLimit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := h.Admit("b", isoLimit)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			stop := make(chan struct{})
+			thrashDone := make(chan error, 1)
+			go func() {
+				cpu := a.NewCPU(0)
+				file := vma.NewFile("a.dat", 7)
+				base, err := a.Mmap(0, isoAFilePages*PageSize, vma.ProtRead|vma.ProtWrite, vma.Shared, file, 0)
+				if err != nil {
+					thrashDone <- err
+					return
+				}
+				rng := rand.New(rand.NewSource(7))
+				for {
+					select {
+					case <-stop:
+						thrashDone <- nil
+						return
+					default:
+					}
+					addr := base + uint64(rng.Intn(isoAFilePages))*PageSize
+					if err := cpu.Fault(addr, rng.Intn(3) == 0); err != nil && !errors.Is(err, ErrNoMemory) {
+						thrashDone <- err
+						return
+					}
+				}
+			}()
+
+			sharedHist := runVictim(t, b, 42, dur)
+			close(stop)
+			if err := <-thrashDone; err != nil {
+				t.Fatalf("thrasher: %v", err)
+			}
+
+			aStats := a.Account().Stats()
+			bStats := b.Account().Stats()
+			if aStats.LimitHits == 0 || aStats.Evictions == 0 {
+				t.Fatalf("thrasher never hit its limit (hits=%d evictions=%d) — test not exercising reclaim",
+					aStats.LimitHits, aStats.Evictions)
+			}
+			// The isolation claim: zero pages of B evicted, by anyone.
+			if bStats.Evictions != 0 {
+				t.Fatalf("victim lost %d pages to reclaim while under limit (under-limit: %d)",
+					bStats.Evictions, bStats.EvictionsUnderLimit)
+			}
+			if got := aStats.EvictionsUnderLimit + bStats.EvictionsUnderLimit; got != 0 {
+				t.Fatalf("cross-tenant evictions = %d, want 0", got)
+			}
+
+			// Latency tolerance: B's p99 must not degrade past 10× the
+			// solo run plus scheduler noise headroom. If A's thrash
+			// reached B's pages, B would refault through the page cache
+			// and the ratio would blow far past this.
+			soloP99 := soloHist.Percentile(99)
+			sharedP99 := sharedHist.Percentile(99)
+			limit := 10*soloP99 + 200*time.Microsecond
+			if sharedP99 > limit {
+				t.Fatalf("victim p99 %v vs solo %v — beyond tolerance %v", sharedP99, soloP99, limit)
+			}
+			t.Logf("solo p99 %v, shared p99 %v, thrasher evictions %d", soloP99, sharedP99, aStats.Evictions)
+
+			if err := h.Evict(a); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Evict(b); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -14,7 +14,7 @@ import (
 // (§6), plus reclaim and transparent-huge-page outcomes. A member keeps
 // it per fault CPU and per mapping-operation slot; Stats reads one
 // member's, and Rollup folds a family's members and a machine's
-// tenants with Add, so every surface — Stats, machine.Snapshot,
+// tenants with Add, so every surface — Stats, introspect.Snapshot,
 // Prometheus, /proc, vmtop, bench/ — reads the same fields. Every field
 // is one 64-bit word (Add folds word by word).
 type Counts struct {

@@ -241,17 +241,17 @@ func (as *AddressSpace) CollapseRange(lo, hi uint64) int {
 // hot fully-populated chunks. One scanner per machine, like one
 // khugepaged per host, so its collapse copies are bounded and its pins
 // touch one space at a time.
-func (ms *machine) collapseScanner(interval time.Duration) {
-	defer close(ms.thpDone)
+func (h *Host) collapseScanner(interval time.Duration) {
+	defer close(h.thpDone)
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {
-		case <-ms.thpStop:
+		case <-h.thpStop:
 			return
 		case <-tick.C:
 		}
-		ms.collapseSweep()
+		h.collapseSweep()
 	}
 }
 
@@ -265,8 +265,8 @@ func (ms *machine) collapseScanner(interval time.Duration) {
 // for the entire clone, which blocks collapseOne until the clone is
 // complete — and its freshly cloned PTEs all carry the COW mark, so
 // they never survey as candidates anyway.
-func (ms *machine) collapseSweep() {
-	for _, fam := range ms.families() {
+func (h *Host) collapseSweep() {
+	for _, fam := range h.families() {
 		for _, as := range fam.liveMembers() {
 			as.collapsePass()
 		}
@@ -275,26 +275,26 @@ func (ms *machine) collapseSweep() {
 
 // startCollapser launches the machine's collapse scanner unless it is
 // disabled.
-func (ms *machine) startCollapser() {
-	if ms.cfg.THPScanInterval < 0 {
+func (h *Host) startCollapser() {
+	if h.cfg.THPScanInterval < 0 {
 		return
 	}
-	interval := ms.cfg.THPScanInterval
+	interval := h.cfg.THPScanInterval
 	if interval == 0 {
 		interval = DefaultTHPScanInterval
 	}
-	ms.thpStop = make(chan struct{})
-	ms.thpDone = make(chan struct{})
-	go ms.collapseScanner(interval)
+	h.thpStop = make(chan struct{})
+	h.thpDone = make(chan struct{})
+	go h.collapseScanner(interval)
 }
 
 // stopCollapser stops the scanner and waits for an in-flight sweep to
 // finish. Called exactly once, by whichever side wins the teardown
 // latch (the last tenant's retire or the last Host's Close).
-func (ms *machine) stopCollapser() {
-	if ms.thpStop == nil {
+func (h *Host) stopCollapser() {
+	if h.thpStop == nil {
 		return
 	}
-	close(ms.thpStop)
-	<-ms.thpDone
+	close(h.thpStop)
+	<-h.thpDone
 }

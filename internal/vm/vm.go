@@ -294,9 +294,9 @@ type AddressSpace struct {
 // registry of files mapped by any member (each with its shared page
 // cache), the tenant's memcg-style charge account, and the liveness
 // count that retires the tenant at the last Close. The machine-wide
-// resources and the tenant table live on ms.
+// resources and the tenant table live on ms, the tenant's Host.
 type family struct {
-	ms *machine
+	ms *Host
 
 	// name is unique among the machine's live tenants; limit is the
 	// frame limit the tenant was admitted under (<= 0 = unlimited).
@@ -321,7 +321,7 @@ type family struct {
 	// oomKills counts OOM reaps whose victim was picked from this
 	// tenant (the machine-wide total lives on ms).
 	oomKills atomic.Uint64
-	// evicted is the run-once guard of the tenant's eviction (MarkEvicted).
+	// evicted is the run-once guard of the tenant's eviction (Host.Evict).
 	evicted atomic.Bool
 
 	// membersMu guards the member-index slots that partition the
@@ -407,11 +407,11 @@ func (cfg Config) normalized() Config {
 // machine tears down (and leak-checks) when the last family member
 // closes.
 func New(cfg Config) (*AddressSpace, error) {
-	ms := newMachine(cfg.normalized(), 1)
-	as, err := ms.admitTenant("", 0)
+	h := newHost(cfg.normalized(), 1)
+	as, err := h.Admit("", 0)
 	if err != nil {
-		// admitTenant already retired the tenant, which — with no Host
-		// holding the machine — tore the machine down too.
+		// Admit already retired the tenant, which — with no hold on
+		// the machine — tore the machine down too.
 		if errors.Is(err, ErrFrameShortage) {
 			// A brand-new machine has no caches to reclaim from: the
 			// pool simply cannot hold the page-table root. Terminal.
@@ -498,10 +498,7 @@ func (as *AddressSpace) Members() []*AddressSpace { return as.fam.liveMembers() 
 // tenant-limit OOM never reaps outside the tenant, because killing a
 // neighbor cannot lower this tenant's charge).
 func (as *AddressSpace) SetOOMKiller(kill func(victim *AddressSpace) bool) {
-	ms := as.fam.ms
-	ms.oomMu.Lock()
-	ms.oomKiller = kill
-	ms.oomMu.Unlock()
+	as.fam.ms.SetOOMKiller(kill)
 }
 
 // LivePages returns the number of pages currently mapped in this
@@ -598,7 +595,7 @@ func newMember(cfg Config, fam *family) (*AddressSpace, error) {
 		CPUs: cfg.CPUs + 1, // the fault contexts plus mapCPU, contiguous from physCPU(0)
 	})
 	if err != nil {
-		fam.depart(as) // a failed root empties its family: admitTenant retires it
+		fam.depart(as) // a failed root empties its family: Admit retires it
 		fam.releaseMember(member)
 		return nil, oomError(err)
 	}
@@ -641,11 +638,6 @@ func (as *AddressSpace) TenantName() string { return as.fam.name }
 // TenantLimit returns the tenant's admission frame limit (<= 0 =
 // unlimited).
 func (as *AddressSpace) TenantLimit() int64 { return as.fam.limit }
-
-// MarkEvicted records that the tenant's eviction has begun and reports
-// whether this call was the first: the run-once guard of an eviction
-// policy, kept with the tenant so every handle on it shares it.
-func (as *AddressSpace) MarkEvicted() bool { return as.fam.evicted.CompareAndSwap(false, true) }
 
 // Tables returns the page-table tree (for inspection).
 func (as *AddressSpace) Tables() *pagetable.Tables { return as.tables }
