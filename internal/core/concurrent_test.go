@@ -14,8 +14,25 @@ import (
 // the read side: a lookup running concurrently with inserts (including
 // the rotations they trigger) never misses a key that was present
 // before the lookup started and is never deleted (§3, Figure 3's race).
+// It runs on a tree whose retired nodes are left to the collector, and
+// on one whose retired nodes go to an RCU domain with a running
+// detector while the readers look up inside read sections, so the
+// domain's grace periods reclaim nodes the readers may still be on.
 func TestLockFreeLookupDuringInserts(t *testing.T) {
-	tr := New[int]()
+	t.Run("gc", func(t *testing.T) { lockFreeLookupDuringInserts(t, nil) })
+	t.Run("domain", func(t *testing.T) {
+		dom := rcu.NewDomain(rcu.Options{})
+		defer dom.Close()
+		lockFreeLookupDuringInserts(t, dom)
+		dom.Synchronize()
+		if ds := dom.Stats(); ds.GracePeriods == 0 || ds.Ran == 0 {
+			t.Fatalf("the domain reclaimed nothing: %+v", ds)
+		}
+	})
+}
+
+func lockFreeLookupDuringInserts(t *testing.T, dom *rcu.Domain) {
+	tr := NewTree[int](Options{UpdateInPlace: true, Domain: dom})
 	// Stable keys that are present for the whole test.
 	const stable = 512
 	for i := 0; i < stable; i++ {
@@ -29,6 +46,11 @@ func TestLockFreeLookupDuringInserts(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			var rd *rcu.Reader
+			if dom != nil {
+				rd = dom.Register()
+				defer dom.Unregister(rd)
+			}
 			rng := rand.New(rand.NewSource(seed))
 			for {
 				select {
@@ -37,7 +59,14 @@ func TestLockFreeLookupDuringInserts(t *testing.T) {
 				default:
 				}
 				k := uint64(rng.Intn(stable) * 1000)
-				if _, ok := tr.Lookup(k); !ok {
+				if rd != nil {
+					rd.Lock()
+				}
+				_, ok := tr.Lookup(k)
+				if rd != nil {
+					rd.Unlock()
+				}
+				if !ok {
 					t.Errorf("lookup lost stable key %d during concurrent inserts", k)
 					return
 				}

@@ -12,6 +12,7 @@ func ExampleTree() {
 	t.Insert(30, "thirty")
 	t.Insert(10, "ten")
 	t.Insert(20, "twenty")
+	t.Insert(30, "THIRTY") // replaces
 
 	if v, ok := t.Lookup(20); ok {
 		fmt.Println("lookup:", v)
@@ -28,7 +29,7 @@ func ExampleTree() {
 	// lookup: twenty
 	// floor(25): 20=twenty
 	// 20=twenty
-	// 30=thirty
+	// 30=THIRTY
 }
 
 // Snapshots require the pure-functional mode (the §3.3 optimization

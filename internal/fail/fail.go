@@ -28,7 +28,21 @@
 // failpoints are compiled in; arming is per run via Enable/DisableAll.
 // Hit and fire counters accumulate while armed and are reported by
 // Snapshot, so a harness can assert that every scheduled failpoint
-// actually exercised its error path.
+// actually exercised its error path; the torture driver fails a run in
+// which an armed point never fired. The fault-injection points:
+//
+//   - physmem.alloc: Alloc fails with ErrOutOfMemory as if the pool were
+//     empty; physmem.run-alloc: AllocRun fails, forcing the huge fault's
+//     base-page fallback; physmem.drain: DrainMagazines recovers nothing;
+//   - rcu.gp-delay and tlb.flush-delay: extra latency inside the
+//     grace-period detector and inside a shootdown flush;
+//   - pagecache.fill: a fill fails with ErrFillIO; pagecache.wb-retryable
+//     and pagecache.wb-sticky: writeback fails, the page staying dirty
+//     (ErrWritebackIO) or being cleaned anyway (ErrStickyIO);
+//   - reclaim.stall: a direct-reclaim run reports no progress.
+//
+// Package vm's "Validation" describes the schedule points and the
+// explorer that drives them.
 package fail
 
 import (

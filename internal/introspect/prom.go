@@ -11,23 +11,7 @@ import (
 	"bonsai/internal/stats"
 )
 
-// Metric naming conventions (documented in the README's introspection
-// section, enforced by the exposition tests and cmd/promcheck):
-//
-//   - every family is vm_-prefixed;
-//   - every family is declared once (HELP, then TYPE) and its samples
-//     follow as one group, unbroken by another family's lines; a family
-//     with no sample is not declared;
-//   - counters end in _total and never decrease while their series
-//     exists (the vm family's and the machine's departed rollups are
-//     what make the fault/map-op counts churn-proof);
-//   - gauges never end in _total;
-//   - latency percentiles are summaries in nanoseconds: a _ns family
-//     with quantile labels plus a _ns_count sample. Summary counts are
-//     not typed as counters;
-//   - per-tenant series carry a tenant label and disappear when the
-//     tenant departs; contention series carry site (and range) labels
-//     and cover the top contended sites only, to bound cardinality.
+// The metric naming rules are the package doc's "Metric naming".
 
 // lbl is one label pair.
 type lbl struct{ k, v string }

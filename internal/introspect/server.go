@@ -1,21 +1,3 @@
-// Package introspect is the live half of the observability story: an
-// embeddable HTTP server exposing the machine while it runs — /metrics
-// in Prometheus text exposition format, procfs-style plain-text views
-// (/proc/meminfo, /proc/<tenant>/smaps, /proc/locks, /proc/rcu), and
-// the lock-contention attribution profiler at /debug/contention — plus
-// the snapshot-delta engine cmd/torture's vmstat line and cmd/vmtop
-// share.
-//
-// Every inspection path takes only read-side or already-existing
-// locks: RCU read sections and lock-free PTE walks for smaps, the
-// whole-space range lock (or the mmap_sem read side) for the region
-// list, each manager's own mutex for the lock table, and the machine's
-// tenant mutex and each family's member mutex for the rollup. Nothing
-// here introduces a lock level above the reclaim scan lock, so an
-// operator scraping a wedged machine cannot deadlock against the paths
-// being diagnosed. With no server attached the whole plane is
-// disarmed: the only residue on hot paths is the contention profiler's
-// one atomic load, and that sits on already-contended slow paths only.
 package introspect
 
 import (

@@ -1,8 +1,8 @@
 // Package locks provides the lock substrates used by the VM system:
-// a ticket spinlock (the kernel's page-directory and PTE locks), a
-// reader/writer semaphore modeled on Linux's rw_semaphore (mmap_sem),
-// and a sequence counter. All locks keep acquisition statistics so the
-// benchmark harness can report contention the way the paper does in §7.2.
+// a ticket spinlock (the kernel's page-directory and PTE locks) and a
+// reader/writer semaphore modeled on Linux's rw_semaphore (mmap_sem).
+// Both keep acquisition statistics so the benchmark harness can report
+// contention the way the paper does in §7.2.
 package locks
 
 import (

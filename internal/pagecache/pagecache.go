@@ -661,15 +661,25 @@ func (c *Cache) unlinkLocked(off uint64) {
 	n.pages[n.slot(off)].Store(nil)
 }
 
+// scanCandidate is one page a reclaim scan picked, with the bounds of
+// its rmap snapshot in the cache's flat snapshot buffer.
+type scanCandidate struct {
+	pg     *Page
+	lo, hi int
+}
+
 // ReclaimScan runs one clock/second-chance eviction pass over the
 // resident set, starting at the clock hand, and tries to evict up to
-// batch pages. The caller must (a) hold the machine's reclaim scan
-// lock — scans never run concurrently with each other, and they share
-// the cache's scan scratch — and (b) be inside an RCU read-side
-// critical section of the cache's domain, because revoking mappings
-// walks page tables lock-free. When force is set the accessed bit is
-// ignored (direct reclaim's progress guarantee); otherwise a set bit
-// buys the page one more pass.
+// batch pages. A nil acct scans every page with the cache's global
+// clock hand; a non-nil acct (tenant-local reclaim) sweeps only the
+// pages charged to it with its own per-account hand, leaving other
+// tenants' accessed bits — their second chances — untouched. The caller
+// must (a) hold the machine's reclaim scan lock — scans never run
+// concurrently with each other, and they share the cache's scan scratch
+// — and (b) be inside an RCU read-side critical section of the cache's
+// domain, because revoking mappings walks page tables lock-free. When
+// force is set the accessed bit is ignored (direct reclaim's progress
+// guarantee); otherwise a set bit buys the page one more pass.
 //
 // g is the reclaimer's batch gather, and it must not be nil. The scan
 // feeds it every translation it revokes and then every evicted page's
@@ -693,24 +703,7 @@ func (c *Cache) unlinkLocked(off uint64) {
 //     deleted, unlink it, and hand the cache's frame reference to g.
 //
 // It returns the number of pages evicted and of pages written back.
-func (c *Cache) ReclaimScan(batch int, force bool, g *tlb.Gather) (evicted, written int) {
-	return c.ReclaimScanFor(nil, batch, force, g)
-}
-
-// scanCandidate is one page a reclaim scan picked, with the bounds of
-// its rmap snapshot in the cache's flat snapshot buffer.
-type scanCandidate struct {
-	pg     *Page
-	lo, hi int
-}
-
-// ReclaimScanFor is ReclaimScan restricted to the pages charged to one
-// account (tenant-local reclaim). A nil account scans every page with
-// the cache's global clock hand; a non-nil account sweeps only its own
-// pages with its own per-account hand, leaving other tenants' accessed
-// bits — their second chances — untouched. Locking and phase structure
-// are identical to ReclaimScan.
-func (c *Cache) ReclaimScanFor(acct *physmem.Account, batch int, force bool, g *tlb.Gather) (evicted, written int) {
+func (c *Cache) ReclaimScan(acct *physmem.Account, batch int, force bool, g *tlb.Gather) (evicted, written int) {
 	if batch <= 0 {
 		return 0, 0
 	}

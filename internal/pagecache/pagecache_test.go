@@ -27,7 +27,7 @@ func newTestTLB(alloc *physmem.Allocator, dom *rcu.Domain) *tlb.Domain {
 // and flushes it, as the reclaimer does.
 func scan(c *Cache, batch int, force bool) (evicted, written int) {
 	g := newTestTLB(c.alloc, c.dom).Gather(0)
-	evicted, written = c.ReclaimScan(batch, force, g)
+	evicted, written = c.ReclaimScan(nil, batch, force, g)
 	g.Flush()
 	return evicted, written
 }
@@ -269,7 +269,7 @@ func TestReclaimUnmapsViaRmap(t *testing.T) {
 	}
 	tl := newTestTLB(alloc, dom)
 	g := tl.Gather(0)
-	ev, _ := c.ReclaimScan(1, true, g)
+	ev, _ := c.ReclaimScan(nil, 1, true, g)
 	g.Flush()
 	if ev != 1 {
 		t.Fatalf("evicted=%d, want 1", ev)
@@ -369,7 +369,7 @@ func TestEvictAbortOnRefault(t *testing.T) {
 	o.pg = o.install(t, c, o, 0x1000, 0)
 	tl := newTestTLB(alloc, dom)
 	g := tl.Gather(0)
-	ev, _ := c.ReclaimScan(1, true, g)
+	ev, _ := c.ReclaimScan(nil, 1, true, g)
 	g.Flush()
 	if ev != 0 {
 		t.Fatalf("evicted %d, want the refault to abort the eviction", ev)
@@ -387,7 +387,7 @@ func TestEvictAbortOnRefault(t *testing.T) {
 	// evicts it cleanly.
 	o.readded = true // suppress the re-add
 	g = tl.Gather(0)
-	if ev, _ := c.ReclaimScan(1, true, g); ev != 1 {
+	if ev, _ := c.ReclaimScan(nil, 1, true, g); ev != 1 {
 		t.Fatalf("follow-up scan evicted %d, want 1", ev)
 	}
 	g.Flush()
@@ -478,7 +478,7 @@ func TestEvictionReleasesAfterScanFlush(t *testing.T) {
 	}
 
 	g := newTestTLB(alloc, dom).Gather(0)
-	if ev, _ := c.ReclaimScan(2, true, g); ev != 2 {
+	if ev, _ := c.ReclaimScan(nil, 2, true, g); ev != 2 {
 		t.Fatalf("evicted %d, want 2", ev)
 	}
 	dom.Synchronize() // a grace period ends before the scan's shootdown

@@ -192,9 +192,8 @@ func (m *Manager) conflictsLocked(lo, hi uint64) bool {
 }
 
 // grantLocked moves g into the held set. The manager mutex is held.
-// Trace emission here takes no locks of its own (see the lock
-// hierarchy note in the README): it is a few atomic stores into the
-// ring, safe under m.mu.
+// Trace emission here takes no locks of its own (package vm's "Lock
+// hierarchy"): it is a few atomic stores into the ring, safe under m.mu.
 func (m *Manager) grantLocked(g *Guard) {
 	m.held = append(m.held, g)
 	g.held = true

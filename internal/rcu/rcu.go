@@ -13,11 +13,20 @@
 //     waits for a grace period and never takes a domain-global lock,
 //     so retiring memory from the munmap path costs one padded
 //     per-shard append — reclamation stays off the mutation hot path,
-//     which is the paper's central scalability requirement.
+//     which is the paper's central scalability requirement. The shard
+//     is picked by a goroutine-affine hint, or by DeferOn's caller id (a
+//     fault's CPU, a mapping operation's slot), so concurrent operations
+//     spread across shards whatever addresses they touch. A callback is
+//     a function value the retiring side keeps (a tree transaction's
+//     retired nodes, a gather's frame batch), so queuing allocates
+//     nothing.
 //   - A background grace-period detector (the analogue of the kernel's
 //     softirq callback processing): a goroutine that advances the
-//     epoch, waits for pre-existing readers with exponential backoff
-//     and parking, and drains expired callback segments.
+//     epoch, waits for pre-existing readers with spin, yield and then
+//     exponential parking backoff, and drains expired callback
+//     segments. Batch thresholds and a backpressure budget wake it; over
+//     budget, retiring goroutines donate their timeslice, never waiting
+//     for a grace period.
 //   - Synchronize (synchronize_rcu, and rcu_barrier too: it runs every
 //     callback queued before it) and Close: the only blocking entry
 //     points. Mutators that must observe reclamation (teardown, leak

@@ -1,18 +1,35 @@
 // Package reclaim implements memory-pressure page reclaim for one
 // simulated machine: the layer that turns the frame pool from a hard
-// ceiling into a working set. It combines
+// ceiling into a working set. Under pressure, cache pages are evicted
+// and refaulted on demand:
 //
-//   - the physmem low/high watermarks as the pressure signal,
-//   - a clock/second-chance eviction scan over the machine's registered
-//     page caches (internal/pagecache), which revokes mappings through
-//     each page's reverse map, writes dirty pages back, and hands the
-//     evicted frames to the scan's one TLB gather, which returns them
-//     in one batch after its flush and an RCU grace period,
-//   - a kswapd-style background goroutine that wakes on the low
-//     watermark and evicts until free frames exceed the high one, and
-//   - a direct-reclaim entry point the VM fault and fork paths invoke
-//     when an allocation fails outright, so faults never observe
-//     out-of-memory while reclaimable pages exist.
+//  1. Watermarks (physmem): free frames below the low watermark publish
+//     a wake-up token, and a kswapd-style goroutine evicts until free
+//     frames exceed the high one. An allocation that fails outright first
+//     steals frames stranded in other CPUs' magazines, then surfaces as
+//     the VM's typed, retryable ErrFrameShortage: the fault or fork
+//     unwinds completely and calls DirectReclaim before it retries, so
+//     faults never see out-of-memory while reclaimable pages exist.
+//  2. Clock scan (pagecache.Cache.ReclaimScan): a second-chance sweep
+//     from each cache's clock hand. The accessed bit, set by lock-free
+//     lookups, buys a page one pass; direct reclaim's final pass ignores
+//     it, which is its progress guarantee. Tenants over their limits pay
+//     first, and ReclaimAccount scans one tenant's pages alone, each with
+//     its own clock hand.
+//  3. Rmap unmap: each page's reverse map records every PTE mapping it,
+//     generation-stamped, and the scan revokes each under the owner's PTE
+//     lock (EvictPTE) into the scan's one TLB gather. A refault landing
+//     between the scan's phases aborts that page's eviction.
+//  4. Writeback: a dirty page is copied to the cache's backing store
+//     first, and a later fill of the offset restores it.
+//  5. Batched free: the evicted page is unlinked like pagecache.Drop, and
+//     its cache reference rides the gather behind the revoked PTEs'. One
+//     flush, one RCU callback and one FreeBatch per scan return them all,
+//     so no evicted frame is reusable before its shootdown is paid
+//     (TestEvictionReleasesAfterScanFlush). A fill of an evicted offset
+//     counts a refault; TestRefaultEvictAllocs counts the path's
+//     allocations, and TestMemoryPressureAllDesigns drives a working set
+//     twice the pool through it under every policy.
 //
 // Locking: the scan lock serializes eviction scans machine-wide
 // (kswapd or a direct reclaimer — never both). It is only ever
@@ -332,25 +349,12 @@ func (r *Reclaimer) DirectReclaim() bool {
 // only evictions are reclaim work. Draining counts because frames
 // stranded in per-CPU magazines are free, just unreachable from an
 // empty global pool.
-func (r *Reclaimer) reclaim(target int, force bool) (drained, evictedN int) {
+func (r *Reclaimer) reclaim(target int, force bool) (drained, evicted int) {
 	kind := trace.ScanGlobal
 	if force {
 		kind = trace.ScanDirect
 	}
-	scanID := r.scanSeq.Add(1)
-	trace.Emit(trace.AuxCPU, trace.EvReclaimScanStart, scanID, uint64(target), kind)
-	scanStart := time.Now()
-	contention.Lock(&r.scanMu, "reclaim.scan")
-	freed := r.alloc.DrainMagazines()
-	evicted, written := 0, 0
-
-	caches := r.snapshotCaches()
-	if len(caches) > 0 {
-		// The batch gather: every PTE the scan revokes and every evicted
-		// page's cache reference lands here, and one flush pays one
-		// shootdown and queues one release for the whole batch.
-		g := &r.g
-		r.rd.Lock()
+	return r.scan(target, kind, func() (evicted, written int) {
 		// Tenants over their limits pay first: one gentle pass over each
 		// over-limit account's own pages (their private clock hands)
 		// before the machine-wide clock runs, so global pressure caused
@@ -360,7 +364,7 @@ func (r *Reclaimer) reclaim(target int, force bool) (drained, evictedN int) {
 			if evicted >= target {
 				break
 			}
-			ev, wr := r.scanOnceFor(ac, caches, target-evicted, false, g)
+			ev, wr := r.scanOnce(ac, target-evicted, false)
 			evicted += ev
 			written += wr
 		}
@@ -373,37 +377,15 @@ func (r *Reclaimer) reclaim(target int, force bool) (drained, evictedN int) {
 		// reclaim its progress guarantee when even the second chances
 		// are exhausted.
 		if evicted < target {
-			ev, wr := r.scanOnce(caches, target-evicted, false, g)
+			ev, wr := r.scanOnce(nil, target-evicted, false)
 			evicted += ev
 			written += wr
 		}
 		if evicted == 0 && force {
-			evicted, written = r.scanOnce(caches, target, true, g)
+			evicted, written = r.scanOnce(nil, target, true)
 		}
-		r.rd.Unlock()
-		// Flush outside the read section (the spin must not extend a
-		// grace period the deferred frees below wait on) but before the
-		// domain flush: the batched release has to be queued for that
-		// grace period to drain it.
-		g.Flush()
-		clear(caches)
-	}
-	r.scanMu.Unlock()
-	elapsed := time.Since(scanStart)
-	r.scanHist.Record(elapsed)
-	trace.Emit(trace.AuxCPU, trace.EvReclaimScanEnd, scanID, uint64(evicted),
-		uint64(elapsed))
-
-	if evicted > 0 {
-		r.writebacks.Add(uint64(written))
-		// The evictions' frame frees are deferred past a grace period;
-		// flush so the caller's retry can actually allocate them. The
-		// scan lock and read section are released: a reclaimer never
-		// blocks a grace period on itself, and a parked kswapd never
-		// holds the lock against a direct reclaimer.
-		r.dom.Synchronize()
-	}
-	return freed, evicted
+		return evicted, written
+	})
 }
 
 // ReclaimAccount runs tenant-local reclaim: one clock pass (gentle,
@@ -419,63 +401,78 @@ func (r *Reclaimer) ReclaimAccount(ac *physmem.Account, target int) int {
 		target = r.cfg.BatchPages
 	}
 	r.accountRuns.Add(1)
+	_, evicted := r.scan(target, trace.ScanTenant, func() (evicted, written int) {
+		evicted, written = r.scanOnce(ac, target, false)
+		if evicted == 0 {
+			evicted, written = r.scanOnce(ac, target, true)
+		}
+		return evicted, written
+	})
+	r.accountEvicted.Add(uint64(evicted))
+	return evicted
+}
+
+// scan is every eviction scan's bracket: trace start and end, the scan
+// lock, the cache snapshot, the read section, the gather flush, the
+// scan histogram and the closing grace period. passes runs the scan's
+// clock passes (scanOnce) inside it. A global scan (every kind but
+// ScanTenant) first drains the magazines, and returns what it drained.
+func (r *Reclaimer) scan(target int, kind uint64, passes func() (evicted, written int)) (drained, evicted int) {
 	scanID := r.scanSeq.Add(1)
-	trace.Emit(trace.AuxCPU, trace.EvReclaimScanStart, scanID, uint64(target),
-		trace.ScanTenant)
+	trace.Emit(trace.AuxCPU, trace.EvReclaimScanStart, scanID, uint64(target), kind)
 	scanStart := time.Now()
 	contention.Lock(&r.scanMu, "reclaim.scan")
-	caches := r.snapshotCaches()
-	evicted, written := 0, 0
-	if len(caches) > 0 {
-		g := &r.g
+	if kind != trace.ScanTenant {
+		drained = r.alloc.DrainMagazines()
+	}
+	// The scans' snapshot of the rotation, reused from scan to scan: a
+	// cache unregistered mid-scan is still scanned safely, and the clear
+	// below keeps no unregistered cache alive.
+	r.cachesMu.Lock()
+	r.scanCaches = append(r.scanCaches[:0], r.caches...)
+	r.cachesMu.Unlock()
+	written := 0
+	if len(r.scanCaches) > 0 {
+		// The batch gather: every PTE the scan revokes and every evicted
+		// page's cache reference lands in r.g, and one flush pays one
+		// shootdown and queues one release for the whole batch.
 		r.rd.Lock()
-		evicted, written = r.scanOnceFor(ac, caches, target, false, g)
-		if evicted == 0 {
-			evicted, written = r.scanOnceFor(ac, caches, target, true, g)
-		}
+		evicted, written = passes()
 		r.rd.Unlock()
-		g.Flush()
-		clear(caches)
+		// Flush outside the read section (the spin must not extend a
+		// grace period the deferred frees below wait on) but before the
+		// domain flush: the batched release has to be queued for that
+		// grace period to drain it.
+		r.g.Flush()
+		clear(r.scanCaches)
 	}
 	r.scanMu.Unlock()
 	elapsed := time.Since(scanStart)
 	r.scanHist.Record(elapsed)
 	trace.Emit(trace.AuxCPU, trace.EvReclaimScanEnd, scanID, uint64(evicted),
 		uint64(elapsed))
+
 	if evicted > 0 {
 		r.writebacks.Add(uint64(written))
-		r.accountEvicted.Add(uint64(evicted))
-		// The frees (and with them the uncharges) are deferred past a
-		// grace period; flush so the caller's retry sees the charge drop.
+		// The evictions' frame frees (and with them the uncharges) are
+		// deferred past a grace period; flush so the caller's retry can
+		// allocate them. The scan lock and read section are released: a
+		// reclaimer never blocks a grace period on itself, and a parked
+		// kswapd never holds the lock against a direct reclaimer.
 		r.dom.Synchronize()
 	}
-	return evicted
+	return drained, evicted
 }
 
-// snapshotCaches copies the cache rotation into the scans' reused slice
-// (a cache unregistered mid-scan is still scanned safely). The caller
-// holds the scan lock and clears the slice when the scan is done, so it
-// keeps no unregistered cache alive.
-func (r *Reclaimer) snapshotCaches() []*pagecache.Cache {
-	r.cachesMu.Lock()
-	r.scanCaches = append(r.scanCaches[:0], r.caches...)
-	r.cachesMu.Unlock()
-	return r.scanCaches
-}
-
-// scanOnce runs one clock pass across the caches, round-robin from the
-// rotation cursor so one hot file cannot shadow the others.
-func (r *Reclaimer) scanOnce(caches []*pagecache.Cache, target int, force bool, g *tlb.Gather) (evicted, written int) {
-	return r.scanOnceFor(nil, caches, target, force, g)
-}
-
-// scanOnceFor is scanOnce restricted to one account's pages (nil =
-// machine-wide).
-func (r *Reclaimer) scanOnceFor(ac *physmem.Account, caches []*pagecache.Cache, target int, force bool, g *tlb.Gather) (evicted, written int) {
+// scanOnce runs one clock pass over the scan's cache snapshot into the
+// batch gather, restricted to ac's pages (nil: machine-wide), round-robin
+// from the rotation cursor so one hot file cannot shadow the others.
+func (r *Reclaimer) scanOnce(ac *physmem.Account, target int, force bool) (evicted, written int) {
+	caches := r.scanCaches
 	r.scanPasses.Add(1)
 	for i := 0; i < len(caches) && evicted < target; i++ {
 		c := caches[(r.handCache+i)%len(caches)]
-		ev, wr := c.ReclaimScanFor(ac, target-evicted, force, g)
+		ev, wr := c.ReclaimScan(ac, target-evicted, force, &r.g)
 		evicted += ev
 		written += wr
 	}

@@ -1,6 +1,3 @@
-// Package stats provides the small reporting toolkit shared by the
-// benchmark harness: named data series, text tables, CSV output, and an
-// ASCII line chart used to render the paper's figures in a terminal.
 package stats
 
 import (

@@ -16,10 +16,11 @@
 // PTEs of every evicted page and then each evicted page's own cache
 // reference (Release), so however many pages a scan evicts, it queues
 // one RCU callback and returns its frames in one FreeBatch. Flush pays
-// one shootdown charge for the whole batch (Base + PerCore × Cores,
-// the same cost shape internal/sim's analytical model uses for its
-// ShootdownBase/ShootdownPerCore parameters) and only then queues the
-// batch's frames for release: a single RCU callback that returns every
+// one shootdown charge for the whole batch — the CostModel's Base +
+// PerCore × Cores, the cost shape internal/sim uses, which is zero on
+// every vm machine, plus whatever the tlb.flush-delay failpoint injects
+// as a straggling core's acknowledgement; a flush that revoked nothing
+// is free — and only then queues the batch's frames for release: a single RCU callback that returns every
 // frame to the allocator in one FreeBatch call, one allocator-lock
 // acquisition per batch instead of one per page, and each run in one
 // FreeRun call. The batch's buffers
@@ -36,6 +37,16 @@
 // therefore ride that batch: a reference handed to the RCU domain on its
 // own, before the flush, could be dropped by a grace period that ends
 // while a stale translation is still cached.
+//
+// There is one flush per munmap, MADV_DONTNEED, MAP_FIXED replace or
+// teardown zap, per mprotect downgrade, per COW break, per fork (one for
+// the whole clone, like flush_tlb_mm at the end of dup_mmap) and per
+// reclaim scan. Each runs inside its operation's mapping exclusion: the
+// paper's long-holder regime, which the global designs serialize on
+// mmap_sem and the range-locked designs overlap across disjoint ranges.
+// The range-lock tests arm tlb.flush-delay to reproduce it.
+// TestTLBGatherFlushInvariant storms the invariant above with
+// allocation generations (physmem.Gen) across all four designs.
 //
 // Ownership: a Gather is owned by the zapping thread and is not safe
 // for concurrent use. It may be filled while PTE locks are held

@@ -28,17 +28,39 @@
 //
 // Each seat loops tenant generations: admit, map the fixtures, let the
 // workers draw operations for a seeded lifetime, stop them, audit,
-// evict. The repository's two gates are two settings of one Config:
-// the torture gate runs one unlimited seat on a tight pool with every
-// failpoint armed, the soak gate eight seats limited to 100 frames on a
-// pool of twice the sum of the limits.
+// evict. The fixtures are a shared file mapped by the root and a peer
+// sibling, a private arena per worker, a 2 MB huge-page region sliced
+// per worker, a 2048-page churn region every worker shares (munmap,
+// MAP_FIXED remap and mprotect of 1–63-page chunks, faults that may find
+// a hole, fork-then-fault), and two ballast siblings only the OOM killer
+// may reap. One error classifier accepts only ErrNoMemory, injected
+// ErrIO, and ErrSegv/ErrAccess inside the churn region.
+//
+// The repository's two gates are two settings of one Config (cmd/torture
+// flags). The torture gate (-seed 1 -duration 60s) runs one unlimited
+// seat on a 1536-frame pool with every failpoint armed: the huge region
+// faults, demotes and collapses while the pool is quiet, then the
+// ballast, arenas and churn outgrow the pool, so reclaim, run shortage
+// and the OOM killer all take turns. Report.Gaps fails it on any silent
+// failpoint or any design with no OOM kill, huge fault, collapse, split,
+// churn operation or fork. The soak gate (-designs purercu -faults=false
+// -tenants 8 -limit 100 -workers 2) runs eight seats limited to 100
+// frames on a pool of twice the sum of the limits; it fails on any
+// cross-tenant eviction or leaked frame, and on a design whose tenants
+// evicted nothing, since zero cross-tenant evictions proves nothing
+// unless tenant-local reclaim ran. Its per-design fault count and
+// p50/p99/p999 come from the departed tenants' vm.Rollup and equal the
+// machine's (TestSoakSmoke).
 //
 // Every run is parameterized by one seed. The fault schedule's verdicts
 // are deterministic in each site's hit index (see internal/fail), and a
 // worker's operations are a function of its key — (seed, design, seat,
 // generation, worker) — alone: each operation's kind and arguments are
 // drawn before it runs, the same number of words whatever it does, so
-// no outcome steers a later choice.
+// no outcome steers a later choice: two same-seed runs under fault
+// injection record the same first 1,000 op kinds for every worker key
+// both ran (TestOpsDependOnKeyAlone). Every run prints its replay
+// command.
 package torture
 
 import (

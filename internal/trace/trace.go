@@ -1,19 +1,3 @@
-// Package trace is a lock-free per-CPU ring-buffer event tracer — the
-// flight recorder for the whole machine. Each (tenant, member)
-// magazine partition gets its own ring of fixed-size binary records;
-// emission claims a slot with one fetch-add and commits it with a
-// per-slot sequence stamp (a seqlock in miniature), so the hot path is
-// a handful of uncontended atomic stores, takes no locks, and never
-// blocks. Overwrite-oldest semantics make every ring a bounded window
-// onto the most recent past: exactly what you want when a p999 gate or
-// a torture auditor trips and the question is "what just happened".
-//
-// Arming follows the same compiled-in discipline as internal/fail:
-// call sites are permanent, and a disarmed tracer costs one atomic
-// pointer load and a nil check per Emit. Readers (Snapshot, the dump
-// writer) run concurrently with writers and validate each record's
-// sequence stamp before and after copying the payload, discarding torn
-// or overwritten slots instead of locking writers out.
 package trace
 
 import (

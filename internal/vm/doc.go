@@ -1,0 +1,263 @@
+// Package vm implements the concurrent address-space designs of §5: a
+// user-space reproduction of the Linux virtual memory system with the
+// paper's exact data structures (region tree + four-level page tables),
+// lock set (mmap_sem, fault lock, tree lock, page-directory lock,
+// per-page-table PTE locks), and race handling (VMA split race, page
+// table deallocation race, page table fill race, retry-with-lock).
+//
+// Four designs are provided, in increasing concurrency:
+//
+//	RWLock    — stock Linux: one read/write semaphore; faults read-lock,
+//	            mapping operations write-lock (§4.1).
+//	FaultLock — mapping operations hold mmap_sem for their whole run but
+//	            take a separate fault lock only around their mutation
+//	            phase, letting faults overlap their planning phase (§5.1).
+//	Hybrid    — faults take no mmap_sem at all: page tables and VMAs are
+//	            RCU-managed, and only the region tree keeps a read/write
+//	            lock (§5.2).
+//	PureRCU   — the region tree is the BONSAI tree, so the fault path is
+//	            entirely lock-free and writes no shared cache line (§5.3).
+//
+// # Lock hierarchy
+//
+// The designs differ in two decisions only — how a fault reads the
+// region tree, and what a mapping operation excludes — and one value per
+// address space, the synchronization policy of sync.go chosen from
+// Config.Design × Config.RangeLocks, makes both. The fault, mapping,
+// fork, huge-page and inspection code is written once against four
+// questions: what a fast-path fault holds (enter/exit), how to hold an
+// interval's mappings still while faults keep running (pin), what a
+// mapping operation mutates under (lock/lockAll/reserve, returning a
+// guard whose mutate() is FaultLock's mutation phase and a no-op
+// elsewhere), and which lock serializes the region tree's writers. No
+// other file names a semaphore or asks which design it runs under
+// (TestSyncSeam). The six reachable policies:
+//
+//   - RWLock: a fault holds mmap_sem read for the whole fault (§4.1); a
+//     pin is mmap_sem read; a mapping operation holds mmap_sem write,
+//     which also covers the plain red-black tree.
+//   - FaultLock: a fault holds the fault lock read (§5.1); a pin is
+//     mmap_sem read; a mapping operation holds mmap_sem write throughout
+//     and the fault lock write from mutate() until unlock.
+//   - Hybrid: a fault runs in an RCU read section with the tree lock read
+//     around its lookup (§5.2); pins and mapping operations take a range
+//     lock on their interval, widened to cover straddling VMAs (the whole
+//     space for fork, Close and stack growth); every tree access takes
+//     the tree lock.
+//   - PureRCU: a fault runs in an RCU read section and nothing else
+//     (§5.3); locking as Hybrid, but the only index lock is the BONSAI
+//     tree's writer mutex, taken once per operation.
+//   - Hybrid and PureRCU with RangeLocksOff: faults as above, but pins
+//     and mapping operations take mmap_sem, the configuration the paper
+//     describes ("mmap, munmap, and mprotect are still serialized with
+//     the mmap_sem").
+//
+// A fault whose fast path cannot finish — a lookup miss, a lost fill
+// race, a copy-on-write break an RCU reader may not do in place —
+// retries with its page pinned, and a page still unmapped escalates to
+// the whole-space exclusion, where a stack may grow. The THP collapse
+// scanner promotes with its 2 MB chunk pinned (the khugepaged
+// discipline) and finds candidates holding only what a tree walk takes.
+//
+// Below the policy the levels are the same in every design, taken
+// strictly outermost first:
+//
+//  1. the policy's pin or mapping-op exclusion: mmap_sem, or a FIFO-fair
+//     range lock, so a waiting whole-space fork is never starved;
+//  2. the policy's fault lock or index writer lock;
+//  3. the reclaim scan lock (internal/reclaim), acquired only with no
+//     lower level held: the fault and fork paths unwind completely
+//     (ErrFrameShortage) before direct reclaim, and the scan takes levels
+//     4 and 5 in separate phases;
+//  4. the page-directory lock (the §4.1 double check), and the
+//     per-page-table PTE locks, under which the §5.2 fill-race recheck,
+//     the eviction scan's EvictPTE and the zap paths' rmap removals run.
+//     One sanctioned inversion: pagetable.Collapse holds a leaf's PTE lock
+//     across the page-directory lock, safe because no path takes a PTE
+//     lock while holding the directory lock;
+//  5. the per-file page-cache mutex (fills, drops, writeback, the scan's
+//     bookkeeping; it also guards the per-tenant clock hands), taken
+//     under a PTE lock by a file fault's miss path; cache lookups take
+//     nothing;
+//  6. the per-page rmap mutex (pagecache.Page), innermost.
+//
+// Not locks, so they may run under any level: a tenant's charge
+// (physmem.Account atomics), a TLB gather (owned by its zapping thread;
+// Flush runs after every PTE lock is released, inside the level-1
+// exclusion) and trace emission (a fetch-add into a per-CPU ring).
+//
+// With range locks a VMA is only ever mutated by an operation whose
+// held range covers its whole extent (lock with cover set re-acquires
+// rather than widening in place, so two expanding neighbours cannot
+// deadlock). Operations on one VMA therefore always conflict, and
+// disjoint ranges, even touching ones, never do. For a non-fixed Mmap the
+// range lock is also the gap reservation: claim, re-verify, insert;
+// losers search again. RangeStats reports acquisitions, conflicts and the
+// most operations held at once.
+//
+// A mapping operation costs one hold of each shared lock: its range, and
+// the region tree's writer, because all it changes in the tree is one
+// transaction (regionIndex.edit, one core.Tree.Update and one root
+// publish under PureRCU); at most one RCU callback for the nodes it
+// retired and one for the frames it released; and no allocation beyond
+// the VMAs and nodes it publishes (TestMapCycleCounts,
+// TestMapCycleAllocs). The rest comes from an operation context
+// (opctx.go), pooled per processor: the range guard, the TLB gather, the
+// scratch lists and a slot. A slot stands in for a CPU id — operations
+// run on any goroutine — and picks the operation's cell in every
+// per-slot counter and its RCU shard, so operations on disjoint ranges
+// count and retire on lines of their own
+// (TestDisjointMapOpsWriteOnlyTheirOwnCells,
+// TestConcurrentMapOpsRetireOnDifferentShards). A MAP_FIXED mmap over
+// nothing walks no page tables; Munmap and Close always zap, because the
+// zap frees the page tables.
+//
+// # What a fast-path fault writes
+//
+// The paper's result (§5.3) is that a PureRCU fault takes no lock and
+// writes no shared cache line. TestFastPathFaultWritesOnlyItsOwnCells
+// (the shared-write gate) holds the counter half true per design by
+// faulting on CPU 0 only and requiring every counter and histogram delta
+// to land in CPU 0's cells. A fast-path fault writes:
+//
+//   - its own per-CPU cells: its row of the space's Counts (a
+//     stats.PerCPU row, beside its fault histogram), the page tables'
+//     fill counter, the page cache's hit counter and the allocator's
+//     allocation counter (stats.Counter cells indexed by its magazine),
+//     its RCU reader, its magazine, and its CPU's sampling state. Reads
+//     sum the cells, so physmem's InUse and FreeFrames stay exact;
+//   - the leaf page table's PTE lock (two ticket words, which also count
+//     its acquisitions) and entry, shared within 2 MB;
+//   - the mapped frame's metadata: one word, generation and reference
+//     count, eight frames to a line — a huge fault's run writes the head's
+//     alone, and a magazine refills with one aligned buddy block, so CPUs
+//     start out on lines of their own — and for a file page the cache
+//     page's reference count and reverse map, for a limited tenant its
+//     charge counter and the frame's owner stamp;
+//   - its design's lock words: the reader count of mmap_sem (RWLock), the
+//     fault lock (FaultLock), the tree lock (Hybrid); none in PureRCU.
+//
+// Nothing address-space-wide: no shared counter, histogram, clock read
+// or watermark check. Faults are counted exactly and timed by sampling:
+// each CPU times one fault per seeded gap uniform on 1…31 (1 in 16; a
+// fixed stride would alias with the 512-entry table period), and every
+// fault while the tracer is armed. The CPU is padded to lines of its
+// own: two contexts made back to back otherwise share one, which once
+// cost file_shared a fifth of its throughput. Shared lines are written
+// only off the fast path: table allocation, the low-watermark check of
+// every 32nd allocation's magazine refill, retries. Unmapping counts per
+// batch (one add per leaf table cleared, one per zap), and a contended
+// range lock polls its grant for up to 25 µs before it parks.
+//
+// # Huge pages
+//
+// Anonymous private memory is transparently backed by 2 MB mappings,
+// one level-2 entry for 512 pages. The first touch of a fully covered,
+// aligned chunk allocates an order-9 run (physmem.AllocRun) and installs
+// a huge entry under the page-directory lock's §5.2 double check, so the
+// same path serves all four designs. A run that cannot be had fails typed
+// (physmem.ErrNoRun) and the fault falls back to one base page, which
+// may reclaim; a 2 MB fault never drives the reclaim ladder itself.
+//
+// The collapse scanner (khugepaged, paced by Config.THPScanInterval)
+// surveys chunks whose 512 PTEs are present and recently accessed —
+// SurveyChunk clears the accessed bits, so they double as the clock —
+// and promotes each under its chunk pin, copying into a fresh run and
+// retiring the old frames through the gather and a grace period; a COW
+// page the fork child no longer shares is re-owned by the copy.
+// CollapseRange is the synchronous MADV_COLLAPSE.
+//
+// Splits ride the operation's gather: partial munmap, an mprotect whose
+// boundary cuts a huge entry, MADV_DONTNEED and fork (CloneRange demotes
+// each entry it meets, a racing first-touch one included) all demote to
+// base pages; whole-chunk zaps retire the entry unsplit, one run entry
+// and one FreeRun. Each huge entry carries a deposited leaf table, so a
+// split never allocates; a zapped deposit's Go struct, and a table that
+// lost a double-check race, go onto the tree's spare list for the next
+// table, never a table a split published. A huge_populate round makes 3
+// heap allocations (TestHugeRoundCounts). AuditTHP re-walks every huge
+// entry against protections, alignment, refcounts, the spare list and
+// the installs − splits − zaps identity.
+//
+// # Errors and running out of memory
+//
+//   - ErrFrameShortage is internal and retryable: the operation unwound
+//     completely and may run direct reclaim and retry. It never escapes
+//     the API; ErrTenantShortage is its tenant-limit twin.
+//   - ErrNoMemory is terminal. Mmap, faults and Fork return it typed, with
+//     every partly acquired frame released.
+//   - pagecache.ErrIO is a backing-store failure: ErrWritebackIO is
+//     retryable (the page stays dirty and resident), ErrStickyIO latches
+//     per file and the next Writeback reports it once (errseq_t). A fill
+//     error leaves the fault as ErrIO, not as out-of-memory.
+//
+// An allocation failure climbs a ladder: direct reclaim and retry, at
+// most shortageRetryBudget (64) times; then the OOM killer of last
+// resort, if SetOOMKiller registered one, serialized machine-wide and
+// choosing the largest-RSS member of the faulting tenant first (a
+// tenant-limit shortage never looks outside the tenant), after which the
+// budget starts again; then ErrNoMemory, with zero leaked frames
+// (TestInjectedAllocFailureLeaksNothing).
+//
+// # Validation
+//
+// The paper's implementation "passes the Linux Test Project, as well as
+// our own stress tests". Here the LTP half is the forEachDesign tests:
+// each runs the same assertions through the public API under all six
+// policies — boundary bytes, protections, MAP_FIXED replacement, splits
+// and merges, 1,000 regions, stack growth, file contents, zeroed recycled
+// frames, OOM and recovery, sparse page tables, fork and COW, concurrent
+// faults — then Close's leak check. The stress half is internal/torture.
+//
+// The paper also checked "a model of the VM system designed to capture
+// key races" exhaustively. Here the model is this package. Four schedule
+// points (fail.Point.Yield, one atomic load disarmed) sit at the race
+// windows: vm.fault-lookup after the lockless VMA lookup, vm.fault-fill
+// before a fill takes the PTE lock, and vm.unmap-cut and vm.unmap-commit
+// in munmap. The explorer (explore_test.go) parks each goroutine at its
+// points and releases one at a time, depth first through every order; a
+// released goroutine that blocks on a lock a parked one holds is read
+// from the goroutine dump. TestExploreFillRace runs §5.2's fill race (16
+// schedules per design and page state) and TestExploreSplitRace Figure
+// 10's split (17). A failing schedule prints as its list of point hits,
+// which replay runs again; without the recheck under the PTE lock the
+// fill race fails every run (scripts/mutants.sh). The same mechanism
+// parks physmem's InUse fold between its two passes at the
+// physmem.counts-pass point (TestInUseAcrossAllocsPass).
+//
+// # The multi-tenant host
+//
+// A Host (NewHost(cfg, maxTenants)) holds up to maxTenants address-space
+// families as tenants over one frame pool, RCU domain, TLB domain and
+// reclaimer. Admit(name, limit) returns the tenant's root space, which
+// is its handle: the root, its siblings (NewSibling) and fork children
+// bill one memcg-style physmem.Account, charged at every frame
+// allocation and uncharged at the frame's final free, whoever frees it.
+// A limit ≤ 0 admits the tenant unaccounted. A member that closes folds
+// its Counts and histograms into its family's Rollup.
+//
+// The host's one tenant table holds each family's name and admission
+// limit; Admit checks the name and claims the slot in one critical
+// section, and Tenants reads it. A tenant retires when its last member
+// closes, by Evict or not: in the same critical section it leaves the
+// table and its final Rollup joins the departed totals, so the machine's
+// counts keep its events. A retired family refuses NewSibling and Fork
+// (ErrInvalid), so it retires exactly once.
+//
+// A charge over the limit refuses with ErrTenantShortage, and the
+// operation climbs a tenant-local ladder: an eviction scan of the
+// tenant's own pages (each cache keeps a clock hand per account), then
+// the OOM killer inside the tenant, then ErrNoMemory. Only a pool
+// shortage (ErrFrameShortage) engages the machine-wide kswapd and direct
+// reclaim, so a tenant at its limit never evicts a neighbour's page.
+// Account.EvictionsUnderLimit counts evictions someone else's reclaim
+// made while the victim was under its limit; its rollup,
+// introspect.Snapshot.CrossTenantEvictions, must stay zero
+// (TestTenantIsolation).
+//
+// Evict(root) lowers the limit to one frame, closes the members in
+// reverse, drains the residual shared pages (their charge moves to the
+// next tenant to refault them) and audits the account to zero charge;
+// a residue is an error. Until the tenant leaves the table every surface
+// reports its admission limit, not the lowered one.
+package vm

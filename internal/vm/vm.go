@@ -1,54 +1,3 @@
-// Package vm implements the concurrent address-space designs of §5: a
-// user-space reproduction of the Linux virtual memory system with the
-// paper's exact data structures (region tree + four-level page tables),
-// lock set (mmap_sem, fault lock, tree lock, page-directory lock,
-// per-page-table PTE locks), and race handling (VMA split race, page
-// table deallocation race, page table fill race, retry-with-lock).
-//
-// Four designs are provided, in increasing concurrency:
-//
-//	RWLock    — stock Linux: one read/write semaphore; faults read-lock,
-//	            mapping operations write-lock (§4.1).
-//	FaultLock — mapping operations hold mmap_sem for their whole run but
-//	            take a separate fault lock only around their mutation
-//	            phase, letting faults overlap their planning phase (§5.1).
-//	Hybrid    — faults take no mmap_sem at all: page tables and VMAs are
-//	            RCU-managed, and only the region tree keeps a read/write
-//	            lock (§5.2).
-//	PureRCU   — the region tree is the BONSAI tree, so the fault path is
-//	            entirely lock-free and writes no shared cache line (§5.3).
-//
-// The designs differ in two decisions only — how a fault reads the
-// region tree, and what a mapping operation excludes — and one value per
-// address space, the synchronization policy of sync.go, makes both: the
-// fault, mapping, fork, huge-page and inspection code is written once
-// against it, and no other file names a semaphore or asks which design
-// it runs under (TestSyncSeam). Beyond the paper, the RCU designs'
-// mapping operations exclude one another by address range rather than
-// on mmap_sem, unless Config.RangeLocks restores the paper's baseline.
-//
-// What a fast-path fault writes, exactly (README "What a fast-path fault
-// writes"; TestFastPathFaultWritesOnlyItsOwnCells holds the counter half
-// true per design):
-//
-//   - its own per-CPU cells: the fault counters and, for the 1 fault in
-//     16 that is timed, its latency histogram (statsCounters), the page
-//     tables' fill counter, the page cache's hit counter, its RCU reader,
-//     its allocator magazine (frames, lock, allocation counter) and its
-//     CPU context's sampling state, padded to lines of its own;
-//   - the leaf page table's PTE lock (its two ticket words, which also
-//     count its acquisitions) and entry, shared within 2 MB;
-//   - the mapped frame's metadata: one word, generation and reference
-//     count, eight frames to a line, and a magazine's frames come in
-//     aligned blocks so CPUs start out on lines of their own — for a file
-//     page the cache page's reference count and reverse map, and a
-//     limited tenant's charge counter and the frame's owner stamp;
-//   - the design's lock words: the reader count of mmap_sem (RWLock), the
-//     fault lock (FaultLock), the tree lock (Hybrid); none in PureRCU.
-//
-// Nothing address-space-wide: no shared counter, histogram, clock read
-// or watermark check. Shared lines are written only off the fast path:
-// table allocation, every 32nd allocation's magazine refill, retries.
 package vm
 
 import (
