@@ -11,6 +11,8 @@ import (
 	"bonsai/internal/physmem"
 	"bonsai/internal/rcu"
 	"bonsai/internal/stats"
+	"bonsai/internal/vm"
+	"bonsai/internal/vma"
 )
 
 // weightAblation sweeps the BONSAI weight parameter (§3.1: bounded-
@@ -43,57 +45,62 @@ func weightAblation() {
 }
 
 // mmapCacheAblation measures the §6 mmap cache — the one-entry
-// last-VMA cache stock Linux keeps in front of the region tree: with one
+// last-VMA cache stock Linux keeps in front of the region tree, which
+// this repository's RWLock and FaultLock designs keep too: with one
 // thread it hits almost always; with many threads faulting on different
 // regions its hit rate collapses ("below 1% in our benchmarks"), which
-// is why the RCU designs disable it. The cache is the lookup rule the
-// lock-based designs' fault path uses, run here over a BONSAI tree of
-// regions directly.
-func mmapCacheAblation() {
+// is why the RCU designs disable it. It drives an RWLock address space
+// and reads the cache's own counters.
+func mmapCacheAblation() error {
 	t := &stats.Table{
 		Title:   "Ablation: mmap cache hit rate (§6), one-entry cache in front of the region tree",
 		Columns: []string{"Workload", "hits", "misses", "hit rate"},
 	}
-
-	// The interleaving of faults from concurrent threads is emulated
-	// deterministically: the "8 threads" row issues the globally
-	// interleaved fault sequence that 8 threads walking 8 regions
-	// produce, which is what the single shared cache actually observes.
-	const regionPages = 64
-	measure := func(name string, regions int) {
-		const size = regionPages * pagetable.PageSize
-		base := func(i int) uint64 { return uint64(i) * size }
-		tree := core.New[uint64]() // region start -> end
-		for i := 0; i < regions; i++ {
-			tree.Insert(base(i), base(i)+size)
+	// The "8 threads" row is one goroutine faulting through 8 CPUs in
+	// turn, each on its own region: the interleaving 8 threads walking 8
+	// regions produce, which is what the space's one cache observes.
+	const size = 64 * vm.PageSize
+	measure := func(name string, regions int) error {
+		as, err := vm.New(vm.Config{Design: vm.RWLock, CPUs: regions})
+		if err != nil {
+			return err
 		}
-		var cacheLo, cacheHi uint64 // the cached region; empty while lo == hi
-		var hits, misses uint64
-		for p := 0; p < regionPages; p++ {
+		base := func(i int) uint64 { return vm.UnmappedBase + uint64(2*i)*size } // non-adjacent: no merge
+		cpus := make([]*vm.CPU, regions)
+		for i := range cpus {
+			if _, err := as.Mmap(base(i), size, vma.ProtRead|vma.ProtWrite, vma.Fixed, nil, 0); err != nil {
+				return err
+			}
+			cpus[i] = as.NewCPU(i)
+		}
+		for off := uint64(0); off < size; off += vm.PageSize {
 			for r := 0; r < 8; r++ { // refaults within each page
-				for i := 0; i < regions; i++ { // interleave across "threads"
-					addr := base(i) + uint64(p)*pagetable.PageSize
-					if cacheLo <= addr && addr < cacheHi {
-						hits++
-						continue
+				for i, cpu := range cpus {
+					if err := cpu.Fault(base(i)+off, false); err != nil {
+						return err
 					}
-					misses++
-					cacheLo, cacheHi, _ = tree.Floor(addr)
 				}
 			}
 		}
+		st := as.Stats()
 		t.AddRow(name,
-			stats.FormatFloat(float64(hits)),
-			stats.FormatFloat(float64(misses)),
-			fmt.Sprintf("%.1f%%", float64(hits)/float64(hits+misses)*100))
+			stats.FormatFloat(float64(st.MmapCacheHits)),
+			stats.FormatFloat(float64(st.MmapCacheMisses)),
+			fmt.Sprintf("%.1f%%", float64(st.MmapCacheHits)/float64(st.MmapCacheHits+st.MmapCacheMisses)*100))
+		return as.Close()
 	}
 
-	measure("1 thread, 1 region", 1)
-	measure("8 threads, 8 regions (interleaved)", 8)
+	if err := measure("1 thread, 1 region", 1); err != nil {
+		return err
+	}
+	if err := measure("8 threads, 8 regions (interleaved)", 8); err != nil {
+		return err
+	}
 	fmt.Println(t)
 	fmt.Println("With many threads on distinct regions every fault misses and then")
 	fmt.Println("*writes* the shared cache line — why §6 disables the cache for RCU designs.")
 	fmt.Println()
+	return nil
 }
 
 // pteLockAblation compares per-page-table PTE locks against a single

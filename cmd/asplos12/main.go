@@ -109,7 +109,10 @@ func main() {
 	if run("ablations") {
 		ran = true
 		weightAblation()
-		mmapCacheAblation()
+		if err := mmapCacheAblation(); err != nil {
+			fmt.Fprintln(os.Stderr, "mmap-cache ablation:", err)
+			os.Exit(1)
+		}
 		pteLockAblation()
 	}
 	if run("timelines") {

@@ -12,47 +12,37 @@
 // slow paths (a range lock that had to queue, a mutex TryLock that
 // failed), never on uncontended acquires.
 //
-// The table is fixed-size and lossy: sites hash into a small
-// open-addressed table and collisions past the probe limit are counted
-// in Dropped rather than allocated. Top-N by cumulative wait is the
-// product; an unlucky drop loses a sample, not the run.
+// The table is a map from (site, range) to its accumulated waits under
+// one mutex, a leaf: Note takes it after the wait it records and takes
+// no other lock under it, so it may be called holding any lock (Lock's
+// callers hold the mutex they just acquired). The table keeps at most
+// maxSites rows; a wait at a new site beyond that is counted in Dropped
+// rather than given a row. Top-N by cumulative wait is the product; a
+// drop loses a sample, not the run.
 package contention
 
 import (
-	"runtime"
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-const (
-	tableSize  = 1024 // power of two
-	tableMask  = tableSize - 1
-	probeLimit = 16
-)
+// maxSites bounds the table's rows, and so the profiler's memory.
+const maxSites = 1024
 
-// entry states: empty → claiming → ready. Site/lo/hi are written
-// exactly once, before the ready store; readers check ready first.
-const (
-	slotEmpty = iota
-	slotClaiming
-	slotReady
-)
-
-type entry struct {
-	state  atomic.Uint32
+// key is one row of the table: a site and its range.
+type key struct {
 	site   string
 	lo, hi uint64
-
-	waits   atomic.Uint64
-	totalNs atomic.Int64
-	maxNs   atomic.Int64
 }
 
 type profile struct {
-	entries [tableSize]entry
-	dropped atomic.Uint64
+	mu      sync.Mutex
+	sites   map[key]*SiteStats
+	dropped uint64
 }
 
 // active is the armed profile; nil means disarmed. Every hook loads it
@@ -61,7 +51,7 @@ var active atomic.Pointer[profile]
 
 // Arm installs a fresh, empty profile; hooks start accounting
 // immediately. Re-arming while armed resets the table.
-func Arm() { active.Store(&profile{}) }
+func Arm() { active.Store(&profile{sites: make(map[key]*SiteStats)}) }
 
 // Disarm removes the profile; hooks return to the one-load nil check.
 func Disarm() { active.Store(nil) }
@@ -72,70 +62,29 @@ func Armed() bool { return active.Load() != nil }
 // Note records one contended wait against (site, [lo, hi)). Sites
 // without a meaningful range pass lo = hi = 0. Disarmed it is one
 // atomic load. Safe from any goroutine, including under other locks:
-// it takes none and allocates nothing.
+// the profile's mutex is a leaf, and the first wait at a site allocates
+// its row.
 func Note(site string, lo, hi uint64, wait time.Duration) {
 	p := active.Load()
 	if p == nil {
 		return
 	}
-	p.note(site, lo, hi, wait.Nanoseconds())
-}
-
-func (p *profile) note(site string, lo, hi uint64, ns int64) {
-	h := hash(site, lo, hi)
-	for i := uint64(0); i < probeLimit; i++ {
-		e := &p.entries[(h+i)&tableMask]
-		switch e.state.Load() {
-		case slotEmpty:
-			if e.state.CompareAndSwap(slotEmpty, slotClaiming) {
-				e.site, e.lo, e.hi = site, lo, hi
-				e.state.Store(slotReady)
-			} else {
-				// Lost the claim race; re-check this slot.
-				i--
-				continue
-			}
-		case slotClaiming:
-			// The owner is mid-publish, and may be publishing this very
-			// key: moving on would claim a second row for it. It holds no
-			// lock and is three stores from ready, so wait, then
-			// re-check this slot.
-			runtime.Gosched()
-			i--
-			continue
+	ns := wait.Nanoseconds()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	k := key{site, lo, hi}
+	s := p.sites[k]
+	if s == nil {
+		if len(p.sites) >= maxSites {
+			p.dropped++
+			return
 		}
-		if e.site != site || e.lo != lo || e.hi != hi {
-			continue
-		}
-		e.waits.Add(1)
-		e.totalNs.Add(ns)
-		for {
-			max := e.maxNs.Load()
-			if ns <= max || e.maxNs.CompareAndSwap(max, ns) {
-				break
-			}
-		}
-		return
+		s = &SiteStats{Site: site, Lo: lo, Hi: hi}
+		p.sites[k] = s
 	}
-	p.dropped.Add(1)
-}
-
-// hash is FNV-1a over the site string and range bounds.
-func hash(site string, lo, hi uint64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(site); i++ {
-		h = (h ^ uint64(site[i])) * prime
-	}
-	for _, w := range [2]uint64{lo, hi} {
-		for s := 0; s < 64; s += 8 {
-			h = (h ^ (w >> s & 0xff)) * prime
-		}
-	}
-	return h
+	s.Waits++
+	s.TotalWaitNs += ns
+	s.MaxWaitNs = max(s.MaxWaitNs, ns)
 }
 
 // Lock acquires mu, attributing any contended wait to site. Disarmed
@@ -177,25 +126,14 @@ func Snapshot() []SiteStats {
 		return nil
 	}
 	var out []SiteStats
-	for i := range p.entries {
-		e := &p.entries[i]
-		if e.state.Load() != slotReady {
-			continue
-		}
-		out = append(out, SiteStats{
-			Site:        e.site,
-			Lo:          e.lo,
-			Hi:          e.hi,
-			Waits:       e.waits.Load(),
-			TotalWaitNs: e.totalNs.Load(),
-			MaxWaitNs:   e.maxNs.Load(),
-		})
+	p.mu.Lock()
+	for _, s := range p.sites {
+		out = append(out, *s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TotalWaitNs != out[j].TotalWaitNs {
-			return out[i].TotalWaitNs > out[j].TotalWaitNs
-		}
-		return out[i].Site < out[j].Site
+	p.mu.Unlock()
+	slices.SortFunc(out, func(a, b SiteStats) int {
+		return cmp.Or(cmp.Compare(b.TotalWaitNs, a.TotalWaitNs),
+			strings.Compare(a.Site, b.Site), cmp.Compare(a.Lo, b.Lo))
 	})
 	return out
 }
@@ -209,11 +147,13 @@ func Top(n int) []SiteStats {
 	return all
 }
 
-// Dropped returns the samples lost to table collisions since arming.
+// Dropped returns the samples lost to the site cap since arming.
 func Dropped() uint64 {
 	p := active.Load()
 	if p == nil {
 		return 0
 	}
-	return p.dropped.Load()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.dropped
 }

@@ -166,3 +166,26 @@ func TestSnapshotKeysUnique(t *testing.T) {
 		}
 	}
 }
+
+// TestSiteCap: the table keeps maxSites rows; a wait at a new site
+// beyond them is counted in Dropped, while the sites it has keep
+// accumulating.
+func TestSiteCap(t *testing.T) {
+	Arm()
+	defer Disarm()
+	for i := uint64(0); i <= maxSites; i++ {
+		Note("cap", i<<12, (i+1)<<12, time.Microsecond)
+	}
+	Note("cap", 0, 1<<12, time.Microsecond)
+	if got := Snapshot(); len(got) != maxSites {
+		t.Fatalf("%d rows, want %d", len(got), maxSites)
+	}
+	if d := Dropped(); d != 1 {
+		t.Fatalf("Dropped = %d, want 1", d)
+	}
+	for _, s := range Snapshot() {
+		if s.Lo == 0 && s.Waits != 2 {
+			t.Fatalf("first site has %d waits after the cap, want 2", s.Waits)
+		}
+	}
+}

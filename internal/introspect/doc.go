@@ -48,16 +48,17 @@
 //
 // # Locks
 //
-// Every inspection path takes only read-side or already-existing
-// locks: RCU read sections and lock-free PTE walks for smaps, the
-// whole-space range lock (or the mmap_sem read side) for the region
-// list, each manager's own mutex for the lock table, and the machine's
-// tenant mutex and each family's member mutex for the rollup. Nothing
-// here introduces a lock level above the reclaim scan lock, so an
-// operator scraping a wedged machine cannot deadlock against the paths
-// being diagnosed. With no server attached the whole plane is
-// disarmed: the only residue on hot paths is the contention profiler's
-// one atomic load, and that sits on already-contended slow paths only
-// (the range-lock queue wait, the page-cache mutex, the reclaim scan
-// lock).
+// Every inspection path takes only read-side or already-existing locks:
+// RCU read sections and lock-free PTE walks for smaps, the whole-space
+// range lock (or the mmap_sem read side) for the region list, each
+// manager's own mutex for the lock table (its ages are read under it,
+// so none is negative), the contention profile's leaf mutex for the
+// contended sites, and the machine's tenant mutex and each family's
+// member mutex for the rollup. Nothing here introduces a lock level
+// above the reclaim scan lock, so an operator scraping a wedged machine
+// cannot deadlock against the paths being diagnosed. With no server
+// attached the whole plane is disarmed: the only residue on hot paths
+// is the contention profiler's one atomic load, and that sits on
+// already-contended slow paths only (the range-lock queue wait, the
+// page-cache mutex, the reclaim scan lock).
 package introspect

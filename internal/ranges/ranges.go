@@ -16,6 +16,11 @@
 // instead of leap-frogging it forever. Disjoint requests still overtake
 // freely, so the fairness costs no parallelism between non-conflicting
 // operations.
+//
+// The contract is Lock, LockGuard and Unlock, plus three snapshots:
+// Guards (the live table), Stats and WaitHist. Every caller, a
+// non-fixed mmap reserving its gap included, waits its FIFO turn for
+// the range it asks for.
 package ranges
 
 import (
@@ -38,7 +43,7 @@ import (
 // no reference to it.
 type Guard struct {
 	m      *Manager
-	id     uint64 // unique per manager; the trace's holder attribution
+	id     uint64 // unique per manager; attributes trace events and table rows
 	lo, hi uint64
 	ready  chan struct{} // made when the request queues; closed when it is granted
 	// granted is set by the granting Unlock just before it closes
@@ -62,10 +67,6 @@ var epoch = time.Now()
 // zero.
 func stamp() int64 { return int64(time.Since(epoch)) | 1 }
 
-// ID returns the guard's manager-unique id, the value trace events
-// use to attribute held ranges to their holder.
-func (g *Guard) ID() uint64 { return g.id }
-
 // Lo returns the inclusive lower bound of the locked range.
 func (g *Guard) Lo() uint64 { return g.lo }
 
@@ -75,9 +76,17 @@ func (g *Guard) Hi() uint64 { return g.hi }
 // Covers reports whether the guard's range contains [lo, hi).
 func (g *Guard) Covers(lo, hi uint64) bool { return g.lo <= lo && hi <= g.hi }
 
-// overlaps reports whether two half-open ranges intersect. Touching
-// ranges ([0,4) and [4,8)) do not conflict.
-func overlaps(alo, ahi, blo, bhi uint64) bool { return alo < bhi && blo < ahi }
+// overlapsAny reports whether [lo, hi) intersects any guard's range.
+// Ranges are half-open, so touching ones ([0,4) and [4,8)) do not
+// conflict.
+func overlapsAny(gs []*Guard, lo, hi uint64) bool {
+	for _, g := range gs {
+		if lo < g.hi && g.lo < hi {
+			return true
+		}
+	}
+	return false
+}
 
 // Manager is an address-range lock manager. The zero value is ready to
 // use. All methods are safe for concurrent use.
@@ -88,7 +97,6 @@ type Manager struct {
 
 	acquires  uint64 // locks granted
 	conflicts uint64 // requests that had to wait
-	tryFails  uint64 // TryLock calls refused
 	maxHeld   int    // high-water of concurrently held locks
 	nextID    uint64 // guard id source
 
@@ -103,7 +111,6 @@ type Manager struct {
 type Stats struct {
 	Acquires  uint64             `json:"acquires"`  // locks granted over the manager's lifetime
 	Conflicts uint64             `json:"conflicts"` // Lock calls that blocked on a conflicting range
-	TryFails  uint64             `json:"try_fails"` // TryLock calls refused because of a conflict
 	MaxHeld   int                `json:"max_held"`  // most locks held concurrently (max parallel writers)
 	Held      int                `json:"held"`      // locks currently held
 	Waiting   int                `json:"waiting"`   // requests currently queued
@@ -117,7 +124,6 @@ func (m *Manager) Stats() Stats {
 	return Stats{
 		Acquires:  m.acquires,
 		Conflicts: m.conflicts,
-		TryFails:  m.tryFails,
 		MaxHeld:   m.maxHeld,
 		Held:      len(m.held),
 		Waiting:   len(m.queue),
@@ -146,11 +152,13 @@ type GuardInfo struct {
 
 // Guards snapshots the live lock table: held ranges first (grant
 // order), then queued waiters (arrival order). It takes only the
-// manager mutex, the lock every acquire already takes.
+// manager mutex, the lock every acquire already takes. The ages are
+// read against a clock taken under it, so a guard granted while Guards
+// waited for the mutex never shows a negative age.
 func (m *Manager) Guards() []GuardInfo {
-	now := stamp()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	now := stamp()
 	out := make([]GuardInfo, 0, len(m.held)+len(m.queue))
 	for _, g := range m.held {
 		gi := GuardInfo{ID: g.id, Lo: g.lo, Hi: g.hi}
@@ -167,28 +175,6 @@ func (m *Manager) Guards() []GuardInfo {
 		out = append(out, gi)
 	}
 	return out
-}
-
-func checkRange(lo, hi uint64) {
-	if lo >= hi {
-		panic(fmt.Sprintf("ranges: invalid range [%#x, %#x)", lo, hi))
-	}
-}
-
-// conflictsLocked reports whether [lo, hi) overlaps a held range or a
-// queued waiter. The manager mutex is held.
-func (m *Manager) conflictsLocked(lo, hi uint64) bool {
-	for _, g := range m.held {
-		if overlaps(lo, hi, g.lo, g.hi) {
-			return true
-		}
-	}
-	for _, g := range m.queue {
-		if overlaps(lo, hi, g.lo, g.hi) {
-			return true
-		}
-	}
-	return false
 }
 
 // grantLocked moves g into the held set. The manager mutex is held.
@@ -218,10 +204,21 @@ func (m *Manager) Lock(lo, hi uint64) *Guard {
 // LockGuard is Lock into a guard the caller owns: a fresh one, or one
 // it has released. An uncontended acquisition allocates nothing.
 func (m *Manager) LockGuard(g *Guard, lo, hi uint64) {
-	checkRange(lo, hi)
+	if lo >= hi {
+		panic(fmt.Sprintf("ranges: invalid range [%#x, %#x)", lo, hi))
+	}
 	m.mu.Lock()
-	m.armLocked(g, lo, hi)
-	if !m.conflictsLocked(lo, hi) {
+	if g.held {
+		m.mu.Unlock()
+		panic("ranges: Lock into a held Guard")
+	}
+	g.m, g.lo, g.hi, g.id = m, lo, hi, m.nextID
+	m.nextID++
+	g.ready, g.grantedAt, g.queuedAt = nil, 0, 0
+	if g.granted.Load() { // set only by a contended grant
+		g.granted.Store(false)
+	}
+	if !overlapsAny(m.held, lo, hi) && !overlapsAny(m.queue, lo, hi) {
 		m.grantLocked(g)
 		m.mu.Unlock()
 		return
@@ -237,21 +234,6 @@ func (m *Manager) LockGuard(g *Guard, lo, hi uint64) {
 	m.waitHist.Record(wait)
 	contention.Note("range", g.lo, g.hi, wait)
 	trace.Emit(trace.AuxCPU, trace.EvRangeWait, g.id, g.lo, uint64(wait))
-}
-
-// armLocked makes g a new request for [lo, hi). The manager mutex is
-// held (and released if g turns out to be held: a caller's bug).
-func (m *Manager) armLocked(g *Guard, lo, hi uint64) {
-	if g.held {
-		m.mu.Unlock()
-		panic("ranges: Lock into a held Guard")
-	}
-	g.m, g.lo, g.hi, g.id = m, lo, hi, m.nextID
-	m.nextID++
-	g.ready, g.grantedAt, g.queuedAt = nil, 0, 0
-	if g.granted.Load() { // set only by a contended grant
-		g.granted.Store(false)
-	}
 }
 
 // spinLimit bounds how long a queued request polls its granted flag
@@ -288,65 +270,6 @@ func (g *Guard) awaitGrant(queuedAt int64) {
 	<-g.ready
 }
 
-// TryLock attempts to acquire [lo, hi) without blocking. It fails when
-// the range conflicts with any held range or queued waiter (so it never
-// jumps the FIFO queue).
-func (m *Manager) TryLock(lo, hi uint64) (*Guard, bool) {
-	g := new(Guard)
-	if !m.TryLockGuard(g, lo, hi) {
-		return nil, false
-	}
-	return g, true
-}
-
-// TryLockGuard is TryLock into a guard the caller owns.
-func (m *Manager) TryLockGuard(g *Guard, lo, hi uint64) bool {
-	checkRange(lo, hi)
-	m.mu.Lock()
-	if m.conflictsLocked(lo, hi) {
-		m.tryFails++
-		m.mu.Unlock()
-		return false
-	}
-	m.armLocked(g, lo, hi)
-	m.grantLocked(g)
-	m.mu.Unlock()
-	return true
-}
-
-// Blocked reports whether a request for [lo, hi) would currently have
-// to wait. It is an advisory probe — the answer may be stale by the
-// time the caller acts on it — for diagnostics and tests; the VM's gap
-// search steers with ConflictBeyond, which also says where to resume.
-func (m *Manager) Blocked(lo, hi uint64) bool {
-	checkRange(lo, hi)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.conflictsLocked(lo, hi)
-}
-
-// ConflictBeyond returns the largest exclusive upper bound among held
-// or queued ranges overlapping [lo, hi), and whether any overlapped.
-// Gap searches use it to skip past address space other mapping
-// operations have claimed but not yet populated.
-func (m *Manager) ConflictBeyond(lo, hi uint64) (uint64, bool) {
-	checkRange(lo, hi)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var end uint64
-	found := false
-	scan := func(gs []*Guard) {
-		for _, g := range gs {
-			if overlaps(lo, hi, g.lo, g.hi) && (!found || g.hi > end) {
-				end, found = g.hi, true
-			}
-		}
-	}
-	scan(m.held)
-	scan(m.queue)
-	return end, found
-}
-
 // Unlock releases the guard and grants every waiter that the release
 // unblocks, scanning the queue in FIFO order: a waiter is granted when
 // it conflicts with no held range and no waiter still queued ahead of
@@ -377,22 +300,7 @@ func (g *Guard) Unlock() {
 	// letting disjoint waiters through.
 	remaining := m.queue[:0]
 	for _, w := range m.queue {
-		grant := true
-		for _, h := range m.held {
-			if overlaps(w.lo, w.hi, h.lo, h.hi) {
-				grant = false
-				break
-			}
-		}
-		if grant {
-			for _, earlier := range remaining {
-				if overlaps(w.lo, w.hi, earlier.lo, earlier.hi) {
-					grant = false
-					break
-				}
-			}
-		}
-		if grant {
+		if !overlapsAny(m.held, w.lo, w.hi) && !overlapsAny(remaining, w.lo, w.hi) {
 			m.grantLocked(w)
 			w.granted.Store(true)
 			close(w.ready)

@@ -1,11 +1,14 @@
 package ranges
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bonsai/internal/contention"
 	"bonsai/internal/race"
 )
 
@@ -48,39 +51,47 @@ func TestOverlappingRangeBlocks(t *testing.T) {
 	}
 }
 
+// grantedAtOnce locks [lo, hi) and fails t unless the request was
+// granted without queuing, Conflicts unchanged. A request that queued
+// behind a holder the test never releases would wait forever, so the
+// Lock runs beside a deadline.
+func grantedAtOnce(t *testing.T, m *Manager, lo, hi uint64) *Guard {
+	t.Helper()
+	before := m.Stats().Conflicts
+	got := make(chan *Guard, 1)
+	go func() { got <- m.Lock(lo, hi) }()
+	select {
+	case g := <-got:
+		if c := m.Stats().Conflicts; c != before {
+			t.Fatalf("Lock(%#x, %#x) queued: Conflicts %d -> %d", lo, hi, before, c)
+		}
+		return g
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Lock(%#x, %#x) was not granted", lo, hi)
+		return nil
+	}
+}
+
 // TestTouchingRangesAreDisjoint pins the half-open interval semantics:
-// [lo, mid) and [mid, hi) never conflict.
+// [lo, mid) and [mid, hi) never conflict, while a range one byte into
+// each queues.
 func TestTouchingRangesAreDisjoint(t *testing.T) {
 	var m Manager
 	a := m.Lock(0, 0x1000)
-	if _, ok := m.TryLock(0x1000, 0x2000); !ok {
-		t.Fatal("touching range refused")
-	}
-	if _, ok := m.TryLock(0xfff, 0x1001); ok {
-		t.Fatal("range overlapping both granted")
-	}
-	a.Unlock()
-}
-
-func TestTryLock(t *testing.T) {
-	var m Manager
-	a, ok := m.TryLock(0x1000, 0x2000)
-	if !ok {
-		t.Fatal("TryLock of free range failed")
-	}
-	if _, ok := m.TryLock(0x1800, 0x2800); ok {
-		t.Fatal("TryLock of conflicting range succeeded")
-	}
-	if !m.Blocked(0x1fff, 0x2000) {
-		t.Fatal("Blocked did not report the held range")
-	}
-	if m.Blocked(0x2000, 0x3000) {
-		t.Fatal("Blocked reported a free range")
+	b := grantedAtOnce(t, &m, 0x1000, 0x2000)
+	got := make(chan *Guard, 1)
+	go func() { got <- m.Lock(0xfff, 0x1001) }()
+	for m.Stats().Waiting == 0 {
+		select {
+		case g := <-got:
+			g.Unlock()
+			t.Fatal("range overlapping both granted")
+		case <-time.After(time.Millisecond):
+		}
 	}
 	a.Unlock()
-	if st := m.Stats(); st.TryFails != 1 {
-		t.Fatalf("TryFails = %d, want 1", st.TryFails)
-	}
+	b.Unlock()
+	(<-got).Unlock()
 }
 
 // TestWholeSpaceWaitsForPendingHolders: a whole-space request (fork,
@@ -120,14 +131,23 @@ func TestWholeSpaceVsPendingHolders(t *testing.T) {
 	for m.Stats().Waiting != 2 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, ok := m.TryLock(0x3000, 0x4000); ok {
-		t.Fatal("TryLock jumped the FIFO queue past a pending whole-space waiter")
+	// A third request, overlapping the late one, must not jump the
+	// queue either: it is granted last.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		g := m.Lock(0x3000, 0x4000)
+		record("probe")
+		g.Unlock()
+	}()
+	for m.Stats().Waiting != 3 {
+		time.Sleep(time.Millisecond)
 	}
 	a.Unlock()
 	b.Unlock()
 	wg.Wait()
-	if len(order) != 2 || order[0] != "whole" || order[1] != "late" {
-		t.Fatalf("grant order = %v, want [whole late]", order)
+	if len(order) != 3 || order[0] != "whole" || order[1] != "late" || order[2] != "probe" {
+		t.Fatalf("grant order = %v, want [whole late probe]", order)
 	}
 }
 
@@ -146,11 +166,7 @@ func TestFIFOAllowsDisjointOvertaking(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Disjoint from both the holder and the waiter: granted immediately.
-	g, ok := m.TryLock(0x8000, 0x9000)
-	if !ok {
-		t.Fatal("disjoint TryLock blocked by unrelated waiter")
-	}
-	g.Unlock()
+	grantedAtOnce(t, &m, 0x8000, 0x9000).Unlock()
 	a.Unlock()
 	<-waiterGranted
 }
@@ -198,17 +214,15 @@ func TestDoubleUnlockPanics(t *testing.T) {
 }
 
 // TestLockGuardReuse: a caller-owned guard goes round any number of
-// acquisitions — granted at once, refused by TryLockGuard, queued behind
-// a holder — and the uncontended round trip allocates nothing.
+// acquisitions — granted at once or queued behind a holder — and the
+// uncontended round trip allocates nothing.
 func TestLockGuardReuse(t *testing.T) {
 	var m Manager
 	var g Guard
 	if avg := testing.AllocsPerRun(100, func() {
 		m.LockGuard(&g, 0x1000, 0x2000)
 		g.Unlock()
-		if !m.TryLockGuard(&g, 0x1000, 0x3000) {
-			t.Fatal("TryLockGuard refused a free range")
-		}
+		m.LockGuard(&g, 0x1000, 0x3000)
 		g.Unlock()
 	}); avg != 0 && !race.Enabled {
 		t.Errorf("an uncontended LockGuard/Unlock round trip allocates %.1f times, want 0", avg)
@@ -216,9 +230,6 @@ func TestLockGuardReuse(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		holder := m.Lock(0, 0x8000)
-		if m.TryLockGuard(&g, 0x1000, 0x2000) {
-			t.Fatal("TryLockGuard took a held range")
-		}
 		granted := make(chan struct{})
 		go func() {
 			m.LockGuard(&g, 0x1000, 0x2000) // queues, then is granted by the release
@@ -305,4 +316,48 @@ func TestStressRandomRanges(t *testing.T) {
 	if st.Acquires != workers*iters {
 		t.Fatalf("Acquires = %d, want %d", st.Acquires, workers*iters)
 	}
+}
+
+// TestGuardsAgesNeverNegative: a guard granted while Guards waits for
+// the manager mutex is younger than any clock Guards read before it
+// took the mutex, so Guards must read its clock under the mutex or
+// report the guard with a negative age.
+func TestGuardsAgesNeverNegative(t *testing.T) {
+	var m Manager
+	m.mu.Lock()
+	got := make(chan []GuardInfo)
+	go func() { got <- m.Guards() }()
+	for !blockedIn("(*Manager).Guards") {
+		time.Sleep(100 * time.Microsecond)
+	}
+	contention.Arm()
+	defer contention.Disarm()
+	g := &Guard{m: &m, lo: 0x1000, hi: 0x2000}
+	m.grantLocked(g)
+	m.mu.Unlock()
+	infos := <-got
+	if len(infos) != 1 {
+		t.Fatalf("Guards = %+v, want the one granted guard", infos)
+	}
+	for _, gi := range infos {
+		if gi.AgeNs < 0 {
+			t.Fatalf("guard %d [%#x, %#x) has age %d ns", gi.ID, gi.Lo, gi.Hi, gi.AgeNs)
+		}
+	}
+	g.Unlock()
+}
+
+// blockedIn reports whether some goroutine whose stack names fn is
+// parked on a mutex.
+func blockedIn(fn string) bool {
+	buf := make([]byte, 1<<16)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, _, _ := strings.Cut(g, "\n")
+		if strings.Contains(g, fn) &&
+			(strings.Contains(header, "[sync.Mutex.Lock") || strings.Contains(header, "[semacquire")) {
+			return true
+		}
+	}
+	return false
 }

@@ -79,7 +79,12 @@
 //     bookkeeping; it also guards the per-tenant clock hands), taken
 //     under a PTE lock by a file fault's miss path; cache lookups take
 //     nothing;
-//  6. the per-page rmap mutex (pagecache.Page), innermost.
+//  6. the per-page rmap mutex (pagecache.Page);
+//  7. the contention profile's mutex (internal/contention), the
+//     innermost leaf, taken only while the profiler is armed: Note runs
+//     under the page-cache mutex and the reclaim scan lock, just
+//     acquired after a contended wait, and after a queued range-lock
+//     grant, and takes nothing under it.
 //
 // Not locks, so they may run under any level: a tenant's charge
 // (physmem.Account atomics), a TLB gather (owned by its zapping thread;
@@ -90,10 +95,11 @@
 // held range covers its whole extent (lock with cover set re-acquires
 // rather than widening in place, so two expanding neighbours cannot
 // deadlock). Operations on one VMA therefore always conflict, and
-// disjoint ranges, even touching ones, never do. For a non-fixed Mmap the
-// range lock is also the gap reservation: claim, re-verify, insert;
-// losers search again. RangeStats reports acquisitions, conflicts and the
-// most operations held at once.
+// disjoint ranges, even touching ones, never do. A non-fixed Mmap
+// reserves its gap through the same lock: search the tree, lock the gap
+// as any mmap locks its range, re-check it under the held range, and on
+// a loss unlock and search again. RangeStats reports acquisitions,
+// conflicts and the most operations held at once.
 //
 // A mapping operation costs one hold of each shared lock: its range, and
 // the region tree's writer, because all it changes in the tree is one
@@ -210,20 +216,24 @@
 // faults — then Close's leak check. The stress half is internal/torture.
 //
 // The paper also checked "a model of the VM system designed to capture
-// key races" exhaustively. Here the model is this package. Four schedule
+// key races" exhaustively. Here the model is this package. Five schedule
 // points (fail.Point.Yield, one atomic load disarmed) sit at the race
 // windows: vm.fault-lookup after the lockless VMA lookup, vm.fault-fill
-// before a fill takes the PTE lock, and vm.unmap-cut and vm.unmap-commit
-// in munmap. The explorer (explore_test.go) parks each goroutine at its
-// points and releases one at a time, depth first through every order; a
-// released goroutine that blocks on a lock a parked one holds is read
-// from the goroutine dump. TestExploreFillRace runs §5.2's fill race (16
-// schedules per design and page state) and TestExploreSplitRace Figure
-// 10's split (17). A failing schedule prints as its list of point hits,
-// which replay runs again; without the recheck under the PTE lock the
-// fill race fails every run (scripts/mutants.sh). The same mechanism
-// parks physmem's InUse fold between its two passes at the
-// physmem.counts-pass point (TestInUseAcrossAllocsPass).
+// before a fill takes the PTE lock, vm.unmap-cut and vm.unmap-commit in
+// munmap, and vm.reserve-gap between a non-fixed mmap's gap search and
+// its range lock. The explorer (explore_test.go) parks each goroutine at
+// its points and releases one at a time, depth first through every
+// order; a released goroutine that blocks on a lock a parked one holds
+// is read from the goroutine dump. TestExploreFillRace runs §5.2's fill
+// race (16 schedules per design and page state), TestExploreSplitRace
+// Figure 10's split (17), and TestExploreGapRace two mmaps racing for
+// one gap (6 schedules under range locks, 2 on the global semaphore). A
+// failing schedule prints as its list of point hits, which replay runs
+// again; without the recheck under the PTE lock the fill race fails
+// every run, and without the gap's re-check under its range the gap race
+// does (scripts/mutants.sh). The same mechanism parks physmem's InUse
+// fold between its two passes at the physmem.counts-pass point
+// (TestInUseAcrossAllocsPass).
 //
 // # The multi-tenant host
 //

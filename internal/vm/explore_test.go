@@ -1,9 +1,10 @@
 package vm
 
-// Exhaustive schedule exploration of the fault/munmap races on the real
-// code — the reproduction of §6's "exhaustive schedule checking of a
-// model of the VM system designed to capture key races", with the VM
-// itself as the model. The fault and munmap paths carry schedule points
+// Exhaustive schedule exploration of the fault/munmap races, and of the
+// race between non-fixed mmaps for one gap, on the real code — the
+// reproduction of §6's "exhaustive schedule checking of a model of the
+// VM system designed to capture key races", with the VM itself as the
+// model. The fault, munmap and gap-search paths carry schedule points
 // (fail.Point.Yield) at their race windows; armed with the explorer's
 // Park action, a point hands its goroutine to the explorer, which lets
 // one goroutine run at a time and enumerates, depth first, every order
@@ -27,7 +28,7 @@ import (
 )
 
 // schedPoints are the schedule points the explorer parks goroutines on.
-var schedPoints = []*fail.Point{faultLookupPoint, faultFillPoint, unmapCutPoint, unmapCommitPoint}
+var schedPoints = []*fail.Point{faultLookupPoint, faultFillPoint, unmapCutPoint, unmapCommitPoint, reserveGapPoint}
 
 // startHit is the hit every thread is parked at before its body runs,
 // so which thread starts first is a choice like any other.
@@ -250,16 +251,16 @@ type raceScenario func(t *testing.T, as *AddressSpace) raceRun
 // exploreConfig is a space with no background goroutines: grace periods
 // only when the explorer runs one, no collapse scanner, and a pool the
 // reclaimer never wakes for.
-func exploreConfig(d Design) Config {
-	return Config{Design: d, CPUs: 2, Frames: 4096, THPScanInterval: -1, tune: tuning{rcuBatch: -1}}
+func exploreConfig(p policy) Config {
+	return p.apply(Config{CPUs: 2, Frames: 4096, THPScanInterval: -1, tune: tuning{rcuBatch: -1}})
 }
 
 // runRace runs one schedule of sc on a fresh space, its verdict the
 // schedule's own error, the first failed check, or Close's leak check.
 // It returns the space's counters as they stood before Close.
-func runRace(t *testing.T, d Design, sc raceScenario, pick func(int, []string) (int, error)) (Stats, []schedStep, error) {
+func runRace(t *testing.T, p policy, sc raceScenario, pick func(int, []string) (int, error)) (Stats, []schedStep, error) {
 	t.Helper()
-	as, err := New(exploreConfig(d))
+	as, err := New(exploreConfig(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +281,11 @@ func runRace(t *testing.T, d Design, sc raceScenario, pick func(int, []string) (
 // counters and hits to each, and returns how many there were. A
 // failing schedule fails t with its list of hits, and so does a run
 // offered other choices than the run it retraces.
-func explore(t *testing.T, d Design, sc raceScenario, each func(st Stats, hits []string)) int {
+func explore(t *testing.T, p policy, sc raceScenario, each func(st Stats, hits []string)) int {
 	t.Helper()
 	var prefix []schedStep // the previous run's decisions, the last one advanced
 	for n := 1; ; n++ {
-		st, steps, err := runRace(t, d, sc, func(step int, parked []string) (int, error) {
+		st, steps, err := runRace(t, p, sc, func(step int, parked []string) (int, error) {
 			if step >= len(prefix) {
 				return 0, nil
 			}
@@ -311,9 +312,9 @@ func explore(t *testing.T, d Design, sc raceScenario, each func(st Stats, hits [
 }
 
 // replay runs sc under the schedule hits, as a failing run printed it.
-func replay(t *testing.T, d Design, sc raceScenario, hits []string) (Stats, error) {
+func replay(t *testing.T, p policy, sc raceScenario, hits []string) (Stats, error) {
 	t.Helper()
-	st, _, err := runRace(t, d, sc, func(step int, parked []string) (int, error) {
+	st, _, err := runRace(t, p, sc, func(step int, parked []string) (int, error) {
 		for i, h := range parked {
 			if step < len(hits) && h == hits[step] {
 				return i, nil
@@ -412,9 +413,56 @@ func splitRace(t *testing.T, as *AddressSpace) raceRun {
 	}
 }
 
-// exploreDesigns are the designs whose faults run beside mapping
+// gapRace is two non-fixed mmaps with one hint racing for the first gap
+// above it, which fits one of them: read-only regions at the hint and
+// one mapping's length past the gap bound it, so each search finds the
+// same gap and the loser must end up past the second region. Under
+// range locks each mmap parks between its search and its lock, and a
+// loser re-checks the gap under its held range and searches again. The
+// two ranges must be disjoint, both must fault, and the space must hold
+// four regions: the mmaps' protection keeps them from merging into
+// the read-only neighbours.
+func gapRace(t *testing.T, as *AddressSpace) raceRun {
+	const length = 4 * PageSize
+	hint := uint64(exploreBase)
+	mustMmap(t, as, hint, length, vma.ProtRead, vma.Fixed)
+	mustMmap(t, as, hint+2*length, length, vma.ProtRead, vma.Fixed)
+	cpu := as.NewCPU(0)
+	var bases [2]uint64
+	var errs [2]error
+	mmap := func(i int) func() {
+		return func() { bases[i], errs[i] = as.Mmap(hint, length, vma.ProtRead|vma.ProtWrite, 0, nil, 0) }
+	}
+	return raceRun{
+		threads: []*schedThread{{name: "a", body: mmap(0)}, {name: "b", body: mmap(1)}},
+		check: func() error {
+			for _, err := range errs {
+				if err != nil {
+					return fmt.Errorf("mmap: %v", err)
+				}
+			}
+			a, b := min(bases[0], bases[1]), max(bases[0], bases[1])
+			if a != hint+length || b != hint+3*length {
+				return fmt.Errorf("mmaps at %#x and %#x, want %#x and %#x", a, b, hint+length, hint+3*length)
+			}
+			for _, base := range bases {
+				for _, p := range []uint64{base, base + length - PageSize} {
+					if err := cpu.Fault(p, true); err != nil {
+						return fmt.Errorf("fault at %#x: %v", p, err)
+					}
+				}
+			}
+			if n := as.RegionCount(); n != 4 {
+				return fmt.Errorf("%d regions, want 4", n)
+			}
+			return nil
+		},
+	}
+}
+
+// explorePolicies are the policies whose faults run beside mapping
 // operations, under range locks.
-var exploreDesigns = []Design{Hybrid, PureRCU}
+var explorePolicies = []policy{{Hybrid, RangeLocksDefault}, {PureRCU, RangeLocksDefault}}
 
 // The scenarios' schedule counts, the same on both designs: a change in
 // the points' placement or in the paths between them moves them.
@@ -423,20 +471,28 @@ const (
 	splitRaceSchedules = 17
 )
 
+// The gap race's schedule counts. On the global semaphore the search
+// and the insert are one critical section with no point inside, so the
+// start order is the only choice.
+const (
+	gapRaceSchedules       = 6
+	gapRaceSchedulesGlobal = 2
+)
+
 // TestExploreFillRace runs every schedule of the §5.2 fill race, on an
 // unfaulted page and on a mapped one. Dropping the recheck under the
 // PTE lock fails it (scripts/mutants.sh).
 func TestExploreFillRace(t *testing.T) {
-	for _, d := range exploreDesigns {
+	for _, p := range explorePolicies {
 		for _, mapped := range []bool{false, true} {
-			name := d.String() + "/unfaulted"
+			name := p.String() + "/unfaulted"
 			if mapped {
-				name = d.String() + "/mapped"
+				name = p.String() + "/mapped"
 			}
 			t.Run(name, func(t *testing.T) {
 				start := time.Now()
 				var fillRaces int
-				n := explore(t, d, fillRace(mapped), func(st Stats, _ []string) {
+				n := explore(t, p, fillRace(mapped), func(st Stats, _ []string) {
 					if st.RetriesFillRace > 0 {
 						fillRaces++
 					}
@@ -456,10 +512,10 @@ func TestExploreFillRace(t *testing.T) {
 // TestExploreSplitRace runs every schedule of Figure 10's split race:
 // in each, the fault on the top part succeeds and the page translates.
 func TestExploreSplitRace(t *testing.T) {
-	for _, d := range exploreDesigns {
-		t.Run(d.String(), func(t *testing.T) {
+	for _, p := range explorePolicies {
+		t.Run(p.String(), func(t *testing.T) {
 			start := time.Now()
-			n := explore(t, d, splitRace, func(Stats, []string) {})
+			n := explore(t, p, splitRace, func(Stats, []string) {})
 			t.Logf("%d schedules in %v", n, time.Since(start))
 			if n != splitRaceSchedules {
 				t.Errorf("explored %d schedules, want %d", n, splitRaceSchedules)
@@ -472,11 +528,11 @@ func TestExploreSplitRace(t *testing.T) {
 // observable: some schedule looks the page up between the cut and the
 // commit and retries, and replaying that schedule misses again.
 func TestExploreSplitRaceWindow(t *testing.T) {
-	for _, d := range exploreDesigns {
-		t.Run(d.String(), func(t *testing.T) {
+	for _, p := range explorePolicies {
+		t.Run(p.String(), func(t *testing.T) {
 			var window []string
 			misses := 0
-			explore(t, d, splitRace, func(st Stats, hits []string) {
+			explore(t, p, splitRace, func(st Stats, hits []string) {
 				if st.RetriesMiss > 0 {
 					misses++
 					window = hits
@@ -486,12 +542,48 @@ func TestExploreSplitRaceWindow(t *testing.T) {
 			if misses == 0 {
 				t.Fatal("no schedule looked the page up inside the split's window")
 			}
-			st, err := replay(t, d, splitRace, window)
+			st, err := replay(t, p, splitRace, window)
 			if err != nil {
 				t.Fatalf("replay of %q: %v", window, err)
 			}
 			if st.RetriesMiss == 0 {
 				t.Errorf("replay of %q missed the window", window)
+			}
+		})
+	}
+}
+
+// TestExploreGapRace runs every schedule of two non-fixed mmaps racing
+// for one gap, under every policy. Under range locks some schedule must
+// send a loser back to search again (its second reserve-gap hit);
+// dropping the re-check under the held range fails it
+// (scripts/mutants.sh).
+func TestExploreGapRace(t *testing.T) {
+	for _, p := range policies {
+		t.Run(p.String(), func(t *testing.T) {
+			start := time.Now()
+			lost := 0
+			n := explore(t, p, gapRace, func(_ Stats, hits []string) {
+				searches := 0
+				for _, h := range hits {
+					if strings.HasSuffix(h, "@"+reserveGapPoint.Name()) {
+						searches++
+					}
+				}
+				if searches > 2 {
+					lost++
+				}
+			})
+			t.Logf("%d schedules, %d with a lost gap, in %v", n, lost, time.Since(start))
+			want := gapRaceSchedulesGlobal
+			if p.design.UsesRCU() && p.rangeLocks != RangeLocksOff {
+				want = gapRaceSchedules
+				if lost == 0 {
+					t.Error("no schedule lost the gap to the other mmap")
+				}
+			}
+			if n != want {
+				t.Errorf("explored %d schedules, want %d", n, want)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bonsai/internal/core"
+	"bonsai/internal/fail"
 	"bonsai/internal/locks"
 	"bonsai/internal/ranges"
 	"bonsai/internal/rbtree"
@@ -186,64 +187,44 @@ func (p *syncPolicy) lockAll(op *opCtx) mapGuard {
 // reserve finds and locks a free range of length bytes at or above hint
 // for a non-fixed mmap. On the global semaphore the search is the
 // operation's planning phase: it runs under mmapSem, and under FaultLock
-// beside faults (§5.1). Under range locking the searched-for gap is a
-// resource the range lock itself reserves: find a candidate, lock it,
-// and re-verify it is still free — a concurrent mmap that won the race
-// to the same gap has either locked it first (TryLock fails) or already
-// inserted its region (the re-check sees it). Either way search again;
-// the search skips ranges other operations hold, so contending mappers
-// spread out instead of colliding.
+// beside faults (§5.1). Under range locking the gap is reserved by the
+// protocol every other mapping operation uses: find a candidate, lock
+// it with mmap's cover, then re-check it under the held range. A
+// concurrent mmap that won the race to the same gap has inserted its
+// region by the time the loser holds the range, so the re-check sees it
+// and the loser unlocks and searches again; each loss is another
+// mmap's insertion, so the loop makes progress.
 func (p *syncPolicy) reserve(op *opCtx, hint, length uint64) (uint64, mapGuard, bool) {
 	if p.rl == nil {
 		mg := p.lockAll(op)
-		base, ok := p.findGap(hint, length, false)
+		base, ok := p.findGap(hint, length)
 		if !ok {
 			mg.unlock()
 		}
 		return base, mg, ok
 	}
-	for attempt := 0; ; attempt++ {
-		base, ok := p.findGap(hint, length, true)
-		if !ok {
-			// Steering skipped everything (e.g. a queued whole-space
-			// fork); pick a gap ignoring reservations and queue for it.
-			base, ok = p.findGap(hint, length, false)
-		}
+	for {
+		base, ok := p.findGap(hint, length)
 		if !ok {
 			return 0, mapGuard{}, false
 		}
-		g := &op.guard
-		if !p.rl.TryLockGuard(g, base, base+length) {
-			if attempt < 4 {
-				continue // racing mapper holds it; search again
-			}
-			// Repeated collisions (e.g. a whole-space fork draining the
-			// queue): wait our FIFO turn instead of spinning.
-			p.rl.LockGuard(g, base, base+length)
+		reserveGapPoint.Yield()
+		mg := p.lock(op, base, base+length, true, true)
+		if v := p.idx.floor(base + length - 1); v == nil || v.End() <= base {
+			return base, mg, true
 		}
-		// Expand to cover a merge-candidate predecessor, then verify
-		// the gap is still free now that we hold it exclusively.
-		p.extendHeld(g, base, base+length, true)
-		if v := p.idx.floor(base + length - 1); v != nil && v.End() > base && v.Start() < base+length {
-			g.Unlock()
-			continue
-		}
-		return base, mapGuard{p: p, g: g}, true
+		mg.unlock()
 	}
 }
 
+// reserveGapPoint is the gap race's schedule point (fail.Point.Yield):
+// a gap found, not yet locked.
+var reserveGapPoint = fail.NewPoint("vm.reserve-gap")
+
 // findGap finds the lowest free [base, base+length) with
-// base >= max(hint, UnmappedBase). With steer set it also steers around
-// ranges other mapping operations hold or await — a racing mmap has in
-// effect reserved its range before its region appears in the tree.
-// Steering can skip the entire space (a queued whole-space fork
-// conflicts with everything), so reserve falls back to an unsteered
-// search and queues for the range rather than report out-of-memory.
-func (p *syncPolicy) findGap(hint, length uint64, steer bool) (uint64, bool) {
-	start := hint
-	if start < UnmappedBase {
-		start = UnmappedBase
-	}
+// base >= max(hint, UnmappedBase) in the region tree as it stands.
+func (p *syncPolicy) findGap(hint, length uint64) (uint64, bool) {
+	start := max(hint, UnmappedBase)
 	if v := p.idx.floor(start); v != nil && v.End() > start {
 		start = v.End()
 	}
@@ -254,12 +235,6 @@ func (p *syncPolicy) findGap(hint, length uint64, steer bool) (uint64, bool) {
 		if next := p.idx.ceiling(start); next != nil && next.Start()-start < length {
 			start = next.End()
 			continue
-		}
-		if steer {
-			if end, busy := p.rl.ConflictBeyond(start, start+length); busy {
-				start = end
-				continue
-			}
 		}
 		return start, true
 	}

@@ -460,32 +460,51 @@ func TestReadWriteBytes(t *testing.T) {
 	})
 }
 
+// TestMmapCacheBehaviour: the cache is on for the lock designs and off
+// for the RCU designs (§6). One CPU walking one region hits; CPUs taking
+// turns on regions of their own, the interleaving threads on distinct
+// regions produce, miss every time (cmd/asplos12's mmap-cache
+// ablation).
 func TestMmapCacheBehaviour(t *testing.T) {
-	// On for lock designs, off for RCU designs (§6).
-	for _, d := range Designs {
-		as, err := New(Config{Design: d, CPUs: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cpu := as.NewCPU(0)
-		base := mustMmap(t, as, 0, 16*PageSize, vma.ProtRead, 0)
-		for i := uint64(0); i < 16; i++ {
-			if err := cpu.Fault(base+i*PageSize, false); err != nil {
+	const pages = 16
+	for _, regions := range []int{1, 4} {
+		for _, d := range Designs {
+			as, err := New(Config{Design: d, CPUs: regions})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		st := as.Stats()
-		if d.UsesRCU() {
-			if st.MmapCacheHits+st.MmapCacheMisses != 0 {
-				t.Errorf("%v: mmap cache active", d)
+			base := func(i int) uint64 { return UnmappedBase + uint64(2*i)*pages*PageSize }
+			cpus := make([]*CPU, regions)
+			for i := range cpus {
+				mustMmap(t, as, base(i), pages*PageSize, vma.ProtRead, vma.Fixed)
+				cpus[i] = as.NewCPU(i)
 			}
-		} else {
-			if st.MmapCacheHits < 14 {
-				t.Errorf("%v: cache hits %d, want >= 14", d, st.MmapCacheHits)
+			for p := uint64(0); p < pages; p++ {
+				for i, cpu := range cpus {
+					if err := cpu.Fault(base(i)+p*PageSize, false); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
-		if err := as.Close(); err != nil {
-			t.Error(err)
+			st := as.Stats()
+			switch {
+			case d.UsesRCU():
+				if st.MmapCacheHits+st.MmapCacheMisses != 0 {
+					t.Errorf("%v: mmap cache active", d)
+				}
+			case regions == 1:
+				if st.MmapCacheHits < 14 {
+					t.Errorf("%v: cache hits %d, want >= 14", d, st.MmapCacheHits)
+				}
+			default:
+				if st.MmapCacheHits != 0 || st.MmapCacheMisses != uint64(regions*pages) {
+					t.Errorf("%v, %d regions interleaved: %d hits, %d misses, want 0 and %d",
+						d, regions, st.MmapCacheHits, st.MmapCacheMisses, regions*pages)
+				}
+			}
+			if err := as.Close(); err != nil {
+				t.Error(err)
+			}
 		}
 	}
 }

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Mutant twins of the frame-word guards in internal/physmem, of the
 # page-table spare list's one rule (a published table is never reused),
-# and of the fault's §5.2 recheck under the PTE lock (killed by the
-# schedule explorer, which runs the fill race through every interleaving):
+# of the fault's §5.2 recheck under the PTE lock and of a non-fixed
+# mmap's re-check of its gap under the held range (both killed by the
+# schedule explorer, which runs the fill and gap races through every
+# interleaving):
 # each guard test passes on the checkout as it stands and must fail on a
 # copy of it with that one guard removed — the proof that the test sees
 # the guard. Each test runs in the package of the file its twin mutates.
@@ -31,6 +33,7 @@ mutants=(
 	'TestFreeRunTwicePanics@@internal/physmem/physmem.go@@if w&refsMask != 0 || shapeOrder(w) != order {@@if false {'
 	'TestSplitTableNeverSpare@@internal/pagetable/pagetable.go@@t.retireStructure(g, pt.frame)@@t.retireStructure(g, pt.frame); t.spare(pt)'
 	'TestExploreFillRace@@internal/vm/fault.go@@recheck = func() bool { return v.Contains(page) }@@recheck = func() bool { return true }'
+	'TestExploreGapRace@@internal/vm/sync.go@@v == nil || v.End() <= base {@@true || v == nil {'
 )
 
 mkdir -p "$work/pristine"
