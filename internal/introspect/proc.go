@@ -63,8 +63,8 @@ func WriteMeminfo(w io.Writer, sn Snapshot) error {
 }
 
 // WriteLocks renders /proc/locks: every live range-lock guard — held
-// and queued — across every tenant's member spaces, plus designs on
-// the global mmap_sem, which report no table. Reading takes only each
+// and queued — across every tenant's member spaces, plus RWLock and
+// FaultLock spaces, which report no table. Reading takes only each
 // manager's own mutex, far below everything interesting.
 func WriteLocks(w io.Writer, h *vm.Host) error {
 	pw := &errWriter{w: w}

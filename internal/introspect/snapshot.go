@@ -36,8 +36,8 @@ type LatencySnapshot struct {
 	Fault stats.LatencyStats `json:"fault"`
 	// MapOp spans Mmap/Munmap/Mprotect/MadviseDontNeed calls.
 	MapOp stats.LatencyStats `json:"map_op"`
-	// RangeWait is the contended range-lock wait (zeros for designs on
-	// the global mmap_sem).
+	// RangeWait is the contended range-lock wait (zeros for RWLock and
+	// FaultLock).
 	RangeWait stats.LatencyStats `json:"range_wait"`
 }
 

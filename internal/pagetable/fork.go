@@ -213,16 +213,12 @@ func (t *Tables) ReleaseRoot(cpu int) {
 }
 
 // PTELockStats aggregates the PTE-lock acquisition counters across the
-// attached leaf tables (or the shared lock under the SinglePTELock
-// ablation), for contention reporting.
+// attached leaf tables, for contention reporting.
 func (t *Tables) PTELockStats() (acquisitions, contended uint64) {
-	if t.cfg.SinglePTELock {
-		return t.sharedPTELock.Stats()
-	}
 	t.forEachLevel2(func(d *directory) {
 		for i := range d.tables {
 			if pt := d.tables[i].Load(); pt != nil {
-				a, c := pt.own.Stats()
+				a, c := pt.lock.Stats()
 				acquisitions += a
 				contended += c
 			}

@@ -100,10 +100,9 @@ func levelSpan(level int) uint64 {
 // lock from §4.1 ("a separate PTE lock per page table to eliminate lock
 // contention for all but nearby page faults").
 type PageTable struct {
-	lock  *locks.SpinLock
-	own   locks.SpinLock // used unless the ablation shares a single lock
-	frame physmem.Frame  // the frame this table itself occupies
-	dead  atomic.Bool    // set when detached by an unmap scan
+	lock  locks.SpinLock
+	frame physmem.Frame // the frame this table itself occupies
+	dead  atomic.Bool   // set when detached by an unmap scan
 	ptes  [EntriesPerTable]atomic.Uint64
 }
 
@@ -161,10 +160,6 @@ type directory struct {
 
 // Config configures a Tables.
 type Config struct {
-	// SinglePTELock makes every leaf table share one PTE lock — the
-	// pre-fine-grained-locking kernel configuration, used as an
-	// ablation (§2 notes recent kernels moved to per-table locks).
-	SinglePTELock bool
 	// CPUs is the number of distinct cpu arguments the tree's callers
 	// use (the address space's fault contexts plus its mapping
 	// context); it sizes the per-CPU fill counter. The ids may be
@@ -189,8 +184,6 @@ type Tables struct {
 	// dirLock is the per-process page-directory lock protecting the
 	// insertion of new directories and tables (§4.1).
 	dirLock locks.SpinLock
-
-	sharedPTELock locks.SpinLock // ablation: shared by all leaf tables
 
 	tablesLive   atomic.Int64
 	tablesAlloc  atomic.Uint64
@@ -272,11 +265,6 @@ func (t *Tables) newPageTable(cpu int) (*PageTable, error) {
 		pt = new(PageTable)
 	}
 	pt.frame = f
-	if t.cfg.SinglePTELock {
-		pt.lock = &t.sharedPTELock
-	} else {
-		pt.lock = &pt.own
-	}
 	t.tablesAlloc.Add(1)
 	t.tablesLive.Add(1)
 	return pt, nil

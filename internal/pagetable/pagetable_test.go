@@ -309,17 +309,6 @@ func TestConcurrentFillsSameTableDoubleCheck(t *testing.T) {
 	}
 }
 
-func TestSinglePTELockAblation(t *testing.T) {
-	tb, alloc, _ := newTables(t, Config{SinglePTELock: true})
-	fill(t, tb, alloc, 0, 0x1000)
-	fill(t, tb, alloc, 0, 0x40000000)
-	a := tb.WalkTable(0x1000)
-	b := tb.WalkTable(0x40000000)
-	if a.lock != b.lock {
-		t.Fatal("SinglePTELock tables do not share a lock")
-	}
-}
-
 func TestAddressGeometry(t *testing.T) {
 	if MaxAddress != 1<<48 {
 		t.Fatalf("MaxAddress = %#x", MaxAddress)

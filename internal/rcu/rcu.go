@@ -336,12 +336,14 @@ func (d *Domain) DeferOn(hint int, fn func()) {
 		yield()
 	case n >= int64(d.wakeThresh) || !d.started.Load():
 		d.ensureDetector()
-		if d.nudge() {
+		if d.nudge() || !d.gpActive.Load() {
 			// The detector was idle and is runnable now, behind this
-			// goroutine: hand it the processor once, or on a machine
-			// whose every processor runs a retiring goroutine that
-			// never blocks it waits out a scheduler time slice
-			// (milliseconds) while the backlog grows at full rate.
+			// goroutine — or an earlier nudge is still waiting for it
+			// and no grace period runs, so that yield did not reach
+			// it: hand it the processor, or on a machine whose every
+			// processor runs a retiring goroutine that never blocks it
+			// waits out a scheduler time slice (milliseconds) while
+			// the backlog grows at full rate.
 			yield()
 		}
 	}

@@ -12,8 +12,8 @@ import (
 // unexported field, reachable only from this package's tests.
 func TestConfigFieldSet(t *testing.T) {
 	want := []string{
-		"Design", "CPUs", "Frames", "Backing", "MaxFamily", "RangeLocks",
-		"THPScanInterval", "tune",
+		"Design", "CPUs", "Frames", "Backing", "MaxFamily", "THPScanInterval",
+		"tune",
 	}
 	cfgT := reflect.TypeOf(Config{})
 	var got []string

@@ -22,16 +22,16 @@
 //
 // The designs differ in two decisions only — how a fault reads the
 // region tree, and what a mapping operation excludes — and one value per
-// address space, the synchronization policy of sync.go chosen from
-// Config.Design × Config.RangeLocks, makes both. The fault, mapping,
-// fork, huge-page and inspection code is written once against four
-// questions: what a fast-path fault holds (enter/exit), how to hold an
-// interval's mappings still while faults keep running (pin), what a
-// mapping operation mutates under (lock/lockAll/reserve, returning a
-// guard whose mutate() is FaultLock's mutation phase and a no-op
-// elsewhere), and which lock serializes the region tree's writers. No
-// other file names a semaphore or asks which design it runs under
-// (TestSyncSeam). The six reachable policies:
+// address space, the synchronization policy of sync.go chosen by
+// Config.Design, makes both. The fault, mapping, fork, huge-page and
+// inspection code is written once against four questions: what a
+// fast-path fault holds (enter/exit), how to hold an interval's mappings
+// still while faults keep running (pin), what a mapping operation
+// mutates under (lock/lockAll/reserve, returning a guard whose mutate()
+// is FaultLock's mutation phase and a no-op elsewhere), and which lock
+// serializes the region tree's writers. No other file names a semaphore
+// or asks which design it runs under (TestSyncSeam). The four designs'
+// policies:
 //
 //   - RWLock: a fault holds mmap_sem read for the whole fault (§4.1); a
 //     pin is mmap_sem read; a mapping operation holds mmap_sem write,
@@ -47,10 +47,11 @@
 //   - PureRCU: a fault runs in an RCU read section and nothing else
 //     (§5.3); locking as Hybrid, but the only index lock is the BONSAI
 //     tree's writer mutex, taken once per operation.
-//   - Hybrid and PureRCU with RangeLocksOff: faults as above, but pins
-//     and mapping operations take mmap_sem, the configuration the paper
-//     describes ("mmap, munmap, and mprotect are still serialized with
-//     the mmap_sem").
+//
+// The RCU designs' range-locked mapping side goes beyond the paper,
+// which leaves mapping operations serialized on mmap_sem ("mmap,
+// munmap, and mprotect are still serialized with the mmap_sem"):
+// operations on disjoint ranges run concurrently.
 //
 // A fault whose fast path cannot finish — a lookup miss, a lost fill
 // race, a copy-on-write break an RCU reader may not do in place —
@@ -209,11 +210,13 @@
 //
 // The paper's implementation "passes the Linux Test Project, as well as
 // our own stress tests". Here the LTP half is the forEachDesign tests:
-// each runs the same assertions through the public API under all six
-// policies — boundary bytes, protections, MAP_FIXED replacement, splits
+// each runs the same assertions through the public API under all four
+// designs — boundary bytes, protections, MAP_FIXED replacement, splits
 // and merges, 1,000 regions, stack growth, file contents, zeroed recycled
 // frames, OOM and recovery, sparse page tables, fork and COW, concurrent
-// faults — then Close's leak check. The stress half is internal/torture.
+// faults — then Close's leak check; the forEachPolicy tests also run
+// Hybrid and PureRCU with mapping operations on mmap_sem, as the paper
+// has them. The stress half is internal/torture.
 //
 // The paper also checked "a model of the VM system designed to capture
 // key races" exhaustively. Here the model is this package. Five schedule
@@ -227,9 +230,9 @@
 // is read from the goroutine dump. TestExploreFillRace runs §5.2's fill
 // race (16 schedules per design and page state), TestExploreSplitRace
 // Figure 10's split (17), and TestExploreGapRace two mmaps racing for
-// one gap (6 schedules under range locks, 2 on the global semaphore). A
-// failing schedule prints as its list of point hits, which replay runs
-// again; without the recheck under the PTE lock the fill race fails
+// one gap (6 schedules under Hybrid and PureRCU, 2 under RWLock and
+// FaultLock). A failing schedule prints as its list of point hits,
+// which replay runs again; without the recheck under the PTE lock the fill race fails
 // every run, and without the gap's re-check under its range the gap race
 // does (scripts/mutants.sh). The same mechanism parks physmem's InUse
 // fold between its two passes at the physmem.counts-pass point

@@ -251,16 +251,16 @@ type raceScenario func(t *testing.T, as *AddressSpace) raceRun
 // exploreConfig is a space with no background goroutines: grace periods
 // only when the explorer runs one, no collapse scanner, and a pool the
 // reclaimer never wakes for.
-func exploreConfig(p policy) Config {
-	return p.apply(Config{CPUs: 2, Frames: 4096, THPScanInterval: -1, tune: tuning{rcuBatch: -1}})
+func exploreConfig(d Design) Config {
+	return Config{Design: d, CPUs: 2, Frames: 4096, THPScanInterval: -1, tune: tuning{rcuBatch: -1}}
 }
 
 // runRace runs one schedule of sc on a fresh space, its verdict the
 // schedule's own error, the first failed check, or Close's leak check.
 // It returns the space's counters as they stood before Close.
-func runRace(t *testing.T, p policy, sc raceScenario, pick func(int, []string) (int, error)) (Stats, []schedStep, error) {
+func runRace(t *testing.T, d Design, sc raceScenario, pick func(int, []string) (int, error)) (Stats, []schedStep, error) {
 	t.Helper()
-	as, err := New(exploreConfig(p))
+	as, err := New(exploreConfig(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +281,11 @@ func runRace(t *testing.T, p policy, sc raceScenario, pick func(int, []string) (
 // counters and hits to each, and returns how many there were. A
 // failing schedule fails t with its list of hits, and so does a run
 // offered other choices than the run it retraces.
-func explore(t *testing.T, p policy, sc raceScenario, each func(st Stats, hits []string)) int {
+func explore(t *testing.T, d Design, sc raceScenario, each func(st Stats, hits []string)) int {
 	t.Helper()
 	var prefix []schedStep // the previous run's decisions, the last one advanced
 	for n := 1; ; n++ {
-		st, steps, err := runRace(t, p, sc, func(step int, parked []string) (int, error) {
+		st, steps, err := runRace(t, d, sc, func(step int, parked []string) (int, error) {
 			if step >= len(prefix) {
 				return 0, nil
 			}
@@ -312,9 +312,9 @@ func explore(t *testing.T, p policy, sc raceScenario, each func(st Stats, hits [
 }
 
 // replay runs sc under the schedule hits, as a failing run printed it.
-func replay(t *testing.T, p policy, sc raceScenario, hits []string) (Stats, error) {
+func replay(t *testing.T, d Design, sc raceScenario, hits []string) (Stats, error) {
 	t.Helper()
-	st, _, err := runRace(t, p, sc, func(step int, parked []string) (int, error) {
+	st, _, err := runRace(t, d, sc, func(step int, parked []string) (int, error) {
 		for i, h := range parked {
 			if step < len(hits) && h == hits[step] {
 				return i, nil
@@ -460,10 +460,6 @@ func gapRace(t *testing.T, as *AddressSpace) raceRun {
 	}
 }
 
-// explorePolicies are the policies whose faults run beside mapping
-// operations, under range locks.
-var explorePolicies = []policy{{Hybrid, RangeLocksDefault}, {PureRCU, RangeLocksDefault}}
-
 // The scenarios' schedule counts, the same on both designs: a change in
 // the points' placement or in the paths between them moves them.
 const (
@@ -471,9 +467,9 @@ const (
 	splitRaceSchedules = 17
 )
 
-// The gap race's schedule counts. On the global semaphore the search
-// and the insert are one critical section with no point inside, so the
-// start order is the only choice.
+// The gap race's schedule counts. Under RWLock and FaultLock the search
+// and the insert are one mmap_sem critical section with no point
+// inside, so the start order is the only choice.
 const (
 	gapRaceSchedules       = 6
 	gapRaceSchedulesGlobal = 2
@@ -483,16 +479,16 @@ const (
 // unfaulted page and on a mapped one. Dropping the recheck under the
 // PTE lock fails it (scripts/mutants.sh).
 func TestExploreFillRace(t *testing.T) {
-	for _, p := range explorePolicies {
+	for _, d := range rcuDesigns {
 		for _, mapped := range []bool{false, true} {
-			name := p.String() + "/unfaulted"
+			name := d.String() + "/unfaulted"
 			if mapped {
-				name = p.String() + "/mapped"
+				name = d.String() + "/mapped"
 			}
 			t.Run(name, func(t *testing.T) {
 				start := time.Now()
 				var fillRaces int
-				n := explore(t, p, fillRace(mapped), func(st Stats, _ []string) {
+				n := explore(t, d, fillRace(mapped), func(st Stats, _ []string) {
 					if st.RetriesFillRace > 0 {
 						fillRaces++
 					}
@@ -512,10 +508,10 @@ func TestExploreFillRace(t *testing.T) {
 // TestExploreSplitRace runs every schedule of Figure 10's split race:
 // in each, the fault on the top part succeeds and the page translates.
 func TestExploreSplitRace(t *testing.T) {
-	for _, p := range explorePolicies {
-		t.Run(p.String(), func(t *testing.T) {
+	for _, d := range rcuDesigns {
+		t.Run(d.String(), func(t *testing.T) {
 			start := time.Now()
-			n := explore(t, p, splitRace, func(Stats, []string) {})
+			n := explore(t, d, splitRace, func(Stats, []string) {})
 			t.Logf("%d schedules in %v", n, time.Since(start))
 			if n != splitRaceSchedules {
 				t.Errorf("explored %d schedules, want %d", n, splitRaceSchedules)
@@ -528,11 +524,11 @@ func TestExploreSplitRace(t *testing.T) {
 // observable: some schedule looks the page up between the cut and the
 // commit and retries, and replaying that schedule misses again.
 func TestExploreSplitRaceWindow(t *testing.T) {
-	for _, p := range explorePolicies {
-		t.Run(p.String(), func(t *testing.T) {
+	for _, d := range rcuDesigns {
+		t.Run(d.String(), func(t *testing.T) {
 			var window []string
 			misses := 0
-			explore(t, p, splitRace, func(st Stats, hits []string) {
+			explore(t, d, splitRace, func(st Stats, hits []string) {
 				if st.RetriesMiss > 0 {
 					misses++
 					window = hits
@@ -542,7 +538,7 @@ func TestExploreSplitRaceWindow(t *testing.T) {
 			if misses == 0 {
 				t.Fatal("no schedule looked the page up inside the split's window")
 			}
-			st, err := replay(t, p, splitRace, window)
+			st, err := replay(t, d, splitRace, window)
 			if err != nil {
 				t.Fatalf("replay of %q: %v", window, err)
 			}
@@ -554,16 +550,16 @@ func TestExploreSplitRaceWindow(t *testing.T) {
 }
 
 // TestExploreGapRace runs every schedule of two non-fixed mmaps racing
-// for one gap, under every policy. Under range locks some schedule must
+// for one gap, under every design. Under range locks some schedule must
 // send a loser back to search again (its second reserve-gap hit);
 // dropping the re-check under the held range fails it
 // (scripts/mutants.sh).
 func TestExploreGapRace(t *testing.T) {
-	for _, p := range policies {
-		t.Run(p.String(), func(t *testing.T) {
+	for _, d := range Designs {
+		t.Run(d.String(), func(t *testing.T) {
 			start := time.Now()
 			lost := 0
-			n := explore(t, p, gapRace, func(_ Stats, hits []string) {
+			n := explore(t, d, gapRace, func(_ Stats, hits []string) {
 				searches := 0
 				for _, h := range hits {
 					if strings.HasSuffix(h, "@"+reserveGapPoint.Name()) {
@@ -576,7 +572,7 @@ func TestExploreGapRace(t *testing.T) {
 			})
 			t.Logf("%d schedules, %d with a lost gap, in %v", n, lost, time.Since(start))
 			want := gapRaceSchedulesGlobal
-			if p.design.UsesRCU() && p.rangeLocks != RangeLocksOff {
+			if d.UsesRCU() {
 				want = gapRaceSchedules
 				if lost == 0 {
 					t.Error("no schedule lost the gap to the other mmap")

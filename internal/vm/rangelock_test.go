@@ -12,23 +12,20 @@ import (
 	"bonsai/internal/vma"
 )
 
-// rcuDesigns are the designs that use range-locked mapping operations.
+// rcuDesigns are the designs whose faults run beside mapping
+// operations, which they exclude with range locks.
 var rcuDesigns = []Design{Hybrid, PureRCU}
 
 // forEachRangeLocked runs the body on each range-locked design.
 func forEachRangeLocked(t *testing.T, cfg Config, body func(t *testing.T, as *AddressSpace)) {
 	t.Helper()
 	for _, d := range rcuDesigns {
-		d := d
 		t.Run(d.String(), func(t *testing.T) {
 			c := cfg
 			c.Design = d
 			as, err := New(c)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !as.RangeLocked() {
-				t.Fatalf("%v under RangeLocksDefault did not enable range locks", d)
 			}
 			body(t, as)
 			if err := as.Close(); err != nil {
@@ -249,19 +246,18 @@ func TestRangeLockConcurrentGapSearch(t *testing.T) {
 	})
 }
 
-// TestRangeLocksOffBaseline: RangeLocksOff must fall back to the
-// global semaphore with identical semantics — it is the configuration
-// the paper describes.
+// TestRangeLocksOffBaseline: with range locks off (tuning.globalMmapSem)
+// the RCU designs must fall back to the global semaphore with identical
+// semantics — it is the configuration the paper describes.
 func TestRangeLocksOffBaseline(t *testing.T) {
 	for _, d := range rcuDesigns {
-		d := d
 		t.Run(d.String(), func(t *testing.T) {
-			as, err := New(Config{Design: d, CPUs: 1, RangeLocks: RangeLocksOff})
+			as, err := New(Config{Design: d, CPUs: 1, tune: tuning{globalMmapSem: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if as.RangeLocked() {
-				t.Fatal("RangeLocksOff still enabled range locks")
+			if as.sy.rl != nil {
+				t.Fatal("globalMmapSem still enabled range locks")
 			}
 			cpu := as.NewCPU(0)
 			base := mustMmap(t, as, 0, 8*PageSize, vma.ProtRead|vma.ProtWrite, 0)
@@ -275,7 +271,7 @@ func TestRangeLocksOffBaseline(t *testing.T) {
 				t.Fatal(err)
 			}
 			if mm, _, _ := as.SemStats(); mm.WriteAcquires == 0 {
-				t.Error("RangeLocksOff mapping operations never took mmap_sem")
+				t.Error("mapping operations with range locks off never took mmap_sem")
 			}
 			if err := as.Close(); err != nil {
 				t.Fatal(err)

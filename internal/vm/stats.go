@@ -191,8 +191,8 @@ type Rollup struct {
 	Fault stats.LatencyHist
 	// MapOp spans Mmap/Munmap/Mprotect/MadviseDontNeed calls.
 	MapOp stats.LatencyHist
-	// RangeWait is the contended range-lock wait (empty for designs on
-	// the global mmap_sem).
+	// RangeWait is the contended range-lock wait (empty for RWLock and
+	// FaultLock).
 	RangeWait stats.LatencyHist
 }
 

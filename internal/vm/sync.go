@@ -28,15 +28,17 @@ import (
 //  4. index writer lock: the tree the policy builds serializes its own
 //     writers against its readers wherever the policy's holds do not.
 //
-// Six policies are reachable from Config.Design × Config.RangeLocks:
+// Config.Design chooses the policy:
 //
 //	                fault read side    pin / mapping-op exclusion
 //	RWLock          mmapSem read       mmapSem read / write
 //	FaultLock       faultSem read      mmapSem read / write, + faultSem write to mutate
 //	Hybrid          RCU + treeSem      range lock on the interval
 //	PureRCU         RCU, BONSAI tree   range lock on the interval
-//	Hybrid, PureRCU with RangeLocksOff: as above, but mmapSem read / write
-//	                (the paper's own configuration)
+//
+// The RCU designs' range-locked mapping side goes beyond the paper,
+// which leaves mapping operations serialized on mmap_sem; tests still
+// reach that configuration through tuning.globalMmapSem.
 type syncPolicy struct {
 	// readSem is what a fast-path fault read-locks while it reads the
 	// region tree and fills the page: mmapSem (RWLock), faultSem
@@ -44,8 +46,8 @@ type syncPolicy struct {
 	// (Hybrid, PureRCU).
 	readSem *locks.RWSem
 
-	// mmapSem serializes mapping operations wherever rl is nil; RWLock
-	// faults also read-lock it (§4.1).
+	// mmapSem serializes mapping operations wherever rl is nil (RWLock,
+	// FaultLock); RWLock faults also read-lock it (§4.1).
 	mmapSem locks.RWSem
 	// faultSem is FaultLock's fault lock: faults read-lock it, mapping
 	// operations write-lock it around their mutation phase only (§5.1).
@@ -55,8 +57,7 @@ type syncPolicy struct {
 	treeSem locks.RWSem
 	// rl, when non-nil, replaces mmapSem on the mapping side: an
 	// operation locks only the interval it affects, so operations on
-	// disjoint ranges run concurrently (the RCU designs, unless
-	// RangeLocksOff).
+	// disjoint ranges run concurrently (Hybrid and PureRCU).
 	rl *ranges.Manager
 
 	idx regionIndex
@@ -81,7 +82,7 @@ func (p *syncPolicy) init(cfg Config, dom *rcu.Domain) {
 	}
 	// Only the RCU designs can drop the global semaphore: the others'
 	// faults hold it (or a lock nested in it) against mapping operations.
-	if p.readSem == nil && cfg.RangeLocks != RangeLocksOff {
+	if p.readSem == nil && !cfg.tune.globalMmapSem {
 		p.rl = new(ranges.Manager)
 	}
 }
@@ -137,7 +138,7 @@ func (p *syncPolicy) pin(lo, hi uint64) mapGuard {
 // faulting needs to walk the region tree, promising nothing about what
 // it finds there. On the global semaphore that is still mmapSem in read
 // mode (RWLock's and FaultLock's tree has no other reader protection);
-// the range-locked policies' trees synchronize their own readers, and a
+// Hybrid's and PureRCU's trees synchronize their own readers, and a
 // periodic whole-space range acquisition by the collapse scanner would
 // queue behind, and conflict with, every mapping operation in flight.
 func (p *syncPolicy) pinIndex() mapGuard {
@@ -324,10 +325,6 @@ func (mg *mapGuard) unlock() {
 	}
 }
 
-// RangeLocked reports whether mapping operations use the range-lock
-// manager (true only for the RCU designs under RangeLocksDefault).
-func (as *AddressSpace) RangeLocked() bool { return as.sy.rl != nil }
-
 // SemStats exposes the semaphore counters for contention analysis: how
 // often each lock was taken and how often acquisition had to sleep —
 // the accounting behind the paper's §7.2 lock-contention breakdown.
@@ -343,8 +340,7 @@ func (as *AddressSpace) SemStats() (mmapSem, faultSem, treeSem locks.RWSemStats)
 // roughly Stats().Retries() of them), not only mmap/munmap-style
 // operations, so on a file-backed or COW-heavy run subtract the retry
 // count before reading Acquires as mapping-operation volume. It
-// returns zeros for designs that serialize mapping operations on
-// mmap_sem.
+// returns zeros for RWLock and FaultLock.
 func (as *AddressSpace) RangeStats() ranges.Stats {
 	if as.sy.rl == nil {
 		return ranges.Stats{}
@@ -353,7 +349,7 @@ func (as *AddressSpace) RangeStats() ranges.Stats {
 }
 
 // rangeWaitHist is the contended range-lock wait histogram, nil for
-// designs on the global mmap_sem.
+// RWLock and FaultLock.
 func (as *AddressSpace) rangeWaitHist() *stats.LatencyHist {
 	if as.sy.rl == nil {
 		return nil
@@ -363,8 +359,8 @@ func (as *AddressSpace) rangeWaitHist() *stats.LatencyHist {
 
 // RangeGuards snapshots the live range-lock table — held ranges and
 // queued waiters with guard ids and ages — for /proc/locks-style
-// introspection. ok is false for designs that serialize mapping
-// operations on the global mmap_sem, which have no range table.
+// introspection. ok is false for RWLock and FaultLock, which have no
+// range table.
 func (as *AddressSpace) RangeGuards() ([]ranges.GuardInfo, bool) {
 	if as.sy.rl == nil {
 		return nil, false

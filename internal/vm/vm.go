@@ -126,30 +126,12 @@ func oomError(err error) error {
 	return ErrNoMemory
 }
 
-// RangeLockMode controls how memory-mapping operations exclude one
-// another. The paper leaves every mapping operation serialized on the
-// global mmap_sem ("mmap, munmap, and mprotect are still serialized
-// with the mmap_sem"); the range-locked mode goes beyond it, keying
-// the exclusion by address interval so that operations on disjoint
-// ranges run concurrently. Only the RCU designs can use range locks:
-// in RWLock and FaultLock the fault path itself read-locks the global
-// semaphore, so mapping operations must keep write-locking it.
-type RangeLockMode int
-
-// Range-lock modes.
-const (
-	// RangeLocksDefault uses range locks for the Hybrid and PureRCU
-	// designs and the global mmap_sem for RWLock and FaultLock.
-	RangeLocksDefault RangeLockMode = iota
-	// RangeLocksOff serializes every mapping operation on the global
-	// mmap_sem in all designs — the paper-faithful baseline.
-	RangeLocksOff
-)
-
 // Config configures an AddressSpace.
 type Config struct {
 	// Design selects the concurrency design. The zero value is RWLock
-	// (stock Linux).
+	// (stock Linux). RWLock and FaultLock serialize mapping operations
+	// on mmap_sem; Hybrid and PureRCU range-lock them, so operations on
+	// disjoint ranges run concurrently.
 	Design Design
 	// CPUs is the number of fault contexts that will be created with
 	// NewCPU. Zero means 1.
@@ -165,16 +147,13 @@ type Config struct {
 	// physical allocator, whose per-CPU magazines are partitioned among
 	// them. Zero means DefaultMaxFamily.
 	MaxFamily int
-	// RangeLocks selects how mapping operations exclude one another;
-	// the zero value gives the RCU designs range locks.
-	RangeLocks RangeLockMode
 	// THPScanInterval paces the background collapse scanner between
 	// whole-machine passes. Zero means DefaultTHPScanInterval; negative
 	// disables the scanner while keeping the huge fault path.
 	THPScanInterval time.Duration
 
-	// tune holds the runtime's batch sizes and watermarks; only this
-	// package's tests set it.
+	// tune holds the runtime's batch sizes, watermarks and the mmap_sem
+	// baseline; only this package's tests set it.
 	tune tuning
 }
 
@@ -193,6 +172,10 @@ type tuning struct {
 	// reclaimBatch bounds the eviction candidates per reclaim scan pass.
 	// Zero means the reclaim package default (64).
 	reclaimBatch int
+	// globalMmapSem serializes Hybrid's and PureRCU's mapping operations
+	// on mmap_sem instead of range-locking them: the paper's own
+	// configuration, kept as a baseline for forEachPolicy's tests.
+	globalMmapSem bool
 }
 
 // DefaultTHPScanInterval paces the collapse scanner's passes (the

@@ -9,51 +9,44 @@ import (
 	"bonsai/internal/vma"
 )
 
-// policy is one reachable synchronization policy: a design and how its
-// mapping operations exclude one another.
-type policy struct {
-	design     Design
-	rangeLocks RangeLockMode
-}
-
-// policies lists all six: the four designs as configured by default,
-// then the RCU designs on the global mmap_sem — the configuration the
-// paper describes.
-var policies = []policy{
-	{RWLock, RangeLocksDefault}, {FaultLock, RangeLocksDefault},
-	{Hybrid, RangeLocksDefault}, {PureRCU, RangeLocksDefault},
-	{Hybrid, RangeLocksOff}, {PureRCU, RangeLocksOff},
-}
-
-func (p policy) String() string {
-	if p.rangeLocks == RangeLocksOff {
-		return p.design.String() + ", global mmap_sem"
-	}
-	return p.design.String()
-}
-
-func (p policy) apply(cfg Config) Config {
-	cfg.Design, cfg.RangeLocks = p.design, p.rangeLocks
-	return cfg
-}
-
-// forEachDesign runs the test body once per synchronization policy: the
-// VM semantics must be identical across all of them (§5 introduces the
-// designs as refinements, not behaviour changes).
+// forEachDesign runs the test body once per design: the VM semantics
+// must be identical across all of them (§5 introduces the designs as
+// refinements, not behaviour changes).
 func forEachDesign(t *testing.T, cfg Config, body func(t *testing.T, as *AddressSpace)) {
 	t.Helper()
-	for _, p := range policies {
-		t.Run(p.String(), func(t *testing.T) {
-			as, err := New(p.apply(cfg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			body(t, as)
-			if err := as.Close(); err != nil {
-				t.Errorf("teardown: %v", err)
-			}
-		})
+	for _, d := range Designs {
+		cfg.Design = d
+		runSpace(t, d.String(), cfg, body)
 	}
+}
+
+// forEachPolicy runs the body under every design and then under Hybrid
+// and PureRCU with their mapping operations on the global mmap_sem
+// (tuning.globalMmapSem), the configuration the paper describes.
+func forEachPolicy(t *testing.T, cfg Config, body func(t *testing.T, as *AddressSpace)) {
+	t.Helper()
+	forEachDesign(t, cfg, body)
+	cfg.tune.globalMmapSem = true
+	for _, d := range rcuDesigns {
+		cfg.Design = d
+		runSpace(t, d.String()+", global mmap_sem", cfg, body)
+	}
+}
+
+// runSpace runs body as subtest name on a fresh space built from cfg,
+// failing the subtest if Close finds a leak.
+func runSpace(t *testing.T, name string, cfg Config, body func(t *testing.T, as *AddressSpace)) {
+	t.Helper()
+	t.Run(name, func(t *testing.T) {
+		as, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body(t, as)
+		if err := as.Close(); err != nil {
+			t.Errorf("teardown: %v", err)
+		}
+	})
 }
 
 func mustMmap(t *testing.T, as *AddressSpace, addr, length uint64, prot vma.Prot, flags vma.Flags) uint64 {
