@@ -1,6 +1,7 @@
 package locks
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,11 +49,11 @@ func TestSpinLockTryLock(t *testing.T) {
 	l.Unlock()
 }
 
-// TestSpinLockCountsItsTickets: the ticket counter is the acquisition
-// count, so Stats must equal Lock calls plus successful TryLocks exactly
-// — a failed TryLock takes no ticket — and never report more contended
+// TestSpinLockCountsItsAcquisitions: the lock word counts acquisitions,
+// so Stats must equal Lock calls plus successful TryLocks exactly — a
+// failed TryLock writes nothing — and never report more contended
 // acquisitions than acquisitions.
-func TestSpinLockCountsItsTickets(t *testing.T) {
+func TestSpinLockCountsItsAcquisitions(t *testing.T) {
 	var l SpinLock
 	const workers, iters = 8, 3000
 	var wg sync.WaitGroup
@@ -93,26 +94,76 @@ func TestSpinLockCountsItsTickets(t *testing.T) {
 	}
 }
 
-func TestSpinLockFIFO(t *testing.T) {
-	// Ticket locks grant in FIFO order: with one holder and a queued
-	// waiter, a later TryLock must fail (its ticket would jump the queue).
+// TestSpinLockFreeLockIgnoresParkedWaiter: grants are unordered, so a
+// waiter that yielded its processor while spinning holds up no one. On
+// one processor, a waiter spins and parks behind the holder; once the
+// holder unlocks, a TryLock must take the free lock at once instead of
+// waiting for the parked waiter to run (what a FIFO ticket lock does).
+func TestSpinLockFreeLockIgnoresParkedWaiter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var l SpinLock
 	l.Lock()
-	done := make(chan struct{})
+	started, done := make(chan struct{}), make(chan struct{})
 	go func() {
+		close(started)
 		l.Lock()
 		l.Unlock()
 		close(done)
 	}()
-	// Wait for the goroutine to have taken its ticket.
-	for l.next.Load() != 2 {
-		time.Sleep(time.Millisecond)
+	<-started
+	// Each yield runs the waiter through 64 failed spins into its own
+	// yield: it is parked inside Lock, not before it.
+	for i := 0; i < 3; i++ {
+		runtime.Gosched()
 	}
-	if l.TryLock() {
-		t.Fatal("TryLock succeeded while a waiter was queued")
+	l.Unlock()
+	if !l.TryLock() {
+		t.Fatal("TryLock failed on a free lock with a parked waiter")
 	}
 	l.Unlock()
 	<-done
+	if acq, cont := l.Stats(); acq != 3 || cont != 1 {
+		t.Fatalf("Stats = %d acquisitions, %d contended; want 3, 1 (the waiter spun)", acq, cont)
+	}
+}
+
+// TestSpinLockEveryWaiterProgresses: unordered grants must not starve
+// anyone. Each of eight goroutines takes the lock 2,000 times, mixing
+// Lock with TryLock retries, and every one must finish within the
+// deadline, whatever -cpu runs the test.
+func TestSpinLockEveryWaiterProgresses(t *testing.T) {
+	const workers, iters = 8, 2000
+	var l SpinLock
+	var counter int
+	done := make([]chan struct{}, workers)
+	for w := range done {
+		done[w] = make(chan struct{})
+		go func(w int) {
+			defer close(done[w])
+			for i := 0; i < iters; i++ {
+				if (i+w)%2 == 0 {
+					l.Lock()
+				} else {
+					for !l.TryLock() {
+						runtime.Gosched()
+					}
+				}
+				counter++
+				l.Unlock()
+			}
+		}(w)
+	}
+	deadline := time.After(10 * time.Second)
+	for w, d := range done {
+		select {
+		case <-d:
+		case <-deadline:
+			t.Fatalf("worker %d did not finish its %d acquisitions within 10 s", w, iters)
+		}
+	}
+	if counter != workers*iters {
+		t.Fatalf("counter = %d, want %d", counter, workers*iters)
+	}
 }
 
 func TestRWSemReadersShare(t *testing.T) {

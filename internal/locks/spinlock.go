@@ -1,8 +1,8 @@
 // Package locks provides the lock substrates used by the VM system:
-// a ticket spinlock (the kernel's page-directory and PTE locks) and a
-// reader/writer semaphore modeled on Linux's rw_semaphore (mmap_sem).
-// Both keep acquisition statistics so the benchmark harness can report
-// contention the way the paper does in §7.2.
+// a test-and-set spinlock (the kernel's page-directory and PTE locks)
+// and a reader/writer semaphore modeled on Linux's rw_semaphore
+// (mmap_sem). Both keep acquisition statistics so the benchmark harness
+// can report contention the way the paper does in §7.2.
 package locks
 
 import (
@@ -10,49 +10,49 @@ import (
 	"sync/atomic"
 )
 
-// SpinLock is a FIFO ticket spinlock. It is the analogue of the kernel
+// SpinLock is a test-and-set spinlock, the analogue of the kernel
 // spinlocks protecting page-directory entries and page-table entries
-// (§4.1). The zero value is an unlocked SpinLock. The ticket counter is
-// 64 bits wide so it never wraps and doubles as the acquisition count:
-// taking the lock writes the lock word and nothing beside it.
+// (§4.1). The zero value is an unlocked SpinLock. Grants are unordered,
+// as with x86's virt_spin_lock on a hypervisor: a free lock goes to
+// whoever takes it first, so no one queues behind a descheduled waiter.
 type SpinLock struct {
-	next  atomic.Uint64 // tickets issued: Lock calls + successful TryLocks
-	owner atomic.Uint64 // ticket being served
-
+	state     atomic.Uint64 // 2 × acquisitions, plus 1 while held: never wraps
 	contended atomic.Uint64
 }
 
 // Lock acquires the spinlock, spinning (with cooperative yielding) until
-// the caller's ticket is served.
+// it is free.
 func (l *SpinLock) Lock() {
-	t := l.next.Add(1) - 1
-	spins := 0
-	for l.owner.Load() != t {
-		spins++
-		if spins%64 == 0 {
+	for spins := 0; ; spins++ {
+		if s := l.state.Load(); s&1 == 0 && l.state.CompareAndSwap(s, s+1) {
+			if spins > 0 {
+				l.contended.Add(1)
+			}
+			return
+		}
+		if spins%64 == 63 {
 			runtime.Gosched()
 		}
-	}
-	if spins > 0 {
-		l.contended.Add(1)
 	}
 }
 
 // TryLock attempts to acquire the lock without spinning. It reports
 // whether the lock was acquired.
 func (l *SpinLock) TryLock() bool {
-	o := l.owner.Load()
-	return l.next.Load() == o && l.next.CompareAndSwap(o, o+1)
+	s := l.state.Load()
+	return s&1 == 0 && l.state.CompareAndSwap(s, s+1)
 }
 
 // Unlock releases the spinlock. It must be called exactly once per Lock.
 func (l *SpinLock) Unlock() {
-	l.owner.Add(1)
+	l.state.Add(1)
 }
 
-// Stats reports how many times the lock was acquired (tickets issued, so
-// an acquisition still spinning is already counted) and how many of
-// those acquisitions had to wait for another holder.
+// Stats reports how many times the lock was acquired (the holder
+// included) and how many of those acquisitions had to wait for another
+// holder. A contended acquisition is counted once it holds the lock, so
+// reading contended first keeps it no greater than acquisitions.
 func (l *SpinLock) Stats() (acquisitions, contended uint64) {
-	return l.next.Load(), l.contended.Load()
+	contended = l.contended.Load()
+	return (l.state.Load() + 1) >> 1, contended
 }

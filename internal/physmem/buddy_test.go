@@ -255,3 +255,59 @@ func TestFreeRunUnchargesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBuddyLockHoldsPerFrameOp pins the frame round trip's buddy-lock
+// acquisitions by count: an Alloc that refills an empty magazine takes
+// the lock once, a magazine hit never, and a FreeBatch once whenever any
+// frame's last reference drops — whatever the batch size — and never
+// otherwise. A change that adds a hold fails here, not only in a
+// benchmark.
+func TestBuddyLockHoldsPerFrameOp(t *testing.T) {
+	a := New(Config{Frames: 1 << 12, CPUs: 1}) // default magazine: 64, refills of 32
+	holds := func(what string, want uint64, op func()) {
+		t.Helper()
+		before, _ := a.mu.Stats()
+		op()
+		if after, _ := a.mu.Stats(); after-before != want {
+			t.Fatalf("%s: %d buddy-lock acquisitions, want %d", what, after-before, want)
+		}
+	}
+	var fs []Frame
+	alloc := func(n int) func() {
+		return func() {
+			for i := 0; i < n; i++ {
+				f, err := a.Alloc(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs = append(fs, f)
+			}
+		}
+	}
+	freeBatch := func(frames []Frame) func() {
+		return func() { a.FreeBatch(append([]Frame(nil), frames...)) }
+	}
+	refs := func(frames []Frame) {
+		for _, f := range frames {
+			a.Ref(f)
+		}
+	}
+
+	holds("Alloc on an empty magazine", 1, alloc(1))
+	holds("31 magazine hits", 0, alloc(31))
+	holds("Alloc on the emptied magazine", 1, alloc(1))
+	alloc(255 - len(fs))()
+
+	refs(fs)
+	holds("FreeBatch of 255 shared frames", 0, freeBatch(fs))
+	refs(fs[1:])
+	holds("FreeBatch of 255 frames, one dropping its last reference", 1, freeBatch(fs))
+	holds("FreeBatch of one final frame", 1, freeBatch(fs[1:2]))
+	holds("FreeBatch of 253 final frames", 1, freeBatch(fs[2:]))
+	if n := a.InUse(); n != 0 {
+		t.Fatalf("InUse = %d after every frame's last reference dropped", n)
+	}
+	if err := a.AuditBuddy(); err != nil {
+		t.Fatal(err)
+	}
+}

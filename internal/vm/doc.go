@@ -133,8 +133,8 @@
 //     allocation counter (stats.Counter cells indexed by its magazine),
 //     its RCU reader, its magazine, and its CPU's sampling state. Reads
 //     sum the cells, so physmem's InUse and FreeFrames stay exact;
-//   - the leaf page table's PTE lock (two ticket words, which also count
-//     its acquisitions) and entry, shared within 2 MB;
+//   - the leaf page table's PTE lock (one word, which also counts its
+//     acquisitions) and entry, shared within 2 MB;
 //   - the mapped frame's metadata: one word, generation and reference
 //     count, eight frames to a line — a huge fault's run writes the head's
 //     alone, and a magazine refills with one aligned buddy block, so CPUs
