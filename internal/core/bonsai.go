@@ -29,6 +29,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bonsai/internal/locks"
 	"bonsai/internal/rcu"
 )
 
@@ -82,7 +83,7 @@ type Tree[V any] struct {
 	root atomic.Pointer[node[V]]
 	_    [cacheLine - 8]byte
 
-	mu  sync.Mutex // writer lock; guards everything below but reclaimed
+	mu  locks.SpinLock // writer lock; guards everything below but reclaimed
 	opt Options
 
 	// The transaction in progress: its number (nodes it built carry it,

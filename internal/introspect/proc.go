@@ -65,7 +65,7 @@ func WriteMeminfo(w io.Writer, sn Snapshot) error {
 // WriteLocks renders /proc/locks: every live range-lock guard — held
 // and queued — across every tenant's member spaces, plus RWLock and
 // FaultLock spaces, which report no table. Reading takes only each
-// manager's own mutex, far below everything interesting.
+// manager's own stripe mutexes, far below everything interesting.
 func WriteLocks(w io.Writer, h *vm.Host) error {
 	pw := &errWriter{w: w}
 	pw.printf("# tenant space guard  range              state    age\n")

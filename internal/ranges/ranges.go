@@ -8,14 +8,36 @@
 // never take the semaphore and mapping operations only need mutual
 // exclusion against overlapping mapping operations.
 //
-// Grant policy: a request is granted immediately when it conflicts with
-// no currently held range and no earlier waiter; otherwise it queues in
-// FIFO order. Checking earlier *waiters*, not just holders, makes the
-// queue starvation-free: once a wide range (say, fork's whole-space
-// lock) is waiting, later overlapping requests line up behind it
-// instead of leap-frogging it forever. Disjoint requests still overtake
-// freely, so the fairness costs no parallelism between non-conflicting
-// operations.
+// Stripes: the manager is 16 stripes, each with its own mutex, held
+// list, wait queue and counters, on cache lines of its own. Stripe i
+// covers every 1 GiB span of the address space whose index (addr>>30)
+// is i mod 16 — one level-3 directory entry — and a request takes its
+// range in every stripe [lo, hi) touches: one for an operation inside a
+// span, all 16 for one spanning 16 GiB (the whole-space lock). Two
+// requests whose ranges touch no common stripe therefore write no
+// common word: not a mutex, not a counter, not a guard-id source.
+//
+// Grant policy, inside each stripe: a request is granted there
+// immediately when it conflicts with no range held in that stripe and
+// no earlier waiter of that stripe; otherwise it queues there in FIFO
+// order. Checking earlier *waiters*, not just holders, makes the queue
+// starvation-free: once a wide range (say, fork's whole-space lock) is
+// waiting in a stripe, later overlapping requests line up behind it
+// there instead of leap-frogging it forever. Disjoint requests still
+// overtake freely, so the fairness costs no parallelism between
+// non-conflicting operations. What "FIFO among conflicting requests"
+// guarantees across stripes is this: a request is never overtaken by a
+// later conflicting one at a stripe it has queued on. A later request
+// may still take a stripe the earlier one has not reached yet; the
+// earlier one then waits for it there, once.
+//
+// A request takes its stripes one at a time in ascending stripe index,
+// never in address order. Address order wraps (a range crossing the
+// 16 GiB boundary touches stripe 15, then stripe 0), and a request that
+// took 15 first could hold it while waiting at 0 for a whole-space
+// request that holds 0 and waits at 15. With one global order no
+// request holds a stripe another waits for while waiting at a lower
+// one, so the stripes cannot deadlock.
 //
 // The contract is Lock, LockGuard and Unlock, plus three snapshots:
 // Guards (the live table), Stats and WaitHist. Every caller, a
@@ -24,16 +46,48 @@
 package ranges
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bonsai/internal/contention"
+	"bonsai/internal/fail"
 	"bonsai/internal/stats"
 	"bonsai/internal/trace"
 )
+
+// The stripes: stripeCount of them, each covering the 1<<stripeShift
+// byte spans whose index is its own mod stripeCount.
+const (
+	stripeShift = 30
+	stripeBits  = 4
+	stripeCount = 1 << stripeBits
+	cacheLine   = 64
+)
+
+// stripeMask returns the stripes [lo, hi) touches, one bit each.
+func stripeMask(lo, hi uint64) uint16 {
+	first, last := lo>>stripeShift, (hi-1)>>stripeShift
+	if last-first >= stripeCount-1 {
+		return 1<<stripeCount - 1
+	}
+	return bits.RotateLeft16(uint16(1)<<(last-first+1)-1, int(first%stripeCount))
+}
+
+// lowest and highest are the first and last stripes of a mask in lock
+// order.
+func lowest(mask uint16) int  { return bits.TrailingZeros16(mask) }
+func highest(mask uint16) int { return stripeCount - 1 - bits.LeadingZeros16(mask) }
+
+// stripeStepPoint is the schedule point between two of a request's
+// stripe acquisitions (fail.Point.Yield): the first held, the next not
+// yet asked for.
+var stripeStepPoint = fail.NewPoint("ranges.stripe-step")
 
 // Guard is one granted or queued range-lock request. A granted Guard
 // must be released exactly once with Unlock. The manager links guards,
@@ -43,19 +97,23 @@ import (
 // no reference to it.
 type Guard struct {
 	m      *Manager
-	id     uint64 // unique per manager; attributes trace events and table rows
+	id     uint64 // unique per manager: a sequence number and the lowest stripe
 	lo, hi uint64
-	ready  chan struct{} // made when the request queues; closed when it is granted
+	ready  chan struct{} // made when the request queues at a stripe; closed when it is granted there
 	// granted is set by the granting Unlock just before it closes
 	// ready, so a waiter can poll for a short hold's release instead of
-	// paying a park and wake-up for it (see awaitGrant).
+	// paying a park and wake-up for it (see awaitGrant). A request
+	// waits at one stripe at a time, so one flag and one channel serve
+	// all of them.
 	granted atomic.Bool
-	held    bool // granted and not yet released (manager mutex held when written)
-	// grantedAt is stamped at grant time only while the tracer or the
-	// contention profiler is armed, so the disarmed grant path pays no
-	// clock read. queuedAt is stamped on the contended path, which
-	// already pays the clock read for the wait histogram. Both are
-	// stamp() values; zero means not stamped.
+	held    bool   // granted in every stripe and not yet released (written by the owner)
+	mask    uint16 // the stripes the range touches
+	// grantedAt is stamped when the last stripe is granted, and only
+	// while the tracer or the contention profiler is armed, so the
+	// disarmed grant path pays no clock read. queuedAt is stamped when
+	// the request first queues, on the contended path, which already
+	// pays the clock read for the wait histogram. Both are stamp()
+	// values; zero means not stamped.
 	grantedAt int64
 	queuedAt  int64
 }
@@ -91,14 +149,7 @@ func overlapsAny(gs []*Guard, lo, hi uint64) bool {
 // Manager is an address-range lock manager. The zero value is ready to
 // use. All methods are safe for concurrent use.
 type Manager struct {
-	mu    sync.Mutex
-	held  []*Guard // granted, unreleased guards
-	queue []*Guard // waiting requests in arrival order
-
-	acquires  uint64 // locks granted
-	conflicts uint64 // requests that had to wait
-	maxHeld   int    // high-water of concurrently held locks
-	nextID    uint64 // guard id source
+	stripes [stripeCount]stripe
 
 	// waitHist is the always-on latency histogram of contended Lock
 	// waits — the tail the per-VMA-locks roadmap item will have to
@@ -107,28 +158,67 @@ type Manager struct {
 	waitHist stats.LatencyHist
 }
 
-// Stats is a snapshot of a Manager's counters.
-type Stats struct {
-	Acquires  uint64             `json:"acquires"`  // locks granted over the manager's lifetime
-	Conflicts uint64             `json:"conflicts"` // Lock calls that blocked on a conflicting range
-	MaxHeld   int                `json:"max_held"`  // most locks held concurrently (max parallel writers)
-	Held      int                `json:"held"`      // locks currently held
-	Waiting   int                `json:"waiting"`   // requests currently queued
-	Wait      stats.LatencyStats `json:"wait"`      // contended-wait latency percentiles
+// stripe is one stripe's lock table. A guard is counted (acquires,
+// own, the id source) in its lowest stripe only, and as a conflict in
+// the first stripe it queues at.
+type stripe struct {
+	mu    sync.Mutex
+	held  []*Guard // granted, unreleased guards
+	queue []*Guard // waiting requests in arrival order
+
+	acquires  uint64 // guards granted their lowest stripe here
+	conflicts uint64 // guards that first queued here
+	own       int    // held guards whose lowest stripe this is
+	maxOwn    int    // high-water of own
+	nextID    uint64 // id sequence of the guards whose lowest stripe this is
+
+	_ [cacheLine]byte // no two stripes' words share a line, however the manager is aligned
 }
 
-// Stats returns a snapshot of the manager's counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return Stats{
-		Acquires:  m.acquires,
-		Conflicts: m.conflicts,
-		MaxHeld:   m.maxHeld,
-		Held:      len(m.held),
-		Waiting:   len(m.queue),
-		Wait:      m.waitHist.Stats(),
+// Stats is a snapshot of a Manager's counters.
+type Stats struct {
+	Acquires  uint64 `json:"acquires"`  // locks granted over the manager's lifetime
+	Conflicts uint64 `json:"conflicts"` // Lock calls that blocked on a conflicting range
+	// MaxHeld is the sum of each stripe's high-water of concurrently
+	// held locks (a lock counted in its lowest stripe): an upper bound
+	// on the most locks ever held at once, exact while the stripes'
+	// peaks coincide, as disjoint writers' do.
+	MaxHeld int                `json:"max_held"`
+	Held    int                `json:"held"`    // locks holding their lowest stripe, those still acquiring included
+	Waiting int                `json:"waiting"` // requests currently queued at a stripe
+	Wait    stats.LatencyStats `json:"wait"`    // contended-wait latency percentiles
+}
+
+// lockStripes takes every stripe mutex, in ascending index. Nothing
+// else holds two stripe mutexes at once, so this cannot deadlock.
+func (m *Manager) lockStripes() {
+	for i := range m.stripes {
+		m.stripes[i].mu.Lock()
 	}
+}
+
+func (m *Manager) unlockStripes() {
+	for i := range m.stripes {
+		m.stripes[i].mu.Unlock()
+	}
+}
+
+// Stats returns a snapshot of the manager's counters, summed over the
+// stripes with each request counted once.
+func (m *Manager) Stats() Stats {
+	m.lockStripes()
+	defer m.unlockStripes()
+	var st Stats
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		st.Acquires += s.acquires
+		st.Conflicts += s.conflicts
+		st.MaxHeld += s.maxOwn
+		st.Held += s.own
+		st.Waiting += len(s.queue)
+	}
+	st.Wait = m.waitHist.Stats()
+	return st
 }
 
 // WaitHist exposes the contended-wait histogram for merging into
@@ -150,44 +240,63 @@ type GuardInfo struct {
 	AgeNs int64 `json:"age_ns"`
 }
 
-// Guards snapshots the live lock table: held ranges first (grant
-// order), then queued waiters (arrival order). It takes only the
-// manager mutex, the lock every acquire already takes. The ages are
-// read against a clock taken under it, so a guard granted while Guards
-// waited for the mutex never shows a negative age.
+// Guards snapshots the live lock table, each request once: holders
+// first, then waiters, each by id. A request that holds some stripes
+// and waits at another is a waiter. It takes every stripe mutex at
+// once, so the table is one moment's; the ages are read against a
+// clock taken under them, so a guard granted while Guards waited for a
+// mutex never shows a negative age.
 func (m *Manager) Guards() []GuardInfo {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.lockStripes()
+	defer m.unlockStripes()
 	now := stamp()
-	out := make([]GuardInfo, 0, len(m.held)+len(m.queue))
-	for _, g := range m.held {
-		gi := GuardInfo{ID: g.id, Lo: g.lo, Hi: g.hi}
-		if g.grantedAt != 0 {
-			gi.AgeNs = now - g.grantedAt
+	var holders, waiters []GuardInfo
+	var queued []*Guard
+	for i := range m.stripes {
+		for _, g := range m.stripes[i].queue {
+			gi := GuardInfo{ID: g.id, Lo: g.lo, Hi: g.hi, Waiting: true}
+			if g.queuedAt != 0 {
+				gi.AgeNs = now - g.queuedAt
+			}
+			waiters = append(waiters, gi)
+			queued = append(queued, g)
 		}
-		out = append(out, gi)
 	}
-	for _, g := range m.queue {
-		gi := GuardInfo{ID: g.id, Lo: g.lo, Hi: g.hi, Waiting: true}
-		if g.queuedAt != 0 {
-			gi.AgeNs = now - g.queuedAt
+	for i := range m.stripes {
+		for _, g := range m.stripes[i].held {
+			if lowest(g.mask) != i || slices.Contains(queued, g) {
+				continue
+			}
+			gi := GuardInfo{ID: g.id, Lo: g.lo, Hi: g.hi}
+			if g.grantedAt != 0 {
+				gi.AgeNs = now - g.grantedAt
+			}
+			holders = append(holders, gi)
 		}
-		out = append(out, gi)
 	}
-	return out
+	byID := func(a, b GuardInfo) int { return cmp.Compare(a.ID, b.ID) }
+	slices.SortFunc(holders, byID)
+	slices.SortFunc(waiters, byID)
+	return append(holders, waiters...)
 }
 
-// grantLocked moves g into the held set. The manager mutex is held.
-// Trace emission here takes no locks of its own (package vm's "Lock
-// hierarchy"): it is a few atomic stores into the ring, safe under m.mu.
-func (m *Manager) grantLocked(g *Guard) {
-	m.held = append(m.held, g)
-	g.held = true
-	m.acquires++
-	if len(m.held) > m.maxHeld {
-		m.maxHeld = len(m.held)
+// grantLocked moves g into stripe i's held set. The stripe mutex is
+// held. Trace emission here takes no locks of its own (package vm's
+// "Lock hierarchy"): it is a few atomic stores into the ring, safe
+// under the mutex.
+func (s *stripe) grantLocked(g *Guard, i int) {
+	if s.held == nil {
+		// A line of its own: two stripes' one-guard lists would
+		// otherwise be neighbours in one 8-byte size class.
+		s.held = make([]*Guard, 0, cacheLine/8)
 	}
-	if trace.Armed() || contention.Armed() {
+	s.held = append(s.held, g)
+	if i == lowest(g.mask) {
+		s.acquires++
+		s.own++
+		s.maxOwn = max(s.maxOwn, s.own)
+	}
+	if i == highest(g.mask) && (trace.Armed() || contention.Armed()) {
 		g.grantedAt = stamp()
 		trace.Emit(trace.AuxCPU, trace.EvRangeAcquire, g.id, g.lo, g.hi)
 	}
@@ -202,38 +311,61 @@ func (m *Manager) Lock(lo, hi uint64) *Guard {
 }
 
 // LockGuard is Lock into a guard the caller owns: a fresh one, or one
-// it has released. An uncontended acquisition allocates nothing.
+// it has released. An uncontended acquisition allocates nothing. It
+// takes the range's stripes one at a time, in ascending index (the
+// package comment says why); the lowest one gives the guard its id.
 func (m *Manager) LockGuard(g *Guard, lo, hi uint64) {
 	if lo >= hi {
 		panic(fmt.Sprintf("ranges: invalid range [%#x, %#x)", lo, hi))
 	}
-	m.mu.Lock()
 	if g.held {
-		m.mu.Unlock()
 		panic("ranges: Lock into a held Guard")
 	}
-	g.m, g.lo, g.hi, g.id = m, lo, hi, m.nextID
-	m.nextID++
+	g.m, g.lo, g.hi, g.mask = m, lo, hi, stripeMask(lo, hi)
 	g.ready, g.grantedAt, g.queuedAt = nil, 0, 0
-	if g.granted.Load() { // set only by a contended grant
-		g.granted.Store(false)
+	for mask := g.mask; ; {
+		i := bits.TrailingZeros16(mask)
+		mask &^= 1 << i
+		s := &m.stripes[i]
+		s.mu.Lock()
+		if i == lowest(g.mask) {
+			g.id = s.nextID<<stripeBits | uint64(i)
+			s.nextID++
+		}
+		if !overlapsAny(s.held, lo, hi) && !overlapsAny(s.queue, lo, hi) {
+			s.grantLocked(g, i)
+			s.mu.Unlock()
+		} else {
+			s.queueLocked(g)
+		}
+		if mask == 0 {
+			break
+		}
+		stripeStepPoint.Yield()
 	}
-	if !overlapsAny(m.held, lo, hi) && !overlapsAny(m.queue, lo, hi) {
-		m.grantLocked(g)
-		m.mu.Unlock()
-		return
+	g.held = true
+	if g.queuedAt != 0 {
+		wait := time.Duration(stamp() - g.queuedAt)
+		m.waitHist.Record(wait)
+		contention.Note("range", g.lo, g.hi, wait)
+		trace.Emit(trace.AuxCPU, trace.EvRangeWait, g.id, g.lo, uint64(wait))
 	}
+}
+
+// queueLocked queues g at stripe s, releases the stripe mutex and waits
+// for the grant there. A guard counts as a conflict at the first stripe
+// it queues at, and its wait runs from then.
+func (s *stripe) queueLocked(g *Guard) {
 	g.ready = make(chan struct{})
+	g.granted.Store(false)
 	queuedAt := stamp()
-	g.queuedAt = queuedAt
-	m.queue = append(m.queue, g)
-	m.conflicts++
-	m.mu.Unlock()
+	if g.queuedAt == 0 {
+		g.queuedAt = queuedAt
+		s.conflicts++
+	}
+	s.queue = append(s.queue, g)
+	s.mu.Unlock()
 	g.awaitGrant(queuedAt)
-	wait := time.Duration(stamp() - queuedAt)
-	m.waitHist.Record(wait)
-	contention.Note("range", g.lo, g.hi, wait)
-	trace.Emit(trace.AuxCPU, trace.EvRangeWait, g.id, g.lo, uint64(wait))
 }
 
 // spinLimit bounds how long a queued request polls its granted flag
@@ -246,13 +378,13 @@ const (
 	spinYieldEvery = 32
 )
 
-// awaitGrant blocks until the queued guard is granted: a bounded poll
-// of the granted flag when another processor could be running the
-// holder, then the channel park. The grant itself (FIFO order, made
-// under the manager mutex by the releasing Unlock) is the same either
-// way; Unlock sets the flag and then closes the channel, so a waiter
-// that gives up polling just as the grant lands still finds the channel
-// closed.
+// awaitGrant blocks until the queued guard is granted at the stripe it
+// queued at: a bounded poll of the granted flag when another processor
+// could be running the holder, then the channel park. The grant itself
+// (FIFO order, made under the stripe mutex by the releasing Unlock) is
+// the same either way; Unlock sets the flag and then closes the
+// channel, so a waiter that gives up polling just as the grant lands
+// still finds the channel closed.
 func (g *Guard) awaitGrant(queuedAt int64) {
 	if runtime.GOMAXPROCS(0) > 1 {
 		for polls := 1; ; polls++ {
@@ -270,49 +402,65 @@ func (g *Guard) awaitGrant(queuedAt int64) {
 	<-g.ready
 }
 
-// Unlock releases the guard and grants every waiter that the release
-// unblocks, scanning the queue in FIFO order: a waiter is granted when
-// it conflicts with no held range and no waiter still queued ahead of
-// it. Unlock panics if the guard was already released.
+// Unlock releases the guard, stripe by stripe in ascending index, and
+// in each grants every waiter that the release unblocks there. It
+// panics if the guard was already released.
 func (g *Guard) Unlock() {
-	m := g.m
-	m.mu.Lock()
 	if !g.held {
-		m.mu.Unlock()
 		panic("ranges: Unlock of released Guard")
 	}
 	g.held = false
-	for i, h := range m.held {
-		if h == g {
-			last := len(m.held) - 1
-			copy(m.held[i:], m.held[i+1:])
-			m.held[last] = nil // the caller may re-arm or drop the guard
-			m.held = m.held[:last]
-			break
-		}
-	}
 	if g.grantedAt != 0 {
 		trace.Emit(trace.AuxCPU, trace.EvRangeRelease, g.id, g.lo,
 			uint64(stamp()-g.grantedAt))
 	}
-	// Promote waiters. Earlier waiters that stay queued block later
-	// overlapping ones, preserving FIFO fairness among conflicts while
-	// letting disjoint waiters through.
-	remaining := m.queue[:0]
-	for _, w := range m.queue {
-		if !overlapsAny(m.held, w.lo, w.hi) && !overlapsAny(remaining, w.lo, w.hi) {
-			m.grantLocked(w)
+	for mask := g.mask; mask != 0; mask &= mask - 1 {
+		i := lowest(mask)
+		s := &g.m.stripes[i]
+		s.mu.Lock()
+		for k, h := range s.held {
+			if h == g {
+				last := len(s.held) - 1
+				copy(s.held[k:], s.held[k+1:])
+				s.held[last] = nil // the caller may re-arm or drop the guard
+				s.held = s.held[:last]
+				break
+			}
+		}
+		if i == lowest(g.mask) {
+			s.own--
+		}
+		if len(s.queue) != 0 {
+			s.promoteLocked(i)
+		}
+		s.mu.Unlock()
+	}
+}
+
+// promoteLocked grants the waiters at stripe i that a release
+// unblocked, scanning the queue in FIFO order: a waiter is granted when
+// it conflicts with no held range and no waiter still queued ahead of
+// it. Earlier waiters that stay queued block later overlapping ones,
+// preserving FIFO fairness among conflicts while letting disjoint
+// waiters through. The stripe mutex is held.
+func (s *stripe) promoteLocked(i int) {
+	remaining := s.queue[:0]
+	for _, w := range s.queue {
+		if !overlapsAny(s.held, w.lo, w.hi) && !overlapsAny(remaining, w.lo, w.hi) {
+			s.grantLocked(w, i)
+			// Read ready before the flag: a waiter that sees the flag
+			// may go on to queue at its next stripe with a new channel.
+			ready := w.ready
 			w.granted.Store(true)
-			close(w.ready)
+			close(ready)
 		} else {
 			remaining = append(remaining, w)
 		}
 	}
 	// Clear the tail so promoted guards aren't retained by the backing
 	// array.
-	for i := len(remaining); i < len(m.queue); i++ {
-		m.queue[i] = nil
+	for k := len(remaining); k < len(s.queue); k++ {
+		s.queue[k] = nil
 	}
-	m.queue = remaining
-	m.mu.Unlock()
+	s.queue = remaining
 }

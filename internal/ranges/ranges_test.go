@@ -15,6 +15,9 @@ import (
 // wholeSpace mirrors the VM layer's whole-address-space lock.
 const wholeSpace = ^uint64(0)
 
+// gib is one stripe span.
+const gib = uint64(1) << stripeShift
+
 func TestDisjointRangesDoNotBlock(t *testing.T) {
 	var m Manager
 	a := m.Lock(0x1000, 0x2000)
@@ -215,7 +218,8 @@ func TestDoubleUnlockPanics(t *testing.T) {
 
 // TestLockGuardReuse: a caller-owned guard goes round any number of
 // acquisitions — granted at once or queued behind a holder — and the
-// uncontended round trip allocates nothing.
+// uncontended round trip allocates nothing, in one stripe or across
+// two.
 func TestLockGuardReuse(t *testing.T) {
 	var m Manager
 	var g Guard
@@ -223,6 +227,8 @@ func TestLockGuardReuse(t *testing.T) {
 		m.LockGuard(&g, 0x1000, 0x2000)
 		g.Unlock()
 		m.LockGuard(&g, 0x1000, 0x3000)
+		g.Unlock()
+		m.LockGuard(&g, gib-0x1000, gib+0x1000) // stripes 0 and 1
 		g.Unlock()
 	}); avg != 0 && !race.Enabled {
 		t.Errorf("an uncontended LockGuard/Unlock round trip allocates %.1f times, want 0", avg)
@@ -269,16 +275,20 @@ func TestInvalidRangePanics(t *testing.T) {
 }
 
 // TestStressRandomRanges hammers the manager from many goroutines and
-// verifies mutual exclusion: no two held guards may overlap. Run with
-// -race for the full effect.
+// verifies mutual exclusion: no two held guards may overlap. Slots are
+// a quarter of a stripe's span and the space 18 spans, so ranges cross
+// stripe boundaries and the 15 → 0 wrap, and one lock in 32 is the
+// whole space. Run with -race for the full effect.
 func TestStressRandomRanges(t *testing.T) {
 	var m Manager
 	const (
 		workers = 8
 		iters   = 400
-		slots   = 16
+		slot    = gib / 4
+		slots   = 18 * 4
 	)
-	var owner [slots]atomic.Int32 // which worker holds each page slot
+	var owner [slots]atomic.Int32 // which worker holds each slot
+	var wholes atomic.Uint64      // whole-space locks, each after a released draw
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -288,12 +298,14 @@ func TestStressRandomRanges(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				rng = rng*6364136223846793005 + 1442695040888963407
 				lo := (rng >> 33) % slots
-				n := 1 + (rng>>21)%4
-				hi := lo + n
-				if hi > slots {
-					hi = slots
+				hi := min(lo+1+(rng>>21)%8, slots)
+				g := m.Lock(lo*slot, hi*slot)
+				if (rng>>13)%32 == 0 {
+					g.Unlock()
+					lo, hi = 0, slots
+					g = m.Lock(0, wholeSpace)
+					wholes.Add(1)
 				}
-				g := m.Lock(lo*0x1000, hi*0x1000)
 				for s := lo; s < hi; s++ {
 					if !owner[s].CompareAndSwap(0, int32(id+1)) {
 						t.Errorf("slot %d already owned while locked by %d", s, id)
@@ -313,8 +325,8 @@ func TestStressRandomRanges(t *testing.T) {
 	if st.Held != 0 || st.Waiting != 0 {
 		t.Fatalf("leaked state: held=%d waiting=%d", st.Held, st.Waiting)
 	}
-	if st.Acquires != workers*iters {
-		t.Fatalf("Acquires = %d, want %d", st.Acquires, workers*iters)
+	if want := workers*iters + wholes.Load(); st.Acquires != want || wholes.Load() == 0 {
+		t.Fatalf("Acquires = %d, want %d (%d whole-space)", st.Acquires, want, wholes.Load())
 	}
 }
 
@@ -324,7 +336,8 @@ func TestStressRandomRanges(t *testing.T) {
 // report the guard with a negative age.
 func TestGuardsAgesNeverNegative(t *testing.T) {
 	var m Manager
-	m.mu.Lock()
+	s := &m.stripes[0]
+	s.mu.Lock()
 	got := make(chan []GuardInfo)
 	go func() { got <- m.Guards() }()
 	for !blockedIn("(*Manager).Guards") {
@@ -332,9 +345,9 @@ func TestGuardsAgesNeverNegative(t *testing.T) {
 	}
 	contention.Arm()
 	defer contention.Disarm()
-	g := &Guard{m: &m, lo: 0x1000, hi: 0x2000}
-	m.grantLocked(g)
-	m.mu.Unlock()
+	g := &Guard{m: &m, lo: 0x1000, hi: 0x2000, mask: stripeMask(0x1000, 0x2000), held: true}
+	s.grantLocked(g, 0)
+	s.mu.Unlock()
 	infos := <-got
 	if len(infos) != 1 {
 		t.Fatalf("Guards = %+v, want the one granted guard", infos)

@@ -46,7 +46,7 @@
 //     the tree lock.
 //   - PureRCU: a fault runs in an RCU read section and nothing else
 //     (§5.3); locking as Hybrid, but the only index lock is the BONSAI
-//     tree's writer mutex, taken once per operation.
+//     tree's writer spinlock, taken once per operation.
 //
 // The RCU designs' range-locked mapping side goes beyond the paper,
 // which leaves mapping operations serialized on mmap_sem ("mmap,
@@ -63,8 +63,8 @@
 // Below the policy the levels are the same in every design, taken
 // strictly outermost first:
 //
-//  1. the policy's pin or mapping-op exclusion: mmap_sem, or a FIFO-fair
-//     range lock, so a waiting whole-space fork is never starved;
+//  1. the policy's pin or mapping-op exclusion: mmap_sem, or a range
+//     lock, FIFO-fair in each stripe, so a waiting fork is never starved;
 //  2. the policy's fault lock or index writer lock;
 //  3. the reclaim scan lock (internal/reclaim), acquired only with no
 //     lower level held: the fault and fork paths unwind completely
@@ -100,20 +100,20 @@
 // reserves its gap through the same lock: search the tree, lock the gap
 // as any mmap locks its range, re-check it under the held range, and on
 // a loss unlock and search again. RangeStats reports acquisitions,
-// conflicts and the most operations held at once.
+// conflicts and a per-stripe sum of the most operations held at once.
 //
-// A mapping operation costs one hold of each shared lock: its range, and
-// the region tree's writer, because all it changes in the tree is one
-// transaction (regionIndex.edit, one core.Tree.Update and one root
-// publish under PureRCU); at most one RCU callback for the nodes it
-// retired and one for the frames it released; and no allocation beyond
-// the VMAs and nodes it publishes (TestMapCycleCounts,
-// TestMapCycleAllocs). The rest comes from an operation context
-// (opctx.go), pooled per processor: the range guard, the TLB gather, the
-// scratch lists and a slot. A slot stands in for a CPU id — operations
-// run on any goroutine — and picks the operation's cell in every
-// per-slot counter and its RCU shard, so operations on disjoint ranges
-// count and retire on lines of their own
+// A mapping operation costs one hold of each shared lock: its range, in
+// the stripes it touches, and the tree's writer spinlock, because all it
+// changes in the tree is one transaction (regionIndex.edit, one
+// core.Tree.Update and one root publish under PureRCU); at most one RCU
+// callback for the nodes it retired and one for the frames it released;
+// and no allocation beyond the VMAs and nodes it publishes
+// (TestMapCycleCounts, TestMapCycleAllocs). The rest comes from an
+// operation context (opctx.go), pooled per processor: the range guard,
+// the TLB gather, the scratch lists and a slot. A slot stands in for a
+// CPU id — operations run on any goroutine — and picks the operation's
+// cell in every per-slot counter and its RCU shard, so operations on
+// disjoint ranges count and retire on lines of their own
 // (TestDisjointMapOpsWriteOnlyTheirOwnCells,
 // TestConcurrentMapOpsRetireOnDifferentShards). A MAP_FIXED mmap over
 // nothing walks no page tables; Munmap and Close always zap, because the
@@ -219,24 +219,26 @@
 // has them. The stress half is internal/torture.
 //
 // The paper also checked "a model of the VM system designed to capture
-// key races" exhaustively. Here the model is this package. Five schedule
+// key races" exhaustively. Here the model is this package. Six schedule
 // points (fail.Point.Yield, one atomic load disarmed) sit at the race
 // windows: vm.fault-lookup after the lockless VMA lookup, vm.fault-fill
 // before a fill takes the PTE lock, vm.unmap-cut and vm.unmap-commit in
-// munmap, and vm.reserve-gap between a non-fixed mmap's gap search and
-// its range lock. The explorer (explore_test.go) parks each goroutine at
-// its points and releases one at a time, depth first through every
-// order; a released goroutine that blocks on a lock a parked one holds
-// is read from the goroutine dump. TestExploreFillRace runs §5.2's fill
-// race (16 schedules per design and page state), TestExploreSplitRace
-// Figure 10's split (17), and TestExploreGapRace two mmaps racing for
-// one gap (6 schedules under Hybrid and PureRCU, 2 under RWLock and
-// FaultLock). A failing schedule prints as its list of point hits,
-// which replay runs again; without the recheck under the PTE lock the fill race fails
-// every run, and without the gap's re-check under its range the gap race
-// does (scripts/mutants.sh). The same mechanism parks physmem's InUse
-// fold between its two passes at the physmem.counts-pass point
-// (TestInUseAcrossAllocsPass).
+// munmap, vm.reserve-gap between a non-fixed mmap's gap search and its
+// range lock, and ranges.stripe-step between two stripes of a range lock.
+// The explorer (explore_test.go) parks each goroutine at its points and
+// releases one at a time, depth first through every order; a released
+// goroutine that blocks on a lock a parked one holds is read from the
+// goroutine dump. TestExploreFillRace runs §5.2's fill race (16 schedules
+// per design and page state), TestExploreSplitRace Figure 10's split
+// (17), TestExploreGapRace two mmaps racing for one gap (6 schedules
+// under Hybrid and PureRCU, 2 under RWLock and FaultLock), and
+// TestExploreStripeRace a munmap across the stripes' 15 → 0 wrap against
+// a fork (35). A failing schedule prints as its list of point hits, which
+// replay runs again. The fill, gap and stripe races each kill a mutant
+// twin (scripts/mutants.sh): no recheck under the PTE lock, no re-check
+// of the gap, stripes taken in address order. The same mechanism parks
+// physmem's InUse fold between its two passes at the physmem.counts-pass
+// point (TestInUseAcrossAllocsPass).
 //
 // # The multi-tenant host
 //

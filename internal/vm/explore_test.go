@@ -28,7 +28,8 @@ import (
 )
 
 // schedPoints are the schedule points the explorer parks goroutines on.
-var schedPoints = []*fail.Point{faultLookupPoint, faultFillPoint, unmapCutPoint, unmapCommitPoint, reserveGapPoint}
+var schedPoints = []*fail.Point{faultLookupPoint, faultFillPoint, unmapCutPoint, unmapCommitPoint, reserveGapPoint,
+	fail.Lookup("ranges.stripe-step")}
 
 // startHit is the hit every thread is parked at before its body runs,
 // so which thread starts first is a choice like any other.
@@ -460,11 +461,76 @@ func gapRace(t *testing.T, as *AddressSpace) raceRun {
 	}
 }
 
+// stripeRace is a munmap whose range crosses the range manager's
+// stripe-index wrap — its first page in a 1 GiB span whose index is
+// 15 mod 16, its last in one that is 0 mod 16 — against a fork of the
+// same space, which takes all 16 stripes. Each request takes its
+// stripes in ascending index, parking at ranges.stripe-step between
+// two: the munmap takes stripe 0 before stripe 15, like the fork, so
+// neither can hold a stripe the other waits for while it waits. The
+// two serialize: the parent ends with the kept region only, and the
+// child with the kept region and, if the fork came first, all of the
+// unmapped one, its faulted pages still translating.
+func stripeRace(t *testing.T, as *AddressSpace) raceRun {
+	const wrap = 16 << 30 // a span whose index is 0 mod 16
+	v, kept := uint64(wrap-4*PageSize), uint64(exploreBase)
+	mustMmap(t, as, v, 8*PageSize, vma.ProtRead|vma.ProtWrite, vma.Fixed)
+	mustMmap(t, as, kept, 4*PageSize, vma.ProtRead|vma.ProtWrite, vma.Fixed)
+	cpu := as.NewCPU(0)
+	faulted := []uint64{v, wrap, kept}
+	for _, p := range faulted {
+		if err := cpu.Fault(p, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var child *AddressSpace
+	var forkErr, unmapErr error
+	return raceRun{
+		threads: []*schedThread{
+			{name: "munmap", body: func() { unmapErr = as.Munmap(v, 8*PageSize) }},
+			{name: "fork", body: func() { child, forkErr = as.Fork() }},
+		},
+		check: func() error {
+			if unmapErr != nil || forkErr != nil {
+				return fmt.Errorf("munmap: %v, fork: %v", unmapErr, forkErr)
+			}
+			spans := func(as *AddressSpace) (out [][2]uint64) {
+				for _, r := range as.Regions() {
+					out = append(out, [2]uint64{r.Start, r.End})
+				}
+				return out
+			}
+			want := [][2]uint64{{kept, kept + 4*PageSize}}
+			if got := spans(as); !slices.Equal(got, want) {
+				return fmt.Errorf("parent regions %#x, want %#x", got, want)
+			}
+			got := spans(child)
+			forkFirst := len(got) == 2
+			if forkFirst {
+				want = append(want, [2]uint64{v, v + 8*PageSize})
+			}
+			if !slices.Equal(got, want) {
+				return fmt.Errorf("child regions %#x, want %#x", got, want)
+			}
+			for _, p := range faulted {
+				if _, ok := child.Translate(p); ok != (p == kept || forkFirst) {
+					return fmt.Errorf("child page %#x translates: %v (fork first: %v)", p, ok, forkFirst)
+				}
+				if _, ok := as.Translate(p); ok != (p == kept) {
+					return fmt.Errorf("parent page %#x translates: %v", p, ok)
+				}
+			}
+			return child.Close()
+		},
+	}
+}
+
 // The scenarios' schedule counts, the same on both designs: a change in
 // the points' placement or in the paths between them moves them.
 const (
-	fillRaceSchedules  = 16
-	splitRaceSchedules = 17
+	fillRaceSchedules   = 16
+	splitRaceSchedules  = 17
+	stripeRaceSchedules = 35
 )
 
 // The gap race's schedule counts. Under RWLock and FaultLock the search
@@ -580,6 +646,23 @@ func TestExploreGapRace(t *testing.T) {
 			}
 			if n != want {
 				t.Errorf("explored %d schedules, want %d", n, want)
+			}
+		})
+	}
+}
+
+// TestExploreStripeRace runs every schedule of a munmap across the
+// range manager's stripe wrap against a fork. Taking the stripes in
+// address order instead of index order deadlocks some schedule
+// (scripts/mutants.sh).
+func TestExploreStripeRace(t *testing.T) {
+	for _, d := range rcuDesigns {
+		t.Run(d.String(), func(t *testing.T) {
+			start := time.Now()
+			n := explore(t, d, stripeRace, func(Stats, []string) {})
+			t.Logf("%d schedules in %v", n, time.Since(start))
+			if n != stripeRaceSchedules {
+				t.Errorf("explored %d schedules, want %d", n, stripeRaceSchedules)
 			}
 		})
 	}

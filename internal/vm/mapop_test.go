@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -223,6 +224,39 @@ func slotReading(as *AddressSpace, slot int) map[string]uint64 {
 	return m
 }
 
+// stripeReading is every integer word of each of the range manager's
+// stripes — its counters and guard-id source — read by reflection, the
+// stripes being the manager's own; nil on the global semaphore.
+func stripeReading(as *AddressSpace) [][]uint64 {
+	if as.sy.rl == nil {
+		return nil
+	}
+	stripes := reflect.ValueOf(as.sy.rl).Elem().FieldByName("stripes")
+	out := make([][]uint64, stripes.Len())
+	for i := range out {
+		for s, f := stripes.Index(i), 0; f < s.NumField(); f++ {
+			switch v := s.Field(f); v.Kind() {
+			case reflect.Uint64:
+				out[i] = append(out[i], v.Uint())
+			case reflect.Int:
+				out[i] = append(out[i], uint64(v.Int()))
+			}
+		}
+	}
+	return out
+}
+
+// movedStripes lists the stripes whose words differ between two
+// readings.
+func movedStripes(before, after [][]uint64) (moved []int) {
+	for i := range before {
+		if !slices.Equal(before[i], after[i]) {
+			moved = append(moved, i)
+		}
+	}
+	return moved
+}
+
 // TestDisjointMapOpsWriteOnlyTheirOwnCells extends the fast-path
 // fault's shared-write audit to the mapping side. Operations on
 // disjoint ranges running in different slots — as two processors'
@@ -231,7 +265,10 @@ func slotReading(as *AddressSpace, slot int) map[string]uint64 {
 // queue everything they retire on their own slot's RCU shard: whatever
 // moved in one slot's reading, nothing moved in the other's. (Two
 // operations in flight always hold two contexts; that those differ in
-// slot as well is the pool's doing, checked at the end.)
+// slot as well is the pool's doing, checked at the end.) The two
+// operations' ranges, 1 GiB apart, also lie in two stripes of the range
+// manager: each slot's operations move one stripe's words, not the
+// other's.
 func TestDisjointMapOpsWriteOnlyTheirOwnCells(t *testing.T) {
 	forEachPolicy(t, Config{CPUs: 2, Frames: 1 << 14, THPScanInterval: -1, tune: tuning{rcuBatch: -1}}, func(t *testing.T, as *AddressSpace) {
 		a, b := twoSlots(t, as)
@@ -281,9 +318,9 @@ func TestDisjointMapOpsWriteOnlyTheirOwnCells(t *testing.T) {
 		mapCells := []string{"rcu.queued", "tlb.flushes", "tlb.pages", "vm.Madvises", "vm.Merges", "vm.Mmaps",
 			"vm.Mprotects", "vm.Munmaps", "vm.PagesUnmapped", "vm.Splits", "vm.mapHist"}
 
-		a0, b0 := slotReading(as, a.slot), slotReading(as, b.slot)
+		a0, b0, s0 := slotReading(as, a.slot), slotReading(as, b.slot), stripeReading(as)
 		ops(a, cpus[0], UnmappedBase+1<<30)
-		a1, b1 := slotReading(as, a.slot), slotReading(as, b.slot)
+		a1, b1, s1 := slotReading(as, a.slot), slotReading(as, b.slot), stripeReading(as)
 		if got := moved(b0, b1); len(got) != 0 {
 			t.Errorf("operations in slot %d moved slot %d's %v", a.slot, b.slot, got)
 		}
@@ -293,6 +330,13 @@ func TestDisjointMapOpsWriteOnlyTheirOwnCells(t *testing.T) {
 		ops(b, cpus[1], UnmappedBase+2<<30)
 		if got := moved(a1, slotReading(as, a.slot)); len(got) != 0 {
 			t.Errorf("operations in slot %d moved slot %d's %v", b.slot, a.slot, got)
+		}
+		if s0 != nil {
+			inA, inB := movedStripes(s0, s1), movedStripes(s1, stripeReading(as))
+			if len(inA) != 1 || len(inB) != 1 || inA[0] == inB[0] {
+				t.Errorf("range-manager stripes moved: %v by slot %d's operations, %v by slot %d's: want one each, not the same",
+					inA, a.slot, inB, b.slot)
+			}
 		}
 		a.end()
 		b.end()

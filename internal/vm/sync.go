@@ -172,10 +172,10 @@ func (p *syncPolicy) lock(op *opCtx, lo, hi uint64, cover, mergePred bool) mapGu
 }
 
 // lockAll acquires the exclusion for the whole address space (fork,
-// Close, stack growth). As a range lock that is [0, MaxAddress); the
-// manager's FIFO fairness keeps a stream of small disjoint operations
-// from starving it — once queued, later conflicting requests line up
-// behind it.
+// Close, stack growth). As a range lock that is [0, MaxAddress): all 16
+// stripes, taken in index order, and at each stripe it queues on later
+// conflicting requests line up behind it, so a stream of small disjoint
+// operations cannot starve it.
 func (p *syncPolicy) lockAll(op *opCtx) mapGuard {
 	if p.rl != nil {
 		p.rl.LockGuard(&op.guard, 0, MaxAddress)
@@ -332,15 +332,12 @@ func (as *AddressSpace) SemStats() (mmapSem, faultSem, treeSem locks.RWSemStats)
 	return as.sy.mmapSem.Stats(), as.sy.faultSem.Stats(), as.sy.treeSem.Stats()
 }
 
-// RangeStats exposes the range-lock manager's counters: total range
-// acquisitions, how many had to wait on a conflicting range, and the
-// most range locks ever held concurrently (MaxHeld — the parallelism
-// the global mmap_sem pins at 1). The counters include the fault
-// path's retry-with-lock acquisitions (each locks its faulting page,
-// roughly Stats().Retries() of them), not only mmap/munmap-style
-// operations, so on a file-backed or COW-heavy run subtract the retry
-// count before reading Acquires as mapping-operation volume. It
-// returns zeros for RWLock and FaultLock.
+// RangeStats exposes the range-lock manager's counters: acquisitions,
+// those that waited on a conflicting range, and MaxHeld, each stripe's
+// most locks held at once, summed (an upper bound on the parallelism the
+// global mmap_sem pins at 1). Acquires include the fault path's
+// retry-with-lock ones (about Stats().Retries()): subtract them before
+// reading it as mapping-operation volume. Zeros for RWLock and FaultLock.
 func (as *AddressSpace) RangeStats() ranges.Stats {
 	if as.sy.rl == nil {
 		return ranges.Stats{}

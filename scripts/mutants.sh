@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Mutant twins of the frame-word guards in internal/physmem, of the
 # page-table spare list's one rule (a published table is never reused),
-# of the fault's §5.2 recheck under the PTE lock and of a non-fixed
-# mmap's re-check of its gap under the held range (both killed by the
-# schedule explorer, which runs the fill and gap races through every
-# interleaving):
+# of the fault's §5.2 recheck under the PTE lock, of a non-fixed mmap's
+# re-check of its gap under the held range and of the range manager's
+# stripe lock order (the last three killed by the schedule explorer,
+# which runs the fill, gap and stripe races through every interleaving):
 # each guard test passes on the checkout as it stands and must fail on a
 # copy of it with that one guard removed — the proof that the test sees
-# the guard. Each test runs in the package of the file its twin mutates.
+# the guard. Each test runs in the package of the file its twin mutates,
+# or in the one its name is prefixed with (pkg:Test).
 #
 #   scripts/mutants.sh
 #
@@ -34,6 +35,7 @@ mutants=(
 	'TestSplitTableNeverSpare@@internal/pagetable/pagetable.go@@t.retireStructure(g, pt.frame)@@t.retireStructure(g, pt.frame); t.spare(pt)'
 	'TestExploreFillRace@@internal/vm/fault.go@@recheck = func() bool { return v.Contains(page) }@@recheck = func() bool { return true }'
 	'TestExploreGapRace@@internal/vm/sync.go@@v == nil || v.End() <= base {@@true || v == nil {'
+	'internal/vm:TestExploreStripeRace@@internal/ranges/ranges.go@@i := bits.TrailingZeros16(mask)@@i := (bits.TrailingZeros16(bits.RotateLeft16(mask, -int(lo>>stripeShift%stripeCount))) + int(lo>>stripeShift%stripeCount)) % stripeCount'
 )
 
 mkdir -p "$work/pristine"
@@ -60,12 +62,27 @@ mutate() {
 	' "$@"
 }
 
+# unpack <mutant>: set test, pkg, file, from and to.
+unpack() {
+	test=${1%%@@*}
+	local rest=${1#*@@}
+	file=${rest%%@@*}
+	rest=${rest#*@@}
+	from=${rest%%@@*}
+	to=${rest#*@@}
+	pkg=./$(dirname "$file")
+	if [[ $test == *:* ]]; then
+		pkg=./${test%%:*}
+		test=${test#*:}
+	fi
+}
+
 tests=()
 pkgs=()
 for m in "${mutants[@]}"; do
-	tests+=("${m%%@@*}")
-	rest=${m#*@@}
-	pkgs+=("./$(dirname "${rest%%@@*}")")
+	unpack "$m"
+	tests+=("$test")
+	pkgs+=("$pkg")
 done
 pattern="^($(
 	IFS='|'
@@ -77,18 +94,13 @@ echo "== the guard tests on the checkout (must pass)"
 
 survivors=0
 for m in "${mutants[@]}"; do
-	test=${m%%@@*}
-	rest=${m#*@@}
-	file=${rest%%@@*}
-	rest=${rest#*@@}
-	from=${rest%%@@*}
-	to=${rest#*@@}
+	unpack "$m"
 	rm -rf "$work/mutant"
 	cp -a "$work/pristine" "$work/mutant"
 	mutate "$work/mutant/$file" "$from" "$to"
 	# Killed means the test itself failed: a mutant that does not build
 	# proves nothing.
-	if (cd "$work/mutant" && go test -count=1 -run "^$test\$" "./$(dirname "$file")" >"$work/mutant.log" 2>&1) ||
+	if (cd "$work/mutant" && go test -count=1 -run "^$test\$" "$pkg" >"$work/mutant.log" 2>&1) ||
 		! grep -q -- "--- FAIL: $test " "$work/mutant.log"; then
 		echo "SURVIVED  $test ($file: $to)"
 		cat "$work/mutant.log"
