@@ -14,7 +14,7 @@ import (
 // TestConcurrentFaultsDistinctPages: many CPUs fault disjoint pages of
 // one region; every page must end up mapped exactly once.
 func TestConcurrentFaultsDistinctPages(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 4}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 4}, func(t *testing.T, as *AddressSpace) {
 		const cpus, pagesPer = 4, 256
 		base := mustMmap(t, as, 0, cpus*pagesPer*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 		var wg sync.WaitGroup
@@ -44,7 +44,7 @@ func TestConcurrentFaultsDistinctPages(t *testing.T) {
 // PTE-lock protocol must let exactly one fill win per page with no
 // frame leaks (checked by Close).
 func TestConcurrentFaultsSamePages(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 4}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 4}, func(t *testing.T, as *AddressSpace) {
 		const cpus, pages = 4, 128
 		base := mustMmap(t, as, 0, pages*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 		var wg sync.WaitGroup
@@ -81,7 +81,7 @@ func TestConcurrentFaultsSamePages(t *testing.T) {
 // interleaving that deadlocked when munmap waited out grace periods
 // inline.
 func TestFaultsDuringMunmap(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 4, tune: tuning{rcuBatch: 64}}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 4, tune: tuning{rcuBatch: 64}}, func(t *testing.T, as *AddressSpace) {
 		const pages = 512
 		base := mustMmap(t, as, 0, pages*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 
@@ -163,7 +163,7 @@ func TestFaultsDuringMunmap(t *testing.T) {
 // resolve — either to success (before unmap or after remap) or segv
 // (while unmapped) — and the RCU designs must record slow retries.
 func TestSplitRaceWindow(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 4}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 4}, func(t *testing.T, as *AddressSpace) {
 		const pages = 64
 		base := mustMmap(t, as, 0, pages*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 		topAddr := base + (pages-4)*PageSize // in the top fragment of every split
@@ -215,7 +215,7 @@ func TestSplitRaceWindow(t *testing.T) {
 // independent regions concurrently, then validates every region is
 // fully faultable — the Figure 12 workload shape.
 func TestConcurrentMmapsAndFaults(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 4}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 4}, func(t *testing.T, as *AddressSpace) {
 		var wg sync.WaitGroup
 		errs := make(chan error, 8)
 		for c := 0; c < 4; c++ {
@@ -317,7 +317,7 @@ func TestFillRaceDetection(t *testing.T) {
 // must end up inside the grown stack, translated, with one growth per
 // page at most.
 func TestStackGrowthUnderConcurrentFaults(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 4}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 4}, func(t *testing.T, as *AddressSpace) {
 		const grow, pages = 48, 32
 		top := uint64(UnmappedBase) + 1<<30
 		mustMmap(t, as, top, PageSize, vma.ProtRead|vma.ProtWrite, vma.Fixed|vma.Stack)
@@ -393,7 +393,7 @@ func TestStackGrowthUnderConcurrentFaults(t *testing.T) {
 // unmaps, remaps, and verifies fresh pages are zero (no stale frame
 // reuse before a grace period can leak another region's data).
 func TestDataIntegrityUnderRemap(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 2, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 2, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		base := mustMmap(t, as, 0, 32*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 		pattern := make([]byte, PageSize)

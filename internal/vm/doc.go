@@ -214,9 +214,7 @@
 // designs — boundary bytes, protections, MAP_FIXED replacement, splits
 // and merges, 1,000 regions, stack growth, file contents, zeroed recycled
 // frames, OOM and recovery, sparse page tables, fork and COW, concurrent
-// faults — then Close's leak check; the forEachPolicy tests also run
-// Hybrid and PureRCU with mapping operations on mmap_sem, as the paper
-// has them. The stress half is internal/torture.
+// faults — then Close's leak check. The stress half is internal/torture.
 //
 // The paper also checked "a model of the VM system designed to capture
 // key races" exhaustively. Here the model is this package. Six schedule

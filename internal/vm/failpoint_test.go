@@ -25,7 +25,7 @@ import (
 // leak check (zero frames in use) is the assertion.
 func TestInjectedAllocFailureLeaksNothing(t *testing.T) {
 	defer fail.DisableAll()
-	forEachPolicy(t, Config{CPUs: 4, Frames: 4096, Backing: true, MaxFamily: 12}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 4, Frames: 4096, Backing: true, MaxFamily: 12}, func(t *testing.T, as *AddressSpace) {
 		if err := fail.Enable(99, "physmem.alloc", fail.Config{OneIn: 20}); err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestInjectedAllocFailureLeaksNothing(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		// The leak check proper runs in forEachPolicy's Close.
+		// The leak check proper runs in forEachDesign's Close.
 	})
 }
 
@@ -70,7 +70,7 @@ func TestInjectedAllocFailureLeaksNothing(t *testing.T) {
 // out for real, and frames an munmap returns serve new faults.
 func TestPermanentAllocFailureTerminates(t *testing.T) {
 	defer fail.DisableAll()
-	forEachPolicy(t, Config{CPUs: 1, Frames: 64, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Frames: 64, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		base := mustMmap(t, as, 0, 4*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 		if err := fail.Enable(7, "physmem.alloc", fail.Config{OneIn: 1}); err != nil {
@@ -183,7 +183,7 @@ func TestOOMKillerRestoresProgress(t *testing.T) {
 // fine on retry once the device heals.
 func TestFillErrorPropagatesTyped(t *testing.T) {
 	defer fail.DisableAll()
-	forEachPolicy(t, Config{CPUs: 1, Frames: 1024, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Frames: 1024, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		f := vma.NewFile("fillerr", 3)
 		base, err := as.Mmap(0, 8*PageSize, vma.ProtRead|vma.ProtWrite, vma.Shared, f, 0)
 		if err != nil {
@@ -219,7 +219,7 @@ func TestFillErrorPropagatesTyped(t *testing.T) {
 // cross-checks must come back clean once the world is quiet.
 func TestAuditsCleanAfterInjectedChurn(t *testing.T) {
 	defer fail.DisableAll()
-	forEachPolicy(t, Config{CPUs: 2, Frames: 2048, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 2, Frames: 2048, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		if err := fail.Enable(5, "physmem.alloc", fail.Config{OneIn: 30}); err != nil {
 			t.Fatal(err)
 		}

@@ -553,7 +553,7 @@ func (as *AddressSpace) Translate(addr uint64) (uint64, bool) {
 // cost the paper measured before disabling it.
 func (c *CPU) lookup(page uint64) *vma.VMA {
 	as := c.as
-	if as.mmapCacheOn {
+	if as.sy.keepsMmapCache() {
 		if v := as.mmapCache.Load(); v != nil && v.Contains(page) {
 			atomic.AddUint64(&c.st.MmapCacheHits, 1)
 			return v
@@ -563,7 +563,7 @@ func (c *CPU) lookup(page uint64) *vma.VMA {
 	if v == nil || !v.Contains(page) {
 		return nil
 	}
-	if as.mmapCacheOn {
+	if as.sy.keepsMmapCache() {
 		atomic.AddUint64(&c.st.MmapCacheMisses, 1)
 		as.mmapCache.Store(v)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestForkCopiesRegionsAndData(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		base := mustMmap(t, as, 0, 8*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 		msg := []byte("written before fork")
@@ -47,7 +47,7 @@ func TestForkCopiesRegionsAndData(t *testing.T) {
 // Rollup — exactly once, before and after: the rollup's counts are the
 // sum of the members' own Stats, the child's teardown included.
 func TestRollupKeepsClosedMembers(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 1}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		base := mustMmap(t, as, 0, 16*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 		for p := uint64(0); p < 16; p++ {
@@ -99,7 +99,7 @@ func TestRollupKeepsClosedMembers(t *testing.T) {
 }
 
 func TestForkCowIsolation(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		base := mustMmap(t, as, 0, 4*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 		orig := bytes.Repeat([]byte{0xAB}, 64)
@@ -166,7 +166,7 @@ func TestForkCowIsolation(t *testing.T) {
 }
 
 func TestForkSharedMappingStaysShared(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		base := mustMmap(t, as, 0, 2*PageSize, vma.ProtRead|vma.ProtWrite, vma.Shared)
 		if err := cpu.WriteBytes(base, []byte{1, 2, 3}); err != nil {
@@ -198,7 +198,7 @@ func TestForkSharedMappingStaysShared(t *testing.T) {
 }
 
 func TestForkUnfaultedPagesAreIndependent(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		base := mustMmap(t, as, 0, 4*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 		child, err := as.Fork()
 		if err != nil {
@@ -225,8 +225,8 @@ func TestForkUnfaultedPagesAreIndependent(t *testing.T) {
 func TestForkParentCloseFirst(t *testing.T) {
 	// Frames shared COW must survive the parent's teardown: the child
 	// still references them.
-	forEachPolicy(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, asOuter *AddressSpace) {
-		// forEachPolicy closes asOuter for us; do the real work with an
+	forEachDesign(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, asOuter *AddressSpace) {
+		// forEachDesign closes asOuter for us; do the real work with an
 		// inner family so we control close order.
 		cfg := asOuter.cfg
 		parent, err := New(cfg)
@@ -263,7 +263,7 @@ func TestForkParentCloseFirst(t *testing.T) {
 }
 
 func TestForkGrandchild(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		base := mustMmap(t, as, 0, PageSize, vma.ProtRead|vma.ProtWrite, 0)
 		if err := cpu.WriteBytes(base, []byte{42}); err != nil {
@@ -327,7 +327,7 @@ func TestForkFamilyLimit(t *testing.T) {
 func TestForkDuringConcurrentFaults(t *testing.T) {
 	// Fork while the parent is actively faulting: every outcome must be
 	// a valid snapshot, and nothing may leak.
-	forEachPolicy(t, Config{CPUs: 2, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 2, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		const pages = 256
 		base := mustMmap(t, as, 0, pages*PageSize, vma.ProtRead|vma.ProtWrite, 0)
 		stop := make(chan struct{})

@@ -17,7 +17,7 @@ import (
 // not 1), and the frames come back to the pool only after the flush's
 // grace period.
 func TestTLBStatsBatched(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 1}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1}, func(t *testing.T, as *AddressSpace) {
 		const pages = 256
 		cpu := as.NewCPU(0)
 		base := mustMmap(t, as, 0, pages*PageSize, vma.ProtRead|vma.ProtWrite, 0)
@@ -66,7 +66,7 @@ func TestTLBGatherFlushInvariant(t *testing.T) {
 		duration = 100 * time.Millisecond
 	}
 	armFlushDelay(t, time.Microsecond)
-	forEachPolicy(t, Config{CPUs: faulters + 1, Frames: 1 << 14, MaxFamily: spaces}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: faulters + 1, Frames: 1 << 14, MaxFamily: spaces}, func(t *testing.T, as *AddressSpace) {
 		f := vma.NewFile("storm.dat", 99)
 		all := []*AddressSpace{as}
 		for i := 1; i < spaces; i++ {

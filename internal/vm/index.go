@@ -33,10 +33,8 @@ type regionIndex interface {
 // rbIndex wraps the mutable red-black tree. With sem (Hybrid's tree
 // lock, §5.2) every mutation takes it in write mode and every read in
 // read mode, faults and mapping operations alike: under range locking a
-// disjoint operation may be writing, and on the global semaphore, where
-// mapping-side reads could go without, the extra acquisition is merely
-// redundant. Without sem (RWLock, FaultLock) the caller's semaphore is
-// the only protection.
+// disjoint operation may be writing. Without sem (RWLock, FaultLock) the
+// caller's semaphore is the only protection.
 type rbIndex struct {
 	t   *rbtree.Tree[*vma.VMA]
 	sem *locks.RWSem

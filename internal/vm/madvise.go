@@ -30,11 +30,8 @@ func (as *AddressSpace) MadviseDontNeed(addr, length uint64) error {
 }
 
 func (as *AddressSpace) madviseInner(op *opCtx, addr, length uint64) error {
-	if addr%PageSize != 0 || length == 0 {
-		return ErrInvalid
-	}
-	length = pageUp(length)
-	if addr >= MaxAddress || length > MaxAddress-addr {
+	length, ok := pageRange(addr, length)
+	if !ok {
 		return ErrInvalid
 	}
 	atomic.AddUint64(&as.stats.op(op).Madvises, 1)

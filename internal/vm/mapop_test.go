@@ -40,18 +40,18 @@ func churnCycle(t testing.TB, as *AddressSpace, cpu *CPU, base uint64) {
 }
 
 // TestDisjointArenasAllDesigns runs map_churn's shape under every
-// policy: workers cycling on private arenas 1 GiB apart. Hybrid and
+// design: workers cycling on private arenas 1 GiB apart. Hybrid and
 // PureRCU range-lock those operations side by side, and none may wait
-// on a range conflict; RWLock and FaultLock, and the RCU designs on the
-// global mmap_sem, serialize them and acquire no range; every policy
-// counts every operation and ends with no region left.
+// on a range conflict; RWLock and FaultLock serialize them on mmap_sem
+// and acquire no range; every design counts every operation and ends
+// with no region left.
 func TestDisjointArenasAllDesigns(t *testing.T) {
 	const workers = 4
 	rounds := 50
 	if testing.Short() {
 		rounds = 10
 	}
-	forEachPolicy(t, Config{CPUs: workers}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: workers}, func(t *testing.T, as *AddressSpace) {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -73,7 +73,7 @@ func TestDisjointArenasAllDesigns(t *testing.T) {
 		if n := as.RegionCount(); n != 0 {
 			t.Errorf("%d regions left after every arena was unmapped", n)
 		}
-		rangeLocked := as.cfg.Design.UsesRCU() && !as.cfg.tune.globalMmapSem
+		rangeLocked := as.cfg.Design.UsesRCU()
 		switch rst := as.RangeStats(); {
 		case rangeLocked && (rst.Acquires == 0 || rst.Conflicts != 0):
 			t.Errorf("disjoint arenas: %d range acquisitions, %d conflicts; want some and none", rst.Acquires, rst.Conflicts)
@@ -270,7 +270,7 @@ func movedStripes(before, after [][]uint64) (moved []int) {
 // manager: each slot's operations move one stripe's words, not the
 // other's.
 func TestDisjointMapOpsWriteOnlyTheirOwnCells(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 2, Frames: 1 << 14, THPScanInterval: -1, tune: tuning{rcuBatch: -1}}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 2, Frames: 1 << 14, THPScanInterval: -1, tune: tuning{rcuBatch: -1}}, func(t *testing.T, as *AddressSpace) {
 		a, b := twoSlots(t, as)
 		cpus := [2]*CPU{as.NewCPU(0), as.NewCPU(1)}
 		// One of every mapping operation, each counter moved at least
@@ -392,9 +392,9 @@ func TestConcurrentMapOpsRetireOnDifferentShards(t *testing.T) {
 // left under the range — emptied by partial unmaps, never covered by
 // one — stay for the new mapping's faults, and Close, whose whole-space
 // unmap is unconditional, still frees every one of them: no frame leaks
-// under any policy (forEachPolicy's Close checks).
+// under any design (forEachDesign's Close checks).
 func TestFixedMmapOverNothingSkipsZapSafely(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 1, Frames: 4096, THPScanInterval: -1}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Frames: 4096, THPScanInterval: -1}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		rw := vma.ProtRead | vma.ProtWrite
 		base := UnmappedBase + 1<<30
@@ -448,7 +448,7 @@ func TestFixedMmapOverNothingSkipsZapSafely(t *testing.T) {
 // because the zap is what frees the page tables the range covers — what
 // Close's whole-space unmap relies on to return every table.
 func TestMunmapOfNothingFreesEmptyTables(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 1, Frames: 4096}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Frames: 4096}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		base := UnmappedBase + 1<<30 // leaf-table aligned
 		before := as.tables.Stats().TablesLive

@@ -71,14 +71,18 @@ func (as *AddressSpace) mmapInner(op *opCtx, addr, length uint64, prot vma.Prot,
 	if length == 0 {
 		return 0, ErrInvalid
 	}
-	length = pageUp(length)
-	if flags&vma.Fixed != 0 {
-		if addr%PageSize != 0 {
-			return 0, ErrInvalid
-		}
-		if addr >= MaxAddress || length > MaxAddress-addr {
-			return 0, ErrInvalid
-		}
+	// A non-fixed addr is only a hint: the length must fit the address
+	// space from 0, or no gap can hold it.
+	fixed, lo := flags&vma.Fixed != 0, uint64(0)
+	if fixed {
+		lo = addr
+	}
+	length, ok := pageRange(lo, length)
+	if !ok && fixed {
+		return 0, ErrInvalid
+	}
+	if !ok {
+		return 0, ErrNoMemory
 	}
 	if file == nil {
 		flags |= vma.Anon
@@ -101,17 +105,14 @@ func (as *AddressSpace) mmapInner(op *opCtx, addr, length uint64, prot vma.Prot,
 	// for a free one, under FaultLock beside running faults (§5.1).
 	base := addr
 	var mg mapGuard
-	if flags&vma.Fixed != 0 {
+	if fixed {
 		mg = as.sy.lock(op, base, base+length, true, true)
-	} else {
-		var ok bool
-		if base, mg, ok = as.sy.reserve(op, pageDown(addr), length); !ok {
-			return 0, ErrNoMemory
-		}
+	} else if base, mg, ok = as.sy.reserve(op, pageDown(addr), length); !ok {
+		return 0, ErrNoMemory
 	}
 	defer mg.unlock()
 	mg.mutate()
-	if flags&vma.Fixed != 0 && as.unmapRegions(op, base, base+length) {
+	if fixed && as.unmapRegions(op, base, base+length) {
 		// MAP_FIXED replaces whatever was there: the old regions are cut
 		// by now (no fault fills through them), and their translations go
 		// before the new region appears. A range no VMA overlapped has
@@ -152,11 +153,8 @@ func (as *AddressSpace) Munmap(addr, length uint64) error {
 }
 
 func (as *AddressSpace) munmapInner(op *opCtx, addr, length uint64) error {
-	if addr%PageSize != 0 || length == 0 {
-		return ErrInvalid
-	}
-	length = pageUp(length)
-	if addr >= MaxAddress || length > MaxAddress-addr {
+	length, ok := pageRange(addr, length)
+	if !ok {
 		return ErrInvalid
 	}
 	atomic.AddUint64(&as.stats.op(op).Munmaps, 1)

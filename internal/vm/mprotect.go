@@ -27,11 +27,8 @@ func (as *AddressSpace) Mprotect(addr, length uint64, prot vma.Prot) error {
 }
 
 func (as *AddressSpace) mprotectInner(op *opCtx, addr, length uint64, prot vma.Prot) error {
-	if addr%PageSize != 0 || length == 0 {
-		return ErrInvalid
-	}
-	length = pageUp(length)
-	if addr >= MaxAddress || length > MaxAddress-addr {
+	length, ok := pageRange(addr, length)
+	if !ok {
 		return ErrInvalid
 	}
 	lo, hi := addr, addr+length

@@ -105,7 +105,7 @@ func (as *AddressSpace) commit(op *opCtx) {
 		clear(op.edits)
 		op.edits = op.edits[:0]
 	}
-	if as.mmapCacheOn {
+	if as.sy.keepsMmapCache() {
 		as.mmapCache.Store(nil)
 	}
 }

@@ -30,7 +30,7 @@ func sibling(t *testing.T, as *AddressSpace) *AddressSpace {
 // unrelated address space (a sibling, not a fork) reads the bytes
 // through its own mapping of the same file — in every design.
 func TestSharedFileCrossSpaceCoherence(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		sib := sibling(t, as)
 		f := vma.NewFile("shm.dat", 4242)
 		baseA, err := as.Mmap(0, 4*PageSize, vma.ProtRead|vma.ProtWrite, vma.Shared, f, 0)
@@ -84,7 +84,7 @@ func TestSharedFileCrossSpaceCoherence(t *testing.T) {
 // reference held by the cache, plus one per mapping PTE; unmapping
 // returns only the mapping references.
 func TestSharedFileFrameRefcounts(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		sib := sibling(t, as)
 		f := vma.NewFile("refs.dat", 7)
 		baseA, err := as.Mmap(0, PageSize, vma.ProtRead, vma.Shared, f, 0)
@@ -141,7 +141,7 @@ func TestSharedFileFrameRefcounts(t *testing.T) {
 // copy-on-write; a write in one space copies the page privately and
 // stays invisible to the other and to the cache.
 func TestPrivateFileCowIsolation(t *testing.T) {
-	forEachPolicy(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Backing: true}, func(t *testing.T, as *AddressSpace) {
 		sib := sibling(t, as)
 		f := vma.NewFile("priv.dat", 99)
 		baseA, err := as.Mmap(0, PageSize, vma.ProtRead|vma.ProtWrite, vma.Private, f, 0)
@@ -242,7 +242,7 @@ func TestSharedFileFaultStorm(t *testing.T) {
 	if testing.Short() {
 		rounds = 3
 	}
-	forEachPolicy(t, Config{CPUs: 1, Backing: true, MaxFamily: spaces}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Backing: true, MaxFamily: spaces}, func(t *testing.T, as *AddressSpace) {
 		f := vma.NewFile("storm.dat", 123)
 		all := []*AddressSpace{as}
 		for i := 1; i < spaces; i++ {

@@ -246,40 +246,6 @@ func TestRangeLockConcurrentGapSearch(t *testing.T) {
 	})
 }
 
-// TestRangeLocksOffBaseline: with range locks off (tuning.globalMmapSem)
-// the RCU designs must fall back to the global semaphore with identical
-// semantics — it is the configuration the paper describes.
-func TestRangeLocksOffBaseline(t *testing.T) {
-	for _, d := range rcuDesigns {
-		t.Run(d.String(), func(t *testing.T) {
-			as, err := New(Config{Design: d, CPUs: 1, tune: tuning{globalMmapSem: true}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if as.sy.rl != nil {
-				t.Fatal("globalMmapSem still enabled range locks")
-			}
-			cpu := as.NewCPU(0)
-			base := mustMmap(t, as, 0, 8*PageSize, vma.ProtRead|vma.ProtWrite, 0)
-			if err := cpu.Fault(base, true); err != nil {
-				t.Fatal(err)
-			}
-			if err := as.Mprotect(base, 4*PageSize, vma.ProtRead); err != nil {
-				t.Fatal(err)
-			}
-			if err := as.Munmap(base, 8*PageSize); err != nil {
-				t.Fatal(err)
-			}
-			if mm, _, _ := as.SemStats(); mm.WriteAcquires == 0 {
-				t.Error("mapping operations with range locks off never took mmap_sem")
-			}
-			if err := as.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestRangeLockStressDisjointOpsVsFaults is the -race stress: several
 // goroutines churn mmap/munmap/mprotect on disjoint arenas while fault
 // workers hammer random pages across all arenas (so they constantly

@@ -134,7 +134,7 @@ func TestMemoryPressureAllDesigns(t *testing.T) {
 		filePages, rounds = 128, 2
 	}
 	cfg := Config{CPUs: workers, MaxFamily: spaces, Backing: true, Frames: uint64(filePages) / 2}
-	forEachPolicy(t, cfg, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, cfg, func(t *testing.T, as *AddressSpace) {
 		file := vma.NewFile("pressure.dat", 11)
 		var wg sync.WaitGroup
 		for si, sp := range []*AddressSpace{as, sibling(t, as)} {

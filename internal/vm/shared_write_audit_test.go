@@ -119,7 +119,7 @@ func wantDeltas(t *testing.T, layer string, got, want map[string]int64) {
 func TestFastPathFaultWritesOnlyItsOwnCells(t *testing.T) {
 	const n = 16 // fits in what a just-refilled magazine holds
 	// The collapse scanner is off so no background pass moves a counter.
-	forEachPolicy(t, Config{CPUs: 2, Frames: 4096, THPScanInterval: -1}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 2, Frames: 4096, THPScanInterval: -1}, func(t *testing.T, as *AddressSpace) {
 		cpus := [2]*CPU{as.NewCPU(0), as.NewCPU(1)}
 		semWant := func(t *testing.T, before, after [3]locks.RWSemStats) {
 			t.Helper()
@@ -170,7 +170,7 @@ func TestFastPathFaultWritesOnlyItsOwnCells(t *testing.T) {
 		}
 		statsWant := map[string]int64{"Faults": n, "PagesMapped": n}
 		cellsWant := map[string]int64{"vm.Faults": n, "vm.PagesMapped": n, "pagetable.ptesFilled": n}
-		if as.mmapCacheOn {
+		if !as.cfg.Design.UsesRCU() {
 			statsWant["MmapCacheHits"] = n
 			cellsWant["vm.MmapCacheHits"] = n
 		}

@@ -18,9 +18,10 @@ import (
 // knows either; the fault, mapping, fork, THP and inspection code is
 // written once against the four questions the policy answers:
 //
-//  1. fault read side: enter/exit bracket one fast-path attempt, and
+//  1. fault read side: enter/exit bracket one fast-path attempt,
 //     readExcludesMapOps says whether that hold keeps mapping operations
-//     from mutating (no §5.2 recheck, copy-on-write breaks in place);
+//     from mutating (no §5.2 recheck, copy-on-write breaks in place),
+//     and keepsMmapCache whether faults keep the mmap cache (§6);
 //  2. pin: hold an interval's mappings still while faults keep running;
 //  3. mapping-operation exclusion: lock, lockAll and reserve return the
 //     mapGuard an operation mutates under, which also carries the
@@ -36,9 +37,9 @@ import (
 //	Hybrid          RCU + treeSem      range lock on the interval
 //	PureRCU         RCU, BONSAI tree   range lock on the interval
 //
-// The RCU designs' range-locked mapping side goes beyond the paper,
-// which leaves mapping operations serialized on mmap_sem; tests still
-// reach that configuration through tuning.globalMmapSem.
+// Both columns follow from whether the fault read side is an RCU
+// section. The RCU designs' range-locked mapping side goes beyond the
+// paper, which leaves mapping operations serialized on mmap_sem.
 type syncPolicy struct {
 	// readSem is what a fast-path fault read-locks while it reads the
 	// region tree and fills the page: mmapSem (RWLock), faultSem
@@ -46,8 +47,8 @@ type syncPolicy struct {
 	// (Hybrid, PureRCU).
 	readSem *locks.RWSem
 
-	// mmapSem serializes mapping operations wherever rl is nil (RWLock,
-	// FaultLock); RWLock faults also read-lock it (§4.1).
+	// mmapSem serializes RWLock's and FaultLock's mapping operations;
+	// RWLock faults also read-lock it (§4.1).
 	mmapSem locks.RWSem
 	// faultSem is FaultLock's fault lock: faults read-lock it, mapping
 	// operations write-lock it around their mutation phase only (§5.1).
@@ -55,9 +56,9 @@ type syncPolicy struct {
 	// treeSem is the Hybrid region tree's lock (§5.2), taken by the tree
 	// itself on every access.
 	treeSem locks.RWSem
-	// rl, when non-nil, replaces mmapSem on the mapping side: an
-	// operation locks only the interval it affects, so operations on
-	// disjoint ranges run concurrently (Hybrid and PureRCU).
+	// rl replaces mmapSem on Hybrid's and PureRCU's mapping side (nil
+	// under RWLock and FaultLock): an operation locks only the interval
+	// it affects, so operations on disjoint ranges run concurrently.
 	rl *ranges.Manager
 
 	idx regionIndex
@@ -66,24 +67,23 @@ type syncPolicy struct {
 // init chooses the policy and builds the region tree that goes with it.
 // RWLock's and FaultLock's plain red-black tree is only ever touched
 // under a semaphore; Hybrid's takes treeSem itself; PureRCU's is the
-// BONSAI tree, whose readers need nothing.
+// BONSAI tree, whose readers need nothing. Only the RCU designs
+// range-lock: the others' faults hold mmapSem (or a lock nested in it)
+// against mapping operations.
 func (p *syncPolicy) init(cfg Config, dom *rcu.Domain) {
 	switch cfg.Design {
 	case PureRCU:
 		p.idx = &bonsaiIndex{t: core.NewTree[*vma.VMA](core.Options{UpdateInPlace: true, Domain: dom})}
+		p.rl = new(ranges.Manager)
 	case Hybrid:
 		p.idx = &rbIndex{t: rbtree.New[*vma.VMA](), sem: &p.treeSem}
+		p.rl = new(ranges.Manager)
 	case FaultLock:
 		p.readSem = &p.faultSem
 		p.idx = &rbIndex{t: rbtree.New[*vma.VMA]()}
 	default:
 		p.readSem = &p.mmapSem
 		p.idx = &rbIndex{t: rbtree.New[*vma.VMA]()}
-	}
-	// Only the RCU designs can drop the global semaphore: the others'
-	// faults hold it (or a lock nested in it) against mapping operations.
-	if p.readSem == nil && !cfg.tune.globalMmapSem {
-		p.rl = new(ranges.Manager)
 	}
 }
 
@@ -109,6 +109,10 @@ func (p *syncPolicy) exit(c *CPU) {
 // not, so those faults double-check the VMA under the PTE lock (§5.2)
 // and send copy-on-write breaks to the retry-with-lock path (§6).
 func (p *syncPolicy) readExcludesMapOps() bool { return p.readSem != nil }
+
+// keepsMmapCache reports whether faults keep stock Linux's mmap cache
+// (§6): only the lock-based designs do (lookup says why).
+func (p *syncPolicy) keepsMmapCache() bool { return p.readSem != nil }
 
 // mapGuard is one hold on the mapping side: a pin, or the exclusion a
 // mapping operation mutates under.

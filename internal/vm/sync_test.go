@@ -89,7 +89,7 @@ func TestRetryReasons(t *testing.T) {
 		{"fill race", retryFillRace, func(s Stats) uint64 { return s.RetriesFillRace }},
 		{"copy-on-write", retryCow, func(s Stats) uint64 { return s.RetriesCow }},
 	}
-	forEachPolicy(t, Config{CPUs: 1}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		base := mustMmap(t, as, 0, PageSize, vma.ProtRead|vma.ProtWrite, 0)
 		for _, o := range outcomes {

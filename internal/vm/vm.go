@@ -152,8 +152,8 @@ type Config struct {
 	// disables the scanner while keeping the huge fault path.
 	THPScanInterval time.Duration
 
-	// tune holds the runtime's batch sizes, watermarks and the mmap_sem
-	// baseline; only this package's tests set it.
+	// tune holds the runtime's batch sizes and watermarks; only this
+	// package's tests set it.
 	tune tuning
 }
 
@@ -172,10 +172,6 @@ type tuning struct {
 	// reclaimBatch bounds the eviction candidates per reclaim scan pass.
 	// Zero means the reclaim package default (64).
 	reclaimBatch int
-	// globalMmapSem serializes Hybrid's and PureRCU's mapping operations
-	// on mmap_sem instead of range-locking them: the paper's own
-	// configuration, kept as a baseline for forEachPolicy's tests.
-	globalMmapSem bool
 }
 
 // DefaultTHPScanInterval paces the collapse scanner's passes (the
@@ -212,8 +208,7 @@ type AddressSpace struct {
 	fam    *family
 	member int // index into the family's magazine partition
 
-	mmapCacheOn bool
-	mmapCache   atomic.Pointer[vma.VMA]
+	mmapCache atomic.Pointer[vma.VMA] // kept only if sy.keepsMmapCache
 
 	mapCPU int // allocator magazine reserved for mapping operations
 
@@ -533,10 +528,6 @@ func newMember(cfg Config, fam *family) (*AddressSpace, error) {
 	}
 	as.sy.init(cfg, as.dom)
 	as.idx = as.sy.idx
-	// Paper §6: the lock-based designs keep stock Linux's mmap cache; the
-	// RCU designs disable it because maintaining it would make every
-	// fault write a shared line (cmd/asplos12's ablation measures why).
-	as.mmapCacheOn = !cfg.Design.UsesRCU()
 	fam.membersMu.Lock()
 	fam.members = append(fam.members, as)
 	fam.membersMu.Unlock()
@@ -619,3 +610,15 @@ func pageDown(addr uint64) uint64 { return addr &^ (PageSize - 1) }
 
 // pageUp rounds addr up to a page boundary.
 func pageUp(addr uint64) uint64 { return (addr + PageSize - 1) &^ (PageSize - 1) }
+
+// pageRange checks a mapping operation's range — addr page-aligned,
+// length nonzero, [addr, addr+length) inside the address space — and
+// returns its length in whole pages. A length above MaxAddress fails
+// before rounding, which would wrap one within a page of 2^64 to zero.
+func pageRange(addr, length uint64) (uint64, bool) {
+	if addr%PageSize != 0 || length == 0 || length > MaxAddress {
+		return 0, false
+	}
+	length = pageUp(length)
+	return length, addr < MaxAddress && length <= MaxAddress-addr
+}

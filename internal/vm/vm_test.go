@@ -9,44 +9,25 @@ import (
 	"bonsai/internal/vma"
 )
 
-// forEachDesign runs the test body once per design: the VM semantics
-// must be identical across all of them (§5 introduces the designs as
-// refinements, not behaviour changes).
+// forEachDesign runs the test body once per design, each on a fresh
+// space built from cfg, and fails the subtest if Close finds a leak: the
+// VM semantics must be identical across all of them (§5 introduces the
+// designs as refinements, not behaviour changes).
 func forEachDesign(t *testing.T, cfg Config, body func(t *testing.T, as *AddressSpace)) {
 	t.Helper()
 	for _, d := range Designs {
 		cfg.Design = d
-		runSpace(t, d.String(), cfg, body)
+		t.Run(d.String(), func(t *testing.T) {
+			as, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body(t, as)
+			if err := as.Close(); err != nil {
+				t.Errorf("teardown: %v", err)
+			}
+		})
 	}
-}
-
-// forEachPolicy runs the body under every design and then under Hybrid
-// and PureRCU with their mapping operations on the global mmap_sem
-// (tuning.globalMmapSem), the configuration the paper describes.
-func forEachPolicy(t *testing.T, cfg Config, body func(t *testing.T, as *AddressSpace)) {
-	t.Helper()
-	forEachDesign(t, cfg, body)
-	cfg.tune.globalMmapSem = true
-	for _, d := range rcuDesigns {
-		cfg.Design = d
-		runSpace(t, d.String()+", global mmap_sem", cfg, body)
-	}
-}
-
-// runSpace runs body as subtest name on a fresh space built from cfg,
-// failing the subtest if Close finds a leak.
-func runSpace(t *testing.T, name string, cfg Config, body func(t *testing.T, as *AddressSpace)) {
-	t.Helper()
-	t.Run(name, func(t *testing.T) {
-		as, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body(t, as)
-		if err := as.Close(); err != nil {
-			t.Errorf("teardown: %v", err)
-		}
-	})
 }
 
 func mustMmap(t *testing.T, as *AddressSpace, addr, length uint64, prot vma.Prot, flags vma.Flags) uint64 {
@@ -182,6 +163,29 @@ func TestMmapInvalidArgs(t *testing.T) {
 		}
 		if err := as.Munmap(0, 0); !errors.Is(err, ErrInvalid) {
 			t.Fatalf("zero-length munmap: %v", err)
+		}
+		// A length within a page of 2^64 must not wrap to zero when
+		// rounded up: every call refuses it as a range that cannot fit.
+		at := UnmappedBase
+		for _, length := range []uint64{^uint64(0), ^uint64(0) - 10} {
+			for _, c := range []struct {
+				name string
+				want error
+				call func() error
+			}{
+				{"mmap", ErrNoMemory, func() error { _, err := as.Mmap(at, length, vma.ProtRead, 0, nil, 0); return err }},
+				{"fixed mmap", ErrInvalid, func() error { _, err := as.Mmap(at, length, vma.ProtRead, vma.Fixed, nil, 0); return err }},
+				{"munmap", ErrInvalid, func() error { return as.Munmap(at, length) }},
+				{"mprotect", ErrInvalid, func() error { return as.Mprotect(at, length, vma.ProtRead) }},
+				{"madvise", ErrInvalid, func() error { return as.MadviseDontNeed(at, length) }},
+			} {
+				if err := c.call(); !errors.Is(err, c.want) {
+					t.Errorf("%s of %#x bytes: %v, want %v", c.name, length, err, c.want)
+				}
+			}
+		}
+		if n := as.RegionCount(); n != 0 {
+			t.Errorf("%d regions after only invalid calls", n)
 		}
 	})
 }

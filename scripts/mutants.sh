@@ -2,9 +2,11 @@
 # Mutant twins of the frame-word guards in internal/physmem, of the
 # page-table spare list's one rule (a published table is never reused),
 # of the fault's §5.2 recheck under the PTE lock, of a non-fixed mmap's
-# re-check of its gap under the held range and of the range manager's
-# stripe lock order (the last three killed by the schedule explorer,
-# which runs the fill, gap and stripe races through every interleaving):
+# re-check of its gap under the held range, of the range manager's
+# stripe lock order (those three killed by the schedule explorer, which
+# runs the fill, gap and stripe races through every interleaving) and of
+# the mapping operations' range check, which must refuse a length within
+# a page of 2^64 before rounding it up wraps it to zero:
 # each guard test passes on the checkout as it stands and must fail on a
 # copy of it with that one guard removed — the proof that the test sees
 # the guard. Each test runs in the package of the file its twin mutates,
@@ -36,6 +38,7 @@ mutants=(
 	'TestExploreFillRace@@internal/vm/fault.go@@recheck = func() bool { return v.Contains(page) }@@recheck = func() bool { return true }'
 	'TestExploreGapRace@@internal/vm/sync.go@@v == nil || v.End() <= base {@@true || v == nil {'
 	'internal/vm:TestExploreStripeRace@@internal/ranges/ranges.go@@i := bits.TrailingZeros16(mask)@@i := (bits.TrailingZeros16(bits.RotateLeft16(mask, -int(lo>>stripeShift%stripeCount))) + int(lo>>stripeShift%stripeCount)) % stripeCount'
+	'TestMmapInvalidArgs@@internal/vm/vm.go@@length == 0 || length > MaxAddress {@@length == 0 {'
 )
 
 mkdir -p "$work/pristine"
