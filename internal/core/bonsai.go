@@ -16,9 +16,14 @@
 // Options.UpdateInPlace for the ablation benchmarks.
 //
 // Mutations are write transactions (Update): one hold of the writer
-// lock, any number of edits, one root publish, and the nodes the edits
-// displaced handed to the RCU domain in one callback. Insert and Delete
-// are one-edit transactions.
+// lock, any number of edits and one root publish. Insert and Delete are
+// one-edit transactions.
+//
+// The paper delay-frees the nodes a writer displaces with rcu_free,
+// because the kernel has no garbage collector. Here the collector is
+// the grace period: a displaced node stays alive while any reader can
+// still reach it, so the tree only counts what it retires and queues
+// nothing with an RCU domain.
 //
 // Keys are uint64 (the VM system keys regions by start address); values
 // are a type parameter.
@@ -26,11 +31,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"bonsai/internal/locks"
-	"bonsai/internal/rcu"
 )
 
 // DefaultWeight is the bounded-balance weight parameter used by the
@@ -47,12 +50,6 @@ type Options struct {
 	// UpdateInPlace enables the §3.3 optimization. NewTree enables it
 	// by default; set Disabled in Ablation to turn it off.
 	UpdateInPlace bool
-
-	// Domain, if non-nil, receives one deferred callback per write
-	// transaction that retired nodes, carrying all of them (rcu_free,
-	// batched). When nil, retired nodes are left to the garbage
-	// collector but are still counted.
-	Domain *rcu.Domain
 }
 
 // node is a tree node (Figure 4). Child pointers are atomic because the
@@ -83,19 +80,15 @@ type Tree[V any] struct {
 	root atomic.Pointer[node[V]]
 	_    [cacheLine - 8]byte
 
-	mu  locks.SpinLock // writer lock; guards everything below but reclaimed
+	mu  locks.SpinLock // writer lock; guards everything below
 	opt Options
 
 	// The transaction in progress: its number (nodes it built carry it,
-	// and are its own to rewrite until the root publish), whether it may
-	// commit in place in published nodes, and the nodes it has retired.
+	// and are its own to rewrite until the root publish) and whether it
+	// may commit in place in published nodes.
 	txn     uint64
 	inPlace bool
-	retired *retiredNodes[V]
 	stats   Stats
-
-	retiredPool sync.Pool     // *retiredNodes[V], back from their callbacks
-	reclaimed   atomic.Uint64 // retired nodes whose grace period has elapsed
 }
 
 // cacheLine is the assumed coherence granule.
@@ -133,45 +126,11 @@ func (t *Tree[V]) mkNode(left, right *node[V], key uint64, val V) *node[V] {
 	return n
 }
 
-// retiredNodes is what one write transaction retired, as the domain
-// sees it: one callback. The holder and its callback are built once and
-// go round through retiredPool, so retiring allocates nothing once the
-// slice has grown to a transaction's size.
-type retiredNodes[V any] struct {
-	t       *Tree[V]
-	nodes   []*node[V]
-	reclaim func() // the bound method, built once
-}
-
 // free retires a node that is no longer reachable from the new version
-// of the tree, in an RCU-delayed manner (rcu_free in the paper): it
-// joins the transaction's retired set, which Update hands to the domain
-// after the root publish.
-func (t *Tree[V]) free(n *node[V]) {
-	t.stats.Frees++
-	if t.opt.Domain == nil {
-		return
-	}
-	if t.retired == nil {
-		r, _ := t.retiredPool.Get().(*retiredNodes[V])
-		if r == nil {
-			r = &retiredNodes[V]{t: t}
-			r.reclaim = r.run
-		}
-		t.retired = r
-	}
-	t.retired.nodes = append(t.retired.nodes, n)
-}
-
-// run is the grace-period callback: no reader can reach the nodes any
-// more. Dropping the references is the free; the holder goes back for
-// the next transaction.
-func (r *retiredNodes[V]) run() {
-	r.t.reclaimed.Add(uint64(len(r.nodes)))
-	clear(r.nodes)
-	r.nodes = r.nodes[:0]
-	r.t.retiredPool.Put(r)
-}
+// of the tree (rcu_free in the paper). A reader that loaded it before
+// the publish may still be on it; the garbage collector keeps it until
+// none is, so retiring is only the count.
+func (t *Tree[V]) free(*node[V]) { t.stats.Frees++ }
 
 func nodeSize[V any](n *node[V]) uint64 {
 	if n == nil {
@@ -182,9 +141,10 @@ func nodeSize[V any](n *node[V]) uint64 {
 
 // Lookup reports the value stored at key. It is lock-free: it reads the
 // root pointer once and each child pointer at most once, and performs no
-// writes to shared memory (Figure 9). Callers inside an RCU read-side
-// critical section are guaranteed that every node they can reach stays
-// valid until they leave the critical section.
+// writes to shared memory (Figure 9). Every node it can reach stays
+// valid while it is on it, however many writers retire the node
+// meanwhile: the garbage collector frees a node only once no reader
+// holds it, so a lookup needs no read-side critical section.
 func (t *Tree[V]) Lookup(key uint64) (V, bool) {
 	n := t.root.Load()
 	for n != nil && n.key != key {
@@ -301,9 +261,8 @@ type Edit[V any] struct {
 }
 
 // Update applies edits, in order, as one write transaction: one hold of
-// the writer lock, one root publish, and one deferred callback for all
-// the nodes the edits displaced. It returns how many edits changed the
-// key set (inserts of new keys, deletes of present ones).
+// the writer lock and one root publish. It returns how many edits
+// changed the key set (inserts of new keys, deletes of present ones).
 //
 // A transaction of several edits is atomic to readers: a lookup racing
 // it finds the tree as it was before the first edit or as it is after
@@ -312,14 +271,7 @@ type Edit[V any] struct {
 // freely, and publishes with the root store — so it leaves O(log n)
 // garbage where the in-place commits of §3.3 leave O(1). A one-edit
 // transaction has no in-between, and commits in place.
-func (t *Tree[V]) Update(edits []Edit[V]) (changed int) { return t.UpdateOn(-1, edits) }
-
-// UpdateOn is Update for callers with a cheap CPU-like identity: shard
-// is the hint the transaction's callback is queued with (rcu.DeferOn),
-// so that a caller's tree retirements and its other deferred frees land
-// on one shard of its own. A negative shard leaves the choice to the
-// domain.
-func (t *Tree[V]) UpdateOn(shard int, edits []Edit[V]) (changed int) {
+func (t *Tree[V]) Update(edits []Edit[V]) (changed int) {
 	t.mu.Lock()
 	t.stats.Txns++
 	t.txn++
@@ -341,16 +293,7 @@ func (t *Tree[V]) UpdateOn(shard int, edits []Edit[V]) (changed int) {
 	if root != old {
 		t.root.Store(root)
 	}
-	r := t.retired
-	t.retired = nil
 	t.mu.Unlock()
-	switch {
-	case r == nil:
-	case shard < 0:
-		t.opt.Domain.Defer(r.reclaim)
-	default:
-		t.opt.Domain.DeferOn(shard, r.reclaim)
-	}
 	return changed
 }
 
@@ -522,7 +465,7 @@ func (t *Tree[V]) mkBalancedR(left, right *node[V], key uint64, val V) *node[V] 
 
 // singleL builds the rotated subtree of Figure 3/Figure 8 functionally:
 // two new nodes, no in-place pointer updates, with the displaced node
-// delay-freed.
+// retired.
 func (t *Tree[V]) singleL(left, right *node[V], key uint64, val V) *node[V] {
 	t.stats.SingleRotations++
 	out := t.mkNode(

@@ -9,11 +9,10 @@ import "fmt"
 type Stats struct {
 	Txns            uint64 // write transactions: holds of the writer lock
 	Allocs          uint64 // nodes allocated
-	Frees           uint64 // nodes retired (delay-freed)
+	Frees           uint64 // nodes retired: displaced, left to the collector
 	SingleRotations uint64
 	DoubleRotations uint64
 	InPlaceCommits  uint64 // subtree commits that avoided path copying
-	Reclaimed       uint64 // retired nodes whose grace period has elapsed (0 without a Domain)
 }
 
 // Rotations returns the total rotation count.
@@ -25,7 +24,6 @@ func (t *Tree[V]) Stats() Stats {
 	t.mu.Lock()
 	st := t.stats
 	t.mu.Unlock()
-	st.Reclaimed = t.reclaimed.Load()
 	return st
 }
 
@@ -34,7 +32,6 @@ func (t *Tree[V]) ResetStats() {
 	t.mu.Lock()
 	t.stats = Stats{}
 	t.mu.Unlock()
-	t.reclaimed.Store(0)
 }
 
 // Validate checks the tree's structural invariants: binary-search-tree

@@ -2,37 +2,23 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"bonsai/internal/rcu"
 )
 
 // TestLockFreeLookupDuringInserts checks the paper's central claim for
 // the read side: a lookup running concurrently with inserts (including
 // the rotations they trigger) never misses a key that was present
 // before the lookup started and is never deleted (§3, Figure 3's race).
-// It runs on a tree whose retired nodes are left to the collector, and
-// on one whose retired nodes go to an RCU domain with a running
-// detector while the readers look up inside read sections, so the
-// domain's grace periods reclaim nodes the readers may still be on.
+// The readers take no read section: retired nodes are left to the
+// garbage collector, and a goroutine forces a collection every few
+// milliseconds while they traverse, so nodes the writer displaced are
+// really reclaimed behind them.
 func TestLockFreeLookupDuringInserts(t *testing.T) {
-	t.Run("gc", func(t *testing.T) { lockFreeLookupDuringInserts(t, nil) })
-	t.Run("domain", func(t *testing.T) {
-		dom := rcu.NewDomain(rcu.Options{})
-		defer dom.Close()
-		lockFreeLookupDuringInserts(t, dom)
-		dom.Synchronize()
-		if ds := dom.Stats(); ds.GracePeriods == 0 || ds.Ran == 0 {
-			t.Fatalf("the domain reclaimed nothing: %+v", ds)
-		}
-	})
-}
-
-func lockFreeLookupDuringInserts(t *testing.T, dom *rcu.Domain) {
-	tr := NewTree[int](Options{UpdateInPlace: true, Domain: dom})
+	tr := New[int]()
 	// Stable keys that are present for the whole test.
 	const stable = 512
 	for i := 0; i < stable; i++ {
@@ -41,16 +27,26 @@ func lockFreeLookupDuringInserts(t *testing.T, dom *rcu.Domain) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	var lookups atomic.Uint64
+	var lookups, collections atomic.Uint64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				runtime.GC()
+				collections.Add(1)
+			}
+		}
+	}()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			var rd *rcu.Reader
-			if dom != nil {
-				rd = dom.Register()
-				defer dom.Unregister(rd)
-			}
 			rng := rand.New(rand.NewSource(seed))
 			for {
 				select {
@@ -59,13 +55,7 @@ func lockFreeLookupDuringInserts(t *testing.T, dom *rcu.Domain) {
 				default:
 				}
 				k := uint64(rng.Intn(stable) * 1000)
-				if rd != nil {
-					rd.Lock()
-				}
 				_, ok := tr.Lookup(k)
-				if rd != nil {
-					rd.Unlock()
-				}
 				if !ok {
 					t.Errorf("lookup lost stable key %d during concurrent inserts", k)
 					return
@@ -88,15 +78,16 @@ func lockFreeLookupDuringInserts(t *testing.T, dom *rcu.Domain) {
 	}
 	// On a fully loaded machine (packages test in parallel) the reader
 	// goroutines may not have been scheduled at all during the writer's
-	// burst; hold the window open until at least one lookup lands so
-	// the assertion below checks the race, not the scheduler.
-	for deadline := time.Now().Add(10 * time.Second); lookups.Load() == 0 && time.Now().Before(deadline); {
+	// burst; hold the window open until at least one lookup lands and
+	// one collection has run, so the assertions below check the race,
+	// not the scheduler.
+	for deadline := time.Now().Add(10 * time.Second); (lookups.Load() == 0 || collections.Load() == 0) && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
-	if lookups.Load() == 0 {
-		t.Fatal("no concurrent lookups ran")
+	if lookups.Load() == 0 || collections.Load() == 0 {
+		t.Fatalf("%d concurrent lookups beside %d collections; want some of each", lookups.Load(), collections.Load())
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -198,49 +189,6 @@ func TestFloorDuringMutation(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestRCUDelayedFree verifies that when a Domain is attached, node
-// retirement is deferred through it, one callback per transaction: every
-// transaction that retired a node queued exactly one callback, none runs
-// before a grace period, and once one has elapsed every retired node —
-// Stats().Frees of them — has been handed over.
-func TestRCUDelayedFree(t *testing.T) {
-	dom := rcu.NewDomain(rcu.Options{BatchSize: -1})
-	tr := NewTree[int](Options{UpdateInPlace: true, Domain: dom})
-	retiring := uint64(0) // transactions that retired at least one node
-	txn := func(edits ...Edit[int]) {
-		before := tr.Stats().Frees
-		tr.Update(edits)
-		if tr.Stats().Frees > before {
-			retiring++
-		}
-	}
-	for i := 0; i < 1000; i++ {
-		txn(Edit[int]{Key: uint64(i), Val: i})
-	}
-	for i := 0; i < 500; i += 4 {
-		// Multi-edit transactions: several deletes and a replacement.
-		txn(Edit[int]{Key: uint64(i * 2), Delete: true},
-			Edit[int]{Key: uint64(i*2 + 2), Delete: true},
-			Edit[int]{Key: uint64(i*2 + 1), Val: -i})
-	}
-	txn(Edit[int]{Key: 1 << 40, Delete: true}) // absent: retires nothing, queues nothing
-	st := tr.Stats()
-	if st.Frees == 0 || retiring == 0 {
-		t.Fatalf("nothing retired: %+v", st)
-	}
-	if ds := dom.Stats(); ds.Defers != retiring || ds.Ran != 0 || st.Reclaimed != 0 {
-		t.Fatalf("before a grace period: %d callbacks queued, %d ran, %d nodes reclaimed; want %d, 0, 0",
-			ds.Defers, ds.Ran, st.Reclaimed, retiring)
-	}
-	dom.Synchronize()
-	if ds := dom.Stats(); ds.Ran != retiring {
-		t.Fatalf("after barrier ran %d callbacks, want %d", ds.Ran, retiring)
-	}
-	if got := tr.Stats().Reclaimed; got != st.Frees {
-		t.Fatalf("after barrier %d nodes reclaimed, tree retired %d", got, st.Frees)
-	}
 }
 
 // TestConcurrentReadersManyWriterBatches is a longer stress combining a

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"bonsai/internal/rcu"
 )
 
 // TestUpdateMatchesSingleEdits is the transaction's defining property:
@@ -72,9 +70,7 @@ func TestUpdateIsAtomicToReaders(t *testing.T) {
 		stride = 1000 // distance between stable keys
 		gens   = 4000
 	)
-	dom := rcu.NewDomain(rcu.Options{})
-	defer dom.Close()
-	tr := NewTree[int](Options{UpdateInPlace: true, Domain: dom})
+	tr := New[int]()
 	for i := 0; i < slots; i++ {
 		tr.Insert(uint64(i)*stride, -1)
 	}
@@ -101,10 +97,7 @@ func TestUpdateIsAtomicToReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rd := dom.Register()
-			defer dom.Unregister(rd)
 			for !stop.Load() {
-				rd.Lock()
 				gen, n := -1, 0
 				tr.Ascend(func(k uint64, v int) bool {
 					if k%stride == 0 {
@@ -117,7 +110,6 @@ func TestUpdateIsAtomicToReaders(t *testing.T) {
 					gen, n = v, n+1
 					return true
 				})
-				rd.Unlock()
 				if n != group {
 					t.Errorf("one traversal found %d keys of generation %d, want %d", n, gen, group)
 				}

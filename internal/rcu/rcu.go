@@ -7,8 +7,10 @@
 //     (mirroring the paper's requirement that page faults not contend on
 //     shared lines).
 //   - Defer (the analogue of call_rcu): run a callback after a grace
-//     period, used to delay-free tree nodes, VMAs, page tables, and
-//     physical frames (§5.2, Figure 11). Defer is asynchronous: it
+//     period, used to delay-free physical frames — the frames of data
+//     pages, page tables and the page cache (§5.2, Figure 11); tree
+//     nodes and VMAs are Go objects, left to the collector. Defer is
+//     asynchronous: it
 //     appends to a per-shard callback segment and returns. It never
 //     waits for a grace period and never takes a domain-global lock,
 //     so retiring memory from the munmap path costs one padded
@@ -17,9 +19,8 @@
 //     is picked by a goroutine-affine hint, or by DeferOn's caller id (a
 //     fault's CPU, a mapping operation's slot), so concurrent operations
 //     spread across shards whatever addresses they touch. A callback is
-//     a function value the retiring side keeps (a tree transaction's
-//     retired nodes, a gather's frame batch), so queuing allocates
-//     nothing.
+//     a function value the retiring side keeps (a gather's frame
+//     batch), so queuing allocates nothing.
 //   - A background grace-period detector (the analogue of the kernel's
 //     softirq callback processing): a goroutine that advances the
 //     epoch, waits for pre-existing readers with spin, yield and then
@@ -32,12 +33,13 @@
 //     points. Mutators that must observe reclamation (teardown, leak
 //     checks, OOM recovery) call Synchronize; nothing else blocks.
 //
-// Although Go's garbage collector already guarantees that memory is not
-// recycled while a reader can still reach it, the VM system reuses
-// *resources* — physical frames and page-table frames — through its own
-// allocator. Returning those to the allocator before a grace period has
-// elapsed is a real bug that this package's grace-period machinery
-// prevents, exactly as in the kernel.
+// Go's garbage collector already guarantees that memory is not recycled
+// while a reader can still reach it, so the BONSAI tree's displaced
+// nodes need no grace period here. But the VM system reuses *resources*
+// — physical frames, page-table frames among them — through its own
+// allocator, by number. Returning those to the allocator before a grace
+// period has elapsed is a real bug that this package's grace-period
+// machinery prevents, exactly as in the kernel.
 package rcu
 
 import (
@@ -306,8 +308,8 @@ func (d *Domain) Defer(fn func()) { d.DeferOn(d.hint(), fn) }
 // already have a cheap CPU-like identity (the VM layer passes a fault's
 // CPU id or a mapping operation's slot). Hints beyond the shard count
 // wrap around. fn is stored as given: a caller that keeps one function
-// value per recycled batch (tlb's frame batches, core's retired-node
-// lists) queues it without allocating.
+// value per recycled batch (tlb's frame batches) queues it without
+// allocating.
 func (d *Domain) DeferOn(hint int, fn func()) {
 	if d.closed.Load() {
 		panic("rcu: Defer on closed Domain")

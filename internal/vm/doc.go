@@ -106,11 +106,12 @@
 // the stripes it touches, and the tree's writer spinlock, because all it
 // changes in the tree is one transaction (regionIndex.edit, one
 // core.Tree.Update and one root publish under PureRCU); at most one RCU
-// callback for the nodes it retired and one for the frames it released;
-// and no allocation beyond the VMAs and nodes it publishes
-// (TestMapCycleCounts, TestMapCycleAllocs). The rest comes from an
-// operation context (opctx.go), pooled per processor: the range guard,
-// the TLB gather, the scratch lists and a slot. A slot stands in for a
+// callback, for the frames it released (the tree nodes it displaced
+// are left to the garbage collector, which frees none while a fault can
+// still reach it); and no allocation beyond the VMAs and nodes it
+// publishes (TestMapCycleCounts, TestMapCycleAllocs). The rest comes
+// from an operation context (opctx.go), pooled per processor: the range
+// guard, the TLB gather, the scratch lists and a slot. A slot stands in for a
 // CPU id — operations run on any goroutine — and picks the operation's
 // cell in every per-slot counter and its RCU shard, so operations on
 // disjoint ranges count and retire on lines of their own

@@ -17,9 +17,8 @@ type regionIndex interface {
 	// edit applies one mapping operation's changes, in order, under one
 	// hold of the index's writer lock: each edit inserts its VMA at its
 	// start (replacing the VMA keyed there, if any) or deletes the VMA
-	// keyed by its start. shard is the RCU shard hint for whatever the
-	// index retires.
-	edit(shard int, edits []regionEdit)
+	// keyed by its start.
+	edit(edits []regionEdit)
 	// floor returns the VMA with the greatest start <= addr.
 	floor(addr uint64) *vma.VMA
 	// ceiling returns the VMA with the smallest start >= addr.
@@ -40,7 +39,7 @@ type rbIndex struct {
 	sem *locks.RWSem
 }
 
-func (i *rbIndex) edit(_ int, edits []regionEdit) {
+func (i *rbIndex) edit(edits []regionEdit) {
 	if i.sem != nil {
 		i.sem.Lock()
 		defer i.sem.Unlock()
@@ -98,7 +97,7 @@ type bonsaiIndex struct {
 	t *core.Tree[*vma.VMA]
 }
 
-func (i *bonsaiIndex) edit(shard int, edits []regionEdit) { i.t.UpdateOn(shard, edits) }
+func (i *bonsaiIndex) edit(edits []regionEdit) { i.t.Update(edits) }
 
 func (i *bonsaiIndex) floor(addr uint64) *vma.VMA {
 	_, v, _ := i.t.Floor(addr)

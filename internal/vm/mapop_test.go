@@ -87,8 +87,7 @@ func TestDisjointArenasAllDesigns(t *testing.T) {
 // budget: beyond the VMAs and tree nodes it publishes, nothing. One
 // map_churn cycle on PureRCU publishes three VMAs (the mapping, and the
 // two pieces mprotect splits it into) and their tree nodes; guards,
-// gathers, retired-node lists, frame batches and their callbacks all
-// come out of pools. (29 allocations and 1.08 KB before the operation
+// gathers, frame batches and their callbacks all come out of pools. (29 allocations and 1.08 KB before the operation
 // context.)
 func TestMapCycleAllocs(t *testing.T) {
 	if race.Enabled {
@@ -133,9 +132,9 @@ func TestMapCycleAllocs(t *testing.T) {
 // Hybrid's tree lock in write mode; six holds a cycle before the tree
 // transaction) and acquires its range once — mprotect asks for the
 // whole VMA's extent at the outset rather than widening into it — and
-// queues at most one callback for the tree nodes it retired and one for
-// the frames (three a cycle: mprotect's replaced node, munmap's deleted
-// nodes and its frames; about six, one per node, before).
+// the cycle queues exactly one RCU callback: munmap's frames. The tree
+// nodes the operations displace are left to the garbage collector under
+// both designs, so they queue nothing.
 func TestMapCycleCounts(t *testing.T) {
 	const cycles = 100
 	for _, design := range []Design{Hybrid, PureRCU} {
@@ -166,14 +165,8 @@ func TestMapCycleCounts(t *testing.T) {
 			if got := as.RangeStats().Acquires - ranges; got != 3*cycles {
 				t.Errorf("%d range acquisitions in %d cycles, want 3 a cycle", got, cycles)
 			}
-			// Hybrid's plain tree retires nothing: its one callback a
-			// cycle is munmap's frames.
-			want := uint64(3 * cycles)
-			if design == Hybrid {
-				want = cycles
-			}
-			if got := as.dom.Stats().Defers - defers; got > want {
-				t.Errorf("%d RCU callbacks in %d cycles, want at most %d", got, cycles, want)
+			if got := as.dom.Stats().Defers - defers; got != cycles {
+				t.Errorf("%d RCU callbacks in %d cycles, want one a cycle (munmap's frames)", got, cycles)
 			}
 		})
 	}

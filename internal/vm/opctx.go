@@ -101,7 +101,7 @@ func (as *AddressSpace) collectOverlaps(op *opCtx, lo, hi uint64) []*vma.VMA {
 // shared line).
 func (as *AddressSpace) commit(op *opCtx) {
 	if len(op.edits) > 0 {
-		as.idx.edit(op.slot, op.edits)
+		as.idx.edit(op.edits)
 		clear(op.edits)
 		op.edits = op.edits[:0]
 	}

@@ -6,7 +6,6 @@ import (
 	"bonsai/internal/locks"
 	"bonsai/internal/ranges"
 	"bonsai/internal/rbtree"
-	"bonsai/internal/rcu"
 	"bonsai/internal/stats"
 	"bonsai/internal/vma"
 )
@@ -70,10 +69,10 @@ type syncPolicy struct {
 // BONSAI tree, whose readers need nothing. Only the RCU designs
 // range-lock: the others' faults hold mmapSem (or a lock nested in it)
 // against mapping operations.
-func (p *syncPolicy) init(cfg Config, dom *rcu.Domain) {
+func (p *syncPolicy) init(cfg Config) {
 	switch cfg.Design {
 	case PureRCU:
-		p.idx = &bonsaiIndex{t: core.NewTree[*vma.VMA](core.Options{UpdateInPlace: true, Domain: dom})}
+		p.idx = &bonsaiIndex{t: core.NewTree[*vma.VMA](core.Options{UpdateInPlace: true})}
 		p.rl = new(ranges.Manager)
 	case Hybrid:
 		p.idx = &rbIndex{t: rbtree.New[*vma.VMA](), sem: &p.treeSem}

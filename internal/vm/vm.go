@@ -526,7 +526,7 @@ func newMember(cfg Config, fam *family) (*AddressSpace, error) {
 		fam.releaseMember(member)
 		return nil, oomError(err)
 	}
-	as.sy.init(cfg, as.dom)
+	as.sy.init(cfg)
 	as.idx = as.sy.idx
 	fam.membersMu.Lock()
 	fam.members = append(fam.members, as)
