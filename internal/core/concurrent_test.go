@@ -16,8 +16,13 @@ import (
 // The readers take no read section: retired nodes are left to the
 // garbage collector, and a goroutine forces a collection every few
 // milliseconds while they traverse, so nodes the writer displaced are
-// really reclaimed behind them.
+// really reclaimed behind them. The collector is the tree's only
+// reclamation, so "gc" is the test's one case.
 func TestLockFreeLookupDuringInserts(t *testing.T) {
+	t.Run("gc", lockFreeLookupDuringInserts)
+}
+
+func lockFreeLookupDuringInserts(t *testing.T) {
 	tr := New[int]()
 	// Stable keys that are present for the whole test.
 	const stable = 512

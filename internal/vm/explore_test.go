@@ -232,10 +232,13 @@ func waitReasons() map[int64]string {
 // blockedReason reports whether a goroutine in this state waits for
 // another goroutine to release it: a channel, a mutex, a condition
 // variable. Running, runnable, sleeping and GC states all move on by
-// themselves.
+// themselves, and so does "semacquire": every sync primitive reports a
+// reason of its own, so a plain semaphore wait is the runtime's — an
+// allocation that starts a collection queues for the world while the
+// explorer's own goroutine dump has it stopped.
 func blockedReason(state string) bool {
 	return strings.HasPrefix(state, "chan ") || strings.HasPrefix(state, "sync.") ||
-		state == "select" || state == "semacquire"
+		state == "select"
 }
 
 // raceRun is one schedule's address space and threads, built afresh
