@@ -15,8 +15,9 @@
 //   - /proc/<tenant>/smaps: per-VMA extent, protection, RSS, the
 //     private/COW and shared/file split, dirty pages;
 //   - /proc/locks: each range manager's held guards and waiter queues;
-//   - /proc/rcu: RCU domain counters, the grace period in flight and each
-//     shard's callback backlog;
+//   - /proc/rcu: RCU domain counters, the grace period in flight, its
+//     latency's p50/p99/max (the histogram vm_gp_latency_ns also
+//     reports) and each shard's callback backlog;
 //   - /debug/contention: top lock sites by cumulative contended wait
 //     (?format=json for tooling);
 //   - /snapshot.json: the snapshot and the contention list, which vmtop

@@ -490,16 +490,27 @@ func TestRangeContentionAttribution(t *testing.T) {
 	t.Fatalf("no range-lock contention attributed after overlapping madvise storm: %+v", sites)
 }
 
-// TestRCUView sanity-checks /proc/rcu renders the shard backlog table.
+// TestRCUView sanity-checks /proc/rcu renders the shard backlog table,
+// and that its GPLatency line is the p50/p99/max of Stats.GP.
 func TestRCUView(t *testing.T) {
 	h := testHost(t, vm.PureRCU, 1024)
 	populate(t, h, "alpha", 0, 16)
 	srv := startServer(t, h, "test")
 	_, body := scrape(t, srv, "/proc/rcu")
-	for _, want := range []string{"GracePeriods:", "Readers:", "shard"} {
+	for _, want := range []string{"GracePeriods:", "Readers:", "GPLatency:        p50 ", "shard"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/proc/rcu missing %q:\n%s", want, body)
 		}
+	}
+
+	var b strings.Builder
+	sn := Snapshot{RCU: rcu.Stats{GracePeriods: 3,
+		GP: stats.LatencyStats{Count: 3, P50Ns: 18_200, P99Ns: 95_000, P999Ns: 95_000, MaxNs: 120_400}}}
+	if err := WriteRCU(&b, sn); err != nil {
+		t.Fatal(err)
+	}
+	if want := "GPLatency:        p50 18µs  p99 95µs  max 120µs\n"; !strings.Contains(b.String(), want) {
+		t.Fatalf("/proc/rcu of %+v lacks %q:\n%s", sn.RCU.GP, want, b.String())
 	}
 }
 

@@ -93,7 +93,8 @@ func WriteLocks(w io.Writer, h *vm.Host) error {
 }
 
 // WriteRCU renders sn's RCU domain as /proc/rcu: domain counters,
-// grace-period latency, and the per-shard callback backlog.
+// grace-period latency (p50/p99/max of Stats.GP, the one histogram
+// /metrics summarizes too), and the per-shard callback backlog.
 func WriteRCU(w io.Writer, sn Snapshot) error {
 	pw := &errWriter{w: w}
 	st := sn.RCU
@@ -107,9 +108,8 @@ func WriteRCU(w io.Writer, sn Snapshot) error {
 	pw.printf("CallbacksRan:     %8d\n", st.Ran)
 	pw.printf("Pending:          %8d (high water %d)\n", st.Pending, st.PendingHighWater)
 	pw.printf("OverBudget:       %8d\n", st.OverBudget)
-	pw.printf("GPLatency:        avg %v  max %v  p99 %v\n",
-		st.GPLatencyAvg.Round(time.Microsecond), st.GPLatencyMax.Round(time.Microsecond),
-		time.Duration(st.GP.P99Ns).Round(time.Microsecond))
+	us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
+	pw.printf("GPLatency:        p50 %v  p99 %v  max %v\n", us(st.GP.P50Ns), us(st.GP.P99Ns), us(st.GP.MaxNs))
 	for i, n := range st.ShardPending {
 		pw.printf("shard %2d: pending %6d  queued %8d  drains %8d\n", i, n, st.ShardQueued[i], st.ShardDrains[i])
 	}

@@ -503,11 +503,12 @@ func (c *Cache) insertLocked(off uint64, pg *Page) {
 }
 
 // Drop removes every resident page with byte offset in [lo, hi) and
-// returns how many were removed. Each page is marked deleted, unlinked,
-// and its cache-owned frame reference released only after an RCU grace
-// period — a lock-free faulter that found the page before the drop can
-// still take its mapping reference safely inside its read section (its
-// deleted-mark double check then sends it back for a retry).
+// returns how many were removed. Each page is marked deleted and
+// unlinked, and the cache-owned frame references of all of them are
+// released by one FreeBatch after an RCU grace period — a lock-free
+// faulter that found a page before the drop can still take its mapping
+// reference safely inside its read section (its deleted-mark double
+// check then sends it back for a retry).
 //
 // Dropping does not zap page-table entries: like removing a page from
 // the kernel's page cache, existing mappings keep their frames (and
@@ -521,7 +522,7 @@ func (c *Cache) Drop(lo, hi uint64) int {
 	}
 	c.lock()
 	defer c.mu.Unlock()
-	dropped := 0
+	var frames []physmem.Frame
 	c.walkLocked(c.root, func(n *node, slot int, pg *Page) {
 		if pg.off < lo || pg.off >= hi {
 			return
@@ -531,11 +532,12 @@ func (c *Cache) Drop(lo, hi uint64) int {
 		if pg.dirty.Swap(false) {
 			c.dirtyPages.Add(-1)
 		}
-		frame := pg.frame
-		c.reg.clear(frame)
-		c.dom.Defer(func() { c.alloc.FreeRemote(frame) })
-		dropped++
+		c.reg.clear(pg.frame)
+		frames = append(frames, pg.frame)
 	})
+	if len(frames) > 0 {
+		c.dom.Defer(func() { c.alloc.FreeBatch(frames) })
+	}
 	// Truncate semantics extend to the backing store and the refault
 	// tracking: a fill after a Drop is a fresh page, never a resurrected
 	// pre-truncate copy, and never counts as a refault.
@@ -549,9 +551,9 @@ func (c *Cache) Drop(lo, hi uint64) int {
 			delete(c.evictedOffs, off)
 		}
 	}
-	c.resident.Add(int64(-dropped))
-	c.dropped.Add(uint64(dropped))
-	return dropped
+	c.resident.Add(int64(-len(frames)))
+	c.dropped.Add(uint64(len(frames)))
+	return len(frames)
 }
 
 // DropAll removes every resident page (teardown, or a simulated

@@ -104,6 +104,8 @@ func TestCoalesce(t *testing.T) {
 	}
 }
 
+// TestDropReleasesFrames: a Drop unlinks the pages in its range and
+// returns all their frames in one RCU callback, after a grace period.
 func TestDropReleasesFrames(t *testing.T) {
 	c, alloc, dom := newTestCache(t, 1)
 	var frames []physmem.Frame
@@ -115,9 +117,19 @@ func TestDropReleasesFrames(t *testing.T) {
 		frames = append(frames, pg.Frame())
 	}
 	pg := c.Lookup(2 * physmem.PageSize)
-	if n := c.Drop(physmem.PageSize, 3*physmem.PageSize); n != 2 {
-		t.Fatalf("dropped %d, want 2", n)
+	// dropOne drops [lo, hi), which must hold want resident pages, with
+	// one RCU callback.
+	dropOne := func(lo, hi uint64, want int) {
+		t.Helper()
+		before := dom.Stats().Defers
+		if n := c.Drop(lo, hi); n != want {
+			t.Fatalf("Drop(%#x, %#x) removed %d, want %d", lo, hi, n, want)
+		}
+		if n := dom.Stats().Defers - before; n != 1 {
+			t.Fatalf("a Drop of %d pages queued %d RCU callbacks, want 1", want, n)
+		}
 	}
+	dropOne(physmem.PageSize, 3*physmem.PageSize, 2)
 	if !pg.Deleted() {
 		t.Fatal("dropped page not marked deleted")
 	}
@@ -134,12 +146,16 @@ func TestDropReleasesFrames(t *testing.T) {
 	if !alloc.Allocated(frames[0]) || !alloc.Allocated(frames[3]) {
 		t.Fatal("resident frames were freed")
 	}
-	if n := c.DropAll(); n != 2 {
-		t.Fatalf("DropAll removed %d, want 2", n)
+	if n := alloc.InUse(); n != 2 {
+		t.Fatalf("%d frames in use after dropping 2 of 4, want 2", n)
 	}
+	dropOne(0, MaxOffset, 2)
 	dom.Synchronize()
 	if alloc.InUse() != 0 {
 		t.Fatalf("%d frames leaked", alloc.InUse())
+	}
+	if err := alloc.AuditBuddy(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // budget the queue grows. The old implementation ran Synchronize inline
 // once the batch filled and hung exactly here.
 func TestDeferNeverBlocksOnGracePeriod(t *testing.T) {
-	d := NewDomain(Options{BatchSize: 4, MaxPending: 8})
+	d := newDomain(4, 1, 8)
 	r := d.Register()
 
 	r.Lock()
@@ -93,7 +93,7 @@ func TestTrickleDrains(t *testing.T) {
 // Synchronize callers and cycling readers; run under -race in CI. Every
 // callback must run exactly once and only after a grace period.
 func TestConcurrentDeferSynchronize(t *testing.T) {
-	d := NewDomain(Options{BatchSize: 32, Shards: 4})
+	d := newDomain(32, 4, maxPending/4)
 	defer d.Close()
 
 	const (
@@ -158,9 +158,9 @@ func TestConcurrentDeferSynchronize(t *testing.T) {
 }
 
 // TestShardDistribution checks that explicit hints land on their shard
-// and that automatic hints account for every callback.
+// and that Defer, from any goroutine, queues on shard 0.
 func TestShardDistribution(t *testing.T) {
-	d := NewDomain(Options{BatchSize: -1, Shards: 8})
+	d := newDomain(-1, 8, maxPending/8)
 	const perShard = 8
 	for i := 0; i < 8*perShard; i++ {
 		d.DeferOn(i%8, func() {})
@@ -180,7 +180,6 @@ func TestShardDistribution(t *testing.T) {
 		t.Fatalf("wrapped hint landed wrong: shard 0 queued %d", q)
 	}
 
-	// Automatic hints: everything is accounted for, wherever it lands.
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -193,13 +192,12 @@ func TestShardDistribution(t *testing.T) {
 	}
 	wg.Wait()
 	st = d.Stats()
-	var sum uint64
-	for _, q := range st.ShardQueued {
-		sum += q
+	if q := st.ShardQueued[0]; q != perShard+1+400 {
+		t.Fatalf("Defer landed off shard 0: %v", st.ShardQueued)
 	}
 	want := uint64(8*perShard + 1 + 400)
-	if sum != want || st.Defers != want {
-		t.Fatalf("queued sum = %d, Defers = %d, want %d", sum, st.Defers, want)
+	if st.Defers != want {
+		t.Fatalf("Defers = %d, want %d", st.Defers, want)
 	}
 	d.Synchronize()
 	if st := d.Stats(); st.Ran != want || st.Pending != 0 {
@@ -229,7 +227,8 @@ func TestCloseFlushes(t *testing.T) {
 	d.Defer(func() {})
 }
 
-// TestGracePeriodLatencyStats checks the new observability counters.
+// TestGracePeriodLatencyStats checks the grace-period latency
+// histogram and the per-shard drain counts.
 func TestGracePeriodLatencyStats(t *testing.T) {
 	d := NewDomain(Options{BatchSize: -1})
 	r := d.Register()
@@ -249,11 +248,14 @@ func TestGracePeriodLatencyStats(t *testing.T) {
 	d.Defer(func() {})
 	d.Synchronize()
 	st := d.Stats()
-	if st.GPLatencyMax < 2*time.Millisecond {
-		t.Fatalf("GPLatencyMax = %v, want >= the reader's ~5ms dwell", st.GPLatencyMax)
+	if st.GP.Count != 1 {
+		t.Fatalf("GP.Count = %d, want 1", st.GP.Count)
 	}
-	if st.GPLatencyAvg <= 0 {
-		t.Fatalf("GPLatencyAvg = %v", st.GPLatencyAvg)
+	if worst := time.Duration(st.GP.MaxNs); worst < 2*time.Millisecond {
+		t.Fatalf("GP.MaxNs = %v, want >= the reader's ~5ms dwell", worst)
+	}
+	if st.GP.P50Ns != st.GP.MaxNs {
+		t.Fatalf("GP = %+v: one grace period, yet p50 != max", st.GP)
 	}
 	var drains uint64
 	for _, n := range st.ShardDrains {
@@ -272,7 +274,7 @@ func TestGracePeriodLatencyStats(t *testing.T) {
 func TestWakeHandsOffToDetector(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const batch = 256
-	d := NewDomain(Options{BatchSize: batch, Shards: 1})
+	d := newDomain(batch, 1, maxPending)
 	defer d.Close()
 	noop := func() {}
 	for i := 0; i < 400*batch; i++ {

@@ -6,21 +6,21 @@
 //     stores to shared cache lines beyond one padded per-reader slot
 //     (mirroring the paper's requirement that page faults not contend on
 //     shared lines).
-//   - Defer (the analogue of call_rcu): run a callback after a grace
+//   - DeferOn (the analogue of call_rcu): run a callback after a grace
 //     period, used to delay-free physical frames — the frames of data
 //     pages, page tables and the page cache (§5.2, Figure 11); tree
-//     nodes and VMAs are Go objects, left to the collector. Defer is
-//     asynchronous: it
-//     appends to a per-shard callback segment and returns. It never
-//     waits for a grace period and never takes a domain-global lock,
-//     so retiring memory from the munmap path costs one padded
+//     nodes and VMAs are Go objects, left to the collector. DeferOn is
+//     asynchronous: it appends to one callback shard and returns. It
+//     never waits for a grace period and never takes a domain-global
+//     lock, so retiring memory from the munmap path costs one padded
 //     per-shard append — reclamation stays off the mutation hot path,
 //     which is the paper's central scalability requirement. The shard
-//     is picked by a goroutine-affine hint, or by DeferOn's caller id (a
-//     fault's CPU, a mapping operation's slot), so concurrent operations
-//     spread across shards whatever addresses they touch. A callback is
-//     a function value the retiring side keeps (a gather's frame
-//     batch), so queuing allocates nothing.
+//     is the caller's id (a fault's CPU, a mapping operation's slot),
+//     so concurrent operations spread across shards whatever addresses
+//     they touch; Defer, for a caller with no such id (a page-cache
+//     truncate), queues on shard 0. A callback is a function value the
+//     retiring side keeps (a gather's frame batch), so queuing
+//     allocates nothing.
 //   - A background grace-period detector (the analogue of the kernel's
 //     softirq callback processing): a goroutine that advances the
 //     epoch, waits for pre-existing readers with spin, yield and then
@@ -81,9 +81,9 @@ type Domain struct {
 	// touched by Defer.
 	gpMu sync.Mutex
 
-	opts       Options
-	wakeThresh int // per-shard pending count that wakes the detector
-	budget     int // per-shard pending count considered over budget
+	manual     bool // no detector: callbacks run only in Synchronize
+	wakeThresh int  // per-shard pending count that wakes the detector
+	budget     int  // per-shard pending count considered over budget
 
 	wake      chan struct{} // buffered(1) nudge to the detector
 	stopc     chan struct{}
@@ -92,15 +92,9 @@ type Domain struct {
 	exited    chan struct{}
 	closed    atomic.Bool
 
-	// hintPool hands out goroutine-affine shard hints; see hint().
-	hintPool sync.Pool
-	hintSeq  atomic.Uint32
-
 	// statistics
 	gpActive     atomic.Bool // a grace period is executing right now
 	gracePeriods atomic.Uint64
-	gpTotalNanos atomic.Uint64
-	gpMaxNanos   atomic.Uint64
 	pendingHW    atomic.Int64
 	overBudget   atomic.Uint64
 
@@ -147,77 +141,56 @@ type Options struct {
 	// run only when the caller invokes Synchronize,
 	// which keeps reclamation deterministic for tests.
 	BatchSize int
-
-	// Shards is the number of callback segments, rounded up to a power
-	// of two. Zero means a power of two covering GOMAXPROCS, capped at
-	// MaxShards.
-	Shards int
-
-	// MaxPending is the backpressure budget. It is divided evenly
-	// across the shards; when one shard's pending count exceeds its
-	// slice (so a skewed retire pattern trips it sooner than a
-	// perfectly spread one), Defer counts the event in
-	// Stats.OverBudget, urgently wakes the detector, and yields its
-	// timeslice so the detector can run on a saturated machine. Defer
-	// still never waits for a grace period — with readers active there
-	// is nothing useful a blocked writer could wait for (that inline
-	// wait is exactly the deadlock the synchronous design had). Zero
-	// means DefaultMaxPending.
-	MaxPending int
 }
 
 // DefaultBatchSize is the automatic drain threshold used when
 // Options.BatchSize is zero.
 const DefaultBatchSize = 4096
 
-// DefaultMaxPending is the default backpressure budget. It is sized so
-// the yield-based safety valve only engages when reclamation has truly
-// fallen behind (a wedged reader), not during ordinary bursts.
-const DefaultMaxPending = 1 << 17
+// maxPending is the backpressure budget, divided evenly across the
+// shards. When one shard's pending count exceeds its slice, DeferOn
+// counts the event in Stats.OverBudget, urgently wakes the detector,
+// and yields its timeslice so the detector can run on a saturated
+// machine. It still never waits for a grace period — with readers
+// active there is nothing useful a blocked writer could wait for. The
+// budget is sized so this safety valve only engages when reclamation
+// has truly fallen behind (a wedged reader), not during ordinary
+// bursts.
+const maxPending = 1 << 17
 
-// MaxShards caps the shard count.
-const MaxShards = 64
+// maxShards caps the shard count.
+const maxShards = 64
 
-// NewDomain returns a ready-to-use RCU domain. Domains with a
-// non-negative BatchSize lazily start one background detector goroutine
-// on first Defer; call Close to stop it and flush remaining callbacks.
+// NewDomain returns a ready-to-use RCU domain with one callback shard
+// per processor (GOMAXPROCS rounded up to a power of two, at most
+// maxShards). Domains with a non-negative BatchSize lazily start one
+// background detector goroutine on first Defer; call Close to stop it
+// and flush remaining callbacks.
 func NewDomain(opts Options) *Domain {
-	if opts.BatchSize == 0 {
-		opts.BatchSize = DefaultBatchSize
-	}
-	if opts.MaxPending <= 0 {
-		opts.MaxPending = DefaultMaxPending
-	}
-	n := opts.Shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > MaxShards {
-		n = MaxShards
+	batch := opts.BatchSize
+	if batch == 0 {
+		batch = DefaultBatchSize
 	}
 	shards := 1
-	for shards < n {
+	for shards < min(runtime.GOMAXPROCS(0), maxShards) {
 		shards <<= 1
 	}
-	d := &Domain{
-		opts:   opts,
-		shards: make([]shard, shards),
+	return newDomain(batch, shards, maxPending/shards)
+}
 
-		shardMask: uint32(shards - 1),
-		wake:      make(chan struct{}, 1),
-		stopc:     make(chan struct{}),
-		exited:    make(chan struct{}),
-	}
-	if d.wakeThresh = opts.BatchSize / shards; d.wakeThresh < 1 {
-		d.wakeThresh = 1
-	}
-	if d.budget = opts.MaxPending / shards; d.budget < 1 {
-		d.budget = 1
-	}
-	d.hintPool.New = func() any {
-		h := new(uint32)
-		*h = d.hintSeq.Add(1) - 1
-		return h
+// newDomain returns a domain of shards callback shards (a power of
+// two), each woken at its share of batch (negative: never) and over
+// budget past budget pending callbacks.
+func newDomain(batch, shards, budget int) *Domain {
+	d := &Domain{
+		manual:     batch < 0,
+		shards:     make([]shard, shards),
+		shardMask:  uint32(shards - 1),
+		wakeThresh: max(batch/shards, 1),
+		budget:     max(budget, 1),
+		wake:       make(chan struct{}, 1),
+		stopc:      make(chan struct{}),
+		exited:     make(chan struct{}),
 	}
 	d.epoch.Store(1)
 	return d
@@ -283,33 +256,21 @@ func (r *Reader) Unlock() {
 // intended for assertions in tests.
 func (r *Reader) Active() bool { return r.state.Load() != 0 }
 
-// hint returns a goroutine-affine shard hint. Hints live in a
-// sync.Pool, whose Get/Put fast path is per-P and lock-free, so
-// concurrent Defer callers on different Ps spread across shards without
-// sharing a cache line; the round-robin assignment counter is touched
-// only when the pool is empty.
-func (d *Domain) hint() int {
-	h := d.hintPool.Get().(*uint32)
-	i := *h
-	d.hintPool.Put(h)
-	return int(i)
-}
+// Defer is DeferOn(0, fn), for a caller with no CPU-like identity.
+func (d *Domain) Defer(fn func()) { d.DeferOn(0, fn) }
 
-// Defer queues fn to run after a grace period. It appends to one
-// callback shard and returns: no domain-global lock, no grace-period
-// wait, regardless of how many callbacks are pending. When a shard
-// crosses the batch threshold the background detector is woken (a
-// non-blocking notification) to process the grace period off the
-// caller's path; the caller that wakes it yields its processor once,
-// so the detector starts now rather than a time slice later.
-func (d *Domain) Defer(fn func()) { d.DeferOn(d.hint(), fn) }
-
-// DeferOn is Defer with an explicit shard hint, for callers that
-// already have a cheap CPU-like identity (the VM layer passes a fault's
-// CPU id or a mapping operation's slot). Hints beyond the shard count
-// wrap around. fn is stored as given: a caller that keeps one function
-// value per recycled batch (tlb's frame batches) queues it without
-// allocating.
+// DeferOn queues fn to run after a grace period on the shard of hint,
+// the caller's CPU-like identity (the VM layer passes a fault's CPU id
+// or a mapping operation's slot); hints beyond the shard count wrap
+// around. It appends to that one callback shard and returns: no
+// domain-global lock, no grace-period wait, regardless of how many
+// callbacks are pending. When the shard crosses its batch threshold
+// the background detector is woken (a non-blocking notification) to
+// process the grace period off the caller's path; the caller that
+// wakes it yields its processor once, so the detector starts now
+// rather than a time slice later. fn is stored as given: a caller that
+// keeps one function value per recycled batch (tlb's frame batches)
+// queues it without allocating.
 func (d *Domain) DeferOn(hint int, fn func()) {
 	if d.closed.Load() {
 		panic("rcu: Defer on closed Domain")
@@ -323,7 +284,7 @@ func (d *Domain) DeferOn(hint int, fn func()) {
 	n := s.pending()
 	trace.Emit(trace.AuxCPU, trace.EvRCUDefer, e, uint64(uint32(hint)&d.shardMask), uint64(n))
 
-	if d.opts.BatchSize < 0 {
+	if d.manual {
 		return // manual mode: drained only by Synchronize
 	}
 	switch {
@@ -425,16 +386,8 @@ func (d *Domain) gracePeriodLocked() {
 	ran := d.drainAll(target)
 
 	elapsed := time.Since(start)
-	nanos := uint64(elapsed.Nanoseconds())
-	d.gpTotalNanos.Add(nanos)
-	for {
-		max := d.gpMaxNanos.Load()
-		if nanos <= max || d.gpMaxNanos.CompareAndSwap(max, nanos) {
-			break
-		}
-	}
 	d.gpHist.Record(elapsed)
-	trace.Emit(trace.AuxCPU, trace.EvGPEnd, gpID, uint64(ran), nanos)
+	trace.Emit(trace.AuxCPU, trace.EvGPEnd, gpID, uint64(ran), uint64(elapsed))
 }
 
 // waitQuiescent blocks until the reader is quiescent or started its
@@ -468,11 +421,7 @@ func waitQuiescent(r *Reader, target uint64) {
 // domain to target has already elapsed. Callbacks run outside the
 // shard locks, so a callback may itself Defer.
 func (d *Domain) drainAll(target uint64) int {
-	var total int64
-	for i := range d.shards {
-		total += d.shards[i].pending()
-	}
-	d.noteHighWater(total)
+	d.noteHighWater(d.pendingTotal())
 
 	ranTotal := 0
 	for i := range d.shards {
@@ -554,9 +503,7 @@ type Stats struct {
 	PendingHighWater int    // max pending sampled at grace-period boundaries
 	OverBudget       uint64 // Defers that found their shard over the backpressure budget
 
-	GPLatencyAvg time.Duration      // mean grace-period latency
-	GPLatencyMax time.Duration      // worst grace-period latency
-	GP           stats.LatencyStats // grace-period latency percentiles
+	GP stats.LatencyStats // grace-period latency: p50/p99/p999/max
 
 	ShardQueued  []uint64 // per-shard callbacks ever queued
 	ShardDrains  []uint64 // per-shard drain passes that removed callbacks
@@ -574,7 +521,6 @@ func (d *Domain) Stats() Stats {
 		Shards:           len(d.shards),
 		PendingHighWater: int(d.pendingHW.Load()),
 		OverBudget:       d.overBudget.Load(),
-		GPLatencyMax:     time.Duration(d.gpMaxNanos.Load()),
 		GP:               d.gpHist.Stats(),
 		ShardQueued:      make([]uint64, len(d.shards)),
 		ShardDrains:      make([]uint64, len(d.shards)),
@@ -596,8 +542,5 @@ func (d *Domain) Stats() Stats {
 	d.readersMu.Lock()
 	st.Readers = len(d.readers)
 	d.readersMu.Unlock()
-	if st.GracePeriods > 0 {
-		st.GPLatencyAvg = time.Duration(d.gpTotalNanos.Load() / st.GracePeriods)
-	}
 	return st
 }

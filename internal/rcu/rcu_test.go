@@ -177,7 +177,7 @@ func TestUnregisterRemovesReader(t *testing.T) {
 func TestBatchDrain(t *testing.T) {
 	// Crossing the batch threshold wakes the background detector, which
 	// must drain every callback without any blocking call from here.
-	d := NewDomain(Options{BatchSize: 8, Shards: 1})
+	d := newDomain(8, 1, maxPending)
 	defer d.Close()
 	var ran atomic.Int64
 	for i := 0; i < 8; i++ {

@@ -6,8 +6,8 @@
 //
 // A zap operation creates a Gather, accumulates into it while it walks
 // page tables — revoked translations, frames whose references the
-// revocations released, detached page-table structures, bookkeeping
-// callbacks — and then calls Flush exactly once per batch. An unsplit
+// revocations released, detached page-table structures — and then
+// calls Flush exactly once per batch. An unsplit
 // huge mapping is one run entry (Run): a base frame, an order and the
 // span it revoked, counted as its 1<<order pages in the flush counters
 // and the shootdown charge, and returned to the allocator as one unit
@@ -151,15 +151,13 @@ type Gather struct {
 }
 
 // batch is one flush's deferred release: the frames and runs to return
-// and the callbacks to run once the flush's grace period has elapsed.
-// The domain's RCU callback for it is its bound release method, built
+// once the flush's grace period has elapsed. The domain's RCU callback for it is its bound release method, built
 // once; the batch and its buffers return to the domain's pool when it
 // has run.
 type batch struct {
 	d       *Domain
 	frames  []physmem.Frame
 	runs    []runEntry
-	defers  []func()
 	release func()
 }
 
@@ -188,13 +186,8 @@ func (b *batch) run() {
 	for _, r := range b.runs {
 		b.d.alloc.FreeRun(r.base, r.order)
 	}
-	for _, fn := range b.defers {
-		fn()
-	}
 	b.frames = b.frames[:0]
 	b.runs = b.runs[:0]
-	clear(b.defers)
-	b.defers = b.defers[:0]
 	b.d.batches.Put(b)
 }
 
@@ -236,13 +229,6 @@ func (g *Gather) Revoke(n int) { g.pages += n }
 func (g *Gather) Release(f physmem.Frame) {
 	b := g.batch()
 	b.frames = append(b.frames, f)
-}
-
-// Defer records a bookkeeping callback to run with the batch's
-// deferred release, after the flush and its grace period.
-func (g *Gather) Defer(fn func()) {
-	b := g.batch()
-	b.defers = append(b.defers, fn)
 }
 
 // Pages returns the number of revoked translations accumulated since

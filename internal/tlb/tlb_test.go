@@ -136,20 +136,6 @@ func TestGatherReusableAfterFlush(t *testing.T) {
 	}
 }
 
-// TestDeferRunsAfterFlush: bookkeeping callbacks ride the batch's
-// grace period.
-func TestDeferRunsAfterFlush(t *testing.T) {
-	d, _, dom := newTestDomain(t, CostModel{})
-	g := d.Gather(0)
-	ran := false
-	g.Defer(func() { ran = true })
-	g.Flush()
-	dom.Synchronize()
-	if !ran {
-		t.Fatal("deferred callback never ran")
-	}
-}
-
 // TestCostModelCharge: the flush spin is Base + PerCore×Cores.
 func TestCostModelCharge(t *testing.T) {
 	d, _, _ := newTestDomain(t, CostModel{Base: 2 * time.Millisecond, PerCore: time.Millisecond, Cores: 3})

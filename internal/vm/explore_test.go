@@ -20,6 +20,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -668,5 +670,100 @@ func TestExploreStripeRace(t *testing.T) {
 				t.Errorf("explored %d schedules, want %d", n, stripeRaceSchedules)
 			}
 		})
+	}
+}
+
+// TestBlockedReasonReadsSyncWaits pins the wait reasons the explorer's
+// settle step relies on: a goroutine parked on each sync primitive, a
+// channel receive or a select reads as blocked in the goroutine dump,
+// and one looping on runtime.Gosched does not. The sync.* reasons are
+// those of Go 1.24; a runtime that reports a bare semacquire for any of
+// them fails here rather than as a hung or flaky exploration.
+func TestBlockedReasonReadsSyncWaits(t *testing.T) {
+	var (
+		mu, condMu   sync.Mutex
+		rwRead, rwWr sync.RWMutex
+		wg           sync.WaitGroup
+		cond         = sync.NewCond(&condMu)
+		condDone     bool
+		ch, ch2      = make(chan struct{}), make(chan struct{})
+		stop         atomic.Bool
+		exited       sync.WaitGroup
+	)
+	mu.Lock()
+	rwRead.Lock() // an RLock waits behind the writer
+	rwWr.RLock()  // a Lock waits for the reader
+	wg.Add(1)
+	waits := map[string]func(){
+		"sync.Mutex":         func() { mu.Lock(); mu.Unlock() },
+		"sync.RWMutex read":  func() { rwRead.RLock(); rwRead.RUnlock() },
+		"sync.RWMutex write": func() { rwWr.Lock(); rwWr.Unlock() },
+		"sync.WaitGroup":     wg.Wait,
+		"sync.Cond": func() {
+			condMu.Lock()
+			for !condDone {
+				cond.Wait()
+			}
+			condMu.Unlock()
+		},
+		"channel receive": func() { <-ch },
+		"select": func() {
+			select {
+			case <-ch:
+			case <-ch2:
+			}
+		},
+		"runtime.Gosched loop": func() {
+			for !stop.Load() {
+				runtime.Gosched()
+			}
+		},
+	}
+	ids := make(map[string]int64)
+	for name, wait := range waits {
+		id := make(chan int64)
+		exited.Add(1)
+		go func() {
+			defer exited.Done()
+			id <- goid()
+			wait()
+		}()
+		ids[name] = <-id
+	}
+	release := func() {
+		mu.Unlock()
+		rwRead.Unlock()
+		rwWr.RUnlock()
+		wg.Done()
+		condMu.Lock()
+		condDone = true
+		cond.Broadcast()
+		condMu.Unlock()
+		close(ch)
+		stop.Store(true)
+		exited.Wait()
+	}
+	defer release()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for name, id := range ids {
+		if name == "runtime.Gosched loop" {
+			continue
+		}
+		state := waitReasons()[id]
+		for !blockedReason(state) {
+			if time.Now().After(deadline) {
+				t.Fatalf("a goroutine parked on %s reads as %q, not blocked", name, state)
+			}
+			time.Sleep(time.Millisecond)
+			state = waitReasons()[id]
+		}
+		t.Logf("%s: %q", name, state)
+	}
+	for i := 0; i < 20; i++ {
+		if state := waitReasons()[ids["runtime.Gosched loop"]]; blockedReason(state) {
+			t.Fatalf("a goroutine looping on runtime.Gosched reads as blocked (%q)", state)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -534,8 +534,13 @@ func (c *CPU) makeFilePTE(v *vma.VMA, pc *pagecache.Cache, page uint64, write, l
 }
 
 // Translate performs a lock-free page-table walk and returns the
-// physical address mapping addr, if present. Callers that may race
-// with munmap should hold an RCU read section via TranslateRCU.
+// physical address mapping addr, if present. The walk takes no lock and
+// no RCU read section, so its answer is only a translation that was
+// present at some instant during the call: a concurrent munmap (or
+// MADV_DONTNEED, or a reclaim scan) can revoke it before Translate
+// returns, after which the frame it names may be freed and reused. A
+// caller that needs the answer to hold must keep mapping operations
+// off the address itself.
 func (as *AddressSpace) Translate(addr uint64) (uint64, bool) {
 	if addr >= MaxAddress {
 		return 0, false

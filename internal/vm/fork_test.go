@@ -42,6 +42,32 @@ func TestForkCopiesRegionsAndData(t *testing.T) {
 	})
 }
 
+// TestClosedSpacesLeaveNoReaders: a fork child's fault context leaves
+// the RCU domain when the child closes. Every grace period walks the
+// registered readers, so one left behind per fork would slow every
+// later grace period of the machine.
+func TestClosedSpacesLeaveNoReaders(t *testing.T) {
+	forEachDesign(t, Config{CPUs: 1}, func(t *testing.T, as *AddressSpace) {
+		base := mustMmap(t, as, 0, PageSize, vma.ProtRead|vma.ProtWrite, 0)
+		before := as.Domain().Stats().Readers
+		for i := 0; i < 50; i++ {
+			child, err := as.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := child.NewCPU(0).Fault(base, true); err != nil {
+				t.Fatal(err)
+			}
+			if err := child.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := as.Domain().Stats().Readers; got != before {
+			t.Fatalf("%d readers registered after 50 fork/fault/close cycles, want %d", got, before)
+		}
+	})
+}
+
 // TestRollupKeepsClosedMembers: a fork child leaves the member set when
 // it closes, and its faults and mapping operations stay in the family's
 // Rollup — exactly once, before and after: the rollup's counts are the

@@ -212,6 +212,11 @@ type AddressSpace struct {
 
 	mapCPU int // allocator magazine reserved for mapping operations
 
+	// readers are the RCU readers of the space's fault contexts, which
+	// Close unregisters: every grace period walks the registered ones.
+	readersMu sync.Mutex
+	readers   []*rcu.Reader
+
 	stats statsCounters
 }
 
@@ -572,20 +577,25 @@ func (as *AddressSpace) NewCPU(id int) *CPU {
 		panic(fmt.Sprintf("vm: CPU id %d out of range [0,%d)", id, as.cfg.CPUs))
 	}
 	phys := as.physCPU(id)
-	return &CPU{as: as, id: phys, st: as.stats.cpu.At(phys), rd: as.dom.Register(),
+	rd := as.dom.Register()
+	as.readersMu.Lock()
+	as.readers = append(as.readers, rd)
+	as.readersMu.Unlock()
+	return &CPU{as: as, id: phys, st: as.stats.cpu.At(phys), rd: rd,
 		rng: uint64(id+1) * 0x9E3779B97F4A7C15}
 }
 
-// Close tears down the address space: it unmaps everything, frees its
-// page-table root, and flushes the RCU domain (the one place the
-// mapping side blocks on a grace period). Once its own unmap has ended
-// — its last recorded sample — and before its page tables go, the space
-// leaves the family's member set and its statistics join the family's
-// Rollup. When the last family member closes, the tenant retires — its
-// caches drop, its account unbinds, its slot recycles — and, if no Host
-// holds the machine open, the whole machine tears down and the
-// frame-leak check's error is returned. No operation on this address
-// space may be in flight.
+// Close tears down the address space: it unmaps everything,
+// unregisters its fault contexts' RCU readers, frees its page-table
+// root, and flushes the RCU domain (the one place the mapping side
+// blocks on a grace period). Once its own unmap has ended — its last
+// recorded sample — and before its page tables go, the space leaves the
+// family's member set and its statistics join the family's Rollup. When
+// the last family member closes, the tenant retires — its caches drop,
+// its account unbinds, its slot recycles — and, if no Host holds the
+// machine open, the whole machine tears down and the frame-leak check's
+// error is returned. No operation on this address space may be in
+// flight, and its fault contexts must not be used again.
 func (as *AddressSpace) Close() error {
 	op := as.beginOp()
 	mg := as.sy.lockAll(op)
@@ -593,6 +603,12 @@ func (as *AddressSpace) Close() error {
 	as.munmapLocked(op, 0, MaxAddress)
 	mg.unlock()
 	op.end()
+	as.readersMu.Lock()
+	for _, rd := range as.readers {
+		as.dom.Unregister(rd)
+	}
+	as.readers = nil
+	as.readersMu.Unlock()
 	last := as.fam.depart(as)
 	as.tables.ReleaseRoot(as.mapCPU)
 	var err error

@@ -6,7 +6,8 @@
 # stripe lock order (those three killed by the schedule explorer, which
 # runs the fill, gap and stripe races through every interleaving) and of
 # the mapping operations' range check, which must refuse a length within
-# a page of 2^64 before rounding it up wraps it to zero:
+# a page of 2^64 before rounding it up wraps it to zero, and of Close's
+# unregistering of its fault contexts' RCU readers:
 # each guard test passes on the checkout as it stands and must fail on a
 # copy of it with that one guard removed — the proof that the test sees
 # the guard. Each test runs in the package of the file its twin mutates,
@@ -39,6 +40,7 @@ mutants=(
 	'TestExploreGapRace@@internal/vm/sync.go@@v == nil || v.End() <= base {@@true || v == nil {'
 	'internal/vm:TestExploreStripeRace@@internal/ranges/ranges.go@@i := bits.TrailingZeros16(mask)@@i := (bits.TrailingZeros16(bits.RotateLeft16(mask, -int(lo>>stripeShift%stripeCount))) + int(lo>>stripeShift%stripeCount)) % stripeCount'
 	'TestMmapInvalidArgs@@internal/vm/vm.go@@length == 0 || length > MaxAddress {@@length == 0 {'
+	'TestClosedSpacesLeaveNoReaders@@internal/vm/vm.go@@as.dom.Unregister(rd)@@_ = rd'
 )
 
 mkdir -p "$work/pristine"
