@@ -47,8 +47,8 @@ type Options struct {
 	// Must be >= 2 to guarantee termination of rebalancing.
 	Weight int
 
-	// UpdateInPlace enables the §3.3 optimization. NewTree enables it
-	// by default; set Disabled in Ablation to turn it off.
+	// UpdateInPlace enables the §3.3 optimization. The zero value leaves
+	// it off; New and the VM's region index set it.
 	UpdateInPlace bool
 }
 
@@ -94,8 +94,9 @@ type Tree[V any] struct {
 // cacheLine is the assumed coherence granule.
 const cacheLine = 64
 
-// NewTree returns an empty tree. A zero Options value gives the paper's
-// configuration: weight 4 with the in-place optimization enabled.
+// NewTree returns an empty tree configured by opt. A zero Options value
+// gives weight 4 with the §3.3 in-place optimization off; New turns it
+// on, and so does the VM.
 func NewTree[V any](opt Options) *Tree[V] {
 	if opt.Weight == 0 {
 		opt.Weight = DefaultWeight

@@ -47,7 +47,7 @@ func (t *Tables) FillOrUpgrade(cpu int, addr uint64, pt *PageTable, write bool,
 	defer pt.Unlock()
 	if pt.Dead() {
 		// Detached between the walk and the lock — by munmap (the VMA
-		// recheck below would catch that too) or by the collapser, which
+		// recheck below would catch that too) or by a collapse, which
 		// promotes a live region's table to a huge entry; the VMA stays
 		// valid, so only this check sends the fault back to retry.
 		return FillRecheckFailed, nil

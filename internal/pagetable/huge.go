@@ -95,7 +95,7 @@ func (t *Tables) InstallHuge(cpu int, addr uint64, frame physmem.Frame,
 			t.discardPageTable(cpu, dep)
 			return HugeLost, nil
 		}
-		pte := MakePTE(frame, writable) | PTEHuge | PTEAccessed
+		pte := MakePTE(frame, writable) | PTEHuge
 		d.huge[idx].Store(pte)
 		d.deposit[idx].Store(dep)
 		t.dirLock.Unlock()
@@ -126,17 +126,17 @@ func (t *Tables) UpgradeHuge(addr uint64, recheck func() bool) bool {
 	if h&PTEPresent == 0 {
 		return false
 	}
-	d.huge[idx].Store(h | PTEWritable | PTEAccessed)
+	d.huge[idx].Store(h | PTEWritable)
 	return true
 }
 
 // AccessHuge runs fn with the huge entry covering addr while holding
 // the page-directory lock, so the entry cannot be zapped or split out
 // from under a data access mid-copy (the huge analogue of io's
-// copy-under-the-PTE-lock discipline). The access marks the entry
-// accessed — the collapser's hotness signal. ok=false when there is no
-// huge entry, or the access is a write and the entry is read-only (the
-// caller faults, which upgrades or splits as needed).
+// copy-under-the-PTE-lock discipline). The entry itself is only read.
+// ok=false when there is no huge entry, or the access is a write and
+// the entry is read-only (the caller faults, which upgrades or splits
+// as needed).
 func (t *Tables) AccessHuge(addr uint64, write bool, fn func(pte uint64)) bool {
 	checkAddr(addr)
 	d := t.walkLevel2(addr)
@@ -153,7 +153,6 @@ func (t *Tables) AccessHuge(addr uint64, write bool, fn func(pte uint64)) bool {
 	if write && h&PTEWritable == 0 {
 		return false
 	}
-	d.huge[idx].Store(h | PTEAccessed)
 	if fn != nil {
 		fn(h)
 	}
@@ -295,7 +294,7 @@ func (t *Tables) Collapse(cpu int, g *tlb.Gather, addr uint64,
 	// Holding the PTE lock, the table cannot be detached (every detach
 	// path clears under this lock first), so the publish cannot fail.
 	t.dirLock.Lock()
-	d.huge[idx].Store(hugePTE | PTEHuge | PTEAccessed)
+	d.huge[idx].Store(hugePTE | PTEHuge)
 	d.deposit[idx].Store(dep)
 	d.tables[idx].Store(nil)
 	t.dirLock.Unlock()
@@ -324,39 +323,25 @@ func (t *Tables) HugeStats() (installs, splits, zaps uint64) {
 	return t.hugeInstalls.Load(), t.hugeSplits.Load(), t.hugeZaps.Load()
 }
 
-// SurveyChunk inspects the leaf table covering addr for collapse
-// eligibility: the number of present PTEs, how many carry the software
-// accessed bit (clearing it when clear is set — the collapse scanner's
-// clock hand), and how many are copy-on-write (a COW page is shared
-// with another space; collapsing it would need a break first).
-// ok=false when the span has no leaf table: unpopulated, or already
-// promoted to a huge entry.
-func (t *Tables) SurveyChunk(addr uint64, clear bool) (present, accessed, cow int, ok bool) {
+// SurveyChunk counts the present PTEs of the leaf table covering addr,
+// under its PTE lock: EntriesPerTable means the span is fully
+// base-mapped, a collapse candidate. ok=false when the span has no leaf
+// table: unpopulated, or already promoted to a huge entry.
+func (t *Tables) SurveyChunk(addr uint64) (present int, ok bool) {
 	checkAddr(addr)
 	pt := t.WalkTable(addr)
 	if pt == nil {
-		return 0, 0, 0, false
+		return 0, false
 	}
 	pt.Lock()
 	defer pt.Unlock()
 	if pt.Dead() {
-		return 0, 0, 0, false
+		return 0, false
 	}
 	for i := 0; i < EntriesPerTable; i++ {
-		pte := pt.PTE(i)
-		if pte&PTEPresent == 0 {
-			continue
-		}
-		present++
-		if pte&PTEAccessed != 0 {
-			accessed++
-			if clear {
-				pt.ptes[i].Store(pte &^ PTEAccessed)
-			}
-		}
-		if pte&PTECow != 0 {
-			cow++
+		if pt.PTE(i)&PTEPresent != 0 {
+			present++
 		}
 	}
-	return present, accessed, cow, true
+	return present, true
 }

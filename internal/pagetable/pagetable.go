@@ -56,11 +56,6 @@ const (
 	// size-aligned run of 512 contiguous frames instead of pointing at
 	// a leaf table (the PS bit of a hardware PMD entry).
 	PTEHuge uint64 = 1 << 3
-	// PTEAccessed is the software accessed bit: set when a translation
-	// is installed or exercised, cleared by the collapse scanner's
-	// clock hand. It is the hotness signal the khugepaged-style
-	// collapser keys on.
-	PTEAccessed uint64 = 1 << 4
 )
 
 // pteFlagsMask covers the low flag bits of a PTE (hardware layout:

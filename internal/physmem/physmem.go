@@ -988,9 +988,8 @@ func (a *Allocator) CPUCounts(cpu int) (allocs, frees uint64) {
 func (a *Allocator) FreeFrames() int64 { return int64(a.cfg.Frames) - a.InUse() }
 
 // FreeRuns returns the number of free order-`order` blocks currently on
-// that buddy list (not counting larger blocks that could split). The
-// collapser reads it to gauge whether promoting base pages to a huge
-// run is worth attempting.
+// that buddy list (not counting larger blocks that could split): how
+// many huge faults or collapses could get a run without splitting one.
 func (a *Allocator) FreeRuns(order int) int {
 	if order < 0 || order > MaxOrder {
 		return 0

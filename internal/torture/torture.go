@@ -377,11 +377,6 @@ func (t *run) design(d vm.Design, deadline time.Time) {
 		// Root, peer, two ballast siblings and one fork child per
 		// worker, with headroom for a straggling Close.
 		MaxFamily: cfg.Workers + 6,
-		// The wall-clock-driven collapse scanner would make runs
-		// unreplayable and would mutate translations under the
-		// quiesce audit; workers drive promotion synchronously
-		// through CollapseRange instead.
-		THPScanInterval: -1,
 	}, cfg.Seats)
 	dr := &designRun{t: t, h: h, ballast: make(map[*vm.AddressSpace]bool), rep: DesignReport{Design: d}}
 	h.SetOOMKiller(dr.kill)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"bonsai/internal/pagecache"
 	"bonsai/internal/pagetable"
@@ -43,10 +44,9 @@ func (as *AddressSpace) AuditPageCaches() error {
 		return pagetable.PTEFrame(pte), true
 	}
 	var errs []error
-	as.fam.filesMu.Lock()
-	files := make([]*vma.File, len(as.fam.files))
-	copy(files, as.fam.files)
-	as.fam.filesMu.Unlock()
+	as.fam.ms.filesMu.Lock()
+	files := slices.Clone(as.fam.files)
+	as.fam.ms.filesMu.Unlock()
 	for _, f := range files {
 		if c := f.PageCache(); c != nil {
 			if err := c.Audit(resolve); err != nil {

@@ -12,7 +12,7 @@ import (
 // unexported field, reachable only from this package's tests.
 func TestConfigFieldSet(t *testing.T) {
 	want := []string{
-		"Design", "CPUs", "Frames", "Backing", "MaxFamily", "THPScanInterval",
+		"Design", "CPUs", "Frames", "Backing", "MaxFamily",
 		"tune",
 	}
 	cfgT := reflect.TypeOf(Config{})

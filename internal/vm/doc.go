@@ -56,9 +56,9 @@
 // A fault whose fast path cannot finish — a lookup miss, a lost fill
 // race, a copy-on-write break an RCU reader may not do in place —
 // retries with its page pinned, and a page still unmapped escalates to
-// the whole-space exclusion, where a stack may grow. The THP collapse
-// scanner promotes with its 2 MB chunk pinned (the khugepaged
-// discipline) and finds candidates holding only what a tree walk takes.
+// the whole-space exclusion, where a stack may grow. CollapseRange pins
+// the 2 MB-aligned span of its request once and promotes under that pin,
+// while faults in the span keep running.
 //
 // Below the policy the levels are the same in every design, taken
 // strictly outermost first:
@@ -167,13 +167,14 @@
 // (physmem.ErrNoRun) and the fault falls back to one base page, which
 // may reclaim; a 2 MB fault never drives the reclaim ladder itself.
 //
-// The collapse scanner (khugepaged, paced by Config.THPScanInterval)
-// surveys chunks whose 512 PTEs are present and recently accessed —
-// SurveyChunk clears the accessed bits, so they double as the clock —
-// and promotes each under its chunk pin, copying into a fresh run and
+// A chunk that filled in with base pages — after a run shortage, a
+// split, or a fork whose child has exited — stays base pages: nothing
+// promotes in the background. CollapseRange, the MADV_COLLAPSE
+// analogue, is the one way back: under its pin it surveys each eligible
+// chunk of the request (pagetable.SurveyChunk counts the present PTEs),
+// and promotes every fully populated one, copying into a fresh run and
 // retiring the old frames through the gather and a grace period; a COW
 // page the fork child no longer shares is re-owned by the copy.
-// CollapseRange is the synchronous MADV_COLLAPSE.
 //
 // Splits ride the operation's gather: partial munmap, an mprotect whose
 // boundary cuts a huge entry, MADV_DONTNEED and fork (CloneRange demotes
@@ -257,6 +258,11 @@
 // table and its final Rollup joins the departed totals, so the machine's
 // counts keep its events. A retired family refuses NewSibling and Fork
 // (ErrInvalid), so it retires exactly once.
+//
+// A file's page cache belongs to the machine: every tenant mapping the
+// file shares its frames. The host counts the live tenants that map
+// each file, and a retiring tenant drops the cache only when it was the
+// last of them (TestSharedFileOutlivesFirstTenant).
 //
 // A charge over the limit refuses with ErrTenantShortage, and the
 // operation climbs a tenant-local ladder: an eviction scan of the

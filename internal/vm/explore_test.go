@@ -255,10 +255,10 @@ type raceRun struct {
 type raceScenario func(t *testing.T, as *AddressSpace) raceRun
 
 // exploreConfig is a space with no background goroutines: grace periods
-// only when the explorer runs one, no collapse scanner, and a pool the
-// reclaimer never wakes for.
+// only when the explorer runs one, and a pool the reclaimer never wakes
+// for.
 func exploreConfig(d Design) Config {
-	return Config{Design: d, CPUs: 2, Frames: 4096, THPScanInterval: -1, tune: tuning{rcuBatch: -1}}
+	return Config{Design: d, CPUs: 2, Frames: 4096, tune: tuning{rcuBatch: -1}}
 }
 
 // runRace runs one schedule of sc on a fresh space, its verdict the

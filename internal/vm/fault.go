@@ -421,10 +421,7 @@ func (c *CPU) fillPage(v *vma.VMA, page uint64, write bool, recheck func() bool,
 		if err != nil {
 			return 0, err
 		}
-		// Fresh anonymous pages install with the software accessed bit:
-		// the faulting touch is the first heat sample the collapse
-		// scanner's clock observes.
-		return pagetable.MakePTE(frame, v.Prot()&vma.ProtWrite != 0) | pagetable.PTEAccessed, nil
+		return pagetable.MakePTE(frame, v.Prot()&vma.ProtWrite != 0), nil
 	}, makeCopy, onUpgrade)
 	if g != nil {
 		// The COW break ran (even if FillOrUpgrade then failed): pay its

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"bonsai/internal/pagecache"
 	"bonsai/internal/vma"
@@ -12,53 +13,63 @@ import (
 // (at most the 48-bit address space) on top of it.
 const maxFileOffset = uint64(1) << 56
 
-// registerFile resolves the file's page cache, creating and attaching
-// one on the file's first mapping into this family. The cache is the
-// object that makes mappings of the same file in different address
-// spaces share frames; it lives until the last family member closes.
-// Mapping a file whose cache belongs to a different family (a different
-// physical allocator) is rejected — frames are only meaningful within
-// one simulated machine.
+// registerFile records the family as a user of the file, once, and
+// resolves the file's page cache, creating and attaching one on the
+// file's first mapping into this machine. The cache is the object that
+// makes mappings of the same file in different address spaces — of one
+// tenant or of several — share frames; it lives until the last family
+// that maps the file retires. Mapping a file whose cache belongs to a
+// different machine (a different physical allocator) is rejected —
+// frames are only meaningful within one simulated machine.
 func (as *AddressSpace) registerFile(f *vma.File) error {
-	if c := f.PageCache(); c != nil {
-		if !c.SameAllocator(as.alloc) {
-			return fmt.Errorf("%w: file %s is already cached by another machine", ErrInvalid, f)
-		}
+	fam, h := as.fam, as.fam.ms
+	h.filesMu.Lock()
+	defer h.filesMu.Unlock()
+	if slices.Contains(fam.files, f) {
 		return nil
 	}
-	fam := as.fam
-	fam.filesMu.Lock()
-	defer fam.filesMu.Unlock()
-	c := pagecache.New(f.ID, f.String(), as.alloc, as.dom, fam.ms.reg)
-	if !f.TryAttachCache(c) {
-		// Lost a first-mapping race. filesMu only excludes mappers in
-		// this family, so the winner may belong to a different machine
-		// entirely — validate its allocator rather than clobbering it.
-		winner := f.PageCache()
-		if winner == nil || !winner.SameAllocator(as.alloc) {
-			return fmt.Errorf("%w: file %s is already cached by another machine", ErrInvalid, f)
+	c := f.PageCache()
+	if c == nil {
+		c = pagecache.New(f.ID, f.String(), as.alloc, as.dom, h.reg)
+		if f.TryAttachCache(c) {
+			// The cache joins the machine's eviction rotation: under
+			// memory pressure the reclaim scan may now evict its
+			// resident pages.
+			h.rec.Register(c)
+		} else {
+			// Lost a first-mapping race. filesMu only excludes mappers
+			// on this machine, so the winner belongs to a different
+			// one: validate it below rather than clobbering it.
+			c = f.PageCache()
 		}
-		return nil
+	}
+	if c == nil || !c.SameAllocator(as.alloc) {
+		return fmt.Errorf("%w: file %s is already cached by another machine", ErrInvalid, f)
 	}
 	fam.files = append(fam.files, f)
-	// The cache joins the machine's eviction rotation: under memory
-	// pressure the reclaim scan may now evict its resident pages.
-	fam.ms.rec.Register(c)
+	h.fileUsers[f]++
 	return nil
 }
 
-// dropCaches tears down every file cache the family accumulated:
-// resident pages are dropped (their cache-owned frame references
-// deferred past a grace period), each cache leaves the machine's
-// eviction rotation, and the cache handles detach so the Files can be
-// mapped into a fresh machine (or a fresh tenant) later. Called when
-// the tenant retires, before the domain is flushed.
+// dropCaches ends the retiring family's use of every file it mapped.
+// A file no other live family maps has its cache torn down: resident
+// pages are dropped (their cache-owned frame references deferred past
+// a grace period), the cache leaves the machine's eviction rotation,
+// and the handle detaches so the File can be mapped into a fresh
+// machine later. Called when the tenant retires, before the domain is
+// flushed.
 func (fam *family) dropCaches() {
-	fam.filesMu.Lock()
-	defer fam.filesMu.Unlock()
+	h := fam.ms
+	h.filesMu.Lock()
+	defer h.filesMu.Unlock()
 	for _, f := range fam.files {
+		h.fileUsers[f]--
+		if h.fileUsers[f] > 0 {
+			continue // another live tenant still maps the file
+		}
+		delete(h.fileUsers, f)
 		if c := f.PageCache(); c != nil {
-			fam.ms.rec.Unregister(c)
+			h.rec.Unregister(c)
 			c.DropAll()
 			f.AttachCache(nil)
 		}
@@ -88,12 +99,13 @@ func (as *AddressSpace) NewSibling() (*AddressSpace, error) {
 }
 
 // PageCacheStats aggregates the page-cache counters across every file
-// mapped in this address space's family (the cache is family-shared, so
-// all members report the same totals).
+// mapped in this address space's family. A cache is machine-wide, so
+// all members, and every tenant mapping the same files, report the
+// same totals.
 func (as *AddressSpace) PageCacheStats() pagecache.Stats {
 	var total pagecache.Stats
-	as.fam.filesMu.Lock()
-	defer as.fam.filesMu.Unlock()
+	as.fam.ms.filesMu.Lock()
+	defer as.fam.ms.filesMu.Unlock()
 	for _, f := range as.fam.files {
 		if c := f.PageCache(); c != nil {
 			total.Add(c.Stats())

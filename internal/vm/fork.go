@@ -65,9 +65,10 @@ func (as *AddressSpace) forkOnce() (*AddressSpace, error) {
 	atomic.AddUint64(&as.stats.op(op).Forks, 1)
 
 	// The child's own whole-space exclusion is held for the entire
-	// clone: the background collapse scanner sweeps every live member,
-	// and a promotion inside the half-built child would break the
-	// clone's EnsureTable installs mid-flight.
+	// clone: newMember already listed the child among its family's live
+	// members, where Members, Host.Evict and the OOM killer can reach
+	// it, so a Close or mapping operation on the half-built child waits
+	// here until the clone (or its unwind) is complete.
 	cg := child.sy.lockAll(cop)
 	cg.mutate()
 
@@ -175,7 +176,7 @@ func (c *CPU) cowBreak(g *tlb.Gather, page, old uint64) (uint64, error) {
 		// translation is revoked — widening a local entry needs no
 		// cross-core invalidation.
 		atomic.AddUint64(&c.st.CowReowned, 1)
-		return pagetable.MakePTE(oldFrame, true) | pagetable.PTEAccessed, nil
+		return pagetable.MakePTE(oldFrame, true), nil
 	}
 	newFrame, err := as.alloc.Alloc(c.id)
 	if err != nil {
@@ -195,5 +196,5 @@ func (c *CPU) cowBreak(g *tlb.Gather, page, old uint64) (uint64, error) {
 	// address space until a grace period passes, and through stale TLB
 	// entries until the gather flushes.
 	g.Page(page, oldFrame)
-	return pagetable.MakePTE(newFrame, true) | pagetable.PTEAccessed, nil
+	return pagetable.MakePTE(newFrame, true), nil
 }

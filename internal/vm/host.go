@@ -13,6 +13,7 @@ import (
 	"bonsai/internal/rcu"
 	"bonsai/internal/reclaim"
 	"bonsai/internal/tlb"
+	"bonsai/internal/vma"
 )
 
 // DefaultMaxTenants is the tenant-slot count of a Host built with
@@ -68,11 +69,16 @@ type Host struct {
 	// them may stop the reclaimer and close the domain.
 	tornDown bool
 
-	// thpStop/thpDone bracket the background collapse scanner (the
-	// khugepaged analogue); nil when the scanner is disabled.
-	// Stopped once, by whichever side wins the teardown latch.
-	thpStop chan struct{}
-	thpDone chan struct{}
+	// filesMu guards the file registry: fileUsers counts, per file with
+	// a page cache on this machine, the live families that map it, and
+	// every family's files list is written and read under it too. A
+	// cache leaves the eviction rotation and is dropped when its count
+	// reaches zero. The lock is taken on a family's first mapping of a
+	// file, on stats snapshots and audits, and at a tenant's retirement
+	// — never on the fault path, which reaches the cache through the
+	// handle the file itself carries.
+	filesMu   sync.Mutex
+	fileUsers map[*vma.File]int
 
 	// oomMu serializes killer-of-last-resort invocations machine-wide:
 	// one exhausted operation reaps at a time, and the ones queued
@@ -93,6 +99,7 @@ func newHost(cfg Config, maxTenants int) *Host {
 		cfg:        cfg,
 		maxTenants: maxTenants,
 		tenants:    make(map[string]*family),
+		fileUsers:  make(map[*vma.File]int),
 	}
 	h.alloc = physmem.New(physmem.Config{
 		Frames: cfg.Frames,
@@ -110,7 +117,6 @@ func newHost(cfg Config, maxTenants int) *Host {
 		BatchPages: cfg.tune.reclaimBatch,
 		TLB:        h.tlb,
 	})
-	h.startCollapser()
 	return h
 }
 
@@ -182,10 +188,10 @@ func (h *Host) Admit(name string, limitFrames int64) (*AddressSpace, error) {
 }
 
 // retireTenant tears the tenant down once its last member closed (or
-// its admission unwound): the tenant's file caches are dropped and
-// removed from the reclaim rotation, its account unbound, its slot
-// recycled, and its final rollup folded into the machine's departed
-// totals. When this was the machine's last tenant and no NewHost hold
+// its admission unwound): it stops counting as a user of the files it
+// mapped (dropping the caches no other live tenant maps), its account
+// is unbound, its slot recycled, and its final rollup folded into the
+// machine's departed totals. When this was the machine's last tenant and no NewHost hold
 // keeps the machine open, the whole machine tears down.
 func (h *Host) retireTenant(fam *family) error {
 	// Unbind the charge account before the slot becomes reusable: once
@@ -290,12 +296,11 @@ func (h *Host) lastLocked() bool {
 }
 
 // teardown stops the empty machine, run by whichever of the last
-// tenant's retire and the Host's Close latched it: the collapse scanner
-// and the background reclaimer stop first (a sweep or scan in flight
-// would race the rest), then the RCU domain closes, and its closing
-// flush runs the deferred frees the frame-leak check counts.
+// tenant's retire and the Host's Close latched it: the background
+// reclaimer stops first (a scan in flight would race the rest), then
+// the RCU domain closes, and its closing flush runs the deferred frees
+// the frame-leak check counts.
 func (h *Host) teardown() error {
-	h.stopCollapser()
 	h.rec.Close()
 	h.dom.Close()
 	if n := h.alloc.InUse(); n != 0 {

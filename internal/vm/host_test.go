@@ -532,3 +532,74 @@ func TestTenantIsolation(t *testing.T) {
 		})
 	}
 }
+
+// TestSharedFileOutlivesFirstTenant: a file's page cache belongs to the
+// machine, not to the tenant that mapped the file first. Three tenants
+// map one file Shared; the first one closes while the second still maps
+// it, and the third maps it afterwards. Every tenant must see the
+// cache's counters while it maps the file, a page first faulted after
+// the first tenant left must hold the file's contents and be a
+// registered cache page, and a shared store must reach a later mapper.
+func TestSharedFileOutlivesFirstTenant(t *testing.T) {
+	const pages = 8
+	for _, d := range Designs {
+		t.Run(d.String(), func(t *testing.T) {
+			h := NewHost(Config{Design: d, CPUs: 1, Frames: 4096, Backing: true}, 4)
+			f := vma.NewFile("shared", 7)
+			admit := func(name string) (*AddressSpace, *CPU, uint64) {
+				t.Helper()
+				as, err := h.Admit(name, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base, err := as.Mmap(0, pages*PageSize, vma.ProtRead|vma.ProtWrite, vma.Shared, f, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return as, as.NewCPU(0), base
+			}
+			read := func(cpu *CPU, addr uint64) byte {
+				t.Helper()
+				got := make([]byte, 1)
+				if err := cpu.ReadBytes(addr, got); err != nil {
+					t.Fatal(err)
+				}
+				return got[0]
+			}
+
+			a, cpuA, baseA := admit("a")
+			b, cpuB, baseB := admit("b")
+			read(cpuA, baseA)
+			read(cpuB, baseB)
+			if st := b.PageCacheStats(); st.Resident == 0 || st.Hits+st.Misses == 0 {
+				t.Errorf("second mapper's PageCacheStats = %+v while the first lives, want the shared cache's", st)
+			}
+
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := read(cpuB, baseB+5*PageSize), f.PageByte(5*PageSize); got != want {
+				t.Errorf("page 5 after the first mapper closed reads %#x, want %#x", got, want)
+			}
+			if err := b.AuditPageCaches(); err != nil {
+				t.Errorf("audit after the first mapper closed: %v", err)
+			}
+			if err := cpuB.WriteBytes(baseB+3*PageSize, []byte{0xab}); err != nil {
+				t.Fatal(err)
+			}
+
+			c, cpuC, baseC := admit("c")
+			if got := read(cpuC, baseC+3*PageSize); got != 0xab {
+				t.Errorf("later mapper reads %#x at page 3, want the shared store 0xab", got)
+			}
+			for _, as := range []*AddressSpace{b, c} {
+				if err := as.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := h.Close(); err != nil {
+				t.Fatalf("host close: %v", err)
+			}
+		})
+	}
+}

@@ -27,7 +27,7 @@ import (
 // reused from the round before).
 func TestHugeRoundCounts(t *testing.T) {
 	const chunks = 32
-	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 4 * chunks * 512, THPScanInterval: -1, tune: tuning{rcuBatch: -1}})
+	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 4 * chunks * 512, tune: tuning{rcuBatch: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestHugeRoundCounts(t *testing.T) {
 // returns them one by one through FreeBatch, the buddy lists coalescing
 // them back into an order-9 block without touching a tail again.
 func TestHugeSplitMaterializesOnce(t *testing.T) {
-	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 8192, THPScanInterval: -1})
+	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestHugeSplitMaterializesOnce(t *testing.T) {
 // tree's spare list (pagetable's TestSpareReuse), and its frame is
 // charged, counted and freed just the same.
 func TestHugeRunTenantCharge(t *testing.T) {
-	h := NewHost(Config{Design: PureRCU, CPUs: 1, Frames: 8192, THPScanInterval: -1}, 1)
+	h := NewHost(Config{Design: PureRCU, CPUs: 1, Frames: 8192}, 1)
 	as, err := h.Admit("", 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestForkBesideHugeFaults(t *testing.T) {
 	const chunks = 16
 	for _, d := range []Design{PureRCU, Hybrid} {
 		t.Run(d.String(), func(t *testing.T) {
-			as, err := New(Config{Design: d, CPUs: 2, Frames: 1 << 15, THPScanInterval: -1})
+			as, err := New(Config{Design: d, CPUs: 2, Frames: 1 << 15})
 			if err != nil {
 				t.Fatal(err)
 			}

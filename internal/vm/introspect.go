@@ -15,7 +15,7 @@ type SmapsRegion struct {
 	Pages uint64 `json:"pages"`
 	RSS   uint64 `json:"rss"`
 	// Shared counts present pages whose frame resolves to a live
-	// page-cache page (file-backed, family-shared); Private counts the
+	// page-cache page (file-backed, shared machine-wide); Private counts the
 	// rest (anonymous fills and COW copies owned by this space). Cow is
 	// the subset of Private still mapped copy-on-write — one write away
 	// from a copy.

@@ -77,9 +77,8 @@ func (c *CPU) accessPage(pos uint64, chunk []byte, write bool) error {
 		if pt == nil {
 			// A huge entry may map the span: copy under the
 			// page-directory lock (AccessHuge's copy-under-lock
-			// discipline, which also marks the entry accessed). A write
-			// to a read-only huge entry declines, and the re-fault
-			// upgrades it in place.
+			// discipline). A write to a read-only huge entry declines,
+			// and the re-fault upgrades it in place.
 			done := as.tables.AccessHuge(page, write, func(h uint64) {
 				sub := physmem.Frame((page >> pagetable.PageShift) & (pagetable.EntriesPerTable - 1))
 				data := as.alloc.Data(pagetable.PTEFrame(h) + sub)
@@ -113,11 +112,6 @@ func (c *CPU) accessPage(pos uint64, chunk []byte, write bool) error {
 			copy(data[pos-page:], chunk)
 		} else {
 			copy(chunk, data[pos-page:])
-		}
-		if pte&pagetable.PTEAccessed == 0 {
-			// Record the touch for the collapse scanner's clock, inside
-			// the same critical section that validated the translation.
-			pt.SetPTE(idx, pte|pagetable.PTEAccessed)
 		}
 		pt.Unlock()
 		c.rd.Unlock()

@@ -96,7 +96,7 @@ func TestMapCycleAllocs(t *testing.T) {
 	// No background detector: the test runs the grace periods itself, so
 	// how many batches are out with the domain, and when they come back
 	// to the pools, does not depend on scheduling.
-	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 1 << 14, THPScanInterval: -1, tune: tuning{rcuBatch: -1}})
+	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 1 << 14, tune: tuning{rcuBatch: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestMapCycleCounts(t *testing.T) {
 	const cycles = 100
 	for _, design := range []Design{Hybrid, PureRCU} {
 		t.Run(design.String(), func(t *testing.T) {
-			as, err := New(Config{Design: design, CPUs: 1, Frames: 1 << 14, THPScanInterval: -1, tune: tuning{rcuBatch: -1}})
+			as, err := New(Config{Design: design, CPUs: 1, Frames: 1 << 14, tune: tuning{rcuBatch: -1}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,7 +263,7 @@ func movedStripes(before, after [][]uint64) (moved []int) {
 // manager: each slot's operations move one stripe's words, not the
 // other's.
 func TestDisjointMapOpsWriteOnlyTheirOwnCells(t *testing.T) {
-	forEachDesign(t, Config{CPUs: 2, Frames: 1 << 14, THPScanInterval: -1, tune: tuning{rcuBatch: -1}}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 2, Frames: 1 << 14, tune: tuning{rcuBatch: -1}}, func(t *testing.T, as *AddressSpace) {
 		a, b := twoSlots(t, as)
 		cpus := [2]*CPU{as.NewCPU(0), as.NewCPU(1)}
 		// One of every mapping operation, each counter moved at least
@@ -343,7 +343,7 @@ func TestDisjointMapOpsWriteOnlyTheirOwnCells(t *testing.T) {
 // replaces, sent arenas 1 GiB apart — the benchmark's map_churn — to one
 // shard for half of all seeds.
 func TestConcurrentMapOpsRetireOnDifferentShards(t *testing.T) {
-	as, err := New(Config{Design: PureRCU, CPUs: 2, Frames: 1 << 14, THPScanInterval: -1, tune: tuning{rcuBatch: -1}})
+	as, err := New(Config{Design: PureRCU, CPUs: 2, Frames: 1 << 14, tune: tuning{rcuBatch: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestConcurrentMapOpsRetireOnDifferentShards(t *testing.T) {
 // unmap is unconditional, still frees every one of them: no frame leaks
 // under any design (forEachDesign's Close checks).
 func TestFixedMmapOverNothingSkipsZapSafely(t *testing.T) {
-	forEachDesign(t, Config{CPUs: 1, Frames: 4096, THPScanInterval: -1}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 1, Frames: 4096}, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		rw := vma.ProtRead | vma.ProtWrite
 		base := UnmappedBase + 1<<30
@@ -493,7 +493,7 @@ func TestMunmapOfNothingFreesEmptyTables(t *testing.T) {
 // pooled buffers. Nothing is lost: every frame comes back.
 func TestHugeUnmapThroughPooledBuffers(t *testing.T) {
 	const chunks = 32
-	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 4 * chunks * 512, THPScanInterval: -1})
+	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 4 * chunks * 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,11 +299,11 @@ func TestRefaultEvictAllocs(t *testing.T) {
 	const limit = 256
 	for _, batch := range []int{16, 64} {
 		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
-			// No background detector and no collapse scanner: the scans
-			// run the grace periods themselves, so what is out with the
-			// domain does not depend on scheduling.
+			// No background detector: the scans run the grace periods
+			// themselves, so what is out with the domain does not depend
+			// on scheduling.
 			h := NewHost(Config{Design: PureRCU, CPUs: 1, Frames: 4 * limit, Backing: true,
-				THPScanInterval: -1, tune: tuning{rcuBatch: -1, reclaimBatch: batch}}, 1)
+				tune: tuning{rcuBatch: -1, reclaimBatch: batch}}, 1)
 			as, err := h.Admit("", limit)
 			if err != nil {
 				t.Fatal(err)

@@ -45,11 +45,11 @@ func readAudit(as *AddressSpace, cpus [2]*CPU) auditReading {
 		rowCells(m, as.stats.cpu.At(c.id))
 		m["pagetable.ptesFilled"] = as.tables.PTEsFilledOn(c.id)
 		m["physmem.allocs"], m["physmem.frees"] = as.alloc.CPUCounts(c.id)
-		as.fam.filesMu.Lock()
+		as.fam.ms.filesMu.Lock()
 		for _, f := range as.fam.files {
 			m["pagecache.hits"] += f.PageCache().HitsOn(c.id)
 		}
-		as.fam.filesMu.Unlock()
+		as.fam.ms.filesMu.Unlock()
 		r.cells[i] = m
 		r.faultSample[i] = as.stats.cpu.At(c.id).hist.Count()
 	}
@@ -118,8 +118,7 @@ func wantDeltas(t *testing.T, layer string, got, want map[string]int64) {
 // from a fresh pool must not share a line.
 func TestFastPathFaultWritesOnlyItsOwnCells(t *testing.T) {
 	const n = 16 // fits in what a just-refilled magazine holds
-	// The collapse scanner is off so no background pass moves a counter.
-	forEachDesign(t, Config{CPUs: 2, Frames: 4096, THPScanInterval: -1}, func(t *testing.T, as *AddressSpace) {
+	forEachDesign(t, Config{CPUs: 2, Frames: 4096}, func(t *testing.T, as *AddressSpace) {
 		cpus := [2]*CPU{as.NewCPU(0), as.NewCPU(1)}
 		semWant := func(t *testing.T, before, after [3]locks.RWSemStats) {
 			t.Helper()

@@ -44,8 +44,8 @@ type Counts struct {
 	EvictUnmaps    uint64 `json:"evict_unmaps"`    // PTEs revoked by the eviction scan
 	ReclaimRetries uint64 `json:"reclaim_retries"` // operations that ran direct reclaim and retried
 
-	// Transparent-huge-page counters: the 2MB fault path, khugepaged-
-	// style collapses, and gather-driven demotions. Splits and zaps are
+	// Transparent-huge-page counters: the 2MB fault path, CollapseRange
+	// promotions, and gather-driven demotions. Splits and zaps are
 	// counted by the page-table tree itself (a partial munmap demotes
 	// deep inside the unmap scan) and read from it.
 	THPHugeFaults    uint64 `json:"thp_huge_faults"`    // faults satisfied by installing a huge entry

@@ -138,12 +138,12 @@ func (p *syncPolicy) pin(lo, hi uint64) mapGuard {
 }
 
 // pinIndex is pin with no interval: the hold a thread that is not
-// faulting needs to walk the region tree, promising nothing about what
+// faulting needs to read the region tree, promising nothing about what
 // it finds there. On the global semaphore that is still mmapSem in read
 // mode (RWLock's and FaultLock's tree has no other reader protection);
-// Hybrid's and PureRCU's trees synchronize their own readers, and a
-// periodic whole-space range acquisition by the collapse scanner would
-// queue behind, and conflict with, every mapping operation in flight.
+// Hybrid's and PureRCU's trees synchronize their own readers, so a
+// reader such as RegionCount takes no range and never queues behind a
+// mapping operation in flight.
 func (p *syncPolicy) pinIndex() mapGuard {
 	if p.rl != nil {
 		return mapGuard{}

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"sync/atomic"
-	"time"
 
 	"bonsai/internal/pagetable"
 	"bonsai/internal/physmem"
@@ -16,11 +15,11 @@ import (
 // huge entry instead of 512 base PTEs — one fault, one translation, and
 // the whole span's teardown later batches into a single shootdown
 // flush. When no contiguous run is free (the pool is fragmented, not
-// empty) the fault falls back to a base page; the background collapse
-// scanner — the khugepaged analogue — later promotes chunks that
-// filled in with hot base pages. Huge entries are anonymous-only:
-// file-backed mappings keep base pages, and fork splits huge entries
-// back to base pages so copy-on-write stays page-granular.
+// empty) the fault falls back to a base page, and the chunk stays base
+// pages until an explicit CollapseRange promotes it — there is no
+// background promotion. Huge entries are anonymous-only: file-backed
+// mappings keep base pages, and fork splits huge entries back to base
+// pages so copy-on-write stays page-granular.
 
 // HugeSpan is the virtual span one huge entry maps (2 MB).
 const HugeSpan = pagetable.HugeSpan
@@ -37,7 +36,7 @@ func hugeEligible(v *vma.VMA, page uint64) bool {
 }
 
 // hugeHit services a fault whose page a huge entry already translates
-// (a prior 2 MB fault or a background collapse won the race).
+// (a prior 2 MB fault or a CollapseRange won the race).
 func (c *CPU) hugeHit(h uint64, page uint64, write bool, recheck func() bool) error {
 	as := c.as
 	c.pathFlags |= trace.FaultHuge
@@ -66,7 +65,7 @@ func (c *CPU) hugeFault(v *vma.VMA, page uint64, recheck func() bool) (done bool
 	chunk := page &^ (HugeSpan - 1)
 	if as.tables.WalkTable(chunk) != nil {
 		// Base pages already populate the chunk (earlier faults fell
-		// back): promotion is the collapse scanner's job, not a fault's.
+		// back): promotion is CollapseRange's job, not a fault's.
 		return false, nil
 	}
 	run, err := as.alloc.AllocRun(c.id, pagetable.HugeOrder)
@@ -106,9 +105,9 @@ func (c *CPU) hugeFault(v *vma.VMA, page uint64, recheck func() bool) (done bool
 // copy-on-write PTE whose frame has no other owner — the fork child is
 // gone — qualifies too: the collapse copy re-owns it, exactly as a
 // write fault's sole-owner COW break would, and a frame still shared
-// with a live relative fails the refcount check. The caller holds the
-// space's mapping-operation exclusion over the chunk and has verified
-// the covering VMA is anonymous, private, and writable-state-stable.
+// with a live relative fails the refcount check. The caller pins the
+// chunk and has verified the covering VMA is huge-eligible; the pin
+// keeps its protection, and so writable, stable.
 // The promotion allocates a destination run, copies the 512 pages under
 // the leaf PTE lock (the same atomicity discipline io's accessors
 // follow, so no racing store is lost), publishes the huge entry, and
@@ -148,153 +147,44 @@ func (as *AddressSpace) collapseChunk(chunk uint64, writable bool) bool {
 	return true
 }
 
-// surveyChunks discovers collapse candidates in [lo, hi): aligned
-// chunks fully covered by an anonymous private VMA whose 512 base PTEs
-// are all present and (in clock mode) at least one touched since the
-// previous sweep — the accessed bits the survey reads are cleared as it
-// goes, the clock hand. Fresh faults install PTEs with the accessed bit
-// set, so a chunk that fills in is promotable on the next sweep; an
-// idle chunk whose bits stay clear is left alone. Frame exclusivity
-// (including sole-owner COW leftovers) is judged later, per PTE, under
-// the collapse's leaf lock.
-//
-// Discovery pins nothing: it holds only what walking the region tree
-// takes (pinIndex), and SurveyChunk validates each leaf under its PTE
-// lock with a dead-table check, so a concurrent zap at worst yields a
-// stale candidate — which collapseOne revalidates under a pin before
-// promoting.
-func (as *AddressSpace) surveyChunks(lo, hi uint64, clock bool) []uint64 {
-	pin := as.sy.pinIndex()
+// CollapseRange synchronously promotes every eligible, fully populated
+// chunk overlapping [lo, hi) — the MADV_COLLAPSE analogue, and the only
+// way base pages become a huge entry. It pins the chunk-aligned span
+// once, so the regions it judges hold still while faults keep running
+// beside it, arbitrated by the PTE and page-directory locks Collapse
+// takes. The regions are gathered first and the chunks promoted after
+// the walk, so no collapse flushes a gather inside a tree traversal.
+func (as *AddressSpace) CollapseRange(lo, hi uint64) int {
+	// Clamp before rounding up: rounding a hi near 2^64 would wrap.
+	lo &^= HugeSpan - 1
+	hi = (min(hi, MaxAddress) + HugeSpan - 1) &^ (HugeSpan - 1)
+	if lo >= hi {
+		return 0
+	}
+	pin := as.sy.pin(lo, hi)
 	defer pin.unlock()
-	var cands []uint64
-	scan := func(v *vma.VMA) bool {
-		if v.File() != nil || v.Flags()&(vma.Shared|vma.Stack) != 0 {
-			return true
-		}
-		start := (v.Start() + HugeSpan - 1) &^ (HugeSpan - 1)
-		for chunk := start; chunk+HugeSpan <= v.End(); chunk += HugeSpan {
-			if chunk+HugeSpan <= lo || chunk >= hi {
+	var regions []*vma.VMA
+	// A region that begins below lo may still cover chunks inside the
+	// span; the ascend below visits only starts in [lo, hi).
+	if v := as.idx.floor(lo); v != nil && v.Start() < lo && v.End() > lo {
+		regions = append(regions, v)
+	}
+	as.idx.ascendRange(lo, hi, func(v *vma.VMA) bool {
+		regions = append(regions, v)
+		return true
+	})
+	promoted := 0
+	for _, v := range regions {
+		for chunk := max(lo, v.Start()&^(HugeSpan-1)); chunk < min(hi, v.End()); chunk += HugeSpan {
+			if !hugeEligible(v, chunk) {
 				continue
 			}
-			present, accessed, _, ok := as.tables.SurveyChunk(chunk, clock)
-			if !ok {
-				continue // unpopulated, or already huge
+			// No leaf table means unpopulated or already huge.
+			if present, ok := as.tables.SurveyChunk(chunk); ok && present == pagetable.EntriesPerTable &&
+				as.collapseChunk(chunk, v.Prot()&vma.ProtWrite != 0) {
+				promoted++
 			}
-			if present == pagetable.EntriesPerTable && (!clock || accessed > 0) {
-				cands = append(cands, chunk)
-			}
-		}
-		return true
-	}
-	// A region that begins below lo may still cover chunks inside the
-	// window; the ascend below visits only starts in [lo, hi).
-	if v := as.idx.floor(lo); v != nil && v.Start() < lo && v.End() > lo {
-		scan(v)
-	}
-	as.idx.ascendRange(lo, hi, scan)
-	return cands
-}
-
-// collapseOne promotes one surveyed chunk with just the chunk pinned —
-// the khugepaged scan discipline: the VMA revalidated below holds still,
-// while faults proceed and are arbitrated by the page-table locks
-// Collapse already takes.
-func (as *AddressSpace) collapseOne(chunk uint64) bool {
-	pin := as.sy.pin(chunk, chunk+HugeSpan)
-	defer pin.unlock()
-	v := as.idx.floor(chunk)
-	if v == nil || !hugeEligible(v, chunk) {
-		return false // unmapped, remapped, or no longer eligible
-	}
-	return as.collapseChunk(chunk, v.Prot()&vma.ProtWrite != 0)
-}
-
-// collapsePass is one scanner sweep over this address space: survey the
-// whole space with the accessed-bit clock, then promote each candidate
-// under its own chunk-sized exclusion.
-func (as *AddressSpace) collapsePass() int {
-	promoted := 0
-	for _, chunk := range as.surveyChunks(0, MaxAddress, true) {
-		if as.collapseOne(chunk) {
-			promoted++
 		}
 	}
 	return promoted
-}
-
-// CollapseRange synchronously promotes every eligible, fully populated
-// chunk of [lo, hi) — the MADV_COLLAPSE analogue, and the scanner's
-// engine exposed for tests and torture. Unlike the scanner it ignores
-// the accessed-bit clock (an explicit request is its own heat signal).
-func (as *AddressSpace) CollapseRange(lo, hi uint64) int {
-	promoted := 0
-	for _, chunk := range as.surveyChunks(lo, hi, false) {
-		if as.collapseOne(chunk) {
-			promoted++
-		}
-	}
-	return promoted
-}
-
-// collapseScanner is the machine's khugepaged: a background goroutine
-// that periodically sweeps every live member of every tenant, promoting
-// hot fully-populated chunks. One scanner per machine, like one
-// khugepaged per host, so its collapse copies are bounded and its pins
-// touch one space at a time.
-func (h *Host) collapseScanner(interval time.Duration) {
-	defer close(h.thpDone)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-h.thpStop:
-			return
-		case <-tick.C:
-		}
-		h.collapseSweep()
-	}
-}
-
-// collapseSweep runs one pass over every live member. Liveness against
-// teardown is settled by revalidation under collapseOne's exclusion: a
-// space being torn down empties its region tree under the whole-space
-// lock before releasing its page-table root, so a racing pass finds no
-// covering VMA and never reaches the tables (discovery's own table
-// reads are PTE-lock- and dead-check-guarded against the concurrent
-// zap). A fork's half-built child holds its own whole-space exclusion
-// for the entire clone, which blocks collapseOne until the clone is
-// complete — and its freshly cloned PTEs all carry the COW mark, so
-// they never survey as candidates anyway.
-func (h *Host) collapseSweep() {
-	for _, fam := range h.families() {
-		for _, as := range fam.liveMembers() {
-			as.collapsePass()
-		}
-	}
-}
-
-// startCollapser launches the machine's collapse scanner unless it is
-// disabled.
-func (h *Host) startCollapser() {
-	if h.cfg.THPScanInterval < 0 {
-		return
-	}
-	interval := h.cfg.THPScanInterval
-	if interval == 0 {
-		interval = DefaultTHPScanInterval
-	}
-	h.thpStop = make(chan struct{})
-	h.thpDone = make(chan struct{})
-	go h.collapseScanner(interval)
-}
-
-// stopCollapser stops the scanner and waits for an in-flight sweep to
-// finish. Called exactly once, by whichever side wins the teardown
-// latch (the last tenant's retire or the last Host's Close).
-func (h *Host) stopCollapser() {
-	if h.thpStop == nil {
-		return
-	}
-	close(h.thpStop)
-	<-h.thpDone
 }

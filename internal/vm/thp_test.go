@@ -2,8 +2,8 @@ package vm
 
 // Transparent-huge-page tests: the huge-first fault path, base-page
 // fallback under run fragmentation, gather-driven demotion on partial
-// munmap and boundary-crossing mprotect, collapse promotion (explicit
-// and scanner-driven), fork's split-in-clone, and a -race storm
+// munmap and boundary-crossing mprotect, CollapseRange promotion,
+// fork's split-in-clone, and a -race storm
 // that pits huge faulters against a splitter and a collapser on one
 // region with the run allocator failing intermittently.
 
@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"bonsai/internal/fail"
 	"bonsai/internal/vma"
@@ -23,7 +22,7 @@ import (
 const hugeBase = UnmappedBase + 0x10000000
 
 func thpConfig() Config {
-	return Config{CPUs: 4, Frames: 16384, Backing: true, THPScanInterval: -1}
+	return Config{CPUs: 4, Frames: 16384, Backing: true}
 }
 
 func TestHugeFaultInstalls(t *testing.T) {
@@ -250,7 +249,7 @@ func TestMprotectUpgradeBoundarySplitsHuge(t *testing.T) {
 // populateBasePages fills [base, base+n*HugeSpan) with base pages by
 // faulting every page while the run allocator is failing, so the
 // huge-first path falls back — the fragmented-then-recovered history
-// the collapser exists for. Each page gets a distinct first byte.
+// CollapseRange exists for. Each page gets a distinct first byte.
 func populateBasePages(t *testing.T, as *AddressSpace, cpu *CPU, base uint64, chunks int) {
 	t.Helper()
 	if err := fail.Enable(32, "physmem.run-alloc", fail.Config{OneIn: 1}); err != nil {
@@ -273,8 +272,14 @@ func TestCollapseRangePromotes(t *testing.T) {
 		if st := as.Stats(); st.AnonHugePages != 0 || st.PagesMapped != 1024 {
 			t.Fatalf("population: anonHugePages=%d pagesMapped=%d, want 0/1024", st.AnonHugePages, st.PagesMapped)
 		}
-		if n := as.CollapseRange(hugeBase, hugeBase+2*HugeSpan); n != 2 {
-			t.Fatalf("CollapseRange promoted %d chunks, want 2", n)
+		// A request that starts mid-chunk promotes the chunk it overlaps.
+		if n := as.CollapseRange(hugeBase+PageSize, hugeBase+2*PageSize); n != 1 {
+			t.Fatalf("mid-chunk CollapseRange promoted %d chunks, want 1", n)
+		}
+		// An end past the address space is clamped before it is rounded
+		// up to a chunk, so it cannot wrap.
+		if n := as.CollapseRange(hugeBase, ^uint64(0)); n != 1 {
+			t.Fatalf("CollapseRange to 2^64 promoted %d chunks, want 1", n)
 		}
 		st := as.Stats()
 		if st.THPCollapses != 2 || st.AnonHugePages != 2 {
@@ -294,41 +299,11 @@ func TestCollapseRangePromotes(t *testing.T) {
 		if n := as.CollapseRange(hugeBase, hugeBase+2*HugeSpan); n != 0 {
 			t.Fatalf("second CollapseRange promoted %d chunks, want 0", n)
 		}
+		if n := as.CollapseRange(hugeBase+4*HugeSpan, hugeBase+8*HugeSpan); n != 0 {
+			t.Fatalf("CollapseRange over an unmapped window promoted %d chunks", n)
+		}
 		if err := as.AuditTHP(); err != nil {
 			t.Fatal(err)
-		}
-	})
-}
-
-// TestCollapseScannerPromotes exercises the background khugepaged
-// analogue end to end: base pages installed by fallback faults carry
-// the accessed bit, so the scanner's clock finds the chunk hot and
-// promotes it without any explicit call.
-func TestCollapseScannerPromotes(t *testing.T) {
-	defer fail.DisableAll()
-	cfg := thpConfig()
-	cfg.THPScanInterval = time.Millisecond
-	forEachDesign(t, cfg, func(t *testing.T, as *AddressSpace) {
-		cpu := as.NewCPU(0)
-		mustMmap(t, as, hugeBase, HugeSpan, vma.ProtRead|vma.ProtWrite, vma.Fixed)
-		populateBasePages(t, as, cpu, hugeBase, 1)
-		deadline := time.Now().Add(5 * time.Second)
-		for as.Stats().THPCollapses == 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("scanner never collapsed the hot chunk: %+v", as.Stats())
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if st := as.Stats(); st.AnonHugePages != 1 {
-			t.Fatalf("AnonHugePages = %d after scanner collapse, want 1", st.AnonHugePages)
-		}
-		page := uint64(300)
-		got := make([]byte, 2)
-		if err := cpu.ReadBytes(hugeBase+page*PageSize, got); err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != byte(page) || got[1] != byte(page>>8) {
-			t.Fatalf("page 300 corrupted by scanner collapse: %v", got)
 		}
 	})
 }

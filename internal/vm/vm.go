@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bonsai/internal/pagecache"
 	"bonsai/internal/pagetable"
@@ -147,10 +146,6 @@ type Config struct {
 	// physical allocator, whose per-CPU magazines are partitioned among
 	// them. Zero means DefaultMaxFamily.
 	MaxFamily int
-	// THPScanInterval paces the background collapse scanner between
-	// whole-machine passes. Zero means DefaultTHPScanInterval; negative
-	// disables the scanner while keeping the huge fault path.
-	THPScanInterval time.Duration
 
 	// tune holds the runtime's batch sizes and watermarks; only this
 	// package's tests set it.
@@ -173,10 +168,6 @@ type tuning struct {
 	// Zero means the reclaim package default (64).
 	reclaimBatch int
 }
-
-// DefaultTHPScanInterval paces the collapse scanner's passes (the
-// khugepaged scan_sleep analogue, compressed to simulation time scales).
-const DefaultTHPScanInterval = 10 * time.Millisecond
 
 // DefaultMaxFamily supports an original address space plus seven
 // concurrently live forks.
@@ -223,8 +214,8 @@ type AddressSpace struct {
 // family is one tenant: the state shared between an address space and
 // its forks and siblings — the tenant's name and limit, the member slots
 // partitioning the tenant's share of the machine's magazines, the
-// registry of files mapped by any member (each with its shared page
-// cache), the tenant's memcg-style charge account, and the liveness
+// files any member has mapped (each with its machine-wide page cache),
+// the tenant's memcg-style charge account, and the liveness
 // count that retires the tenant at the last Close. The machine-wide
 // resources and the tenant table live on ms, the tenant's Host.
 type family struct {
@@ -261,9 +252,9 @@ type family struct {
 	// address space is fully closed (or a fork attempt unwinds), so
 	// retried forks and churning siblings cannot exhaust MaxFamily.
 	// It also guards members, the live address spaces in the order they
-	// joined (the OOM killer's, the collapse scanner's and Members'
-	// list), and departed, the statistics of every member that has left
-	// it: a member moves from one to the other in one critical section.
+	// joined (the OOM killer's and Members' list), and departed, the
+	// statistics of every member that has left it: a member moves from
+	// one to the other in one critical section.
 	// live counts spaces holding a slot; the one that takes it to zero
 	// retires the family, which then refuses new members for good.
 	membersMu sync.Mutex
@@ -274,12 +265,10 @@ type family struct {
 	live      int
 	retired   bool
 
-	// filesMu guards the file registry. It is only taken on a file's
-	// first mapping, on stats snapshots, and at teardown — never on the
-	// fault path, which reaches the cache through the handle the file
-	// itself carries.
-	filesMu sync.Mutex
-	files   []*vma.File
+	// files lists each file any member has mapped, once (guarded by
+	// ms.filesMu): the family is one of the file's users until it
+	// retires.
+	files []*vma.File
 }
 
 // CPU is a per-worker fault context: its RCU reader registration and

@@ -6,8 +6,11 @@
 # stripe lock order (those three killed by the schedule explorer, which
 # runs the fill, gap and stripe races through every interleaving) and of
 # the mapping operations' range check, which must refuse a length within
-# a page of 2^64 before rounding it up wraps it to zero, and of Close's
-# unregistering of its fault contexts' RCU readers:
+# a page of 2^64 before rounding it up wraps it to zero, of Close's
+# unregistering of its fault contexts' RCU readers, and of the file
+# registry's user count (a retiring tenant drops a shared file's page
+# cache only when no other live tenant maps the file; the twin drops it
+# whatever the count says, so the first tenant to retire takes it):
 # each guard test passes on the checkout as it stands and must fail on a
 # copy of it with that one guard removed — the proof that the test sees
 # the guard. Each test runs in the package of the file its twin mutates,
@@ -41,6 +44,7 @@ mutants=(
 	'internal/vm:TestExploreStripeRace@@internal/ranges/ranges.go@@i := bits.TrailingZeros16(mask)@@i := (bits.TrailingZeros16(bits.RotateLeft16(mask, -int(lo>>stripeShift%stripeCount))) + int(lo>>stripeShift%stripeCount)) % stripeCount'
 	'TestMmapInvalidArgs@@internal/vm/vm.go@@length == 0 || length > MaxAddress {@@length == 0 {'
 	'TestClosedSpacesLeaveNoReaders@@internal/vm/vm.go@@as.dom.Unregister(rd)@@_ = rd'
+	'TestSharedFileOutlivesFirstTenant@@internal/vm/filecache.go@@if h.fileUsers[f] > 0 {@@if false {'
 )
 
 mkdir -p "$work/pristine"
