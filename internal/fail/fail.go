@@ -34,8 +34,9 @@
 //   - physmem.alloc: Alloc fails with ErrOutOfMemory as if the pool were
 //     empty; physmem.run-alloc: AllocRun fails, forcing the huge fault's
 //     base-page fallback; physmem.drain: DrainMagazines recovers nothing;
-//   - rcu.gp-delay and tlb.flush-delay: extra latency inside the
-//     grace-period detector and inside a shootdown flush;
+//   - rcu.gp-delay and tlb.flush-delay: a stretched grace period (the
+//     epoch holds for the delay; no retiring caller sleeps on it) and
+//     extra latency inside a shootdown flush;
 //   - pagecache.fill: a fill fails with ErrFillIO; pagecache.wb-retryable
 //     and pagecache.wb-sticky: writeback fails, the page staying dirty
 //     (ErrWritebackIO) or being cleaned anyway (ErrStickyIO);

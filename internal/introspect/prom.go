@@ -118,7 +118,7 @@ func WriteMetrics(w io.Writer, sn Snapshot, top []contention.SiteStats, label st
 	thp := fam("vm_thp_faults_total", "counter", "Huge-eligible anonymous faults by outcome: huge entry installed, or fallback to base pages.")
 	thp.add(n(sn.THPHugeFaults), lbl{"outcome", "huge"})
 	thp.add(n(sn.THPFallbacks), lbl{"outcome", "fallback"})
-	coll := fam("vm_thp_collapses_total", "counter", "Collapse attempts (background scanner and explicit CollapseRange) by outcome.")
+	coll := fam("vm_thp_collapses_total", "counter", "Collapse attempts (CollapseRange) by outcome.")
 	coll.add(n(sn.THPCollapses), lbl{"outcome", "promoted"})
 	coll.add(n(sn.THPCollapseFails), lbl{"outcome", "aborted"})
 	fam("vm_thp_splits_total", "counter", "Huge entries demoted to base pages in place.").add(n(sn.THPSplits))

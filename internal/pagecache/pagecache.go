@@ -110,15 +110,37 @@ const (
 )
 
 // MappingOwner is the address-space side of a reverse mapping: the VM
-// layer implements it so eviction can revoke the PTE at vaddr if it
-// still maps f. EvictPTE runs with no cache mutex held; it takes the
-// owner's PTE lock, compares the installed frame against f, clears the
-// entry on a match, and records the revoked translation in g — the
-// scan's batch gather, whose flush (paid once per batch by the reclaim
-// driver) charges the shootdown and retires the cleared mapping's
-// frame reference past a grace period.
+// layer implements it so eviction can revoke the PTE at vaddr if it is
+// still the mapping the scan snapshotted. EvictPTE runs with no cache
+// mutex held; it takes the owner's PTE lock, compares the installed
+// frame against inc.Frame() and asks inc.Current() — under that lock,
+// where the zap paths remove rmap entries and a fault adds them — clears
+// the entry only if both hold, and records the revoked translation in
+// g — the scan's batch gather, whose flush (paid once per batch by the
+// reclaim driver) charges the shootdown and retires the cleared
+// mapping's frame reference past a grace period.
 type MappingOwner interface {
-	EvictPTE(g *tlb.Gather, vaddr uint64, f physmem.Frame) bool
+	EvictPTE(g *tlb.Gather, vaddr uint64, inc Incarnation) bool
+}
+
+// Incarnation is one incarnation of a page's reverse-map entry, as an
+// eviction scan snapshotted it. The slot it names may since have been
+// zapped and refaulted — mapping the same frame again, as a newer
+// incarnation the scan must not revoke.
+type Incarnation struct {
+	pg *Page
+	e  rmapEntry
+}
+
+// Frame returns the frame of the snapshotted page.
+func (i Incarnation) Frame() physmem.Frame { return i.pg.frame }
+
+// Current reports whether the snapshotted incarnation is still the
+// page's entry for its slot. The owner asks under the slot's PTE lock.
+func (i Incarnation) Current() bool {
+	i.pg.rmapMu.Lock()
+	defer i.pg.rmapMu.Unlock()
+	return i.pg.rmap.get(i.e.m) == i.e.gen
 }
 
 // Page is one resident file page. Its frame is stable for the Page's
@@ -536,7 +558,7 @@ func (c *Cache) Drop(lo, hi uint64) int {
 		frames = append(frames, pg.frame)
 	})
 	if len(frames) > 0 {
-		c.dom.Defer(func() { c.alloc.FreeBatch(frames) })
+		c.dom.DeferOn(0, len(frames), func() { c.alloc.FreeBatch(frames) })
 	}
 	// Truncate semantics extend to the backing store and the refault
 	// tracking: a fill after a Drop is a fresh page, never a resurrected
@@ -775,12 +797,13 @@ func (c *Cache) ReclaimScan(acct *physmem.Account, batch int, force bool, g *tlb
 	}
 
 	// Phase 2: revoke translations through the rmap, feeding the batch
-	// gather. Only PTE locks are taken; a miss (the slot was zapped,
-	// remapped, or COW-broken since the snapshot) is left for phase 3
-	// to disambiguate by generation.
+	// gather. Only PTE locks (and under them the rmap mutex) are taken;
+	// a slot zapped, remapped or COW-broken since the snapshot is left
+	// alone — even one refaulted onto the same frame, a newer incarnation
+	// — and phase 3 disambiguates by generation.
 	for _, cd := range c.cands {
 		for _, e := range c.snap[cd.lo:cd.hi] {
-			e.m.owner.EvictPTE(g, e.m.vaddr, cd.pg.frame)
+			e.m.owner.EvictPTE(g, e.m.vaddr, Incarnation{cd.pg, e})
 		}
 	}
 

@@ -200,10 +200,11 @@ type fakeOwner struct {
 	ptes  map[uint64]physmem.Frame
 }
 
-func (o *fakeOwner) EvictPTE(g *tlb.Gather, vaddr uint64, f physmem.Frame) bool {
+func (o *fakeOwner) EvictPTE(g *tlb.Gather, vaddr uint64, inc Incarnation) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.ptes[vaddr] != f {
+	f := inc.Frame()
+	if o.ptes[vaddr] != f || !inc.Current() {
 		return false
 	}
 	delete(o.ptes, vaddr)
@@ -358,8 +359,9 @@ type evictingOwner struct {
 	readded bool
 }
 
-func (o *evictingOwner) EvictPTE(g *tlb.Gather, vaddr uint64, f physmem.Frame) bool {
-	ok := o.fakeOwner.EvictPTE(g, vaddr, f)
+func (o *evictingOwner) EvictPTE(g *tlb.Gather, vaddr uint64, inc Incarnation) bool {
+	ok := o.fakeOwner.EvictPTE(g, vaddr, inc)
+	f := inc.Frame()
 	if ok && !o.readded {
 		o.readded = true
 		// The "refault": reference, AddMapping, reinstall — on a page
@@ -411,6 +413,68 @@ func TestEvictAbortOnRefault(t *testing.T) {
 	if alloc.InUse() != 0 {
 		t.Fatalf("%d frames leaked", alloc.InUse())
 	}
+}
+
+// remappingOwner zaps and refaults the slot from inside EvictPTE,
+// before the revocation — standing in for a munmap, a new mapping of
+// the same file page at the same address and a fault on it, all between
+// the scan's snapshot and its revocation phase. The slot maps the same
+// frame again, as a newer rmap incarnation.
+type remappingOwner struct {
+	fakeOwner
+	t        *testing.T
+	c        *Cache
+	remapped bool
+}
+
+func (o *remappingOwner) EvictPTE(g *tlb.Gather, vaddr uint64, inc Incarnation) bool {
+	if !o.remapped {
+		o.remapped = true
+		// The zap: clear the entry and its rmap entry under the "PTE
+		// lock", and drop the mapping's reference.
+		o.mu.Lock()
+		delete(o.ptes, vaddr)
+		o.mu.Unlock()
+		inc.pg.RemoveMapping(o, vaddr)
+		o.alloc.FreeRemote(inc.Frame())
+		// The refault, through the fault path's protocol.
+		o.install(o.t, o.c, o, vaddr, inc.pg.off)
+	}
+	return o.fakeOwner.EvictPTE(g, vaddr, inc)
+}
+
+// TestEvictSparesRefaultedSlot: a slot zapped and refaulted onto the
+// same page between the scan's snapshot and its revocation is a new
+// mapping; the scan must not revoke it (it would leave the page's rmap
+// naming a PTE that is gone, and the page one reference short), and
+// the eviction aborts.
+func TestEvictSparesRefaultedSlot(t *testing.T) {
+	c, alloc, dom := newTestCache(t, 1)
+	o := &remappingOwner{fakeOwner: fakeOwner{alloc: alloc}, t: t, c: c}
+	pg := o.install(t, c, o, 0x1000, 0)
+	tl := newTestTLB(alloc, dom)
+	g := tl.Gather(0)
+	if ev, _ := c.ReclaimScan(nil, 1, true, g); ev != 0 {
+		t.Fatalf("evicted %d, want the refault to abort the eviction", ev)
+	}
+	g.Flush()
+	dom.Synchronize()
+	if _, mapped := o.ptes[0x1000]; !mapped || !pg.MappedBy(o, 0x1000) {
+		t.Fatalf("after the scan: PTE present %v, rmap entry %v — the refaulted mapping was revoked", mapped, pg.MappedBy(o, 0x1000))
+	}
+	if refs := alloc.Refs(pg.Frame()); refs != 2 {
+		t.Fatalf("frame holds %d references, want 2 (cache + the refaulted mapping)", refs)
+	}
+	if err := c.Audit(func(owner MappingOwner, vaddr uint64) (physmem.Frame, bool) {
+		f, ok := o.ptes[vaddr]
+		return f, ok
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Unmap it for the leak check.
+	delete(o.ptes, 0x1000)
+	pg.RemoveMapping(o, 0x1000)
+	alloc.FreeRemote(pg.Frame())
 }
 
 // readers resolve a page, take a frame reference inside an RCU read

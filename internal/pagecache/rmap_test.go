@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"bonsai/internal/physmem"
 	"bonsai/internal/tlb"
 )
 
@@ -12,7 +11,7 @@ import (
 // revoke through it.
 type nopOwner struct{ id int }
 
-func (*nopOwner) EvictPTE(*tlb.Gather, uint64, physmem.Frame) bool { return false }
+func (*nopOwner) EvictPTE(*tlb.Gather, uint64, Incarnation) bool { return false }
 
 // runRmapOps decodes ops two bytes at a time into operations on one
 // page's reverse map over owners × two vaddrs — AddMapping (a fresh

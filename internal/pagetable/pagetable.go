@@ -271,7 +271,7 @@ func (t *Tables) newPageTable(cpu int) (*PageTable, error) {
 func (t *Tables) releaseDirectory(cpu int, d *directory) {
 	t.tablesFreed.Add(1)
 	t.tablesLive.Add(-1)
-	t.dom.DeferOn(cpu, func() { t.alloc.FreeRemote(d.frame) })
+	t.dom.DeferOn(cpu, 1, func() { t.alloc.FreeRemote(d.frame) })
 }
 
 // retireStructure retires a detached directory or leaf table through
@@ -610,15 +610,17 @@ func (t *Tables) clearPTEs(g *tlb.Gather, pt *PageTable, lo, hi uint64, detach b
 }
 
 // ClearPTEIfFrame revokes the translation at addr if (and only if) it
-// is present and still maps frame f, reporting whether it did. This is
-// the page-reclaim scan's unmap primitive: eviction walks a page's
-// reverse mappings with no locks held, so by the time it reaches a
-// (space, vaddr) pair the PTE may already have been cleared by munmap
-// or refilled with a different page — the frame comparison under the
-// PTE lock makes the revocation precise. The caller must be inside an
-// RCU read-side critical section (the walk is lock-free) and owns the
+// is present, still maps frame f and current, called under the PTE
+// lock, agrees, reporting whether it did. This is the page-reclaim
+// scan's unmap primitive: eviction walks a page's reverse mappings with
+// no locks held, so by the time it reaches a (space, vaddr) pair the PTE
+// may already have been cleared by munmap, refilled with a different
+// page, or zapped and refaulted onto the same one — the frame comparison
+// and current (the scan's rmap incarnation check) under the PTE lock
+// make the revocation precise. The caller must be inside an RCU
+// read-side critical section (the walk is lock-free) and owns the
 // retirement of the cleared entry's frame reference.
-func (t *Tables) ClearPTEIfFrame(addr uint64, f physmem.Frame) bool {
+func (t *Tables) ClearPTEIfFrame(addr uint64, f physmem.Frame, current func() bool) bool {
 	pt := t.WalkTable(addr)
 	if pt == nil {
 		return false
@@ -630,7 +632,7 @@ func (t *Tables) ClearPTEIfFrame(addr uint64, f physmem.Frame) bool {
 		return false // detached by a concurrent unmap scan
 	}
 	pte := pt.PTE(idx)
-	if pte&PTEPresent == 0 || PTEFrame(pte) != f {
+	if pte&PTEPresent == 0 || PTEFrame(pte) != f || !current() {
 		return false
 	}
 	pt.ptes[idx].Store(0)

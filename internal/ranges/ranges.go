@@ -61,28 +61,33 @@ import (
 	"bonsai/internal/trace"
 )
 
-// The stripes: stripeCount of them, each covering the 1<<stripeShift
-// byte spans whose index is its own mod stripeCount.
+// The stripes: StripeCount of them, each covering the 1<<StripeShift
+// byte spans whose index is its own mod StripeCount. They are exported
+// so a structure partitioned the same way (the PureRCU region index, one
+// tree per stripe) cannot drift from the lock's partition.
 const (
-	stripeShift = 30
+	StripeShift = 30
 	stripeBits  = 4
-	stripeCount = 1 << stripeBits
+	StripeCount = 1 << stripeBits
 	cacheLine   = 64
 )
 
+// Stripe returns the stripe of the span holding addr.
+func Stripe(addr uint64) int { return int(addr >> StripeShift % StripeCount) }
+
 // stripeMask returns the stripes [lo, hi) touches, one bit each.
 func stripeMask(lo, hi uint64) uint16 {
-	first, last := lo>>stripeShift, (hi-1)>>stripeShift
-	if last-first >= stripeCount-1 {
-		return 1<<stripeCount - 1
+	first, last := lo>>StripeShift, (hi-1)>>StripeShift
+	if last-first >= StripeCount-1 {
+		return 1<<StripeCount - 1
 	}
-	return bits.RotateLeft16(uint16(1)<<(last-first+1)-1, int(first%stripeCount))
+	return bits.RotateLeft16(uint16(1)<<(last-first+1)-1, int(first%StripeCount))
 }
 
 // lowest and highest are the first and last stripes of a mask in lock
 // order.
 func lowest(mask uint16) int  { return bits.TrailingZeros16(mask) }
-func highest(mask uint16) int { return stripeCount - 1 - bits.LeadingZeros16(mask) }
+func highest(mask uint16) int { return StripeCount - 1 - bits.LeadingZeros16(mask) }
 
 // stripeStepPoint is the schedule point between two of a request's
 // stripe acquisitions (fail.Point.Yield): the first held, the next not
@@ -149,7 +154,7 @@ func overlapsAny(gs []*Guard, lo, hi uint64) bool {
 // Manager is an address-range lock manager. The zero value is ready to
 // use. All methods are safe for concurrent use.
 type Manager struct {
-	stripes [stripeCount]stripe
+	stripes [StripeCount]stripe
 
 	// waitHist is the always-on latency histogram of contended Lock
 	// waits — the tail the per-VMA-locks roadmap item will have to

@@ -16,7 +16,7 @@ import (
 const wholeSpace = ^uint64(0)
 
 // gib is one stripe span.
-const gib = uint64(1) << stripeShift
+const gib = uint64(1) << StripeShift
 
 func TestDisjointRangesDoNotBlock(t *testing.T) {
 	var m Manager

@@ -117,7 +117,7 @@ func TestStripeWrap(t *testing.T) {
 	grantedAtOnce(t, &m, 0x1000, 0x2000).Unlock() // stripe 0, disjoint
 	infos := m.Guards()
 	i := slices.IndexFunc(infos, func(gi GuardInfo) bool { return gi.Lo == lo })
-	if i < 0 || !infos[i].Waiting || infos[i].ID%stripeCount != 0 {
+	if i < 0 || !infos[i].Waiting || infos[i].ID%StripeCount != 0 {
 		t.Fatalf("Guards = %+v: want the wrapping range waiting, its id from stripe 0", infos)
 	}
 	below.Unlock()
@@ -214,7 +214,7 @@ func TestStripesShareNoWord(t *testing.T) {
 	before := managerWords(&m)
 	for range 3 {
 		round(&a, 5)
-		round(&a, 5+stripeCount) // the same stripe, 16 GiB up
+		round(&a, 5+StripeCount) // the same stripe, 16 GiB up
 	}
 	after := managerWords(&m)
 	size := unsafe.Sizeof(m.stripes[0])

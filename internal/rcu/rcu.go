@@ -9,25 +9,29 @@
 //   - DeferOn (the analogue of call_rcu): run a callback after a grace
 //     period, used to delay-free physical frames — the frames of data
 //     pages, page tables and the page cache (§5.2, Figure 11); tree
-//     nodes and VMAs are Go objects, left to the collector. DeferOn is
-//     asynchronous: it appends to one callback shard and returns. It
-//     never waits for a grace period and never takes a domain-global
-//     lock, so retiring memory from the munmap path costs one padded
-//     per-shard append — reclamation stays off the mutation hot path,
-//     which is the paper's central scalability requirement. The shard
-//     is the caller's id (a fault's CPU, a mapping operation's slot),
-//     so concurrent operations spread across shards whatever addresses
-//     they touch; Defer, for a caller with no such id (a page-cache
-//     truncate), queues on shard 0. A callback is a function value the
-//     retiring side keeps (a gather's frame batch), so queuing
-//     allocates nothing.
-//   - A background grace-period detector (the analogue of the kernel's
-//     softirq callback processing): a goroutine that advances the
-//     epoch, waits for pre-existing readers with spin, yield and then
-//     exponential parking backoff, and drains expired callback
-//     segments. Batch thresholds and a backpressure budget wake it; over
-//     budget, retiring goroutines donate their timeslice, never waiting
-//     for a grace period.
+//     nodes and VMAs are Go objects, left to the collector. DeferOn
+//     appends to one callback shard, the caller's id (a fault's CPU, a
+//     mapping operation's slot), so concurrent operations spread across
+//     shards whatever addresses they touch; Defer, for a caller with no
+//     such id (a page-cache truncate), queues on shard 0. A callback is
+//     a function value the retiring side keeps (a gather's frame batch),
+//     so queuing allocates nothing.
+//   - Grace periods that the retiring side advances itself: epochs in
+//     the verify-then-advance style of Fraser's epoch-based reclamation.
+//     The epoch moves from E to E+1 only once every reader is quiescent
+//     or entered at E or later, and a callback queued at epoch q runs
+//     once the epoch reaches q+2. DeferOn counts the pages each callback
+//     releases; when a shard holds more than its share of
+//     Options.BatchSize pages, the retiring caller advances the epoch
+//     once, by a compare-and-swap, if no reader holds it back, and runs
+//     its shard's expired callbacks. It takes no domain-wide lock and
+//     never waits: a reader holding the epoch back only leaves the
+//     backlog for a later call. So on a machine whose every processor
+//     runs a retiring goroutine, reclamation keeps pace without waiting
+//     for a scheduler time slice to reach some other goroutine.
+//   - A background poller for trickles below the batch: a timer-driven
+//     goroutine that makes the same non-blocking attempt while anything
+//     is pending.
 //   - Synchronize (synchronize_rcu, and rcu_barrier too: it runs every
 //     callback queued before it) and Close: the only blocking entry
 //     points. Mutators that must observe reclamation (teardown, leak
@@ -44,6 +48,7 @@ package rcu
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,9 +59,10 @@ import (
 )
 
 // failGPDelay stretches grace periods (armed only by fault injection;
-// see internal/fail): every deferred free and zap retirement behind the
-// stalled epoch backs up, the backlog the DeferOn backpressure path
-// exists to absorb.
+// see internal/fail): when it fires at an advance, the epoch holds for
+// the armed delay, and every deferred free and zap retirement behind it
+// backs up. Retiring callers never sleep on it; their advances are
+// refused until the delay has passed.
 var failGPDelay = fail.NewPoint("rcu.gp-delay")
 
 // cacheLine is the assumed cache-line size used to pad per-reader and
@@ -64,28 +70,34 @@ var failGPDelay = fail.NewPoint("rcu.gp-delay")
 // the paper's pure-RCU design depends on).
 const cacheLine = 64
 
-// Domain is an independent RCU domain: a set of registered readers plus
-// sharded segments of deferred callbacks processed by a background
-// grace-period detector. The zero value is not usable; call NewDomain.
-type Domain struct {
-	epoch atomic.Uint64 // current grace-period epoch; advanced per grace period
+// clockBase anchors the domain's monotonic clock readings.
+var clockBase = time.Now()
 
-	readersMu sync.Mutex // guards the readers list only
-	readers   []*Reader
+func now() time.Duration { return time.Since(clockBase) }
+
+// Domain is an independent RCU domain: a set of registered readers plus
+// sharded segments of deferred callbacks. The zero value is not usable;
+// call NewDomain.
+type Domain struct {
+	epoch atomic.Uint64 // current epoch; a reader's Lock records it
+
+	// readers is the registered readers, copied on every change under
+	// readersMu, so an advance scans it without a lock.
+	readersMu sync.Mutex
+	readers   atomic.Pointer[[]*Reader]
 
 	shards    []shard
 	shardMask uint32
 
-	// gpMu serializes grace-period execution between the detector and
-	// the blocking entry points (Synchronize/Close). It is never
-	// touched by Defer.
-	gpMu sync.Mutex
+	// published is when the current epoch was published (or, while
+	// nothing was pending, last found idle): an advance records its age.
+	published atomic.Int64
+	// heldUntil is when an injected grace-period delay ends.
+	heldUntil atomic.Int64
 
-	manual     bool // no detector: callbacks run only in Synchronize
-	wakeThresh int  // per-shard pending count that wakes the detector
-	budget     int  // per-shard pending count considered over budget
+	manual bool // no poller, no caller advances: callbacks run only in Synchronize
+	share  int  // pages a shard may hold before its retiring caller advances
 
-	wake      chan struct{} // buffered(1) nudge to the detector
 	stopc     chan struct{}
 	startOnce sync.Once
 	started   atomic.Bool
@@ -93,7 +105,6 @@ type Domain struct {
 	closed    atomic.Bool
 
 	// statistics
-	gpActive     atomic.Bool // a grace period is executing right now
 	gracePeriods atomic.Uint64
 	pendingHW    atomic.Int64
 	overBudget   atomic.Uint64
@@ -107,18 +118,18 @@ type Domain struct {
 // retiring goroutines touch disjoint cache lines; all hot counters are
 // shard-local.
 type shard struct {
-	_       [cacheLine]byte
-	mu      sync.Mutex
+	_  [cacheLine]byte
+	mu sync.Mutex
+	// cbs[head:] are the queued callbacks, in queuing order and so in
+	// epoch order; a drain takes them from the head.
 	cbs     []callback
+	head    int
+	pages   int           // pages the queued callbacks release
+	running atomic.Int64  // callbacks taken by a drain and not yet run
 	queued  atomic.Uint64 // callbacks ever appended to this shard
 	drained atomic.Uint64 // callbacks run from this shard
-	drains  atomic.Uint64 // drain passes that removed at least one callback
+	drains  atomic.Uint64 // drain passes that ran at least one callback
 	_       [cacheLine]byte
-
-	// spare is the previous drain pass's segment, recycled to keep the
-	// steady-state append path allocation-free. Only the detector (or a
-	// blocking entry point, under gpMu) touches it.
-	spare []callback
 }
 
 // pending returns the shard's currently queued callback count.
@@ -128,35 +139,30 @@ func (s *shard) pending() int64 {
 
 type callback struct {
 	epoch uint64 // epoch observed when the callback was queued
+	pages int
 	fn    func()
 }
 
+// expired reports whether a callback queued at epoch q may run at
+// epoch e: two advances since, each of which found every reader
+// quiescent or entered at or after the epoch it left, so none entered
+// before the callback was queued.
+func expired(q, e uint64) bool { return e >= q+2 }
+
 // Options configures a Domain.
 type Options struct {
-	// BatchSize is the number of pending callbacks that accumulate
-	// (domain-wide) before the background detector is woken to run a
-	// grace period and drain, modeling the kernel's batched softirq
-	// processing of call_rcu callbacks. Zero means DefaultBatchSize.
-	// Negative disables the background detector entirely: callbacks
-	// run only when the caller invokes Synchronize,
-	// which keeps reclamation deterministic for tests.
+	// BatchSize is the number of pages pending callbacks may release,
+	// across the domain, before retiring callers advance the grace
+	// period themselves: each shard's share is BatchSize divided by the
+	// shard count. Zero means DefaultBatchSize. Negative disables every
+	// automatic advance: callbacks run only when the caller invokes
+	// Synchronize, which keeps reclamation deterministic for tests.
 	BatchSize int
 }
 
-// DefaultBatchSize is the automatic drain threshold used when
-// Options.BatchSize is zero.
+// DefaultBatchSize is the batch, in pages, used when Options.BatchSize
+// is zero.
 const DefaultBatchSize = 4096
-
-// maxPending is the backpressure budget, divided evenly across the
-// shards. When one shard's pending count exceeds its slice, DeferOn
-// counts the event in Stats.OverBudget, urgently wakes the detector,
-// and yields its timeslice so the detector can run on a saturated
-// machine. It still never waits for a grace period — with readers
-// active there is nothing useful a blocked writer could wait for. The
-// budget is sized so this safety valve only engages when reclamation
-// has truly fallen behind (a wedged reader), not during ordinary
-// bursts.
-const maxPending = 1 << 17
 
 // maxShards caps the shard count.
 const maxShards = 64
@@ -164,8 +170,8 @@ const maxShards = 64
 // NewDomain returns a ready-to-use RCU domain with one callback shard
 // per processor (GOMAXPROCS rounded up to a power of two, at most
 // maxShards). Domains with a non-negative BatchSize lazily start one
-// background detector goroutine on first Defer; call Close to stop it
-// and flush remaining callbacks.
+// background poller goroutine on first Defer; call Close to stop it and
+// flush remaining callbacks.
 func NewDomain(opts Options) *Domain {
 	batch := opts.BatchSize
 	if batch == 0 {
@@ -175,24 +181,24 @@ func NewDomain(opts Options) *Domain {
 	for shards < min(runtime.GOMAXPROCS(0), maxShards) {
 		shards <<= 1
 	}
-	return newDomain(batch, shards, maxPending/shards)
+	return newDomain(batch, shards)
 }
 
 // newDomain returns a domain of shards callback shards (a power of
-// two), each woken at its share of batch (negative: never) and over
-// budget past budget pending callbacks.
-func newDomain(batch, shards, budget int) *Domain {
+// two), each holding at most its share of batch pages before its
+// retiring caller advances (negative: never).
+func newDomain(batch, shards int) *Domain {
 	d := &Domain{
-		manual:     batch < 0,
-		shards:     make([]shard, shards),
-		shardMask:  uint32(shards - 1),
-		wakeThresh: max(batch/shards, 1),
-		budget:     max(budget, 1),
-		wake:       make(chan struct{}, 1),
-		stopc:      make(chan struct{}),
-		exited:     make(chan struct{}),
+		manual:    batch < 0,
+		shards:    make([]shard, shards),
+		shardMask: uint32(shards - 1),
+		share:     max(batch/shards, 1),
+		stopc:     make(chan struct{}),
+		exited:    make(chan struct{}),
 	}
+	d.readers.Store(new([]*Reader))
 	d.epoch.Store(1)
+	d.published.Store(int64(now()))
 	return d
 }
 
@@ -211,7 +217,8 @@ type Reader struct {
 func (d *Domain) Register() *Reader {
 	r := &Reader{dom: d}
 	d.readersMu.Lock()
-	d.readers = append(d.readers, r)
+	rs := append(slices.Clone(*d.readers.Load()), r)
+	d.readers.Store(&rs)
 	d.readersMu.Unlock()
 	return r
 }
@@ -223,12 +230,8 @@ func (d *Domain) Unregister(r *Reader) {
 		panic("rcu: Unregister of active reader")
 	}
 	d.readersMu.Lock()
-	for i, rr := range d.readers {
-		if rr == r {
-			d.readers = append(d.readers[:i], d.readers[i+1:]...)
-			break
-		}
-	}
+	rs := slices.DeleteFunc(slices.Clone(*d.readers.Load()), func(rr *Reader) bool { return rr == r })
+	d.readers.Store(&rs)
 	d.readersMu.Unlock()
 }
 
@@ -256,93 +259,151 @@ func (r *Reader) Unlock() {
 // intended for assertions in tests.
 func (r *Reader) Active() bool { return r.state.Load() != 0 }
 
-// Defer is DeferOn(0, fn), for a caller with no CPU-like identity.
-func (d *Domain) Defer(fn func()) { d.DeferOn(0, fn) }
+// Defer is DeferOn(0, 1, fn), for a caller with no CPU-like identity
+// releasing one page's worth.
+func (d *Domain) Defer(fn func()) { d.DeferOn(0, 1, fn) }
 
-// DeferOn queues fn to run after a grace period on the shard of hint,
-// the caller's CPU-like identity (the VM layer passes a fault's CPU id
-// or a mapping operation's slot); hints beyond the shard count wrap
-// around. It appends to that one callback shard and returns: no
-// domain-global lock, no grace-period wait, regardless of how many
-// callbacks are pending. When the shard crosses its batch threshold
-// the background detector is woken (a non-blocking notification) to
-// process the grace period off the caller's path; the caller that
-// wakes it yields its processor once, so the detector starts now
-// rather than a time slice later. fn is stored as given: a caller that
-// keeps one function value per recycled batch (tlb's frame batches)
-// queues it without allocating.
-func (d *Domain) DeferOn(hint int, fn func()) {
+// DeferOn queues fn, which releases pages pages, to run after a grace
+// period on the shard of hint, the caller's CPU-like identity (the VM
+// layer passes a fault's CPU id or a mapping operation's slot); hints
+// beyond the shard count wrap around. It appends to that one shard and,
+// while the shard holds no more than its share of the batch, returns:
+// no domain-global lock, no grace-period work. Past its share the
+// caller does the grace-period work itself (Poll) before returning. fn
+// is stored as given: a caller that keeps one function value per
+// recycled batch (tlb's frame batches) queues it without allocating.
+func (d *Domain) DeferOn(hint, pages int, fn func()) {
+	if d.Queue(hint, pages, fn) {
+		d.Poll(hint)
+	}
+}
+
+// Queue is DeferOn without the grace-period work: it reports whether
+// the shard now holds more than its share, so the caller owes a Poll of
+// hint. A caller that queues inside an exclusion other threads wait on
+// (a mapping operation's range lock) pays it once it has released it.
+func (d *Domain) Queue(hint, pages int, fn func()) (owed bool) {
 	if d.closed.Load() {
 		panic("rcu: Defer on closed Domain")
 	}
-	s := &d.shards[uint32(hint)&d.shardMask]
-	e := d.epoch.Load()
+	i := uint32(hint) & d.shardMask
+	s := &d.shards[i]
 	s.mu.Lock()
-	s.cbs = append(s.cbs, callback{epoch: e, fn: fn})
+	if len(s.cbs) == cap(s.cbs) && s.head > 0 {
+		// Full, with drained slots in front: reuse them.
+		n := copy(s.cbs, s.cbs[s.head:])
+		clear(s.cbs[n:])
+		s.cbs, s.head = s.cbs[:n], 0
+	}
+	e := d.epoch.Load() // under the lock, so a shard's callbacks are in epoch order
+	s.cbs = append(s.cbs, callback{epoch: e, pages: pages, fn: fn})
+	s.pages += pages
+	over := s.pages > d.share
 	s.queued.Add(1)
 	s.mu.Unlock()
-	n := s.pending()
-	trace.Emit(trace.AuxCPU, trace.EvRCUDefer, e, uint64(uint32(hint)&d.shardMask), uint64(n))
+	trace.Emit(trace.AuxCPU, trace.EvRCUDefer, e, uint64(i), uint64(s.pending()))
 
 	if d.manual {
-		return // manual mode: drained only by Synchronize
+		return false // manual mode: drained only by Synchronize
 	}
-	switch {
-	case n >= int64(d.budget):
-		// Over the backpressure budget: reclamation has fallen behind.
-		// Wake the detector urgently and donate this timeslice so it can
-		// run even on a fully loaded machine. This bounds the backlog
-		// without ever waiting for a grace period on the caller's path.
+	if !d.started.Load() {
+		d.ensurePoller()
+	}
+	return over
+}
+
+// Poll is a retiring caller's grace-period work on the shard of hint:
+// advance the epoch once if no reader holds it back, then run the
+// shard's expired callbacks — on this goroutine, so they cost it their
+// frees. It never waits: a lagging reader leaves the work for a later
+// call (the refused advances are Stats.OverBudget).
+func (d *Domain) Poll(hint int) {
+	d.noteHighWater(d.pendingTotal())
+	if _, ok := d.tryAdvance(); !ok {
 		d.overBudget.Add(1)
-		d.ensureDetector()
-		d.nudge()
-		yield()
-	case n >= int64(d.wakeThresh) || !d.started.Load():
-		d.ensureDetector()
-		if d.nudge() || !d.gpActive.Load() {
-			// The detector was idle and is runnable now, behind this
-			// goroutine — or an earlier nudge is still waiting for it
-			// and no grace period runs, so that yield did not reach
-			// it: hand it the processor, or on a machine whose every
-			// processor runs a retiring goroutine that never blocks it
-			// waits out a scheduler time slice (milliseconds) while
-			// the backlog grows at full rate.
-			yield()
-		}
 	}
+	d.drain(&d.shards[uint32(hint)&d.shardMask])
 }
 
-// nudge wakes the detector without blocking, reporting whether it was
-// this nudge that woke it (false: one was already pending).
-func (d *Domain) nudge() bool {
-	select {
-	case d.wake <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// ensureDetector starts the background grace-period detector once.
-func (d *Domain) ensureDetector() {
+// ensurePoller starts the background poller once.
+func (d *Domain) ensurePoller() {
 	d.startOnce.Do(func() {
 		d.started.Store(true)
-		go d.detector()
+		go d.poller()
 	})
+}
+
+// tryAdvance moves the epoch from E to E+1 if every reader is quiescent
+// or entered at E or later, reporting whether the epoch moved past E (a
+// concurrent advance counts); if a reader held it back, that reader and
+// E are the first result. It takes no lock and never waits, so no
+// caller is ever held up by another that was preempted mid-advance.
+func (d *Domain) tryAdvance() (lag lagging, ok bool) {
+	t := int64(now())
+	if t < d.heldUntil.Load() {
+		return lagging{}, false
+	}
+	e := d.epoch.Load()
+	for _, r := range *d.readers.Load() {
+		if s := r.state.Load(); s != 0 && s < e {
+			return lagging{r, e}, false
+		}
+	}
+	if delay := failGPDelay.FireDelay(); delay > 0 {
+		// Injected grace-period stall: the epoch holds while callbacks
+		// pile up behind it.
+		d.heldUntil.Store(t + int64(delay))
+		return lagging{}, false
+	}
+	if !d.epoch.CompareAndSwap(e, e+1) {
+		return lagging{}, true // another caller advanced it
+	}
+	age := time.Duration(t - d.published.Swap(t))
+	d.gpHist.Record(age)
+	id := d.gracePeriods.Add(1)
+	trace.Emit(trace.AuxCPU, trace.EvGPEnd, id, e+1, uint64(age))
+	trace.Emit(trace.AuxCPU, trace.EvGPStart, id+1, e+1, 0)
+	return lagging{}, true
+}
+
+// lagging is a reader that holds the epoch back, and the epoch it must
+// reach (or leave its critical section) for the advance to proceed.
+type lagging struct {
+	r     *Reader
+	epoch uint64
 }
 
 // Synchronize waits until every read-side critical section that was
 // active when Synchronize was called has completed (a full grace
 // period). Callbacks queued before the call are run before it returns.
+// It advances the epoch two steps past the one it found, waiting for
+// whichever reader holds an advance back, then drains every shard and
+// waits for drains other goroutines have in progress.
 // It is a blocking entry point: never call it while holding locks that
 // an active reader may be waiting for.
 func (d *Domain) Synchronize() {
-	d.gpMu.Lock()
-	defer d.gpMu.Unlock()
-	d.gracePeriodLocked()
+	for target := d.epoch.Load() + 2; d.epoch.Load() < target; {
+		switch lag, ok := d.tryAdvance(); {
+		case ok:
+		case lag.r != nil:
+			waitQuiescent(lag.r, lag.epoch)
+		default:
+			time.Sleep(time.Duration(d.heldUntil.Load()) - now())
+		}
+	}
+	d.drainAll()
+	for i := range d.shards {
+		for n := 0; d.shards[i].running.Load() > 0; n++ {
+			if n < 256 {
+				yield()
+			} else {
+				time.Sleep(time.Microsecond)
+			}
+		}
+	}
 }
 
-// Close stops the background detector (if it ever started) and flushes
+// Close stops the background poller (if it ever started) and flushes
 // all remaining callbacks. The caller must quiesce all retiring paths
 // first — a Defer racing Close may be silently dropped, exactly as a
 // call_rcu racing module unload would be; the closed check is
@@ -360,41 +421,11 @@ func (d *Domain) Close() {
 	d.Synchronize()
 }
 
-// gracePeriodLocked advances the epoch, waits for pre-existing readers,
-// and drains expired callbacks. Caller holds gpMu.
-func (d *Domain) gracePeriodLocked() {
-	d.gpActive.Store(true)
-	defer d.gpActive.Store(false)
-	start := time.Now()
-	target := d.epoch.Add(1) // readers that observe >= target started after us
-	gpID := d.gracePeriods.Add(1)
-	trace.Emit(trace.AuxCPU, trace.EvGPStart, gpID, target, 0)
-	if delay := failGPDelay.FireDelay(); delay > 0 {
-		// Injected grace-period stall: the detector (or a synchronous
-		// waiter) sits on the epoch while callbacks pile up behind it.
-		time.Sleep(delay)
-	}
-
-	d.readersMu.Lock()
-	readers := make([]*Reader, len(d.readers))
-	copy(readers, d.readers)
-	d.readersMu.Unlock()
-
-	for _, r := range readers {
-		waitQuiescent(r, target)
-	}
-	ran := d.drainAll(target)
-
-	elapsed := time.Since(start)
-	d.gpHist.Record(elapsed)
-	trace.Emit(trace.AuxCPU, trace.EvGPEnd, gpID, uint64(ran), uint64(elapsed))
-}
-
 // waitQuiescent blocks until the reader is quiescent or started its
 // current critical section at or after the target epoch. It spins
-// briefly, then yields, then parks with exponential backoff — the
-// detector can afford to sleep; readers never signal (signaling would
-// put a shared store on the read path).
+// briefly, then yields, then parks with exponential backoff — a
+// blocking caller can afford to sleep; readers never signal (signaling
+// would put a shared store on the read path).
 func waitQuiescent(r *Reader, target uint64) {
 	sleep := time.Microsecond
 	for i := 0; ; i++ {
@@ -416,63 +447,60 @@ func waitQuiescent(r *Reader, target uint64) {
 	}
 }
 
-// drainAll runs all callbacks queued at an epoch strictly before
-// target, returning how many ran. The grace period advancing the
-// domain to target has already elapsed. Callbacks run outside the
-// shard locks, so a callback may itself Defer.
-func (d *Domain) drainAll(target uint64) int {
-	d.noteHighWater(d.pendingTotal())
+// drainBatch is how many callbacks a drain takes from its shard per
+// hold of the shard lock.
+const drainBatch = 32
 
-	ranTotal := 0
-	for i := range d.shards {
-		s := &d.shards[i]
-		// Swap the segment out under the lock, run callbacks outside it
-		// (a callback may itself Defer into this shard). The swapped-out
-		// array is recycled as the next segment so the steady state
-		// allocates nothing.
+// drain runs s's callbacks that have expired at the current epoch. It
+// takes them from the head of the shard a batch at a time and runs them
+// outside the shard lock (a callback may itself Defer); concurrent
+// drains of one shard split its callbacks between them, and
+// Synchronize waits out the taken-but-unrun count.
+func (d *Domain) drain(s *shard) {
+	e := d.epoch.Load()
+	var batch [drainBatch]callback
+	ran := 0
+	for {
 		s.mu.Lock()
-		old := s.cbs
-		s.cbs = s.spare[:0]
-		s.spare = nil
-		s.mu.Unlock()
-
-		ran := 0
-		keep := old[:0] // compacts in place; only indices already read are rewritten
-		for _, cb := range old {
-			if cb.epoch < target {
-				cb.fn()
-				ran++
-			} else {
-				// Queued while this grace period was already underway
-				// (epoch == target): not yet safe, hold for the next one.
-				keep = append(keep, cb)
-			}
+		n, pages := 0, 0
+		for ; n < len(batch) && s.head < len(s.cbs) && expired(s.cbs[s.head].epoch, e); n++ {
+			batch[n] = s.cbs[s.head]
+			s.cbs[s.head] = callback{}
+			s.head++
+			pages += batch[n].pages
 		}
-		s.mu.Lock()
-		if len(keep) == 0 {
-			clear(old[:cap(old)])
-			s.spare = old[:0]
-		} else {
-			// Put survivors back in front of any new arrivals; the
-			// arrivals' backing array is then free to recycle as the
-			// next segment.
-			arrivals := s.cbs
-			s.cbs = append(keep, arrivals...)
-			clear(arrivals[:cap(arrivals)])
-			s.spare = arrivals[:0]
+		if s.head == len(s.cbs) {
+			s.cbs, s.head = s.cbs[:0], 0
 		}
+		s.pages -= pages
+		s.running.Add(int64(n))
 		s.mu.Unlock()
-		if ran > 0 {
-			s.drained.Add(uint64(ran))
-			s.drains.Add(1)
-			ranTotal += ran
+		for j := range batch[:n] {
+			batch[j].fn()
+			batch[j] = callback{}
+		}
+		s.drained.Add(uint64(n))
+		s.running.Add(-int64(n))
+		ran += n
+		if n < len(batch) {
+			break
 		}
 	}
-	return ranTotal
+	if ran > 0 {
+		s.drains.Add(1)
+	}
+}
+
+// drainAll samples the backlog and drains every shard.
+func (d *Domain) drainAll() {
+	d.noteHighWater(d.pendingTotal())
+	for i := range d.shards {
+		d.drain(&d.shards[i])
+	}
 }
 
 // noteHighWater records the largest pending-callback count ever
-// observed (sampled at grace-period boundaries).
+// observed (sampled when a drain follows an advance attempt).
 func (d *Domain) noteHighWater(total int64) {
 	for {
 		hw := d.pendingHW.Load()
@@ -493,24 +521,26 @@ func (d *Domain) pendingTotal() int64 {
 
 // Stats is a snapshot of a domain's counters.
 type Stats struct {
-	GracePeriods uint64 // grace periods completed
+	GracePeriods uint64 // epoch advances
 	Defers       uint64 // callbacks queued via Defer/DeferOn
 	Ran          uint64 // callbacks executed
 	Pending      int    // callbacks still queued
 	Readers      int    // registered readers
 	Shards       int    // callback segments
 
-	PendingHighWater int    // max pending sampled at grace-period boundaries
-	OverBudget       uint64 // Defers that found their shard over the backpressure budget
+	PendingHighWater int    // max pending sampled at drains
+	OverBudget       uint64 // retiring callers over their shard's share whose advance was refused
 
-	GP stats.LatencyStats // grace-period latency: p50/p99/p999/max
+	// GP is the grace-period latency: per advance, how long the epoch
+	// it passed had been published.
+	GP stats.LatencyStats
 
 	ShardQueued  []uint64 // per-shard callbacks ever queued
 	ShardDrains  []uint64 // per-shard drain passes that removed callbacks
 	ShardPending []int    // per-shard callbacks still queued (the backlog view)
 
-	// GPInFlight reports whether a grace period was executing at
-	// snapshot time — the live half of the GP latency story.
+	// GPInFlight reports whether callbacks were waiting on a grace
+	// period at snapshot time — the live half of the GP latency story.
 	GPInFlight bool
 }
 
@@ -525,12 +555,11 @@ func (d *Domain) Stats() Stats {
 		ShardQueued:      make([]uint64, len(d.shards)),
 		ShardDrains:      make([]uint64, len(d.shards)),
 		ShardPending:     make([]int, len(d.shards)),
-		GPInFlight:       d.gpActive.Load(),
 	}
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		q, n := s.queued.Load(), len(s.cbs)
+		q, n := s.queued.Load(), len(s.cbs)-s.head
 		s.mu.Unlock()
 		st.Defers += q
 		st.Ran += s.drained.Load()
@@ -539,8 +568,7 @@ func (d *Domain) Stats() Stats {
 		st.ShardDrains[i] = s.drains.Load()
 		st.ShardPending[i] = n
 	}
-	d.readersMu.Lock()
-	st.Readers = len(d.readers)
-	d.readersMu.Unlock()
+	st.GPInFlight = st.Pending > 0
+	st.Readers = len(*d.readers.Load())
 	return st
 }

@@ -175,9 +175,10 @@ func TestUnregisterRemovesReader(t *testing.T) {
 }
 
 func TestBatchDrain(t *testing.T) {
-	// Crossing the batch threshold wakes the background detector, which
-	// must drain every callback without any blocking call from here.
-	d := newDomain(8, 1, maxPending)
+	// Callbacks up to the batch never make their caller advance: the
+	// background poller must drain every one without any blocking call
+	// from here.
+	d := newDomain(8, 1)
 	defer d.Close()
 	var ran atomic.Int64
 	for i := 0; i < 8; i++ {
@@ -186,7 +187,7 @@ func TestBatchDrain(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for ran.Load() != 8 {
 		if time.Now().After(deadline) {
-			t.Fatalf("detector drained %d callbacks, want 8", ran.Load())
+			t.Fatalf("the poller drained %d callbacks, want 8", ran.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -18,8 +18,10 @@
 //     its own clock hand.
 //  3. Rmap unmap: each page's reverse map records every PTE mapping it,
 //     generation-stamped, and the scan revokes each under the owner's PTE
-//     lock (EvictPTE) into the scan's one TLB gather. A refault landing
-//     between the scan's phases aborts that page's eviction.
+//     lock (EvictPTE) into the scan's one TLB gather — only the
+//     incarnation it snapshotted, never a slot zapped and refaulted since.
+//     A refault landing between the scan's phases aborts that page's
+//     eviction.
 //  4. Writeback: a dirty page is copied to the cache's backing store
 //     first, and a later fill of the offset restores it.
 //  5. Batched free: the evicted page is unlinked like pagecache.Drop, and
@@ -322,23 +324,20 @@ func (r *Reclaimer) DirectReclaim() bool {
 	if target > 32 {
 		target = 32
 	}
-	drained, evicted := r.reclaim(target, true)
+	_, evicted := r.reclaim(target, true)
 	r.directEvicted.Add(uint64(evicted))
-	if drained+evicted > 0 {
-		return true
+	if evicted > 0 {
+		return true // the scan waited out its evictions' grace period
 	}
-	// Concurrent reclaimers serialize on the scan lock: by the time our
-	// scan ran, the winner ahead of us may have evicted everything
-	// evictable and already refilled the pool. Free frames now are
-	// progress — the caller's retry will allocate them.
-	if r.alloc.FreeFrames() > 0 {
-		return true
-	}
-	// A concurrent scan's evicted frames may still be sitting in the
-	// RCU queue: a scan releases the scan lock before its blocking
-	// grace period, so our scan can find an empty cache while the
-	// frames it needs are seconds from the free list. Wait out the
-	// grace period and re-check before declaring defeat.
+	// Nothing evicted, but frames may still be sitting in the RCU queue:
+	// unmapped pages, retired page tables, a concurrent scan's
+	// evictions. An operation that needs more frames than are free (a
+	// fork, a fault under churn) retries in vain while they wait on a
+	// grace period nobody runs for it, so wait it out here before
+	// judging progress. Free frames (drained magazines among them) are
+	// progress after that: by the time our scan ran, a winner ahead of us
+	// on the scan lock may have evicted everything evictable and refilled
+	// the pool, and the caller's retry will allocate what is free.
 	r.dom.Synchronize()
 	return r.alloc.FreeFrames() > 0
 }

@@ -123,3 +123,36 @@ func TestDirectReclaimMakesProgress(t *testing.T) {
 		alloc.Free(0, f)
 	}
 }
+
+// TestDirectReclaimWaitsOutTheBacklog: with nothing evictable and most
+// of the pool queued behind a grace period on a domain that runs
+// callbacks only when asked, direct reclaim must wait the grace period
+// out before it reports progress, so the caller's retry finds the
+// queued frames free. A few free frames are not progress for a caller
+// that needs more: reporting them as such, without the wait, sent a
+// fork needing more than the free frames through every retry of its
+// budget while its frames sat in the queue.
+func TestDirectReclaimWaitsOutTheBacklog(t *testing.T) {
+	alloc := physmem.New(physmem.Config{Frames: 64, CPUs: 1, MagazineSize: 4})
+	dom := rcu.NewDomain(rcu.Options{BatchSize: -1})
+	r := New(alloc, dom, Config{BatchPages: 16})
+	defer dom.Close()
+	defer r.Close()
+	var backlog []physmem.Frame
+	for range 60 {
+		f, err := alloc.Alloc(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backlog = append(backlog, f)
+	}
+	dom.DeferOn(0, len(backlog), func() { alloc.FreeBatch(backlog) })
+	free := alloc.FreeFrames()
+	if !r.DirectReclaim() {
+		t.Fatal("direct reclaim reported no progress with the pool queued behind a grace period")
+	}
+	if got := alloc.FreeFrames(); got < free+int64(len(backlog)) {
+		t.Fatalf("%d frames free after direct reclaim, %d before it with %d queued: the backlog is still queued",
+			got, free, len(backlog))
+	}
+}

@@ -133,6 +133,25 @@ func (d *Domain) Init(g *Gather, shard int) {
 	*g = Gather{d: d, shard: shard}
 }
 
+// InitDeferred is Init for a gather flushed inside an exclusion other
+// threads wait on (a mapping operation's range lock, the whole-space
+// exclusion): a Flush that takes the RCU shard past its share of the
+// batch leaves the grace-period work (rcu.Domain.Poll) to Settle, which
+// the owner calls once it has released the exclusion, instead of
+// freeing a batch of frames inside it.
+func (d *Domain) InitDeferred(g *Gather, shard int) {
+	*g = Gather{d: d, shard: shard, deferred: true}
+}
+
+// Settle does the grace-period work the deferred gather's flushes left
+// owing, if any.
+func (g *Gather) Settle() {
+	if g.owed {
+		g.owed = false
+		g.d.dom.Poll(g.shard)
+	}
+}
+
 // Gather accumulates one zap operation's revocations. See the package
 // comment for the ownership and ordering rules.
 type Gather struct {
@@ -148,6 +167,9 @@ type Gather struct {
 	// b holds what the batch releases after its grace period; nil until
 	// the batch has something to release.
 	b *batch
+
+	// deferred: Settle pays the grace-period work a Flush owes (owed).
+	deferred, owed bool
 }
 
 // batch is one flush's deferred release: the frames and runs to return
@@ -177,6 +199,16 @@ func (g *Gather) batch() *batch {
 		g.b = b
 	}
 	return g.b
+}
+
+// pages counts the pages the batch releases: its frames, and every page
+// of its runs.
+func (b *batch) pages() int {
+	n := len(b.frames)
+	for _, r := range b.runs {
+		n += 1 << r.order
+	}
+	return n
 }
 
 // run releases the batch. FreeBatch is done with the frame buffer when
@@ -254,8 +286,9 @@ func (g *Gather) span(addr uint64) {
 // one shootdown charge — spinning out the simulated IPI round inside
 // whatever exclusion the caller holds, exactly where a kernel waits
 // for acknowledgements — and then queues the accumulated frames for a
-// single batched release past an RCU grace period. A gather may be
-// reused after Flush; flushing an empty gather is a no-op.
+// single batched release past an RCU grace period, counting their pages
+// against the shard's share (rcu.Domain.Queue). A gather may be reused
+// after Flush; flushing an empty gather is a no-op.
 func (g *Gather) Flush() {
 	if g.pages > 0 {
 		g.d.flushes.Add(g.shard, 1)
@@ -268,7 +301,13 @@ func (g *Gather) Flush() {
 	}
 	if b := g.b; b != nil {
 		g.b = nil
-		g.d.dom.DeferOn(g.shard, b.release)
+		if g.d.dom.Queue(g.shard, b.pages(), b.release) {
+			if g.deferred {
+				g.owed = true
+			} else {
+				g.d.dom.Poll(g.shard)
+			}
+		}
 	}
 }
 

@@ -7,7 +7,7 @@
 // blocks. Overwrite-oldest semantics make every ring a bounded window
 // onto the most recent past: exactly what you want when a p999 gate or
 // a torture auditor trips and the question is "what just happened".
-// Unpinned emitters (range manager, RCU detector, reclaim, page cache,
+// Unpinned emitters (range manager, RCU grace periods, reclaim, page cache,
 // tenant accounting) share a trailing auxiliary ring (AuxCPU). The event kinds
 // and their arguments are the Type constants, append-only because their
 // numbers are the dump format.

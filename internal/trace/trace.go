@@ -27,9 +27,11 @@ const (
 	EvRangeRelease
 	// EvRCUDefer: a=epoch, b=shard, c=backlog after enqueue.
 	EvRCUDefer
-	// EvGPStart: a=gp id, b=epoch advanced to.
+	// EvGPStart: a=gp id, b=epoch published (the grace period ends
+	// when the next advance passes it).
 	EvGPStart
-	// EvGPEnd: a=gp id, b=callbacks drained, c=duration ns.
+	// EvGPEnd: a=gp id, b=epoch advanced to, c=duration ns (how long
+	// the epoch it passed had been published).
 	EvGPEnd
 	// EvTLBFlush: a=pages zapped, b=span pages, c=spin ns (model cost
 	// plus any injected tlb.flush-delay).
@@ -144,7 +146,7 @@ const (
 )
 
 // AuxCPU routes an emission to the shared auxiliary ring — for
-// background goroutines (RCU detector, kswapd, writeback) that have no
+// background goroutines (RCU poller, kswapd, writeback) that have no
 // magazine partition of their own.
 const AuxCPU = -1
 

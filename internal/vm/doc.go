@@ -15,8 +15,9 @@
 //	Hybrid    — faults take no mmap_sem at all: page tables and VMAs are
 //	            RCU-managed, and only the region tree keeps a read/write
 //	            lock (§5.2).
-//	PureRCU   — the region tree is the BONSAI tree, so the fault path is
-//	            entirely lock-free and writes no shared cache line (§5.3).
+//	PureRCU   — the region tree is the BONSAI tree (one per range-lock
+//	            stripe), so the fault path is entirely lock-free and
+//	            writes no shared cache line (§5.3).
 //
 // # Lock hierarchy
 //
@@ -45,13 +46,27 @@
 //     space for fork, Close and stack growth); every tree access takes
 //     the tree lock.
 //   - PureRCU: a fault runs in an RCU read section and nothing else
-//     (§5.3); locking as Hybrid, but the only index lock is the BONSAI
-//     tree's writer spinlock, taken once per operation.
+//     (§5.3); locking as Hybrid, but the index is sixteen BONSAI trees,
+//     one per range-lock stripe (a VMA lives in the tree of its start's
+//     1 GiB span, mod 16), plus a seventeenth, crossing, holding every
+//     VMA whose extent crosses a span boundary. A fault's lookup is one
+//     descent of its address's stripe tree, falling back to crossing
+//     only on a miss; the only index locks are the trees' writer
+//     spinlocks, each taken once per operation that touches the tree.
+//     Operations in different stripes write different trees, so they
+//     share no index word.
 //
 // The RCU designs' range-locked mapping side goes beyond the paper,
 // which leaves mapping operations serialized on mmap_sem ("mmap,
 // munmap, and mprotect are still serialized with the mmap_sem"):
-// operations on disjoint ranges run concurrently.
+// operations on disjoint ranges run concurrently, and under PureRCU
+// operations in different stripes publish into different trees. An
+// operation's edits are one transaction per tree it touches, so a
+// lock-free fault may see one tree's half of it without the other's
+// (an insert into the next span's tree not yet published, a VMA already
+// trimmed in crossing): states it already tolerates, as a miss or a VMA
+// deleted or trimmed under it, by retrying with its page pinned (the
+// split race across a span boundary is explored, TestExploreCrossingSplitRace).
 //
 // A fault whose fast path cannot finish — a lookup miss, a lost fill
 // race, a copy-on-write break an RCU reader may not do in place —
@@ -103,13 +118,16 @@
 // conflicts and a per-stripe sum of the most operations held at once.
 //
 // A mapping operation costs one hold of each shared lock: its range, in
-// the stripes it touches, and the tree's writer spinlock, because all it
-// changes in the tree is one transaction (regionIndex.edit, one
-// core.Tree.Update and one root publish under PureRCU); at most one RCU
-// callback, for the frames it released (the tree nodes it displaced
-// are left to the garbage collector, which frees none while a fault can
-// still reach it); and no allocation beyond the VMAs and nodes it
-// publishes (TestMapCycleCounts, TestMapCycleAllocs). The rest comes
+// the stripes it touches, and the writer spinlock of each tree it
+// changes, because all it changes in a tree is one transaction
+// (regionIndex.edit; under PureRCU one core.Tree.Update and one root
+// publish per touched tree, one tree for an operation inside a span);
+// at most one RCU callback, for the frames it released (the tree nodes
+// it displaced are left to the garbage collector, which frees none
+// while a fault can still reach it), and the grace-period work that
+// callback may owe, paid after its locks are released (opCtx.end); and
+// no allocation beyond the VMAs and nodes it publishes
+// (TestMapCycleCounts, TestMapCycleAllocs). The rest comes
 // from an operation context (opctx.go), pooled per processor: the range
 // guard, the TLB gather, the scratch lists and a slot. A slot stands in for a
 // CPU id — operations run on any goroutine — and picks the operation's

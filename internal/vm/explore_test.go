@@ -388,8 +388,19 @@ func fillRace(mapped bool) raceScenario {
 // after, but between the bound store (time 2) and the top region's
 // insertion (time 3) a lockless lookup misses it: the fault must retry,
 // never fail, and the page must translate afterwards.
-func splitRace(t *testing.T, as *AddressSpace) raceRun {
-	v := uint64(exploreBase)
+func splitRace(t *testing.T, as *AddressSpace) raceRun { return splitRaceAt(t, as, exploreBase) }
+
+// crossingSplitRace is splitRace on a V that crosses a 1 GiB span
+// boundary, split past it: under PureRCU, V is in its start's stripe
+// tree and in crossing, and the top part goes into the next stripe's
+// tree, so the operation's bound store and its insertion land in
+// different trees. V, trimmed, still crosses the boundary.
+func crossingSplitRace(t *testing.T, as *AddressSpace) raceRun {
+	return splitRaceAt(t, as, exploreBase+1<<30-2*PageSize)
+}
+
+// splitRaceAt is the split race on a 12-page V at v.
+func splitRaceAt(t *testing.T, as *AddressSpace, v uint64) raceRun {
 	target := v + 10*PageSize
 	mustMmap(t, as, v, 12*PageSize, vma.ProtRead|vma.ProtWrite, vma.Fixed)
 	cpu := as.NewCPU(0)
@@ -536,6 +547,9 @@ const (
 	fillRaceSchedules   = 16
 	splitRaceSchedules  = 17
 	stripeRaceSchedules = 35
+	// The crossing split's range locks take two stripes each, one
+	// ranges.stripe-step point between them.
+	crossingSplitRaceSchedules = 32
 )
 
 // The gap race's schedule counts. Under RWLock and FaultLock the search
@@ -615,6 +629,32 @@ func TestExploreSplitRaceWindow(t *testing.T) {
 			}
 			if st.RetriesMiss == 0 {
 				t.Errorf("replay of %q missed the window", window)
+			}
+		})
+	}
+}
+
+// TestExploreCrossingSplitRace runs every schedule of the split race
+// across a span boundary: in each the fault on the top part succeeds
+// and the page translates, and as in one tree some schedule looks the
+// page up inside the window — the top part not yet in its tree, V
+// already trimmed in the other — and retries. Publishing the top part
+// before the trim closes the window (scripts/mutants.sh).
+func TestExploreCrossingSplitRace(t *testing.T) {
+	for _, d := range rcuDesigns {
+		t.Run(d.String(), func(t *testing.T) {
+			misses := 0
+			n := explore(t, d, crossingSplitRace, func(st Stats, _ []string) {
+				if st.RetriesMiss > 0 {
+					misses++
+				}
+			})
+			t.Logf("%d schedules, %d in the window", n, misses)
+			if n != crossingSplitRaceSchedules {
+				t.Errorf("explored %d schedules, want %d", n, crossingSplitRaceSchedules)
+			}
+			if misses == 0 {
+				t.Error("no schedule looked the page up inside the split's window")
 			}
 		})
 	}

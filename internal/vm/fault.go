@@ -274,7 +274,7 @@ func (c *CPU) faultSlow(page uint64, write bool, reason retryReason) error {
 		c.pathFlags |= trace.FaultCOW
 	}
 	pin := as.sy.pin(page, page+PageSize)
-	if v := as.idx.floor(page); v != nil && v.Contains(page) {
+	if v := as.idx.lookup(page); v != nil && v.Contains(page) {
 		err := checkProt(v, write)
 		if err == nil {
 			err = c.fillPage(v, page, write, nil, true)
@@ -288,7 +288,7 @@ func (c *CPU) faultSlow(page uint64, write bool, reason retryReason) error {
 	defer op.end()
 	mg := as.sy.lockAll(op)
 	defer mg.unlock()
-	v := as.idx.floor(page)
+	v := as.idx.lookup(page)
 	if v == nil || !v.Contains(page) {
 		var err error
 		if v, err = as.growStackLocked(op, &mg, page); err != nil {
@@ -316,7 +316,7 @@ func (as *AddressSpace) growStackLocked(op *opCtx, mg *mapGuard, page uint64) (*
 		return nil, ErrSegv
 	}
 	// Keep one guard page between the stack and the mapping below.
-	if below := as.idx.floor(page); below != nil && below.End() > page-PageSize {
+	if page >= PageSize && as.idx.lookup(page-PageSize) != nil {
 		return nil, ErrSegv
 	}
 	mg.mutate()
@@ -561,7 +561,7 @@ func (c *CPU) lookup(page uint64) *vma.VMA {
 			return v
 		}
 	}
-	v := as.idx.floor(page)
+	v := as.idx.lookup(page)
 	if v == nil || !v.Contains(page) {
 		return nil
 	}

@@ -396,3 +396,55 @@ func TestForkDuringConcurrentFaults(t *testing.T) {
 		}
 	})
 }
+
+// TestForkWaitsOutTheRCUBacklog: with most of the pool queued behind a
+// grace period — an unmapped region's frames and page tables, on a
+// domain that runs callbacks only when asked — a fork that needs more
+// frames than are free must succeed after one direct reclaim, which,
+// finding nothing to evict, waits out the grace period before judging
+// progress (reclaim's TestDirectReclaimWaitsOutTheBacklog pins the rule
+// itself: a few free frames are not progress without the wait).
+func TestForkWaitsOutTheRCUBacklog(t *testing.T) {
+	const chunks = 64
+	forEachDesign(t, Config{CPUs: 1, Frames: 2048, tune: tuning{rcuBatch: -1}}, func(t *testing.T, as *AddressSpace) {
+		cpu := as.NewCPU(0)
+		// Shared mappings are never huge: every fault takes one frame.
+		rw, flags := vma.ProtRead|vma.ProtWrite, vma.Fixed|vma.Shared
+		// The fork clones one leaf table per chunk.
+		mustMmap(t, as, hugeBase, chunks*HugeSpan, rw, flags)
+		for c := uint64(0); c < chunks; c++ {
+			if err := cpu.Fault(hugeBase+c*HugeSpan+PageSize, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Fill the pool from a region of its own, then unmap it: its
+		// frames wait for a grace period.
+		backlog := mustMmap(t, as, hugeBase+1<<30, 2048*PageSize, rw, flags)
+		for p := backlog; as.alloc.FreeFrames() > chunks/2; p += PageSize {
+			if err := cpu.Fault(p, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := as.Munmap(backlog, 2048*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if pending := as.dom.Stats().Pending; pending == 0 {
+			t.Fatal("the unmap queued nothing behind a grace period")
+		}
+		free := as.alloc.FreeFrames()
+		child, err := as.Fork()
+		if err != nil {
+			t.Fatalf("fork with %d free frames and the rest queued behind a grace period: %v", free, err)
+		}
+		// One direct reclaim: the first already returned the backlog.
+		if runs := as.ReclaimStats().DirectRuns; runs != 1 {
+			t.Errorf("the fork ran direct reclaim %d times with %d frames free and the rest queued, want once", runs, free)
+		}
+		if st := as.Stats(); st.THPHugeFaults != 0 {
+			t.Errorf("%d huge faults: the pool was not filled page by page", st.THPHugeFaults)
+		}
+		if err := child.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -245,7 +245,9 @@ func TestHugeRunTenantCharge(t *testing.T) {
 // clone has not reached yet. The clone must split it like any other
 // (it used to panic, "CloneRange over a huge entry"). Forks loop while a
 // faulter re-empties the region with MADV_DONTNEED and touches each
-// chunk again; then the THP identity and the leak checks must hold.
+// chunk again; then the THP identity and the leak checks must hold. The
+// forks start once the faulter has touched every chunk, so a fast fork
+// loop cannot finish before the faulter has run at all.
 func TestForkBesideHugeFaults(t *testing.T) {
 	forks := 60
 	if testing.Short() {
@@ -262,10 +264,15 @@ func TestForkBesideHugeFaults(t *testing.T) {
 			var stop atomic.Bool
 			var wg sync.WaitGroup
 			wg.Add(1)
+			touched := make(chan struct{})
 			go func() {
 				defer wg.Done()
+				defer close(touched)
 				cpu := as.NewCPU(1)
 				for i := uint64(0); !stop.Load(); i++ {
+					if i == 1 {
+						touched <- struct{}{}
+					}
 					if err := as.MadviseDontNeed(hugeBase, chunks*HugeSpan); err != nil {
 						t.Error(err)
 						return
@@ -278,6 +285,7 @@ func TestForkBesideHugeFaults(t *testing.T) {
 					}
 				}
 			}()
+			<-touched
 			for i := 0; i < forks; i++ {
 				child, err := as.Fork()
 				if err != nil {

@@ -3,8 +3,8 @@ package vm
 import (
 	"sync/atomic"
 
+	"bonsai/internal/pagecache"
 	"bonsai/internal/pagetable"
-	"bonsai/internal/physmem"
 	"bonsai/internal/tlb"
 	"bonsai/internal/trace"
 )
@@ -54,10 +54,11 @@ func (as *AddressSpace) madviseInner(op *opCtx, addr, length uint64) error {
 // exclusion for [lo, hi) with the mutation phase entered; a disjoint
 // operation may be zapping concurrently (the PTE and page-directory
 // locks make that safe). The batch's frames are
-// released after the flush and past a grace period, on the domain's
-// background detector — the unmap scan performs no grace-period wait,
-// even though it runs with PTE locks held (a synchronous drain here is
-// the deadlock the asynchronous design exists to prevent).
+// released after the flush and past a grace period — the unmap scan
+// performs no grace-period wait, even though it runs with PTE locks
+// held (a synchronous drain here is the deadlock the asynchronous
+// design exists to prevent), and the grace-period work its flush may
+// owe is paid when the operation ends, outside its exclusion.
 func (as *AddressSpace) zapRange(op *opCtx, lo, hi uint64) {
 	g := &op.gather
 	unmapped := uint64(0) // one add per zap, not one per page
@@ -83,16 +84,18 @@ func (as *AddressSpace) zapRange(op *opCtx, lo, hi uint64) {
 
 // EvictPTE implements pagecache.MappingOwner: the reclaim scan calls
 // it, rmap entry by rmap entry, to revoke the translation at vaddr if
-// it still maps frame f, accumulating the revocation into the scan's
-// batch gather. The caller is inside an RCU read-side critical section
-// (the page-table walk is lock-free) and holds no cache lock, so the
-// only lock taken here is the leaf PTE lock — the same level a fault's
-// fill takes. A cleared entry's mapping reference is retired by the
-// gather's flush, past the batch shootdown and a grace period; the
-// rmap entry itself is deleted by the scan's bookkeeping phase
-// (generation-checked against a concurrent refault).
-func (as *AddressSpace) EvictPTE(g *tlb.Gather, vaddr uint64, f physmem.Frame) bool {
-	if !as.tables.ClearPTEIfFrame(vaddr, f) {
+// it is still the snapshotted incarnation inc, accumulating the
+// revocation into the scan's batch gather. The caller is inside an RCU
+// read-side critical section (the page-table walk is lock-free) and
+// holds no cache lock, so the only locks taken here are the leaf PTE
+// lock — the same level a fault's fill takes — and, under it, the
+// page's rmap mutex for inc's check. A cleared entry's mapping
+// reference is retired by the gather's flush, past the batch shootdown
+// and a grace period; the rmap entry itself is deleted by the scan's
+// bookkeeping phase (generation-checked against a concurrent refault).
+func (as *AddressSpace) EvictPTE(g *tlb.Gather, vaddr uint64, inc pagecache.Incarnation) bool {
+	f := inc.Frame()
+	if !as.tables.ClearPTEIfFrame(vaddr, f, inc.Current) {
 		return false
 	}
 	st := as.stats.unslotted()

@@ -149,8 +149,12 @@ func TestMapCycleCounts(t *testing.T) {
 			churnCycle(t, as, cpu, base)
 
 			treeHolds := func() uint64 {
-				if idx, ok := as.idx.(*bonsaiIndex); ok {
-					return idx.t.Stats().Txns
+				if txns := treeTxns(as); txns != nil {
+					var sum uint64
+					for _, n := range txns {
+						sum += n
+					}
+					return sum
 				}
 				_, _, tree := as.SemStats()
 				return tree.WriteAcquires
@@ -170,6 +174,21 @@ func TestMapCycleCounts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// treeTxns returns the write transactions of each of PureRCU's index
+// trees, the stripes' in stripe order and then crossing's, or nil under
+// a design with one tree.
+func treeTxns(as *AddressSpace) []uint64 {
+	idx, ok := as.idx.(*bonsaiIndex)
+	if !ok {
+		return nil
+	}
+	txns := make([]uint64, 0, stripes+1)
+	for _, t := range idx.trees {
+		txns = append(txns, t.Stats().Txns)
+	}
+	return append(txns, idx.crossing.Stats().Txns)
 }
 
 // twoSlots returns two operation contexts as two operations in flight
@@ -260,8 +279,9 @@ func movedStripes(before, after [][]uint64) (moved []int) {
 // operations in flight always hold two contexts; that those differ in
 // slot as well is the pool's doing, checked at the end.) The two
 // operations' ranges, 1 GiB apart, also lie in two stripes of the range
-// manager: each slot's operations move one stripe's words, not the
-// other's.
+// manager, and of PureRCU's region index: each slot's operations move
+// one stripe's words, not the other's, and publish into one stripe's
+// tree, not the other's.
 func TestDisjointMapOpsWriteOnlyTheirOwnCells(t *testing.T) {
 	forEachDesign(t, Config{CPUs: 2, Frames: 1 << 14, tune: tuning{rcuBatch: -1}}, func(t *testing.T, as *AddressSpace) {
 		a, b := twoSlots(t, as)
@@ -311,9 +331,9 @@ func TestDisjointMapOpsWriteOnlyTheirOwnCells(t *testing.T) {
 		mapCells := []string{"rcu.queued", "tlb.flushes", "tlb.pages", "vm.Madvises", "vm.Merges", "vm.Mmaps",
 			"vm.Mprotects", "vm.Munmaps", "vm.PagesUnmapped", "vm.Splits", "vm.mapHist"}
 
-		a0, b0, s0 := slotReading(as, a.slot), slotReading(as, b.slot), stripeReading(as)
+		a0, b0, s0, x0 := slotReading(as, a.slot), slotReading(as, b.slot), stripeReading(as), treeTxns(as)
 		ops(a, cpus[0], UnmappedBase+1<<30)
-		a1, b1, s1 := slotReading(as, a.slot), slotReading(as, b.slot), stripeReading(as)
+		a1, b1, s1, x1 := slotReading(as, a.slot), slotReading(as, b.slot), stripeReading(as), treeTxns(as)
 		if got := moved(b0, b1); len(got) != 0 {
 			t.Errorf("operations in slot %d moved slot %d's %v", a.slot, b.slot, got)
 		}
@@ -329,6 +349,23 @@ func TestDisjointMapOpsWriteOnlyTheirOwnCells(t *testing.T) {
 			if len(inA) != 1 || len(inB) != 1 || inA[0] == inB[0] {
 				t.Errorf("range-manager stripes moved: %v by slot %d's operations, %v by slot %d's: want one each, not the same",
 					inA, a.slot, inB, b.slot)
+			}
+		}
+		if x0 != nil {
+			// PureRCU's index: each slot's operations publish into their
+			// own stripe's tree, never the other's, and none into crossing.
+			moved := func(before, after []uint64) (trees []int) {
+				for i := range before {
+					if before[i] != after[i] {
+						trees = append(trees, i)
+					}
+				}
+				return trees
+			}
+			inA, inB := moved(x0, x1), moved(x1, treeTxns(as))
+			if len(inA) != 1 || len(inB) != 1 || inA[0] == inB[0] || inA[0] == stripes || inB[0] == stripes {
+				t.Errorf("index trees written: %v by slot %d's operations, %v by slot %d's: want one stripe's tree each, not the same, not crossing (%d)",
+					inA, a.slot, inB, b.slot, stripes)
 			}
 		}
 		a.end()

@@ -133,10 +133,14 @@ func (as *AddressSpace) mmapInner(op *opCtx, addr, length uint64, prot vma.Prot,
 // always correct.
 func (as *AddressSpace) mergeOrInsert(op *opCtx, mg *mapGuard, base, length uint64, prot vma.Prot, flags vma.Flags,
 	file *vma.File, fileOff uint64) {
-	if pred := as.idx.floor(base - 1); pred != nil && base > 0 &&
-		pred.End() == base && pred.CanMerge(prot, flags, file, fileOff) &&
-		mg.covers(pred.Start(), base) {
+	if pred := as.idx.lookup(base - 1); pred != nil && base > 0 && pred.End() == base &&
+		pred.CanMerge(prot, flags, file, fileOff) && mg.covers(pred.Start(), base) {
 		pred.SetEnd(base + length)
+		if span(base-1) != span(base+length-1) {
+			// Extended across a span boundary: re-inserting it at its
+			// own key is what files it with the VMAs that cross one.
+			op.edits = append(op.edits, regionEdit{Key: pred.Start(), Val: pred})
+		}
 		atomic.AddUint64(&as.stats.op(op).Merges, 1)
 		return
 	}

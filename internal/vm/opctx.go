@@ -68,14 +68,16 @@ func mapSlotCells() int { return min(runtime.GOMAXPROCS(0), 16) }
 // the machine's shootdown domain and the context's slot.
 func (as *AddressSpace) beginOp() *opCtx {
 	op := opPool.Get().(*opCtx)
-	as.fam.ms.tlb.Init(&op.gather, op.slot)
+	as.fam.ms.tlb.InitDeferred(&op.gather, op.slot)
 	return op
 }
 
 // end returns the context. The operation has released its guard,
-// flushed its gather and committed its edits; the overlap list drops
-// its VMAs so the pool pins nothing.
+// flushed its gather and committed its edits; now, outside every lock,
+// it pays the grace-period work its flushes left owing, and the overlap
+// list drops its VMAs so the pool pins nothing.
 func (op *opCtx) end() {
+	op.gather.Settle()
 	clear(op.overlaps)
 	op.overlaps = op.overlaps[:0]
 	opPool.Put(op)
@@ -86,7 +88,7 @@ func (op *opCtx) end() {
 // inside.
 func (as *AddressSpace) collectOverlaps(op *opCtx, lo, hi uint64) []*vma.VMA {
 	op.overlaps = op.overlaps[:0]
-	if v := as.idx.floor(lo); v != nil && v.Start() < lo && v.Overlaps(lo, hi) {
+	if v := as.idx.lookup(lo); v != nil && v.Start() < lo {
 		op.overlaps = append(op.overlaps, v)
 	}
 	as.idx.ascendRange(lo, hi, op.collect)

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"bonsai/internal/core"
 	"bonsai/internal/fail"
 	"bonsai/internal/locks"
 	"bonsai/internal/ranges"
@@ -72,7 +71,7 @@ type syncPolicy struct {
 func (p *syncPolicy) init(cfg Config) {
 	switch cfg.Design {
 	case PureRCU:
-		p.idx = &bonsaiIndex{t: core.NewTree[*vma.VMA](core.Options{UpdateInPlace: true})}
+		p.idx = newBonsaiIndex()
 		p.rl = new(ranges.Manager)
 	case Hybrid:
 		p.idx = &rbIndex{t: rbtree.New[*vma.VMA](), sem: &p.treeSem}
@@ -214,11 +213,22 @@ func (p *syncPolicy) reserve(op *opCtx, hint, length uint64) (uint64, mapGuard, 
 		}
 		reserveGapPoint.Yield()
 		mg := p.lock(op, base, base+length, true, true)
-		if v := p.idx.floor(base + length - 1); v == nil || v.End() <= base {
+		if p.gapFree(op, base, base+length) {
 			return base, mg, true
 		}
 		mg.unlock()
 	}
+}
+
+// gapFree reports whether no VMA overlaps [lo, hi): none contains lo
+// and none starts inside. It collects into op.overlaps.
+func (p *syncPolicy) gapFree(op *opCtx, lo, hi uint64) bool {
+	if p.idx.lookup(lo) != nil {
+		return false
+	}
+	op.overlaps = op.overlaps[:0]
+	p.idx.ascendRange(lo, hi, op.collect)
+	return len(op.overlaps) == 0
 }
 
 // reserveGapPoint is the gap race's schedule point (fail.Point.Yield):
@@ -229,7 +239,7 @@ var reserveGapPoint = fail.NewPoint("vm.reserve-gap")
 // base >= max(hint, UnmappedBase) in the region tree as it stands.
 func (p *syncPolicy) findGap(hint, length uint64) (uint64, bool) {
 	start := max(hint, UnmappedBase)
-	if v := p.idx.floor(start); v != nil && v.End() > start {
+	if v := p.idx.lookup(start); v != nil {
 		start = v.End()
 	}
 	for {
@@ -281,12 +291,12 @@ func (p *syncPolicy) extendHeld(g *ranges.Guard, lo, hi uint64, mergePred bool) 
 func (p *syncPolicy) requiredCover(lo, hi uint64, mergePred bool) (uint64, uint64) {
 	nlo, nhi := lo, hi
 	for _, at := range [2]uint64{lo, hi - 1} {
-		if v := p.idx.floor(at); v != nil && v.Overlaps(lo, hi) {
+		if v := p.idx.lookup(at); v != nil {
 			nlo, nhi = min(nlo, v.Start()), max(nhi, v.End())
 		}
 	}
 	if mergePred && lo > 0 {
-		if pred := p.idx.floor(lo - 1); pred != nil && pred.End() == lo {
+		if pred := p.idx.lookup(lo - 1); pred != nil {
 			nlo = min(nlo, pred.Start())
 		}
 	}

@@ -166,7 +166,7 @@ func (as *AddressSpace) CollapseRange(lo, hi uint64) int {
 	var regions []*vma.VMA
 	// A region that begins below lo may still cover chunks inside the
 	// span; the ascend below visits only starts in [lo, hi).
-	if v := as.idx.floor(lo); v != nil && v.Start() < lo && v.End() > lo {
+	if v := as.idx.lookup(lo); v != nil && v.Start() < lo {
 		regions = append(regions, v)
 	}
 	as.idx.ascendRange(lo, hi, func(v *vma.VMA) bool {

@@ -1,16 +1,23 @@
 #!/usr/bin/env bash
 # Mutant twins of the frame-word guards in internal/physmem, of the
 # page-table spare list's one rule (a published table is never reused),
-# of the fault's §5.2 recheck under the PTE lock, of a non-fixed mmap's
-# re-check of its gap under the held range, of the range manager's
-# stripe lock order (those three killed by the schedule explorer, which
-# runs the fill, gap and stripe races through every interleaving) and of
-# the mapping operations' range check, which must refuse a length within
-# a page of 2^64 before rounding it up wraps it to zero, of Close's
-# unregistering of its fault contexts' RCU readers, and of the file
+# of the fault's §5.2 recheck under the PTE lock, of the Figure 10
+# split's order across a span boundary (the trim before the top part's
+# insert, which lands in another tree of PureRCU's index; the twin
+# publishes the top part first, closing the window the fault retries
+# in), of a non-fixed mmap's re-check of its gap under the held range,
+# of the range manager's stripe lock order (those four killed by the
+# schedule explorer, which runs the fill, split, gap and stripe races
+# through every interleaving), of the mapping operations' range check,
+# which must refuse a length within a page of 2^64 before rounding it up
+# wraps it to zero, of Close's
+# unregistering of its fault contexts' RCU readers, of the file
 # registry's user count (a retiring tenant drops a shared file's page
 # cache only when no other live tenant maps the file; the twin drops it
-# whatever the count says, so the first tenant to retire takes it):
+# whatever the count says, so the first tenant to retire takes it), and
+# of direct reclaim's wait for the RCU backlog before it judges progress
+# (the twin skips the wait, so a few free frames pass for progress while
+# the frames a caller needs stay queued):
 # each guard test passes on the checkout as it stands and must fail on a
 # copy of it with that one guard removed — the proof that the test sees
 # the guard. Each test runs in the package of the file its twin mutates,
@@ -40,11 +47,13 @@ mutants=(
 	'TestFreeRunTwicePanics@@internal/physmem/physmem.go@@if w&refsMask != 0 || shapeOrder(w) != order {@@if false {'
 	'TestSplitTableNeverSpare@@internal/pagetable/pagetable.go@@t.retireStructure(g, pt.frame)@@t.retireStructure(g, pt.frame); t.spare(pt)'
 	'TestExploreFillRace@@internal/vm/fault.go@@recheck = func() bool { return v.Contains(page) }@@recheck = func() bool { return true }'
-	'TestExploreGapRace@@internal/vm/sync.go@@v == nil || v.End() <= base {@@true || v == nil {'
-	'internal/vm:TestExploreStripeRace@@internal/ranges/ranges.go@@i := bits.TrailingZeros16(mask)@@i := (bits.TrailingZeros16(bits.RotateLeft16(mask, -int(lo>>stripeShift%stripeCount))) + int(lo>>stripeShift%stripeCount)) % stripeCount'
+	'TestExploreCrossingSplitRace@@internal/vm/mmap.go@@nv := as.sliceVMA(v, cutHi, vHi, v.Prot())@@nv := as.sliceVMA(v, cutHi, vHi, v.Prot()); as.idx.edit([]regionEdit{{Key: cutHi, Val: nv}})'
+	'TestExploreGapRace@@internal/vm/sync.go@@if p.gapFree(op, base, base+length) {@@if true {'
+	'internal/vm:TestExploreStripeRace@@internal/ranges/ranges.go@@i := bits.TrailingZeros16(mask)@@i := (bits.TrailingZeros16(bits.RotateLeft16(mask, -int(lo>>StripeShift%StripeCount))) + int(lo>>StripeShift%StripeCount)) % StripeCount'
 	'TestMmapInvalidArgs@@internal/vm/vm.go@@length == 0 || length > MaxAddress {@@length == 0 {'
 	'TestClosedSpacesLeaveNoReaders@@internal/vm/vm.go@@as.dom.Unregister(rd)@@_ = rd'
 	'TestSharedFileOutlivesFirstTenant@@internal/vm/filecache.go@@if h.fileUsers[f] > 0 {@@if false {'
+	$'TestDirectReclaimWaitsOutTheBacklog@@internal/reclaim/reclaim.go@@\tr.dom.Synchronize()\n\treturn r.alloc.FreeFrames() > 0\n}@@\treturn r.alloc.FreeFrames() > 0\n}'
 )
 
 mkdir -p "$work/pristine"
