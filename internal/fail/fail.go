@@ -40,7 +40,8 @@
 //   - pagecache.fill: a fill fails with ErrFillIO; pagecache.wb-retryable
 //     and pagecache.wb-sticky: writeback fails, the page staying dirty
 //     (ErrWritebackIO) or being cleaned anyway (ErrStickyIO);
-//   - reclaim.stall: a direct-reclaim run reports no progress.
+//   - reclaim.stall: a direct-reclaim run returns at once, with no scan
+//     and no grace period; the operation spends one retry of its budget.
 //
 // Package vm's "Validation" describes the schedule points and the
 // explorer that drives them.

@@ -265,14 +265,14 @@ func TestGracePeriodLatencyStats(t *testing.T) {
 	}
 }
 
-// TestWakeHandsOffToDetector: a goroutine that retires without ever
+// TestRetiringCallerAdvancesAlone: a goroutine that retires without ever
 // blocking must not leave its grace periods waiting for the scheduler's
 // time slice to reach another goroutine. With one processor — every
 // processor busy retiring, as on a loaded machine — the poller never
 // runs, and the retiring caller advances the epoch itself once its
 // shard passes the batch: the backlog when a drain starts stays near
 // the batch instead of growing by ten milliseconds of Defers.
-func TestWakeHandsOffToDetector(t *testing.T) {
+func TestRetiringCallerAdvancesAlone(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const batch = 256
 	d := newDomain(batch, 1)

@@ -8,8 +8,9 @@
 //     frames exceed the high one. An allocation that fails outright first
 //     steals frames stranded in other CPUs' magazines, then surfaces as
 //     the VM's typed, retryable ErrFrameShortage: the fault or fork
-//     unwinds completely and calls DirectReclaim before it retries, so
-//     faults never see out-of-memory while reclaimable pages exist.
+//     unwinds completely, runs one DirectReclaim and retries, on a
+//     bounded budget. Every scan returns only after a grace period, so
+//     the retry also finds the frames that were queued behind one.
 //  2. Clock scan (pagecache.Cache.ReclaimScan): a second-chance sweep
 //     from each cache's clock hand. The accessed bit, set by lock-free
 //     lookups, buys a page one pass; direct reclaim's final pass ignores
@@ -41,9 +42,8 @@
 // slots into the VM lock hierarchy above both without inverting the
 // fault path's PTE-lock-then-cache-mutex order. The scan holds an RCU
 // read-side critical section across the revocation phase (page-table
-// walks are lock-free) and drops it before flushing the domain, so the
-// blocking grace period it pays to make evicted frames allocatable can
-// always complete.
+// walks are lock-free) and drops it before the grace period every scan
+// ends with, so that grace period can always complete.
 package reclaim
 
 import (
@@ -61,11 +61,10 @@ import (
 	"bonsai/internal/trace"
 )
 
-// failStall makes a direct-reclaim run report zero progress (armed
-// only by fault injection; see internal/fail) — the scan found nothing
-// evictable, every cache cold and pinned — which is exactly the
-// verdict that drives the VM layer's no-progress absorption, its retry
-// budget, and ultimately the typed ErrNoMemory unwind.
+// failStall makes a direct-reclaim run return at once with no progress
+// and no grace period (armed only by fault injection; see
+// internal/fail). The VM layer retries on its budget whatever the
+// verdict, so a stalled run costs the operation one attempt of it.
 var failStall = fail.NewPoint("reclaim.stall")
 
 // Config tunes a Reclaimer.
@@ -298,7 +297,7 @@ func (r *Reclaimer) kswapd() {
 			continue
 		}
 		r.kswapdCycles.Add(1)
-		_, evicted := r.reclaim(r.cfg.BatchPages, false)
+		evicted := r.reclaim(r.cfg.BatchPages, false)
 		r.kswapdEvicted.Add(uint64(evicted))
 		if evicted == 0 {
 			balancing = false // nothing evictable; wait for the next low crossing
@@ -307,10 +306,10 @@ func (r *Reclaimer) kswapd() {
 }
 
 // DirectReclaim reclaims on behalf of a failed allocation and reports
-// whether it made progress (the caller should retry the allocation).
-// Unlike kswapd it ends with a forced pass that ignores accessed bits,
-// so it fails only when genuinely nothing is evictable — every cache
-// page is gone or pinned by a mid-scan refault.
+// whether it made progress: pages evicted, or free frames after the
+// scan's closing grace period (frames that were queued behind one,
+// drained magazines, a concurrent scan's evictions). Unlike kswapd it
+// ends with a forced pass that ignores accessed bits.
 func (r *Reclaimer) DirectReclaim() bool {
 	r.directRuns.Add(1)
 	if failStall.Fire() {
@@ -324,31 +323,14 @@ func (r *Reclaimer) DirectReclaim() bool {
 	if target > 32 {
 		target = 32
 	}
-	_, evicted := r.reclaim(target, true)
+	evicted := r.reclaim(target, true)
 	r.directEvicted.Add(uint64(evicted))
-	if evicted > 0 {
-		return true // the scan waited out its evictions' grace period
-	}
-	// Nothing evicted, but frames may still be sitting in the RCU queue:
-	// unmapped pages, retired page tables, a concurrent scan's
-	// evictions. An operation that needs more frames than are free (a
-	// fork, a fault under churn) retries in vain while they wait on a
-	// grace period nobody runs for it, so wait it out here before
-	// judging progress. Free frames (drained magazines among them) are
-	// progress after that: by the time our scan ran, a winner ahead of us
-	// on the scan lock may have evicted everything evictable and refilled
-	// the pool, and the caller's retry will allocate what is free.
-	r.dom.Synchronize()
-	return r.alloc.FreeFrames() > 0
+	return evicted > 0 || r.alloc.FreeFrames() > 0
 }
 
 // reclaim runs eviction passes under the scan lock until something is
-// freed (or the passes are exhausted) and returns the magazine frames
-// drained and the pages evicted, separately — both are progress, but
-// only evictions are reclaim work. Draining counts because frames
-// stranded in per-CPU magazines are free, just unreachable from an
-// empty global pool.
-func (r *Reclaimer) reclaim(target int, force bool) (drained, evicted int) {
+// freed (or the passes are exhausted) and returns the pages evicted.
+func (r *Reclaimer) reclaim(target int, force bool) int {
 	kind := trace.ScanGlobal
 	if force {
 		kind = trace.ScanDirect
@@ -389,18 +371,16 @@ func (r *Reclaimer) reclaim(target int, force bool) (drained, evicted int) {
 
 // ReclaimAccount runs tenant-local reclaim: one clock pass (gentle,
 // then forced if nothing moved) over only the pages charged to ac,
-// under the machine's scan lock, flushing the batch gather and the RCU
-// domain so the evicted frames' charges have actually dropped by the
-// time it returns — the caller's retry must observe the headroom. It
-// returns the number of pages evicted; zero means nothing of this
-// account's is evictable (its charge is all anonymous memory or
-// pinned pages), which is when the caller escalates to per-tenant OOM.
-func (r *Reclaimer) ReclaimAccount(ac *physmem.Account, target int) int {
-	if target <= 0 {
-		target = r.cfg.BatchPages
-	}
+// under the machine's scan lock. Like every scan it returns after a
+// grace period, so the charges of the frames it evicted — and of any
+// the tenant freed before it ran — have dropped by the time it returns:
+// the caller's retry observes the headroom. It returns the number of
+// pages evicted; zero means nothing of this account's is evictable (its
+// charge is all anonymous memory or pinned pages).
+func (r *Reclaimer) ReclaimAccount(ac *physmem.Account) int {
+	target := r.cfg.BatchPages
 	r.accountRuns.Add(1)
-	_, evicted := r.scan(target, trace.ScanTenant, func() (evicted, written int) {
+	evicted := r.scan(target, trace.ScanTenant, func() (evicted, written int) {
 		evicted, written = r.scanOnce(ac, target, false)
 		if evicted == 0 {
 			evicted, written = r.scanOnce(ac, target, true)
@@ -415,14 +395,14 @@ func (r *Reclaimer) ReclaimAccount(ac *physmem.Account, target int) int {
 // lock, the cache snapshot, the read section, the gather flush, the
 // scan histogram and the closing grace period. passes runs the scan's
 // clock passes (scanOnce) inside it. A global scan (every kind but
-// ScanTenant) first drains the magazines, and returns what it drained.
-func (r *Reclaimer) scan(target int, kind uint64, passes func() (evicted, written int)) (drained, evicted int) {
+// ScanTenant) first drains the magazines. It returns the pages evicted.
+func (r *Reclaimer) scan(target int, kind uint64, passes func() (evicted, written int)) (evicted int) {
 	scanID := r.scanSeq.Add(1)
 	trace.Emit(trace.AuxCPU, trace.EvReclaimScanStart, scanID, uint64(target), kind)
 	scanStart := time.Now()
 	contention.Lock(&r.scanMu, "reclaim.scan")
 	if kind != trace.ScanTenant {
-		drained = r.alloc.DrainMagazines()
+		r.alloc.DrainMagazines()
 	}
 	// The scans' snapshot of the rotation, reused from scan to scan: a
 	// cache unregistered mid-scan is still scanned safely, and the clear
@@ -451,16 +431,16 @@ func (r *Reclaimer) scan(target int, kind uint64, passes func() (evicted, writte
 	trace.Emit(trace.AuxCPU, trace.EvReclaimScanEnd, scanID, uint64(evicted),
 		uint64(elapsed))
 
-	if evicted > 0 {
-		r.writebacks.Add(uint64(written))
-		// The evictions' frame frees (and with them the uncharges) are
-		// deferred past a grace period; flush so the caller's retry can
-		// allocate them. The scan lock and read section are released: a
-		// reclaimer never blocks a grace period on itself, and a parked
-		// kswapd never holds the lock against a direct reclaimer.
-		r.dom.Synchronize()
-	}
-	return drained, evicted
+	r.writebacks.Add(uint64(written))
+	// A scan returns only after a grace period: its evictions' frame
+	// frees (and with them the uncharges) are deferred past one, and so
+	// are the frames anyone else retired before it — unmapped pages,
+	// retired page tables. The caller's retry can allocate all of them.
+	// The scan lock and read section are released: a reclaimer never
+	// blocks a grace period on itself, and a parked kswapd never holds
+	// the lock against a direct reclaimer.
+	r.dom.Synchronize()
+	return evicted
 }
 
 // scanOnce runs one clock pass over the scan's cache snapshot into the

@@ -126,9 +126,9 @@ func TestDirectReclaimMakesProgress(t *testing.T) {
 
 // TestDirectReclaimWaitsOutTheBacklog: with nothing evictable and most
 // of the pool queued behind a grace period on a domain that runs
-// callbacks only when asked, direct reclaim must wait the grace period
-// out before it reports progress, so the caller's retry finds the
-// queued frames free. A few free frames are not progress for a caller
+// callbacks only when asked, direct reclaim's scan must still end with
+// a grace period before it reports progress, so the caller's retry
+// finds the queued frames free. A few free frames are not progress for a caller
 // that needs more: reporting them as such, without the wait, sent a
 // fork needing more than the free frames through every retry of its
 // budget while its frames sat in the queue.

@@ -181,7 +181,7 @@ func TestFlushTraceShowsInjectedDelay(t *testing.T) {
 // grows the pooled buffer without losing a frame.
 func TestFlushRecyclesBatches(t *testing.T) {
 	alloc := physmem.New(physmem.Config{Frames: 1 << 15, CPUs: 1})
-	dom := rcu.NewDomain(rcu.Options{BatchSize: -1}) // no detector: nothing else allocates
+	dom := rcu.NewDomain(rcu.Options{BatchSize: -1}) // no poller: nothing else allocates
 	defer dom.Close()
 	d := NewDomain(alloc, dom, CostModel{})
 	var g Gather

@@ -218,13 +218,17 @@
 //     per file and the next Writeback reports it once (errseq_t). A fill
 //     error leaves the fault as ErrIO, not as out-of-memory.
 //
-// An allocation failure climbs a ladder: direct reclaim and retry, at
-// most shortageRetryBudget (64) times; then the OOM killer of last
-// resort, if SetOOMKiller registered one, serialized machine-wide and
-// choosing the largest-RSS member of the faulting tenant first (a
-// tenant-limit shortage never looks outside the tenant), after which the
-// budget starts again; then ErrNoMemory, with zero leaked frames
-// (TestInjectedAllocFailureLeaksNothing).
+// An allocation failure climbs one ladder: one reclaim scan and a
+// retry, at most shortageRetryBudget (64) times, whatever the scan
+// evicted; then the OOM killer of last resort, if Host.SetOOMKiller
+// registered one, serialized machine-wide and choosing the largest-RSS
+// member of the faulting tenant first (a tenant-limit shortage never
+// looks outside the tenant), after which the budget starts again; then
+// ErrNoMemory, with zero leaked frames
+// (TestInjectedAllocFailureLeaksNothing). Every scan ends with a grace
+// period, so a retry finds the frames, and the tenant charges, that
+// were queued behind one: memory an operation freed is never the
+// reason it runs out (TestTenantWaitsOutTheRCUBacklog).
 //
 // # Validation
 //
@@ -283,15 +287,15 @@
 // last of them (TestSharedFileOutlivesFirstTenant).
 //
 // A charge over the limit refuses with ErrTenantShortage, and the
-// operation climbs a tenant-local ladder: an eviction scan of the
-// tenant's own pages (each cache keeps a clock hand per account), then
-// the OOM killer inside the tenant, then ErrNoMemory. Only a pool
-// shortage (ErrFrameShortage) engages the machine-wide kswapd and direct
-// reclaim, so a tenant at its limit never evicts a neighbour's page.
-// Account.EvictionsUnderLimit counts evictions someone else's reclaim
-// made while the victim was under its limit; its rollup,
-// introspect.Snapshot.CrossTenantEvictions, must stay zero
-// (TestTenantIsolation).
+// operation climbs the same ladder with a tenant-local scan: each retry
+// follows an eviction scan of the tenant's own pages (each cache keeps a
+// clock hand per account), then the OOM killer inside the tenant, then
+// ErrNoMemory. Only a pool shortage (ErrFrameShortage) engages the
+// machine-wide kswapd and direct reclaim, so a tenant at its limit never
+// evicts a neighbour's page. Account.EvictionsUnderLimit counts
+// evictions someone else's reclaim made while the victim was under its
+// limit; its rollup, introspect.Snapshot.CrossTenantEvictions, must stay
+// zero (TestTenantIsolation).
 //
 // Evict(root) lowers the limit to one frame, closes the members in
 // reverse, drains the residual shared pages (their charge moves to the

@@ -155,7 +155,7 @@ func TestOOMKillerRestoresProgress(t *testing.T) {
 	}
 
 	hogClosed := false
-	as.SetOOMKiller(func(victim *AddressSpace) bool {
+	as.fam.ms.SetOOMKiller(func(victim *AddressSpace) bool {
 		if victim != hog {
 			t.Errorf("killer picked %p, want the hog %p (largest live member)", victim, hog)
 			return false

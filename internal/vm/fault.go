@@ -3,7 +3,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -21,12 +20,13 @@ import (
 // returns ErrSegv if no mapping covers addr and ErrAccess on a
 // protection violation.
 //
-// A fault that loses a race with frame-pool exhaustion does not fail:
-// the attempt unwinds completely (typed as ErrFrameShortage, with
-// every lock released and nothing half-installed), direct reclaim
-// evicts page-cache pages, and the fault retries. ErrNoMemory escapes
-// only when reclaim reports nothing left to evict — no clean or
-// write-backable cache page anywhere on the machine.
+// A fault that loses a race with frame-pool exhaustion or its tenant's
+// limit does not fail: the attempt unwinds completely (typed as
+// ErrFrameShortage or ErrTenantShortage, with every lock released and
+// nothing half-installed), one reclaim scan evicts page-cache pages and
+// waits out a grace period, and the fault retries. ErrNoMemory escapes
+// only when the retry budget and the OOM killer are spent
+// (retryShortage).
 //
 // What the attempt holds while it runs is the address space's
 // synchronization policy's business (sync.go), not this file's.
@@ -99,41 +99,33 @@ func (c *CPU) sampleDue() bool {
 	return true
 }
 
-// oomRetries bounds consecutive no-progress direct-reclaim attempts
-// before an operation reports ErrNoMemory.
-const oomRetries = 16
-
-// shortageRetryBudget bounds how many times one operation may answer
-// ErrFrameShortage with a successful direct reclaim and retry. Without
-// it the retry loop is unbounded: DirectReclaim reports progress
-// whenever free frames exist (a concurrent reclaimer's work counts),
-// so an operation whose own allocations keep failing — competing
-// faulters winning every freed frame, or an injected allocation fault
-// — would spin forever instead of surfacing ErrNoMemory. The budget is
-// generous: a legitimately thrashing operation needs a handful of
-// retries, not sixty-four.
+// shortageRetryBudget bounds how many times one operation answers a
+// shortage with one reclaim run and a retry, before the OOM killer.
+// Without it the loop is unbounded: an operation whose own allocations
+// keep failing — competing faulters winning every freed frame, or an
+// injected allocation fault — would spin forever instead of surfacing
+// ErrNoMemory. The reclaim verdict does not end the budget early: a
+// run that evicted nothing still ends with a grace period, and the
+// frames it returned, or a competing reclaimer's, are the next
+// attempt's.
 const shortageRetryBudget = 64
 
-// retryShortage runs op under the VM's graceful-degradation ladder.
+// retryShortage runs op under the VM's graceful-degradation ladder, one
+// loop for both shortages:
 //
-// Pool exhaustion (ErrFrameShortage):
-//
-//  1. direct reclaim, retry — up to shortageRetryBudget times, each
-//     retry backed by a reclaim run that reported progress;
-//  2. budget exhausted (or reclaim out of progress) → the machine's
-//     OOM killer of last resort reaps the largest member — this
-//     tenant's first, any tenant's as fallback — and the budget
-//     resets, once;
-//  3. nothing left → typed ErrNoMemory, with op fully unwound (its
-//     contract: a shortage failure leaks nothing and holds nothing).
-//
-// Tenant-limit exhaustion (ErrTenantShortage) climbs the tenant-local
-// rung of the same ladder first: reclaim scans restricted to this
-// tenant's own pages (neighbors' pages and their accessed bits are
-// untouched), then a per-tenant OOM kill confined to this tenant —
-// reaping a neighbor cannot lower this tenant's charge — then
-// ErrNoMemory. The machine-wide pool is never touched on this path,
-// so a thrashing tenant degrades alone.
+//  1. run one reclaim and retry, up to shortageRetryBudget times: a
+//     tenant-limit shortage (ErrTenantShortage) scans only this tenant's
+//     own pages (ReclaimAccount; neighbors' pages and accessed bits are
+//     untouched), a pool shortage (ErrFrameShortage) runs machine-wide
+//     DirectReclaim. Either scan returns after a grace period, so the
+//     retry also sees the frames and charges that were queued behind
+//     one;
+//  2. budget exhausted → the machine's OOM killer of last resort reaps
+//     the largest member — this tenant's first, any tenant's as
+//     fallback for a pool shortage only (reaping a neighbor cannot
+//     lower this tenant's charge) — and the budget resets, once;
+//  3. then typed ErrNoMemory, with op fully unwound (its contract: a
+//     shortage failure leaks nothing and holds nothing).
 //
 // Any non-shortage outcome — success, ErrSegv, I/O errors — returns
 // immediately.
@@ -150,7 +142,12 @@ func (as *AddressSpace) retryShortage(op func() error) error {
 		if tenant {
 			tb = 1
 		}
-		if attempt < shortageRetryBudget && as.reclaimForShortage(tenant) {
+		if attempt < shortageRetryBudget {
+			if tenant {
+				as.fam.ms.rec.ReclaimAccount(as.fam.acct)
+			} else {
+				as.fam.ms.rec.DirectReclaim()
+			}
 			trace.Emit(trace.AuxCPU, trace.EvOOMKill, trace.OomDirectReclaim, tb, uint64(attempt+1))
 			continue
 		}
@@ -161,45 +158,10 @@ func (as *AddressSpace) retryShortage(op func() error) error {
 		}
 		trace.Emit(trace.AuxCPU, trace.EvOOMKill, trace.OomGiveUp, tb, uint64(attempt+1))
 		if tenant {
-			return fmt.Errorf("%w: tenant frame limit exhausted after %d attempts and nothing evictable in-tenant", ErrNoMemory, attempt+1)
+			return fmt.Errorf("%w: tenant frame limit exhausted after %d attempts", ErrNoMemory, attempt+1)
 		}
-		return fmt.Errorf("%w: frame pool exhausted after %d attempts and nothing evictable", ErrNoMemory, attempt+1)
+		return fmt.Errorf("%w: frame pool exhausted after %d attempts", ErrNoMemory, attempt+1)
 	}
-}
-
-// reclaimForShortage answers a frame-allocation failure with direct
-// reclaim, absorbing transient no-progress verdicts: under thrash,
-// competing faulters can consume every frame a reclaim pass freed
-// before this caller retries, and a concurrent scan's evictions may
-// still be crossing their grace period. A single failed scan therefore
-// proves nothing; only several consecutive empty-handed scans — with
-// yields in between so grace periods and competing reclaimers can move
-// — mean the machine is genuinely out of reclaimable memory. With no
-// page caches at all (purely anonymous workloads) every attempt is a
-// cheap empty scan, so true OOM still reports quickly.
-//
-// tenant == true answers a tenant-limit failure by scanning only this
-// tenant's own pages (ReclaimAccount), so the tenant pays for its
-// overcommit itself instead of pressuring its neighbors.
-func (as *AddressSpace) reclaimForShortage(tenant bool) bool {
-	for attempt := 0; attempt < oomRetries; attempt++ {
-		if tenant {
-			if as.fam.acct == nil {
-				return false // no account: a tenant shortage cannot recur
-			}
-			if as.fam.ms.rec.ReclaimAccount(as.fam.acct, 0) > 0 {
-				return true
-			}
-		} else if as.fam.ms.rec.DirectReclaim() {
-			return true
-		}
-		if attempt < 4 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(time.Duration(attempt) * 50 * time.Microsecond)
-		}
-	}
-	return false
 }
 
 // retryReason is the fast path's verdict that the fault must be retried

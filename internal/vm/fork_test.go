@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"bonsai/internal/vma"
 )
@@ -400,13 +401,19 @@ func TestForkDuringConcurrentFaults(t *testing.T) {
 // TestForkWaitsOutTheRCUBacklog: with most of the pool queued behind a
 // grace period — an unmapped region's frames and page tables, on a
 // domain that runs callbacks only when asked — a fork that needs more
-// frames than are free must succeed after one direct reclaim, which,
-// finding nothing to evict, waits out the grace period before judging
-// progress (reclaim's TestDirectReclaimWaitsOutTheBacklog pins the rule
-// itself: a few free frames are not progress without the wait).
+// frames than are free must succeed after exactly one direct reclaim,
+// which, finding nothing to evict, still waits out the grace period
+// every scan ends with (reclaim's TestDirectReclaimWaitsOutTheBacklog
+// pins the rule itself: a few free frames are not progress without the
+// wait). kswapd's scans end with a grace period too, so it is kept from
+// returning the backlog first: the low watermark sits below the free
+// frames the fill leaves, so it has no reason to scan before the fork
+// runs the pool down, and the scan lock is held from just before the
+// fork until its first direct reclaim has been counted.
 func TestForkWaitsOutTheRCUBacklog(t *testing.T) {
 	const chunks = 64
-	forEachDesign(t, Config{CPUs: 1, Frames: 2048, tune: tuning{rcuBatch: -1}}, func(t *testing.T, as *AddressSpace) {
+	cfg := Config{CPUs: 1, Frames: 2048, tune: tuning{rcuBatch: -1, lowWater: chunks / 4}}
+	forEachDesign(t, cfg, func(t *testing.T, as *AddressSpace) {
 		cpu := as.NewCPU(0)
 		// Shared mappings are never huge: every fault takes one frame.
 		rw, flags := vma.ProtRead|vma.ProtWrite, vma.Fixed|vma.Shared
@@ -431,9 +438,39 @@ func TestForkWaitsOutTheRCUBacklog(t *testing.T) {
 		if pending := as.dom.Stats().Pending; pending == 0 {
 			t.Fatal("the unmap queued nothing behind a grace period")
 		}
+		if rs := as.ReclaimStats(); rs.KswapdCycles != 0 || rs.DirectRuns != 0 {
+			t.Fatalf("reclaim ran before the fork: %+v", rs)
+		}
 		free := as.alloc.FreeFrames()
-		child, err := as.Fork()
-		if err != nil {
+		held, release := make(chan struct{}), make(chan struct{})
+		go as.fam.ms.rec.Quiesce(func() {
+			close(held)
+			<-release
+		})
+		<-held
+		var child *AddressSpace
+		forked := make(chan error, 1)
+		go func() {
+			var err error
+			child, err = as.Fork()
+			forked <- err
+		}()
+		// DirectReclaim counts its run before it waits for the scan lock.
+		for deadline := time.Now().Add(10 * time.Second); as.ReclaimStats().DirectRuns == 0; {
+			select {
+			case err := <-forked:
+				close(release)
+				t.Fatalf("the fork with %d free frames finished (err %v) without running direct reclaim", free, err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				close(release)
+				t.Fatalf("the fork with %d free frames ran no direct reclaim in 10s", free)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		if err := <-forked; err != nil {
 			t.Fatalf("fork with %d free frames and the rest queued behind a grace period: %v", free, err)
 		}
 		// One direct reclaim: the first already returned the backlog.

@@ -274,14 +274,13 @@ func (h *Host) drainAccount(ac *physmem.Account) int64 {
 		return 0
 	}
 	for ac.Charged() > 0 {
-		if h.rec.ReclaimAccount(ac, 0) == 0 {
+		if h.rec.ReclaimAccount(ac) == 0 {
 			break
 		}
 	}
 	// The drain scans recreated clock hands for ac in every cache they
 	// touched; ac is departed, so drop them again.
 	h.rec.ForgetAccount(ac)
-	h.dom.Synchronize()
 	return ac.Charged()
 }
 
@@ -383,8 +382,22 @@ func (h *Host) Reclaimer() *reclaim.Reclaimer { return h.rec }
 // OOMKills returns the machine-wide count of OOM-killer reaps.
 func (h *Host) OOMKills() uint64 { return h.oomKills.Load() }
 
-// SetOOMKiller installs the machine's killer of last resort (see
-// AddressSpace.SetOOMKiller; the killer is machine-wide either way).
+// SetOOMKiller installs the machine's killer of last resort. When an
+// operation's shortage outlasts its reclaim-and-retry budget, the VM
+// picks the live member with the most mapped pages (excluding the
+// caller) and hands it to kill, which must either release that
+// space's memory — typically by Closing it, which requires that no
+// operation on the victim is in flight, a guarantee only the
+// embedding application can make — and return true, or decline with
+// false. On true the failed operation retries once with a fresh
+// budget; on false (or with no killer installed) it returns
+// ErrNoMemory. The killer applies machine-wide: any member's
+// exhausted operation may invoke it, and the victim is picked from
+// the offending operation's own tenant first — only when that tenant
+// has no reapable sibling does the search widen to the whole machine
+// (pool exhaustion only: a tenant-limit OOM never reaps outside the
+// tenant, because killing a neighbor cannot lower this tenant's
+// charge).
 func (h *Host) SetOOMKiller(kill func(victim *AddressSpace) bool) {
 	h.oomMu.Lock()
 	h.oomKiller = kill

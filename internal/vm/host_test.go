@@ -70,6 +70,50 @@ func TestHostAdmitRetireChurn(t *testing.T) {
 	}
 }
 
+// TestTenantWaitsOutTheRCUBacklog: a limited tenant that unmaps a
+// region and maps another must not run out of memory it has already
+// freed. Munmap's frames, and their charge, wait behind a grace period;
+// the tenant-local reclaim that answers the limit evicts nothing here
+// (the charge is all anonymous), so the retry sees the headroom only if
+// the scan waited the grace period out. Skipping that wait failed every
+// run at about the 13th fault of the second region, its charge back
+// under the limit milliseconds later.
+func TestTenantWaitsOutTheRCUBacklog(t *testing.T) {
+	const limit, pages = 64, 48
+	for _, d := range Designs {
+		t.Run(d.String(), func(t *testing.T) {
+			h := NewHost(Config{Design: d, CPUs: 1, Frames: 1024}, 1)
+			as, err := h.Admit("", limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpu := as.NewCPU(0)
+			fill := func() uint64 {
+				base, err := as.Mmap(0, pages*PageSize, vma.ProtRead|vma.ProtWrite, vma.Private, nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := uint64(0); p < pages; p++ {
+					if err := cpu.Fault(base+p*PageSize, true); err != nil {
+						t.Fatalf("fault %d of %d (charge %d of %d): %v", p+1, pages, as.Account().Charged(), limit, err)
+					}
+				}
+				return base
+			}
+			if err := as.Munmap(fill(), pages*PageSize); err != nil {
+				t.Fatal(err)
+			}
+			fill()
+			if err := as.Close(); err != nil {
+				t.Errorf("teardown: %v", err)
+			}
+			if err := h.Close(); err != nil {
+				t.Errorf("host close: %v", err)
+			}
+		})
+	}
+}
+
 // TestDrainAccountLeavesNoClockHands: draining a departed tenant's
 // residual page-cache charge must not leave per-account clock hands in
 // the surviving caches. Regression: drainAccount's scans run after

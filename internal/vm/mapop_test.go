@@ -93,7 +93,7 @@ func TestMapCycleAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts under the race detector measure the detector")
 	}
-	// No background detector: the test runs the grace periods itself, so
+	// No background poller: the test runs the grace periods itself, so
 	// how many batches are out with the domain, and when they come back
 	// to the pools, does not depend on scheduling.
 	as, err := New(Config{Design: PureRCU, CPUs: 1, Frames: 1 << 14, tune: tuning{rcuBatch: -1}})

@@ -299,7 +299,7 @@ func TestRefaultEvictAllocs(t *testing.T) {
 	const limit = 256
 	for _, batch := range []int{16, 64} {
 		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
-			// No background detector: the scans run the grace periods
+			// No background poller: the scans run the grace periods
 			// themselves, so what is out with the domain does not depend
 			// on scheduling.
 			h := NewHost(Config{Design: PureRCU, CPUs: 1, Frames: 4 * limit, Backing: true,

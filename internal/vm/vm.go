@@ -88,9 +88,9 @@ var (
 	// ErrFrameShortage is the typed, retryable form of a physical-frame
 	// allocation failure inside a fault or fork. The failing operation
 	// unwinds completely first — no half-installed PTEs, every lock
-	// released — so the caller (Fault's and Fork's retry loops) can run
-	// direct reclaim and try again. It reaches API callers only wrapped
-	// in ErrNoMemory, after reclaim reported nothing left to evict;
+	// released — so the caller (retryShortage) can run direct reclaim
+	// and try again. It reaches API callers only wrapped in
+	// ErrNoMemory, once the retry budget and the OOM killer are spent;
 	// errors.Is(err, ErrNoMemory) therefore still identifies every
 	// out-of-memory outcome.
 	ErrFrameShortage = errors.New("vm: transient frame shortage")
@@ -401,26 +401,6 @@ func (fam *family) liveMembers() []*AddressSpace {
 // tenant — in the order they joined: the tenant's first space, then its
 // siblings and fork children.
 func (as *AddressSpace) Members() []*AddressSpace { return as.fam.liveMembers() }
-
-// SetOOMKiller installs the machine's killer of last resort. When an
-// operation exhausts its ErrFrameShortage retry budget and a final
-// direct reclaim still makes no progress, the VM picks the live
-// member with the most mapped pages (excluding the caller) and hands
-// it to kill, which must either release that space's memory —
-// typically by Closing it, which requires that no operation on the
-// victim is in flight, a guarantee only the embedding application can
-// make — and return true, or decline with false. On true the failed
-// operation retries once with a fresh budget; on false (or with no
-// killer installed) it returns ErrNoMemory. The killer applies
-// machine-wide: any member's exhausted operation may invoke it, and
-// the victim is picked from the offending operation's own tenant
-// first — only when that tenant has no reapable sibling does the
-// search widen to the whole machine (pool exhaustion only: a
-// tenant-limit OOM never reaps outside the tenant, because killing a
-// neighbor cannot lower this tenant's charge).
-func (as *AddressSpace) SetOOMKiller(kill func(victim *AddressSpace) bool) {
-	as.fam.ms.SetOOMKiller(kill)
-}
 
 // LivePages returns the number of pages currently mapped in this
 // address space — the OOM victim-selection badness score.

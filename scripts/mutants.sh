@@ -15,9 +15,11 @@
 # registry's user count (a retiring tenant drops a shared file's page
 # cache only when no other live tenant maps the file; the twin drops it
 # whatever the count says, so the first tenant to retire takes it), and
-# of direct reclaim's wait for the RCU backlog before it judges progress
-# (the twin skips the wait, so a few free frames pass for progress while
-# the frames a caller needs stay queued):
+# of the grace period every reclaim scan ends with (the twin waits only
+# after a scan that evicted something, so direct reclaim takes a few
+# free frames for progress while the frames a caller needs stay queued,
+# and a limited tenant whose freed charge is still queued runs out of
+# memory it has already freed; two tests, one twin each):
 # each guard test passes on the checkout as it stands and must fail on a
 # copy of it with that one guard removed — the proof that the test sees
 # the guard. Each test runs in the package of the file its twin mutates,
@@ -53,7 +55,8 @@ mutants=(
 	'TestMmapInvalidArgs@@internal/vm/vm.go@@length == 0 || length > MaxAddress {@@length == 0 {'
 	'TestClosedSpacesLeaveNoReaders@@internal/vm/vm.go@@as.dom.Unregister(rd)@@_ = rd'
 	'TestSharedFileOutlivesFirstTenant@@internal/vm/filecache.go@@if h.fileUsers[f] > 0 {@@if false {'
-	$'TestDirectReclaimWaitsOutTheBacklog@@internal/reclaim/reclaim.go@@\tr.dom.Synchronize()\n\treturn r.alloc.FreeFrames() > 0\n}@@\treturn r.alloc.FreeFrames() > 0\n}'
+	$'TestDirectReclaimWaitsOutTheBacklog@@internal/reclaim/reclaim.go@@\tr.dom.Synchronize()\n\treturn evicted\n}@@\tif evicted > 0 {\n\t\tr.dom.Synchronize()\n\t}\n\treturn evicted\n}'
+	$'internal/vm:TestTenantWaitsOutTheRCUBacklog@@internal/reclaim/reclaim.go@@\tr.dom.Synchronize()\n\treturn evicted\n}@@\tif evicted > 0 {\n\t\tr.dom.Synchronize()\n\t}\n\treturn evicted\n}'
 )
 
 mkdir -p "$work/pristine"
