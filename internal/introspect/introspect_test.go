@@ -712,9 +712,7 @@ func TestTenantRSSCountsEveryMemberOnce(t *testing.T) {
 	if got := rss(); got != filePages+16 {
 		t.Fatalf("RSS = %d, want the root's %d file pages and the sibling's 16", got, filePages)
 	}
-	if !h.Reclaimer().DirectReclaim() {
-		t.Fatal("direct reclaim made no progress")
-	}
+	h.Reclaimer().DirectReclaim()
 	evicted := int64(root.Stats().EvictUnmaps)
 	if evicted == 0 {
 		t.Fatal("direct reclaim revoked none of the root's file pages")

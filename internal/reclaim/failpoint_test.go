@@ -10,9 +10,9 @@ import (
 )
 
 // TestInjectedStallFailsDirectReclaim: an armed reclaim.stall makes
-// DirectReclaim report zero progress even though the pool has free
-// frames — the verdict that drives the VM layer's retry budget toward
-// ErrNoMemory. Disarmed, the same call reports progress again.
+// DirectReclaim return without scanning even though the pool has free
+// frames, costing the VM layer's retry one attempt of its budget.
+// Disarmed, the same call scans again.
 func TestInjectedStallFailsDirectReclaim(t *testing.T) {
 	defer fail.DisableAll()
 	alloc, _, r, c := newTestMachine(t, 64, 0, 0)
@@ -23,15 +23,17 @@ func TestInjectedStallFailsDirectReclaim(t *testing.T) {
 	if err := fail.Enable(6, "reclaim.stall", fail.Config{OneIn: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if r.DirectReclaim() {
-		t.Fatal("DirectReclaim reported progress through an injected stall")
-	}
+	before := r.Stats()
+	r.DirectReclaim()
 	st := r.Stats()
-	if st.InjectedStalls != 1 {
-		t.Fatalf("InjectedStalls = %d, want 1", st.InjectedStalls)
+	if st.InjectedStalls != 1 || st.ScanPasses != before.ScanPasses {
+		t.Fatalf("stalled: InjectedStalls = %d (want 1), ScanPasses %d → %d (want unchanged)",
+			st.InjectedStalls, before.ScanPasses, st.ScanPasses)
 	}
 	fail.DisableAll()
-	if !r.DirectReclaim() {
-		t.Fatal("DirectReclaim found no progress with free frames available")
+	r.DirectReclaim()
+	if after := r.Stats(); after.InjectedStalls != 1 || after.ScanPasses == st.ScanPasses {
+		t.Fatalf("disarmed: InjectedStalls = %d (want 1), ScanPasses %d → %d (want a pass)",
+			after.InjectedStalls, st.ScanPasses, after.ScanPasses)
 	}
 }

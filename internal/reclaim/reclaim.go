@@ -61,10 +61,10 @@ import (
 	"bonsai/internal/trace"
 )
 
-// failStall makes a direct-reclaim run return at once with no progress
-// and no grace period (armed only by fault injection; see
-// internal/fail). The VM layer retries on its budget whatever the
-// verdict, so a stalled run costs the operation one attempt of it.
+// failStall makes a direct-reclaim run return at once with no scan and
+// no grace period (armed only by fault injection; see internal/fail).
+// The VM layer retries on its budget whatever the run did, so a stalled
+// run costs the operation one attempt of it.
 var failStall = fail.NewPoint("reclaim.stall")
 
 // Config tunes a Reclaimer.
@@ -305,16 +305,16 @@ func (r *Reclaimer) kswapd() {
 	}
 }
 
-// DirectReclaim reclaims on behalf of a failed allocation and reports
-// whether it made progress: pages evicted, or free frames after the
-// scan's closing grace period (frames that were queued behind one,
-// drained magazines, a concurrent scan's evictions). Unlike kswapd it
-// ends with a forced pass that ignores accessed bits.
-func (r *Reclaimer) DirectReclaim() bool {
+// DirectReclaim reclaims on behalf of a failed allocation. Unlike kswapd
+// it ends with a forced pass that ignores accessed bits, and like every
+// scan it returns after a grace period, so the caller's retry also finds
+// the frames that were queued behind one. It reports nothing: the
+// caller retries on its own budget whatever came of it.
+func (r *Reclaimer) DirectReclaim() {
 	r.directRuns.Add(1)
 	if failStall.Fire() {
 		r.stalls.Add(1)
-		return false
+		return
 	}
 	// A failed allocation needs a handful of frames, not a purge:
 	// over-evicting here just converts other spaces' resident sets into
@@ -323,9 +323,7 @@ func (r *Reclaimer) DirectReclaim() bool {
 	if target > 32 {
 		target = 32
 	}
-	evicted := r.reclaim(target, true)
-	r.directEvicted.Add(uint64(evicted))
-	return evicted > 0 || r.alloc.FreeFrames() > 0
+	r.directEvicted.Add(uint64(r.reclaim(target, true)))
 }
 
 // reclaim runs eviction passes under the scan lock until something is

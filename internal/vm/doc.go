@@ -1,7 +1,7 @@
 // Package vm implements the concurrent address-space designs of §5: a
 // user-space reproduction of the Linux virtual memory system with the
-// paper's exact data structures (region tree + four-level page tables),
-// lock set (mmap_sem, fault lock, tree lock, page-directory lock,
+// paper's data structures (a region tree — the BONSAI tree in every
+// design — and four-level page tables), lock set (mmap_sem, fault lock, tree lock, page-directory lock,
 // per-page-table PTE locks), and race handling (VMA split race, page
 // table deallocation race, page table fill race, retry-with-lock).
 //
@@ -15,9 +15,15 @@
 //	Hybrid    — faults take no mmap_sem at all: page tables and VMAs are
 //	            RCU-managed, and only the region tree keeps a read/write
 //	            lock (§5.2).
-//	PureRCU   — the region tree is the BONSAI tree (one per range-lock
-//	            stripe), so the fault path is entirely lock-free and
-//	            writes no shared cache line (§5.3).
+//	PureRCU   — the region tree drops that lock too, so the fault path
+//	            is entirely lock-free and writes no shared cache line
+//	            (§5.3).
+//
+// All four index their VMAs in the same BONSAI trees, one per
+// range-lock stripe. The paper's Hybrid keeps a red-black tree, whose
+// in-place rotations are why it needs the tree lock; here Hybrid takes
+// that lock around the BONSAI trees instead, so Hybrid and PureRCU
+// differ only in the lock.
 //
 // # Lock hierarchy
 //
@@ -36,7 +42,7 @@
 //
 //   - RWLock: a fault holds mmap_sem read for the whole fault (§4.1); a
 //     pin is mmap_sem read; a mapping operation holds mmap_sem write,
-//     which also covers the plain red-black tree.
+//     which also excludes every reader of the region tree.
 //   - FaultLock: a fault holds the fault lock read (§5.1); a pin is
 //     mmap_sem read; a mapping operation holds mmap_sem write throughout
 //     and the fault lock write from mutate() until unlock.
@@ -46,12 +52,13 @@
 //     space for fork, Close and stack growth); every tree access takes
 //     the tree lock.
 //   - PureRCU: a fault runs in an RCU read section and nothing else
-//     (§5.3); locking as Hybrid, but the index is sixteen BONSAI trees,
-//     one per range-lock stripe (a VMA lives in the tree of its start's
-//     1 GiB span, mod 16), plus a seventeenth, crossing, holding every
-//     VMA whose extent crosses a span boundary. A fault's lookup is one
-//     descent of its address's stripe tree, falling back to crossing
-//     only on a miss; the only index locks are the trees' writer
+//     (§5.3); locking as Hybrid, without the tree lock. The index, the
+//     same in every design, is sixteen BONSAI trees, one per range-lock
+//     stripe (a VMA lives in the tree of its start's 1 GiB span, mod
+//     16), plus a seventeenth, crossing, holding every VMA whose extent
+//     crosses a span boundary. A fault's lookup is one descent of its
+//     address's stripe tree, falling back to crossing only on a miss;
+//     under PureRCU the only index locks are the trees' writer
 //     spinlocks, each taken once per operation that touches the tree.
 //     Operations in different stripes write different trees, so they
 //     share no index word.
@@ -59,8 +66,9 @@
 // The RCU designs' range-locked mapping side goes beyond the paper,
 // which leaves mapping operations serialized on mmap_sem ("mmap,
 // munmap, and mprotect are still serialized with the mmap_sem"):
-// operations on disjoint ranges run concurrently, and under PureRCU
-// operations in different stripes publish into different trees. An
+// operations on disjoint ranges run concurrently, and operations in
+// different stripes publish into different trees (under Hybrid, still
+// one at a time behind the tree lock). An
 // operation's edits are one transaction per tree it touches, so a
 // lock-free fault may see one tree's half of it without the other's
 // (an insert into the next span's tree not yet published, a VMA already
@@ -120,8 +128,9 @@
 // A mapping operation costs one hold of each shared lock: its range, in
 // the stripes it touches, and the writer spinlock of each tree it
 // changes, because all it changes in a tree is one transaction
-// (regionIndex.edit; under PureRCU one core.Tree.Update and one root
-// publish per touched tree, one tree for an operation inside a span);
+// (regionIndex.edit: one core.Tree.Update and one root publish per
+// touched tree, one tree for an operation inside a span, plus Hybrid's
+// tree lock in write mode);
 // at most one RCU callback, for the frames it released (the tree nodes
 // it displaced are left to the garbage collector, which frees none
 // while a fault can still reach it), and the grace-period work that

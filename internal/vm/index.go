@@ -7,96 +7,8 @@ import (
 	"bonsai/internal/core"
 	"bonsai/internal/locks"
 	"bonsai/internal/ranges"
-	"bonsai/internal/rbtree"
 	"bonsai/internal/vma"
 )
-
-// regionIndex is the region tree of Figure 1, keyed by VMA start
-// address. The synchronization policy builds it (syncPolicy.init) and
-// decides what protects it: a tree with no lock of its own is only
-// ever touched under a semaphore that excludes its writers; the others
-// let faults, scanners and disjoint mapping operations read while one
-// operation writes.
-type regionIndex interface {
-	// edit applies one mapping operation's changes in order: each edit
-	// inserts its VMA at its start (replacing the VMA keyed there, if
-	// any) or deletes the VMA keyed by its start. edit may reorder
-	// edits of different keys within the slice.
-	edit(edits []regionEdit)
-	// lookup returns the VMA whose bounds contain addr, deleted or not,
-	// or nil.
-	lookup(addr uint64) *vma.VMA
-	// ceiling returns the VMA with the smallest start >= addr.
-	ceiling(addr uint64) *vma.VMA
-	// ascendRange visits VMAs with start in [lo, hi) in order; fn must
-	// not write the index.
-	ascendRange(lo, hi uint64, fn func(*vma.VMA) bool)
-	count() int
-}
-
-// bounds reports whether addr lies in v's current bounds, whether or
-// not v is deleted.
-func bounds(v *vma.VMA, addr uint64) bool { return v.Start() <= addr && addr < v.End() }
-
-// rbIndex wraps the mutable red-black tree. With sem (Hybrid's tree
-// lock, §5.2) every mutation takes it in write mode and every read in
-// read mode, faults and mapping operations alike: under range locking a
-// disjoint operation may be writing. Without sem (RWLock, FaultLock) the
-// caller's semaphore is the only protection.
-type rbIndex struct {
-	t   *rbtree.Tree[*vma.VMA]
-	sem *locks.RWSem
-}
-
-func (i *rbIndex) edit(edits []regionEdit) {
-	if i.sem != nil {
-		i.sem.Lock()
-		defer i.sem.Unlock()
-	}
-	for _, e := range edits {
-		if e.Delete {
-			i.t.Delete(e.Key)
-		} else {
-			i.t.Insert(e.Key, e.Val)
-		}
-	}
-}
-
-func (i *rbIndex) lookup(addr uint64) *vma.VMA {
-	if i.sem != nil {
-		i.sem.RLock()
-		defer i.sem.RUnlock()
-	}
-	if _, v, ok := i.t.Floor(addr); ok && bounds(v, addr) {
-		return v
-	}
-	return nil
-}
-
-func (i *rbIndex) ceiling(addr uint64) *vma.VMA {
-	if i.sem != nil {
-		i.sem.RLock()
-		defer i.sem.RUnlock()
-	}
-	_, v, _ := i.t.Ceiling(addr)
-	return v
-}
-
-func (i *rbIndex) ascendRange(lo, hi uint64, fn func(*vma.VMA) bool) {
-	if i.sem != nil {
-		i.sem.RLock()
-		defer i.sem.RUnlock()
-	}
-	i.t.AscendRange(lo, hi, func(_ uint64, v *vma.VMA) bool { return fn(v) })
-}
-
-func (i *rbIndex) count() int {
-	if i.sem != nil {
-		i.sem.RLock()
-		defer i.sem.RUnlock()
-	}
-	return i.t.Len()
-}
 
 // The spans of the address space, as the range manager cuts them: span
 // n is [n<<spanShift, (n+1)<<spanShift), and its VMAs' tree is
@@ -112,47 +24,79 @@ func span(addr uint64) uint64 { return addr >> spanShift }
 // crosses reports whether v's extent crosses a span boundary.
 func crosses(v *vma.VMA) bool { return span(v.Start()) != span(v.End()-1) }
 
-// bonsaiIndex is PureRCU's region index: one BONSAI tree per range-lock
-// stripe, so mapping operations on disjoint stripes write disjoint trees
-// — no writer lock, root or node in common. trees[s] holds every VMA
-// whose start lies in a span of stripe s (ranges.Stripe). A VMA whose
-// extent crosses a span boundary is also reachable from the spans above
-// its start, so it is kept in one more tree, crossing, keyed by start as
-// well: every live VMA that crosses a boundary is in it, and no deleted
-// one is. A VMA that has only shrunk since it crossed may stay, which is
-// harmless: lookup checks bounds.
+// regionIndex is the region tree of Figure 1, keyed by VMA start
+// address, and the same in every design: one BONSAI tree per range-lock
+// stripe, so mapping operations on disjoint stripes write disjoint
+// trees — no writer lock, root or node in common. trees[s] holds every
+// VMA whose start lies in a span of stripe s (ranges.Stripe). A VMA
+// whose extent crosses a span boundary is also reachable from the spans
+// above its start, so it is kept in one more tree, crossing, keyed by
+// start as well: every live VMA that crosses a boundary is in it, and no
+// deleted one is. A VMA that has only shrunk since it crossed may stay,
+// which is harmless: lookup checks bounds.
 //
-// Every read is lock-free, following RCU-published roots. A fault's
-// lookup is one descent of its stripe's tree, falling back to crossing
-// only on a miss. An operation's edits are one write transaction per
-// tree it touches (ordered as the operation made them), so atomicity to
-// readers is per tree: a lookup may see one tree's half of an operation
-// without the other's. Every such state is one the fault side already
-// tolerates — a miss, or a VMA deleted or trimmed under it — and it
-// retries with the page pinned (§5.2, Figure 10).
-type bonsaiIndex struct {
+// Every read follows RCU-published roots and needs no lock of the
+// tree's. A fault's lookup is one descent of its stripe's tree, falling
+// back to crossing only on a miss. An operation's edits are one write
+// transaction per tree it touches (ordered as the operation made them),
+// so atomicity to readers is per tree: a lookup may see one tree's half
+// of an operation without the other's. Every such state is one the
+// fault side already tolerates — a miss, or a VMA deleted or trimmed
+// under it — and it retries with the page pinned (§5.2, Figure 10).
+//
+// The synchronization policy builds the index (syncPolicy.init) and
+// decides what else protects it. sem is Hybrid's tree lock (§5.2),
+// taken by the index itself: read mode once per lookup, ceiling,
+// ascendRange and count, faults and mapping operations alike, and write
+// mode once per edit. It is nil under the other designs: the trees need
+// no lock to be read beside a writer (§5.3), and RWLock's and
+// FaultLock's semaphores keep their writers from readers anyway.
+type regionIndex struct {
 	trees    [stripes]*core.Tree[*vma.VMA]
 	crossing *core.Tree[*vma.VMA]
+	sem      *locks.RWSem
 }
 
-func newBonsaiIndex() *bonsaiIndex {
-	i := &bonsaiIndex{crossing: core.New[*vma.VMA]()}
+func newRegionIndex(sem *locks.RWSem) *regionIndex {
+	i := &regionIndex{crossing: core.New[*vma.VMA](), sem: sem}
 	for s := range i.trees {
 		i.trees[s] = core.New[*vma.VMA]()
 	}
 	return i
 }
 
-func (i *bonsaiIndex) tree(addr uint64) *core.Tree[*vma.VMA] { return i.trees[ranges.Stripe(addr)] }
+// rlock and runlock bracket one read: Hybrid's tree lock in read mode,
+// nothing under the other designs.
+func (i *regionIndex) rlock() {
+	if i.sem != nil {
+		i.sem.RLock()
+	}
+}
 
-// edit applies edits as one transaction per touched tree: the stripes'
+func (i *regionIndex) runlock() {
+	if i.sem != nil {
+		i.sem.RUnlock()
+	}
+}
+
+func (i *regionIndex) tree(addr uint64) *core.Tree[*vma.VMA] { return i.trees[ranges.Stripe(addr)] }
+
+// edit applies one mapping operation's changes: each edit inserts its
+// VMA at its start (replacing the VMA keyed there, if any) or deletes
+// the VMA keyed by its start. It applies them as one transaction per
+// touched tree, reordering edits of different trees: the stripes'
 // trees in the order the operation first touched them, then crossing,
 // whose own edits follow the invariant. An insert puts a VMA that
 // crosses a boundary into crossing and otherwise removes whatever
 // crossing holds at its key; a delete removes its key from crossing.
 // crossing is only read — lock-free — unless it has to change, so an
-// address space with no crossing VMA never writes it.
-func (i *bonsaiIndex) edit(edits []regionEdit) {
+// address space with no crossing VMA never writes it. Under Hybrid the
+// whole edit holds the tree lock in write mode.
+func (i *regionIndex) edit(edits []regionEdit) {
+	if i.sem != nil {
+		i.sem.Lock()
+		defer i.sem.Unlock()
+	}
 	var buf [4]regionEdit
 	cross := buf[:0]
 	for _, e := range edits {
@@ -191,51 +135,66 @@ func (i *bonsaiIndex) edit(edits []regionEdit) {
 	}
 }
 
-func (i *bonsaiIndex) lookup(addr uint64) *vma.VMA {
-	if _, v, ok := i.tree(addr).Floor(addr); ok && bounds(v, addr) {
-		return v
+// lookup returns the VMA whose bounds contain addr, deleted or not, or
+// nil.
+func (i *regionIndex) lookup(addr uint64) *vma.VMA {
+	i.rlock()
+	v := holding(i.tree(addr), addr)
+	if v == nil {
+		v = holding(i.crossing, addr)
 	}
-	if _, v, ok := i.crossing.Floor(addr); ok && bounds(v, addr) {
+	i.runlock()
+	return v
+}
+
+// holding returns t's VMA whose current bounds contain addr, deleted or
+// not, or nil.
+func holding(t *core.Tree[*vma.VMA], addr uint64) *vma.VMA {
+	if _, v, ok := t.Floor(addr); ok && v.Start() <= addr && addr < v.End() {
 		return v
 	}
 	return nil
 }
 
-// ceiling walks the spans upward from addr's, one per tree: the first
-// span holding a start at or above addr holds the answer. A tree whose
-// span held none still answered with its next start further up, in a
-// later span of the same stripe; after all sixteen the least of those
-// is the answer.
-func (i *bonsaiIndex) ceiling(addr uint64) *vma.VMA {
+// ceiling returns the VMA with the smallest start >= addr. It walks the
+// spans upward from addr's, one per tree: the first span holding a
+// start at or above addr holds the answer. A tree whose span held none
+// still answered with its next start further up, in a later span of the
+// same stripe; after all sixteen the least of those is the answer.
+func (i *regionIndex) ceiling(addr uint64) *vma.VMA {
 	var best *vma.VMA
+	i.rlock()
 	for n := span(addr); n < span(addr)+stripes && n < span(MaxAddress); n++ {
 		k, v, ok := i.trees[n%stripes].Ceiling(max(addr, n<<spanShift))
-		switch {
-		case !ok:
-		case span(k) == n:
-			return v
-		case best == nil || k < best.Start():
+		if ok && span(k) == n {
+			best = v
+			break
+		}
+		if ok && (best == nil || k < best.Start()) {
 			best = v
 		}
 	}
+	i.runlock()
 	return best
 }
 
-// ascendRange walks [lo, hi) span by span, each span one range of its
-// stripe's tree. Over more than sixteen spans it skips the empty ones:
-// the next span visited is the one holding the least of the trees'
-// next starts.
-func (i *bonsaiIndex) ascendRange(lo, hi uint64, fn func(*vma.VMA) bool) {
+// ascendRange visits the VMAs with start in [lo, hi) in order; fn must
+// not write the index. It walks the interval span by span, each span
+// one range of its stripe's tree. Over more than sixteen spans it skips
+// the empty ones: the next span visited is the one holding the least of
+// the trees' next starts.
+func (i *regionIndex) ascendRange(lo, hi uint64, fn func(*vma.VMA) bool) {
 	more := true
 	visit := func(_ uint64, v *vma.VMA) bool {
 		more = fn(v)
 		return more
 	}
+	i.rlock()
 	for lo < hi && more {
 		if span(hi-1)-span(lo) >= stripes {
 			next, ok := i.nextStart(lo)
 			if !ok || next >= hi {
-				return
+				break
 			}
 			lo = next
 		}
@@ -243,10 +202,11 @@ func (i *bonsaiIndex) ascendRange(lo, hi uint64, fn func(*vma.VMA) bool) {
 		i.tree(lo).AscendRange(lo, end, visit)
 		lo = end
 	}
+	i.runlock()
 }
 
 // nextStart returns the least start at or above addr over all trees.
-func (i *bonsaiIndex) nextStart(addr uint64) (uint64, bool) {
+func (i *regionIndex) nextStart(addr uint64) (uint64, bool) {
 	var next uint64
 	found := false
 	for _, t := range i.trees {
@@ -257,10 +217,12 @@ func (i *bonsaiIndex) nextStart(addr uint64) (uint64, bool) {
 	return next, found
 }
 
-func (i *bonsaiIndex) count() int {
+func (i *regionIndex) count() int {
 	n := 0
+	i.rlock()
 	for _, t := range i.trees {
 		n += t.Len()
 	}
+	i.runlock()
 	return n
 }

@@ -128,13 +128,14 @@ func TestMapCycleAllocs(t *testing.T) {
 
 // TestMapCycleCounts is what a map_churn cycle costs in shared-lock
 // holds and RCU callbacks, counted: each of its three mapping operations
-// holds the region tree's writer lock once (PureRCU's writer mutex,
-// Hybrid's tree lock in write mode; six holds a cycle before the tree
-// transaction) and acquires its range once — mprotect asks for the
-// whole VMA's extent at the outset rather than widening into it — and
-// the cycle queues exactly one RCU callback: munmap's frames. The tree
-// nodes the operations displace are left to the garbage collector under
-// both designs, so they queue nothing.
+// is one write transaction of the region index (one writer-lock hold of
+// one stripe's tree; six holds a cycle before the tree transaction),
+// holds Hybrid's tree lock in write mode once (PureRCU has none), and
+// acquires its range once — mprotect asks for the whole VMA's extent at
+// the outset rather than widening into it — and the cycle queues exactly
+// one RCU callback: munmap's frames. The tree nodes the operations
+// displace are left to the garbage collector under both designs, so
+// they queue nothing.
 func TestMapCycleCounts(t *testing.T) {
 	const cycles = 100
 	for _, design := range []Design{Hybrid, PureRCU} {
@@ -149,22 +150,29 @@ func TestMapCycleCounts(t *testing.T) {
 			churnCycle(t, as, cpu, base)
 
 			treeHolds := func() uint64 {
-				if txns := treeTxns(as); txns != nil {
-					var sum uint64
-					for _, n := range txns {
-						sum += n
-					}
-					return sum
+				var sum uint64
+				for _, n := range treeTxns(as) {
+					sum += n
 				}
+				return sum
+			}
+			semHolds := func() uint64 {
 				_, _, tree := as.SemStats()
 				return tree.WriteAcquires
 			}
-			holds, ranges, defers := treeHolds(), as.RangeStats().Acquires, as.dom.Stats().Defers
+			wantSem := uint64(0)
+			if design == Hybrid {
+				wantSem = 3 * cycles
+			}
+			holds, sems, ranges, defers := treeHolds(), semHolds(), as.RangeStats().Acquires, as.dom.Stats().Defers
 			for i := 0; i < cycles; i++ {
 				churnCycle(t, as, cpu, base)
 			}
 			if got := treeHolds() - holds; got != 3*cycles {
 				t.Errorf("%d tree writer-lock holds in %d cycles, want 3 a cycle", got, cycles)
+			}
+			if got := semHolds() - sems; got != wantSem {
+				t.Errorf("%d tree-lock write acquisitions in %d cycles, want %d", got, cycles, wantSem)
 			}
 			if got := as.RangeStats().Acquires - ranges; got != 3*cycles {
 				t.Errorf("%d range acquisitions in %d cycles, want 3 a cycle", got, cycles)
@@ -176,14 +184,10 @@ func TestMapCycleCounts(t *testing.T) {
 	}
 }
 
-// treeTxns returns the write transactions of each of PureRCU's index
-// trees, the stripes' in stripe order and then crossing's, or nil under
-// a design with one tree.
+// treeTxns returns the write transactions of each of the region
+// index's trees, the stripes' in stripe order and then crossing's.
 func treeTxns(as *AddressSpace) []uint64 {
-	idx, ok := as.idx.(*bonsaiIndex)
-	if !ok {
-		return nil
-	}
+	idx := as.idx
 	txns := make([]uint64, 0, stripes+1)
 	for _, t := range idx.trees {
 		txns = append(txns, t.Stats().Txns)
@@ -279,9 +283,9 @@ func movedStripes(before, after [][]uint64) (moved []int) {
 // operations in flight always hold two contexts; that those differ in
 // slot as well is the pool's doing, checked at the end.) The two
 // operations' ranges, 1 GiB apart, also lie in two stripes of the range
-// manager, and of PureRCU's region index: each slot's operations move
-// one stripe's words, not the other's, and publish into one stripe's
-// tree, not the other's.
+// manager (under Hybrid and PureRCU) and of the region index: each
+// slot's operations move one stripe's words, not the other's, and
+// publish into one stripe's tree, not the other's.
 func TestDisjointMapOpsWriteOnlyTheirOwnCells(t *testing.T) {
 	forEachDesign(t, Config{CPUs: 2, Frames: 1 << 14, tune: tuning{rcuBatch: -1}}, func(t *testing.T, as *AddressSpace) {
 		a, b := twoSlots(t, as)
@@ -351,22 +355,20 @@ func TestDisjointMapOpsWriteOnlyTheirOwnCells(t *testing.T) {
 					inA, a.slot, inB, b.slot)
 			}
 		}
-		if x0 != nil {
-			// PureRCU's index: each slot's operations publish into their
-			// own stripe's tree, never the other's, and none into crossing.
-			moved := func(before, after []uint64) (trees []int) {
-				for i := range before {
-					if before[i] != after[i] {
-						trees = append(trees, i)
-					}
+		// The region index: each slot's operations publish into their own
+		// stripe's tree, never the other's, and none into crossing.
+		movedTrees := func(before, after []uint64) (trees []int) {
+			for i := range before {
+				if before[i] != after[i] {
+					trees = append(trees, i)
 				}
-				return trees
 			}
-			inA, inB := moved(x0, x1), moved(x1, treeTxns(as))
-			if len(inA) != 1 || len(inB) != 1 || inA[0] == inB[0] || inA[0] == stripes || inB[0] == stripes {
-				t.Errorf("index trees written: %v by slot %d's operations, %v by slot %d's: want one stripe's tree each, not the same, not crossing (%d)",
-					inA, a.slot, inB, b.slot, stripes)
-			}
+			return trees
+		}
+		inA, inB := movedTrees(x0, x1), movedTrees(x1, treeTxns(as))
+		if len(inA) != 1 || len(inB) != 1 || inA[0] == inB[0] || inA[0] == stripes || inB[0] == stripes {
+			t.Errorf("index trees written: %v by slot %d's operations, %v by slot %d's: want one stripe's tree each, not the same, not crossing (%d)",
+				inA, a.slot, inB, b.slot, stripes)
 		}
 		a.end()
 		b.end()

@@ -4,9 +4,7 @@ import (
 	"bonsai/internal/fail"
 	"bonsai/internal/locks"
 	"bonsai/internal/ranges"
-	"bonsai/internal/rbtree"
 	"bonsai/internal/stats"
-	"bonsai/internal/vma"
 )
 
 // syncPolicy is the synchronization seam: an address space's whole lock
@@ -24,8 +22,8 @@ import (
 //  3. mapping-operation exclusion: lock, lockAll and reserve return the
 //     mapGuard an operation mutates under, which also carries the
 //     FaultLock mutation phase (§5.1);
-//  4. index writer lock: the tree the policy builds serializes its own
-//     writers against its readers wherever the policy's holds do not.
+//  4. index lock: init builds the one region index with Hybrid's tree
+//     lock or with none, and the index takes it around every access.
 //
 // Config.Design chooses the policy:
 //
@@ -33,9 +31,11 @@ import (
 //	RWLock          mmapSem read       mmapSem read / write
 //	FaultLock       faultSem read      mmapSem read / write, + faultSem write to mutate
 //	Hybrid          RCU + treeSem      range lock on the interval
-//	PureRCU         RCU, BONSAI tree   range lock on the interval
+//	PureRCU         RCU                range lock on the interval
 //
-// Both columns follow from whether the fault read side is an RCU
+// Every design indexes its VMAs in the same BONSAI trees (index.go);
+// only Hybrid wraps them in a lock, as if they still rotated in place
+// (§5.2). Both columns follow from whether the fault read side is an RCU
 // section. The RCU designs' range-locked mapping side goes beyond the
 // paper, which leaves mapping operations serialized on mmap_sem.
 type syncPolicy struct {
@@ -59,30 +59,27 @@ type syncPolicy struct {
 	// it affects, so operations on disjoint ranges run concurrently.
 	rl *ranges.Manager
 
-	idx regionIndex
+	idx *regionIndex
 }
 
-// init chooses the policy and builds the region tree that goes with it.
-// RWLock's and FaultLock's plain red-black tree is only ever touched
-// under a semaphore; Hybrid's takes treeSem itself; PureRCU's is the
-// BONSAI tree, whose readers need nothing. Only the RCU designs
-// range-lock: the others' faults hold mmapSem (or a lock nested in it)
-// against mapping operations.
+// init chooses the policy and builds the region index, the same for
+// every design: only Hybrid's takes treeSem on every access. Only the
+// RCU designs range-lock: the others' faults hold mmapSem (or a lock
+// nested in it) against mapping operations.
 func (p *syncPolicy) init(cfg Config) {
+	var treeSem *locks.RWSem
 	switch cfg.Design {
 	case PureRCU:
-		p.idx = newBonsaiIndex()
 		p.rl = new(ranges.Manager)
 	case Hybrid:
-		p.idx = &rbIndex{t: rbtree.New[*vma.VMA](), sem: &p.treeSem}
+		treeSem = &p.treeSem
 		p.rl = new(ranges.Manager)
 	case FaultLock:
 		p.readSem = &p.faultSem
-		p.idx = &rbIndex{t: rbtree.New[*vma.VMA]()}
 	default:
 		p.readSem = &p.mmapSem
-		p.idx = &rbIndex{t: rbtree.New[*vma.VMA]()}
 	}
+	p.idx = newRegionIndex(treeSem)
 }
 
 // enter begins one fast-path fault attempt on c; exit ends it.
@@ -139,10 +136,10 @@ func (p *syncPolicy) pin(lo, hi uint64) mapGuard {
 // pinIndex is pin with no interval: the hold a thread that is not
 // faulting needs to read the region tree, promising nothing about what
 // it finds there. On the global semaphore that is still mmapSem in read
-// mode (RWLock's and FaultLock's tree has no other reader protection);
-// Hybrid's and PureRCU's trees synchronize their own readers, so a
-// reader such as RegionCount takes no range and never queues behind a
-// mapping operation in flight.
+// mode, so RWLock's and FaultLock's readers never see a mapping
+// operation half done, as in stock Linux; under Hybrid and PureRCU the
+// index synchronizes its own readers, so a reader such as RegionCount
+// takes no range and never queues behind a mapping operation in flight.
 func (p *syncPolicy) pinIndex() mapGuard {
 	if p.rl != nil {
 		return mapGuard{}

@@ -188,7 +188,7 @@ type AddressSpace struct {
 	// tree the policy built.
 	sy syncPolicy
 
-	idx    regionIndex
+	idx    *regionIndex
 	tables *pagetable.Tables
 	alloc  *physmem.Allocator
 	dom    *rcu.Domain

@@ -3,7 +3,7 @@
 # page-table spare list's one rule (a published table is never reused),
 # of the fault's §5.2 recheck under the PTE lock, of the Figure 10
 # split's order across a span boundary (the trim before the top part's
-# insert, which lands in another tree of PureRCU's index; the twin
+# insert, which lands in another tree of the region index; the twin
 # publishes the top part first, closing the window the fault retries
 # in), of a non-fixed mmap's re-check of its gap under the held range,
 # of the range manager's stripe lock order (those four killed by the
@@ -14,8 +14,10 @@
 # unregistering of its fault contexts' RCU readers, of the file
 # registry's user count (a retiring tenant drops a shared file's page
 # cache only when no other live tenant maps the file; the twin drops it
-# whatever the count says, so the first tenant to retire takes it), and
-# of the grace period every reclaim scan ends with (the twin waits only
+# whatever the count says, so the first tenant to retire takes it), of
+# Hybrid's tree lock around every region-index edit (the twin edits
+# without it, so only the read side still pays §5.2's lock), and of the
+# grace period every reclaim scan ends with (the twin waits only
 # after a scan that evicted something, so direct reclaim takes a few
 # free frames for progress while the frames a caller needs stay queued,
 # and a limited tenant whose freed charge is still queued runs out of
@@ -55,6 +57,7 @@ mutants=(
 	'TestMmapInvalidArgs@@internal/vm/vm.go@@length == 0 || length > MaxAddress {@@length == 0 {'
 	'TestClosedSpacesLeaveNoReaders@@internal/vm/vm.go@@as.dom.Unregister(rd)@@_ = rd'
 	'TestSharedFileOutlivesFirstTenant@@internal/vm/filecache.go@@if h.fileUsers[f] > 0 {@@if false {'
+	$'TestMapCycleCounts@@internal/vm/index.go@@\tif i.sem != nil {\n\t\ti.sem.Lock()\n\t\tdefer i.sem.Unlock()\n\t}\n@@'
 	$'TestDirectReclaimWaitsOutTheBacklog@@internal/reclaim/reclaim.go@@\tr.dom.Synchronize()\n\treturn evicted\n}@@\tif evicted > 0 {\n\t\tr.dom.Synchronize()\n\t}\n\treturn evicted\n}'
 	$'internal/vm:TestTenantWaitsOutTheRCUBacklog@@internal/reclaim/reclaim.go@@\tr.dom.Synchronize()\n\treturn evicted\n}@@\tif evicted > 0 {\n\t\tr.dom.Synchronize()\n\t}\n\treturn evicted\n}'
 )
