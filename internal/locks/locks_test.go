@@ -165,197 +165,3 @@ func TestSpinLockEveryWaiterProgresses(t *testing.T) {
 		t.Fatalf("counter = %d, want %d", counter, workers*iters)
 	}
 }
-
-func TestRWSemReadersShare(t *testing.T) {
-	var s RWSem
-	var inside atomic.Int32
-	var peak atomic.Int32
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.RLock()
-			n := inside.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
-			}
-			time.Sleep(5 * time.Millisecond)
-			inside.Add(-1)
-			s.RUnlock()
-		}()
-	}
-	wg.Wait()
-	if peak.Load() < 2 {
-		t.Fatalf("readers never overlapped (peak %d)", peak.Load())
-	}
-}
-
-func TestRWSemWriterExclusion(t *testing.T) {
-	var s RWSem
-	var counter int
-	const workers, iters = 6, 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				s.Lock()
-				counter++
-				s.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != workers*iters {
-		t.Fatalf("counter = %d, want %d", counter, workers*iters)
-	}
-}
-
-func TestRWSemWriterBlocksReaders(t *testing.T) {
-	var s RWSem
-	s.Lock()
-	acquired := make(chan struct{})
-	go func() {
-		s.RLock()
-		close(acquired)
-		s.RUnlock()
-	}()
-	select {
-	case <-acquired:
-		t.Fatal("reader acquired while writer held")
-	case <-time.After(20 * time.Millisecond):
-	}
-	s.Unlock()
-	select {
-	case <-acquired:
-	case <-time.After(time.Second):
-		t.Fatal("reader never acquired after writer released")
-	}
-}
-
-func TestRWSemWriterPreference(t *testing.T) {
-	// With a reader holding and a writer waiting, a new reader must wait
-	// behind the writer: the waiting writer blocks new readers (Figure 2
-	// semantics).
-	var s RWSem
-	s.RLock()
-	var mu sync.Mutex
-	var order []string
-	enter := func(who string) {
-		mu.Lock()
-		order = append(order, who)
-		mu.Unlock()
-	}
-	writerIn := make(chan struct{})
-	go func() {
-		s.Lock()
-		enter("writer")
-		close(writerIn)
-		s.Unlock()
-	}()
-	// Wait until the writer is queued.
-	for {
-		s.mu.Lock()
-		w := s.waitingW
-		s.mu.Unlock()
-		if w == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	trying, readerIn := make(chan struct{}), make(chan struct{})
-	go func() {
-		close(trying)
-		s.RLock()
-		enter("reader")
-		close(readerIn)
-		s.RUnlock()
-	}()
-	<-trying
-	select {
-	case <-readerIn:
-		t.Fatal("a new reader got in despite the waiting writer")
-	case <-time.After(50 * time.Millisecond):
-	}
-	s.RUnlock()
-	<-writerIn
-	<-readerIn
-	if order[0] != "writer" {
-		t.Fatalf("entry order %v, want the writer first", order)
-	}
-}
-
-func TestRWSemMixedStress(t *testing.T) {
-	var s RWSem
-	data := make([]int, 4)
-	var wg sync.WaitGroup
-	stop := time.After(100 * time.Millisecond)
-	stopped := make(chan struct{})
-	go func() { <-stop; close(stopped) }()
-	for w := 0; w < 3; w++ {
-		wg.Add(2)
-		go func() { // reader: all slots must be equal under RLock
-			defer wg.Done()
-			for {
-				select {
-				case <-stopped:
-					return
-				default:
-				}
-				s.RLock()
-				v := data[0]
-				for i, d := range data {
-					if d != v {
-						t.Errorf("torn read: data[%d]=%d, data[0]=%d", i, d, v)
-					}
-				}
-				s.RUnlock()
-			}
-		}()
-		go func() { // writer
-			defer wg.Done()
-			for {
-				select {
-				case <-stopped:
-					return
-				default:
-				}
-				s.Lock()
-				for i := range data {
-					data[i]++
-				}
-				s.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestRWSemStats(t *testing.T) {
-	var s RWSem
-	s.RLock()
-	s.RUnlock()
-	s.Lock()
-	s.Unlock()
-	st := s.Stats()
-	if st.ReadAcquires != 1 || st.WriteAcquires != 1 {
-		t.Fatalf("stats = %+v, want 1 read and 1 write", st)
-	}
-}
-
-func TestRWSemUnlockPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Unlock of unheld RWSem did not panic")
-		}
-	}()
-	var s RWSem
-	s.mu.Lock() // init conds indirectly not needed; Unlock checks writer flag
-	s.mu.Unlock()
-	s.Unlock()
-}

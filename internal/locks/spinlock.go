@@ -1,8 +1,8 @@
-// Package locks provides the lock substrates used by the VM system:
-// a test-and-set spinlock (the kernel's page-directory and PTE locks)
-// and a reader/writer semaphore modeled on Linux's rw_semaphore
-// (mmap_sem). Both keep acquisition statistics so the benchmark harness
-// can report contention the way the paper does in §7.2.
+// Package locks provides the VM system's spinlock: a test-and-set lock
+// (the kernel's page-directory and PTE locks) that counts its
+// acquisitions and the contended ones, so the harness can report
+// contention the way the paper does in §7.2. The designs' semaphores
+// are sync.RWMutex (RWSem).
 package locks
 
 import (

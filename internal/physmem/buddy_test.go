@@ -240,9 +240,12 @@ func TestFreeRunUnchargesOnce(t *testing.T) {
 	if base, err = a.AllocRun(0, MaxOrder); err != nil {
 		t.Fatal(err)
 	}
+	// The path a split huge mapping takes: split, share one frame, and
+	// zap the mapping, which drops one reference from every frame.
+	a.SplitRun(base, MaxOrder)
 	shared := base + 77
 	a.Ref(shared)
-	a.FreeRun(base, MaxOrder)
+	a.FreeBatch(runFrames(base, MaxOrder))
 	if got := ac.Charged(); got != 1 || a.Owner(shared) != ac {
 		t.Fatalf("charged %d, shared frame's owner %v; want 1 and the account", got, a.Owner(shared))
 	}

@@ -62,14 +62,15 @@
 // the block keeps it: a run freed whole keeps its shape on the free list,
 // so reusing it at the same order touches the head alone. The shape is
 // undone — every tail materialized as a word of its own carrying the
-// head's references, generation and owner — in three places only:
-// SplitRun (a huge mapping demoted to base pages), Ref of any frame of a
-// live run (that frame alone gains a sharer), and the buddy lists
-// splitting or coalescing a shaped free block. A block takes its shape
-// with the highest generation among its frames, so Gen of every frame
-// still grows strictly from one allocation to the next, whatever shape
-// it had in either. Free or FreeBatch of a frame of an unsplit run panics
-// like a double free: the run must be split first.
+// head's references, generation and owner — in two places only:
+// SplitRun (a huge mapping demoted to base pages, before any of its
+// frames gains a sharer) and the buddy lists splitting or coalescing a
+// shaped free block. A block takes its shape with the highest generation
+// among its frames, so Gen of every frame still grows strictly from one
+// allocation to the next, whatever shape it had in either. Ref, Free or
+// FreeBatch of a frame of an unsplit run panics like a double free: the
+// run must be split first. FreeRun of a split run panics too: its frames
+// retire one by one.
 //
 // Watermarks: Config.LowWater/HighWater define the memory-pressure
 // band the reclaim subsystem (internal/reclaim) operates in. When free

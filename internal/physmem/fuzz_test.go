@@ -40,7 +40,7 @@ func FuzzBuddyAllocator(f *testing.F) {
 
 		// run is one live allocation the oracle tracks: it holds one
 		// reference on each of its frames. split says the allocator's run
-		// is independent frames (SplitRun, or a Ref of one of its frames).
+		// is independent frames (SplitRun, or an order-0 frame).
 		type run struct {
 			base  Frame
 			order int
@@ -83,6 +83,15 @@ func FuzzBuddyAllocator(f *testing.F) {
 			}
 			live = append(live, run{base, order, order == 0})
 		}
+		// free drops the holder's reference on each frame of r: FreeRun
+		// for an unsplit run, FreeBatch once it is split.
+		free := func(r run) {
+			if r.split {
+				a.FreeBatch(runFrames(r.base, r.order))
+			} else {
+				a.FreeRun(r.base, r.order)
+			}
+		}
 		// take removes live[idx]; release is the oracle's side of freeing
 		// it: one reference less on each frame, and a frame somebody else
 		// still references stays live as a single.
@@ -102,9 +111,8 @@ func FuzzBuddyAllocator(f *testing.F) {
 				check(t, f)
 			}
 		}
-		// split is the oracle's side of SplitRun and of a Ref of a frame
-		// of an unsplit run: the run's tails materialize once, and every
-		// frame reads as it did.
+		// split is the oracle's side of SplitRun: the run's tails
+		// materialize once, and every frame reads as it did.
 		split := func(t *testing.T, idx int, do func()) {
 			r := &live[idx]
 			before := materialized()
@@ -160,12 +168,12 @@ func FuzzBuddyAllocator(f *testing.F) {
 					continue // shortage is legal; leaking on it is not
 				}
 				claim(t, base, order, accounts[cpu])
-			case 1: // free a live run (whole-run FreeRun)
+			case 1: // free a live run as its holder would
 				if len(live) == 0 {
 					continue
 				}
 				r := take(arg % len(live))
-				a.FreeRun(r.base, r.order)
+				free(r)
 				release(t, r)
 			case 2: // drain magazines back into the buddy lists
 				a.DrainMagazines()
@@ -206,7 +214,8 @@ func FuzzBuddyAllocator(f *testing.F) {
 				idx := arg % len(live)
 				r := live[idx]
 				f := r.base + Frame(arg)%(Frame(1)<<r.order)
-				split(t, idx, func() { a.Ref(f) })
+				split(t, idx, func() { a.SplitRun(r.base, r.order) })
+				a.Ref(f)
 				refs[f]++
 				for g := r.base; g < r.base+Frame(1)<<r.order; g++ {
 					check(t, g)
@@ -231,7 +240,7 @@ func FuzzBuddyAllocator(f *testing.F) {
 		// allocator returned to its initial state.
 		for len(live) > 0 {
 			r := take(0)
-			a.FreeRun(r.base, r.order)
+			free(r)
 			release(t, r)
 		}
 		a.DrainMagazines()

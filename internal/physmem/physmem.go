@@ -476,9 +476,9 @@ func (a *Allocator) Alloc(cpu int) (Frame, error) {
 // charged to (see the package comment for what its tails report). A block
 // reused at the order it was freed at writes nothing else. An unsplit run
 // returns through FreeRun as one unit — one Add, one uncharge, one block.
-// SplitRun, or a Ref of one of its frames, makes the frames independent:
-// a split huge mapping's frames retire one at a time through a TLB
-// gather's FreeBatch, and the buddy lists coalesce them back into runs.
+// Only SplitRun makes the frames independent: a split huge mapping's
+// frames retire one at a time through a TLB gather's FreeBatch, and the
+// buddy lists coalesce them back into runs.
 //
 // A run shortage is reported as ErrNoRun — typed separately from
 // ErrOutOfMemory because the pool may hold plenty of fragmented free
@@ -583,76 +583,45 @@ func (a *Allocator) SplitRun(base Frame, order int) {
 	a.unshapeLocked(base)
 }
 
-// FreeRun drops a reference to a run allocated by AllocRun — an unsplit
-// huge mapping's run, retired by a TLB gather's run entry. An unsplit
-// run's one reference is its head's: FreeRun drops it with one Add, reads
-// the head's owner stamp once, uncharges the whole run at once, and frees
-// the one block it was allocated as under one lock hold with no
-// coalescing; the block keeps its run shape on the free list. Freeing an
-// unsplit run twice panics. A run split since (by SplitRun or a Ref of one
-// of its frames) drops one reference from each frame instead: frames
-// still shared stay out, and the rest return frame by frame, each
-// uncharged on its own, or as the one block when none is shared. Like
-// FreeRemote it is safe from any goroutine; frames reachable by
-// concurrent RCU readers must wait out a grace period first.
+// FreeRun drops the one reference of an unsplit run allocated by
+// AllocRun — an unsplit huge mapping's run, retired by a TLB gather's run
+// entry, or a huge fault's run that was never published. It drops the
+// head's reference with one Add, reads the head's owner stamp once,
+// uncharges the whole run at once, and frees the one block it was
+// allocated as under one lock hold with no coalescing; the block keeps
+// its run shape on the free list. Freeing a run twice panics, and so does
+// freeing one split since: SplitRun's frames are independent, and retire
+// one at a time through FreeBatch. An order-0 run is the frame Alloc
+// handed out, and returns through FreeRemote. Like FreeRemote it is safe
+// from any goroutine; frames reachable by concurrent RCU readers must
+// wait out a grace period first.
 func (a *Allocator) FreeRun(base Frame, order int) {
 	if order < 0 || order > MaxOrder {
 		panic(fmt.Sprintf("physmem: FreeRun order %d out of range", order))
+	}
+	if order == 0 {
+		a.FreeRemote(base)
+		return
 	}
 	n := Frame(1) << order
 	if base == NoFrame || uint64(base)+uint64(n)-1 > a.cfg.Frames {
 		panic(fmt.Sprintf("physmem: FreeRun of invalid run %d+%d", base, n))
 	}
 	w := a.meta[base].Add(^uint64(0))
-	if uint32(w)&headBit != 0 {
-		// An unsplit run has one reference, so this drop was the last —
-		// unless there was none to drop (the Add borrowed from the order).
-		if w&refsMask != 0 || shapeOrder(w) != order {
-			a.meta[base].Add(1)
-			panic(fmt.Sprintf("physmem: FreeRun of run %d with no references, or not of order %d", base, order))
-		}
-		a.unchargeRun(base, n)
-		a.remoteFrees.Add(uint64(n))
-		a.mu.Lock()
-		a.freeBlockLocked(base, order)
-		a.mu.Unlock()
-		a.rearmPressure()
-		return
+	if uint32(w)&headBit == 0 {
+		a.meta[base].Add(1)
+		panic(fmt.Sprintf("physmem: FreeRun of frame %d, a frame of its own: a split run frees through FreeBatch", base))
 	}
-	// A split run. Drop every reference first, remembering which frames
-	// stay shared: once a frame's count is zero it is ours, but a shared
-	// one may be freed by its other holder at any moment, so it is never
-	// re-read.
-	var kept [(1 << MaxOrder) / 64]uint64
-	final := n
-	for i := Frame(0); i < n; i++ {
-		if i > 0 {
-			w = a.meta[base+i].Add(^uint64(0))
-		}
-		if !a.dropped(base+i, w, "FreeRun") {
-			kept[i/64] |= 1 << (i % 64)
-			final--
-		}
+	// An unsplit run has one reference, so this drop was the last —
+	// unless there was none to drop (the Add borrowed from the order).
+	if w&refsMask != 0 || shapeOrder(w) != order {
+		a.meta[base].Add(1)
+		panic(fmt.Sprintf("physmem: FreeRun of run %d with no references, or not of order %d", base, order))
 	}
-	if final == 0 {
-		return
-	}
-	for i := Frame(0); i < n; i++ {
-		if kept[i/64]&(1<<(i%64)) == 0 {
-			a.unchargeFrame(base + i)
-		}
-	}
-	a.remoteFrees.Add(uint64(final))
+	a.unchargeRun(base, n)
+	a.remoteFrees.Add(uint64(n))
 	a.mu.Lock()
-	if final == n && base%n == 0 {
-		a.freeBlockLocked(base, order)
-	} else {
-		for i := Frame(0); i < n; i++ {
-			if kept[i/64]&(1<<(i%64)) == 0 {
-				a.freeBlockLocked(base+i, 0)
-			}
-		}
-	}
+	a.freeBlockLocked(base, order)
 	a.mu.Unlock()
 	a.rearmPressure()
 }
@@ -745,33 +714,21 @@ func (a *Allocator) DrainMagazines() int {
 }
 
 // Ref takes an additional reference on an allocated frame (fork's
-// copy-on-write page sharing). A frame of an unsplit run gains its sharer
-// alone, so the run is split first (see SplitRun).
+// copy-on-write page sharing). A frame of an unsplit run has no
+// references of its own to share — a tail none, the head the whole run's
+// one — so Ref of one panics, like Free of one: the run is split first
+// (SplitRun), as a huge mapping is demoted before its frames are shared.
 func (a *Allocator) Ref(f Frame) {
 	if f == NoFrame || uint64(f) > a.cfg.Frames {
 		panic(fmt.Sprintf("physmem: Ref of invalid frame %d", f))
 	}
-	if uint32(a.meta[f].Load()) > refsMask {
-		a.splitLive(f)
+	if low := uint32(a.meta[f].Add(1)); low >= 2 && low <= refsMask {
+		return
 	}
-	if low := uint32(a.meta[f].Add(1)); low < 2 || low > refsMask {
-		a.meta[f].Add(^uint64(0))
-		panic(fmt.Sprintf("physmem: Ref of frame %d with no existing reference", f))
+	if w := a.meta[f].Add(^uint64(0)); uint32(w)&headBit != 0 && w&refsMask != 0 {
+		panic(fmt.Sprintf("physmem: Ref of frame %d, the head of an unsplit run", f))
 	}
-}
-
-// splitLive materializes the run f belongs to if it is live. A free run
-// keeps its shape, and Ref's own check then reports the missing
-// reference.
-func (a *Allocator) splitLive(f Frame) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if w := a.meta[f].Load(); uint32(w)&tailBit != 0 {
-		f = headOf(f, w)
-	}
-	if a.meta[f].Load()&refsMask != 0 {
-		a.unshapeLocked(f)
-	}
+	panic(fmt.Sprintf("physmem: Ref of frame %d with no references", f))
 }
 
 // Refs returns the frame's current reference count (a COW break with a
@@ -1044,7 +1001,7 @@ type Stats struct {
 	BuddyCoalesces uint64 // buddy merges performed on free
 	// TailsShaped counts tail words pointed at their head when a block
 	// took a run's shape; TailsMaterialized, tail words made independent
-	// again (SplitRun, a Ref of a run's frame, the buddy lists splitting or
+	// again (SplitRun, or the buddy lists splitting or
 	// merging a shaped free block). Neither moves on a fault, an order-0
 	// path, or a run reused at the order it was freed at.
 	TailsShaped       uint64

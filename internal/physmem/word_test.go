@@ -8,6 +8,15 @@ import (
 	"testing"
 )
 
+// runFrames lists the frames of the order-order run at base.
+func runFrames(base Frame, order int) []Frame {
+	frames := make([]Frame, 0, 1<<order)
+	for f := base; f < base+Frame(1)<<order; f++ {
+		frames = append(frames, f)
+	}
+	return frames
+}
+
 // mustPanic runs fn and fails the test unless it panics.
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()
@@ -33,7 +42,7 @@ func mustPanicWith(t *testing.T, what, want string, fn func()) {
 // TestRunIsOneWord settles what an unsplit run's frames report: every
 // frame reads as allocated with the head's one reference, generation and
 // owner, while AllocRun and FreeRun write the head alone — a run reused
-// at its order touches no tail. A Ref of a tail splits the run once, and
+// at its order touches no tail. SplitRun materializes the run once, and
 // the buddy lists splitting a shaped free block materialize it once more;
 // each frame's generation is constant while the run is live and strictly
 // greater after every recycle.
@@ -79,21 +88,23 @@ func TestRunIsOneWord(t *testing.T) {
 	}
 	reads(base, 1, gen+1, ac)
 
-	// A sharer of one tail splits the run: the frames read the same, and
-	// then go their own ways.
-	shared := base + 300
-	a.Ref(shared)
+	// A split run's frames read the same, and then go their own ways: a
+	// sharer of one tail keeps it when the rest are freed.
+	a.SplitRun(base, MaxOrder)
 	if _, m := tails(); m != 511 {
-		t.Fatalf("Ref of a tail materialized %d tails, want 511", m)
+		t.Fatalf("SplitRun materialized %d tails, want 511", m)
 	}
-	if a.Refs(shared) != 2 || a.Refs(shared-1) != 1 || a.Gen(shared) != gen+1 || a.Owner(shared) != ac {
-		t.Fatalf("after the Ref: refs %d / %d, gen %d, owner %v", a.Refs(shared), a.Refs(shared-1), a.Gen(shared), a.Owner(shared))
-	}
+	reads(base, 1, gen+1, ac)
 	a.SplitRun(base, MaxOrder) // already split: nothing to do
 	if _, m := tails(); m != 511 {
 		t.Fatalf("SplitRun of a split run materialized %d more tails", m-511)
 	}
-	a.FreeRun(base, MaxOrder)
+	shared := base + 300
+	a.Ref(shared)
+	if a.Refs(shared) != 2 || a.Refs(shared-1) != 1 || a.Gen(shared) != gen+1 || a.Owner(shared) != ac {
+		t.Fatalf("after the Ref: refs %d / %d, gen %d, owner %v", a.Refs(shared), a.Refs(shared-1), a.Gen(shared), a.Owner(shared))
+	}
+	a.FreeBatch(runFrames(base, MaxOrder))
 	if !a.Allocated(shared) || a.Allocated(base) || ac.Charged() != 1 {
 		t.Fatalf("shared frame allocated %v, head %v, charged %d", a.Allocated(shared), a.Allocated(base), ac.Charged())
 	}
@@ -135,11 +146,11 @@ func TestRunIsOneWord(t *testing.T) {
 	}
 }
 
-// TestRunSplitUnderConcurrentReaders: while goroutines take sharers on
-// tails of one live run and a SplitRun runs beside them, readers of every
-// frame see it allocated with the run's generation and owner throughout
-// and never a count the frame did not have; the run materializes once and
-// each sharer lands on its own frame.
+// TestRunSplitUnderConcurrentReaders: while a SplitRun materializes one
+// live run and then goroutines take sharers on its tails, readers of
+// every frame see it allocated with the run's generation and owner
+// throughout and never a count the frame did not have; the run
+// materializes once and each sharer lands on its own frame.
 func TestRunSplitUnderConcurrentReaders(t *testing.T) {
 	const sharers = 4
 	a := New(Config{Frames: 1 << 10, CPUs: 1})
@@ -172,6 +183,7 @@ func TestRunSplitUnderConcurrentReaders(t *testing.T) {
 			}
 		}(r)
 	}
+	a.SplitRun(base, MaxOrder)
 	for i := 0; i < sharers; i++ {
 		writers.Add(1)
 		go func(i int) {
@@ -179,11 +191,6 @@ func TestRunSplitUnderConcurrentReaders(t *testing.T) {
 			a.Ref(shared(i))
 		}(i)
 	}
-	writers.Add(1)
-	go func() {
-		defer writers.Done()
-		a.SplitRun(base, MaxOrder)
-	}()
 	writers.Wait()
 	stop.Store(true)
 	readers.Wait()
@@ -201,7 +208,7 @@ func TestRunSplitUnderConcurrentReaders(t *testing.T) {
 			t.Fatalf("frame %d: refs %d (want %d) owner %v gen %d", f, a.Refs(f), want, a.Owner(f), a.Gen(f))
 		}
 	}
-	a.FreeRun(base, MaxOrder)
+	a.FreeBatch(runFrames(base, MaxOrder))
 	for i := 0; i < sharers; i++ {
 		a.FreeRemote(shared(i))
 	}
@@ -245,7 +252,7 @@ func TestOwnerDuringSplit(t *testing.T) {
 		a.SplitRun(base, MaxOrder)
 		stop.Store(true)
 		wrong += <-done + <-done
-		a.FreeRun(base, MaxOrder)
+		a.FreeBatch(runFrames(base, MaxOrder))
 	}
 	if wrong != 0 {
 		t.Fatalf("Owner reported a wrong account %d times while the run split", wrong)
@@ -261,8 +268,9 @@ func TestOwnerDuringSplit(t *testing.T) {
 
 // TestFreeOfUnsplitRunFramePanics: Free, FreeRemote and FreeBatch of a
 // frame of an unsplit run panic — a tail has no references of its own,
-// and the head's one reference is the whole run's — and leave the run as
-// it was, so it still frees whole.
+// and the head's one reference is the whole run's — and so does a Ref of
+// one, which would share what the frame does not hold. Each leaves the
+// run as it was, so it still frees whole.
 func TestFreeOfUnsplitRunFramePanics(t *testing.T) {
 	a := New(Config{Frames: 1 << 10, CPUs: 1})
 	base, err := a.AllocRun(0, MaxOrder)
@@ -274,6 +282,7 @@ func TestFreeOfUnsplitRunFramePanics(t *testing.T) {
 		"Free":       func(f Frame) { a.Free(0, f) },
 		"FreeRemote": a.FreeRemote,
 		"FreeBatch":  func(f Frame) { a.FreeBatch([]Frame{f}) },
+		"Ref":        a.Ref,
 	}
 	for name, free := range frees {
 		mustPanicWith(t, name+" of a tail", "with no references", func() { free(base + 7) })
@@ -332,6 +341,33 @@ func TestFreeRunTwicePanics(t *testing.T) {
 	}
 	if again, err := a.AllocRun(0, MaxOrder); err != nil || again != base || a.Gen(base) != gen+1 {
 		t.Fatalf("AllocRun after the panic = %d, %v; gen %d, want %d", again, err, a.Gen(base), gen+1)
+	}
+}
+
+// TestFreeRunOfSplitRunPanics: once SplitRun has made a run independent
+// frames, FreeRun of it panics and changes no frame — a split run retires
+// frame by frame, as a demoted huge mapping's zap frees it through
+// FreeBatch — so it still frees that way.
+func TestFreeRunOfSplitRunPanics(t *testing.T) {
+	a := New(Config{Frames: 1 << 10, CPUs: 1})
+	base, err := a.AllocRun(0, MaxOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := a.Gen(base)
+	a.SplitRun(base, MaxOrder)
+	mustPanicWith(t, "FreeRun of a split run", "a frame of its own", func() { a.FreeRun(base, MaxOrder) })
+	for f := base; f < base+1<<MaxOrder; f++ {
+		if a.Refs(f) != 1 || a.Gen(f) != gen {
+			t.Fatalf("frame %d after the panic: refs %d gen %d (was 1, %d)", f, a.Refs(f), a.Gen(f), gen)
+		}
+	}
+	a.FreeBatch(runFrames(base, MaxOrder))
+	if a.InUse() != 0 || a.FreeRuns(MaxOrder) != 1 {
+		t.Fatalf("InUse %d, order-9 blocks %d", a.InUse(), a.FreeRuns(MaxOrder))
+	}
+	if err := auditShapes(a); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -556,10 +592,12 @@ func TestRefillOnCheckerboard(t *testing.T) {
 	}
 }
 
-// TestFreeRunWithSharedFrame: a run one of whose frames is still shared
-// frees the rest (as single frames — the block is not whole), and the
-// run reassembles once the last reference to the straggler drops. A run
-// with no sharer goes back as one block: no coalescing steps at all.
+// TestFreeRunWithSharedFrame: a run with no sharer goes back through
+// FreeRun as one block, with no coalescing steps at all. A split run one
+// of whose frames is still shared — the path of a demoted huge mapping
+// whose frame a fork shared — frees the rest through FreeBatch (as single
+// frames: the block is not whole), and the run reassembles once the last
+// reference to the straggler drops.
 func TestFreeRunWithSharedFrame(t *testing.T) {
 	a := New(Config{Frames: 1 << 10, CPUs: 1})
 	runs := a.FreeRuns(MaxOrder)
@@ -577,9 +615,10 @@ func TestFreeRunWithSharedFrame(t *testing.T) {
 	if base, err = a.AllocRun(0, MaxOrder); err != nil {
 		t.Fatal(err)
 	}
+	a.SplitRun(base, MaxOrder)
 	shared := base + 200
 	a.Ref(shared)
-	a.FreeRun(base, MaxOrder)
+	a.FreeBatch(runFrames(base, MaxOrder))
 	if got := a.InUse(); got != 1 {
 		t.Fatalf("InUse = %d with one frame still shared", got)
 	}

@@ -187,7 +187,7 @@ func (w *worker) do(o op) {
 		case 1:
 			addr = g.fileLo[0] + (o.a%geo.file)*vm.PageSize
 		case 2:
-			addr = churnLo + (o.a%geo.churn)*vm.PageSize
+			addr = geo.churnLo + (o.a%geo.churn)*vm.PageSize
 		case 3:
 			// Huge-region addresses audit the same invariant through a
 			// 2 MB entry's synthesized translation.
@@ -205,11 +205,11 @@ func (w *worker) do(o op) {
 		err = w.thp(o)
 	case opChurnFault:
 		churn = true
-		err = cpu.Fault(churnLo+(o.a%geo.churn)*vm.PageSize, o.b%4 != 0)
+		err = cpu.Fault(geo.churnLo+(o.a%geo.churn)*vm.PageSize, o.b%4 != 0)
 	case opChurnUnmap, opChurnRemap, opChurnProtect:
 		churn = true
 		n := 1 + o.b%min(63, geo.churn/4)
-		lo := churnLo + (o.a%(geo.churn-n+1))*vm.PageSize
+		lo := geo.churnLo + (o.a%(geo.churn-n+1))*vm.PageSize
 		switch o.kind {
 		case opChurnUnmap:
 			err = root.Munmap(lo, n*vm.PageSize)
@@ -281,7 +281,7 @@ func (w *worker) fork(o op) error {
 			g.dr.t.classify(&w.counts, g.key, "fork child read", w.verify(ccpu, "fork child arena", w.arena, page, w.arenaStamps), false)
 		}
 	}
-	g.dr.t.classify(&w.counts, g.key, "fork child fault", ccpu.Fault(churnLo+(o.b%geo.churn)*vm.PageSize, true), true)
+	g.dr.t.classify(&w.counts, g.key, "fork child fault", ccpu.Fault(geo.churnLo+(o.b%geo.churn)*vm.PageSize, true), true)
 	if err := child.Close(); err != nil {
 		g.dr.t.violate("%s: fork child leaked: %v", g.key, err)
 	}

@@ -33,8 +33,10 @@
 // per worker, a 2048-page churn region every worker shares (munmap,
 // MAP_FIXED remap and mprotect of 1–63-page chunks, faults that may find
 // a hole, fork-then-fault), and two ballast siblings only the OOM killer
-// may reap. One error classifier accepts only ErrNoMemory, injected
-// ErrIO, and ErrSegv/ErrAccess inside the churn region.
+// may reap. The churn region straddles a 1 GiB span boundary of the
+// region index, so churn edits VMAs that cross from one of the index's
+// trees into the next. One error classifier accepts only ErrNoMemory,
+// injected ErrIO, and ErrSegv/ErrAccess inside the churn region.
 //
 // The repository's two gates are two settings of one Config (cmd/torture
 // flags). The torture gate (-seed 1 -duration 60s) runs one unlimited
@@ -75,6 +77,7 @@ import (
 	"bonsai/internal/introspect"
 	"bonsai/internal/pagecache"
 	"bonsai/internal/physmem"
+	"bonsai/internal/ranges"
 	"bonsai/internal/stats"
 	"bonsai/internal/trace"
 	"bonsai/internal/vm"
@@ -240,6 +243,7 @@ type geometry struct {
 	churn   uint64 // anonymous region every worker faults, munmaps, remaps and mprotects
 	thp     uint64 // huge-page region: one aligned 2 MB chunk sliced per worker, or none
 	ballast uint64 // each of two ballast siblings: the OOM killer's sacrifice, or none
+	churnLo uint64 // the churn region's address: half of it below churnMid
 }
 
 // geometryFor sizes an unlimited seat against its 1536-frame share of
@@ -251,20 +255,24 @@ type geometry struct {
 // run whose tenants evicted nothing) and the tenant rarely needs the
 // OOM rung.
 func geometryFor(limit int64) geometry {
-	if limit <= 0 {
-		return geometry{file: 64, arena: 128, churn: 2048, thp: 512, ballast: 320}
+	geo := geometry{file: 64, arena: 128, churn: 2048, thp: 512, ballast: 320}
+	if limit > 0 {
+		l := uint64(limit)
+		geo = geometry{file: 2 * l, arena: max(l/16, 1), churn: max(l/4, 4)}
 	}
-	l := uint64(limit)
-	return geometry{file: 2 * l, arena: max(l/16, 1), churn: max(l/4, 4)}
+	geo.churnLo = churnMid - geo.churn/2*vm.PageSize
+	return geo
 }
 
-// Fixed fixture addresses: 2 MB-aligned, a gigabyte above the
-// dynamic-mapping floor so the findGap-placed arenas and file mappings
-// never collide with them, with a gap between so the two regions never
-// merge into one VMA.
+// Fixed fixture addresses, a gigabyte above the dynamic-mapping floor so
+// the findGap-placed arenas and file mappings never collide with them.
+// The huge region starts a span of the region index. The churn region
+// straddles the span boundary churnMid, half on each side (4 MB when
+// unlimited, so 2 MB-aligned), sixteen spans above the huge region's:
+// each churn span shares an index tree with a lower fixture's span.
 const (
-	thpLo   = vm.UnmappedBase + (uint64(1) << 30)
-	churnLo = thpLo + 2*vm.HugeSpan
+	thpLo    = vm.UnmappedBase + (uint64(1) << 30)
+	churnMid = thpLo + ranges.StripeCount<<ranges.StripeShift
 )
 
 // Fixture constants.
@@ -541,7 +549,7 @@ func (g *generation) populate() bool {
 		}
 		g.hugeCycle()
 	}
-	if _, err := g.root.Mmap(churnLo, geo.churn*vm.PageSize, rw, vma.Private|vma.Fixed, nil, 0); err != nil {
+	if _, err := g.root.Mmap(geo.churnLo, geo.churn*vm.PageSize, rw, vma.Private|vma.Fixed, nil, 0); err != nil {
 		t.classify(&g.setup, g.key, "map churn region", err, false)
 		return false
 	}

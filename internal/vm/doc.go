@@ -37,8 +37,9 @@
 // mutates under (lock/lockAll/reserve, returning a guard whose mutate()
 // is FaultLock's mutation phase and a no-op elsewhere), and which lock
 // serializes the region tree's writers. No other file names a semaphore
-// or asks which design it runs under (TestSyncSeam). The four designs'
-// policies:
+// or asks which design it runs under (TestSyncSeam), and each design's
+// operations wait on exactly the locks below (TestDesignLockTable). The
+// four designs' policies:
 //
 //   - RWLock: a fault holds mmap_sem read for the whole fault (§4.1); a
 //     pin is mmap_sem read; a mapping operation holds mmap_sem write,
@@ -169,8 +170,9 @@
 //     start out on lines of their own — and for a file page the cache
 //     page's reference count and reverse map, for a limited tenant its
 //     charge counter and the frame's owner stamp;
-//   - its design's lock words: the reader count of mmap_sem (RWLock), the
-//     fault lock (FaultLock), the tree lock (Hybrid); none in PureRCU.
+//   - its design's lock word, a sync.RWMutex reader count: mmap_sem's
+//     (RWLock), the fault lock's (FaultLock), the tree lock's (Hybrid);
+//     none in PureRCU.
 //
 // Nothing address-space-wide: no shared counter, histogram, clock read
 // or watermark check. Faults are counted exactly and timed by sampling:

@@ -3,9 +3,9 @@ package vm
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"bonsai/internal/core"
-	"bonsai/internal/locks"
 	"bonsai/internal/ranges"
 	"bonsai/internal/vma"
 )
@@ -54,10 +54,10 @@ func crosses(v *vma.VMA) bool { return span(v.Start()) != span(v.End()-1) }
 type regionIndex struct {
 	trees    [stripes]*core.Tree[*vma.VMA]
 	crossing *core.Tree[*vma.VMA]
-	sem      *locks.RWSem
+	sem      *sync.RWMutex
 }
 
-func newRegionIndex(sem *locks.RWSem) *regionIndex {
+func newRegionIndex(sem *sync.RWMutex) *regionIndex {
 	i := &regionIndex{crossing: core.New[*vma.VMA](), sem: sem}
 	for s := range i.trees {
 		i.trees[s] = core.New[*vma.VMA]()

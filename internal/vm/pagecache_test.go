@@ -188,8 +188,9 @@ func TestPrivateFileCowIsolation(t *testing.T) {
 }
 
 // TestFileFaultFastPathNoGlobalLock verifies the acceptance property:
-// in the RCU designs, file-backed faults touch neither mmap_sem nor the
-// fault lock and never fall back to the retry-with-lock slow path.
+// in the RCU designs, file-backed faults finish while mmap_sem and the
+// fault lock are write-held, and never fall back to the retry-with-lock
+// slow path.
 func TestFileFaultFastPathNoGlobalLock(t *testing.T) {
 	for _, d := range []Design{Hybrid, PureRCU} {
 		t.Run(d.String(), func(t *testing.T) {
@@ -202,20 +203,21 @@ func TestFileFaultFastPathNoGlobalLock(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mmapBefore, faultBefore, _ := as.SemStats()
 			cpu := as.NewCPU(0)
-			for p := uint64(0); p < 64; p++ {
-				if err := cpu.Fault(base+p*PageSize, p%2 == 0); err != nil {
-					t.Fatal(err)
+			as.sy.mmapSem.Lock()
+			as.sy.faultSem.Lock()
+			err = startOp("64 file faults", func() error {
+				for p := uint64(0); p < 64; p++ {
+					if err := cpu.Fault(base+p*PageSize, p%2 == 0); err != nil {
+						return err
+					}
 				}
-			}
-			mmapAfter, faultAfter, _ := as.SemStats()
-			if mmapAfter.ReadAcquires != mmapBefore.ReadAcquires ||
-				mmapAfter.WriteAcquires != mmapBefore.WriteAcquires {
-				t.Fatalf("file faults took mmap_sem: %+v -> %+v", mmapBefore, mmapAfter)
-			}
-			if faultAfter != faultBefore {
-				t.Fatalf("file faults took the fault lock: %+v -> %+v", faultBefore, faultAfter)
+				return nil
+			}).finishes(t, "mmapSem and faultSem write-held")
+			as.sy.faultSem.Unlock()
+			as.sy.mmapSem.Unlock()
+			if err != nil {
+				t.Fatal(err)
 			}
 			st := as.Stats()
 			if st.Retries() != 0 {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"bonsai/internal/locks"
 	"bonsai/internal/physmem"
 	"bonsai/internal/vma"
 )
@@ -20,7 +19,6 @@ type auditReading struct {
 	tables reflect.Value // pagetable.Stats
 	phys   reflect.Value // physmem.Stats
 	cache  reflect.Value // pagecache.Stats
-	sems   [3]locks.RWSemStats
 	ranges reflect.Value // ranges.Stats
 
 	cells       [2]map[string]uint64 // per-CPU cells of CPU 0 and CPU 1
@@ -39,7 +37,6 @@ func readAudit(as *AddressSpace, cpus [2]*CPU) auditReading {
 	for row := range as.stats.slot.All() {
 		r.mapSamples += row.hist.Count()
 	}
-	r.sems[0], r.sems[1], r.sems[2] = as.SemStats()
 	for i, c := range cpus {
 		m := make(map[string]uint64)
 		rowCells(m, as.stats.cpu.At(c.id))
@@ -110,7 +107,8 @@ func wantDeltas(t *testing.T, layer string, got, want map[string]int64) {
 // is still shared read zero delta. The documented exceptions are lock
 // words, and only for the designs that take a lock: the reader count of
 // mmap_sem (RWLock), of the fault lock (FaultLock) and of the tree lock
-// (Hybrid). PureRCU has none.
+// (Hybrid). PureRCU has none. They count nothing, so which lock a
+// fault takes is shown by what it waits for (TestDesignLockTable).
 //
 // One step covers a plain write the counters cannot see (ROADMAP 2(a)):
 // every allocation writes its frame's word of physmem's metadata array,
@@ -120,21 +118,6 @@ func TestFastPathFaultWritesOnlyItsOwnCells(t *testing.T) {
 	const n = 16 // fits in what a just-refilled magazine holds
 	forEachDesign(t, Config{CPUs: 2, Frames: 4096}, func(t *testing.T, as *AddressSpace) {
 		cpus := [2]*CPU{as.NewCPU(0), as.NewCPU(1)}
-		semWant := func(t *testing.T, before, after [3]locks.RWSemStats) {
-			t.Helper()
-			want := before
-			switch as.cfg.Design {
-			case RWLock:
-				want[0].ReadAcquires += n
-			case FaultLock:
-				want[1].ReadAcquires += n
-			case Hybrid:
-				want[2].ReadAcquires += n
-			}
-			if after != want {
-				t.Errorf("semaphores (mmap, fault, tree) went %+v -> %+v, want %+v", before, after, want)
-			}
-		}
 		cellWant := func(t *testing.T, before, after auditReading, want map[string]int64) {
 			t.Helper()
 			got := make(map[string]int64)
@@ -250,7 +233,6 @@ func TestFastPathFaultWritesOnlyItsOwnCells(t *testing.T) {
 			wantDeltas(t, "physmem.Stats", structDeltas(before.phys, after.phys),
 				map[string]int64{"Allocs": n, "InUse": n, "Free": -n})
 			wantDeltas(t, "ranges.Stats", structDeltas(before.ranges, after.ranges), nil)
-			semWant(t, before.sems, after.sems)
 			cellWant(t, before, after, plus(cellsWant, map[string]int64{"physmem.allocs": n}))
 		})
 
@@ -289,7 +271,6 @@ func TestFastPathFaultWritesOnlyItsOwnCells(t *testing.T) {
 			wantDeltas(t, "physmem.Stats", structDeltas(before.phys, after.phys), nil)
 			wantDeltas(t, "pagecache.Stats", structDeltas(before.cache, after.cache), map[string]int64{"Hits": n})
 			wantDeltas(t, "ranges.Stats", structDeltas(before.ranges, after.ranges), nil)
-			semWant(t, before.sems, after.sems)
 			cellWant(t, before, after, plus(cellsWant, map[string]int64{"pagecache.hits": n}))
 		})
 	})

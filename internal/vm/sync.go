@@ -1,8 +1,9 @@
 package vm
 
 import (
+	"sync"
+
 	"bonsai/internal/fail"
-	"bonsai/internal/locks"
 	"bonsai/internal/ranges"
 	"bonsai/internal/stats"
 )
@@ -43,17 +44,20 @@ type syncPolicy struct {
 	// region tree and fills the page: mmapSem (RWLock), faultSem
 	// (FaultLock), or nil — only the CPU's RCU read section, no lock
 	// (Hybrid, PureRCU).
-	readSem *locks.RWSem
+	readSem *sync.RWMutex
 
+	// The semaphores prefer writers, as the kernel's do: a waiting
+	// mapping operation holds back new faults (Figure 2).
+	//
 	// mmapSem serializes RWLock's and FaultLock's mapping operations;
 	// RWLock faults also read-lock it (§4.1).
-	mmapSem locks.RWSem
+	mmapSem sync.RWMutex
 	// faultSem is FaultLock's fault lock: faults read-lock it, mapping
 	// operations write-lock it around their mutation phase only (§5.1).
-	faultSem locks.RWSem
+	faultSem sync.RWMutex
 	// treeSem is the Hybrid region tree's lock (§5.2), taken by the tree
 	// itself on every access.
-	treeSem locks.RWSem
+	treeSem sync.RWMutex
 	// rl replaces mmapSem on Hybrid's and PureRCU's mapping side (nil
 	// under RWLock and FaultLock): an operation locks only the interval
 	// it affects, so operations on disjoint ranges run concurrently.
@@ -67,7 +71,7 @@ type syncPolicy struct {
 // RCU designs range-lock: the others' faults hold mmapSem (or a lock
 // nested in it) against mapping operations.
 func (p *syncPolicy) init(cfg Config) {
-	var treeSem *locks.RWSem
+	var treeSem *sync.RWMutex
 	switch cfg.Design {
 	case PureRCU:
 		p.rl = new(ranges.Manager)
@@ -333,13 +337,6 @@ func (mg *mapGuard) unlock() {
 		}
 		mg.p.mmapSem.Unlock()
 	}
-}
-
-// SemStats exposes the semaphore counters for contention analysis: how
-// often each lock was taken and how often acquisition had to sleep —
-// the accounting behind the paper's §7.2 lock-contention breakdown.
-func (as *AddressSpace) SemStats() (mmapSem, faultSem, treeSem locks.RWSemStats) {
-	return as.sy.mmapSem.Stats(), as.sy.faultSem.Stats(), as.sy.treeSem.Stats()
 }
 
 // RangeStats exposes the range-lock manager's counters: acquisitions,

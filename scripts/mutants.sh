@@ -16,12 +16,16 @@
 # cache only when no other live tenant maps the file; the twin drops it
 # whatever the count says, so the first tenant to retire takes it), of
 # Hybrid's tree lock around every region-index edit (the twin edits
-# without it, so only the read side still pays §5.2's lock), and of the
-# grace period every reclaim scan ends with (the twin waits only
-# after a scan that evicted something, so direct reclaim takes a few
-# free frames for progress while the frames a caller needs stay queued,
-# and a limited tenant whose freed charge is still queued runs out of
-# memory it has already freed; two tests, one twin each):
+# without it, so only the read side still pays §5.2's lock), of
+# FaultLock's mutation phase (the twin never write-locks the fault lock,
+# so faults run beside the mutation too; those two killed by the test
+# that shows each design's operations waiting on the locks its row of
+# sync.go's table names), and of the grace period every reclaim scan
+# ends with (the twin waits only after a scan that evicted something, so
+# direct reclaim takes a few free frames for progress while the frames a
+# caller needs stay queued, and a limited tenant whose freed charge is
+# still queued runs out of memory it has already freed; two tests, one
+# twin each) — fifteen twins in all:
 # each guard test passes on the checkout as it stands and must fail on a
 # copy of it with that one guard removed — the proof that the test sees
 # the guard. Each test runs in the package of the file its twin mutates,
@@ -57,7 +61,8 @@ mutants=(
 	'TestMmapInvalidArgs@@internal/vm/vm.go@@length == 0 || length > MaxAddress {@@length == 0 {'
 	'TestClosedSpacesLeaveNoReaders@@internal/vm/vm.go@@as.dom.Unregister(rd)@@_ = rd'
 	'TestSharedFileOutlivesFirstTenant@@internal/vm/filecache.go@@if h.fileUsers[f] > 0 {@@if false {'
-	$'TestMapCycleCounts@@internal/vm/index.go@@\tif i.sem != nil {\n\t\ti.sem.Lock()\n\t\tdefer i.sem.Unlock()\n\t}\n@@'
+	$'TestDesignLockTable@@internal/vm/index.go@@\tif i.sem != nil {\n\t\ti.sem.Lock()\n\t\tdefer i.sem.Unlock()\n\t}\n@@'
+	'TestDesignLockTable@@internal/vm/sync.go@@if mg.p.readSem == &mg.p.faultSem && !mg.mutating {@@if false {'
 	$'TestDirectReclaimWaitsOutTheBacklog@@internal/reclaim/reclaim.go@@\tr.dom.Synchronize()\n\treturn evicted\n}@@\tif evicted > 0 {\n\t\tr.dom.Synchronize()\n\t}\n\treturn evicted\n}'
 	$'internal/vm:TestTenantWaitsOutTheRCUBacklog@@internal/reclaim/reclaim.go@@\tr.dom.Synchronize()\n\treturn evicted\n}@@\tif evicted > 0 {\n\t\tr.dom.Synchronize()\n\t}\n\treturn evicted\n}'
 )
